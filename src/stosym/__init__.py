@@ -27,11 +27,22 @@ from .solve import (Ansatz, NonClosedBasisError, NonlinearEntanglementError,
 from .dsl import (candidate_from_dict, candidate_to_dict, load_candidate,
                   load_system, parse_candidate, parse_system, system_from_dict,
                   system_to_dict, to_cand, to_sde)
-from .mcsim import (BlowupError, ComparisonReport, Ensemble, compare_ensembles,
-                    euler_maruyama, export_binary, load_binary,
-                    validate_symmetry_mc)
 from .kpz import (KpzChain, KpzTensors, inversion_matrix, kpz_check_discrete,
                   kpz_detsys_continuous, kpz_ito, kpz_tensors,
                   site_shift_matrix)
 
 __version__ = "0.1.0"
+
+# The Monte-Carlo layer pulls in SciPy, which symbolic work never needs, so
+# its names are loaded on first access (PEP 562).
+_MCSIM_NAMES = frozenset({
+    "BlowupError", "ComparisonReport", "Ensemble", "compare_ensembles",
+    "euler_maruyama", "export_binary", "load_binary", "validate_symmetry_mc",
+})
+
+
+def __getattr__(name):
+    if name in _MCSIM_NAMES:
+        from . import mcsim
+        return getattr(mcsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 the candidate is a symmetry (or the command succeeded),
-1 it is not, 2 a file failed to parse, 3 the verdict is inconclusive.
+1 it is not, 2 the input was rejected (a file failed to parse, an argument
+or parameter binding is unusable, or a simulation blew up), 3 the verdict
+is inconclusive.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from .verify import OverallVerdict, check, check_normalization_preserving, \
 from .solve import Ansatz, default_time_basis, solve_ansatz
 from .dsl import candidate_to_dict, load_candidate, load_system
 from . import kpz as kpzmod
-from .mcsim import euler_maruyama, export_binary, validate_symmetry_mc
 
 EXIT_SYMMETRY = 0
 EXIT_NOT_SYMMETRY = 1
@@ -34,15 +35,16 @@ def _emit(data, as_json):
     return data
 
 
+def _reject(message):
+    click.echo(message, err=True)
+    sys.exit(EXIT_PARSE_ERROR)
+
+
 def _load(path, loader, *args):
     try:
         return loader(path, *args)
-    except ParseError as e:
-        click.echo(f"{path}: {e}", err=True)
-        sys.exit(EXIT_PARSE_ERROR)
-    except (OSError, ValueError) as e:
-        click.echo(f"{path}: {e}", err=True)
-        sys.exit(EXIT_PARSE_ERROR)
+    except (ParseError, OSError, ValueError) as e:
+        _reject(f"{path}: {e}")
 
 
 def _detsys_for(ito, candidate):
@@ -132,8 +134,7 @@ def check_cmd(system_file, candidate_file, classify_fp, as_json):
     data = {"schema": 1}
     if classify_fp:
         if not isinstance(candidate, VectorField):
-            click.echo("--fp applies to vector-field candidates only", err=True)
-            sys.exit(EXIT_PARSE_ERROR)
+            _reject("--fp applies to vector-field candidates only")
         vf = candidate if candidate.beta is not None else extend_to_fp(candidate)
         report = check(detsys_fp(ito, vf))
         data.update(report.to_dict())
@@ -176,11 +177,9 @@ def solve_cmd(system_file, degree, basis_tokens, with_b, as_json):
             try:
                 rates.append(parse_expr(token[4:], ito.context))
             except ParseError as e:
-                click.echo(f"--time-basis {token}: {e}", err=True)
-                sys.exit(EXIT_PARSE_ERROR)
+                _reject(f"--time-basis {token}: {e}")
         else:
-            click.echo(f"unknown time basis token '{token}'", err=True)
-            sys.exit(EXIT_PARSE_ERROR)
+            _reject(f"unknown time basis token '{token}'")
     ansatz = Ansatz(degree=degree, time_basis=default_time_basis(t, rates),
                     t=t, include_B=with_b)
     basis = solve_ansatz(ito, ansatz, which="w" if with_b else "projectable")
@@ -236,10 +235,14 @@ def _parse_x0(text, n):
 def simulate(system_file, x0, t0, t1, dt, n_paths, seed, param_pairs,
              out_file, as_json):
     """Simulate an ensemble and write it to a binary file."""
+    from .mcsim import BlowupError, euler_maruyama, export_binary
     ito = _load(system_file, load_system)
     params = _parse_params(param_pairs, ito.context)
-    ens = euler_maruyama(ito, _parse_x0(x0, ito.n), t0, t1, dt, n_paths,
-                         seed, params=params)
+    try:
+        ens = euler_maruyama(ito, _parse_x0(x0, ito.n), t0, t1, dt, n_paths,
+                             seed, params=params)
+    except (ValueError, BlowupError) as e:
+        _reject(f"simulate: {e}")
     export_binary(ens, out_file)
     data = {"schema": 1, "system": ito.name, "out": out_file,
             "n_paths": ens.n_paths, "n_stored": len(ens.times),
@@ -266,13 +269,17 @@ def simulate(system_file, x0, t0, t1, dt, n_paths, seed, param_pairs,
 def mc_check(system_file, candidate_file, x0, t1, dt, n_paths, seed,
              epsilon, significance, param_pairs, as_json):
     """Cross-validate a candidate numerically by ensemble comparison."""
+    from .mcsim import BlowupError, validate_symmetry_mc
     ito = _load(system_file, load_system)
     candidate = _load(candidate_file, load_candidate, ito)
     params = _parse_params(param_pairs, ito.context)
-    report = validate_symmetry_mc(ito, candidate, x0=_parse_x0(x0, ito.n),
-                                  t1=t1, dt=dt, n_paths=n_paths, seed=seed,
-                                  epsilon=epsilon, significance=significance,
-                                  params=params)
+    try:
+        report = validate_symmetry_mc(
+            ito, candidate, x0=_parse_x0(x0, ito.n), t1=t1, dt=dt,
+            n_paths=n_paths, seed=seed, epsilon=epsilon,
+            significance=significance, params=params)
+    except (ValueError, BlowupError) as e:
+        _reject(f"mc-check: {e}")
     if as_json:
         _emit(report.to_dict(), True)
     else:
@@ -313,8 +320,7 @@ def kpz_cmd(sites, alpha, beta, which, as_json):
         rep = kpzmod.kpz_check_discrete(chain, -sp.eye(n))
         ok, data = rep.is_symmetry, rep.to_dict()
     else:
-        click.echo(f"unknown check '{which}'", err=True)
-        sys.exit(EXIT_PARSE_ERROR)
+        _reject(f"unknown check '{which}'")
     data["check"] = which
     if as_json:
         _emit(data, True)

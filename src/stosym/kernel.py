@@ -250,7 +250,10 @@ class _Parser:
         e = self.unary()
         while self.peek()[1] in ("*", "/"):
             op = self.advance()[1]
+            _, _, line, col = self.peek()
             rhs = self.unary()
+            if op == "/" and rhs == 0:
+                raise ParseError("division by zero", line, col)
             e = e * rhs if op == "*" else e / rhs
         return e
 
@@ -266,8 +269,11 @@ class _Parser:
     def factor(self):
         e = self.base()
         if self.peek()[1] == "^":
-            self.advance()
-            return e ** self.exponent()
+            _, _, line, col = self.advance()
+            p = self.exponent()
+            if e == 0 and p < 0:
+                raise ParseError("zero to a negative power", line, col)
+            return e ** p
         return e
 
     def exponent(self):
@@ -280,7 +286,10 @@ class _Parser:
             p = self.exponent()
             if self.peek()[1] == "/":
                 self.advance()
+                _, _, qline, qcol = self.peek()
                 q = self.exponent()
+                if q == 0:
+                    raise ParseError("zero denominator in exponent", qline, qcol)
                 p = sp.Rational(p, q)
             self.expect(")")
             return p
@@ -322,8 +331,15 @@ def parse_expr(text: str, context: Context) -> sp.Expr:
 
     Raises ParseError (with line/column) on malformed input and
     UndeclaredSymbolError on free names missing from the context.
+    Non-finite values raise ParseError too: a literal zero denominator is
+    reported where it stands, one that only normalization reveals at
+    column 1.
     """
-    return normalize(_Parser(_tokenize(text), context).parse())
+    e = normalize(_Parser(_tokenize(text), context).parse())
+    if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+        raise ParseError("expression is not finite (a denominator is "
+                         "identically zero)", 1, 1)
+    return e
 
 
 # ---------------------------------------------------------------------------

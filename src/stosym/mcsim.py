@@ -4,9 +4,25 @@ comparison of ensembles (Kolmogorov-Smirnov plus first two moments).
 Noise comes from numpy's Philox counter-based generator keyed by the seed;
 the increment stream has a fixed (step, path, channel) layout, so results
 are reproducible regardless of how the path loop might later be scheduled.
+
+Once the parameters are bound, `euler_maruyama` sorts the noise matrix
+sigma into one of three classes and forms the increments sigma dW by the
+cheapest rule that is exact for it:
+
+- constant: one float matrix S, built once; dW S^T, or an elementwise
+  product when S is square and diagonal;
+- time-only: the n x m matrix evaluated once per step and shared by all
+  paths;
+- state-dependent: every entry evaluated per path and contracted with
+  dW path by path.
+
+The drift is one lambdified vector with common subexpressions eliminated.
+The class only decides how sigma is evaluated: the draw layout, and so the
+noise of every seed, is the same for all three.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -23,7 +39,10 @@ __all__ = [
     "export_binary", "load_binary",
 ]
 
-_MAGIC_FIELDS = "<qqqdq"  # n, n_paths, n_stored_steps, dt, seed
+_MAGIC = b"STOSYMEN"
+_VERSION = 1
+# magic, version, n, n_paths, n_stored_steps, dt, seed
+_HEADER = struct.Struct("<8sqqqqdq")
 
 
 class BlowupError(RuntimeError):
@@ -52,29 +71,58 @@ class Ensemble:
         return self.paths.shape[2]
 
 
-def _lambdify_field(exprs, ctx, params):
-    """Vectorized evaluators (X[n_paths, n], t) -> array for a list of
-    coefficient expressions."""
-    x, t = ctx.spatial, ctx.t
+def _bind(exprs, ctx, params):
+    """The coefficient expressions with the parameter values substituted;
+    only state variables and time may remain free."""
     subs = {}
     for name, val in dict(params or {}).items():
         subs[ctx.symbol(name) if isinstance(name, str) else name] = sp.sympify(val)
-    funcs = []
+    allowed = {*ctx.spatial, ctx.t}
+    bound = []
     for e in exprs:
         e = sp.sympify(e).subs(subs)
-        free = e.free_symbols - set(x) - {t}
+        free = e.free_symbols - allowed
         if free:
             names = ", ".join(sorted(s.name for s in free))
             raise ValueError(f"coefficient not numeric-evaluable, unbound: {names}")
-        fn = sp.lambdify((*x, t), e, modules="numpy")
-        funcs.append(fn)
+        bound.append(e)
+    return bound
+
+
+def _lambdify_field(exprs, ctx):
+    """One vectorized evaluator (X[n_paths, n], t) -> (n_paths, k) for k
+    bound expressions, with common subexpressions computed once."""
+    fn = sp.lambdify((*ctx.spatial, ctx.t), exprs, modules="numpy",
+                     cse=True)
 
     def evaluate(X, tval):
-        cols = [np.broadcast_to(np.asarray(fn(*(X[:, j] for j in range(len(x))), tval),
-                                           dtype=float), (X.shape[0],))
-                for fn in funcs]
-        return np.stack(cols, axis=1)
+        out = np.empty((X.shape[0], len(exprs)))
+        for i, col in enumerate(fn(*X.T, tval)):
+            out[:, i] = col
+        return out
     return evaluate
+
+
+def _noise_increment(sigma, ctx, n, m, n_paths):
+    """(X, t, dW) -> the per-path increments sigma(X, t) dW, for the bound
+    row-major n x m noise matrix, by noise class (see the module doc)."""
+    free = set().union(*(e.free_symbols for e in sigma))
+    if free & set(ctx.spatial):
+        entries = _lambdify_field(sigma, ctx)
+        return lambda X, t, dW: np.einsum(
+            "pik,pk->pi", entries(X, t).reshape(-1, n, m), dW)
+    if ctx.t in free:
+        fn = sp.lambdify(ctx.t, sp.Matrix(n, m, sigma), modules="numpy",
+                         cse=True)
+        return lambda X, t, dW: dW @ np.asarray(fn(t), dtype=float).T
+    S = np.array([float(e) for e in sigma]).reshape(n, m)
+    if n == m and not np.any(S - np.diag(np.diag(S))):
+        # one row per path: a flat product beats broadcasting over a short
+        # last axis
+        D = np.tile(np.diag(S), (n_paths, 1))
+        return lambda X, t, dW: dW * D
+    ST = S.T.copy()
+    return lambda X, t, dW: dW @ ST
 
 
 def euler_maruyama(ito: ItoSystem, x0, t0, t1, dt, n_paths, seed,
@@ -89,8 +137,11 @@ def euler_maruyama(ito: ItoSystem, x0, t0, t1, dt, n_paths, seed,
         raise ValueError("time horizon shorter than one step")
     if store_every is None:
         store_every = max(1, n_steps // 10)
-    drift = _lambdify_field(ito.f, ito.context, params)
-    sigma = _lambdify_field([e for row in ito.sigma for e in row], ito.context, params)
+    ctx = ito.context
+    drift = _lambdify_field(_bind(ito.f, ctx, params), ctx)
+    noise = _noise_increment(
+        _bind([e for row in ito.sigma for e in row], ctx, params), ctx, n, m,
+        n_paths)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     X = np.tile(np.asarray(x0, dtype=float).reshape(1, n), (n_paths, 1))
@@ -100,8 +151,7 @@ def euler_maruyama(ito: ItoSystem, x0, t0, t1, dt, n_paths, seed,
     t = t0
     for step in range(1, n_steps + 1):
         dW = rng.standard_normal((n_paths, m)) * sqrt_dt
-        sig = sigma(X, t).reshape(n_paths, n, m)
-        X = X + drift(X, t) * dt + np.einsum("pik,pk->pi", sig, dW)
+        X = X + drift(X, t) * dt + noise(X, t, dW)
         t = t0 + step * dt
         bad = ~np.isfinite(X)
         if bad.any():
@@ -200,7 +250,7 @@ def compare_ensembles(a: Ensemble, b: Ensemble, significance=0.01,
 
 
 def _push_paths(ens: Ensemble, exprs, ctx, params, epsilon=None):
-    fn = _lambdify_field(exprs, ctx, params)
+    fn = _lambdify_field(_bind(exprs, ctx, params), ctx)
     out = np.empty_like(ens.paths)
     for ti, t in enumerate(ens.times):
         X = ens.paths[:, ti, :]
@@ -269,11 +319,12 @@ def validate_symmetry_mc(ito: ItoSystem, candidate, x0, t0=0.0, t1=1.0,
 
 
 def export_binary(ens: Ensemble, path):
-    """Flat layout: little-endian header (n, n_paths, n_stored_steps as
-    int64, dt as float64, seed as int64) followed by the row-major double
-    payload of the path array."""
-    header = struct.pack(_MAGIC_FIELDS, ens.n, ens.n_paths, len(ens.times),
-                         float(ens.dt), int(ens.seed))
+    """Flat little-endian layout: a header (the magic b"STOSYMEN", then the
+    format version, n, n_paths and n_stored_steps as int64, dt as float64
+    and seed as int64), the row-major double payload of the path array,
+    then the stored times as doubles."""
+    header = _HEADER.pack(_MAGIC, _VERSION, ens.n, ens.n_paths,
+                          len(ens.times), float(ens.dt), int(ens.seed))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(ens.paths, dtype="<f8").tobytes())
@@ -281,10 +332,31 @@ def export_binary(ens: Ensemble, path):
 
 
 def load_binary(path) -> Ensemble:
+    """Read a file written by `export_binary`. Raises ValueError unless the
+    magic and version match and the file is exactly as long as its header
+    says."""
     with open(path, "rb") as fh:
-        raw = fh.read(struct.calcsize(_MAGIC_FIELDS))
-        n, n_paths, n_stored, dt, seed = struct.unpack(_MAGIC_FIELDS, raw)
-        payload = np.frombuffer(fh.read(8 * n_paths * n_stored * n), dtype="<f8")
-        times = np.frombuffer(fh.read(8 * n_stored), dtype="<f8")
-    paths = payload.reshape(n_paths, n_stored, n).copy()
-    return Ensemble(times=times.copy(), paths=paths, seed=seed, dt=dt, n_paths=n_paths)
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise ValueError(f"{path}: truncated header: expected "
+                             f"{_HEADER.size} bytes, got {size}")
+        magic, version, n, n_paths, n_stored, dt, seed = \
+            _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != _MAGIC:
+            raise ValueError(f"{path}: not a stosym ensemble file "
+                             f"(magic {magic!r})")
+        if version != _VERSION:
+            raise ValueError(f"{path}: unsupported ensemble format "
+                             f"version {version}")
+        if min(n, n_paths, n_stored) < 1:
+            raise ValueError(f"{path}: bad shape n={n}, n_paths={n_paths}, "
+                             f"n_stored={n_stored}")
+        n_values = n_paths * n_stored * n
+        expected, actual = 8 * (n_values + n_stored), size - _HEADER.size
+        if actual != expected:
+            raise ValueError(f"{path}: payload is {actual} bytes, expected "
+                             f"{expected} (8*n_paths*n_stored*n + 8*n_stored)")
+        paths = np.fromfile(fh, dtype="<f8", count=n_values)
+        times = np.fromfile(fh, dtype="<f8", count=n_stored)
+    return Ensemble(times=times, paths=paths.reshape(n_paths, n_stored, n),
+                    seed=seed, dt=dt, n_paths=n_paths)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import stosym
 from stosym.cli import main
 
 
@@ -114,6 +119,48 @@ class TestSimulateAndMc:
             "--n-paths", "1500", "--param", "s0=1"])
         assert result.exit_code == 0
         assert "pass" in result.output
+
+    @pytest.mark.parametrize("command", ["simulate", "mc-check"])
+    def test_unbound_param_exit_two(self, runner, fixtures_dir, tmp_path,
+                                    command):
+        args = [command, fx(fixtures_dir, "heat.sde")]
+        if command == "mc-check":
+            args.append(fx(fixtures_dir, "heat_v2.cand"))
+        else:
+            args += ["--out", str(tmp_path / "ens.bin")]
+        result = runner.invoke(main, args + ["--x0", "0", "--n-paths", "10"])
+        assert result.exit_code == 2
+        assert "unbound: s0" in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_blowup_exit_two(self, runner, tmp_path):
+        system = tmp_path / "cubic.sde"
+        system.write_text("vars x\nnoises w\ndrift x = x^3\nsigma x w = 1\n")
+        result = runner.invoke(main, [
+            "simulate", str(system), "--x0", "50", "--dt", "0.01",
+            "--n-paths", "4", "--out", str(tmp_path / "ens.bin")])
+        assert result.exit_code == 2
+        assert "non-finite value in path" in result.stderr
+
+    def test_mc_check_time_component_exit_two(self, runner, fixtures_dir):
+        result = runner.invoke(main, [
+            "mc-check", fx(fixtures_dir, "heat.sde"),
+            fx(fixtures_dir, "heat_v5.cand"), "--x0", "0", "--n-paths", "10",
+            "--param", "s0=1"])
+        assert result.exit_code == 2
+        assert "tau = 0" in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
+
+def test_symbolic_import_leaves_scipy_unloaded():
+    code = ("import sys, stosym, stosym.cli\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'\n"
+            "from stosym import euler_maruyama, compare_ensembles\n"
+            "assert 'scipy.stats' in sys.modules\n")
+    src = str(Path(stosym.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestKpz:

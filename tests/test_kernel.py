@@ -58,6 +58,15 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_expr("(x + y", ctx)
 
+    @pytest.mark.parametrize("text,col", [
+        ("x^(1/0)", 6), ("x^(3/(0))", 6), ("y/0", 3), ("1/(x - x)", 3),
+        ("0^-1", 2), ("x/(sin(x)^2 + cos(x)^2 - 1)", 1),
+    ])
+    def test_non_finite_constant_rejected(self, ctx, text, col):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, ctx)
+        assert (err.value.line, err.value.col) == (1, col)
+
     def test_noise_names_not_expressions(self, ctx):
         with pytest.raises(UndeclaredSymbolError):
             parse_expr("w + 1", ctx)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from stosym.dsl import load_system
 from stosym.kernel import Context
+from stosym.kpz import KpzChain, kpz_ito
 from stosym.model import DiscreteMap, ItoSystem, VectorField
 from stosym.mcsim import (BlowupError, compare_ensembles, euler_maruyama,
                           export_binary, load_binary, validate_symmetry_mc)
@@ -52,6 +54,69 @@ class TestEulerMaruyama:
         assert ens.times[0] == 0.0
         assert ens.times[-1] == pytest.approx(1.0)
         assert len(ens.times) == 5
+
+
+def _reference_em(ito, x0, dt, n_steps, n_paths, seed, params=None):
+    """Plain Euler-Maruyama from the same Philox stream: every drift and
+    sigma entry lambdified on its own and the noise contracted path by path
+    at every step, whatever the noise class."""
+    ctx = ito.context
+    subs = {ctx.symbol(k): v for k, v in (params or {}).items()}
+    args = (*ctx.spatial, ctx.t)
+
+    def field(exprs):
+        fns = [sp.lambdify(args, sp.sympify(e).subs(subs), "numpy")
+               for e in exprs]
+        return lambda X, t: np.stack(
+            [np.broadcast_to(np.asarray(fn(*X.T, t), dtype=float), X.shape[:1])
+             for fn in fns], axis=1)
+    drift = field(ito.f)
+    sigma = field([e for row in ito.sigma for e in row])
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    X = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
+    t = 0.0
+    for step in range(1, n_steps + 1):
+        dW = rng.standard_normal((n_paths, ito.m)) * np.sqrt(dt)
+        sig = sigma(X, t).reshape(n_paths, ito.n, ito.m)
+        X = X + drift(X, t) * dt + np.einsum("pik,pk->pi", sig, dW)
+        t = step * dt
+    return X
+
+
+def _dense_constant():
+    ctx = Context(spatial=("x1", "x2"), noises=("w1", "w2"))
+    x1, x2 = ctx.spatial
+    return ItoSystem(context=ctx, f=(-x1 + x2 / 2, -x2),
+                     sigma=((sp.Integer(1), sp.Rational(1, 2)),
+                            (sp.Rational(-3, 10), sp.sqrt(2))))
+
+
+def _state_dependent():
+    ctx = Context(spatial=("x1", "x2"), noises=("w1", "w2"))
+    x1, x2 = ctx.spatial
+    s = sp.Rational(2, 5)
+    return ItoSystem(context=ctx, f=(-x1, -x2),
+                     sigma=((s * x1, s * x2), (-s * x2, s * x1)))
+
+
+@pytest.mark.parametrize("make,x0,params", [
+    (lambda fx: load_system(fx / "langevin2.sde"), [1.0, -0.5],
+     {"s1": 0.7, "s2": 0.3}),
+    (lambda fx: _dense_constant(), [0.3, 0.1], None),
+    (lambda fx: load_system(fx / "rotating.sde"), [0.0, 0.2], None),
+    (lambda fx: _state_dependent(), [1.0, 0.5], None),
+    (lambda fx: kpz_ito(KpzChain(8)), np.linspace(-0.5, 0.5, 8),
+     {"a": 1.0, "b": 0.1}),
+], ids=["constant-diagonal", "constant-dense", "time-only",
+        "state-dependent", "chain"])
+def test_noise_classes_match_plain_em(fixtures_dir, make, x0, params):
+    ito = make(fixtures_dir)
+    dt, n_steps, n_paths, seed = 1e-2, 50, 200, 21
+    ens = euler_maruyama(ito, x0, 0.0, n_steps * dt, dt, n_paths, seed,
+                         params=params)
+    ref = _reference_em(ito, x0, dt, n_steps, n_paths, seed, params)
+    np.testing.assert_allclose(ens.paths[:, -1, :], ref, rtol=1e-12,
+                               atol=1e-12)
 
 
 class TestCompare:
@@ -109,3 +174,35 @@ def test_binary_round_trip(tmp_path, wiener):
     assert back.seed == ens.seed
     assert back.dt == ens.dt
     assert back.n_paths == ens.n_paths
+
+
+@pytest.fixture
+def ensemble_file(tmp_path, wiener):
+    # 8 paths, 11 stored times, n = 1: a payload of 8*8*11*1 + 8*11 = 792 bytes
+    ens = euler_maruyama(wiener, [0.0], 0.0, 0.1, 1e-2, 8, seed=14)
+    path = tmp_path / "ens.bin"
+    export_binary(ens, path)
+    return path
+
+
+def test_binary_truncated_rejected(ensemble_file):
+    raw = ensemble_file.read_bytes()
+    ensemble_file.write_bytes(raw[:-5])
+    with pytest.raises(ValueError, match="payload is 787 bytes, expected 792"):
+        load_binary(ensemble_file)
+    ensemble_file.write_bytes(raw[:20])
+    with pytest.raises(ValueError, match="truncated header"):
+        load_binary(ensemble_file)
+
+
+def test_binary_trailing_bytes_rejected(ensemble_file):
+    ensemble_file.write_bytes(ensemble_file.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match="payload is 800 bytes, expected 792"):
+        load_binary(ensemble_file)
+
+
+def test_binary_wrong_magic_rejected(ensemble_file):
+    raw = ensemble_file.read_bytes()
+    ensemble_file.write_bytes(b"NOTANENS" + raw[8:])
+    with pytest.raises(ValueError, match="not a stosym ensemble file"):
+        load_binary(ensemble_file)
