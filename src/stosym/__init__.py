@@ -36,7 +36,8 @@ __version__ = "0.1.0"
 # The Monte-Carlo layer pulls in SciPy, which symbolic work never needs, so
 # its names are loaded on first access (PEP 562).
 _MCSIM_NAMES = frozenset({
-    "BlowupError", "ComparisonReport", "Ensemble", "compare_ensembles",
+    "BlowupError", "ComparisonReport", "Ensemble", "InputError",
+    "compare_ensembles",
     "euler_maruyama", "export_binary", "load_binary", "validate_symmetry_mc",
 })
 

@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 the candidate is a symmetry (or the command succeeded),
-1 it is not, 2 the input was rejected (a file failed to parse, an argument
-or parameter binding is unusable, or a simulation blew up), 3 the verdict
-is inconclusive.
+1 it is not, 2 the input was rejected (a file failed to parse, or an
+argument or parameter binding is unusable), 3 the verdict is inconclusive.
 """
 from __future__ import annotations
 
@@ -235,13 +234,13 @@ def _parse_x0(text, n):
 def simulate(system_file, x0, t0, t1, dt, n_paths, seed, param_pairs,
              out_file, as_json):
     """Simulate an ensemble and write it to a binary file."""
-    from .mcsim import BlowupError, euler_maruyama, export_binary
+    from .mcsim import InputError, euler_maruyama, export_binary
     ito = _load(system_file, load_system)
     params = _parse_params(param_pairs, ito.context)
     try:
         ens = euler_maruyama(ito, _parse_x0(x0, ito.n), t0, t1, dt, n_paths,
                              seed, params=params)
-    except (ValueError, BlowupError) as e:
+    except InputError as e:
         _reject(f"simulate: {e}")
     export_binary(ens, out_file)
     data = {"schema": 1, "system": ito.name, "out": out_file,
@@ -269,7 +268,7 @@ def simulate(system_file, x0, t0, t1, dt, n_paths, seed, param_pairs,
 def mc_check(system_file, candidate_file, x0, t1, dt, n_paths, seed,
              epsilon, significance, param_pairs, as_json):
     """Cross-validate a candidate numerically by ensemble comparison."""
-    from .mcsim import BlowupError, validate_symmetry_mc
+    from .mcsim import InputError, validate_symmetry_mc
     ito = _load(system_file, load_system)
     candidate = _load(candidate_file, load_candidate, ito)
     params = _parse_params(param_pairs, ito.context)
@@ -278,7 +277,7 @@ def mc_check(system_file, candidate_file, x0, t1, dt, n_paths, seed,
             ito, candidate, x0=_parse_x0(x0, ito.n), t1=t1, dt=dt,
             n_paths=n_paths, seed=seed, epsilon=epsilon,
             significance=significance, params=params)
-    except (ValueError, BlowupError) as e:
+    except InputError as e:
         _reject(f"mc-check: {e}")
     if as_json:
         _emit(report.to_dict(), True)

@@ -250,10 +250,7 @@ class _Parser:
         e = self.unary()
         while self.peek()[1] in ("*", "/"):
             op = self.advance()[1]
-            _, _, line, col = self.peek()
             rhs = self.unary()
-            if op == "/" and rhs == 0:
-                raise ParseError("division by zero", line, col)
             e = e * rhs if op == "*" else e / rhs
         return e
 
@@ -269,11 +266,8 @@ class _Parser:
     def factor(self):
         e = self.base()
         if self.peek()[1] == "^":
-            _, _, line, col = self.advance()
-            p = self.exponent()
-            if e == 0 and p < 0:
-                raise ParseError("zero to a negative power", line, col)
-            return e ** p
+            self.advance()
+            return e ** self.exponent()
         return e
 
     def exponent(self):
@@ -331,9 +325,8 @@ def parse_expr(text: str, context: Context) -> sp.Expr:
 
     Raises ParseError (with line/column) on malformed input and
     UndeclaredSymbolError on free names missing from the context.
-    Non-finite values raise ParseError too: a literal zero denominator is
-    reported where it stands, one that only normalization reveals at
-    column 1.
+    Non-finite values raise ParseError too: a zero denominator in an
+    exponent is reported where it stands, any other at column 1.
     """
     e = normalize(_Parser(_tokenize(text), context).parse())
     if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):

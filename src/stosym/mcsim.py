@@ -5,20 +5,18 @@ Noise comes from numpy's Philox counter-based generator keyed by the seed;
 the increment stream has a fixed (step, path, channel) layout, so results
 are reproducible regardless of how the path loop might later be scheduled.
 
-Once the parameters are bound, `euler_maruyama` sorts the noise matrix
-sigma into one of three classes and forms the increments sigma dW by the
-cheapest rule that is exact for it:
+Once the parameters are bound, `euler_maruyama` forms the increments
+sigma dW by one of two rules:
 
-- constant: one float matrix S, built once; dW S^T, or an elementwise
-  product when S is square and diagonal;
-- time-only: the n x m matrix evaluated once per step and shared by all
-  paths;
-- state-dependent: every entry evaluated per path and contracted with
-  dW path by path.
+- constant diagonal sigma (square, no state or time in it, zero off the
+  diagonal, as for additive noise and the growth chain): one elementwise
+  product with the diagonal, built once;
+- any other sigma: every entry evaluated per path and contracted with dW
+  path by path.
 
 The drift is one lambdified vector with common subexpressions eliminated.
-The class only decides how sigma is evaluated: the draw layout, and so the
-noise of every seed, is the same for all three.
+The rule only decides how sigma is evaluated: the draw layout, and so the
+noise of every seed, is the same for both.
 """
 from __future__ import annotations
 
@@ -34,7 +32,7 @@ from .model import DiscreteMap, ItoSystem, VectorField, apply_discrete, \
     transform_ito_first_order
 
 __all__ = [
-    "BlowupError", "Ensemble", "ComparisonReport",
+    "BlowupError", "InputError", "Ensemble", "ComparisonReport",
     "euler_maruyama", "compare_ensembles", "validate_symmetry_mc",
     "export_binary", "load_binary",
 ]
@@ -43,6 +41,12 @@ _MAGIC = b"STOSYMEN"
 _VERSION = 1
 # magic, version, n, n_paths, n_stored_steps, dt, seed
 _HEADER = struct.Struct("<8sqqqqdq")
+
+
+class InputError(ValueError):
+    """An argument or a parameter binding a simulation cannot use: an
+    unbound parameter, a bad step or horizon, a candidate with a time
+    component."""
 
 
 class BlowupError(RuntimeError):
@@ -84,7 +88,7 @@ def _bind(exprs, ctx, params):
         free = e.free_symbols - allowed
         if free:
             names = ", ".join(sorted(s.name for s in free))
-            raise ValueError(f"coefficient not numeric-evaluable, unbound: {names}")
+            raise InputError(f"coefficient not numeric-evaluable, unbound: {names}")
         bound.append(e)
     return bound
 
@@ -105,24 +109,17 @@ def _lambdify_field(exprs, ctx):
 
 def _noise_increment(sigma, ctx, n, m, n_paths):
     """(X, t, dW) -> the per-path increments sigma(X, t) dW, for the bound
-    row-major n x m noise matrix, by noise class (see the module doc)."""
-    free = set().union(*(e.free_symbols for e in sigma))
-    if free & set(ctx.spatial):
-        entries = _lambdify_field(sigma, ctx)
-        return lambda X, t, dW: np.einsum(
-            "pik,pk->pi", entries(X, t).reshape(-1, n, m), dW)
-    if ctx.t in free:
-        fn = sp.lambdify(ctx.t, sp.Matrix(n, m, sigma), modules="numpy",
-                         cse=True)
-        return lambda X, t, dW: dW @ np.asarray(fn(t), dtype=float).T
-    S = np.array([float(e) for e in sigma]).reshape(n, m)
-    if n == m and not np.any(S - np.diag(np.diag(S))):
-        # one row per path: a flat product beats broadcasting over a short
-        # last axis
-        D = np.tile(np.diag(S), (n_paths, 1))
-        return lambda X, t, dW: dW * D
-    ST = S.T.copy()
-    return lambda X, t, dW: dW @ ST
+    row-major n x m noise matrix (see the module doc for the two rules)."""
+    if n == m and not any(e.free_symbols for e in sigma):
+        S = np.array([float(e) for e in sigma]).reshape(n, n)
+        if not np.any(S - np.diag(np.diag(S))):
+            # one row per path: a flat product beats broadcasting over a
+            # short last axis
+            D = np.tile(np.diag(S), (n_paths, 1))
+            return lambda X, t, dW: dW * D
+    entries = _lambdify_field(sigma, ctx)
+    return lambda X, t, dW: np.einsum(
+        "pik,pk->pi", entries(X, t).reshape(-1, n, m), dW)
 
 
 def euler_maruyama(ito: ItoSystem, x0, t0, t1, dt, n_paths, seed,
@@ -130,11 +127,11 @@ def euler_maruyama(ito: ItoSystem, x0, t0, t1, dt, n_paths, seed,
     """Euler-Maruyama with independent Gaussian increments of variance dt
     per noise channel; deterministic given the seed."""
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise InputError("dt must be positive")
     n, m = ito.n, ito.m
     n_steps = int(round((t1 - t0) / dt))
     if n_steps < 1:
-        raise ValueError("time horizon shorter than one step")
+        raise InputError("time horizon shorter than one step")
     if store_every is None:
         store_every = max(1, n_steps // 10)
     ctx = ito.context
@@ -287,7 +284,8 @@ def validate_symmetry_mc(ito: ItoSystem, candidate, x0, t0=0.0, t1=1.0,
     ctx = ito.context
     if isinstance(candidate, VectorField):
         if candidate.tau != 0:
-            raise ValueError("pathwise validation supports spatial maps only (tau = 0)")
+            raise InputError("pathwise validation supports spatial maps only "
+                             "(tau = 0)")
         base = euler_maruyama(ito, x0, t0, t1, dt, n_paths, seed, params=params)
         pushed = _push_paths(base, candidate.xi, ctx, params, epsilon=epsilon)
         eps = sp.Rational(str(epsilon))

@@ -133,16 +133,6 @@ class TestSimulateAndMc:
         assert "unbound: s0" in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_blowup_exit_two(self, runner, tmp_path):
-        system = tmp_path / "cubic.sde"
-        system.write_text("vars x\nnoises w\ndrift x = x^3\nsigma x w = 1\n")
-        result = runner.invoke(main, [
-            "simulate", str(system), "--x0", "50", "--dt", "0.01",
-            "--n-paths", "4", "--out", str(tmp_path / "ens.bin")])
-        assert result.exit_code == 2
-        assert "non-finite value in path" in result.stderr
-
     def test_mc_check_time_component_exit_two(self, runner, fixtures_dir):
         result = runner.invoke(main, [
             "mc-check", fx(fixtures_dir, "heat.sde"),
