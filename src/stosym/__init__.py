@@ -20,8 +20,8 @@ from .verify import (FpClassification, OverallVerdict, PreconditionError,
                      VerificationReport, check, check_normalization_preserving,
                      check_superposition, extend_to_fp, project_fp_symmetry)
 from .solve import (Ansatz, NonClosedBasisError, NonlinearEntanglementError,
-                    StructuralFact, SymmetryBasis, commutator,
-                    commutator_closure, default_time_basis,
+                    OutsideAnsatzError, StructuralFact, SymmetryBasis,
+                    commutator, commutator_closure, default_time_basis,
                     membership_coordinates, solve_ansatz,
                     xi_second_derivative_constraint)
 from .dsl import (candidate_from_dict, candidate_to_dict, load_candidate,

@@ -18,7 +18,7 @@ from .model import DiscreteMap, ItoSystem, VectorField, WSymmetry, \
 from .detgen import detsys_discrete, detsys_fp, detsys_projectable, detsys_w
 from .verify import OverallVerdict, check, check_normalization_preserving, \
     extend_to_fp, project_fp_symmetry
-from .solve import Ansatz, default_time_basis, solve_ansatz
+from .solve import Ansatz, OutsideAnsatzError, default_time_basis, solve_ansatz
 from .dsl import candidate_to_dict, load_candidate, load_system
 from . import kpz as kpzmod
 
@@ -174,14 +174,24 @@ def solve_cmd(system_file, degree, basis_tokens, with_b, as_json):
             continue
         if token.startswith("exp:"):
             try:
-                rates.append(parse_expr(token[4:], ito.context))
+                rate = parse_expr(token[4:], ito.context)
             except ParseError as e:
                 _reject(f"--time-basis {token}: {e}")
+            if rate.free_symbols & set(ito.context.spatial):
+                _reject(f"--time-basis {token}: the rate must not depend on "
+                        f"the spatial variables")
+            rates.append(rate)
         else:
             _reject(f"unknown time basis token '{token}'")
-    ansatz = Ansatz(degree=degree, time_basis=default_time_basis(t, rates),
-                    t=t, include_B=with_b)
-    basis = solve_ansatz(ito, ansatz, which="w" if with_b else "projectable")
+    try:
+        ansatz = Ansatz(degree=degree, time_basis=default_time_basis(t, rates),
+                        t=t, include_B=with_b)
+    except ValueError as e:
+        _reject(f"solve: {e}")
+    try:
+        basis = solve_ansatz(ito, ansatz, which="w" if with_b else "projectable")
+    except OutsideAnsatzError as e:
+        _reject(f"solve: {e}")
     data = {
         "schema": 1,
         "system": ito.name,
@@ -296,7 +306,10 @@ def mc_check(system_file, candidate_file, x0, t1, dt, n_paths, seed,
 @click.option("--json", "as_json", is_flag=True)
 def kpz_cmd(sites, alpha, beta, which, as_json):
     """Check a named symmetry of the periodic growth chain."""
-    chain = kpzmod.KpzChain(sites, alpha=alpha, beta=beta)
+    try:
+        chain = kpzmod.KpzChain(sites, alpha=alpha, beta=beta)
+    except ValueError as e:
+        _reject(f"kpz: {e}")
     n = sites
     if which == "time-shift":
         report = check(kpzmod.kpz_detsys_continuous(

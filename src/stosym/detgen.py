@@ -48,6 +48,46 @@ def _pack(name, equations):
                              free_unknowns=_unknown_functions(e for _, e in eqs))
 
 
+def _lambda_gamma_operator(ito: ItoSystem):
+    """The candidate -> (Lambda, Gamma) operator of `ito`, which is linear
+    in the candidate. S and the derivatives of f and sigma are computed
+    once; the returned function maps (tau, xi, B), with B a constant
+    antisymmetric m x m matrix or None, to the raw, unnormalized residuals:
+    a list of n Lambda entries and n rows of m Gamma entries."""
+    x, t = ito.context.spatial, ito.context.t
+    n, m, f, sigma = ito.n, ito.m, ito.f, ito.sigma
+    S = ito.half_diffusion()
+    df = [[sp.diff(f[i], v) for v in x] for i in range(n)]
+    dsigma = [[[sp.diff(sigma[k][j], v) for v in x] for j in range(m)]
+              for k in range(n)]
+    dt_sigma = [[sp.diff(sigma[k][j], t) for j in range(m)] for k in range(n)]
+
+    def apply(tau, xi, B=None):
+        # Lambda^i = -[d_t(xi^i - tau f^i) + {f, xi}^i + S^{ab} d2_{ab} xi^i]
+        lam = [-(sp.diff(xi[i] - tau * f[i], t)
+                 + sum(f[a] * sp.diff(xi[i], x[a]) - xi[a] * df[i][a]
+                       for a in range(n))
+                 + sum(S[a, b] * sp.diff(xi[i], x[a], x[b])
+                       for a in range(n) for b in range(n)))
+               for i in range(n)]
+        # Gamma^k_j = sigma^a_j d_a xi^k - xi^a d_a sigma^k_j
+        #             - tau d_t sigma^k_j - (1/2) sigma^k_j d_t tau - (sigma B)^k_j
+        dtau = sp.diff(tau, t)
+        gam = [[sum(sigma[a][j] * sp.diff(xi[k], x[a]) - xi[a] * dsigma[k][j][a]
+                    for a in range(n))
+                - tau * dt_sigma[k][j] - sp.Rational(1, 2) * sigma[k][j] * dtau
+                - (sum(sigma[k][p] * B[p, j] for p in range(m))
+                   if B is not None else 0)
+                for j in range(m)] for k in range(n)]
+        return lam, gam
+    return apply
+
+
+def _lambda_gamma(ito, candidate):
+    B = candidate.b_matrix() if isinstance(candidate, WSymmetry) else None
+    return _lambda_gamma_operator(ito)(candidate.tau, candidate.xi, B)
+
+
 def gamma(ito: ItoSystem, candidate):
     """Gamma^k_j = sigma^m_j d_m xi^k - xi^m d_m sigma^k_j
     - tau d_t sigma^k_j - (1/2) sigma^k_j d_t tau, as an n x m matrix.
@@ -55,40 +95,14 @@ def gamma(ito: ItoSystem, candidate):
     For a W-symmetry candidate the constant antisymmetric B contributes an
     extra -(sigma B)^k_j term.
     """
-    ctx = ito.context
-    x, t = ctx.spatial, ctx.t
-    n, m = ito.n, ito.m
-    tau, xi = candidate.tau, candidate.xi
-    out = [[None] * m for _ in range(n)]
-    for kk in range(n):
-        for j in range(m):
-            e = (sum(ito.sigma[mm][j] * sp.diff(xi[kk], x[mm]) for mm in range(n))
-                 - sum(xi[mm] * sp.diff(ito.sigma[kk][j], x[mm]) for mm in range(n))
-                 - tau * sp.diff(ito.sigma[kk][j], t)
-                 - sp.Rational(1, 2) * ito.sigma[kk][j] * sp.diff(tau, t))
-            out[kk][j] = e
-    if isinstance(candidate, WSymmetry):
-        sB = ito.sigma_matrix() * candidate.b_matrix()
-        for kk in range(n):
-            for j in range(m):
-                out[kk][j] -= sB[kk, j]
-    return tuple(tuple(normalize(e) for e in row) for row in out)
+    _, gam = _lambda_gamma(ito, candidate)
+    return tuple(tuple(normalize(e) for e in row) for row in gam)
 
 
 def lambda_(ito: ItoSystem, candidate):
     """Lambda^i = -[d_t(xi^i - tau f^i) + {f, xi}^i + S^{mk} d2_{mk} xi^i]."""
-    ctx = ito.context
-    x, t = ctx.spatial, ctx.t
-    n = ito.n
-    tau, xi = candidate.tau, candidate.xi
-    S = ito.half_diffusion()
-    bracket = lie_bracket(ito.f, xi, x)
-    out = []
-    for i in range(n):
-        second = sum(S[mm, kk] * sp.diff(xi[i], x[mm], x[kk])
-                     for mm in range(n) for kk in range(n))
-        out.append(normalize(-(sp.diff(xi[i] - tau * ito.f[i], t) + bracket[i] + second)))
-    return tuple(out)
+    lam, _ = _lambda_gamma(ito, candidate)
+    return tuple(normalize(e) for e in lam)
 
 
 def detsys_ode(f, vf: VectorField) -> DeterminingSystem:
@@ -105,14 +119,10 @@ def detsys_ode(f, vf: VectorField) -> DeterminingSystem:
 
 
 def _lambda_gamma_system(name, ito, candidate):
-    eqs = []
-    lam = lambda_(ito, candidate)
-    gam = gamma(ito, candidate)
-    for i in range(ito.n):
-        eqs.append((f"Lambda[{i + 1}]", lam[i]))
-    for i in range(ito.n):
-        for k in range(ito.m):
-            eqs.append((f"Gamma[{i + 1}][{k + 1}]", gam[i][k]))
+    lam, gam = _lambda_gamma(ito, candidate)
+    eqs = [(f"Lambda[{i + 1}]", e) for i, e in enumerate(lam)]
+    eqs += [(f"Gamma[{i + 1}][{k + 1}]", e)
+            for i, row in enumerate(gam) for k, e in enumerate(row)]
     return _pack(name, eqs)
 
 

@@ -2,7 +2,9 @@
 over a finite time-function basis closed under d/dt, tau over the same
 basis. Coefficient matching turns the determining systems into an exact
 homogeneous linear problem solved by nullspace computation over the
-rationals (parameters kept symbolic where linear)."""
+rationals (parameters kept symbolic where linear). The determining
+operator is linear in the candidate, so the coefficient matrix is built
+column by column, one ansatz basis element at a time."""
 from __future__ import annotations
 
 import itertools
@@ -10,14 +12,15 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .kernel import Context, normalize
+from .kernel import InconclusiveError, Verdict, normalize
 from .model import ItoSystem, VectorField, WSymmetry
-from .detgen import detsys_projectable, detsys_w
-from .verify import check
+from .detgen import _lambda_gamma_operator, detsys_projectable, detsys_w
+from .verify import OverallVerdict, check
 
 __all__ = [
     "Ansatz", "SymmetryBasis", "StructuralFact", "NonClosedBasisError",
-    "NonlinearEntanglementError", "default_time_basis", "solve_ansatz",
+    "NonlinearEntanglementError", "OutsideAnsatzError", "default_time_basis",
+    "solve_ansatz",
     "xi_second_derivative_constraint", "commutator_closure",
 ]
 
@@ -27,7 +30,13 @@ class NonClosedBasisError(ValueError):
 
 
 class NonlinearEntanglementError(ValueError):
-    """Coefficient matching produced equations nonlinear in the unknowns."""
+    """The determining equations do not reduce to a homogeneous linear
+    system over the ansatz, or a solution of it fails re-verification."""
+
+
+class OutsideAnsatzError(NonlinearEntanglementError):
+    """A residual is not polynomial over the ansatz monomials: the system
+    depends on x or t in a way the ansatz cannot match."""
 
 
 def default_time_basis(t, rates=()):
@@ -38,7 +47,7 @@ def default_time_basis(t, rates=()):
     return tuple(basis)
 
 
-# --- linear decomposition of t-functions over {t^a * exp(...)} monomials ---
+# --- linear decomposition over {x^a * t^b * exp(...)} monomials ---
 
 def _replace_exps(e, reps):
     """Structurally replace every exp node by a fresh generator keyed by its
@@ -51,38 +60,39 @@ def _replace_exps(e, reps):
     return e.replace(sp.exp, repl)
 
 
-def _t_coords(exprs, t):
-    """Coordinate vectors of expressions over the monomials t^a * E^b, where
-    each distinct exponential atom gets a fresh generator. Raises
-    NonClosedBasisError for anything outside that span."""
-    exprs = [sp.expand(sp.sympify(e)) for e in exprs]
+def _coefficient_matrix(columns, variables, error):
+    """Matrix whose column j holds the coordinates of `columns[j]`, a
+    sequence of expressions, with one row per (entry, monomial) over
+    `variables` and the exponential atoms. All columns share one exp-atom
+    table. Raises `error` for an entry outside that span."""
     reps = {}
-    terms = []
-    keys = set()
-    prepared = [_replace_exps(e, reps) for e in exprs]
-    gens = [t] + list(reps.values())
-    for e, pe in zip(exprs, prepared):
-        pe = sp.expand(pe)
-        if pe.atoms(sp.Function):
-            raise NonClosedBasisError(f"unsupported time dependence: {e}")
-        try:
-            poly = sp.Poly(pe, *gens)
-        except sp.PolynomialError as exc:
-            raise NonClosedBasisError(f"unsupported time dependence: {e}") from exc
-        d = dict(poly.terms())
-        terms.append(d)
-        keys |= set(d)
-    keys = sorted(keys)
-    return [[d.get(k, sp.Integer(0)) for k in keys] for d in terms]
+    columns = [[sp.expand(e) for e in col] for col in columns]
+    prepared = [[_replace_exps(e, reps) for e in col] for col in columns]
+    gens = list(variables) + list(reps.values())
+    rows = {}
+    for j, col in enumerate(prepared):
+        for r, e in enumerate(col):
+            try:
+                terms = sp.Poly(e, *gens).terms()
+            except sp.PolynomialError as exc:
+                raise error(f"{columns[j][r]} is not polynomial over the "
+                            f"ansatz monomials (x, t and exponentials)") from exc
+            for monom, c in terms:
+                if c != 0:
+                    rows.setdefault((r, monom), {})[j] = c
+    A = sp.zeros(len(rows), len(columns))
+    for i, key in enumerate(sorted(rows)):
+        for j, c in rows[key].items():
+            A[i, j] = c
+    return A
 
 
 def _span_solve(target, basis, t):
     """Coefficients expressing `target` in the span of `basis`, or None."""
-    vecs = _t_coords(list(basis) + [target], t)
-    A = sp.Matrix(vecs[:-1]).T
-    b = sp.Matrix(vecs[-1])
+    M = _coefficient_matrix([(e,) for e in (*basis, target)], (t,),
+                            NonClosedBasisError)
     cs = sp.symbols(f"c0:{len(basis)}")
-    sol = sp.linsolve((A, b), *cs)
+    sol = sp.linsolve((M[:, :-1], M[:, -1]), *cs)
     if not sol:
         return None
     vec = next(iter(sol))
@@ -154,31 +164,8 @@ def _monomials(x, degree):
     return out
 
 
-def _coefficient_equations(residuals, unknowns, x, t):
-    """Expand each residual over the monomials in (x, t, exponential atoms);
-    every monomial coefficient must vanish, giving linear equations in the
-    unknowns."""
-    eqs = []
-    for e in residuals:
-        e = sp.expand(sp.sympify(e))
-        reps = {}
-        pe = sp.expand(_replace_exps(e, reps))
-        gens = list(x) + [t] + list(reps.values())
-        try:
-            poly = sp.Poly(pe, *gens)
-        except sp.PolynomialError as exc:
-            raise NonlinearEntanglementError(
-                f"residual is not polynomial over the ansatz monomials: {e}") from exc
-        eqs.extend(poly.coeffs())
-    try:
-        A, rhs = sp.linear_eq_to_matrix(eqs, list(unknowns))
-    except sp.polys.polyerrors.PolynomialError as exc:
-        raise NonlinearEntanglementError(str(exc)) from exc
-    except sp.solvers.solveset.NonlinearError as exc:
-        raise NonlinearEntanglementError(str(exc)) from exc
-    if any(v != 0 for v in rhs):
-        raise NonlinearEntanglementError("coefficient system is not homogeneous")
-    return A
+def _first_label(report, verdict):
+    return next(label for label, v, _ in report.per_equation if v is verdict)
 
 
 def solve_ansatz(ito: ItoSystem, ansatz: Ansatz, which: str = "projectable") -> SymmetryBasis:
@@ -194,75 +181,54 @@ def solve_ansatz(ito: ItoSystem, ansatz: Ansatz, which: str = "projectable") -> 
     cap = xi_second_derivative_constraint(ito)
     if cap.degree_cap is not None:
         degree = min(degree, cap.degree_cap)
-    monoms = _monomials(x, degree)
-    basis_t = ansatz.time_basis
+    zero = (sp.Integer(0),) * n
 
-    unknowns = []
-    xi = []
-    for i in range(n):
-        comp = sp.Integer(0)
-        for jm, mu in enumerate(monoms):
-            for jb, bt in enumerate(basis_t):
-                c = sp.Symbol(f"_c{i}_{jm}_{jb}")
-                unknowns.append(c)
-                comp += c * bt * mu
-        xi.append(comp)
-    tau = sp.Integer(0)
-    tau_syms = []
-    for jb, bt in enumerate(basis_t):
-        d = sp.Symbol(f"_d{jb}")
-        tau_syms.append(d)
-        unknowns.append(d)
-        tau += d * bt
+    # basis elements (tau, xi, B), one per column of the coefficient matrix
+    elements = [(0, zero[:i] + (bt * mu,) + zero[i + 1:], None)
+                for i in range(n) for mu in _monomials(x, degree)
+                for bt in ansatz.time_basis]
+    elements += [(bt, zero, None) for bt in ansatz.time_basis]
+    if which == "w" and ansatz.include_B and m > 1:
+        for p, q in itertools.combinations(range(m), 2):
+            B = sp.zeros(m, m)
+            B[p, q], B[q, p] = 1, -1
+            elements.append((0, zero, B))
+    op = _lambda_gamma_operator(ito)
+    columns = []
+    for tau, xi, B in elements:
+        lam, gam = op(tau, xi, B)
+        columns.append(lam + [e for row in gam for e in row])
 
-    use_b = which == "w" and ansatz.include_B and m > 1
-    b_syms = {}
-    if use_b:
-        for p in range(m):
-            for q in range(p + 1, m):
-                b_syms[(p, q)] = sp.Symbol(f"_b{p}_{q}")
-                unknowns.append(b_syms[(p, q)])
-
-    if which == "w":
-        B = [[sp.Integer(0)] * m for _ in range(m)]
-        for (p, q), s in b_syms.items():
-            B[p][q] = s
-            B[q][p] = -s
-        cand = WSymmetry(ctx, tau=tau, xi=tuple(xi), Bmat=tuple(map(tuple, B)))
-        ds = detsys_w(ito, cand)
-    else:
-        cand = VectorField(ctx, tau=tau, xi=tuple(xi))
-        ds = detsys_projectable(ito, cand)
-
-    A = _coefficient_equations(ds.residuals(), unknowns, x, t)
-    null = A.nullspace()
+    null = _coefficient_matrix(columns, (*x, t), OutsideAnsatzError).nullspace()
     if not null:
         return SymmetryBasis(generators=())
     stacked = sp.Matrix([list(v.T) for v in null])
     reduced, _ = stacked.rref()
     generators = []
     for r in range(reduced.rows):
-        row = reduced.row(r)
-        if all(v == 0 for v in row):
+        picked = [(c, el) for c, el in zip(reduced.row(r), elements) if c != 0]
+        if not picked:
             continue
-        sub = dict(zip(unknowns, row))
-        g_xi = tuple(normalize(e.subs(sub)) for e in xi)
-        g_tau = normalize(tau.subs(sub))
-        if use_b and any(sub[s] != 0 for s in b_syms.values()):
-            g_B = tuple(tuple(normalize(sp.sympify(B[p][q]).subs(sub))
-                              for q in range(m)) for p in range(m))
-            gen = WSymmetry(ctx, tau=g_tau, xi=g_xi, Bmat=g_B)
-            report = check(detsys_w(ito, gen))
-        elif which == "w":
-            gen = WSymmetry(ctx, tau=g_tau, xi=g_xi)
+        # the constructors normalize every entry
+        g_tau = sum(c * tau for c, (tau, _, _) in picked)
+        g_xi = tuple(sum(c * xi[i] for c, (_, xi, _) in picked) for i in range(n))
+        if which == "w":
+            g_B = sum((c * B for c, (_, _, B) in picked if B is not None),
+                      sp.zeros(m, m))
+            gen = WSymmetry(ctx, tau=g_tau, xi=g_xi, Bmat=g_B.tolist())
             report = check(detsys_w(ito, gen))
         else:
             gen = VectorField(ctx, tau=g_tau, xi=g_xi)
             report = check(detsys_projectable(ito, gen))
-        if not report.is_symmetry:
+        if report.overall is OverallVerdict.INCONCLUSIVE:
+            raise InconclusiveError(
+                "re-verification of a solver candidate is inconclusive at "
+                + _first_label(report, Verdict.INCONCLUSIVE))
+        if report.overall is OverallVerdict.NOT_SYMMETRY:
             raise NonlinearEntanglementError(
-                "solver produced a candidate that fails re-verification; "
-                "parameters are likely entangled nonlinearly")
+                "solver produced a candidate that fails re-verification at "
+                + _first_label(report, Verdict.NONZERO)
+                + "; parameters are likely entangled nonlinearly")
         generators.append(gen)
     return SymmetryBasis(generators=tuple(generators))
 
@@ -273,20 +239,10 @@ def membership_coordinates(basis: SymmetryBasis, vf: VectorField):
     if not basis.generators:
         return None
     ctx = vf.context
-    x, t = ctx.spatial, ctx.t
+    M = _coefficient_matrix([(g.tau, *g.xi) for g in (*basis.generators, vf)],
+                            (*ctx.spatial, ctx.t), OutsideAnsatzError)
     cs = sp.symbols(f"_m0:{basis.dimension}")
-    residuals = [vf.tau - sum(c * g.tau for c, g in zip(cs, basis.generators))]
-    for i in range(len(vf.xi)):
-        residuals.append(vf.xi[i] - sum(c * g.xi[i] for c, g in zip(cs, basis.generators)))
-    eqs = []
-    for e in residuals:
-        e = sp.expand(sp.sympify(e))
-        reps = {}
-        pe = sp.expand(_replace_exps(e, reps))
-        poly = sp.Poly(pe, *(list(x) + [t] + list(reps.values())))
-        eqs.extend(poly.coeffs())
-    A, rhs = sp.linear_eq_to_matrix(eqs, list(cs))
-    sol = sp.linsolve((A, rhs), *cs)
+    sol = sp.linsolve((M[:, :-1], M[:, -1]), *cs)
     if not sol:
         return None
     vec = next(iter(sol))

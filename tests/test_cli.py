@@ -99,6 +99,18 @@ class TestSolve:
                                       "--time-basis", "cheb:3"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("system,args,message", [
+        ("heat.sde", ["--degree", "-1"], "degree must be >= 0"),
+        ("heat.sde", ["--time-basis", "exp:x"], "spatial variables"),
+        ("rotating.sde", [], "not polynomial over the ansatz monomials"),
+    ])
+    def test_unusable_ansatz_exit_two(self, runner, fixtures_dir, system,
+                                      args, message):
+        result = runner.invoke(main, ["solve", fx(fixtures_dir, system)] + args)
+        assert result.exit_code == 2
+        assert message in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
 
 class TestSimulateAndMc:
     def test_simulate_writes_binary(self, runner, fixtures_dir, tmp_path):
@@ -172,3 +184,10 @@ class TestKpz:
         result = runner.invoke(main, ["kpz", "--sites", "5",
                                       "--check", "rotate"])
         assert result.exit_code == 2
+
+    def test_too_few_sites_exit_two(self, runner):
+        result = runner.invoke(main, ["kpz", "--sites", "2",
+                                      "--check", "time-shift"])
+        assert result.exit_code == 2
+        assert "at least 3 sites" in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1

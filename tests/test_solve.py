@@ -1,11 +1,13 @@
 import pytest
 import sympy as sp
 
-from stosym.kernel import normalize
+from stosym import solve
+from stosym.kernel import InconclusiveError, Verdict, normalize, to_dsl
 from stosym.model import VectorField, WSymmetry
 from stosym.detgen import detsys_projectable, detsys_w
-from stosym.verify import check
-from stosym.solve import (Ansatz, NonClosedBasisError, SymmetryBasis,
+from stosym.verify import OverallVerdict, VerificationReport, check
+from stosym.solve import (Ansatz, NonClosedBasisError,
+                          NonlinearEntanglementError, SymmetryBasis,
                           commutator, commutator_closure, default_time_basis,
                           membership_coordinates, solve_ansatz,
                           xi_second_derivative_constraint)
@@ -100,6 +102,86 @@ class TestLangevin:
                                            include_B=True), which="w")
         assert proj.dimension == 4
         assert w.dimension == proj.dimension + 1
+
+
+def _dsl(basis):
+    out = []
+    for g in basis.generators:
+        row = [to_dsl(g.tau), *map(to_dsl, g.xi)]
+        if isinstance(g, WSymmetry):
+            row.append([[to_dsl(e) for e in r] for r in g.Bmat])
+        out.append(row)
+    return out
+
+
+_Z = [["0", "0"], ["0", "0"]]
+
+# Exact generator lists, in order, as the solver gave them when it still
+# matched coefficients over one residual with symbolic unknowns.
+PINNED = [
+    ("heat.sde", 1, (), "projectable",
+     [["0", "1"], ["2*t", "x"], ["1", "0"]]),
+    ("norm_coupled2.sde", 2, (2,), "w",
+     [["0", "x2", "-x1", [["0", "1"], ["-1", "0"]]],
+      ["1", "0", "0", _Z]]),
+    ("langevin2.sde", 1, (1, 2), "w",
+     [["0", "exp(-t)", "0", _Z],
+      ["-exp(-2*t)", "x1*exp(-2*t)", "x2*exp(-2*t)", _Z],
+      ["0", "x2", "-s2*x1/s1",
+       [["0", "sqrt(s2)/sqrt(s1)"], ["-sqrt(s2)/sqrt(s1)", "0"]]],
+      ["0", "0", "exp(-t)", _Z],
+      ["1", "0", "0", _Z]]),
+    ("langevin2.sde", 1, (1, 2), "projectable",
+     [["0", "exp(-t)", "0"],
+      ["-exp(-2*t)", "x1*exp(-2*t)", "x2*exp(-2*t)"],
+      ["0", "0", "exp(-t)"],
+      ["1", "0", "0"]]),
+]
+
+
+class TestRegressionPins:
+    @pytest.mark.parametrize("name,degree,rates,which,expected", PINNED,
+                             ids=[f"{p[0]}-{p[3]}" for p in PINNED])
+    def test_generators_unchanged(self, systems, name, degree, rates, which,
+                                  expected):
+        ito = systems[name]
+        ansatz = _poly_ansatz(ito, degree, rates, include_B=which == "w")
+        assert _dsl(solve_ansatz(ito, ansatz, which=which)) == expected
+
+    @pytest.mark.parametrize("name,degree,rates", [
+        ("langevin2.sde", 1, (1, 2)), ("norm_coupled2.sde", 2, (2,))])
+    def test_w_soundness(self, systems, name, degree, rates):
+        ito = systems[name]
+        basis = solve_ansatz(ito, _poly_ansatz(ito, degree, rates, include_B=True),
+                             which="w")
+        for g in basis.generators:
+            assert check(detsys_w(ito, g)).is_symmetry
+
+    def test_time_dependence_outside_ansatz(self, systems):
+        rot = systems["rotating.sde"]
+        with pytest.raises(NonlinearEntanglementError, match="not polynomial"):
+            solve_ansatz(rot, _poly_ansatz(rot, 1))
+
+
+class TestReverificationVerdicts:
+    @staticmethod
+    def _report(verdict, overall):
+        per_equation = (("Lambda[1]", Verdict.ZERO, sp.Integer(0)),
+                        ("Gamma[1][1]", verdict, sp.Symbol("r")))
+        return VerificationReport("ito-projectable", per_equation, overall)
+
+    @pytest.mark.parametrize("verdict,overall,error", [
+        (Verdict.INCONCLUSIVE, OverallVerdict.INCONCLUSIVE, InconclusiveError),
+        (Verdict.NONZERO, OverallVerdict.NOT_SYMMETRY,
+         NonlinearEntanglementError),
+    ])
+    def test_failure_names_residual(self, systems, monkeypatch, verdict,
+                                    overall, error):
+        monkeypatch.setattr(solve, "check",
+                            lambda ds: self._report(verdict, overall))
+        heat = systems["heat.sde"]
+        with pytest.raises(error, match=r"Gamma\[1\]\[1\]"):
+            solve_ansatz(heat, _poly_ansatz(heat, 1))
 
 
 class TestStructure:
