@@ -2,7 +2,9 @@
 
 Exit codes: 0 the candidate is a symmetry (or the command succeeded),
 1 it is not, 2 the input was rejected (a file failed to parse, or an
-argument or parameter binding is unusable), 3 the verdict is inconclusive.
+argument or parameter binding is unusable), 3 the verdict is inconclusive
+(`check`, `check --fp` and `kpz`), 4 a simulation blew up (`simulate`,
+`mc-check`: a path left the finite numbers).
 """
 from __future__ import annotations
 
@@ -12,7 +14,8 @@ import sys
 import click
 import sympy as sp
 
-from .kernel import Context, ParseError, parse_expr, to_dsl
+from .kernel import Context, InconclusiveError, ParseError, parse_expr, \
+    to_dsl
 from .model import DiscreteMap, ItoSystem, VectorField, WSymmetry, \
     fokker_planck_of
 from .detgen import detsys_discrete, detsys_fp, detsys_projectable, detsys_w
@@ -26,6 +29,7 @@ EXIT_SYMMETRY = 0
 EXIT_NOT_SYMMETRY = 1
 EXIT_PARSE_ERROR = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_BLOWUP = 4
 
 
 def _emit(data, as_json):
@@ -34,9 +38,19 @@ def _emit(data, as_json):
     return data
 
 
-def _reject(message):
+def _stop(code, message):
     click.echo(message, err=True)
-    sys.exit(EXIT_PARSE_ERROR)
+    sys.exit(code)
+
+
+def _reject(message):
+    _stop(EXIT_PARSE_ERROR, message)
+
+
+def _exit_for(overall):
+    sys.exit({OverallVerdict.SYMMETRY: EXIT_SYMMETRY,
+              OverallVerdict.NOT_SYMMETRY: EXIT_NOT_SYMMETRY,
+              OverallVerdict.INCONCLUSIVE: EXIT_INCONCLUSIVE}[overall])
 
 
 def _load(path, loader, *args):
@@ -137,10 +151,13 @@ def check_cmd(system_file, candidate_file, classify_fp, as_json):
         vf = candidate if candidate.beta is not None else extend_to_fp(candidate)
         report = check(detsys_fp(ito, vf))
         data.update(report.to_dict())
-        preserving = check_normalization_preserving(vf)
-        data["normalization_preserving"] = preserving
-        if report.is_symmetry and preserving:
-            data["classification"] = project_fp_symmetry(ito, vf).value
+        try:
+            preserving = check_normalization_preserving(vf)
+            data["normalization_preserving"] = preserving
+            if report.is_symmetry and preserving:
+                data["classification"] = project_fp_symmetry(ito, vf).value
+        except InconclusiveError as e:
+            _stop(EXIT_INCONCLUSIVE, f"inconclusive: {e}")
     else:
         report = check(_detsys_for(ito, candidate))
         data.update(report.to_dict())
@@ -149,11 +166,7 @@ def check_cmd(system_file, candidate_file, classify_fp, as_json):
     else:
         click.echo(f"{data['overall']}"
                    + (f" ({data['classification']})" if "classification" in data else ""))
-    if report.overall is OverallVerdict.SYMMETRY:
-        sys.exit(EXIT_SYMMETRY)
-    if report.overall is OverallVerdict.NOT_SYMMETRY:
-        sys.exit(EXIT_NOT_SYMMETRY)
-    sys.exit(EXIT_INCONCLUSIVE)
+    _exit_for(report.overall)
 
 
 @main.command("solve")
@@ -244,7 +257,7 @@ def _parse_x0(text, n):
 def simulate(system_file, x0, t0, t1, dt, n_paths, seed, param_pairs,
              out_file, as_json):
     """Simulate an ensemble and write it to a binary file."""
-    from .mcsim import InputError, euler_maruyama, export_binary
+    from .mcsim import BlowupError, InputError, euler_maruyama, export_binary
     ito = _load(system_file, load_system)
     params = _parse_params(param_pairs, ito.context)
     try:
@@ -252,6 +265,8 @@ def simulate(system_file, x0, t0, t1, dt, n_paths, seed, param_pairs,
                              seed, params=params)
     except InputError as e:
         _reject(f"simulate: {e}")
+    except BlowupError as e:
+        _stop(EXIT_BLOWUP, f"simulate: {e}")
     export_binary(ens, out_file)
     data = {"schema": 1, "system": ito.name, "out": out_file,
             "n_paths": ens.n_paths, "n_stored": len(ens.times),
@@ -278,7 +293,7 @@ def simulate(system_file, x0, t0, t1, dt, n_paths, seed, param_pairs,
 def mc_check(system_file, candidate_file, x0, t1, dt, n_paths, seed,
              epsilon, significance, param_pairs, as_json):
     """Cross-validate a candidate numerically by ensemble comparison."""
-    from .mcsim import InputError, validate_symmetry_mc
+    from .mcsim import BlowupError, InputError, validate_symmetry_mc
     ito = _load(system_file, load_system)
     candidate = _load(candidate_file, load_candidate, ito)
     params = _parse_params(param_pairs, ito.context)
@@ -289,6 +304,8 @@ def mc_check(system_file, candidate_file, x0, t1, dt, n_paths, seed,
             significance=significance, params=params)
     except InputError as e:
         _reject(f"mc-check: {e}")
+    except BlowupError as e:
+        _stop(EXIT_BLOWUP, f"mc-check: {e}")
     if as_json:
         _emit(report.to_dict(), True)
     else:
@@ -311,34 +328,36 @@ def kpz_cmd(sites, alpha, beta, which, as_json):
     except ValueError as e:
         _reject(f"kpz: {e}")
     n = sites
-    if which == "time-shift":
+    if which in ("time-shift", "h-shift"):
+        tau, shift = (1, 0) if which == "time-shift" else (0, 1)
         report = check(kpzmod.kpz_detsys_continuous(
-            chain, 1, sp.zeros(n, n), [0] * n))
-        ok = report.overall is OverallVerdict.SYMMETRY
-        data = report.to_dict()
-    elif which == "h-shift":
-        report = check(kpzmod.kpz_detsys_continuous(
-            chain, 0, sp.zeros(n, n), [1] * n))
-        ok = report.overall is OverallVerdict.SYMMETRY
-        data = report.to_dict()
-    elif which == "site-shift":
-        rep = kpzmod.kpz_check_discrete(chain, kpzmod.site_shift_matrix(n))
-        ok, data = rep.is_symmetry, rep.to_dict()
-    elif which.startswith("inversion:"):
-        m = int(which.split(":", 1)[1])
-        rep = kpzmod.kpz_check_discrete(chain, kpzmod.inversion_matrix(n, m))
-        ok, data = rep.is_symmetry, rep.to_dict()
-    elif which == "h-inversion":
-        rep = kpzmod.kpz_check_discrete(chain, -sp.eye(n))
-        ok, data = rep.is_symmetry, rep.to_dict()
+            chain, tau, sp.zeros(n, n), [shift] * n))
+        overall, data = report.overall, report.to_dict()
     else:
-        _reject(f"unknown check '{which}'")
+        if which == "site-shift":
+            F = kpzmod.site_shift_matrix(n)
+        elif which.startswith("inversion:"):
+            try:
+                F = kpzmod.inversion_matrix(n, int(which.split(":", 1)[1]))
+            except ValueError:
+                _reject(f"kpz: '{which}' needs an integer site, as in inversion:2")
+        elif which == "h-inversion":
+            F = -sp.eye(n)
+        else:
+            _reject(f"unknown check '{which}'")
+        try:
+            rep = kpzmod.kpz_check_discrete(chain, F)
+        except InconclusiveError as e:
+            _stop(EXIT_INCONCLUSIVE, f"inconclusive: {e}")
+        overall = (OverallVerdict.SYMMETRY if rep.is_symmetry
+                   else OverallVerdict.NOT_SYMMETRY)
+        data = rep.to_dict()
     data["check"] = which
     if as_json:
         _emit(data, True)
     else:
-        click.echo("symmetry" if ok else "not_symmetry")
-    sys.exit(EXIT_SYMMETRY if ok else EXIT_NOT_SYMMETRY)
+        click.echo(overall.value)
+    _exit_for(overall)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 import sympy as sp
 
 from .kernel import normalize, substitute
-from .model import (DiscreteMap, FokkerPlanck, ItoSystem, VectorField,
-                    WSymmetry, fokker_planck_of, lie_bracket)
+from .model import (DiscreteMap, ItoSystem, VectorField, WSymmetry, _d,
+                    _discrete_image, _dot, _generator, _gradient,
+                    _noise_image, _nonzero, _second_order, fokker_planck_of,
+                    lie_bracket)
 
 __all__ = [
     "DeterminingSystem", "detsys_ode", "detsys_spatial", "detsys_projectable",
@@ -50,35 +52,37 @@ def _pack(name, equations):
 
 def _lambda_gamma_operator(ito: ItoSystem):
     """The candidate -> (Lambda, Gamma) operator of `ito`, which is linear
-    in the candidate. S and the derivatives of f and sigma are computed
-    once; the returned function maps (tau, xi, B), with B a constant
-    antisymmetric m x m matrix or None, to the raw, unnormalized residuals:
-    a list of n Lambda entries and n rows of m Gamma entries."""
+    in the candidate. The generator L and the derivatives of f and sigma
+    are formed once; the returned function maps (tau, xi, B), with B a
+    constant antisymmetric m x m matrix or None, to the raw, unnormalized
+    residuals: a list of n Lambda entries and n rows of m Gamma entries.
+    Each candidate is differentiated once, into the Jacobian of xi, and
+    only structurally nonzero terms are summed."""
     x, t = ito.context.spatial, ito.context.t
     n, m, f, sigma = ito.n, ito.m, ito.f, ito.sigma
-    S = ito.half_diffusion()
-    df = [[sp.diff(f[i], v) for v in x] for i in range(n)]
-    dsigma = [[[sp.diff(sigma[k][j], v) for v in x] for j in range(m)]
-              for k in range(n)]
-    dt_sigma = [[sp.diff(sigma[k][j], t) for j in range(m)] for k in range(n)]
+    L = _generator(ito)
+    df = [_gradient(e, x) for e in f]
+    dt_f = [_d(e, t) for e in f]
+    dsigma = [[_gradient(e, x) for e in row] for row in sigma]
+    dt_sigma = [[_d(e, t) for e in row] for row in sigma]
+    half = sp.Rational(1, 2)
 
     def apply(tau, xi, B=None):
-        # Lambda^i = -[d_t(xi^i - tau f^i) + {f, xi}^i + S^{ab} d2_{ab} xi^i]
-        lam = [-(sp.diff(xi[i] - tau * f[i], t)
-                 + sum(f[a] * sp.diff(xi[i], x[a]) - xi[a] * df[i][a]
-                       for a in range(n))
-                 + sum(S[a, b] * sp.diff(xi[i], x[a], x[b])
-                       for a in range(n) for b in range(n)))
-               for i in range(n)]
+        tau = sp.sympify(tau)
+        dtau = _d(tau, t)
+        jac = [_gradient(e, x) for e in xi]
+        # Lambda^i = -[L xi^i - d_t(tau f^i) - xi^a d_a f^i]
+        lam = [-(L(xi[i], jac[i]) - dtau * f[i] - tau * dt_f[i]
+                 - _dot(xi, df[i])) for i in range(n)]
         # Gamma^k_j = sigma^a_j d_a xi^k - xi^a d_a sigma^k_j
         #             - tau d_t sigma^k_j - (1/2) sigma^k_j d_t tau - (sigma B)^k_j
-        dtau = sp.diff(tau, t)
-        gam = [[sum(sigma[a][j] * sp.diff(xi[k], x[a]) - xi[a] * dsigma[k][j][a]
-                    for a in range(n))
-                - tau * dt_sigma[k][j] - sp.Rational(1, 2) * sigma[k][j] * dtau
-                - (sum(sigma[k][p] * B[p, j] for p in range(m))
-                   if B is not None else 0)
-                for j in range(m)] for k in range(n)]
+        gam = []
+        for k in range(n):
+            row = _noise_image(jac[k], sigma)
+            gam.append([row[j] - _dot(xi, dsigma[k][j]) - tau * dt_sigma[k][j]
+                        - half * sigma[k][j] * dtau
+                        - (_dot(sigma[k], B.col(j)) if B is not None else 0)
+                        for j in range(m)])
         return lam, gam
     return apply
 
@@ -151,33 +155,32 @@ def detsys_fp(fp, vf: VectorField) -> DeterminingSystem:
         fp = fokker_planck_of(fp)
     if vf.beta is None:
         raise ValueError("FP determining equations require a beta component")
-    ctx = fp.context
-    x, t = ctx.spatial, ctx.t
-    n = ctx.n
+    x, t = fp.context.spatial, fp.context.t
+    n = fp.context.n
     A, B, C = fp.a_matrix(), fp.B, fp.C
+    A_nz = _nonzero(A)
     tau, xi, beta = vf.tau, vf.xi, vf.beta
+    jac = [_gradient(e, x) for e in xi]
+    grad_beta = _gradient(beta, x)
     eqs = []
     for i in range(n):
         for k in range(n):
-            e = (sp.diff(tau * A[i, k], t)
-                 + sum(xi[mm] * sp.diff(A[i, k], x[mm]) for mm in range(n))
-                 - sum(A[i, mm] * sp.diff(xi[k], x[mm]) for mm in range(n))
-                 - sum(A[mm, k] * sp.diff(xi[i], x[mm]) for mm in range(n)))
+            e = (_d(tau * A[i, k], t)
+                 + _dot(xi, _gradient(A[i, k], x))
+                 - _dot(A.row(i), jac[k])
+                 - _dot(A.col(k), jac[i]))
             eqs.append((f"FP-A[{i + 1}][{k + 1}]", e))
     for i in range(n):
-        e = (sp.diff(tau * B[i], t)
-             - (sp.diff(xi[i], t)
-                + sum(B[mm] * sp.diff(xi[i], x[mm]) for mm in range(n))
-                - sum(xi[mm] * sp.diff(B[i], x[mm]) for mm in range(n)))
-             + sum(A[i, k] * sp.diff(beta, x[k]) for k in range(n))
-             + sum(A[mm, i] * sp.diff(beta, x[mm]) for mm in range(n))
-             - sum(A[mm, k] * sp.diff(xi[i], x[mm], x[k])
-                   for mm in range(n) for k in range(n)))
+        e = (_d(tau * B[i], t)
+             - (_d(xi[i], t) + _dot(B, jac[i]) - _dot(xi, _gradient(B[i], x)))
+             + _dot(A.row(i), grad_beta)
+             + _dot(A.col(i), grad_beta)
+             - _second_order(A_nz, jac[i], x))
         eqs.append((f"FP-B[{i + 1}]", e))
-    e = (sp.diff(tau * C, t) + sp.diff(beta, t)
-         + sum(A[i, k] * sp.diff(beta, x[i], x[k]) for i in range(n) for k in range(n))
-         + sum(B[i] * sp.diff(beta, x[i]) for i in range(n))
-         + sum(xi[mm] * sp.diff(C, x[mm]) for mm in range(n)))
+    e = (_d(tau * C, t) + _d(beta, t)
+         + _second_order(A_nz, grad_beta, x)
+         + _dot(B, grad_beta)
+         + _dot(xi, _gradient(C, x)))
     eqs.append(("FP-C", e))
     return _pack("fokker-planck", eqs)
 
@@ -186,23 +189,11 @@ def detsys_discrete(ito: ItoSystem, dmap: DiscreteMap) -> DeterminingSystem:
     """Determining equations for a finite map y = phi(x,t), z = R w:
     drift family  dphi^i/dx^j f^j + S^{jk} d2_{jk} phi^i + d_t phi^i - f^i(phi, t),
     noise family  (dphi/dx sigma R^T)^i_k - sigma^i_k(phi, t)."""
-    ctx = ito.context
-    x, t = ctx.spatial, ctx.t
-    n, m = ito.n, ito.m
-    S = ito.half_diffusion()
-    at_phi = {x[j]: dmap.phi[j] for j in range(n)}
-    eqs = []
-    for i in range(n):
-        e = (sum(sp.diff(dmap.phi[i], x[j]) * ito.f[j] for j in range(n))
-             + sum(S[j, k] * sp.diff(dmap.phi[i], x[j], x[k])
-                   for j in range(n) for k in range(n))
-             + sp.diff(dmap.phi[i], t)
-             - substitute(ito.f[i], at_phi))
-        eqs.append((f"drift[{i + 1}]", e))
-    transformed = (sp.Matrix(n, n, lambda i, j: sp.diff(dmap.phi[i], x[j]))
-                   * ito.sigma_matrix() * dmap.r_matrix().T)
-    for i in range(n):
-        for k in range(m):
-            e = transformed[i, k] - substitute(ito.sigma[i][k], at_phi)
-            eqs.append((f"noise[{i + 1}][{k + 1}]", e))
+    at_phi = dict(zip(ito.context.spatial, dmap.phi))
+    drift, noise = _discrete_image(ito, dmap)
+    eqs = [(f"drift[{i + 1}]", e - substitute(f, at_phi))
+           for i, (e, f) in enumerate(zip(drift, ito.f))]
+    eqs += [(f"noise[{i + 1}][{k + 1}]", e - substitute(sig, at_phi))
+            for i, (row, sig_row) in enumerate(zip(noise, ito.sigma))
+            for k, (e, sig) in enumerate(zip(row, sig_row))]
     return _pack("ito-discrete", eqs)

@@ -19,8 +19,6 @@ defaults to the identity, R to the identity matrix).
 """
 from __future__ import annotations
 
-import json
-
 import sympy as sp
 
 from .kernel import Context, ParseError, UndeclaredSymbolError, normalize, \
@@ -423,7 +421,3 @@ def candidate_from_dict(d, context):
         return VectorField(context=ctx, tau=tau, xi=xi, beta=beta,
                            name=d.get("name", ""))
     raise ValueError(f"unknown candidate type '{kind}'")
-
-
-def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)

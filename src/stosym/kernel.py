@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
 
 import sympy as sp
 from sympy.core.function import AppliedUndef, UndefinedFunction
 from sympy.simplify.fu import TR5, TR8
 
 __all__ = [
-    "VarKind", "VarId", "Context",
+    "Context",
     "ExprError", "ParseError", "UndeclaredSymbolError",
     "UnboundSymbolError", "DomainError", "InconclusiveError",
     "Verdict", "parse_expr", "normalize", "differentiate", "substitute",
@@ -25,24 +24,9 @@ __all__ = [
 ]
 
 BUILTIN_FUNCTIONS = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos, "sqrt": sp.sqrt}
-
-
-class VarKind(enum.Enum):
-    SPATIAL = "spatial"
-    TIME = "time"
-    PARAMETER = "parameter"
-    DEPENDENT = "dependent"
-    NOISE = "noise"
-
-
-@dataclass(frozen=True)
-class VarId:
-    kind: VarKind
-    index: int = 0
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("variable index must be >= 0")
+# Bound on every integer written in an exponent: a power is expanded when
+# it is normalized, and 9^9999999999 alone would need gigabytes.
+_MAX_EXPONENT = 64
 
 
 class ExprError(Exception):
@@ -132,21 +116,6 @@ class Context:
 
     def is_declared(self, name):
         return name in self._symbols or name in self.opaque
-
-    def resolve(self, var: VarId) -> sp.Symbol:
-        if var.kind is VarKind.SPATIAL:
-            pool = self.spatial
-        elif var.kind is VarKind.TIME:
-            return self.t
-        elif var.kind is VarKind.PARAMETER:
-            pool = tuple(self.params.values())
-        elif var.kind is VarKind.DEPENDENT:
-            pool = self.dependent
-        else:
-            raise ValueError("noise variables have no expression-level symbol")
-        if var.index >= len(pool):
-            raise IndexError(f"{var.kind.value} index {var.index} out of range")
-        return pool[var.index]
 
     def with_params(self, extra):
         """New context extended with additional parameter declarations."""
@@ -289,6 +258,8 @@ class _Parser:
             return p
         if kind != "NUMBER" or "." in val:
             raise ParseError("exponent must be an integer or parenthesized rational", line, col)
+        if int(val) > _MAX_EXPONENT:
+            raise ParseError(f"exponent {val} is larger than {_MAX_EXPONENT}", line, col)
         self.advance()
         return sp.Integer(val)
 
@@ -305,6 +276,8 @@ class _Parser:
                     args.append(self.expr())
                 self.expect(")")
                 if val in BUILTIN_FUNCTIONS:
+                    if len(args) != 1:
+                        raise ParseError(f"{val} takes one argument", line, col)
                     return BUILTIN_FUNCTIONS[val](*args)
                 if val in self.ctx.opaque:
                     return self.ctx.opaque[val](*args)
@@ -358,20 +331,16 @@ def normalize(e) -> sp.Expr:
     return e
 
 
-def differentiate(e, v, context: Context | None = None) -> sp.Expr:
+def differentiate(e, v) -> sp.Expr:
     """Exact partial derivative; opaque function symbols yield derivative
     markers. Total on the fragment."""
-    if isinstance(v, VarId):
-        if context is None:
-            raise ValueError("a Context is required to resolve a VarId")
-        v = context.resolve(v)
     return normalize(sp.diff(sp.sympify(e), v))
 
 
-def substitute(e, bindings, context: Context | None = None) -> sp.Expr:
+def substitute(e, bindings) -> sp.Expr:
     """Simultaneous substitution followed by normalization.
 
-    Keys may be symbols, VarIds, or opaque function symbols (values then
+    Keys may be symbols or opaque function symbols (values then
     being sympy Lambdas); derivative markers of substituted functions are
     evaluated.
     """
@@ -379,10 +348,6 @@ def substitute(e, bindings, context: Context | None = None) -> sp.Expr:
     plain = {}
     funcs = {}
     for k, val in dict(bindings).items():
-        if isinstance(k, VarId):
-            if context is None:
-                raise ValueError("a Context is required to resolve a VarId")
-            k = context.resolve(k)
         if isinstance(k, UndefinedFunction):
             funcs[k] = val
         else:
@@ -514,11 +479,7 @@ def eval_numeric(e, point, context: Context | None = None) -> float:
         raise DomainError("expression contains opaque function symbols")
     resolved = {}
     for k, val in dict(point).items():
-        if isinstance(k, VarId):
-            if context is None:
-                raise ValueError("a Context is required to resolve a VarId")
-            k = context.resolve(k)
-        elif isinstance(k, str):
+        if isinstance(k, str):
             if context is None:
                 raise ValueError("a Context is required to resolve names")
             k = context.symbol(k)

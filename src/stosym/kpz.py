@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .kernel import Context, Verdict, normalize, zero_verdict
+from .kernel import Context, is_zero, normalize
 from .detgen import DeterminingSystem, _pack
 from .model import ItoSystem
 
@@ -167,7 +167,8 @@ class KpzDiscreteReport:
 
 def kpz_check_discrete(chain: KpzChain, F) -> KpzDiscreteReport:
     """Check the linear map y = F x (with noise mixer R = F, which must be
-    orthogonal): requires [F, M] = 0 and F^i_m G^m_{jk} = G^i_{mn} F^m_j F^n_k."""
+    orthogonal): requires [F, M] = 0 and F^i_m G^m_{jk} = G^i_{mn} F^m_j F^n_k.
+    Raises InconclusiveError when the zero test cannot decide an entry."""
     n = chain.n_sites
     F = sp.Matrix(F)
     if F.shape != (n, n):
@@ -176,7 +177,7 @@ def kpz_check_discrete(chain: KpzChain, F) -> KpzDiscreteReport:
     M, G = ten.M, ten.G
 
     def all_zero(entries):
-        return all(zero_verdict(e) is Verdict.ZERO for e in entries)
+        return all(is_zero(e) for e in entries)
 
     comm = all_zero(sp.expand(F * M - M * F))
     # the quadratic tensor is sparse (a handful of stencil entries per

@@ -148,7 +148,9 @@ def euler_maruyama(ito: ItoSystem, x0, t0, t1, dt, n_paths, seed,
     t = t0
     for step in range(1, n_steps + 1):
         dW = rng.standard_normal((n_paths, m)) * sqrt_dt
-        X = X + drift(X, t) * dt + noise(X, t, dW)
+        # a path that overflows is reported below as a BlowupError
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = X + drift(X, t) * dt + noise(X, t, dW)
         t = t0 + step * dt
         bad = ~np.isfinite(X)
         if bad.any():

@@ -42,6 +42,18 @@ def _allowed_symbols(ctx: Context):
     return set(ctx.spatial) | {ctx.t} | set(ctx.params.values())
 
 
+def _set_tau_xi(candidate):
+    """Normalize tau and xi of a generator in place: xi defaults to zero and
+    needs one entry per spatial variable, and tau must be free of them."""
+    ctx = candidate.context
+    object.__setattr__(candidate, "tau", normalize(candidate.tau))
+    object.__setattr__(candidate, "xi", _exprs(candidate.xi or (0,) * ctx.n))
+    if len(candidate.xi) != ctx.n:
+        raise ValueError(f"expected {ctx.n} xi components")
+    if sp.sympify(candidate.tau).free_symbols & set(ctx.spatial):
+        raise ValueError("tau must not depend on the spatial variables")
+
+
 @dataclass(frozen=True)
 class ItoSystem:
     """dx^i = f^i(x,t) dt + sigma^i_k(x,t) dw^k on R^n with m noise channels."""
@@ -120,17 +132,9 @@ class VectorField:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", normalize(self.tau))
-        xi = self.xi if self.xi else (sp.Integer(0),) * self.context.n
-        object.__setattr__(self, "xi", _exprs(xi))
+        _set_tau_xi(self)
         if self.beta is not None:
             object.__setattr__(self, "beta", normalize(self.beta))
-        if len(self.xi) != self.context.n:
-            raise ValueError(f"expected {self.context.n} xi components")
-        bad = sp.sympify(self.tau).free_symbols & set(self.context.spatial)
-        if bad:
-            raise ValueError("tau must not depend on the spatial variables")
-        if self.beta is not None:
             dep = sp.sympify(self.beta).free_symbols & set(self.context.dependent)
             if dep:
                 raise ValueError("beta must not depend on the dependent variable")
@@ -154,14 +158,10 @@ class WSymmetry:
     Bmat: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", normalize(self.tau))
-        xi = self.xi if self.xi else (sp.Integer(0),) * self.context.n
-        object.__setattr__(self, "xi", _exprs(xi))
+        _set_tau_xi(self)
         m = self.context.m
         B = self.Bmat if self.Bmat else tuple((sp.Integer(0),) * m for _ in range(m))
         object.__setattr__(self, "Bmat", _matrix(B))
-        if len(self.xi) != self.context.n:
-            raise ValueError(f"expected {self.context.n} xi components")
         if len(self.Bmat) != m or any(len(row) != m for row in self.Bmat):
             raise ValueError(f"B must be {m}x{m}")
         _check_constant_matrix(self.context, self.Bmat, "B")
@@ -169,9 +169,6 @@ class WSymmetry:
             for q in range(m):
                 if normalize(self.Bmat[p][q] + self.Bmat[q][p]) != 0:
                     raise ValueError("B must be antisymmetric")
-        bad = sp.sympify(self.tau).free_symbols & set(self.context.spatial)
-        if bad:
-            raise ValueError("tau must not depend on the spatial variables")
 
     def b_matrix(self):
         m = self.context.m
@@ -206,32 +203,90 @@ class DiscreteMap:
 
 
 # ---------------------------------------------------------------------------
+# the Ito generator L = d_t + f^a d_a + S^{ab} d2_{ab}
+#
+# The helpers below return raw, unnormalized sums over the structurally
+# nonzero terms only; their callers normalize once, at their output.
+
+def _d(e, v):
+    """d e / d v, without calling the differentiator when e is free of v."""
+    return sp.diff(e, v) if e.has(v) else sp.Integer(0)
+
+
+def _gradient(e, x):
+    return [_d(e, v) for v in x]
+
+
+def _dot(u, v):
+    return sp.Add(*(a * b for a, b in zip(u, v) if a != 0 and b != 0))
+
+
+def _nonzero(M):
+    """The (a, b, M[a, b]) of the nonzero entries of a square matrix."""
+    return [(a, b, M[a, b]) for a in range(M.rows) for b in range(M.cols)
+            if M[a, b] != 0]
+
+
+def _second_order(entries, grad, x):
+    """M^{ab} d2_{ab} u over the nonzero entries (a, b, M^{ab}) of M, from
+    the gradient `grad` of u."""
+    return sp.Add(*(w * _d(grad[a], x[b]) for a, b, w in entries
+                    if grad[a] != 0))
+
+
+def _noise_image(grad, sigma):
+    """(grad u) . sigma: the noise coefficients d_a u sigma^a_j of u(x, t)
+    for each column j of the n x m nested sequence sigma."""
+    return [_dot(grad, col) for col in zip(*sigma)]
+
+
+def _generator(ito: ItoSystem):
+    """L u = d_t u + f^a d_a u + S^{ab} d2_{ab} u of `ito` as a function of
+    (u, grad u); S and its nonzero pattern are formed once."""
+    x, t, f = ito.context.spatial, ito.context.t, ito.f
+    S = _nonzero(ito.half_diffusion())
+
+    def L(u, grad):
+        return _d(u, t) + _dot(f, grad) + _second_order(S, grad, x)
+    return L
+
+
+def _discrete_image(ito: ItoSystem, dmap: DiscreteMap):
+    """Raw drift L phi and raw noise (dphi/dx) sigma R^T of y = phi(x, t),
+    written in x."""
+    L = _generator(ito)
+    sig = (ito.sigma_matrix() * dmap.r_matrix().T).tolist()
+    drift, noise = [], []
+    for phi in dmap.phi:
+        grad = _gradient(phi, ito.context.spatial)
+        drift.append(L(phi, grad))
+        noise.append(_noise_image(grad, sig))
+    return drift, noise
+
+
+# ---------------------------------------------------------------------------
 # structural maps
 
 def diffusion_matrix(ito: ItoSystem):
     """A = (1/2) sigma sigma^T as an n x n tuple matrix; raises
     DegeneracyError when it vanishes identically."""
-    S = ito.half_diffusion().applyfunc(normalize)
+    S = ito.half_diffusion()
     if all(zero_verdict(e) is Verdict.ZERO for e in S):
         raise DegeneracyError("sigma sigma^T vanishes identically")
-    n = ito.n
-    return tuple(tuple(S[i, j] for j in range(n)) for i in range(n))
+    return tuple(map(tuple, S.tolist()))
 
 
 def fokker_planck_of(ito: ItoSystem) -> FokkerPlanck:
     """Coefficients of the associated Fokker-Planck equation:
     A = -(1/2) sigma sigma^T, B^i = f^i + 2 d_j A^{ij},
     C = d_i f^i + d2_{ij} A^{ij}."""
-    diffusion_matrix(ito)  # degeneracy gate
-    ctx = ito.context
-    n, x = ito.n, ctx.spatial
-    A = -ito.half_diffusion()
-    B = [normalize(ito.f[i] + 2 * sum(sp.diff(A[i, j], x[j]) for j in range(n)))
-         for i in range(n)]
-    C = normalize(sum(sp.diff(ito.f[i], x[i]) for i in range(n))
-                  + sum(sp.diff(A[i, j], x[i], x[j]) for i in range(n) for j in range(n)))
-    Arows = tuple(tuple(normalize(A[i, j]) for j in range(n)) for i in range(n))
-    return FokkerPlanck(context=ctx, A=Arows, B=tuple(B), C=C)
+    A = tuple(tuple(-e for e in row) for row in diffusion_matrix(ito))
+    x = ito.context.spatial
+    # d_j A^{ij}, so that d2_{ij} A^{ij} = d_i (d_j A^{ij})
+    div = [sp.Add(*(_d(a, v) for a, v in zip(row, x))) for row in A]
+    B = tuple(f + 2 * d for f, d in zip(ito.f, div))
+    C = sp.Add(*(_d(f + d, v) for f, d, v in zip(ito.f, div, x)))
+    return FokkerPlanck(context=ito.context, A=A, B=B, C=C)
 
 
 def same_fp(sigma1, sigma2) -> bool:
@@ -247,26 +302,19 @@ def same_fp(sigma1, sigma2) -> bool:
 def ito_to_stratonovich(ito: ItoSystem):
     """Drift of the equivalent Stratonovich equation:
     b^i = f^i - (1/2) sigma^j_k d_j sigma^i_k (summed over j, k)."""
-    x = ito.context.spatial
-    n, m = ito.n, ito.m
-    b = []
-    for i in range(n):
-        corr = sum(ito.sigma[j][k] * sp.diff(ito.sigma[i][k], x[j])
-                   for j in range(n) for k in range(m))
-        b.append(normalize(ito.f[i] - sp.Rational(1, 2) * corr))
-    return tuple(b)
+    x, cols = ito.context.spatial, tuple(zip(*ito.sigma))
+    return tuple(normalize(f - sp.Rational(1, 2) * sp.Add(
+        *(_dot(col, _gradient(s, x)) for s, col in zip(row, cols))))
+        for f, row in zip(ito.f, ito.sigma))
 
 
 def lie_bracket(f, xi, x):
     """{f, xi}^i = f^j d_j xi^i - xi^j d_j f^i."""
     if len(f) != len(xi):
         raise ValueError("component sequences must have equal length")
-    out = []
-    for i in range(len(f)):
-        out.append(normalize(
-            sum(f[j] * sp.diff(xi[i], x[j]) for j in range(len(f)))
-            - sum(xi[j] * sp.diff(f[i], x[j]) for j in range(len(f)))))
-    return tuple(out)
+    f, xi = [sp.sympify(e) for e in f], [sp.sympify(e) for e in xi]
+    return tuple(normalize(_dot(f, _gradient(b, x)) - _dot(xi, _gradient(a, x)))
+                 for a, b in zip(f, xi))
 
 
 def transform_ito_first_order(ito: ItoSystem, xi):
@@ -304,24 +352,10 @@ def apply_discrete(ito: ItoSystem, dmap: DiscreteMap, inverse=None,
     """
     if eliminate and inverse is None:
         raise InverseNotSuppliedError("x-elimination requires the inverse map")
-    ctx = ito.context
-    x, t = ctx.spatial, ctx.t
-    n, m = ito.n, ito.m
-    S = ito.half_diffusion()
-    drift = []
-    for i in range(n):
-        e = (sum(sp.diff(dmap.phi[i], x[j]) * ito.f[j] for j in range(n))
-             + sum(S[j, k] * sp.diff(dmap.phi[i], x[j], x[k])
-                   for j in range(n) for k in range(n))
-             + sp.diff(dmap.phi[i], t))
-        drift.append(e)
-    sig = ito.sigma_matrix() * dmap.r_matrix().T
-    jac = sp.Matrix(n, n, lambda i, j: sp.diff(dmap.phi[i], x[j]))
-    new_sigma = jac * sig
+    drift, noise = _discrete_image(ito, dmap)
     if inverse is not None:
-        sub = {x[j]: inverse[j] for j in range(n)}
+        sub = dict(zip(ito.context.spatial, inverse))
         drift = [e.subs(sub, simultaneous=True) for e in drift]
-        new_sigma = new_sigma.subs(sub, simultaneous=True)
-    rows = tuple(tuple(normalize(new_sigma[i, k]) for k in range(m)) for i in range(n))
-    return ItoSystem(context=ctx, f=tuple(normalize(e) for e in drift),
-                     sigma=rows, name=ito.name and f"{ito.name}*")
+        noise = [[e.subs(sub, simultaneous=True) for e in row] for row in noise]
+    return ItoSystem(context=ito.context, f=drift, sigma=noise,
+                     name=ito.name and f"{ito.name}*")

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from .kernel import Verdict, normalize, substitute, zero_verdict
-from .model import ItoSystem, VectorField, fokker_planck_of
+from .kernel import Verdict, is_zero, normalize, substitute, zero_verdict
+from .model import (ItoSystem, VectorField, _d, _dot, _gradient, _nonzero,
+                    _second_order, fokker_planck_of)
 from .detgen import DeterminingSystem, detsys_fp, gamma
 
 __all__ = [
@@ -95,9 +96,7 @@ def check(ds: DeterminingSystem, bindings=None) -> VerificationReport:
 def _resolve_bindings(e, bindings):
     """Map name- or function-keyed bindings onto the opaque functions
     actually present in the expression."""
-    by_name = {}
-    for k, v in bindings.items():
-        by_name[getattr(k, "__name__", k)] = v
+    by_name = {getattr(k, "__name__", k): v for k, v in bindings.items()}
     out = {}
     for f in sp.sympify(e).atoms(sp.core.function.AppliedUndef):
         name = f.func.__name__
@@ -120,12 +119,12 @@ def extend_to_fp(vf: VectorField) -> VectorField:
 
 
 def check_normalization_preserving(vf: VectorField) -> bool:
-    """True iff beta = -div(xi)."""
+    """True iff beta = -div(xi); raises InconclusiveError when the zero
+    test cannot decide."""
     if vf.beta is None:
         raise ValueError("candidate has no beta component")
-    x = vf.context.spatial
-    div = sum(sp.diff(vf.xi[i], x[i]) for i in range(len(x)))
-    return zero_verdict(vf.beta + div) is Verdict.ZERO
+    div = sp.Add(*(_d(e, v) for e, v in zip(vf.xi, vf.context.spatial)))
+    return is_zero(vf.beta + div)
 
 
 def project_fp_symmetry(ito: ItoSystem, vf: VectorField) -> FpClassification:
@@ -153,13 +152,9 @@ def check_superposition(fp, alpha) -> bool:
     classification)."""
     if isinstance(fp, ItoSystem):
         fp = fokker_planck_of(fp)
-    ctx = fp.context
-    x, t = ctx.spatial, ctx.t
-    n = ctx.n
-    A = fp.a_matrix()
-    residual = (sp.diff(alpha, t)
-                + sum(A[i, k] * sp.diff(alpha, x[i], x[k])
-                      for i in range(n) for k in range(n))
-                + sum(fp.B[i] * sp.diff(alpha, x[i]) for i in range(n))
-                + fp.C * alpha)
+    x, t = fp.context.spatial, fp.context.t
+    alpha = sp.sympify(alpha)
+    grad = _gradient(alpha, x)
+    residual = (_d(alpha, t) + _second_order(_nonzero(fp.a_matrix()), grad, x)
+                + _dot(fp.B, grad) + fp.C * alpha)
     return zero_verdict(residual) is Verdict.ZERO

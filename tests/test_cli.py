@@ -191,3 +191,66 @@ class TestKpz:
         assert result.exit_code == 2
         assert "at least 3 sites" in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
+
+
+class TestExitContract:
+    """Every failure maps to its documented exit code with one line on
+    stderr: 2 rejected input, 3 inconclusive, 4 blow-up."""
+
+    @staticmethod
+    def _undecided(e, seed=0):
+        return stosym.kernel.Verdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize("which", ["time-shift", "h-shift"])
+    def test_kpz_continuous_inconclusive_exit_three(self, runner, monkeypatch,
+                                                    which):
+        monkeypatch.setattr(stosym.verify, "zero_verdict", self._undecided)
+        result = runner.invoke(main, ["kpz", "--sites", "5", "--check", which])
+        assert result.exit_code == 3
+        assert result.output.strip() == "inconclusive"
+
+    @pytest.mark.parametrize("which", ["site-shift", "inversion:2",
+                                       "h-inversion"])
+    def test_kpz_discrete_inconclusive_exit_three(self, runner, monkeypatch,
+                                                  which):
+        monkeypatch.setattr(stosym.kernel, "zero_verdict", self._undecided)
+        result = runner.invoke(main, ["kpz", "--sites", "5", "--check", which])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("inconclusive:")
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("which", ["inversion:x", "inversion:"])
+    def test_kpz_bad_inversion_site_exit_two(self, runner, which):
+        result = runner.invoke(main, ["kpz", "--sites", "5", "--check", which])
+        assert result.exit_code == 2
+        assert "integer site" in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    def test_check_fp_inconclusive_exit_three(self, runner, fixtures_dir,
+                                              monkeypatch):
+        monkeypatch.setattr(stosym.kernel, "zero_verdict", self._undecided)
+        result = runner.invoke(main, ["check", fx(fixtures_dir, "heat.sde"),
+                                      fx(fixtures_dir, "heat_v2.cand"),
+                                      "--fp", "--json"])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("inconclusive:")
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "mc-check"])
+    def test_blowup_exit_four(self, runner, tmp_path, command):
+        system = tmp_path / "cubic.sde"
+        system.write_text("system cubic\nvars x\nnoises w\n"
+                          "drift x = x^3\nsigma x w = 1\n")
+        args = [command, str(system)]
+        if command == "mc-check":
+            cand = tmp_path / "shift.cand"
+            cand.write_text("candidate shift\nxi x = 1\n")
+            args.append(str(cand))
+        else:
+            args += ["--out", str(tmp_path / "ens.bin")]
+        result = runner.invoke(main, args + ["--x0", "50", "--dt", "0.01",
+                                             "--n-paths", "20"])
+        assert result.exit_code == 4
+        assert result.stderr.startswith(f"{command}: non-finite value in path")
+        assert "step" in result.stderr and "t=" in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1

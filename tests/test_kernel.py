@@ -1,5 +1,6 @@
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from stosym.kernel import (Context, InconclusiveError, ParseError,
                            UndeclaredSymbolError, Verdict, differentiate,
@@ -172,3 +173,40 @@ def test_eval_numeric(ctx):
     k = ctx.symbol("k")
     val = eval_numeric(k * x + y**2, {x: 2.0, y: 3.0, k: 0.5})
     assert val == pytest.approx(10.0)
+
+
+_PARSE_TOKENS = ("x", "t", *"0123456789", ".", "+", "-", "*", "/", "^", "(",
+                 ")", "sin", "cos", "exp", "sqrt")
+
+
+@st.composite
+def _dsl_text(draw, max_len=12):
+    text = ""
+    for token in draw(st.lists(st.sampled_from(_PARSE_TOKENS), max_size=max_len)):
+        if len(text) + len(token) > max_len:
+            break
+        text += token
+    return text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_dsl_text())
+def test_parse_accepts_or_raises_parse_error(text):
+    try:
+        parse_expr(text, Context(spatial=("x",)))
+    except ParseError:
+        pass
+
+
+class TestParserLimits:
+    def test_builtin_arity(self, ctx):
+        with pytest.raises(ParseError, match="one argument"):
+            parse_expr("sin(x, y)", ctx)
+
+    def test_exponent_bound(self, ctx):
+        x = ctx.spatial[0]
+        assert parse_expr("x^64", ctx) == x**64
+        assert parse_expr("x^(-64/64)", ctx) == 1 / x
+        for text in ("9^9999999999", "x^65", "x^(1/65)", "x^-99"):
+            with pytest.raises(ParseError, match="larger than 64"):
+                parse_expr(text, ctx)

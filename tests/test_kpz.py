@@ -114,3 +114,12 @@ class TestCrossCheck:
             general = check(detsys_projectable(ito, vf)).is_symmetry
             ds = kpz_detsys_continuous(chain5, tau, sp.zeros(5, 5), alpha)
             assert general == check(ds).is_symmetry == expected
+
+
+def test_discrete_inconclusive_raises(chain5, monkeypatch):
+    """An undecided entry raises instead of reading as 'not a symmetry'."""
+    import stosym.kernel as kernel
+    monkeypatch.setattr(kernel, "zero_verdict",
+                        lambda e, seed=0: kernel.Verdict.INCONCLUSIVE)
+    with pytest.raises(kernel.InconclusiveError):
+        kpz_check_discrete(chain5, site_shift_matrix(5))

@@ -144,3 +144,15 @@ class TestCheckMechanics:
         assert d["schema"] == 1
         assert d["overall"] == "symmetry"
         assert {e["label"] for e in d["equations"]} == {"Lambda[1]", "Gamma[1][1]"}
+
+
+def test_normalization_preserving_inconclusive_raises(systems, monkeypatch):
+    """An undecided beta + div(xi) raises instead of answering False."""
+    import stosym.kernel as kernel
+    ito = systems["heat.sde"]
+    vf = extend_to_fp(VectorField(context=ito.context, xi=(sp.Integer(1),)))
+    assert check_normalization_preserving(vf)
+    monkeypatch.setattr(kernel, "zero_verdict",
+                        lambda e, seed=0: kernel.Verdict.INCONCLUSIVE)
+    with pytest.raises(kernel.InconclusiveError):
+        check_normalization_preserving(vf)
