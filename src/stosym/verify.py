@@ -96,7 +96,9 @@ def check(ds: DeterminingSystem, bindings=None) -> VerificationReport:
 def _resolve_bindings(e, bindings):
     """Map name- or function-keyed bindings onto the opaque functions
     actually present in the expression."""
-    by_name = {getattr(k, "__name__", k): v for k, v in bindings.items()}
+    by_name = {}
+    for k, v in bindings.items():
+        by_name[getattr(k, "__name__", k)] = v
     out = {}
     for f in sp.sympify(e).atoms(sp.core.function.AppliedUndef):
         name = f.func.__name__
