@@ -5,8 +5,8 @@ growth-chain module and Monte-Carlo cross-validation."""
 
 from .kernel import (Context, DomainError, ExprError, InconclusiveError,
                      ParseError, UnboundSymbolError, UndeclaredSymbolError,
-                     Verdict, differentiate, eval_numeric, is_zero, normalize,
-                     parse_expr, substitute, to_dsl, zero_verdict)
+                     Verdict, all_zero, differentiate, eval_numeric, is_zero,
+                     normalize, parse_expr, substitute, to_dsl, zero_verdict)
 from .model import (DegeneracyError, DiscreteMap, FokkerPlanck,
                     InverseNotSuppliedError, ItoSystem, VectorField,
                     WSymmetry, apply_discrete, diffusion_matrix,

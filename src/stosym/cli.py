@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 the candidate is a symmetry (or the command succeeded),
-1 it is not, 2 the input was rejected (a file failed to parse, or an
-argument or parameter binding is unusable), 3 the verdict is inconclusive
+1 it is not, 2 the input was rejected (a file failed to parse, an
+argument or parameter binding is unusable, or the system is degenerate
+for `derive-fp` and `check --fp`), 3 the verdict is inconclusive
 (`check`, `check --fp` and `kpz`), 4 a simulation blew up (`simulate`,
 `mc-check`: a path left the finite numbers).
 """
@@ -16,7 +17,7 @@ import sympy as sp
 
 from .kernel import Context, InconclusiveError, ParseError, parse_expr, \
     to_dsl
-from .model import DiscreteMap, ItoSystem, VectorField, WSymmetry, \
+from .model import DegeneracyError, DiscreteMap, VectorField, WSymmetry, \
     fokker_planck_of
 from .detgen import detsys_discrete, detsys_fp, detsys_projectable, detsys_w
 from .verify import OverallVerdict, check, check_normalization_preserving, \
@@ -94,7 +95,10 @@ def main():
 def derive_fp(system_file, as_json):
     """Print the Fokker-Planck coefficients of a system."""
     ito = _load(system_file, load_system)
-    fp = fokker_planck_of(ito)
+    try:
+        fp = fokker_planck_of(ito)
+    except DegeneracyError as e:
+        _reject(f"derive-fp: {e}")
     data = {
         "schema": 1,
         "system": ito.name,
@@ -149,7 +153,10 @@ def check_cmd(system_file, candidate_file, classify_fp, as_json):
         if not isinstance(candidate, VectorField):
             _reject("--fp applies to vector-field candidates only")
         vf = candidate if candidate.beta is not None else extend_to_fp(candidate)
-        report = check(detsys_fp(ito, vf))
+        try:
+            report = check(detsys_fp(ito, vf))
+        except DegeneracyError as e:
+            _reject(f"check --fp: {e}")
         data.update(report.to_dict())
         try:
             preserving = check_normalization_preserving(vf)

@@ -20,7 +20,7 @@ __all__ = [
     "ExprError", "ParseError", "UndeclaredSymbolError",
     "UnboundSymbolError", "DomainError", "InconclusiveError",
     "Verdict", "parse_expr", "normalize", "differentiate", "substitute",
-    "zero_verdict", "is_zero", "eval_numeric", "to_dsl",
+    "zero_verdict", "is_zero", "all_zero", "eval_numeric", "to_dsl",
 ]
 
 BUILTIN_FUNCTIONS = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos, "sqrt": sp.sqrt}
@@ -467,6 +467,23 @@ def is_zero(e, seed: int = 0) -> bool:
     if verdict is Verdict.INCONCLUSIVE:
         raise InconclusiveError(f"cannot decide whether {e} vanishes identically")
     return verdict is Verdict.ZERO
+
+
+def all_zero(entries, seed: int = 0) -> bool:
+    """True iff every entry vanishes identically; False as soon as one is
+    provably nonzero. Raises InconclusiveError when none is nonzero and
+    some entry cannot be decided."""
+    undecided = None
+    for e in entries:
+        verdict = zero_verdict(e, seed=seed)
+        if verdict is Verdict.NONZERO:
+            return False
+        if verdict is Verdict.INCONCLUSIVE and undecided is None:
+            undecided = e
+    if undecided is not None:
+        raise InconclusiveError(
+            f"cannot decide whether {undecided} vanishes identically")
+    return True
 
 
 # ---------------------------------------------------------------------------

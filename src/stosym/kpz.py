@@ -1,17 +1,17 @@
 """Periodic chain of coupled growth equations
 dx^i = [a (x^{i+1} - 2 x^i + x^{i-1}) + b (x^{i+1} - x^{i-1})^2] dt + dw^i
 with indices mod N, its tensor form f^i = M^i_j x^j + G^i_{jk} x^j x^k,
-and the determining conditions for linear-in-x symmetry candidates and
-for linear discrete maps."""
+the general determining system for linear-in-x symmetry candidates and
+the chain-specific conditions for linear discrete maps."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import sympy as sp
 
-from .kernel import Context, is_zero, normalize
-from .detgen import DeterminingSystem, _pack
-from .model import ItoSystem
+from .kernel import Context, all_zero
+from .detgen import DeterminingSystem, detsys_w
+from .model import ItoSystem, WSymmetry
 
 __all__ = [
     "KpzChain", "KpzTensors", "kpz_ito", "kpz_tensors",
@@ -98,50 +98,18 @@ def kpz_detsys_continuous(chain: KpzChain, tau, Lambda_matrix, alpha_vec,
                           Bmat=None) -> DeterminingSystem:
     """Determining equations for a candidate tau(t) d_t + xi^i d_i with the
     linear ansatz xi = Lambda(t) x + alpha(t), optionally carrying a constant
-    antisymmetric noise mixer B.
-
-    With unit sigma the noise condition collapses to the matrix identity
-    Lambda - (1/2) tau' I - B = 0; the drift condition splits by degree in
-    x into a constant, a linear and a quadratic family.
-    """
+    antisymmetric noise mixer B: the general Lambda/Gamma system of the
+    chain's Ito form. A B that is not constant, antisymmetric and n x n
+    raises ValueError."""
     n = chain.n_sites
-    t = chain.context.t
-    tau = sp.sympify(tau)
     Lam = sp.Matrix(Lambda_matrix)
     al = sp.Matrix([sp.sympify(e) for e in alpha_vec])
     if Lam.shape != (n, n) or al.shape != (n, 1):
         raise ValueError("candidate shape does not match the chain size")
-    B = sp.zeros(n, n) if Bmat is None else sp.Matrix(Bmat)
-    if B.shape != (n, n):
-        raise ValueError("B must be an n x n matrix")
-    if normalize(B + B.T) != sp.zeros(n, n):
-        raise ValueError("B must be antisymmetric")
-    ten = kpz_tensors(chain)
-    M, G = ten.M, ten.G
-
-    eqs = []
-    noise = Lam - sp.Rational(1, 2) * sp.diff(tau, t) * sp.eye(n) - B
-    for i in range(n):
-        for j in range(n):
-            eqs.append((f"noise[{i + 1}][{j + 1}]", noise[i, j]))
-    const = sp.diff(al, t) - M * al
-    for i in range(n):
-        eqs.append((f"const[{i + 1}]", const[i]))
-    linear = (sp.diff(Lam, t) - sp.diff(tau, t) * M + Lam * M - M * Lam)
-    for i in range(n):
-        for j in range(n):
-            e = linear[i, j] - 2 * sum(G[i][j][k] * al[k] for k in range(n))
-            eqs.append((f"linear[{i + 1}][{j + 1}]", e))
-    dtau = sp.diff(tau, t)
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                e = (-dtau * G[i][j][k]
-                     + sum(Lam[i, m] * G[m][j][k] for m in range(n))
-                     - sum(G[i][m][k] * Lam[m, j] for m in range(n))
-                     - sum(G[i][j][m] * Lam[m, k] for m in range(n)))
-                eqs.append((f"quadratic[{i + 1}][{j + 1}][{k + 1}]", e))
-    return _pack("kpz-continuous", eqs)
+    xi = Lam * sp.Matrix(chain.context.spatial) + al
+    B = () if Bmat is None else sp.Matrix(Bmat).tolist()
+    ws = WSymmetry(chain.context, tau=tau, xi=tuple(xi), Bmat=B)
+    return replace(detsys_w(kpz_ito(chain), ws), name="kpz-continuous")
 
 
 @dataclass(frozen=True)
@@ -168,16 +136,14 @@ class KpzDiscreteReport:
 def kpz_check_discrete(chain: KpzChain, F) -> KpzDiscreteReport:
     """Check the linear map y = F x (with noise mixer R = F, which must be
     orthogonal): requires [F, M] = 0 and F^i_m G^m_{jk} = G^i_{mn} F^m_j F^n_k.
-    Raises InconclusiveError when the zero test cannot decide an entry."""
+    Raises InconclusiveError when an undecided entry leaves a condition
+    open."""
     n = chain.n_sites
     F = sp.Matrix(F)
     if F.shape != (n, n):
         raise ValueError("F must match the chain size")
     ten = kpz_tensors(chain)
     M, G = ten.M, ten.G
-
-    def all_zero(entries):
-        return all(is_zero(e) for e in entries)
 
     comm = all_zero(sp.expand(F * M - M * F))
     # the quadratic tensor is sparse (a handful of stencil entries per

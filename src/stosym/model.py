@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .kernel import Context, Verdict, normalize, zero_verdict
+from .kernel import Context, Verdict, all_zero, normalize, zero_verdict
 
 __all__ = [
     "DegeneracyError", "InverseNotSuppliedError",
@@ -291,12 +291,12 @@ def fokker_planck_of(ito: ItoSystem) -> FokkerPlanck:
 
 def same_fp(sigma1, sigma2) -> bool:
     """True iff the two diffusion matrices generate the same Fokker-Planck
-    equation, i.e. (1/2) s1 s1^T == (1/2) s2 s2^T entry-wise."""
+    equation, i.e. (1/2) s1 s1^T == (1/2) s2 s2^T entry-wise; raises
+    InconclusiveError when the zero test cannot decide."""
     s1, s2 = sp.Matrix(sigma1), sp.Matrix(sigma2)
     if s1.rows != s2.rows or s1.cols != s2.cols:
         raise ValueError("diffusion matrices must have equal shapes")
-    delta = s1 * s1.T - s2 * s2.T
-    return all(zero_verdict(e) is Verdict.ZERO for e in delta)
+    return all_zero(s1 * s1.T - s2 * s2.T)
 
 
 def ito_to_stratonovich(ito: ItoSystem):

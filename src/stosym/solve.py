@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import sympy as sp
 
 from .kernel import InconclusiveError, Verdict, normalize
-from .model import ItoSystem, VectorField, WSymmetry
+from .model import ItoSystem, VectorField, WSymmetry, lie_bracket
 from .detgen import _lambda_gamma_operator, detsys_projectable, detsys_w
 from .verify import OverallVerdict, check
 
@@ -87,18 +87,17 @@ def _coefficient_matrix(columns, variables, error):
     return A
 
 
-def _span_solve(target, basis, t):
-    """Coefficients expressing `target` in the span of `basis`, or None."""
-    M = _coefficient_matrix([(e,) for e in (*basis, target)], (t,),
-                            NonClosedBasisError)
-    cs = sp.symbols(f"c0:{len(basis)}")
+def _coordinates(columns, target, variables, error):
+    """Coefficients expressing `target` in the span of `columns` (sequences
+    of expressions of equal length), or None when it lies outside."""
+    M = _coefficient_matrix([*columns, target], variables, error)
+    cs = sp.symbols(f"c0:{len(columns)}", cls=sp.Dummy)
     sol = sp.linsolve((M[:, :-1], M[:, -1]), *cs)
     if not sol:
         return None
-    vec = next(iter(sol))
     # free parameters in underdetermined solutions are pinned to zero
-    vec = [v.subs({c: 0 for c in cs}) for v in vec]
-    return tuple(sp.nsimplify(v) for v in vec)
+    pinned = {c: sp.Integer(0) for c in cs}
+    return tuple(v.xreplace(pinned) for v in next(iter(sol)))
 
 
 @dataclass(frozen=True)
@@ -116,8 +115,10 @@ class Ansatz:
                            tuple(sp.sympify(b) for b in self.time_basis))
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
+        span = [(b,) for b in self.time_basis]
         for b in self.time_basis:
-            if _span_solve(sp.diff(b, self.t), self.time_basis, self.t) is None:
+            if _coordinates(span, (sp.diff(b, self.t),), (self.t,),
+                            NonClosedBasisError) is None:
                 raise NonClosedBasisError(
                     f"d/dt of basis element {b} is outside the basis span")
 
@@ -239,16 +240,9 @@ def membership_coordinates(basis: SymmetryBasis, vf: VectorField):
     if not basis.generators:
         return None
     ctx = vf.context
-    M = _coefficient_matrix([(g.tau, *g.xi) for g in (*basis.generators, vf)],
-                            (*ctx.spatial, ctx.t), OutsideAnsatzError)
-    cs = sp.symbols(f"_m0:{basis.dimension}")
-    sol = sp.linsolve((M[:, :-1], M[:, -1]), *cs)
-    if not sol:
-        return None
-    vec = next(iter(sol))
-    if any(v.free_symbols & set(cs) for v in vec):
-        vec = [v.subs({c: 0 for c in cs}) for v in vec]
-    return tuple(vec)
+    return _coordinates([(g.tau, *g.xi) for g in basis.generators],
+                        (vf.tau, *vf.xi), (*ctx.spatial, ctx.t),
+                        OutsideAnsatzError)
 
 
 @dataclass(frozen=True)
@@ -259,18 +253,13 @@ class ClosureReport:
 
 def commutator(v1: VectorField, v2: VectorField) -> VectorField:
     """[v1, v2] for projectable fields: tau = tau1 tau2' - tau2 tau1',
-    xi^i = v1(xi2^i) - v2(xi1^i)."""
-    ctx = v1.context
-    x, t = ctx.spatial, ctx.t
+    xi = tau1 d_t xi2 - tau2 d_t xi1 + {xi1, xi2}."""
+    x, t = v1.context.spatial, v1.context.t
     tau = v1.tau * sp.diff(v2.tau, t) - v2.tau * sp.diff(v1.tau, t)
-    xi = []
-    for i in range(len(v1.xi)):
-        e = (v1.tau * sp.diff(v2.xi[i], t)
-             + sum(v1.xi[j] * sp.diff(v2.xi[i], x[j]) for j in range(len(x)))
-             - v2.tau * sp.diff(v1.xi[i], t)
-             - sum(v2.xi[j] * sp.diff(v1.xi[i], x[j]) for j in range(len(x))))
-        xi.append(normalize(e))
-    return VectorField(ctx, tau=normalize(tau), xi=tuple(xi))
+    bracket = lie_bracket(v1.xi, v2.xi, x)
+    xi = tuple(v1.tau * sp.diff(b, t) - v2.tau * sp.diff(a, t) + c
+               for a, b, c in zip(v1.xi, v2.xi, bracket))
+    return VectorField(v1.context, tau=tau, xi=xi)
 
 
 def commutator_closure(basis: SymmetryBasis) -> ClosureReport:

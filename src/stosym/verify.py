@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from .kernel import Verdict, is_zero, normalize, substitute, zero_verdict
+from .kernel import (Verdict, all_zero, is_zero, normalize, substitute,
+                     zero_verdict)
 from .model import (ItoSystem, VectorField, _d, _dot, _gradient, _nonzero,
                     _second_order, fokker_planck_of)
 from .detgen import DeterminingSystem, detsys_fp, gamma
@@ -82,7 +83,7 @@ def check(ds: DeterminingSystem, bindings=None) -> VerificationReport:
             e = substitute(e, _resolve_bindings(e, bindings))
         v = zero_verdict(e)
         verdicts.add(v)
-        per_equation.append((label, v, normalize(e)))
+        per_equation.append((label, v, e))
     if verdicts <= {Verdict.ZERO}:
         overall = OverallVerdict.SYMMETRY
     elif Verdict.NONZERO in verdicts:
@@ -132,18 +133,18 @@ def check_normalization_preserving(vf: VectorField) -> bool:
 def project_fp_symmetry(ito: ItoSystem, vf: VectorField) -> FpClassification:
     """Classify a normalization-preserving Fokker-Planck symmetry:
     ITO_SYMMETRY when Gamma == 0, STATISTICAL_EQUIVALENCE when Gamma != 0
-    but sigma Gamma^T + Gamma sigma^T == 0, NEITHER otherwise."""
+    but sigma Gamma^T + Gamma sigma^T == 0, NEITHER otherwise. Raises
+    InconclusiveError when the zero test cannot decide between them."""
     if vf.beta is None or not check_normalization_preserving(vf):
         raise PreconditionError("candidate must carry beta = -div(xi)")
     fp_report = check(detsys_fp(fokker_planck_of(ito), vf))
     if not fp_report.is_symmetry:
         raise PreconditionError("candidate is not a Fokker-Planck symmetry")
     gam = sp.Matrix(gamma(ito, vf))
-    if all(zero_verdict(e) is Verdict.ZERO for e in gam):
+    if all_zero(gam):
         return FpClassification.ITO_SYMMETRY
     sig = ito.sigma_matrix()
-    mixed = sig * gam.T + gam * sig.T
-    if all(zero_verdict(e) is Verdict.ZERO for e in mixed):
+    if all_zero(sig * gam.T + gam * sig.T):
         return FpClassification.STATISTICAL_EQUIVALENCE
     return FpClassification.NEITHER
 

@@ -236,6 +236,19 @@ class TestExitContract:
         assert result.stderr.startswith("inconclusive:")
         assert len(result.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["derive-fp", "check --fp"])
+    def test_degenerate_system_exit_two(self, runner, tmp_path, command):
+        system = tmp_path / "flat.sde"
+        system.write_text("vars x\nnoises w\ndrift x = -x\nsigma x w = 0\n")
+        cand = tmp_path / "shift.cand"
+        cand.write_text("xi x = 1\n")
+        args = (["derive-fp", str(system)] if command == "derive-fp"
+                else ["check", str(system), str(cand), "--fp"])
+        result = runner.invoke(main, args + ["--json"])
+        assert result.exit_code == 2
+        assert "vanishes identically" in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("command", ["simulate", "mc-check"])
     def test_blowup_exit_four(self, runner, tmp_path, command):
         system = tmp_path / "cubic.sde"

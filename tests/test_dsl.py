@@ -1,11 +1,14 @@
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
-from stosym.kernel import ParseError, UndeclaredSymbolError, normalize
-from stosym.model import DiscreteMap, VectorField, WSymmetry
+from stosym.kernel import (Context, ParseError, UndeclaredSymbolError,
+                           normalize, to_dsl)
+from stosym.model import DiscreteMap, ItoSystem, VectorField, WSymmetry
 from stosym.dsl import (candidate_from_dict, candidate_to_dict, parse_candidate,
                         parse_system, system_from_dict, system_to_dict,
                         to_cand, to_sde)
+from conftest import random_expression
 
 PAIR = """
 system pair
@@ -145,3 +148,26 @@ class TestRoundTrips:
             c = load_candidate(fixtures_dir / entry["candidate"], ito)
             again = parse_candidate(to_cand(c, base_context=ito.context), ito)
             assert type(again) is type(c)
+
+
+_RANDOM_CTX = Context(spatial=("x", "y"), params={"k": "positive", "c": None},
+                      noises=("w1", "w2"))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_random_system_round_trips(rng):
+    """A system with random coefficients survives the .sde text and the JSON
+    form with identical to_dsl entries."""
+    ito = ItoSystem(
+        context=_RANDOM_CTX, name="random",
+        f=tuple(random_expression(rng, _RANDOM_CTX) for _ in range(2)),
+        sigma=tuple(tuple(random_expression(rng, _RANDOM_CTX) for _ in range(2))
+                    for _ in range(2)))
+
+    def entries(system):
+        return ([to_dsl(e) for e in system.f],
+                [[to_dsl(e) for e in row] for row in system.sigma])
+    for again in (parse_system(to_sde(ito)),
+                  system_from_dict(system_to_dict(ito))):
+        assert entries(again) == entries(ito)

@@ -3,9 +3,9 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from stosym.kernel import (Context, InconclusiveError, ParseError,
-                           UndeclaredSymbolError, Verdict, differentiate,
-                           eval_numeric, is_zero, normalize, parse_expr,
-                           substitute, to_dsl, zero_verdict)
+                           UndeclaredSymbolError, Verdict, all_zero,
+                           differentiate, eval_numeric, is_zero, normalize,
+                           parse_expr, substitute, to_dsl, zero_verdict)
 from conftest import random_expression, seeded_rng
 
 
@@ -210,3 +210,44 @@ class TestParserLimits:
         for text in ("9^9999999999", "x^65", "x^(1/65)", "x^-99"):
             with pytest.raises(ParseError, match="larger than 64"):
                 parse_expr(text, ctx)
+
+
+class TestAllZero:
+    """`all_zero` keeps the three-way verdict: False on the first provably
+    nonzero entry, InconclusiveError only when nothing is nonzero and some
+    entry is undecided."""
+
+    @pytest.fixture
+    def verdicts(self, monkeypatch):
+        import stosym.kernel as kernel
+        table = {}
+        calls = []
+
+        def fake(e, seed=0):
+            calls.append(e)
+            return table[e]
+        monkeypatch.setattr(kernel, "zero_verdict", fake)
+        return table, calls
+
+    def test_all_zero(self, verdicts):
+        table, _ = verdicts
+        table.update({1: Verdict.ZERO, 2: Verdict.ZERO})
+        assert all_zero([1, 2]) is True
+
+    def test_nonzero_beats_undecided(self, verdicts):
+        table, calls = verdicts
+        table.update({1: Verdict.INCONCLUSIVE, 2: Verdict.NONZERO,
+                      3: Verdict.ZERO})
+        assert all_zero([1, 2, 3]) is False
+        assert calls == [1, 2]
+
+    def test_undecided_raises(self, verdicts):
+        table, _ = verdicts
+        table.update({1: Verdict.ZERO, 2: Verdict.INCONCLUSIVE})
+        with pytest.raises(InconclusiveError, match="2"):
+            all_zero([1, 2])
+
+    def test_real_zero_test(self, ctx):
+        x, y = ctx.spatial
+        assert all_zero([sp.sin(x) ** 2 + sp.cos(x) ** 2 - 1, 0])
+        assert not all_zero([0, x - y])

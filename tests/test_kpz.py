@@ -123,3 +123,19 @@ def test_discrete_inconclusive_raises(chain5, monkeypatch):
                         lambda e, seed=0: kernel.Verdict.INCONCLUSIVE)
     with pytest.raises(kernel.InconclusiveError):
         kpz_check_discrete(chain5, site_shift_matrix(5))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_mixer_verdicts(n):
+    """Rotation generator Lambda = S - S^T of the site shift S, with and
+    without the matching noise mixer B = Lambda; the verdicts were recorded
+    on the earlier chain-specific equations."""
+    S = site_shift_matrix(n)
+    rot = S - S.T
+    expected = {(0, True): "symmetry", (0, False): "not_symmetry",
+                (None, True): "not_symmetry", (None, False): "not_symmetry"}
+    for (beta, with_b), verdict in expected.items():
+        chain = KpzChain(n, beta=beta)
+        ds = kpz_detsys_continuous(chain, 0, rot, [0] * n,
+                                   Bmat=rot if with_b else None)
+        assert check(ds).overall.value == verdict

@@ -61,6 +61,14 @@ class TestFokkerPlanck:
         stretched = ((sp.Integer(2), sp.Integer(0)), (sp.Integer(0), sp.Integer(1)))
         assert not same_fp(rot.sigma, stretched)
 
+    def test_same_fp_undecided_raises(self, systems, monkeypatch):
+        import stosym.kernel as kernel
+        monkeypatch.setattr(kernel, "zero_verdict",
+                            lambda e, seed=0: Verdict.INCONCLUSIVE)
+        rot = systems["rotating.sde"]
+        with pytest.raises(kernel.InconclusiveError):
+            same_fp(rot.sigma, rot.sigma)
+
     def test_degenerate_diffusion_raises(self):
         ctx = Context(spatial=("x",), noises=("w",))
         ito = ItoSystem(context=ctx, f=(ctx.spatial[0],),

@@ -87,6 +87,40 @@ class TestProjection:
         vf = extend_to_fp(VectorField(context=rot.context, tau=1))
         assert project_fp_symmetry(rot, vf) is FpClassification.STATISTICAL_EQUIVALENCE
 
+    def test_undecided_gamma_raises(self, systems, monkeypatch):
+        """An undecided Gamma entry is not read as Gamma != 0."""
+        import stosym.kernel as kernel
+        real = kernel.zero_verdict
+
+        def undecided_if_nonzero(e, seed=0):
+            v = real(e, seed)
+            return kernel.Verdict.INCONCLUSIVE if v is kernel.Verdict.NONZERO else v
+        rot = systems["rotating.sde"]
+        vf = extend_to_fp(VectorField(context=rot.context, tau=1))
+        monkeypatch.setattr(kernel, "zero_verdict", undecided_if_nonzero)
+        with pytest.raises(kernel.InconclusiveError):
+            project_fp_symmetry(rot, vf)
+
+    def test_undecided_mixed_term_raises(self, systems, monkeypatch):
+        """Gamma != 0 and an undecided sigma Gamma^T + Gamma sigma^T is not
+        read as NEITHER."""
+        import stosym.kernel as kernel
+        import stosym.verify as verify
+        real = kernel.zero_verdict
+
+        def undecided_if_zero(e, seed=0):
+            v = real(e, seed)
+            return kernel.Verdict.INCONCLUSIVE if v is kernel.Verdict.ZERO else v
+        rot = systems["rotating.sde"]
+        vf = extend_to_fp(VectorField(context=rot.context, tau=1))
+        # beta = -div(xi) holds for this candidate; only the projection is
+        # left to the patched zero test
+        monkeypatch.setattr(verify, "check_normalization_preserving",
+                            lambda vf: True)
+        monkeypatch.setattr(kernel, "zero_verdict", undecided_if_zero)
+        with pytest.raises(kernel.InconclusiveError):
+            project_fp_symmetry(rot, vf)
+
     def test_precondition_normalization(self, systems):
         heat = systems["heat.sde"]
         vf = VectorField(context=heat.context, tau=0,
