@@ -25,6 +25,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeterminingSystem:
+    """Named residuals that must all vanish. Every equation is stored in
+    `normalize`d form (the detsys_* builders do this once), and `verify.check`
+    reports it as stored."""
     name: str
     equations: tuple  # of (label, expr) pairs
     free_unknowns: tuple = ()

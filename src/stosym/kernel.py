@@ -469,13 +469,13 @@ def is_zero(e, seed: int = 0) -> bool:
     return verdict is Verdict.ZERO
 
 
-def all_zero(entries, seed: int = 0) -> bool:
+def all_zero(entries) -> bool:
     """True iff every entry vanishes identically; False as soon as one is
     provably nonzero. Raises InconclusiveError when none is nonzero and
     some entry cannot be decided."""
     undecided = None
     for e in entries:
-        verdict = zero_verdict(e, seed=seed)
+        verdict = zero_verdict(e)
         if verdict is Verdict.NONZERO:
             return False
         if verdict is Verdict.INCONCLUSIVE and undecided is None:
