@@ -7,9 +7,8 @@ from .kernel import (Context, DomainError, ExprError, InconclusiveError,
                      ParseError, UnboundSymbolError, UndeclaredSymbolError,
                      Verdict, all_zero, differentiate, eval_numeric, is_zero,
                      normalize, parse_expr, substitute, to_dsl, zero_verdict)
-from .model import (DegeneracyError, DiscreteMap, FokkerPlanck,
-                    InverseNotSuppliedError, ItoSystem, VectorField,
-                    WSymmetry, apply_discrete, diffusion_matrix,
+from .model import (DegeneracyError, DiscreteMap, FokkerPlanck, ItoSystem,
+                    VectorField, WSymmetry, apply_discrete, diffusion_matrix,
                     fokker_planck_of, ito_to_stratonovich, lie_bracket,
                     same_fp, transform_ito_first_order)
 from .detgen import (DeterminingSystem, detsys_discrete, detsys_fp,

@@ -3,12 +3,14 @@
 Exit codes: 0 the candidate is a symmetry (or the command succeeded),
 1 it is not, 2 the input was rejected (a file failed to parse, an
 argument or parameter binding is unusable, or the system is degenerate
-for `derive-fp` and `check --fp`), 3 the verdict is inconclusive
-(`check`, `check --fp` and `kpz`), 4 a simulation blew up (`simulate`,
-`mc-check`: a path left the finite numbers).
+where a command needs its Fokker-Planck equation), 3 the verdict is
+inconclusive (the zero test could not decide a residual, a degeneracy or
+the orthogonality of a candidate's R), 4 a simulation blew up
+(`simulate`, `mc-check`: a path left the finite numbers).
 """
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -54,6 +56,21 @@ def _exit_for(overall):
               OverallVerdict.INCONCLUSIVE: EXIT_INCONCLUSIVE}[overall])
 
 
+def _exit_contract(command):
+    """Map the errors a symbolic command can meet past parsing onto the exit
+    contract, with one line on stderr: a degenerate system is rejected
+    input (2) and an undecided zero test an inconclusive verdict (3)."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except DegeneracyError as e:
+            _reject(f"{click.get_current_context().info_name}: {e}")
+        except InconclusiveError as e:
+            _stop(EXIT_INCONCLUSIVE, f"inconclusive: {e}")
+    return run
+
+
 def _load(path, loader, *args):
     try:
         return loader(path, *args)
@@ -76,8 +93,7 @@ def _generic_candidate(ito):
     ctx = ito.context
     names = ["tau"] + [f"xi_{v}" for v in ctx.spatial_names]
     octx = Context(spatial=ctx.spatial_names, params=ctx.param_assumptions,
-                   noises=ctx.noise_names, dependent=ctx.dependent_names,
-                   opaque=names, time=ctx.time_name)
+                   noises=ctx.noise_names, opaque=names)
     tau = octx.opaque["tau"](octx.t)
     xi = tuple(octx.opaque[f"xi_{v}"](*octx.spatial, octx.t)
                for v in ctx.spatial_names)
@@ -90,15 +106,13 @@ def main():
 
 
 @main.command("derive-fp")
+@_exit_contract
 @click.argument("system_file", type=click.Path(exists=True))
 @click.option("--json", "as_json", is_flag=True)
 def derive_fp(system_file, as_json):
     """Print the Fokker-Planck coefficients of a system."""
     ito = _load(system_file, load_system)
-    try:
-        fp = fokker_planck_of(ito)
-    except DegeneracyError as e:
-        _reject(f"derive-fp: {e}")
+    fp = fokker_planck_of(ito)
     data = {
         "schema": 1,
         "system": ito.name,
@@ -115,6 +129,7 @@ def derive_fp(system_file, as_json):
 
 
 @main.command("detsys")
+@_exit_contract
 @click.argument("system_file", type=click.Path(exists=True))
 @click.argument("candidate_file", type=click.Path(exists=True), required=False)
 @click.option("--json", "as_json", is_flag=True)
@@ -138,6 +153,7 @@ def detsys(system_file, candidate_file, as_json):
 
 
 @main.command("check")
+@_exit_contract
 @click.argument("system_file", type=click.Path(exists=True))
 @click.argument("candidate_file", type=click.Path(exists=True))
 @click.option("--fp", "classify_fp", is_flag=True,
@@ -153,18 +169,12 @@ def check_cmd(system_file, candidate_file, classify_fp, as_json):
         if not isinstance(candidate, VectorField):
             _reject("--fp applies to vector-field candidates only")
         vf = candidate if candidate.beta is not None else extend_to_fp(candidate)
-        try:
-            report = check(detsys_fp(ito, vf))
-        except DegeneracyError as e:
-            _reject(f"check --fp: {e}")
+        report = check(detsys_fp(ito, vf))
         data.update(report.to_dict())
-        try:
-            preserving = check_normalization_preserving(vf)
-            data["normalization_preserving"] = preserving
-            if report.is_symmetry and preserving:
-                data["classification"] = project_fp_symmetry(ito, vf).value
-        except InconclusiveError as e:
-            _stop(EXIT_INCONCLUSIVE, f"inconclusive: {e}")
+        preserving = check_normalization_preserving(vf)
+        data["normalization_preserving"] = preserving
+        if report.is_symmetry and preserving:
+            data["classification"] = project_fp_symmetry(ito, vf).value
     else:
         report = check(_detsys_for(ito, candidate))
         data.update(report.to_dict())
@@ -286,6 +296,7 @@ def simulate(system_file, x0, t0, t1, dt, n_paths, seed, param_pairs,
 
 
 @main.command("mc-check")
+@_exit_contract
 @click.argument("system_file", type=click.Path(exists=True))
 @click.argument("candidate_file", type=click.Path(exists=True))
 @click.option("--x0", required=True, help="Comma-separated initial point.")
@@ -321,6 +332,7 @@ def mc_check(system_file, candidate_file, x0, t1, dt, n_paths, seed,
 
 
 @main.command("kpz")
+@_exit_contract
 @click.option("--sites", required=True, type=int)
 @click.option("--alpha", default=None, help="Numeric coupling; symbolic if omitted.")
 @click.option("--beta", default=None, help="Numeric nonlinearity; symbolic if omitted.")
@@ -352,10 +364,7 @@ def kpz_cmd(sites, alpha, beta, which, as_json):
             F = -sp.eye(n)
         else:
             _reject(f"unknown check '{which}'")
-        try:
-            rep = kpzmod.kpz_check_discrete(chain, F)
-        except InconclusiveError as e:
-            _stop(EXIT_INCONCLUSIVE, f"inconclusive: {e}")
+        rep = kpzmod.kpz_check_discrete(chain, F)
         overall = (OverallVerdict.SYMMETRY if rep.is_symmetry
                    else OverallVerdict.NOT_SYMMETRY)
         data = rep.to_dict()

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from .kernel import normalize, substitute
+from .kernel import normalize
 from .model import (DiscreteMap, ItoSystem, VectorField, WSymmetry, _d,
                     _discrete_image, _dot, _generator, _gradient,
                     _noise_image, _nonzero, _second_order, fokker_planck_of,
@@ -191,12 +191,14 @@ def detsys_fp(fp, vf: VectorField) -> DeterminingSystem:
 def detsys_discrete(ito: ItoSystem, dmap: DiscreteMap) -> DeterminingSystem:
     """Determining equations for a finite map y = phi(x,t), z = R w:
     drift family  dphi^i/dx^j f^j + S^{jk} d2_{jk} phi^i + d_t phi^i - f^i(phi, t),
-    noise family  (dphi/dx sigma R^T)^i_k - sigma^i_k(phi, t)."""
+    noise family  (dphi/dx sigma R^T)^i_k - sigma^i_k(phi, t).
+    The coefficients are functions of x and t only, so replacing each x^j
+    by phi^j atom by atom is the exact simultaneous substitution."""
     at_phi = dict(zip(ito.context.spatial, dmap.phi))
     drift, noise = _discrete_image(ito, dmap)
-    eqs = [(f"drift[{i + 1}]", e - substitute(f, at_phi))
+    eqs = [(f"drift[{i + 1}]", e - f.xreplace(at_phi))
            for i, (e, f) in enumerate(zip(drift, ito.f))]
-    eqs += [(f"noise[{i + 1}][{k + 1}]", e - substitute(sig, at_phi))
+    eqs += [(f"noise[{i + 1}][{k + 1}]", e - sig.xreplace(at_phi))
             for i, (row, sig_row) in enumerate(zip(noise, ito.sigma))
             for k, (e, sig) in enumerate(zip(row, sig_row))]
     return _pack("ito-discrete", eqs)

@@ -343,10 +343,13 @@ def to_cand(candidate, base_context=None, name="") -> str:
         if candidate.xi[i] != 0:
             out.append(f"xi {v} = {to_dsl(candidate.xi[i])}")
     if isinstance(candidate, WSymmetry):
-        for p in range(ctx.m):
-            for q in range(p + 1, ctx.m):
-                if candidate.Bmat[p][q] != 0:
-                    out.append(f"B[{p + 1}][{q + 1}] = {to_dsl(candidate.Bmat[p][q])}")
+        b_lines = [f"B[{p + 1}][{q + 1}] = {to_dsl(candidate.Bmat[p][q])}"
+                   for p in range(ctx.m) for q in range(p + 1, ctx.m)
+                   if candidate.Bmat[p][q] != 0]
+        if not b_lines and ctx.m > 1:
+            # zero mixer: keep one entry so the kind stays inferable
+            b_lines = ["B[1][2] = 0"]
+        out += b_lines
     elif candidate.beta is not None:
         out.append(f"beta = {to_dsl(candidate.beta)}")
     if not out:

@@ -55,22 +55,20 @@ class DomainError(ExprError):
 
 
 class InconclusiveError(ExprError):
-    """Raised by is_zero when normalization cannot decide."""
+    """Raised by all_zero and is_zero when the zero test cannot decide."""
 
 
 class Context:
-    """Declaration table: spatial variables, time, parameters, noise names,
-    dependent symbols and opaque function symbols.
+    """Declaration table: spatial variables, the time t, parameters, noise
+    names and opaque function symbols.
 
     Parameters may carry assumptions ("positive" or "nonzero"), used both by
     sympy's simplifier and by the randomized zero-test probe when picking
     sample values.
     """
 
-    def __init__(self, spatial=(), params=None, noises=(), dependent=(),
-                 opaque=(), time="t"):
-        self.time_name = time
-        self.t = sp.Symbol(time, real=True)
+    def __init__(self, spatial=(), params=None, noises=(), opaque=()):
+        self.t = sp.Symbol("t", real=True)
         self.spatial_names = tuple(spatial)
         self.spatial = tuple(sp.Symbol(n, real=True) for n in self.spatial_names)
         self.noise_names = tuple(noises)
@@ -89,13 +87,11 @@ class Context:
             elif assumption not in (None, "real"):
                 raise ValueError(f"unknown assumption '{assumption}' for parameter {name}")
             self.params[name] = sp.Symbol(name, **kwargs)
-        self.dependent_names = tuple(dependent)
-        self.dependent = tuple(sp.Symbol(n, real=True) for n in self.dependent_names)
         self.opaque_names = tuple(opaque)
         self.opaque = {n: sp.Function(n) for n in self.opaque_names}
 
         self._symbols = {}
-        for sym in (*self.spatial, self.t, *self.params.values(), *self.dependent):
+        for sym in (*self.spatial, self.t, *self.params.values()):
             if sym.name in self._symbols:
                 raise ValueError(f"duplicate declaration of '{sym.name}'")
             self._symbols[sym.name] = sym
@@ -125,8 +121,7 @@ class Context:
                 raise ValueError(f"conflicting redeclaration of parameter '{name}'")
             merged[name] = assumption
         return Context(spatial=self.spatial_names, params=merged,
-                       noises=self.noise_names, dependent=self.dependent_names,
-                       opaque=self.opaque_names, time=self.time_name)
+                       noises=self.noise_names, opaque=self.opaque_names)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +376,7 @@ def _sample_value(sym, rng):
     return q
 
 
-def _probe(e, rng, points=_PROBE_POINTS):
+def _probe(e, rng):
     """Randomized numeric evaluation at rational sample points.
 
     Returns 'zero' if every sample is below tolerance, 'nonzero' if some
@@ -390,8 +385,8 @@ def _probe(e, rng, points=_PROBE_POINTS):
     symbols = sorted(e.free_symbols, key=lambda s: s.name)
     max_abs = 0.0
     evaluated = 0
-    for _ in range(4 * points):
-        if evaluated >= points:
+    for _ in range(4 * _PROBE_POINTS):
+        if evaluated >= _PROBE_POINTS:
             break
         point = {s: _sample_value(s, rng) for s in symbols}
         try:
@@ -413,18 +408,19 @@ def _opaque_atoms(e):
     return e.atoms(AppliedUndef, sp.Derivative)
 
 
-def zero_verdict(e, seed: int = 0) -> Verdict:
+def zero_verdict(e) -> Verdict:
     """Tri-state zero test. Structural normalization first; a randomized
-    rational-point probe guards against simplifier gaps and downgrades any
-    disagreement to INCONCLUSIVE rather than guessing a boolean.
+    rational-point probe, with a fixed seed, guards against simplifier gaps
+    and downgrades any disagreement to INCONCLUSIVE rather than guessing a
+    boolean.
     """
-    rng = random.Random(seed ^ 0x5EED)
+    rng = random.Random(0x5EED)
     n = normalize(e)
     if n.is_zero is True:
         return Verdict.ZERO
     atoms = _opaque_atoms(n)
     if atoms:
-        return _structural_verdict(n, atoms, seed)
+        return _structural_verdict(n, atoms)
     if n.is_number:
         return Verdict.NONZERO if n != 0 else Verdict.ZERO
     # expanded polynomials over QQ(params) are already canonical
@@ -433,16 +429,14 @@ def zero_verdict(e, seed: int = 0) -> Verdict:
     s = sp.simplify(sp.powsimp(n))
     if s.is_zero is True:
         return Verdict.ZERO if _probe(n, rng) == "zero" else Verdict.INCONCLUSIVE
-    outcome = _probe(s, rng)
-    if outcome == "nonzero":
+    if _probe(s, rng) == "nonzero":
         return Verdict.NONZERO
-    if outcome == "zero":
-        # simplifier says nonzero, every sample vanished: do not guess
-        return Verdict.INCONCLUSIVE
+    # every sample vanished although the simplifier says nonzero, or the
+    # samples were mixed: do not guess
     return Verdict.INCONCLUSIVE
 
 
-def _structural_verdict(n, atoms, seed):
+def _structural_verdict(n, atoms):
     """Zero test in the presence of opaque function symbols: collect the
     coefficients of independent derivative/function markers and test each."""
     try:
@@ -453,7 +447,7 @@ def _structural_verdict(n, atoms, seed):
     for coeff in poly.coeffs():
         if _opaque_atoms(coeff):
             return Verdict.INCONCLUSIVE
-        verdicts.add(zero_verdict(coeff, seed=seed))
+        verdicts.add(zero_verdict(coeff))
     if verdicts <= {Verdict.ZERO}:
         return Verdict.ZERO
     if Verdict.NONZERO in verdicts:
@@ -461,12 +455,9 @@ def _structural_verdict(n, atoms, seed):
     return Verdict.INCONCLUSIVE
 
 
-def is_zero(e, seed: int = 0) -> bool:
+def is_zero(e) -> bool:
     """Boolean zero test; raises InconclusiveError when undecidable."""
-    verdict = zero_verdict(e, seed=seed)
-    if verdict is Verdict.INCONCLUSIVE:
-        raise InconclusiveError(f"cannot decide whether {e} vanishes identically")
-    return verdict is Verdict.ZERO
+    return all_zero((e,))
 
 
 def all_zero(entries) -> bool:

@@ -202,14 +202,14 @@ def _slice_stats(a, b, se_factor, extra_tol):
 
 
 def compare_ensembles(a: Ensemble, b: Ensemble, significance=0.01,
-                      use_ks=True, se_factor=None, extra_moment_tol=0.0) -> ComparisonReport:
+                      use_ks=True, extra_moment_tol=0.0) -> ComparisonReport:
     """Per-time, per-coordinate two-sample KS tests (Bonferroni-corrected)
     plus first-two-moment comparisons between two independently generated
     ensembles.
 
-    When se_factor is None the moment tolerance is the two-sided normal
-    quantile at the Bonferroni-corrected significance, so its family-wise
-    false-alarm rate matches the KS test's."""
+    The moment tolerance is the two-sided normal quantile at the
+    Bonferroni-corrected significance, in standard errors, so its
+    family-wise false-alarm rate matches the KS test's."""
     if a.paths.shape[2] != b.paths.shape[2] or len(a.times) != len(b.times):
         raise ValueError("ensembles have mismatched shapes")
     if not np.allclose(a.times - a.times[0], b.times - b.times[0]):
@@ -219,8 +219,7 @@ def compare_ensembles(a: Ensemble, b: Ensemble, significance=0.01,
     time_idx = range(1, len(a.times))
     n_tests = max(1, len(list(time_idx)) * n)
     threshold = significance / n_tests
-    if se_factor is None:
-        se_factor = float(stats.norm.isf(threshold / 2))
+    se_factor = float(stats.norm.isf(threshold / 2))
     entries = []
     ks_pass = True
     moment_pass = True
@@ -310,7 +309,7 @@ def validate_symmetry_mc(ito: ItoSystem, candidate, x0, t0=0.0, t1=1.0,
         if inv is None:
             raise ValueError("map could not be inverted automatically, "
                              "pass inverse= explicitly")
-        transformed = apply_discrete(ito, candidate, inverse=inv, eliminate=True)
+        transformed = apply_discrete(ito, candidate, inverse=inv)
         x0p = pushed.paths[0, 0, :]
         other = euler_maruyama(transformed, x0p, t0, t1, dt, n_paths,
                                seed + 1, params=params)

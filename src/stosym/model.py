@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .kernel import Context, Verdict, all_zero, normalize, zero_verdict
+from .kernel import Context, all_zero, normalize
 
 __all__ = [
-    "DegeneracyError", "InverseNotSuppliedError",
+    "DegeneracyError",
     "ItoSystem", "FokkerPlanck", "VectorField", "WSymmetry", "DiscreteMap",
     "diffusion_matrix", "fokker_planck_of", "same_fp", "ito_to_stratonovich",
     "lie_bracket", "transform_ito_first_order", "apply_discrete",
@@ -24,10 +24,6 @@ __all__ = [
 
 class DegeneracyError(ValueError):
     """sigma sigma^T vanishes identically."""
-
-
-class InverseNotSuppliedError(ValueError):
-    """x-elimination requested for a discrete map without an inverse."""
 
 
 def _exprs(seq):
@@ -135,9 +131,6 @@ class VectorField:
         _set_tau_xi(self)
         if self.beta is not None:
             object.__setattr__(self, "beta", normalize(self.beta))
-            dep = sp.sympify(self.beta).free_symbols & set(self.context.dependent)
-            if dep:
-                raise ValueError("beta must not depend on the dependent variable")
 
 
 def _check_constant_matrix(ctx, mat, what):
@@ -193,8 +186,7 @@ class DiscreteMap:
             raise ValueError(f"R must be {m}x{m}")
         _check_constant_matrix(self.context, self.R, "R")
         r = self.r_matrix()
-        delta = (r * r.T - sp.eye(m)).applyfunc(normalize)
-        if any(zero_verdict(e) is not Verdict.ZERO for e in delta):
+        if not all_zero(r * r.T - sp.eye(m)):
             raise ValueError("R must be orthogonal")
 
     def r_matrix(self):
@@ -269,9 +261,10 @@ def _discrete_image(ito: ItoSystem, dmap: DiscreteMap):
 
 def diffusion_matrix(ito: ItoSystem):
     """A = (1/2) sigma sigma^T as an n x n tuple matrix; raises
-    DegeneracyError when it vanishes identically."""
+    DegeneracyError when it vanishes identically and InconclusiveError when
+    the zero test cannot decide whether it does."""
     S = ito.half_diffusion()
-    if all(zero_verdict(e) is Verdict.ZERO for e in S):
+    if all_zero(S):
         raise DegeneracyError("sigma sigma^T vanishes identically")
     return tuple(map(tuple, S.tolist()))
 
@@ -342,16 +335,14 @@ def transform_ito_first_order(ito: ItoSystem, xi):
     return tuple(delta_f), tuple(delta_sigma)
 
 
-def apply_discrete(ito: ItoSystem, dmap: DiscreteMap, inverse=None,
-                   eliminate: bool = False) -> ItoSystem:
+def apply_discrete(ito: ItoSystem, dmap: DiscreteMap,
+                   inverse=None) -> ItoSystem:
     """Ito system obeyed by y = phi(x, t) with new noise z = R w.
 
     Coefficients come out written in the original x unless `inverse`
     (expressions for x in terms of the new coordinates, reusing the same
-    symbols) is supplied; `eliminate=True` without an inverse raises.
+    symbols) is supplied.
     """
-    if eliminate and inverse is None:
-        raise InverseNotSuppliedError("x-elimination requires the inverse map")
     drift, noise = _discrete_image(ito, dmap)
     if inverse is not None:
         sub = dict(zip(ito.context.spatial, inverse))

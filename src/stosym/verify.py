@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from .kernel import (Verdict, all_zero, is_zero, normalize, substitute,
-                     zero_verdict)
+from .kernel import Verdict, all_zero, is_zero, substitute, zero_verdict
 from .model import (ItoSystem, VectorField, _d, _dot, _gradient, _nonzero,
                     _second_order, fokker_planck_of)
 from .detgen import DeterminingSystem, detsys_fp, gamma
@@ -116,7 +115,7 @@ def extend_to_fp(vf: VectorField) -> VectorField:
     if vf.beta is not None:
         raise ValueError("candidate already carries a beta component")
     x = vf.context.spatial
-    beta = normalize(-sum(sp.diff(vf.xi[i], x[i]) for i in range(len(x))))
+    beta = -sum(sp.diff(vf.xi[i], x[i]) for i in range(len(x)))
     return VectorField(context=vf.context, tau=vf.tau, xi=vf.xi, beta=beta,
                        name=vf.name)
 
@@ -152,7 +151,8 @@ def project_fp_symmetry(ito: ItoSystem, vf: VectorField) -> FpClassification:
 def check_superposition(fp, alpha) -> bool:
     """True iff alpha(x,t) solves the Fokker-Planck equation, i.e. generates
     a trivial superposition symmetry alpha(x,t) d_u (excluded from
-    classification)."""
+    classification); raises InconclusiveError when the zero test cannot
+    decide."""
     if isinstance(fp, ItoSystem):
         fp = fokker_planck_of(fp)
     x, t = fp.context.spatial, fp.context.t
@@ -160,4 +160,4 @@ def check_superposition(fp, alpha) -> bool:
     grad = _gradient(alpha, x)
     residual = (_d(alpha, t) + _second_order(_nonzero(fp.a_matrix()), grad, x)
                 + _dot(fp.B, grad) + fp.C * alpha)
-    return zero_verdict(residual) is Verdict.ZERO
+    return is_zero(residual)

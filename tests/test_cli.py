@@ -198,7 +198,7 @@ class TestExitContract:
     stderr: 2 rejected input, 3 inconclusive, 4 blow-up."""
 
     @staticmethod
-    def _undecided(e, seed=0):
+    def _undecided(e):
         return stosym.kernel.Verdict.INCONCLUSIVE
 
     @pytest.mark.parametrize("which", ["time-shift", "h-shift"])
@@ -236,17 +236,44 @@ class TestExitContract:
         assert result.stderr.startswith("inconclusive:")
         assert len(result.stderr.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("command", ["derive-fp", "check --fp"])
+    @pytest.mark.parametrize("command", ["derive-fp", "check --fp", "check",
+                                         "detsys"])
     def test_degenerate_system_exit_two(self, runner, tmp_path, command):
+        """A candidate with beta needs the Fokker-Planck equation, which a
+        degenerate system does not have."""
         system = tmp_path / "flat.sde"
         system.write_text("vars x\nnoises w\ndrift x = -x\nsigma x w = 0\n")
         cand = tmp_path / "shift.cand"
-        cand.write_text("xi x = 1\n")
-        args = (["derive-fp", str(system)] if command == "derive-fp"
-                else ["check", str(system), str(cand), "--fp"])
-        result = runner.invoke(main, args + ["--json"])
+        cand.write_text("xi x = 1\nbeta = 0\n")
+        name, *flags = command.split()
+        files = [str(system)] if name == "derive-fp" else [str(system), str(cand)]
+        result = runner.invoke(main, [name, *files, *flags, "--json"])
         assert result.exit_code == 2
         assert "vanishes identically" in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["derive-fp", "detsys"])
+    def test_undecided_degeneracy_exit_three(self, runner, fixtures_dir,
+                                             monkeypatch, command):
+        monkeypatch.setattr(stosym.kernel, "zero_verdict", self._undecided)
+        files = [fx(fixtures_dir, "heat.sde")]
+        if command == "detsys":
+            files.append(fx(fixtures_dir, "heat_v3.cand"))  # carries beta
+        result = runner.invoke(main, [command, *files, "--json"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("inconclusive:")
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["check", "detsys"])
+    def test_undecided_orthogonality_exit_three(self, runner, fixtures_dir,
+                                                monkeypatch, command):
+        monkeypatch.setattr(stosym.kernel, "zero_verdict", self._undecided)
+        result = runner.invoke(main, [command, fx(fixtures_dir, "langevin2.sde"),
+                                      fx(fixtures_dir, "langevin_reflect.cand"),
+                                      "--json"])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("inconclusive:")
         assert len(result.stderr.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["simulate", "mc-check"])

@@ -6,6 +6,7 @@ from stosym.model import (ItoSystem, VectorField, WSymmetry,
                           transform_ito_first_order)
 from stosym.detgen import (detsys_ode, detsys_projectable, detsys_spatial,
                            detsys_w, gamma, lambda_)
+from stosym.kpz import KpzChain, kpz_ito
 from conftest import random_expression, seeded_rng
 
 
@@ -45,20 +46,38 @@ class TestReductionChain:
                 assert normalize(ea - eb) == 0
 
 
+def _random_linear_vf(rng, ctx):
+    """xi = Lambda(t) x + alpha(t) with sparse random entries."""
+    t = ctx.t
+
+    def coefficient():
+        if rng.random() < 0.5:
+            return 0
+        q = sp.Rational(rng.randint(-3, 3), rng.randint(1, 2))
+        return q * t ** rng.randint(0, 1)
+    xi = tuple(sum(coefficient() * v for v in ctx.spatial) + coefficient()
+               for _ in ctx.spatial)
+    return VectorField(context=ctx, tau=0, xi=xi)
+
+
 class TestFirstOrderEquivalence:
     def test_spatial_residuals_match_transform_coefficients(self, kramers):
         # for tau = 0 the determining residuals are exactly the first-order
-        # change of the coefficients under y = x + eps xi
+        # change of the coefficients under y = x + eps xi; the reference,
+        # transform_ito_first_order, does not use the Lambda/Gamma operator
         rng = seeded_rng(12)
-        ctx = kramers.context
-        for _ in range(5):
-            vf = _random_vf(rng, ctx, with_tau=False)
-            delta_f, delta_sigma = transform_ito_first_order(kramers, vf.xi)
-            lam = lambda_(kramers, vf)
-            gam = gamma(kramers, vf)
-            for i in range(kramers.n):
+        cases = [(kramers, _random_vf(rng, kramers.context, with_tau=False))
+                 for _ in range(5)]
+        for n in (3, 4, 5):
+            chain = kpz_ito(KpzChain(n))
+            cases.append((chain, _random_linear_vf(rng, chain.context)))
+        for ito, vf in cases:
+            delta_f, delta_sigma = transform_ito_first_order(ito, vf.xi)
+            lam = lambda_(ito, vf)
+            gam = gamma(ito, vf)
+            for i in range(ito.n):
                 assert normalize(lam[i] + delta_f[i]) == 0
-                for k in range(kramers.m):
+                for k in range(ito.m):
                     assert normalize(gam[i][k] - delta_sigma[i][k]) == 0
 
 

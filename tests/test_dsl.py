@@ -171,3 +171,50 @@ def test_random_system_round_trips(rng):
     for again in (parse_system(to_sde(ito)),
                   system_from_dict(system_to_dict(ito))):
         assert entries(again) == entries(ito)
+
+
+_TIME_CTX = Context(params=_RANDOM_CTX.param_assumptions)
+
+
+def _random_candidate(rng):
+    """A vector field (with or without beta), a W-symmetry with a constant
+    antisymmetric B or a map with a signed-permutation R, in _RANDOM_CTX."""
+    ctx = _RANDOM_CTX
+    kind = rng.choice(["field", "field+beta", "w", "map"])
+    if kind == "map":
+        perm = rng.choice([(0, 1), (1, 0)])
+        R = tuple(tuple(rng.choice([-1, 1]) if q == perm[p] else 0
+                        for q in range(2)) for p in range(2))
+        return DiscreteMap(context=ctx, R=R, phi=tuple(
+            random_expression(rng, ctx) for _ in range(2)))
+    tau = random_expression(rng, _TIME_CTX)
+    xi = tuple(random_expression(rng, ctx) for _ in range(2))
+    if kind == "w":
+        b = sp.Rational(rng.randint(-5, 5), rng.randint(1, 4)) * rng.choice(
+            [1, *ctx.params.values()])
+        return WSymmetry(context=ctx, tau=tau, xi=xi, Bmat=((0, b), (-b, 0)))
+    beta = random_expression(rng, ctx) if kind == "field+beta" else None
+    return VectorField(context=ctx, tau=tau, xi=xi, beta=beta)
+
+
+def _candidate_entries(c):
+    def matrix(rows):
+        return [[to_dsl(e) for e in row] for row in rows]
+    if isinstance(c, DiscreteMap):
+        return type(c), [to_dsl(e) for e in c.phi], matrix(c.R)
+    if isinstance(c, WSymmetry):
+        extra = matrix(c.Bmat)
+    else:
+        extra = None if c.beta is None else to_dsl(c.beta)
+    return type(c), to_dsl(c.tau), [to_dsl(e) for e in c.xi], extra
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_random_candidate_round_trips(rng):
+    """A candidate of each kind with random coefficients survives the .cand
+    text and the JSON form with identical to_dsl entries."""
+    c = _random_candidate(rng)
+    for again in (parse_candidate(to_cand(c), _RANDOM_CTX),
+                  candidate_from_dict(candidate_to_dict(c), _RANDOM_CTX)):
+        assert _candidate_entries(again) == _candidate_entries(c)

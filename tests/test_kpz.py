@@ -2,8 +2,8 @@ import pytest
 import sympy as sp
 
 from stosym.kernel import normalize
-from stosym.model import DiscreteMap, VectorField
-from stosym.detgen import detsys_discrete, detsys_projectable
+from stosym.model import DiscreteMap
+from stosym.detgen import detsys_discrete
 from stosym.verify import check
 from stosym.kpz import (KpzChain, inversion_matrix, kpz_check_discrete,
                         kpz_detsys_continuous, kpz_ito, kpz_tensors,
@@ -85,42 +85,34 @@ class TestDiscrete:
 
 
 class TestCrossCheck:
-    """The chain-specific conditions agree with the general determining
-    equations applied to the assembled Ito system."""
+    """The chain-specific conditions on the tensor form agree with the
+    general discrete determining equations of the assembled Ito system; the
+    two paths share only the chain's parameters and the zero test."""
 
-    def test_discrete_agrees(self, chain5):
-        ito = kpz_ito(chain5)
-        ctx = ito.context
-        x = sp.Matrix(ctx.spatial)
-        for F, expected in [(site_shift_matrix(5), True),
-                            (inversion_matrix(5, 2), True),
-                            (-sp.eye(5), False)]:
-            phi = tuple((F * x)[i] for i in range(5))
-            dmap = DiscreteMap(context=ctx, phi=phi,
-                               R=tuple(tuple(F[i, j] for j in range(5))
-                                       for i in range(5)))
-            general = check(detsys_discrete(ito, dmap)).is_symmetry
-            special = kpz_check_discrete(chain5, F).is_symmetry
-            assert general == special == expected
-
-    def test_continuous_agrees(self, chain5):
-        ito = kpz_ito(chain5)
-        ctx = ito.context
-        for tau, alpha, expected in [(1, [0] * 5, True),
-                                     (0, [1] * 5, True),
-                                     (0, [1, 0, 0, 0, 0], False)]:
-            vf = VectorField(context=ctx, tau=sp.Integer(tau),
-                             xi=tuple(sp.Integer(a) for a in alpha))
-            general = check(detsys_projectable(ito, vf)).is_symmetry
-            ds = kpz_detsys_continuous(chain5, tau, sp.zeros(5, 5), alpha)
-            assert general == check(ds).is_symmetry == expected
+    def test_discrete_agrees(self):
+        for n in range(3, 9):
+            for beta in (None, 0):
+                chain = KpzChain(n, beta=beta)
+                ito = kpz_ito(chain)
+                x = sp.Matrix(ito.context.spatial)
+                maps = [(site_shift_matrix(n), True), (-sp.eye(n), beta == 0)]
+                maps += [(inversion_matrix(n, m), True)
+                         for m in range(1, n + 1)]
+                for F, expected in maps:
+                    dmap = DiscreteMap(
+                        context=ito.context, phi=tuple(F * x),
+                        R=tuple(tuple(F[i, j] for j in range(n))
+                                for i in range(n)))
+                    general = check(detsys_discrete(ito, dmap)).is_symmetry
+                    special = kpz_check_discrete(chain, F).is_symmetry
+                    assert general == special == expected, (n, beta, F)
 
 
 def test_discrete_inconclusive_raises(chain5, monkeypatch):
     """An undecided entry raises instead of reading as 'not a symmetry'."""
     import stosym.kernel as kernel
     monkeypatch.setattr(kernel, "zero_verdict",
-                        lambda e, seed=0: kernel.Verdict.INCONCLUSIVE)
+                        lambda e: kernel.Verdict.INCONCLUSIVE)
     with pytest.raises(kernel.InconclusiveError):
         kpz_check_discrete(chain5, site_shift_matrix(5))
 

@@ -64,7 +64,7 @@ class TestFokkerPlanck:
     def test_same_fp_undecided_raises(self, systems, monkeypatch):
         import stosym.kernel as kernel
         monkeypatch.setattr(kernel, "zero_verdict",
-                            lambda e, seed=0: Verdict.INCONCLUSIVE)
+                            lambda e: Verdict.INCONCLUSIVE)
         rot = systems["rotating.sde"]
         with pytest.raises(kernel.InconclusiveError):
             same_fp(rot.sigma, rot.sigma)
@@ -75,6 +75,14 @@ class TestFokkerPlanck:
                         sigma=((sp.Integer(0),),))
         with pytest.raises(DegeneracyError):
             diffusion_matrix(ito)
+
+    def test_undecided_degeneracy_raises(self, heat, monkeypatch):
+        """An undecided S is not read as 'not degenerate'."""
+        import stosym.kernel as kernel
+        monkeypatch.setattr(kernel, "zero_verdict",
+                            lambda e: Verdict.INCONCLUSIVE)
+        with pytest.raises(kernel.InconclusiveError):
+            diffusion_matrix(heat)
 
     def test_nondegenerate_diffusion(self, heat):
         s0 = heat.context.symbol("s0")
@@ -124,6 +132,15 @@ class TestDiscreteMap:
         with pytest.raises(ValueError):
             DiscreteMap(context=ctx, phi=(-ctx.spatial[0],), R=((2,),))
 
+    def test_undecided_orthogonality_raises(self, monkeypatch):
+        """An undecided R R^T - I is not read as 'not orthogonal'."""
+        import stosym.kernel as kernel
+        ctx = Context(spatial=("x",), noises=("w",))
+        monkeypatch.setattr(kernel, "zero_verdict",
+                            lambda e: Verdict.INCONCLUSIVE)
+        with pytest.raises(kernel.InconclusiveError):
+            DiscreteMap(context=ctx, phi=(-ctx.spatial[0],), R=((-1,),))
+
     def test_reflection_fixes_langevin(self, systems):
         lan = systems["langevin2.sde"]
         ctx = lan.context
@@ -131,7 +148,7 @@ class TestDiscreteMap:
         dmap = DiscreteMap(context=ctx, phi=(-x1, -x2),
                            R=((-1, 0), (0, -1)))
         inv = (-x1, -x2)
-        out = apply_discrete(lan, dmap, inverse=inv, eliminate=True)
+        out = apply_discrete(lan, dmap, inverse=inv)
         assert all(normalize(a - b) == 0 for a, b in zip(out.f, lan.f))
         assert all(normalize(a - b) == 0
                    for ra, rb in zip(out.sigma, lan.sigma)
@@ -142,7 +159,7 @@ class TestDiscreteMap:
         ctx = lan.context
         x1, x2 = ctx.spatial
         dmap = DiscreteMap(context=ctx, phi=(2 * x1, x2), R=((1, 0), (0, 1)))
-        out = apply_discrete(lan, dmap, inverse=(x1 / 2, x2), eliminate=True)
+        out = apply_discrete(lan, dmap, inverse=(x1 / 2, x2))
         assert zero_verdict(out.sigma[0][0]
                             - lan.sigma[0][0]) is Verdict.NONZERO
 

@@ -92,8 +92,8 @@ class TestProjection:
         import stosym.kernel as kernel
         real = kernel.zero_verdict
 
-        def undecided_if_nonzero(e, seed=0):
-            v = real(e, seed)
+        def undecided_if_nonzero(e):
+            v = real(e)
             return kernel.Verdict.INCONCLUSIVE if v is kernel.Verdict.NONZERO else v
         rot = systems["rotating.sde"]
         vf = extend_to_fp(VectorField(context=rot.context, tau=1))
@@ -108,8 +108,8 @@ class TestProjection:
         import stosym.verify as verify
         real = kernel.zero_verdict
 
-        def undecided_if_zero(e, seed=0):
-            v = real(e, seed)
+        def undecided_if_zero(e):
+            v = real(e)
             return kernel.Verdict.INCONCLUSIVE if v is kernel.Verdict.ZERO else v
         rot = systems["rotating.sde"]
         vf = extend_to_fp(VectorField(context=rot.context, tau=1))
@@ -144,6 +144,15 @@ class TestSuperposition:
         assert check_superposition(heat, x**2 + s0**2 * t)
         assert check_superposition(heat, x)
         assert not check_superposition(heat, x**2)
+
+    def test_undecided_raises(self, systems, monkeypatch):
+        """An undecided residual is not read as 'not a solution'."""
+        import stosym.kernel as kernel
+        heat = systems["heat.sde"]
+        monkeypatch.setattr(kernel, "zero_verdict",
+                            lambda e: kernel.Verdict.INCONCLUSIVE)
+        with pytest.raises(kernel.InconclusiveError):
+            check_superposition(heat, heat.context.spatial[0])
 
 
 class TestCheckMechanics:
@@ -187,6 +196,6 @@ def test_normalization_preserving_inconclusive_raises(systems, monkeypatch):
     vf = extend_to_fp(VectorField(context=ito.context, xi=(sp.Integer(1),)))
     assert check_normalization_preserving(vf)
     monkeypatch.setattr(kernel, "zero_verdict",
-                        lambda e, seed=0: kernel.Verdict.INCONCLUSIVE)
+                        lambda e: kernel.Verdict.INCONCLUSIVE)
     with pytest.raises(kernel.InconclusiveError):
         check_normalization_preserving(vf)
