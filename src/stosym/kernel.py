@@ -13,6 +13,7 @@ import random
 
 import sympy as sp
 from sympy.core.function import AppliedUndef, UndefinedFunction
+from sympy.polys.polyerrors import BasePolynomialError
 from sympy.simplify.fu import TR5, TR8
 
 __all__ = [
@@ -307,10 +308,29 @@ def parse_expr(text: str, context: Context) -> sp.Expr:
 # normalization and calculus
 
 def normalize(e) -> sp.Expr:
-    """Canonical form within the supported fragment: expand, rewrite
+    """Canonical form within the supported fragment. Idempotent.
+
+    Two paths, chosen from the input alone. A non-constant input without
+    floats that is a polynomial over QQ in its free symbols is expanded
+    through sympy's sparse polynomial form. Any other input (a number, a
+    float, exp/sin/cos, sqrt, a denominator, an irrational constant or an
+    opaque function) takes the general loop: expand, rewrite
     sin^2 -> 1 - cos^2, product-to-sum for sin*cos pairs, cancel rational
-    parts. Idempotent (iterated to a fixpoint)."""
+    parts, iterated to a fixpoint. Both paths give the same expression on
+    a polynomial; QQ would turn 0.5*x into x/2, hence the float rule."""
     e = sp.sympify(e)
+    if e.free_symbols and not e.has(sp.Float):
+        gens = sorted(e.free_symbols, key=lambda s: s.name)
+        try:
+            return sp.Poly(e, *gens, domain=sp.QQ).as_expr()
+        except BasePolynomialError:
+            pass
+    return _normalize_loop(e)
+
+
+def _normalize_loop(e):
+    """The general path of `normalize`; the tests hold the polynomial path
+    to its output."""
     for _ in range(4):
         new = sp.expand(e)
         if new.has(sp.sin, sp.cos):
@@ -414,7 +434,6 @@ def zero_verdict(e) -> Verdict:
     and downgrades any disagreement to INCONCLUSIVE rather than guessing a
     boolean.
     """
-    rng = random.Random(0x5EED)
     n = normalize(e)
     if n.is_zero is True:
         return Verdict.ZERO
@@ -426,6 +445,7 @@ def zero_verdict(e) -> Verdict:
     # expanded polynomials over QQ(params) are already canonical
     if n.free_symbols and not n.atoms(sp.Function) and n.is_polynomial(*n.free_symbols):
         return Verdict.NONZERO
+    rng = random.Random(0x5EED)
     s = sp.simplify(sp.powsimp(n))
     if s.is_zero is True:
         return Verdict.ZERO if _probe(n, rng) == "zero" else Verdict.INCONCLUSIVE

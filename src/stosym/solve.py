@@ -115,12 +115,13 @@ class Ansatz:
                            tuple(sp.sympify(b) for b in self.time_basis))
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        span = [(b,) for b in self.time_basis]
-        for b in self.time_basis:
-            if _coordinates(span, (sp.diff(b, self.t),), (self.t,),
-                            NonClosedBasisError) is None:
-                raise NonClosedBasisError(
-                    f"d/dt of basis element {b} is outside the basis span")
+        # closed iff rank([B | dB/dt]) == rank(B)
+        columns = [(b,) for b in self.time_basis]
+        columns += [(sp.diff(b, self.t),) for b in self.time_basis]
+        M = _coefficient_matrix(columns, (self.t,), NonClosedBasisError)
+        if M.rank() != M[:, :len(self.time_basis)].rank():
+            raise NonClosedBasisError(
+                f"d/dt of the time basis {self.time_basis} leaves its span")
 
 
 @dataclass(frozen=True)

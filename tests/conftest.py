@@ -29,23 +29,26 @@ def candidate_for(entry, systems):
     return load_candidate(FIXTURES / entry["candidate"], systems[entry["system"]])
 
 
-def random_expression(rng, ctx, depth=3):
-    """Random expression over the declared symbols, for property tests."""
+def random_expression(rng, ctx, depth=3, functions=True):
+    """Random expression over the declared symbols, for property tests;
+    without exp/sin/cos when `functions` is false."""
     atoms = list(ctx.spatial) + [ctx.t] + list(ctx.params.values())
     if depth == 0 or rng.random() < 0.3:
         choice = rng.random()
         if choice < 0.5:
             return rng.choice(atoms)
         return sp.Rational(rng.randint(-5, 5), rng.randint(1, 4))
-    op = rng.choice(["add", "mul", "pow", "fn"])
+    op = rng.choice(["add", "mul", "pow", "fn"] if functions
+                    else ["add", "mul", "pow"])
     if op == "add":
-        return (random_expression(rng, ctx, depth - 1)
-                + random_expression(rng, ctx, depth - 1))
+        return (random_expression(rng, ctx, depth - 1, functions)
+                + random_expression(rng, ctx, depth - 1, functions))
     if op == "mul":
-        return (random_expression(rng, ctx, depth - 1)
-                * random_expression(rng, ctx, depth - 1))
+        return (random_expression(rng, ctx, depth - 1, functions)
+                * random_expression(rng, ctx, depth - 1, functions))
     if op == "pow":
-        return random_expression(rng, ctx, depth - 1) ** rng.randint(2, 3)
+        return (random_expression(rng, ctx, depth - 1, functions)
+                ** rng.randint(2, 3))
     fn = rng.choice([sp.sin, sp.cos, sp.exp])
     return fn(rng.choice(atoms) * sp.Rational(rng.randint(1, 3), rng.randint(1, 2)))
 

@@ -69,6 +69,27 @@ class TestCheck:
         assert result.exit_code == 0
 
 
+# (label, verdict, residual) of every equation of `check --json` (with
+# `--fp` for the Fokker-Planck kinds) on the 48 manifest entries, recorded
+# from the expand/cancel normalizer. Only these fields are compared, so
+# that additive report keys do not break the test.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "manifest_check.json")
+                    .read_text())
+_FP_KINDS = {"fp", "normalization", "classification"}
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: "{}:{}:{}".format(
+    e["system"], e["candidate"], e["check"]))
+def test_manifest_check_golden(runner, fixtures_dir, entry):
+    args = ["check", fx(fixtures_dir, entry["system"]),
+            fx(fixtures_dir, entry["candidate"]), "--json"]
+    if entry["check"] in _FP_KINDS:
+        args.append("--fp")
+    data = json.loads(runner.invoke(main, args).output)
+    assert [[q["label"], q["verdict"], q["residual"]]
+            for q in data["equations"]] == entry["equations"]
+
+
 class TestDetsys:
     def test_symbolic_unknowns(self, runner, fixtures_dir):
         result = runner.invoke(main, ["detsys", fx(fixtures_dir, "heat.sde"),

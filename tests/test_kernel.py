@@ -2,10 +2,12 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+import stosym.kernel as kernel
 from stosym.kernel import (Context, InconclusiveError, ParseError,
-                           UndeclaredSymbolError, Verdict, all_zero,
-                           differentiate, eval_numeric, is_zero, normalize,
-                           parse_expr, substitute, to_dsl, zero_verdict)
+                           UndeclaredSymbolError, Verdict, _normalize_loop,
+                           all_zero, differentiate, eval_numeric, is_zero,
+                           normalize, parse_expr, substitute, to_dsl,
+                           zero_verdict)
 from conftest import random_expression, seeded_rng
 
 
@@ -88,6 +90,57 @@ class TestNormalize:
     def test_trig_pythagoras(self, ctx):
         x = ctx.spatial[0]
         assert normalize(sp.sin(x) ** 2 + sp.cos(x) ** 2 - 1) == 0
+
+
+_POLY_CTX = Context(spatial=("x", "y"), params={"k": "positive", "c": None})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_polynomial_path_matches_loop(seed):
+    e = random_expression(seeded_rng(seed), _POLY_CTX, functions=False)
+    assert normalize(e) == _normalize_loop(sp.sympify(e))
+
+
+class TestNormalizePaths:
+    """Polynomials over QQ skip the expand/cancel loop; everything else
+    keeps it, with its output unchanged."""
+
+    @pytest.fixture
+    def loop_calls(self, monkeypatch):
+        calls = []
+
+        def spy(e):
+            calls.append(e)
+            return _normalize_loop(e)
+        monkeypatch.setattr(kernel, "_normalize_loop", spy)
+        return calls
+
+    def test_polynomial_skips_loop(self, ctx, loop_calls):
+        x, y = ctx.spatial
+        k = ctx.symbol("k")
+        assert normalize((x + k * y) ** 2 / 3) == (
+            x**2 / 3 + 2 * k * x * y / 3 + k**2 * y**2 / 3)
+        assert loop_calls == []
+
+    def test_float_stays_float(self, ctx, loop_calls):
+        x = ctx.spatial[0]
+        assert normalize(sp.Float(0.5) * x).has(sp.Float)
+        assert loop_calls
+
+    @pytest.mark.parametrize("build,expected", [
+        (lambda x, t, a, g: sp.sqrt(2) * x, lambda x, t, a, g: sp.sqrt(2) * x),
+        (lambda x, t, a, g: x / a, lambda x, t, a, g: x / a),
+        (lambda x, t, a, g: sp.exp(t) * x, lambda x, t, a, g: x * sp.exp(t)),
+        (lambda x, t, a, g: sp.sin(x) ** 2,
+         lambda x, t, a, g: sp.Rational(1, 2) - sp.cos(2 * x) / 2),
+        (lambda x, t, a, g: g(x, t) * x, lambda x, t, a, g: x * g(x, t)),
+    ], ids=["sqrt2", "denominator", "exp", "sin2", "opaque"])
+    def test_loop_inputs(self, loop_calls, build, expected):
+        octx = Context(spatial=("x",), params={"a": None}, opaque=("g",))
+        args = (octx.spatial[0], octx.t, octx.symbol("a"), octx.opaque["g"])
+        assert normalize(build(*args)) == expected(*args)
+        assert loop_calls
 
 
 class TestCalculus:
