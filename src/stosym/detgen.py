@@ -4,18 +4,31 @@ required to vanish identically in (x, t).
 Every family is expressed through S = (1/2) sigma sigma^T so that the
 reductions hold exactly: the W system with B = 0 equals the projectable
 system, which at tau = 0 equals the spatial system, equation by equation.
+
+The Lambda/Gamma and discrete families are computed in one of two
+coefficient types, chosen from the input alone. When f, sigma and every
+candidate entry (tau, xi and B, or phi and R) are float-free polynomials
+over QQ in the context's symbols, they run in the sparse polynomial ring
+QQ[params, x, t]. There +, *, d/dv and == 0 act on the canonical
+dictionary of monomials, so ring arithmetic is exact and a residual that
+is zero in the ring is identically zero; each residual leaves the ring
+once, through as_expr(), which is already its `normalize`d form. Anything
+else (a Float, sqrt, exp/sin/cos, a denominator, an opaque unknown) takes
+the general path on sympy expressions, normalized once at the output.
+The formulas are written once, over both types (`model._Exprs`,
+`model._Ring`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
 from .kernel import normalize
 from .model import (DiscreteMap, ItoSystem, VectorField, WSymmetry, _d,
-                    _discrete_image, _dot, _generator, _gradient,
-                    _noise_image, _nonzero, _second_order, fokker_planck_of,
-                    lie_bracket)
+                    _dot, _Engine, _gradient, _nonzero, _second_order,
+                    fokker_planck_of, lie_bracket)
 
 __all__ = [
     "DeterminingSystem", "detsys_ode", "detsys_spatial", "detsys_projectable",
@@ -47,47 +60,59 @@ def _unknown_functions(exprs):
     return tuple(sorted(funcs, key=lambda f: f.__name__))
 
 
+def _normalized(e):
+    """A residual in `normalize`d form: a ring element leaves its ring
+    through as_expr(), which is that form already."""
+    return e.as_expr() if isinstance(e, PolyElement) else normalize(e)
+
+
 def _pack(name, equations):
-    eqs = tuple((label, normalize(e)) for label, e in equations)
+    eqs = tuple((label, _normalized(e)) for label, e in equations)
     return DeterminingSystem(name=name, equations=eqs,
                              free_unknowns=_unknown_functions(e for _, e in eqs))
 
 
 def _lambda_gamma_operator(ito: ItoSystem):
     """The candidate -> (Lambda, Gamma) operator of `ito`, which is linear
-    in the candidate. The generator L and the derivatives of f and sigma
-    are formed once; the returned function maps (tau, xi, B), with B a
-    constant antisymmetric m x m matrix or None, to the raw, unnormalized
-    residuals: a list of n Lambda entries and n rows of m Gamma entries.
-    Each candidate is differentiated once, into the Jacobian of xi, and
-    only structurally nonzero terms are summed."""
-    x, t = ito.context.spatial, ito.context.t
-    n, m, f, sigma = ito.n, ito.m, ito.f, ito.sigma
-    L = _generator(ito)
-    df = [_gradient(e, x) for e in f]
-    dt_f = [_d(e, t) for e in f]
-    dsigma = [[_gradient(e, x) for e in row] for row in sigma]
-    dt_sigma = [[_d(e, t) for e in row] for row in sigma]
-    half = sp.Rational(1, 2)
+    in the candidate. The returned function maps (tau, xi, B), with B a
+    constant antisymmetric m x m matrix or None, to the raw residuals: a
+    list of n Lambda entries and n rows of m Gamma entries. They are ring
+    elements when f, sigma, tau, xi and B all lie in QQ[params, x, t], and
+    unnormalized expressions otherwise; the system side of each form is
+    computed once."""
+    engine = _Engine(ito)
 
     def apply(tau, xi, B=None):
-        tau = sp.sympify(tau)
-        dtau = _d(tau, t)
-        jac = [_gradient(e, x) for e in xi]
-        # Lambda^i = -[L xi^i - d_t(tau f^i) - xi^a d_a f^i]
-        lam = [-(L(xi[i], jac[i]) - dtau * f[i] - tau * dt_f[i]
-                 - _dot(xi, df[i])) for i in range(n)]
-        # Gamma^k_j = sigma^a_j d_a xi^k - xi^a d_a sigma^k_j
-        #             - tau d_t sigma^k_j - (1/2) sigma^k_j d_t tau - (sigma B)^k_j
-        gam = []
-        for k in range(n):
-            row = _noise_image(jac[k], sigma)
-            gam.append([row[j] - _dot(xi, dsigma[k][j]) - tau * dt_sigma[k][j]
-                        - half * sigma[k][j] * dtau
-                        - (_dot(sigma[k], B.col(j)) if B is not None else 0)
-                        for j in range(m)])
-        return lam, gam
+        # B's columns, read once; a zero B adds no term
+        cols = [] if B is None or all(e == 0 for e in B) else B.T.tolist()
+        c, ((tau,), xi, *cols) = engine.of([(tau,), xi, *cols])
+        return _lambda_gamma_of(c, tau, xi, cols)
     return apply
+
+
+def _lambda_gamma_of(c, tau, xi, B):
+    """Raw (Lambda, Gamma) of the candidate (tau, xi, B) over the
+    coefficients c, with B the list of the noise mixer's columns (empty for
+    no mixer).
+    Each candidate is differentiated once, into the Jacobian of xi, and
+    only structurally nonzero terms are summed."""
+    calc, x, t, f, sigma = c.calc, c.x, c.t, c.f, c.sigma
+    df, dt_f, dsigma, dt_sigma = c.derivatives
+    dtau = calc.d(tau, t)
+    jac = [calc.gradient(e, x) for e in xi]
+    # Lambda^i = -[L xi^i - d_t(tau f^i) - xi^a d_a f^i]
+    lam = [-(c.L(xi[i], jac[i]) - dtau * f[i] - tau * dt_f[i]
+             - calc.dot(xi, df[i])) for i in range(len(f))]
+    # Gamma^k_j = sigma^a_j d_a xi^k - xi^a d_a sigma^k_j
+    #             - tau d_t sigma^k_j - (1/2) sigma^k_j d_t tau - (sigma B)^k_j
+    gam = []
+    for k, sig in enumerate(sigma):
+        row = calc.noise_image(jac[k], sigma)
+        gam.append([row[j] - calc.dot(xi, dsigma[k][j]) - tau * dt_sigma[k][j]
+                    - calc.half * sig[j] * dtau
+                    - (calc.dot(sig, B[j]) if B else 0)
+                    for j in range(len(sig))])
+    return lam, gam
 
 
 def _lambda_gamma(ito, candidate):
@@ -103,13 +128,13 @@ def gamma(ito: ItoSystem, candidate):
     extra -(sigma B)^k_j term.
     """
     _, gam = _lambda_gamma(ito, candidate)
-    return tuple(tuple(normalize(e) for e in row) for row in gam)
+    return tuple(tuple(_normalized(e) for e in row) for row in gam)
 
 
 def lambda_(ito: ItoSystem, candidate):
     """Lambda^i = -[d_t(xi^i - tau f^i) + {f, xi}^i + S^{mk} d2_{mk} xi^i]."""
     lam, _ = _lambda_gamma(ito, candidate)
-    return tuple(normalize(e) for e in lam)
+    return tuple(_normalized(e) for e in lam)
 
 
 def detsys_ode(f, vf: VectorField) -> DeterminingSystem:
@@ -191,14 +216,18 @@ def detsys_fp(fp, vf: VectorField) -> DeterminingSystem:
 def detsys_discrete(ito: ItoSystem, dmap: DiscreteMap) -> DeterminingSystem:
     """Determining equations for a finite map y = phi(x,t), z = R w:
     drift family  dphi^i/dx^j f^j + S^{jk} d2_{jk} phi^i + d_t phi^i - f^i(phi, t),
-    noise family  (dphi/dx sigma R^T)^i_k - sigma^i_k(phi, t).
-    The coefficients are functions of x and t only, so replacing each x^j
-    by phi^j atom by atom is the exact simultaneous substitution."""
-    at_phi = dict(zip(ito.context.spatial, dmap.phi))
-    drift, noise = _discrete_image(ito, dmap)
-    eqs = [(f"drift[{i + 1}]", e - f.xreplace(at_phi))
-           for i, (e, f) in enumerate(zip(drift, ito.f))]
-    eqs += [(f"noise[{i + 1}][{k + 1}]", e - sig.xreplace(at_phi))
-            for i, (row, sig_row) in enumerate(zip(noise, ito.sigma))
+    noise family  (dphi/dx sigma R^T)^i_k - sigma^i_k(phi, t)."""
+    c, (phi, *R) = _Engine(ito).of([dmap.phi, *dmap.R])
+    return _pack("ito-discrete", _discrete_equations(c, phi, R))
+
+
+def _discrete_equations(c, phi, R):
+    """Labelled raw residuals of the map (phi, R) over the coefficients c."""
+    drift, noise = c.image(phi, R)
+    at_phi = c.calc.substitution(c.x, phi)
+    eqs = [(f"drift[{i + 1}]", e - at_phi(f))
+           for i, (e, f) in enumerate(zip(drift, c.f))]
+    eqs += [(f"noise[{i + 1}][{k + 1}]", e - at_phi(sig))
+            for i, (row, sig_row) in enumerate(zip(noise, c.sigma))
             for k, (e, sig) in enumerate(zip(row, sig_row))]
-    return _pack("ito-discrete", eqs)
+    return eqs

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import sympy as sp
 
-from .kernel import Context, ParseError, UndeclaredSymbolError, normalize, \
+from .kernel import Context, ParseError, UndeclaredSymbolError, is_zero, \
     parse_expr, to_dsl
 from .model import DiscreteMap, ItoSystem, VectorField, WSymmetry
 
@@ -260,12 +260,11 @@ def parse_candidate(text, context):
         mat = [[sp.Integer(0)] * m for _ in range(m)]
         for (p, q), e in B.items():
             mat[p][q] = e
-            if (q, p) in B:
-                if normalize(B[(q, p)] + e) != 0:
-                    _fail(f"B[{p + 1}][{q + 1}] and B[{q + 1}][{p + 1}] "
-                          "are not antisymmetric", 1)
-            else:
+            if (q, p) not in B:
                 mat[q][p] = -e
+            elif p < q and not is_zero(B[(q, p)] + e):
+                _fail(f"B[{p + 1}][{q + 1}] and B[{q + 1}][{p + 1}] "
+                      "are not antisymmetric", 1)
         return WSymmetry(context=ctx, tau=tau if tau is not None else 0,
                          xi=full_xi, Bmat=tuple(tuple(r) for r in mat))
     return VectorField(context=ctx, tau=tau if tau is not None else 0,

@@ -13,7 +13,7 @@ import random
 
 import sympy as sp
 from sympy.core.function import AppliedUndef, UndefinedFunction
-from sympy.polys.polyerrors import BasePolynomialError
+from sympy.polys.rings import PolyRing
 from sympy.simplify.fu import TR5, TR8
 
 __all__ = [
@@ -310,20 +310,24 @@ def parse_expr(text: str, context: Context) -> sp.Expr:
 def normalize(e) -> sp.Expr:
     """Canonical form within the supported fragment. Idempotent.
 
-    Two paths, chosen from the input alone. A non-constant input without
-    floats that is a polynomial over QQ in its free symbols is expanded
-    through sympy's sparse polynomial form. Any other input (a number, a
-    float, exp/sin/cos, sqrt, a denominator, an irrational constant or an
-    opaque function) takes the general loop: expand, rewrite
-    sin^2 -> 1 - cos^2, product-to-sum for sin*cos pairs, cancel rational
-    parts, iterated to a fixpoint. Both paths give the same expression on
-    a polynomial; QQ would turn 0.5*x into x/2, hence the float rule."""
+    Three paths, chosen from the input alone. A number (a Float included)
+    is returned as it is: it is the loop's fixpoint. A non-constant input
+    without floats that is a polynomial over QQ in its free symbols is
+    expanded in sympy's sparse polynomial ring over QQ, whose generators
+    are those symbols sorted by name. Any other input (a float,
+    exp/sin/cos, sqrt, a denominator, an irrational constant or an opaque
+    function) takes the general loop: expand, rewrite sin^2 -> 1 - cos^2,
+    product-to-sum for sin*cos pairs, cancel rational parts, iterated to a
+    fixpoint. The ring and the loop give the same expression on a
+    polynomial; QQ would turn 0.5*x into x/2, hence the float rule."""
     e = sp.sympify(e)
+    if e.is_Number:
+        return e
     if e.free_symbols and not e.has(sp.Float):
         gens = sorted(e.free_symbols, key=lambda s: s.name)
         try:
-            return sp.Poly(e, *gens, domain=sp.QQ).as_expr()
-        except BasePolynomialError:
+            return PolyRing(gens, sp.QQ).from_expr(e).as_expr()
+        except ValueError:
             pass
     return _normalize_loop(e)
 

@@ -8,9 +8,12 @@ terms, which makes the tau = 0 and B = 0 reductions exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyElement, PolyRing
 
 from .kernel import Context, all_zero, normalize
 
@@ -107,10 +110,9 @@ class FokkerPlanck:
             raise ValueError(f"A must be {n}x{n}")
         if len(self.B) != n:
             raise ValueError(f"expected {n} first-order coefficients")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if normalize(self.A[i][j] - self.A[j][i]) != 0:
-                    raise ValueError("A must be symmetric")
+        if not all_zero(self.A[i][j] - self.A[j][i]
+                        for i in range(n) for j in range(i + 1, n)):
+            raise ValueError("A must be symmetric")
 
     def a_matrix(self):
         n = self.context.n
@@ -158,10 +160,9 @@ class WSymmetry:
         if len(self.Bmat) != m or any(len(row) != m for row in self.Bmat):
             raise ValueError(f"B must be {m}x{m}")
         _check_constant_matrix(self.context, self.Bmat, "B")
-        for p in range(m):
-            for q in range(m):
-                if normalize(self.Bmat[p][q] + self.Bmat[q][p]) != 0:
-                    raise ValueError("B must be antisymmetric")
+        if not all_zero(self.Bmat[p][q] + self.Bmat[q][p]
+                        for p in range(m) for q in range(p, m)):
+            raise ValueError("B must be antisymmetric")
 
     def b_matrix(self):
         m = self.context.m
@@ -197,20 +198,55 @@ class DiscreteMap:
 # ---------------------------------------------------------------------------
 # the Ito generator L = d_t + f^a d_a + S^{ab} d2_{ab}
 #
-# The helpers below return raw, unnormalized sums over the structurally
-# nonzero terms only; their callers normalize once, at their output.
+# The formulas below are written once, over two exact coefficient types:
+# sympy expressions, differentiated by symbol, and elements of a sparse
+# polynomial ring over QQ, differentiated by generator index. They return
+# raw sums over the structurally nonzero terms only; their callers
+# normalize once, at their output, and a ring element is canonical already.
 
-def _d(e, v):
-    """d e / d v, without calling the differentiator when e is free of v."""
-    return sp.diff(e, v) if e.has(v) else sp.Integer(0)
+class _Exprs:
+    """Calculus on sympy expressions, the general coefficient type; a
+    variable is a symbol."""
+    half = sp.Rational(1, 2)
+
+    @staticmethod
+    def d(e, v):
+        """d e / d v, without calling the differentiator when e is free of v."""
+        return sp.diff(e, v) if e.has(v) else sp.Integer(0)
+
+    @staticmethod
+    def add(terms):
+        return sp.Add(*terms)
+
+    @staticmethod
+    def substitution(x, phi):
+        """e -> e(phi) for coefficients of x and t: replacing each x^j by
+        phi^j atom by atom is the exact simultaneous substitution."""
+        at = dict(zip(x, phi))
+        return lambda e: e.xreplace(at)
+
+    def gradient(self, e, x):
+        return [self.d(e, v) for v in x]
+
+    def dot(self, u, v):
+        return self.add([a * b for a, b in zip(u, v) if a != 0 and b != 0])
+
+    def second_order(self, entries, grad, x):
+        """M^{ab} d2_{ab} u over the nonzero entries (a, b, M^{ab}) of M,
+        from the gradient `grad` of u."""
+        return self.add([w * self.d(grad[a], x[b]) for a, b, w in entries
+                         if grad[a] != 0])
+
+    def noise_image(self, grad, sigma):
+        """(grad u) . sigma: the noise coefficients d_a u sigma^a_j of
+        u(x, t) for each column j of the n x m nested sequence sigma."""
+        return [self.dot(grad, col) for col in zip(*sigma)]
 
 
-def _gradient(e, x):
-    return [_d(e, v) for v in x]
-
-
-def _dot(u, v):
-    return sp.Add(*(a * b for a, b in zip(u, v) if a != 0 and b != 0))
+_EXPRS = _Exprs()
+# the expression calculus as plain functions, for the structural maps
+_d, _gradient, _dot = _EXPRS.d, _EXPRS.gradient, _EXPRS.dot
+_second_order, _noise_image = _EXPRS.second_order, _EXPRS.noise_image
 
 
 def _nonzero(M):
@@ -219,41 +255,136 @@ def _nonzero(M):
             if M[a, b] != 0]
 
 
-def _second_order(entries, grad, x):
-    """M^{ab} d2_{ab} u over the nonzero entries (a, b, M^{ab}) of M, from
-    the gradient `grad` of u."""
-    return sp.Add(*(w * _d(grad[a], x[b]) for a, b, w in entries
-                    if grad[a] != 0))
+class _Ring(_Exprs):
+    """The same calculus in the sparse polynomial ring QQ[params, x, t] of a
+    context, where +, *, d/dv and == 0 are exact and canonical; a variable
+    is a generator index. The generators are sorted by name, as in
+    `normalize`'s polynomial path, so as_expr() of an element is its
+    `normalize`d form."""
+
+    def __init__(self, ctx: Context):
+        symbols = sorted((*ctx.params.values(), *ctx.spatial, ctx.t),
+                         key=lambda s: s.name)
+        self.ring = PolyRing(symbols, QQ)
+        self.zero, self.half = self.ring.zero, self.ring(QQ(1, 2))
+        index = {s: i for i, s in enumerate(symbols)}
+        self.x, self.t = tuple(index[v] for v in ctx.spatial), index[ctx.t]
+
+    def convert(self, e):
+        """e as a ring element. Raises ValueError when e is not a float-free
+        polynomial over QQ in the generators: QQ would turn 0.5 into 1/2,
+        so a Float never enters the ring."""
+        e = sp.sympify(e)
+        if e.is_Rational:
+            return self.ring.ground_new(QQ(e.p, e.q))
+        if e.has(sp.Float):
+            raise ValueError(f"{e} holds a float")
+        return self.ring.from_expr(e)
+
+    def d(self, e, i):
+        return self.zero if e.is_ground else e.diff(i)
+
+    def gradient(self, e, x):
+        return [self.zero] * len(x) if e.is_ground else [e.diff(i) for i in x]
+
+    def add(self, terms):
+        return sum(terms, self.zero)
+
+    def substitution(self, x, phi):
+        # compose substitutes simultaneously
+        pairs = [(self.ring.gens[i], p) for i, p in zip(x, phi)]
+        return lambda e: e if e.is_ground else e.compose(pairs)
+
+    def half_diffusion(self, sigma):
+        """The nonzero entries (a, b, S^{ab}) of S = (1/2) sigma sigma^T in
+        row-major order, summed over sigma's nonzero pattern only."""
+        S = {}
+        for col in zip(*sigma):
+            rows = [(a, e) for a, e in enumerate(col) if e]
+            for a, u in rows:
+                for b, v in rows:
+                    S[a, b] = S.get((a, b), self.zero) + u * v
+        return [(a, b, self.half * w) for (a, b), w in sorted(S.items()) if w]
 
 
-def _noise_image(grad, sigma):
-    """(grad u) . sigma: the noise coefficients d_a u sigma^a_j of u(x, t)
-    for each column j of the n x m nested sequence sigma."""
-    return [_dot(grad, col) for col in zip(*sigma)]
+def _as_expr(e):
+    """A coefficient as a sympy expression: a ring element leaves its ring
+    through as_expr(), which is `normalize`'s polynomial output."""
+    return e.as_expr() if isinstance(e, PolyElement) else e
 
 
-def _generator(ito: ItoSystem):
-    """L u = d_t u + f^a d_a u + S^{ab} d2_{ab} u of `ito` as a function of
-    (u, grad u); S and its nonzero pattern are formed once."""
-    x, t, f = ito.context.spatial, ito.context.t, ito.f
-    S = _nonzero(ito.half_diffusion())
+@dataclass(frozen=True)
+class _Coefficients:
+    """An Ito system in one coefficient type: the calculus `calc` of that
+    type, the variables x and t, f, sigma and the nonzero entries
+    (a, b, S^{ab}) of S = (1/2) sigma sigma^T."""
+    calc: _Exprs
+    x: tuple
+    t: object
+    f: list
+    sigma: list
+    S: list
 
-    def L(u, grad):
-        return _d(u, t) + _dot(f, grad) + _second_order(S, grad, x)
-    return L
+    def L(self, u, grad):
+        """L u = d_t u + f^a d_a u + S^{ab} d2_{ab} u from (u, grad u)."""
+        c = self.calc
+        return (c.d(u, self.t) + c.dot(self.f, grad)
+                + c.second_order(self.S, grad, self.x))
+
+    @cached_property
+    def derivatives(self):
+        """The x-gradients and t-derivatives of f and of sigma."""
+        c, x, t = self.calc, self.x, self.t
+        return ([c.gradient(e, x) for e in self.f], [c.d(e, t) for e in self.f],
+                [[c.gradient(e, x) for e in row] for row in self.sigma],
+                [[c.d(e, t) for e in row] for row in self.sigma])
+
+    def image(self, phi, R):
+        """Raw drift L phi and raw noise (dphi/dx) sigma R^T of
+        y = phi(x, t), written in x."""
+        c = self.calc
+        sig = [[c.dot(row, r) for r in R] for row in self.sigma]
+        drift, noise = [], []
+        for p in phi:
+            grad = c.gradient(p, self.x)
+            drift.append(self.L(p, grad))
+            noise.append(c.noise_image(grad, sig))
+        return drift, noise
 
 
-def _discrete_image(ito: ItoSystem, dmap: DiscreteMap):
-    """Raw drift L phi and raw noise (dphi/dx) sigma R^T of y = phi(x, t),
-    written in x."""
-    L = _generator(ito)
-    sig = (ito.sigma_matrix() * dmap.r_matrix().T).tolist()
-    drift, noise = [], []
-    for phi in dmap.phi:
-        grad = _gradient(phi, ito.context.spatial)
-        drift.append(L(phi, grad))
-        noise.append(_noise_image(grad, sig))
-    return drift, noise
+class _Engine:
+    """The coefficients of an Ito system in the ring when f and sigma lie in
+    QQ[params, x, t]; the expression form is built on first need."""
+
+    def __init__(self, ito: ItoSystem):
+        self.ito = ito
+        calc = _Ring(ito.context)
+        try:
+            f = [calc.convert(e) for e in ito.f]
+            sigma = [[calc.convert(e) for e in row] for row in ito.sigma]
+        except ValueError:
+            self.ring = None
+        else:
+            self.ring = _Coefficients(calc, calc.x, calc.t, f, sigma,
+                                      calc.half_diffusion(sigma))
+
+    @cached_property
+    def exprs(self):
+        ctx = self.ito.context
+        return _Coefficients(_EXPRS, ctx.spatial, ctx.t, self.ito.f,
+                             self.ito.sigma, _nonzero(self.ito.half_diffusion()))
+
+    def of(self, groups):
+        """The coefficients and the candidate's entry groups (sequences of
+        expressions) in one type: the ring when every entry lies in it too,
+        else expressions."""
+        if self.ring is not None:
+            try:
+                return self.ring, [[self.ring.calc.convert(e) for e in g]
+                                   for g in groups]
+            except ValueError:
+                pass
+        return self.exprs, [[sp.sympify(e) for e in g] for g in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +474,10 @@ def apply_discrete(ito: ItoSystem, dmap: DiscreteMap,
     (expressions for x in terms of the new coordinates, reusing the same
     symbols) is supplied.
     """
-    drift, noise = _discrete_image(ito, dmap)
+    c, (phi, *R) = _Engine(ito).of([dmap.phi, *dmap.R])
+    drift, noise = c.image(phi, R)
+    drift = [_as_expr(e) for e in drift]
+    noise = [[_as_expr(e) for e in row] for row in noise]
     if inverse is not None:
         sub = dict(zip(ito.context.spatial, inverse))
         drift = [e.subs(sub, simultaneous=True) for e in drift]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import sympy as sp
 
 from .kernel import InconclusiveError, Verdict, normalize
-from .model import ItoSystem, VectorField, WSymmetry, lie_bracket
+from .model import ItoSystem, VectorField, WSymmetry, _as_expr, lie_bracket
 from .detgen import _lambda_gamma_operator, detsys_projectable, detsys_w
 from .verify import OverallVerdict, check
 
@@ -199,7 +199,8 @@ def solve_ansatz(ito: ItoSystem, ansatz: Ansatz, which: str = "projectable") -> 
     columns = []
     for tau, xi, B in elements:
         lam, gam = op(tau, xi, B)
-        columns.append(lam + [e for row in gam for e in row])
+        columns.append([_as_expr(e) for e in lam]
+                       + [_as_expr(e) for row in gam for e in row])
 
     null = _coefficient_matrix(columns, (*x, t), OutsideAnsatzError).nullspace()
     if not null:

@@ -63,6 +63,18 @@ class TestCheck:
                                       fx(fixtures_dir, "langevin_wrot.cand")])
         assert result.exit_code == 0
 
+    def test_undecided_b_entries_exit_three(self, runner, fixtures_dir,
+                                            tmp_path, monkeypatch):
+        import stosym.kernel as kernel
+        cand = tmp_path / "mixer.cand"
+        cand.write_text("B[1][2] = 1\nB[2][1] = -1\n")
+        monkeypatch.setattr(kernel, "zero_verdict",
+                            lambda e: kernel.Verdict.INCONCLUSIVE)
+        # detsys runs no zero test of its own: the exit comes from loading
+        result = runner.invoke(main, ["detsys", fx(fixtures_dir, "langevin2.sde"),
+                                      str(cand)])
+        assert result.exit_code == 3
+
     def test_discrete_candidate(self, runner, fixtures_dir):
         result = runner.invoke(main, ["check", fx(fixtures_dir, "langevin2.sde"),
                                       fx(fixtures_dir, "langevin_reflect.cand")])

@@ -1,11 +1,13 @@
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
-from stosym.kernel import Context, normalize
-from stosym.model import (ItoSystem, VectorField, WSymmetry,
-                          transform_ito_first_order)
-from stosym.detgen import (detsys_ode, detsys_projectable, detsys_spatial,
-                           detsys_w, gamma, lambda_)
+from stosym.kernel import Context, normalize, to_dsl
+from stosym.model import (DiscreteMap, ItoSystem, VectorField, WSymmetry,
+                          _Engine, transform_ito_first_order)
+from stosym.detgen import (_discrete_equations, _lambda_gamma_of,
+                           detsys_discrete, detsys_ode, detsys_projectable,
+                           detsys_spatial, detsys_w, gamma, lambda_)
 from stosym.kpz import KpzChain, kpz_ito
 from conftest import random_expression, seeded_rng
 
@@ -118,3 +120,118 @@ def test_free_unknowns_detected(kramers):
     vf = VectorField(context=octx, tau=0, xi=(h(octx.t), sp.Integer(0)))
     ds = detsys_projectable(kramers, vf)
     assert [f.__name__ for f in ds.free_unknowns] == ["h"]
+
+
+# ---------------------------------------------------------------------------
+# the polynomial-ring path against the expression path, called directly
+
+_RING_CTX = Context(spatial=("x", "y"), params={"k": "positive", "c": None},
+                    noises=("w1", "w2"))
+
+
+def _random_polynomial_system(rng):
+    def poly():
+        return random_expression(rng, _RING_CTX, depth=2, functions=False)
+    return ItoSystem(context=_RING_CTX, f=(poly(), poly()),
+                     sigma=((poly(), poly()), (poly(), poly())))
+
+
+def _rational(rng):
+    return sp.Rational(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def _takes_ring(ito, groups):
+    engine = _Engine(ito)
+    return engine.of(groups)[0] is engine.ring is not None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_ring_lambda_gamma_matches_expression_path(rng):
+    """A float-free polynomial system and candidate (tau(t), polynomial xi,
+    antisymmetric rational B) give the same equations in the ring as on
+    the expression path."""
+    ito = _random_polynomial_system(rng)
+    t = _RING_CTX.t
+    b = _rational(rng)
+    ws = WSymmetry(context=_RING_CTX,
+                   tau=sum(_rational(rng) * t**p for p in range(3)),
+                   xi=tuple(random_expression(rng, _RING_CTX, depth=2,
+                                              functions=False)
+                            for _ in range(2)),
+                   Bmat=((0, b), (-b, 0)))
+    B = ws.b_matrix()
+    assert _takes_ring(ito, [(ws.tau,), ws.xi, B])
+    lam, gam = _lambda_gamma_of(_Engine(ito).exprs, ws.tau, ws.xi,
+                                B.T.tolist())
+    expected = [normalize(e) for e in (*lam, *(e for row in gam for e in row))]
+    assert list(detsys_w(ito, ws).residuals()) == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_ring_discrete_matches_expression_path(rng):
+    """The same for a discrete map with an affine phi and a
+    signed-permutation R."""
+    ito = _random_polynomial_system(rng)
+    x, t = _RING_CTX.spatial, _RING_CTX.t
+    perm = rng.choice([(0, 1), (1, 0)])
+    R = tuple(tuple(rng.choice([-1, 1]) if q == perm[p] else 0
+                    for q in range(2)) for p in range(2))
+    phi = tuple(sum(_rational(rng) * v for v in x)
+                + _rational(rng) * t ** rng.randint(0, 2) for _ in range(2))
+    dmap = DiscreteMap(context=_RING_CTX, phi=phi, R=R)
+    assert _takes_ring(ito, [dmap.phi, *dmap.R])
+    eqs = _discrete_equations(_Engine(ito).exprs, dmap.phi,
+                              [[sp.sympify(e) for e in row] for row in dmap.R])
+    ds = detsys_discrete(ito, dmap)
+    assert ds.labels() == tuple(label for label, _ in eqs)
+    assert list(ds.residuals()) == [normalize(e) for _, e in eqs]
+
+
+class TestFallback:
+    """Input outside QQ[params, x, t] keeps the expression path and its
+    output."""
+
+    def test_float_drift_stays_float(self):
+        ctx = Context(spatial=("x",), noises=("w",))
+        x = ctx.spatial[0]
+        ito = ItoSystem(ctx, f=(sp.Float(0.5) * x,), sigma=((1,),))
+        assert _Engine(ito).ring is None
+        ds = detsys_projectable(ito, VectorField(ctx, tau=1, xi=(x**2,)))
+        assert [to_dsl(e) for e in ds.residuals()] == ["-0.5*x^2 - 1.0",
+                                                        "2*x"]
+
+    def test_sqrt_noise(self, systems):
+        ito = systems["langevin2.sde"]
+        assert _Engine(ito).ring is None
+        x1, x2 = ito.context.spatial
+        t = ito.context.t
+        ds = detsys_projectable(ito, VectorField(ito.context, tau=t,
+                                                 xi=(x1, x2 * t)))
+        assert [to_dsl(e) for e in ds.residuals()] == [
+            "-x1", "-2*x2", "sqrt(2)*sqrt(s1)/2", "0", "0",
+            "sqrt(2)*sqrt(s2)*t - sqrt(2)*sqrt(s2)/2"]
+
+    def test_exp_in_tau(self, systems):
+        ito = systems["heat.sde"]
+        x, t = ito.context.spatial[0], ito.context.t
+        vf = VectorField(ito.context, tau=sp.exp(t), xi=(x,))
+        assert _Engine(ito).ring is not None
+        assert not _takes_ring(ito, [(vf.tau,), vf.xi])
+        assert [to_dsl(e) for e in detsys_projectable(ito, vf).residuals()] == [
+            "0", "-s0*exp(t)/2 + s0"]
+
+    def test_opaque_unknowns(self, systems):
+        ito = systems["heat.sde"]
+        ctx = ito.context
+        octx = Context(spatial=ctx.spatial_names, params=ctx.param_assumptions,
+                       noises=ctx.noise_names, opaque=("tau", "xi_x"))
+        vf = VectorField(octx, tau=octx.opaque["tau"](octx.t),
+                         xi=(octx.opaque["xi_x"](*octx.spatial, octx.t),))
+        assert not _takes_ring(ito, [(vf.tau,), vf.xi])
+        ds = detsys_projectable(ito, vf)
+        assert [to_dsl(e) for e in ds.residuals()] == [
+            "-s0^2*Derivative(xi_x(x, t), (x, 2))/2 - Derivative(xi_x(x, t), t)",
+            "-s0*Derivative(tau(t), t)/2 + s0*Derivative(xi_x(x, t), x)"]
+        assert [f.__name__ for f in ds.free_unknowns] == ["tau", "xi_x"]

@@ -90,6 +90,11 @@ class TestCandidateParsing:
         with pytest.raises(ParseError):
             parse_candidate("B[1][2] = 1\nB[2][1] = 1\n", pair)
 
+    def test_b_entries_antisymmetric_up_to_radicals(self, pair):
+        c = parse_candidate("B[1][2] = sqrt(3 + 2*sqrt(2))\n"
+                            "B[2][1] = -1 - sqrt(2)\n", pair)
+        assert isinstance(c, WSymmetry)
+
     def test_discrete_map_defaults(self, pair):
         c = parse_candidate("phi x = -x\n", pair)
         assert isinstance(c, DiscreteMap)

@@ -123,6 +123,14 @@ class TestNormalizePaths:
             x**2 / 3 + 2 * k * x * y / 3 + k**2 * y**2 / 3)
         assert loop_calls == []
 
+    @pytest.mark.parametrize("number", [
+        sp.Integer(0), sp.Integer(-7), sp.Rational(3, 4), sp.Float(0.1)],
+        ids=["zero", "integer", "rational", "float"])
+    def test_number_is_returned_unchanged(self, loop_calls, number):
+        out = normalize(number)
+        assert out == number and type(out) is type(number)
+        assert loop_calls == []
+
     def test_float_stays_float(self, ctx, loop_calls):
         x = ctx.spatial[0]
         assert normalize(sp.Float(0.5) * x).has(sp.Float)

@@ -1,9 +1,11 @@
 import pytest
 import sympy as sp
 
-from stosym.kernel import Context, Verdict, normalize, zero_verdict
-from stosym.model import (DegeneracyError, DiscreteMap, ItoSystem, VectorField,
-                          WSymmetry, apply_discrete, diffusion_matrix,
+import stosym.kernel as kernel
+from stosym.kernel import (Context, InconclusiveError, Verdict, normalize,
+                           zero_verdict)
+from stosym.model import (DegeneracyError, DiscreteMap, FokkerPlanck,
+                          ItoSystem, VectorField, WSymmetry, apply_discrete, diffusion_matrix,
                           fokker_planck_of, ito_to_stratonovich, lie_bracket,
                           same_fp, transform_ito_first_order)
 
@@ -174,6 +176,33 @@ class TestCandidateValidation:
         ctx = Context(spatial=("x", "y"), noises=("w1", "w2"))
         with pytest.raises(ValueError):
             WSymmetry(context=ctx, Bmat=((0, 1), (1, 0)))
+
+    def test_w_matrix_antisymmetric_up_to_radicals(self):
+        # sqrt(3 + 2 sqrt 2) = 1 + sqrt 2, which normalize leaves unproven
+        # and the zero test proves
+        ctx = Context(spatial=("x", "y"), noises=("w1", "w2"))
+        b = sp.sqrt(3 + 2 * sp.sqrt(2))
+        ws = WSymmetry(context=ctx, Bmat=((0, b), (-1 - sp.sqrt(2), 0)))
+        assert ws.Bmat[0][1] == b
+
+    def test_undecided_antisymmetry_raises(self, monkeypatch):
+        ctx = Context(spatial=("x", "y"), noises=("w1", "w2"))
+        monkeypatch.setattr(kernel, "zero_verdict",
+                            lambda e: Verdict.INCONCLUSIVE)
+        with pytest.raises(InconclusiveError):
+            WSymmetry(context=ctx, Bmat=((0, 1), (-1, 0)))
+
+    def test_fp_symmetry_up_to_radicals(self, monkeypatch):
+        ctx = Context(spatial=("x", "y"), noises=("w1", "w2"))
+        b = sp.sqrt(3 + 2 * sp.sqrt(2))
+        FokkerPlanck(context=ctx, A=((1, b), (1 + sp.sqrt(2), 1)), B=(0, 0),
+                     C=0)
+        with pytest.raises(ValueError):
+            FokkerPlanck(context=ctx, A=((1, b), (1, 1)), B=(0, 0), C=0)
+        monkeypatch.setattr(kernel, "zero_verdict",
+                            lambda e: Verdict.INCONCLUSIVE)
+        with pytest.raises(InconclusiveError):
+            FokkerPlanck(context=ctx, A=((1, 0), (0, 1)), B=(0, 0), C=0)
 
     def test_w_matrix_constant(self):
         ctx = Context(spatial=("x", "y"), noises=("w1", "w2"))
