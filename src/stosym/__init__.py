@@ -25,9 +25,8 @@ from .solve import (Ansatz, NonClosedBasisError, NonlinearEntanglementError,
 from .dsl import (candidate_from_dict, candidate_to_dict, load_candidate,
                   load_system, parse_candidate, parse_system, system_from_dict,
                   system_to_dict, to_cand, to_sde)
-from .kpz import (KpzChain, KpzTensors, inversion_matrix, kpz_check_discrete,
-                  kpz_detsys_continuous, kpz_ito, kpz_tensors,
-                  site_shift_matrix)
+from .kpz import (KpzChain, inversion_matrix, kpz_check_discrete,
+                  kpz_detsys_continuous, kpz_ito, site_shift_matrix)
 
 __version__ = "0.1.0"
 

@@ -331,6 +331,16 @@ def mc_check(system_file, candidate_file, x0, t1, dt, n_paths, seed,
     sys.exit(EXIT_SYMMETRY if report.verdict else EXIT_NOT_SYMMETRY)
 
 
+def _exact(value):
+    """A numeric option as an exact number; raises ValueError otherwise."""
+    if value is None:
+        return None
+    number = sp.sympify(value, rational=True)
+    if not number.is_real:
+        raise ValueError(f"'{value}' is not a real number")
+    return number
+
+
 @main.command("kpz")
 @_exit_contract
 @click.option("--sites", required=True, type=int)
@@ -343,7 +353,8 @@ def mc_check(system_file, candidate_file, x0, t1, dt, n_paths, seed,
 def kpz_cmd(sites, alpha, beta, which, as_json):
     """Check a named symmetry of the periodic growth chain."""
     try:
-        chain = kpzmod.KpzChain(sites, alpha=alpha, beta=beta)
+        # exact parameters (0.1 -> 1/10) keep the chain in the polynomial ring
+        chain = kpzmod.KpzChain(sites, alpha=_exact(alpha), beta=_exact(beta))
     except ValueError as e:
         _reject(f"kpz: {e}")
     n = sites
@@ -351,7 +362,6 @@ def kpz_cmd(sites, alpha, beta, which, as_json):
         tau, shift = (1, 0) if which == "time-shift" else (0, 1)
         report = check(kpzmod.kpz_detsys_continuous(
             chain, tau, sp.zeros(n, n), [shift] * n))
-        overall, data = report.overall, report.to_dict()
     else:
         if which == "site-shift":
             F = kpzmod.site_shift_matrix(n)
@@ -364,16 +374,13 @@ def kpz_cmd(sites, alpha, beta, which, as_json):
             F = -sp.eye(n)
         else:
             _reject(f"unknown check '{which}'")
-        rep = kpzmod.kpz_check_discrete(chain, F)
-        overall = (OverallVerdict.SYMMETRY if rep.is_symmetry
-                   else OverallVerdict.NOT_SYMMETRY)
-        data = rep.to_dict()
-    data["check"] = which
+        report = kpzmod.kpz_check_discrete(chain, F)
+    data = {**report.to_dict(), "schema": 2, "check": which}
     if as_json:
         _emit(data, True)
     else:
-        click.echo(overall.value)
-    _exit_for(overall)
+        click.echo(report.overall.value)
+    _exit_for(report.overall)
 
 
 if __name__ == "__main__":

@@ -323,13 +323,22 @@ def normalize(e) -> sp.Expr:
     e = sp.sympify(e)
     if e.is_Number:
         return e
-    if e.free_symbols and not e.has(sp.Float):
-        gens = sorted(e.free_symbols, key=lambda s: s.name)
-        try:
-            return PolyRing(gens, sp.QQ).from_expr(e).as_expr()
-        except ValueError:
-            pass
-    return _normalize_loop(e)
+    p = _ring_element(e)
+    return _normalize_loop(e) if p is None else p.as_expr()
+
+
+def _ring_element(e):
+    """e in the sparse polynomial ring over QQ whose generators are its free
+    symbols sorted by name, or None when e is constant, holds a float or is
+    not a polynomial over QQ in them. The ring is canonical: the element is
+    0 iff e vanishes identically."""
+    if not e.free_symbols or e.has(sp.Float):
+        return None
+    gens = sorted(e.free_symbols, key=lambda s: s.name)
+    try:
+        return PolyRing(gens, sp.QQ).from_expr(e)
+    except ValueError:
+        return None
 
 
 def _normalize_loop(e):
@@ -433,11 +442,17 @@ def _opaque_atoms(e):
 
 
 def zero_verdict(e) -> Verdict:
-    """Tri-state zero test. Structural normalization first; a randomized
-    rational-point probe, with a fixed seed, guards against simplifier gaps
-    and downgrades any disagreement to INCONCLUSIVE rather than guessing a
-    boolean.
+    """Tri-state zero test. A polynomial over QQ is decided in its
+    canonical ring; parameters are only positive, nonzero or real, so a
+    nonzero polynomial never vanishes identically. Anything else is
+    normalized first; a randomized rational-point probe, with a fixed seed,
+    guards against simplifier gaps and downgrades any disagreement to
+    INCONCLUSIVE rather than guessing a boolean.
     """
+    e = sp.sympify(e)
+    p = _ring_element(e)
+    if p is not None:
+        return Verdict.NONZERO if p else Verdict.ZERO
     n = normalize(e)
     if n.is_zero is True:
         return Verdict.ZERO
@@ -446,8 +461,12 @@ def zero_verdict(e) -> Verdict:
         return _structural_verdict(n, atoms)
     if n.is_number:
         return Verdict.NONZERO if n != 0 else Verdict.ZERO
-    # expanded polynomials over QQ(params) are already canonical
-    if n.free_symbols and not n.atoms(sp.Function) and n.is_polynomial(*n.free_symbols):
+    # an expanded polynomial with plain-number coefficients (floats among
+    # them) is canonical; algebraic ones such as sqrt(3 + 2 sqrt(2)) - 1 -
+    # sqrt(2) may still vanish
+    if (n.free_symbols and not n.atoms(sp.Function)
+            and n.is_polynomial(*n.free_symbols)
+            and sp.Poly(n, *n.free_symbols).domain in (sp.ZZ, sp.QQ, sp.RR)):
         return Verdict.NONZERO
     rng = random.Random(0x5EED)
     s = sp.simplify(sp.powsimp(n))

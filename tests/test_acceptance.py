@@ -19,8 +19,7 @@ from stosym.verify import (FpClassification, check,
 from stosym.solve import (Ansatz, commutator_closure, default_time_basis,
                           membership_coordinates, solve_ansatz)
 from stosym.kpz import (KpzChain, inversion_matrix, kpz_check_discrete,
-                        kpz_detsys_continuous, kpz_ito, kpz_tensors,
-                        site_shift_matrix)
+                        kpz_detsys_continuous, site_shift_matrix)
 from stosym.mcsim import compare_ensembles, euler_maruyama, validate_symmetry_mc
 from stosym.dsl import load_candidate
 from conftest import FIXTURES, random_expression, seeded_rng
@@ -193,20 +192,6 @@ def test_criterion_7_kpz():
         assert kpz_check_discrete(chain, inversion_matrix(n, 1)).is_symmetry
         assert not kpz_check_discrete(chain, -sp.eye(n)).is_symmetry
         assert kpz_check_discrete(KpzChain(n, beta=0), -sp.eye(n)).is_symmetry
-    # cross-check the chain-specific conditions against the general engine
-    chain = KpzChain(5)
-    ito = kpz_ito(chain)
-    xv = sp.Matrix(ito.context.spatial)
-    for F, expected in [(site_shift_matrix(5), True), (-sp.eye(5), False)]:
-        dmap = DiscreteMap(context=ito.context,
-                           phi=tuple((F * xv)[i] for i in range(5)),
-                           R=tuple(tuple(F[i, j] for j in range(5))
-                                   for i in range(5)))
-        assert check(detsys_discrete(ito, dmap)).is_symmetry == expected
-        assert kpz_check_discrete(chain, F).is_symmetry == expected
-    vf = VectorField(context=ito.context, tau=1,
-                     xi=(sp.Integer(0),) * 5)
-    assert check(detsys_projectable(ito, vf)).is_symmetry
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _report(7, "growth chain N=3..12 with symbolic coefficients", elapsed)
@@ -256,12 +241,6 @@ def test_criterion_8_property_suites(systems, manifest):
         f = random_expression(rng, ctx, depth=1)
         assert normalize(differentiate(2 * e + f, x)
                          - 2 * differentiate(e, x) - differentiate(f, x)) == 0
-    # every row of the quadratic stencil sums to zero for all chain sizes
-    for n in range(3, 13):
-        ten = kpz_tensors(KpzChain(n))
-        for i in range(n):
-            for k in range(n):
-                assert sp.expand(sum(ten.G[i][j][k] for j in range(n))) == 0
     _report(8, "property suites: round trips, reductions, kernel invariants")
 
 

@@ -50,6 +50,18 @@ class TestCheck:
                                       fx(fixtures_dir, "heat_v1.cand")])
         assert result.exit_code == 2
 
+    def test_radical_zero_is_not_a_nonzero(self, runner, fixtures_dir,
+                                           tmp_path):
+        """The drift coefficient sqrt(3 + 2 sqrt(2)) - 1 - sqrt(2) is 0, so
+        the drift vanishes and every translation is a symmetry."""
+        sde = tmp_path / "radical.sde"
+        sde.write_text("vars x\nnoises w\n"
+                       "drift x = (sqrt(3 + 2*sqrt(2)) - 1 - sqrt(2)) * x^2\n"
+                       "sigma x w = 1\n")
+        result = runner.invoke(main, ["check", str(sde),
+                                      fx(fixtures_dir, "heat_v2.cand")])
+        assert result.exit_code in (0, 3)
+
     def test_fp_classification(self, runner, fixtures_dir):
         result = runner.invoke(main, ["check", fx(fixtures_dir, "rotating.sde"),
                                       fx(fixtures_dir, "rotating_dt.cand"),
@@ -198,20 +210,58 @@ def test_symbolic_import_leaves_scipy_unloaded():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+_KPZ_CHECKS = ("time-shift", "h-shift", "site-shift", "inversion:2",
+               "h-inversion")
+_KPZ_PARAMS = {"symbolic": [], "beta0": ["--beta", "0"],
+               "float": ["--alpha", "0.5", "--beta", "0.1"]}
+
+
+def _kpz_cases():
+    """(sites, check, parameter options, exit code), the codes recorded on
+    the chain-specific tensor checks: only the height inversion of a chain
+    with b != 0 is not a symmetry."""
+    cases = [pytest.param(5, which, [], int(which == "h-inversion"),
+                          id=f"{which}-{int(which == 'h-inversion')}")
+             for which in _KPZ_CHECKS]
+    for n in (3, 8):
+        for label, args in _KPZ_PARAMS.items():
+            for which in _KPZ_CHECKS:
+                code = int(which == "h-inversion" and label != "beta0")
+                cases.append(pytest.param(n, which, args, code,
+                                          id=f"N{n}-{label}-{which}-{code}"))
+    return cases
+
+
 class TestKpz:
-    @pytest.mark.parametrize("which,code", [
-        ("time-shift", 0), ("h-shift", 0), ("site-shift", 0),
-        ("inversion:2", 0), ("h-inversion", 1),
-    ])
-    def test_named_checks(self, runner, which, code):
-        result = runner.invoke(main, ["kpz", "--sites", "5", "--check", which])
+    @pytest.mark.parametrize("sites,which,args,code", _kpz_cases())
+    def test_named_checks(self, runner, sites, which, args, code):
+        result = runner.invoke(main, ["kpz", "--sites", str(sites),
+                                      "--check", which, *args])
         assert result.exit_code == code
 
     def test_linear_limit(self, runner):
         result = runner.invoke(main, ["kpz", "--sites", "5", "--beta", "0",
                                       "--check", "h-inversion", "--json"])
         assert result.exit_code == 0
-        assert json.loads(result.output)["verdict"] == "symmetry"
+        data = json.loads(result.output)
+        assert data["overall"] == "symmetry"
+        assert data["schema"] == 2
+
+    def test_parameters_read_exactly(self, runner):
+        result = runner.invoke(main, ["kpz", "--sites", "3", "--alpha", "0.5",
+                                      "--beta", "0.1", "--check",
+                                      "h-inversion", "--json"])
+        assert result.exit_code == 1
+        drift = json.loads(result.output)["equations"][0]
+        assert drift == {"label": "drift[1]", "verdict": "nonzero",
+                         "residual": "-x2^2/5 + 2*x2*x3/5 - x3^2/5"}
+
+    @pytest.mark.parametrize("value", ["foo", "1/0", "I"])
+    def test_non_real_parameter_exit_two(self, runner, value):
+        result = runner.invoke(main, ["kpz", "--sites", "3", "--alpha", value,
+                                      "--check", "site-shift"])
+        assert result.exit_code == 2
+        assert "not a real number" in result.stderr
 
     def test_unknown_check(self, runner):
         result = runner.invoke(main, ["kpz", "--sites", "5",

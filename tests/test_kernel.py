@@ -207,6 +207,21 @@ class TestZeroTest:
             zero = sp.expand((e + 1) ** 2 - e**2 - 2 * e - 1)
             assert zero_verdict(zero) is Verdict.ZERO
 
+    def test_radical_coefficient_may_vanish(self, ctx):
+        # sqrt(3 + 2 sqrt(2)) = 1 + sqrt(2): a polynomial in x whose
+        # coefficient is algebraic is not canonical, and this one is 0
+        x = ctx.spatial[0]
+        c = sp.sqrt(3 + 2 * sp.sqrt(2)) - 1 - sp.sqrt(2)
+        assert zero_verdict(c * x**2) is not Verdict.NONZERO
+
+    def test_polynomials_decided_in_the_ring(self, ctx, monkeypatch):
+        x, y = ctx.spatial
+        k = ctx.symbol("k")
+        monkeypatch.setattr(kernel, "normalize", None)
+        assert zero_verdict((x + k * y) ** 2 - x**2 - 2 * k * x * y
+                            - k**2 * y**2) is Verdict.ZERO
+        assert zero_verdict(x * y / 3 - k) is Verdict.NONZERO
+
     def test_is_zero_raises_on_inconclusive(self):
         octx = Context(spatial=("x",), opaque=("g",))
         x = octx.spatial[0]

@@ -1,13 +1,12 @@
+import random
+from fractions import Fraction
+
 import pytest
 import sympy as sp
 
-from stosym.kernel import normalize
-from stosym.model import DiscreteMap
-from stosym.detgen import detsys_discrete
-from stosym.verify import check
+from stosym.verify import OverallVerdict, check
 from stosym.kpz import (KpzChain, inversion_matrix, kpz_check_discrete,
-                        kpz_detsys_continuous, kpz_ito, kpz_tensors,
-                        site_shift_matrix)
+                        kpz_detsys_continuous, site_shift_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -19,26 +18,6 @@ class TestConstruction:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             KpzChain(2)
-
-    def test_tensors_rebuild_drift(self, chain5):
-        n = chain5.n_sites
-        ito = kpz_ito(chain5)
-        ten = kpz_tensors(chain5)
-        x = sp.Matrix(chain5.context.spatial)
-        for i in range(n):
-            rebuilt = ((ten.M * x)[i]
-                       + sum(ten.G[i][j][k] * x[j] * x[k]
-                             for j in range(n) for k in range(n)))
-            assert normalize(rebuilt - ito.f[i]) == 0
-
-    def test_quadratic_rows_sum_to_zero(self):
-        # each stencil difference has zero row sum, for every chain size
-        for n in range(3, 13):
-            ten = kpz_tensors(KpzChain(n))
-            for i in range(n):
-                for k in range(n):
-                    assert sp.expand(sum(ten.G[i][j][k]
-                                         for j in range(n))) == 0
 
 
 class TestContinuous:
@@ -79,40 +58,74 @@ class TestDiscrete:
         assert kpz_check_discrete(linear, -sp.eye(5)).is_symmetry
 
     def test_non_orthogonal_rejected(self, chain5):
-        rep = kpz_check_discrete(chain5, 2 * sp.eye(5))
-        assert not rep.orthogonal
-        assert not rep.is_symmetry
+        with pytest.raises(ValueError, match="orthogonal"):
+            kpz_check_discrete(chain5, 2 * sp.eye(5))
+
+
+def _stencil_drift(a, b, x):
+    """f^i = a (x^{i+1} - 2 x^i + x^{i-1}) + b (x^{i+1} - x^{i-1})^2."""
+    n = len(x)
+    return [a * (x[(i + 1) % n] - 2 * x[i] + x[i - 1])
+            + b * (x[(i + 1) % n] - x[i - 1]) ** 2 for i in range(n)]
+
+
+def _oracle(F, beta_zero, rng):
+    """Whether y = F x with noise mixer F is a symmetry of the chain, decided
+    exactly: F F^T = I, and F f(x) = f(F x) at three random rational points
+    in (a, b, x), each coordinate drawn from a set of 10^6 values. Each
+    residual has degree <= 3, so by Schwartz-Zippel a false 'zero' has
+    probability at most (3 / 10^6)^3."""
+    n = F.rows
+    F = [[int(F[i, j]) for j in range(n)] for i in range(n)]
+
+    def apply(v):
+        return [sum(F[i][j] * v[j] for j in range(n)) for i in range(n)]
+
+    def draw():
+        return Fraction(rng.randrange(1, 10**6 + 1), 1000)
+
+    if any(sum(F[i][k] * F[j][k] for k in range(n)) != (i == j)
+           for i in range(n) for j in range(n)):
+        return False
+    for _ in range(3):
+        a, b = draw(), 0 if beta_zero else draw()
+        x = [draw() for _ in range(n)]
+        if apply(_stencil_drift(a, b, x)) != _stencil_drift(a, b, apply(x)):
+            return False
+    return True
 
 
 class TestCrossCheck:
-    """The chain-specific conditions on the tensor form agree with the
-    general discrete determining equations of the assembled Ito system; the
-    two paths share only the chain's parameters and the zero test."""
+    """The general engine's verdict on every chain map agrees with an exact
+    oracle that shares no code with it: the stencil is evaluated with
+    fractions.Fraction, not through kpz_ito or the zero test."""
 
     def test_discrete_agrees(self):
+        rng = random.Random(20)
         for n in range(3, 9):
             for beta in (None, 0):
                 chain = KpzChain(n, beta=beta)
-                ito = kpz_ito(chain)
-                x = sp.Matrix(ito.context.spatial)
                 maps = [(site_shift_matrix(n), True), (-sp.eye(n), beta == 0)]
                 maps += [(inversion_matrix(n, m), True)
                          for m in range(1, n + 1)]
                 for F, expected in maps:
-                    dmap = DiscreteMap(
-                        context=ito.context, phi=tuple(F * x),
-                        R=tuple(tuple(F[i, j] for j in range(n))
-                                for i in range(n)))
-                    general = check(detsys_discrete(ito, dmap)).is_symmetry
-                    special = kpz_check_discrete(chain, F).is_symmetry
-                    assert general == special == expected, (n, beta, F)
+                    assert _oracle(F, beta == 0, rng) == expected, (n, beta, F)
+                    assert kpz_check_discrete(chain, F).is_symmetry == expected
 
 
 def test_discrete_inconclusive_raises(chain5, monkeypatch):
-    """An undecided entry raises instead of reading as 'not a symmetry'."""
+    """An undecided zero test never reads as 'not a symmetry': an undecided
+    residual makes the verdict inconclusive, an undecided orthogonality of
+    F raises."""
     import stosym.kernel as kernel
-    monkeypatch.setattr(kernel, "zero_verdict",
-                        lambda e: kernel.Verdict.INCONCLUSIVE)
+    import stosym.verify as verify
+
+    def undecided(e):
+        return kernel.Verdict.INCONCLUSIVE
+    monkeypatch.setattr(verify, "zero_verdict", undecided)
+    report = kpz_check_discrete(chain5, site_shift_matrix(5))
+    assert report.overall is OverallVerdict.INCONCLUSIVE
+    monkeypatch.setattr(kernel, "zero_verdict", undecided)
     with pytest.raises(kernel.InconclusiveError):
         kpz_check_discrete(chain5, site_shift_matrix(5))
 

@@ -15,8 +15,9 @@ RING = PolyRing([A, T, X, Y], QQ)
 
 
 @pytest.mark.parametrize("expr", [
-    sp.sqrt(2) * X, sp.exp(T), X / A, CTX.opaque["g"](X)],
-    ids=["sqrt2", "exp", "denominator", "opaque"])
+    sp.sqrt(2) * X, sp.sqrt(3 + 2 * sp.sqrt(2)) * X, sp.exp(T), X / A,
+    CTX.opaque["g"](X)],
+    ids=["sqrt2", "nested_radical", "exp", "denominator", "opaque"])
 def test_from_expr_rejects_non_polynomials(expr):
     with pytest.raises(ValueError):
         RING.from_expr(expr)
@@ -39,3 +40,9 @@ def test_compose_substitutes_simultaneously():
     ids=["polynomial", "constant", "zero"])
 def test_as_expr_equals_normalize(expr):
     assert RING.from_expr(expr).as_expr() == normalize(expr)
+
+
+def test_from_expr_of_a_vanishing_polynomial_is_zero():
+    # kernel.zero_verdict reads ZERO from this without normalizing first
+    assert RING.from_expr((X + A * Y) ** 2 - X**2 - 2 * A * X * Y
+                          - A**2 * Y**2) == 0
