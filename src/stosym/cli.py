@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
+from dataclasses import replace
 
 import click
 import sympy as sp
@@ -22,8 +24,8 @@ from .kernel import Context, InconclusiveError, ParseError, parse_expr, \
 from .model import DegeneracyError, DiscreteMap, VectorField, WSymmetry, \
     fokker_planck_of
 from .detgen import detsys_discrete, detsys_fp, detsys_projectable, detsys_w
-from .verify import OverallVerdict, check, check_normalization_preserving, \
-    extend_to_fp, project_fp_symmetry
+from .verify import OverallVerdict, _fp_classification, check, \
+    check_normalization_preserving, extend_to_fp
 from .solve import Ansatz, OutsideAnsatzError, default_time_basis, solve_ansatz
 from .dsl import candidate_to_dict, load_candidate, load_system
 from . import kpz as kpzmod
@@ -35,10 +37,8 @@ EXIT_INCONCLUSIVE = 3
 EXIT_BLOWUP = 4
 
 
-def _emit(data, as_json):
-    if as_json:
-        click.echo(json.dumps(data, indent=2, sort_keys=True))
-    return data
+def _emit(data):
+    click.echo(json.dumps(data, indent=2, sort_keys=True))
 
 
 def _stop(code, message):
@@ -121,7 +121,7 @@ def derive_fp(system_file, as_json):
         "C": to_dsl(fp.C),
     }
     if as_json:
-        _emit(data, True)
+        _emit(data)
     else:
         click.echo(f"A = {data['A']}")
         click.echo(f"B = {data['B']}")
@@ -146,7 +146,7 @@ def detsys(system_file, candidate_file, as_json):
             "equations": [{"label": label, "residual": to_dsl(e)}
                           for label, e in ds.equations]}
     if as_json:
-        _emit(data, True)
+        _emit(data)
     else:
         for entry in data["equations"]:
             click.echo(f"{entry['label']}: {entry['residual']} = 0")
@@ -170,16 +170,17 @@ def check_cmd(system_file, candidate_file, classify_fp, as_json):
             _reject("--fp applies to vector-field candidates only")
         vf = candidate if candidate.beta is not None else extend_to_fp(candidate)
         report = check(detsys_fp(ito, vf))
-        data.update(report.to_dict())
         preserving = check_normalization_preserving(vf)
-        data["normalization_preserving"] = preserving
         if report.is_symmetry and preserving:
-            data["classification"] = project_fp_symmetry(ito, vf).value
+            report = replace(report,
+                             classification=_fp_classification(ito, vf))
+        data.update(report.to_dict())
+        data["normalization_preserving"] = preserving
     else:
         report = check(_detsys_for(ito, candidate))
         data.update(report.to_dict())
     if as_json:
-        _emit(data, True)
+        _emit(data)
     else:
         click.echo(f"{data['overall']}"
                    + (f" ({data['classification']})" if "classification" in data else ""))
@@ -230,7 +231,7 @@ def solve_cmd(system_file, degree, basis_tokens, with_b, as_json):
                        for g in basis.generators],
     }
     if as_json:
-        _emit(data, True)
+        _emit(data)
     else:
         click.echo(f"dimension {basis.dimension}")
         for i, g in enumerate(basis.generators, start=1):
@@ -242,20 +243,34 @@ def solve_cmd(system_file, degree, basis_tokens, with_b, as_json):
             click.echo(f"generator {i}: " + ", ".join(parts))
 
 
+def _finite(text, option):
+    """An option's value as a finite float; anything else is rejected."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    _reject(f"{option}: '{text}' is not a finite number")
+
+
 def _parse_params(pairs, ctx):
+    """--param name=value pairs, each naming a declared parameter."""
     out = {}
     for pair in pairs:
         name, _, value = pair.partition("=")
+        name = name.strip()
         if not value:
-            raise click.BadParameter(f"expected name=value, got '{pair}'")
-        out[name.strip()] = float(value)
+            _reject(f"--param: expected name=value, got '{pair}'")
+        if name not in ctx.params:
+            _reject(f"--param {pair}: '{name}' is not a declared parameter")
+        out[name] = _finite(value, f"--param {name}")
     return out
 
 
 def _parse_x0(text, n):
-    vals = [float(v) for v in text.split(",")]
+    vals = [_finite(v, "--x0") for v in text.split(",")]
     if len(vals) != n:
-        raise click.BadParameter(f"x0 needs {n} components")
+        _reject(f"--x0: expected {n} components, got {len(vals)}")
     return vals
 
 
@@ -276,10 +291,11 @@ def simulate(system_file, x0, t0, t1, dt, n_paths, seed, param_pairs,
     """Simulate an ensemble and write it to a binary file."""
     from .mcsim import BlowupError, InputError, euler_maruyama, export_binary
     ito = _load(system_file, load_system)
+    x0 = _parse_x0(x0, ito.n)
     params = _parse_params(param_pairs, ito.context)
     try:
-        ens = euler_maruyama(ito, _parse_x0(x0, ito.n), t0, t1, dt, n_paths,
-                             seed, params=params)
+        ens = euler_maruyama(ito, x0, t0, t1, dt, n_paths, seed,
+                             params=params)
     except InputError as e:
         _reject(f"simulate: {e}")
     except BlowupError as e:
@@ -289,7 +305,7 @@ def simulate(system_file, x0, t0, t1, dt, n_paths, seed, param_pairs,
             "n_paths": ens.n_paths, "n_stored": len(ens.times),
             "seed": seed, "dt": dt}
     if as_json:
-        _emit(data, True)
+        _emit(data)
     else:
         click.echo(f"wrote {out_file} ({ens.n_paths} paths, "
                    f"{len(ens.times)} stored times)")
@@ -314,10 +330,11 @@ def mc_check(system_file, candidate_file, x0, t1, dt, n_paths, seed,
     from .mcsim import BlowupError, InputError, validate_symmetry_mc
     ito = _load(system_file, load_system)
     candidate = _load(candidate_file, load_candidate, ito)
+    x0 = _parse_x0(x0, ito.n)
     params = _parse_params(param_pairs, ito.context)
     try:
         report = validate_symmetry_mc(
-            ito, candidate, x0=_parse_x0(x0, ito.n), t1=t1, dt=dt,
+            ito, candidate, x0=x0, t1=t1, dt=dt,
             n_paths=n_paths, seed=seed, epsilon=epsilon,
             significance=significance, params=params)
     except InputError as e:
@@ -325,7 +342,7 @@ def mc_check(system_file, candidate_file, x0, t1, dt, n_paths, seed,
     except BlowupError as e:
         _stop(EXIT_BLOWUP, f"mc-check: {e}")
     if as_json:
-        _emit(report.to_dict(), True)
+        _emit(report.to_dict())
     else:
         click.echo("pass" if report.verdict else "fail")
     sys.exit(EXIT_SYMMETRY if report.verdict else EXIT_NOT_SYMMETRY)
@@ -377,7 +394,7 @@ def kpz_cmd(sites, alpha, beta, which, as_json):
         report = kpzmod.kpz_check_discrete(chain, F)
     data = {**report.to_dict(), "schema": 2, "check": which}
     if as_json:
-        _emit(data, True)
+        _emit(data)
     else:
         click.echo(report.overall.value)
     _exit_for(report.overall)

@@ -16,18 +16,19 @@ once, through as_expr(), which is already its `normalize`d form. Anything
 else (a Float, sqrt, exp/sin/cos, a denominator, an opaque unknown) takes
 the general path on sympy expressions, normalized once at the output.
 The formulas are written once, over both types (`model._Exprs`,
-`model._Ring`).
+`model._Ring`). The system side is converted once per system: each
+`ItoSystem` builds its engine (`model._Engine`) on first use, and every
+builder here, `model.apply_discrete` and the ansatz solver read it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import sympy as sp
-from sympy.polys.rings import PolyElement
 
 from .kernel import normalize
 from .model import (DiscreteMap, ItoSystem, VectorField, WSymmetry, _d,
-                    _dot, _Engine, _gradient, _nonzero, _second_order,
+                    _dot, _gradient, _nonzero, _second_order,
                     fokker_planck_of, lie_bracket)
 
 __all__ = [
@@ -60,34 +61,22 @@ def _unknown_functions(exprs):
     return tuple(sorted(funcs, key=lambda f: f.__name__))
 
 
-def _normalized(e):
-    """A residual in `normalize`d form: a ring element leaves its ring
-    through as_expr(), which is that form already."""
-    return e.as_expr() if isinstance(e, PolyElement) else normalize(e)
-
-
 def _pack(name, equations):
-    eqs = tuple((label, _normalized(e)) for label, e in equations)
+    eqs = tuple((label, normalize(e)) for label, e in equations)
     return DeterminingSystem(name=name, equations=eqs,
                              free_unknowns=_unknown_functions(e for _, e in eqs))
 
 
-def _lambda_gamma_operator(ito: ItoSystem):
-    """The candidate -> (Lambda, Gamma) operator of `ito`, which is linear
-    in the candidate. The returned function maps (tau, xi, B), with B a
-    constant antisymmetric m x m matrix or None, to the raw residuals: a
-    list of n Lambda entries and n rows of m Gamma entries. They are ring
+def _lambda_gamma(ito: ItoSystem, tau, xi, B=None):
+    """Raw (Lambda, Gamma) of the candidate (tau, xi, B), with B a constant
+    antisymmetric m x m matrix or None: a list of n Lambda entries and n
+    rows of m Gamma entries, linear in the candidate. They are ring
     elements when f, sigma, tau, xi and B all lie in QQ[params, x, t], and
-    unnormalized expressions otherwise; the system side of each form is
-    computed once."""
-    engine = _Engine(ito)
-
-    def apply(tau, xi, B=None):
-        # B's columns, read once; a zero B adds no term
-        cols = [] if B is None or all(e == 0 for e in B) else B.T.tolist()
-        c, ((tau,), xi, *cols) = engine.of([(tau,), xi, *cols])
-        return _lambda_gamma_of(c, tau, xi, cols)
-    return apply
+    unnormalized expressions otherwise."""
+    # B's columns, read once; a zero B adds no term
+    cols = [] if B is None or all(e == 0 for e in B) else B.T.tolist()
+    c, ((tau,), xi, *cols) = ito._engine.of([(tau,), xi, *cols])
+    return _lambda_gamma_of(c, tau, xi, cols)
 
 
 def _lambda_gamma_of(c, tau, xi, B):
@@ -115,9 +104,10 @@ def _lambda_gamma_of(c, tau, xi, B):
     return lam, gam
 
 
-def _lambda_gamma(ito, candidate):
+def _parts(candidate):
+    """(tau, xi, B) of a projectable or W candidate."""
     B = candidate.b_matrix() if isinstance(candidate, WSymmetry) else None
-    return _lambda_gamma_operator(ito)(candidate.tau, candidate.xi, B)
+    return candidate.tau, candidate.xi, B
 
 
 def gamma(ito: ItoSystem, candidate):
@@ -127,14 +117,14 @@ def gamma(ito: ItoSystem, candidate):
     For a W-symmetry candidate the constant antisymmetric B contributes an
     extra -(sigma B)^k_j term.
     """
-    _, gam = _lambda_gamma(ito, candidate)
-    return tuple(tuple(_normalized(e) for e in row) for row in gam)
+    _, gam = _lambda_gamma(ito, *_parts(candidate))
+    return tuple(tuple(normalize(e) for e in row) for row in gam)
 
 
 def lambda_(ito: ItoSystem, candidate):
     """Lambda^i = -[d_t(xi^i - tau f^i) + {f, xi}^i + S^{mk} d2_{mk} xi^i]."""
-    lam, _ = _lambda_gamma(ito, candidate)
-    return tuple(_normalized(e) for e in lam)
+    lam, _ = _lambda_gamma(ito, *_parts(candidate))
+    return tuple(normalize(e) for e in lam)
 
 
 def detsys_ode(f, vf: VectorField) -> DeterminingSystem:
@@ -151,7 +141,7 @@ def detsys_ode(f, vf: VectorField) -> DeterminingSystem:
 
 
 def _lambda_gamma_system(name, ito, candidate):
-    lam, gam = _lambda_gamma(ito, candidate)
+    lam, gam = _lambda_gamma(ito, *_parts(candidate))
     eqs = [(f"Lambda[{i + 1}]", e) for i, e in enumerate(lam)]
     eqs += [(f"Gamma[{i + 1}][{k + 1}]", e)
             for i, row in enumerate(gam) for k, e in enumerate(row)]
@@ -217,7 +207,7 @@ def detsys_discrete(ito: ItoSystem, dmap: DiscreteMap) -> DeterminingSystem:
     """Determining equations for a finite map y = phi(x,t), z = R w:
     drift family  dphi^i/dx^j f^j + S^{jk} d2_{jk} phi^i + d_t phi^i - f^i(phi, t),
     noise family  (dphi/dx sigma R^T)^i_k - sigma^i_k(phi, t)."""
-    c, (phi, *R) = _Engine(ito).of([dmap.phi, *dmap.R])
+    c, (phi, *R) = ito._engine.of([dmap.phi, *dmap.R])
     return _pack("ito-discrete", _discrete_equations(c, phi, R))
 
 

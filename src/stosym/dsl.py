@@ -77,10 +77,7 @@ def _parse_param_list(rest, lineno):
 
 def parse_system(text) -> ItoSystem:
     name = "system"
-    params = {}
-    spatial = None
-    noises = None
-    coeff_lines = []
+    params, declared, coeff_lines = {}, {}, []
     for lineno, line in _lines(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
@@ -90,18 +87,15 @@ def parse_system(text) -> ItoSystem:
             name = rest
         elif head == "params":
             params.update(_parse_param_list(rest, lineno))
-        elif head == "vars":
-            if spatial is not None:
-                _fail("duplicate vars declaration", lineno)
-            spatial = tuple(rest.split())
-        elif head == "noises":
-            if noises is not None:
-                _fail("duplicate noises declaration", lineno)
-            noises = tuple(rest.split())
+        elif head in ("vars", "noises"):
+            if head in declared:
+                _fail(f"duplicate {head} declaration", lineno)
+            declared[head] = tuple(rest.split())
         elif head in ("drift", "sigma"):
             coeff_lines.append((lineno, head, rest))
         else:
             _fail(f"unknown directive '{head}'", lineno)
+    spatial, noises = declared.get("vars"), declared.get("noises")
     if not spatial:
         _fail("missing vars declaration", 1)
     if not noises:
@@ -189,12 +183,7 @@ def parse_candidate(text, context):
     n, m = ctx.n, ctx.m
     var_index = {v: i for i, v in enumerate(ctx.spatial_names)}
 
-    tau = None
-    xi = {}
-    beta = None
-    B = {}
-    phi = {}
-    R = None
+    single, xi, phi, B = {}, {}, {}, {}
     for lineno, line in entries:
         lhs, eq, expr_text = line.partition("=")
         if not eq:
@@ -203,32 +192,19 @@ def parse_candidate(text, context):
         expr_text = expr_text.strip()
         fields = lhs.split()
         head = fields[0]
-        if head == "tau" and len(fields) == 1:
-            if tau is not None:
-                _fail("duplicate tau entry", lineno)
-            tau = _parse_at(expr_text, ctx, lineno)
-        elif head == "beta" and len(fields) == 1:
-            if beta is not None:
-                _fail("duplicate beta entry", lineno)
-            beta = _parse_at(expr_text, ctx, lineno)
-        elif head == "xi":
+        if head in ("tau", "beta", "R") and len(fields) == 1:
+            if head in single:
+                _fail(f"duplicate {head} entry", lineno)
+            parse = _parse_matrix_literal if head == "R" else _parse_at
+            single[head] = parse(expr_text, ctx, lineno)
+        elif head in ("xi", "phi"):
+            component = xi if head == "xi" else phi
             if len(fields) != 2 or fields[1] not in var_index:
-                _fail("xi expects a declared variable name", lineno)
+                _fail(f"{head} expects a declared variable name", lineno)
             i = var_index[fields[1]]
-            if i in xi:
-                _fail(f"duplicate xi entry for '{fields[1]}'", lineno)
-            xi[i] = _parse_at(expr_text, ctx, lineno)
-        elif head == "phi":
-            if len(fields) != 2 or fields[1] not in var_index:
-                _fail("phi expects a declared variable name", lineno)
-            i = var_index[fields[1]]
-            if i in phi:
-                _fail(f"duplicate phi entry for '{fields[1]}'", lineno)
-            phi[i] = _parse_at(expr_text, ctx, lineno)
-        elif head == "R" and len(fields) == 1:
-            if R is not None:
-                _fail("duplicate R entry", lineno)
-            R = _parse_matrix_literal(expr_text, ctx, lineno)
+            if i in component:
+                _fail(f"duplicate {head} entry for '{fields[1]}'", lineno)
+            component[i] = _parse_at(expr_text, ctx, lineno)
         elif head.startswith("B[") and len(fields) == 1:
             inner = head[1:]
             parts = inner.replace("[", " ").replace("]", " ").split()
@@ -243,6 +219,7 @@ def parse_candidate(text, context):
         else:
             _fail(f"unknown candidate directive '{lhs}'", lineno)
 
+    tau, beta, R = (single.get(head) for head in ("tau", "beta", "R"))
     is_map = bool(phi) or R is not None
     if is_map and (tau is not None or xi or beta is not None or B):
         _fail("a finite map cannot also carry tau, xi, beta or B entries", 1)

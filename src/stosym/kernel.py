@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import enum
 import random
+from functools import cached_property
 
 import sympy as sp
 from sympy.core.function import AppliedUndef, UndefinedFunction
-from sympy.polys.rings import PolyRing
+from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyElement, PolyRing
 from sympy.simplify.fu import TR5, TR8
 
 __all__ = [
@@ -73,21 +75,15 @@ class Context:
         self.spatial_names = tuple(spatial)
         self.spatial = tuple(sp.Symbol(n, real=True) for n in self.spatial_names)
         self.noise_names = tuple(noises)
-        if params is None:
-            params = {}
-        elif not isinstance(params, dict):
-            params = {n: None for n in params}
+        if not isinstance(params, dict):
+            params = dict.fromkeys(params or ())
         self.param_assumptions = dict(params)
         self.params = {}
         for name, assumption in params.items():
-            kwargs = {"real": True}
-            if assumption == "positive":
-                kwargs["positive"] = True
-            elif assumption == "nonzero":
-                kwargs["nonzero"] = True
-            elif assumption not in (None, "real"):
+            if assumption not in (None, "real", "positive", "nonzero"):
                 raise ValueError(f"unknown assumption '{assumption}' for parameter {name}")
-            self.params[name] = sp.Symbol(name, **kwargs)
+            extra = {} if assumption in (None, "real") else {assumption: True}
+            self.params[name] = sp.Symbol(name, real=True, **extra)
         self.opaque_names = tuple(opaque)
         self.opaque = {n: sp.Function(n) for n in self.opaque_names}
 
@@ -104,6 +100,11 @@ class Context:
     @property
     def m(self):
         return len(self.noise_names)
+
+    @cached_property
+    def ring(self):
+        """QQ[params, x, t], generators sorted by name as in `normalize`."""
+        return PolyRing(sorted(self._symbols.values(), key=lambda s: s.name), QQ)
 
     def symbol(self, name):
         try:
@@ -311,15 +312,15 @@ def normalize(e) -> sp.Expr:
     """Canonical form within the supported fragment. Idempotent.
 
     Three paths, chosen from the input alone. A number (a Float included)
-    is returned as it is: it is the loop's fixpoint. A non-constant input
-    without floats that is a polynomial over QQ in its free symbols is
-    expanded in sympy's sparse polynomial ring over QQ, whose generators
-    are those symbols sorted by name. Any other input (a float,
-    exp/sin/cos, sqrt, a denominator, an irrational constant or an opaque
-    function) takes the general loop: expand, rewrite sin^2 -> 1 - cos^2,
-    product-to-sum for sin*cos pairs, cancel rational parts, iterated to a
-    fixpoint. The ring and the loop give the same expression on a
-    polynomial; QQ would turn 0.5*x into x/2, hence the float rule."""
+    is returned as it is: it is the loop's fixpoint. A ring element, or an
+    input that `_ring_element` takes into the ring over its symbols,
+    leaves through as_expr(). Any other input (a float, exp/sin/cos, sqrt,
+    a denominator, an irrational constant or an opaque function) takes the
+    general loop: expand, rewrite sin^2 -> 1 - cos^2, product-to-sum for
+    sin*cos pairs, cancel rational parts, iterated to a fixpoint. The ring
+    and the loop give the same expression on a polynomial."""
+    if isinstance(e, PolyElement):
+        return e.as_expr()
     e = sp.sympify(e)
     if e.is_Number:
         return e
@@ -327,18 +328,38 @@ def normalize(e) -> sp.Expr:
     return _normalize_loop(e) if p is None else p.as_expr()
 
 
-def _ring_element(e):
-    """e in the sparse polynomial ring over QQ whose generators are its free
-    symbols sorted by name, or None when e is constant, holds a float or is
-    not a polynomial over QQ in them. The ring is canonical: the element is
-    0 iff e vanishes identically."""
-    if not e.free_symbols or e.has(sp.Float):
+def _ring_element(e, ring=None):
+    """e in `ring`, a sparse polynomial ring over QQ, or None when e is not
+    a float-free polynomial over QQ in its generators (QQ would turn 0.5
+    into 1/2). Without a ring the generators are e's symbols sorted by
+    name, and a constant gives None. The element is 0 iff e vanishes
+    identically. The one way into a ring: only sums, products, symbols,
+    rationals and powers with an integer exponent above 1 reach from_expr,
+    which admits just these (floats apart) and prints ring and input into
+    the error it raises on anything else."""
+    if isinstance(e, PolyElement):
+        return e if e.ring == ring else None
+    e = sp.sympify(e)
+    symbols, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if node.is_Symbol:
+            symbols.add(node)
+        elif node.is_Add or node.is_Mul:
+            stack.extend(node.args)
+        elif node.is_Pow and node.exp.is_Integer and node.exp > 1:
+            stack.append(node.base)
+        elif not node.is_Rational:
+            return None
+    if ring is None:
+        if not symbols:
+            return None
+        ring = PolyRing(sorted(symbols, key=lambda s: s.name), QQ)
+    elif e.is_Rational:
+        return ring.ground_new(QQ(e.p, e.q))
+    elif not symbols <= set(ring.symbols):
         return None
-    gens = sorted(e.free_symbols, key=lambda s: s.name)
-    try:
-        return PolyRing(gens, sp.QQ).from_expr(e)
-    except ValueError:
-        return None
+    return ring.from_expr(e)
 
 
 def _normalize_loop(e):

@@ -40,14 +40,10 @@ class KpzChain:
                       params=params,
                       noises=tuple(f"w{i + 1}" for i in range(self.n_sites)))
         object.__setattr__(self, "context", ctx)
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", ctx.symbol("a"))
-        else:
-            object.__setattr__(self, "alpha", sp.sympify(self.alpha))
-        if self.beta is None:
-            object.__setattr__(self, "beta", ctx.symbol("b"))
-        else:
-            object.__setattr__(self, "beta", sp.sympify(self.beta))
+        for attr, name in (("alpha", "a"), ("beta", "b")):
+            value = getattr(self, attr)
+            object.__setattr__(self, attr, ctx.symbol(name) if value is None
+                               else sp.sympify(value))
 
 
 def _wrap(i, n):

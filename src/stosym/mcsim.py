@@ -128,6 +128,8 @@ def euler_maruyama(ito: ItoSystem, x0, t0, t1, dt, n_paths, seed,
     per noise channel; deterministic given the seed."""
     if dt <= 0:
         raise InputError("dt must be positive")
+    if n_paths < 1:
+        raise InputError("n_paths must be positive")
     n, m = ito.n, ito.m
     n_steps = int(round((t1 - t0) / dt))
     if n_steps < 1:
@@ -216,8 +218,7 @@ def compare_ensembles(a: Ensemble, b: Ensemble, significance=0.01,
         raise ValueError("ensembles have mismatched sample times")
     n = a.n
     # slice 0 is the deterministic initial condition
-    time_idx = range(1, len(a.times))
-    n_tests = max(1, len(list(time_idx)) * n)
+    n_tests = max(1, (len(a.times) - 1) * n)
     threshold = significance / n_tests
     se_factor = float(stats.norm.isf(threshold / 2))
     entries = []

@@ -8,14 +8,13 @@ terms, which makes the tau = 0 and B = 0 reductions exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import sympy as sp
 from sympy.polys.domains import QQ
-from sympy.polys.rings import PolyElement, PolyRing
 
-from .kernel import Context, all_zero, normalize
+from .kernel import Context, _ring_element, all_zero, normalize
 
 __all__ = [
     "DegeneracyError",
@@ -37,10 +36,6 @@ def _matrix(rows):
     return tuple(tuple(normalize(e) for e in row) for row in rows)
 
 
-def _allowed_symbols(ctx: Context):
-    return set(ctx.spatial) | {ctx.t} | set(ctx.params.values())
-
-
 def _set_tau_xi(candidate):
     """Normalize tau and xi of a generator in place: xi defaults to zero and
     needs one entry per spatial variable, and tau must be free of them."""
@@ -53,23 +48,43 @@ def _set_tau_xi(candidate):
         raise ValueError("tau must not depend on the spatial variables")
 
 
+def _in_ring(entries, ring):
+    """Each entry in `ring` (None when it lies outside) and its `normalize`d
+    form, which is as_expr() of the element when there is one."""
+    elements = [_ring_element(e, ring) for e in entries]
+    return elements, tuple(normalize(e if p is None else p)
+                           for e, p in zip(entries, elements))
+
+
 @dataclass(frozen=True)
 class ItoSystem:
-    """dx^i = f^i(x,t) dt + sigma^i_k(x,t) dw^k on R^n with m noise channels."""
+    """dx^i = f^i(x,t) dt + sigma^i_k(x,t) dw^k on R^n with m noise channels.
+
+    f and sigma are converted into the context's ring QQ[params, x, t] once;
+    when every entry lies in it, the elements are kept for the
+    determining-equation engine, and f and sigma hold their as_expr()."""
     context: Context
     f: tuple
     sigma: tuple
     name: str = ""
+    _elements: tuple = field(init=False, default=None, compare=False,
+                             repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "f", _exprs(self.f))
-        object.__setattr__(self, "sigma", _matrix(self.sigma))
+        ring = self.context.ring
+        f, exprs = _in_ring(self.f, ring)
+        object.__setattr__(self, "f", exprs)
+        sigma = [_in_ring(row, ring) for row in self.sigma]
+        object.__setattr__(self, "sigma", tuple(exprs for _, exprs in sigma))
+        sigma = [elements for elements, _ in sigma]
+        if all(p is not None for p in (*f, *(p for row in sigma for p in row))):
+            object.__setattr__(self, "_elements", (f, sigma))
         n, m = self.context.n, self.context.m
         if len(self.f) != n:
             raise ValueError(f"expected {n} drift components, got {len(self.f)}")
         if len(self.sigma) != n or any(len(row) != m for row in self.sigma):
             raise ValueError(f"sigma must be {n}x{m}")
-        allowed = _allowed_symbols(self.context)
+        allowed = set(ring.symbols)
         for e in (*self.f, *(x for row in self.sigma for x in row)):
             extra = sp.sympify(e).free_symbols - allowed
             if extra:
@@ -85,12 +100,17 @@ class ItoSystem:
         return self.context.m
 
     def sigma_matrix(self):
-        return sp.Matrix(self.n, self.m, lambda i, k: self.sigma[i][k])
+        return sp.Matrix(self.sigma)
 
     def half_diffusion(self):
         """S = (1/2) sigma sigma^T (no degeneracy check)."""
         s = self.sigma_matrix()
         return (s * s.T).applyfunc(normalize) / 2
+
+    @cached_property
+    def _engine(self):
+        """The system side of the determining equations, built once."""
+        return _Engine(self)
 
 
 @dataclass(frozen=True)
@@ -115,8 +135,7 @@ class FokkerPlanck:
             raise ValueError("A must be symmetric")
 
     def a_matrix(self):
-        n = self.context.n
-        return sp.Matrix(n, n, lambda i, j: self.A[i][j])
+        return sp.Matrix(self.A)
 
 
 @dataclass(frozen=True)
@@ -165,8 +184,7 @@ class WSymmetry:
             raise ValueError("B must be antisymmetric")
 
     def b_matrix(self):
-        m = self.context.m
-        return sp.Matrix(m, m, lambda p, q: self.Bmat[p][q])
+        return sp.Matrix(self.Bmat)
 
 
 @dataclass(frozen=True)
@@ -191,8 +209,7 @@ class DiscreteMap:
             raise ValueError("R must be orthogonal")
 
     def r_matrix(self):
-        m = self.context.m
-        return sp.Matrix(m, m, lambda p, q: self.R[p][q])
+        return sp.Matrix(self.R)
 
 
 # ---------------------------------------------------------------------------
@@ -258,28 +275,14 @@ def _nonzero(M):
 class _Ring(_Exprs):
     """The same calculus in the sparse polynomial ring QQ[params, x, t] of a
     context, where +, *, d/dv and == 0 are exact and canonical; a variable
-    is a generator index. The generators are sorted by name, as in
-    `normalize`'s polynomial path, so as_expr() of an element is its
-    `normalize`d form."""
+    is a generator index (`Context.ring`, whose elements leave through
+    as_expr() in `normalize`d form)."""
 
     def __init__(self, ctx: Context):
-        symbols = sorted((*ctx.params.values(), *ctx.spatial, ctx.t),
-                         key=lambda s: s.name)
-        self.ring = PolyRing(symbols, QQ)
+        self.ring = ctx.ring
         self.zero, self.half = self.ring.zero, self.ring(QQ(1, 2))
-        index = {s: i for i, s in enumerate(symbols)}
+        index = {s: i for i, s in enumerate(self.ring.symbols)}
         self.x, self.t = tuple(index[v] for v in ctx.spatial), index[ctx.t]
-
-    def convert(self, e):
-        """e as a ring element. Raises ValueError when e is not a float-free
-        polynomial over QQ in the generators: QQ would turn 0.5 into 1/2,
-        so a Float never enters the ring."""
-        e = sp.sympify(e)
-        if e.is_Rational:
-            return self.ring.ground_new(QQ(e.p, e.q))
-        if e.has(sp.Float):
-            raise ValueError(f"{e} holds a float")
-        return self.ring.from_expr(e)
 
     def d(self, e, i):
         return self.zero if e.is_ground else e.diff(i)
@@ -305,12 +308,6 @@ class _Ring(_Exprs):
                 for b, v in rows:
                     S[a, b] = S.get((a, b), self.zero) + u * v
         return [(a, b, self.half * w) for (a, b), w in sorted(S.items()) if w]
-
-
-def _as_expr(e):
-    """A coefficient as a sympy expression: a ring element leaves its ring
-    through as_expr(), which is `normalize`'s polynomial output."""
-    return e.as_expr() if isinstance(e, PolyElement) else e
 
 
 @dataclass(frozen=True)
@@ -354,17 +351,14 @@ class _Coefficients:
 
 class _Engine:
     """The coefficients of an Ito system in the ring when f and sigma lie in
-    QQ[params, x, t]; the expression form is built on first need."""
+    QQ[params, x, t] (from the elements the system keeps); the expression
+    form is built on first need."""
 
     def __init__(self, ito: ItoSystem):
         self.ito = ito
-        calc = _Ring(ito.context)
-        try:
-            f = [calc.convert(e) for e in ito.f]
-            sigma = [[calc.convert(e) for e in row] for row in ito.sigma]
-        except ValueError:
-            self.ring = None
-        else:
+        self.ring = None
+        if ito._elements is not None:
+            calc, (f, sigma) = _Ring(ito.context), ito._elements
             self.ring = _Coefficients(calc, calc.x, calc.t, f, sigma,
                                       calc.half_diffusion(sigma))
 
@@ -379,11 +373,10 @@ class _Engine:
         expressions) in one type: the ring when every entry lies in it too,
         else expressions."""
         if self.ring is not None:
-            try:
-                return self.ring, [[self.ring.calc.convert(e) for e in g]
-                                   for g in groups]
-            except ValueError:
-                pass
+            ring = self.ring.calc.ring
+            converted = [[_ring_element(e, ring) for e in g] for g in groups]
+            if all(p is not None for g in converted for p in g):
+                return self.ring, converted
         return self.exprs, [[sp.sympify(e) for e in g] for g in groups]
 
 
@@ -474,13 +467,12 @@ def apply_discrete(ito: ItoSystem, dmap: DiscreteMap,
     (expressions for x in terms of the new coordinates, reusing the same
     symbols) is supplied.
     """
-    c, (phi, *R) = _Engine(ito).of([dmap.phi, *dmap.R])
+    inverse = () if inverse is None else inverse
+    c, (phi, inverse, *R) = ito._engine.of([dmap.phi, inverse, *dmap.R])
     drift, noise = c.image(phi, R)
-    drift = [_as_expr(e) for e in drift]
-    noise = [[_as_expr(e) for e in row] for row in noise]
-    if inverse is not None:
-        sub = dict(zip(ito.context.spatial, inverse))
-        drift = [e.subs(sub, simultaneous=True) for e in drift]
-        noise = [[e.subs(sub, simultaneous=True) for e in row] for row in noise]
+    if inverse:
+        at = c.calc.substitution(c.x, inverse)
+        drift = [at(e) for e in drift]
+        noise = [[at(e) for e in row] for row in noise]
     return ItoSystem(context=ito.context, f=drift, sigma=noise,
                      name=ito.name and f"{ito.name}*")

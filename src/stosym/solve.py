@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .kernel import InconclusiveError, Verdict, normalize
-from .model import ItoSystem, VectorField, WSymmetry, _as_expr, lie_bracket
-from .detgen import _lambda_gamma_operator, detsys_projectable, detsys_w
+from .kernel import InconclusiveError, Verdict
+from .model import ItoSystem, VectorField, WSymmetry, lie_bracket
+from .detgen import _lambda_gamma, detsys_projectable, detsys_w
 from .verify import OverallVerdict, check
 
 __all__ = [
@@ -138,7 +138,6 @@ class StructuralFact:
     """Consequence of sigma^j_k d2_{jm} xi^i = 0 for x-independent sigma."""
     applies: bool
     degree_cap: int | None = None
-    free_directions: tuple = ()
 
 
 def xi_second_derivative_constraint(ito: ItoSystem) -> StructuralFact:
@@ -149,10 +148,7 @@ def xi_second_derivative_constraint(ito: ItoSystem) -> StructuralFact:
     if any(sp.sympify(e).free_symbols & x for row in ito.sigma for e in row):
         return StructuralFact(applies=False)
     null = ito.sigma_matrix().T.nullspace()
-    if not null:
-        return StructuralFact(applies=True, degree_cap=1)
-    free = tuple(tuple(normalize(v) for v in vec) for vec in null)
-    return StructuralFact(applies=True, degree_cap=None, free_directions=free)
+    return StructuralFact(applies=True, degree_cap=None if null else 1)
 
 
 def _monomials(x, degree):
@@ -195,12 +191,12 @@ def solve_ansatz(ito: ItoSystem, ansatz: Ansatz, which: str = "projectable") -> 
             B = sp.zeros(m, m)
             B[p, q], B[q, p] = 1, -1
             elements.append((0, zero, B))
-    op = _lambda_gamma_operator(ito)
     columns = []
     for tau, xi, B in elements:
-        lam, gam = op(tau, xi, B)
-        columns.append([_as_expr(e) for e in lam]
-                       + [_as_expr(e) for row in gam for e in row])
+        lam, gam = _lambda_gamma(ito, tau, xi, B)
+        # a ring element and a raw expression both leave through as_expr()
+        columns.append([e.as_expr() for e in lam]
+                       + [e.as_expr() for row in gam for e in row])
 
     null = _coefficient_matrix(columns, (*x, t), OutsideAnsatzError).nullspace()
     if not null:

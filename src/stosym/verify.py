@@ -139,6 +139,13 @@ def project_fp_symmetry(ito: ItoSystem, vf: VectorField) -> FpClassification:
     fp_report = check(detsys_fp(fokker_planck_of(ito), vf))
     if not fp_report.is_symmetry:
         raise PreconditionError("candidate is not a Fokker-Planck symmetry")
+    return _fp_classification(ito, vf)
+
+
+def _fp_classification(ito: ItoSystem, vf: VectorField) -> FpClassification:
+    """The Gamma-based classification of `project_fp_symmetry`, for a
+    candidate already known to be a normalization-preserving Fokker-Planck
+    symmetry."""
     gam = sp.Matrix(gamma(ito, vf))
     if all_zero(gam):
         return FpClassification.ITO_SYMMETRY

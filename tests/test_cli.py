@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import stosym
+from stosym import cli, verify
 from stosym.cli import main
 
 
@@ -42,6 +43,25 @@ class TestCheck:
         result = runner.invoke(main, ["check", fx(fixtures_dir, "rotating.sde"),
                                       fx(fixtures_dir, "rotating_dt.cand")])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("system,candidate,kind", [
+        ("heat.sde", "heat_v5.cand", "ito_symmetry"),
+        ("rotating.sde", "rotating_dt.cand", "statistical_equivalence")])
+    def test_fp_classification_decides_once(self, runner, fixtures_dir,
+                                            monkeypatch, system, candidate,
+                                            kind):
+        """`check --fp` builds and decides the Fokker-Planck system once and
+        carries the classification in the report."""
+        built = []
+        for module in (cli, verify):
+            original = module.detsys_fp
+            monkeypatch.setattr(module, "detsys_fp", lambda *args, _f=original:
+                                built.append(args) or _f(*args))
+        result = runner.invoke(main, ["check", fx(fixtures_dir, system),
+                                      fx(fixtures_dir, candidate), "--fp"])
+        assert result.exit_code == 0
+        assert result.output == f"symmetry ({kind})\n"
+        assert len(built) == 1
 
     def test_parse_error_exit_two(self, runner, fixtures_dir, tmp_path):
         bad = tmp_path / "bad.sde"
@@ -189,6 +209,27 @@ class TestSimulateAndMc:
         assert result.exit_code == 2
         assert "unbound: s0" in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "mc-check"])
+    @pytest.mark.parametrize("option,value", [
+        ("--param", "s0=abc"), ("--param", "s0=nan"), ("--param", "s0=inf"),
+        ("--param", "zz=2"), ("--param", "x=1"), ("--param", "s0"),
+        ("--x0", "a"), ("--x0", "0,0"), ("--n-paths", "0")])
+    def test_bad_numeric_option_exit_two(self, runner, fixtures_dir, tmp_path,
+                                         command, option, value):
+        """Rejected before any simulation: exit 2 with one stderr line, and
+        no ensemble file. The bad value comes last, after a usable one."""
+        out = tmp_path / "ens.bin"
+        args = [command, fx(fixtures_dir, "heat.sde")]
+        if command == "mc-check":
+            args.append(fx(fixtures_dir, "heat_v2.cand"))
+        else:
+            args += ["--out", str(out)]
+        result = runner.invoke(main, args + [
+            "--x0", "0", "--param", "s0=1", "--n-paths", "10", option, value])
+        assert result.exit_code == 2
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_mc_check_time_component_exit_two(self, runner, fixtures_dir):
         result = runner.invoke(main, [

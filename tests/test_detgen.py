@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from stosym.kernel import Context, normalize, to_dsl
 from stosym.model import (DiscreteMap, ItoSystem, VectorField, WSymmetry,
-                          _Engine, transform_ito_first_order)
+                          _Engine, apply_discrete, transform_ito_first_order)
 from stosym.detgen import (_discrete_equations, _lambda_gamma_of,
                            detsys_discrete, detsys_ode, detsys_projectable,
                            detsys_spatial, detsys_w, gamma, lambda_)
@@ -103,6 +103,30 @@ class TestOde:
         vf = VectorField(context=ctx, tau=0, xi=(x**2,))
         ds = detsys_ode((x,), vf)
         assert any(normalize(e) != 0 for _, e in ds.equations)
+
+
+@pytest.mark.parametrize("name", ["heat.sde", "kramers.sde"])
+def test_engine_built_once_per_system(systems, monkeypatch, name):
+    """Every builder, lambda_, gamma and apply_discrete read one engine, in
+    the ring (heat) and on the expression path (kramers' sqrt)."""
+    built = []
+    init = _Engine.__init__
+    monkeypatch.setattr(_Engine, "__init__",
+                        lambda self, ito: built.append(ito) or init(self, ito))
+    loaded = systems[name]
+    ito = ItoSystem(loaded.context, f=loaded.f, sigma=loaded.sigma)
+    ctx, x = ito.context, ito.context.spatial
+    vf = VectorField(ctx, tau=ctx.t, xi=tuple(2 * v for v in x))
+    dmap = DiscreteMap(ctx, phi=tuple(-v for v in x),
+                       R=(-sp.eye(ito.m)).tolist())
+    detsys_projectable(ito, vf)
+    detsys_w(ito, WSymmetry(ctx, tau=vf.tau, xi=vf.xi))
+    detsys_discrete(ito, dmap)
+    lambda_(ito, vf)
+    gamma(ito, vf)
+    apply_discrete(ito, dmap, inverse=tuple(-v for v in x))
+    assert built == [ito]
+    assert (ito._engine.ring is None) == (name == "kramers.sde")
 
 
 def test_labels_cover_all_components(kramers):

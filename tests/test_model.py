@@ -8,6 +8,7 @@ from stosym.model import (DegeneracyError, DiscreteMap, FokkerPlanck,
                           ItoSystem, VectorField, WSymmetry, apply_discrete, diffusion_matrix,
                           fokker_planck_of, ito_to_stratonovich, lie_bracket,
                           same_fp, transform_ito_first_order)
+from stosym.kpz import KpzChain, kpz_ito
 
 
 @pytest.fixture
@@ -33,6 +34,33 @@ class TestItoSystem:
         u = sp.Symbol("u")
         with pytest.raises(ValueError):
             ItoSystem(context=ctx, f=(u,), sigma=((1,),))
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_chain_coefficients_equal_normalize(self, n):
+        """The constructor converts each entry into the context's ring
+        once and stores as_expr(): the same expression as `normalize`."""
+        chain = KpzChain(n)
+        x, a, b = chain.context.spatial, chain.alpha, chain.beta
+        raw = [a * (x[(i + 1) % n] - 2 * x[i] + x[i - 1])
+               + b * (x[(i + 1) % n] - x[i - 1]) ** 2 for i in range(n)]
+        ito = kpz_ito(chain)
+        assert ito._elements is not None
+        assert [sp.srepr(e) for e in ito.f] == [sp.srepr(normalize(e))
+                                                for e in raw]
+        assert ItoSystem(chain.context, f=raw, sigma=ito.sigma,
+                         name=ito.name) == ito
+
+    def test_fixture_coefficients_equal_normalize(self, systems):
+        """Each fixture entry, as parsed and factored, in and out of the
+        ring (langevin and kramers carry sqrt)."""
+        for ito in systems.values():
+            for entries in (ito.f, *ito.sigma):
+                for e in (*entries, *(sp.factor(e) for e in entries)):
+                    out = ItoSystem(ito.context, f=(e,) * ito.n,
+                                    sigma=((e,) * ito.m,) * ito.n)
+                    expected = sp.srepr(normalize(e))
+                    assert {sp.srepr(c) for c in (*out.f, *out.sigma[0])} \
+                        == {expected}
 
     def test_half_diffusion(self, kramers):
         k = kramers.context.symbol("k")
