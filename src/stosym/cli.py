@@ -26,7 +26,8 @@ from .model import DegeneracyError, DiscreteMap, VectorField, WSymmetry, \
 from .detgen import detsys_discrete, detsys_fp, detsys_projectable, detsys_w
 from .verify import OverallVerdict, _fp_classification, check, \
     check_normalization_preserving, extend_to_fp
-from .solve import Ansatz, OutsideAnsatzError, default_time_basis, solve_ansatz
+from .solve import Ansatz, NonlinearEntanglementError, default_time_basis, \
+    solve_ansatz
 from .dsl import candidate_to_dict, load_candidate, load_system
 from . import kpz as kpzmod
 
@@ -188,6 +189,7 @@ def check_cmd(system_file, candidate_file, classify_fp, as_json):
 
 
 @main.command("solve")
+@_exit_contract
 @click.argument("system_file", type=click.Path(exists=True))
 @click.option("--degree", default=1, show_default=True)
 @click.option("--time-basis", "basis_tokens", multiple=True,
@@ -221,7 +223,7 @@ def solve_cmd(system_file, degree, basis_tokens, with_b, as_json):
         _reject(f"solve: {e}")
     try:
         basis = solve_ansatz(ito, ansatz, which="w" if with_b else "projectable")
-    except OutsideAnsatzError as e:
+    except NonlinearEntanglementError as e:
         _reject(f"solve: {e}")
     data = {
         "schema": 1,

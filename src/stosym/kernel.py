@@ -1,5 +1,5 @@
 """Minimal expression kernel: parsing, normalization, differentiation and
-decidable-in-practice zero testing.
+a three-way zero test (zero, nonzero or inconclusive).
 
 Expressions are plain sympy objects restricted to a fixed fragment:
 rational constants, declared symbols, sums, products, integer/rational
@@ -8,11 +8,13 @@ All operations are pure; expressions are immutable and thread-safe.
 """
 from __future__ import annotations
 
+import cmath
 import enum
 import random
 from functools import cached_property
 
 import sympy as sp
+from sympy.core.evalf import PrecisionExhausted
 from sympy.core.function import AppliedUndef, UndefinedFunction
 from sympy.polys.domains import QQ
 from sympy.polys.rings import PolyElement, PolyRing
@@ -418,7 +420,6 @@ class Verdict(enum.Enum):
 
 
 _PROBE_POINTS = 8
-_PROBE_TOL = 1e-10
 
 
 def _sample_value(sym, rng):
@@ -431,31 +432,31 @@ def _sample_value(sym, rng):
 
 
 def _probe(e, rng):
-    """Randomized numeric evaluation at rational sample points.
-
-    Returns 'zero' if every sample is below tolerance, 'nonzero' if some
-    sample is clearly away from zero, 'mixed' otherwise.
+    """Evaluate e at up to _PROBE_POINTS seeded random rational points.
+    Returns 'nonzero' at the first sample that evalf(25, strict=True)
+    certifies as a finite nonzero number, which proves e is not identically
+    zero (Schwartz, JACM 1980); 'zero' if every evaluated sample was 0 or
+    could not be told from 0 (PrecisionExhausted); 'mixed' if none
+    evaluated, since samples giving nan, zoo or oo are skipped.
     """
     symbols = sorted(e.free_symbols, key=lambda s: s.name)
-    max_abs = 0.0
     evaluated = 0
     for _ in range(4 * _PROBE_POINTS):
         if evaluated >= _PROBE_POINTS:
             break
         point = {s: _sample_value(s, rng) for s in symbols}
         try:
-            val = complex(e.subs(point).evalf(25))
+            val = complex(e.subs(point).evalf(25, strict=True))
+        except PrecisionExhausted:
+            val = 0
         except (TypeError, ValueError):
             continue
-        if val != val:  # NaN
+        if not cmath.isfinite(val):
             continue
-        evaluated += 1
-        max_abs = max(max_abs, abs(val))
-        if abs(val) > 1e-6:
+        if val:
             return "nonzero"
-    if evaluated == 0:
-        return "mixed"
-    return "zero" if max_abs < _PROBE_TOL else "mixed"
+        evaluated += 1
+    return "zero" if evaluated else "mixed"
 
 
 def _opaque_atoms(e):
@@ -463,40 +464,43 @@ def _opaque_atoms(e):
 
 
 def zero_verdict(e) -> Verdict:
-    """Tri-state zero test. A polynomial over QQ is decided in its
-    canonical ring; parameters are only positive, nonzero or real, so a
+    """Tri-state zero test. Zero equivalence is undecidable in this
+    fragment (Richardson, J. Symb. Logic 1968), so the answer may be
+    INCONCLUSIVE; it is never a guess. A polynomial over QQ is decided in
+    its canonical ring: parameters are only positive, nonzero or real, so a
     nonzero polynomial never vanishes identically. Anything else is
-    normalized first; a randomized rational-point probe, with a fixed seed,
-    guards against simplifier gaps and downgrades any disagreement to
-    INCONCLUSIVE rather than guessing a boolean.
+    normalized; a literal 0 is ZERO, and opaque function symbols are split
+    off structurally before any sampling. The rest is probed once, with a
+    fixed seed: one certified nonzero sample gives NONZERO. Only when none
+    did does `simplify` run, and it confirms ZERO when every sample vanished
+    and sympy proves the simplified form zero.
     """
     e = sp.sympify(e)
     p = _ring_element(e)
     if p is not None:
         return Verdict.NONZERO if p else Verdict.ZERO
     n = normalize(e)
-    if n.is_zero is True:
+    if n == 0:
         return Verdict.ZERO
     atoms = _opaque_atoms(n)
     if atoms:
         return _structural_verdict(n, atoms)
-    if n.is_number:
-        return Verdict.NONZERO if n != 0 else Verdict.ZERO
-    # an expanded polynomial with plain-number coefficients (floats among
-    # them) is canonical; algebraic ones such as sqrt(3 + 2 sqrt(2)) - 1 -
-    # sqrt(2) may still vanish
-    if (n.free_symbols and not n.atoms(sp.Function)
-            and n.is_polynomial(*n.free_symbols)
-            and sp.Poly(n, *n.free_symbols).domain in (sp.ZZ, sp.QQ, sp.RR)):
+    probe = _probe(n, random.Random(0x5EED))
+    if probe == "nonzero":
         return Verdict.NONZERO
-    rng = random.Random(0x5EED)
-    s = sp.simplify(sp.powsimp(n))
-    if s.is_zero is True:
-        return Verdict.ZERO if _probe(n, rng) == "zero" else Verdict.INCONCLUSIVE
-    if _probe(s, rng) == "nonzero":
+    if probe == "zero" and sp.simplify(sp.powsimp(n)).is_zero:
+        return Verdict.ZERO
+    return Verdict.INCONCLUSIVE
+
+
+def _fold(verdicts) -> Verdict:
+    """ZERO when every verdict is ZERO, NONZERO when any is NONZERO,
+    INCONCLUSIVE otherwise."""
+    verdicts = set(verdicts)
+    if verdicts <= {Verdict.ZERO}:
+        return Verdict.ZERO
+    if Verdict.NONZERO in verdicts:
         return Verdict.NONZERO
-    # every sample vanished although the simplifier says nonzero, or the
-    # samples were mixed: do not guess
     return Verdict.INCONCLUSIVE
 
 
@@ -507,16 +511,10 @@ def _structural_verdict(n, atoms):
         poly = sp.Poly(n, *sorted(atoms, key=sp.default_sort_key))
     except (sp.PolynomialError, sp.polys.polyerrors.GeneratorsNeeded):
         return Verdict.INCONCLUSIVE
-    verdicts = set()
-    for coeff in poly.coeffs():
-        if _opaque_atoms(coeff):
-            return Verdict.INCONCLUSIVE
-        verdicts.add(zero_verdict(coeff))
-    if verdicts <= {Verdict.ZERO}:
-        return Verdict.ZERO
-    if Verdict.NONZERO in verdicts:
-        return Verdict.NONZERO
-    return Verdict.INCONCLUSIVE
+    coeffs = poly.coeffs()
+    if any(_opaque_atoms(c) for c in coeffs):
+        return Verdict.INCONCLUSIVE
+    return _fold(zero_verdict(c) for c in coeffs)
 
 
 def is_zero(e) -> bool:

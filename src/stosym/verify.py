@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from .kernel import Verdict, all_zero, is_zero, substitute, zero_verdict
+from .kernel import Verdict, _fold, all_zero, is_zero, substitute, \
+    zero_verdict
 from .model import (ItoSystem, VectorField, _d, _dot, _gradient, _nonzero,
                     _second_order, fokker_planck_of)
 from .detgen import DeterminingSystem, detsys_fp, gamma
@@ -63,11 +64,16 @@ class VerificationReport:
         return d
 
 
+_OVERALL = {Verdict.ZERO: OverallVerdict.SYMMETRY,
+            Verdict.NONZERO: OverallVerdict.NOT_SYMMETRY,
+            Verdict.INCONCLUSIVE: OverallVerdict.INCONCLUSIVE}
+
+
 def check(ds: DeterminingSystem, bindings=None) -> VerificationReport:
     """Substitute candidate bindings for the free unknowns of the system and
     classify every residual. Overall verdict is SYMMETRY iff every residual
-    is provably zero; any INCONCLUSIVE residual makes the overall verdict
-    INCONCLUSIVE, never a silent pass."""
+    is provably zero and NOT_SYMMETRY if one is provably nonzero; otherwise
+    an INCONCLUSIVE residual makes it INCONCLUSIVE, never a silent pass."""
     bindings = dict(bindings or {})
     if ds.free_unknowns:
         missing = [f.__name__ for f in ds.free_unknowns
@@ -76,19 +82,11 @@ def check(ds: DeterminingSystem, bindings=None) -> VerificationReport:
         if missing:
             raise ValueError(f"unbound unknowns: {', '.join(missing)}")
     per_equation = []
-    verdicts = set()
     for label, e in ds.equations:
         if bindings:
             e = substitute(e, _resolve_bindings(e, bindings))
-        v = zero_verdict(e)
-        verdicts.add(v)
-        per_equation.append((label, v, e))
-    if verdicts <= {Verdict.ZERO}:
-        overall = OverallVerdict.SYMMETRY
-    elif Verdict.NONZERO in verdicts:
-        overall = OverallVerdict.NOT_SYMMETRY
-    else:
-        overall = OverallVerdict.INCONCLUSIVE
+        per_equation.append((label, zero_verdict(e), e))
+    overall = _OVERALL[_fold(v for _, v, _ in per_equation)]
     return VerificationReport(system_name=ds.name,
                               per_equation=tuple(per_equation), overall=overall)
 

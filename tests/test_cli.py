@@ -343,6 +343,22 @@ class TestExitContract:
         assert result.stderr.startswith("inconclusive:")
         assert len(result.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("verdict, code, prefix", [
+        ("INCONCLUSIVE", 3, "inconclusive:"), ("NONZERO", 2, "solve:")])
+    def test_solve_reverification_exit_code(self, runner, fixtures_dir,
+                                            monkeypatch, verdict, code,
+                                            prefix):
+        """An undecided re-verification of a solver generator is
+        inconclusive (3); a failed one is rejected input (2)."""
+        answer = stosym.kernel.Verdict[verdict]
+        monkeypatch.setattr(stosym.verify, "zero_verdict", lambda e: answer)
+        result = runner.invoke(main, ["solve", fx(fixtures_dir, "heat.sde"),
+                                      "--json"])
+        assert result.exit_code == code
+        assert result.stdout == ""
+        assert result.stderr.startswith(prefix)
+        assert len(result.stderr.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("which", ["inversion:x", "inversion:"])
     def test_kpz_bad_inversion_site_exit_two(self, runner, which):
         result = runner.invoke(main, ["kpz", "--sites", "5", "--check", which])

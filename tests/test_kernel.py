@@ -212,7 +212,46 @@ class TestZeroTest:
         # coefficient is algebraic is not canonical, and this one is 0
         x = ctx.spatial[0]
         c = sp.sqrt(3 + 2 * sp.sqrt(2)) - 1 - sp.sqrt(2)
-        assert zero_verdict(c * x**2) is not Verdict.NONZERO
+        assert zero_verdict(c * x**2) is Verdict.ZERO
+
+    def test_exact_zero_constant_is_not_nonzero(self, ctx):
+        # cos(pi/7) - cos(2 pi/7) + cos(3 pi/7) = 1/2, which sympy cannot
+        # prove and strict evalf cannot tell from 0
+        x, t, k = ctx.spatial[0], ctx.t, ctx.symbol("k")
+        c = (sp.cos(sp.pi / 7) - sp.cos(2 * sp.pi / 7) + sp.cos(3 * sp.pi / 7)
+             - sp.Rational(1, 2))
+        assert zero_verdict(c) is not Verdict.NONZERO
+        assert zero_verdict(sp.expand(c * sp.exp(k**2 * t * x))) \
+            is not Verdict.NONZERO
+
+    def test_small_nonzero_value_is_nonzero(self, ctx):
+        assert zero_verdict(sp.exp(ctx.t) / 10**9) is Verdict.NONZERO
+
+    def test_float_residuals_are_nonzero(self, ctx):
+        x = ctx.spatial[0]
+        for e in (0.5 * x, 1e-20 * x,
+                  sp.Float(0.1) + sp.Float(0.2) - sp.Float(0.3)):
+            assert zero_verdict(e) is Verdict.NONZERO
+
+    @pytest.mark.parametrize("text", [
+        "-y*exp(k^2*t)", "t/2 - x^2/(2*s0^2)", "-cos(t)",
+        "-sqrt(2)*sqrt(s1) + sqrt(2)*s1/sqrt(s2)"])
+    def test_nonzero_without_simplify(self, text, monkeypatch):
+        """Manifest residuals off the polynomial ring: one certified sample
+        decides them, so `simplify` never runs."""
+        pctx = Context(spatial=("x", "y"),
+                       params=dict.fromkeys(("k", "s0", "s1", "s2"),
+                                            "positive"))
+        residual = parse_expr(text, pctx)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("simplify called")
+        monkeypatch.setattr(sp, "simplify", fail)
+        assert zero_verdict(residual) is Verdict.NONZERO
+
+    @pytest.mark.parametrize("value", [sp.zoo, sp.nan, sp.oo])
+    def test_non_finite_sample_is_no_evidence(self, value):
+        assert kernel._probe(value, kernel.random.Random(0)) != "nonzero"
 
     def test_polynomials_decided_in_the_ring(self, ctx, monkeypatch):
         x, y = ctx.spatial
@@ -221,6 +260,18 @@ class TestZeroTest:
         assert zero_verdict((x + k * y) ** 2 - x**2 - 2 * k * x * y
                             - k**2 * y**2) is Verdict.ZERO
         assert zero_verdict(x * y / 3 - k) is Verdict.NONZERO
+
+    def test_opaque_coefficients_decided_one_by_one(self):
+        """An expression with opaque functions is split into the
+        coefficients of its function and derivative markers before any
+        sampling, which could not evaluate g."""
+        octx = Context(spatial=("x",), opaque=("g",))
+        x = octx.spatial[0]
+        g = octx.opaque["g"](x)
+        c = sp.sqrt(3 + 2 * sp.sqrt(2)) - 1 - sp.sqrt(2)
+        assert zero_verdict(x * g) is Verdict.NONZERO
+        assert zero_verdict(x * g + sp.Derivative(g, x)) is Verdict.NONZERO
+        assert zero_verdict(g * c) is Verdict.ZERO
 
     def test_is_zero_raises_on_inconclusive(self):
         octx = Context(spatial=("x",), opaque=("g",))
