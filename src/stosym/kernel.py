@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import enum
 import random
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import sympy as sp
 from sympy.core.evalf import PrecisionExhausted
@@ -356,12 +356,19 @@ def _ring_element(e, ring=None):
     if ring is None:
         if not symbols:
             return None
-        ring = PolyRing(sorted(symbols, key=lambda s: s.name), QQ)
+        ring = _own_ring(tuple(sorted(symbols, key=lambda s: s.name)))
     elif e.is_Rational:
         return ring.ground_new(QQ(e.p, e.q))
     elif not symbols <= set(ring.symbols):
         return None
     return ring.from_expr(e)
+
+
+@lru_cache(maxsize=256)
+def _own_ring(generators):
+    """QQ[generators], built once per generator tuple: sympy may not reuse
+    an equal ring, and building one costs far more than a conversion."""
+    return PolyRing(generators, QQ)
 
 
 def _normalize_loop(e):
@@ -437,11 +444,12 @@ def _probe(e, rng):
     certifies as a finite nonzero number, which proves e is not identically
     zero (Schwartz, JACM 1980); 'zero' if every evaluated sample was 0 or
     could not be told from 0 (PrecisionExhausted); 'mixed' if none
-    evaluated, since samples giving nan, zoo or oo are skipped.
+    evaluated, since samples giving nan, zoo or oo are skipped. Without
+    free symbols every sample is the same, so e is evaluated once.
     """
     symbols = sorted(e.free_symbols, key=lambda s: s.name)
     evaluated = 0
-    for _ in range(4 * _PROBE_POINTS):
+    for _ in range(4 * _PROBE_POINTS if symbols else 1):
         if evaluated >= _PROBE_POINTS:
             break
         point = {s: _sample_value(s, rng) for s in symbols}
@@ -469,7 +477,7 @@ def zero_verdict(e) -> Verdict:
     INCONCLUSIVE; it is never a guess. A polynomial over QQ is decided in
     its canonical ring: parameters are only positive, nonzero or real, so a
     nonzero polynomial never vanishes identically. Anything else is
-    normalized; a literal 0 is ZERO, and opaque function symbols are split
+    normalized; 0 or 0.0 is ZERO, and opaque function symbols are split
     off structurally before any sampling. The rest is probed once, with a
     fixed seed: one certified nonzero sample gives NONZERO. Only when none
     did does `simplify` run, and it confirms ZERO when every sample vanished
@@ -480,7 +488,7 @@ def zero_verdict(e) -> Verdict:
     if p is not None:
         return Verdict.NONZERO if p else Verdict.ZERO
     n = normalize(e)
-    if n == 0:
+    if n.is_Number and n.is_zero:
         return Verdict.ZERO
     atoms = _opaque_atoms(n)
     if atoms:

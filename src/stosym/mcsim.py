@@ -3,25 +3,28 @@ comparison of ensembles (Kolmogorov-Smirnov plus first two moments).
 
 Noise comes from numpy's Philox counter-based generator keyed by the seed;
 the increment stream has a fixed (step, path, channel) layout, so results
-are reproducible regardless of how the path loop might later be scheduled.
+are reproducible regardless of how the path loop is scheduled.
 
-Once the parameters are bound, `euler_maruyama` forms the increments
-sigma dW by one of two rules:
+`euler_maruyama` keeps the state coordinate-major, one contiguous row of
+n_paths values per coordinate. Once the parameters are bound, the drift
+and the structurally nonzero sigma entries are one lambdified field of
+those rows, with common subexpressions eliminated across all of them;
+constant entries enter as floats. The increments sigma dW are one sparse
+contraction over the nonzero entries, whatever the noise class.
 
-- constant diagonal sigma (square, no state or time in it, zero off the
-  diagonal, as for additive noise and the growth chain): one elementwise
-  product with the diagonal, built once;
-- any other sigma: every entry evaluated per path and contracted with dW
-  path by path.
-
-The drift is one lambdified vector with common subexpressions eliminated.
-The rule only decides how sigma is evaluated: the draw layout, and so the
-noise of every seed, is the same for both.
+The normals are drawn in blocks of whole steps, about 1 MB each. A C-order
+(steps, paths, channels) block holds exactly the sequence that one draw
+per step gives, so every seed keeps its stream. One worker thread draws
+the next block, outside the GIL, while the current one is integrated; a
+block the worker has not started when it is needed is drawn in line
+instead, and no thread outlives the call.
 """
 from __future__ import annotations
 
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,33 +96,65 @@ def _bind(exprs, ctx, params):
     return bound
 
 
-def _lambdify_field(exprs, ctx):
-    """One vectorized evaluator (X[n_paths, n], t) -> (n_paths, k) for k
-    bound expressions, with common subexpressions computed once."""
-    fn = sp.lambdify((*ctx.spatial, ctx.t), exprs, modules="numpy",
-                     cse=True)
+def _row_field(exprs, ctx):
+    """An evaluator (X[n, n_paths], t) -> list of the k bound expressions
+    on the coordinate rows of X: a float for a constant entry, else an
+    array or a scalar, which may be a row of X itself and must not be
+    written to. The non-constant entries are one lambdified function with
+    common subexpressions computed once."""
+    consts = [None if e.free_symbols else float(e) for e in exprs]
+    varying = [j for j, c in enumerate(consts) if c is None]
+    fn = sp.lambdify((*ctx.spatial, ctx.t), [exprs[j] for j in varying],
+                     modules="numpy", cse=True)
 
-    def evaluate(X, tval):
-        out = np.empty((X.shape[0], len(exprs)))
-        for i, col in enumerate(fn(*X.T, tval)):
-            out[:, i] = col
+    def evaluate(X, t):
+        out = list(consts)
+        for j, val in zip(varying, fn(*X, t)):
+            out[j] = val
         return out
     return evaluate
 
 
-def _noise_increment(sigma, ctx, n, m, n_paths):
-    """(X, t, dW) -> the per-path increments sigma(X, t) dW, for the bound
-    row-major n x m noise matrix (see the module doc for the two rules)."""
-    if n == m and not any(e.free_symbols for e in sigma):
-        S = np.array([float(e) for e in sigma]).reshape(n, n)
-        if not np.any(S - np.diag(np.diag(S))):
-            # one row per path: a flat product beats broadcasting over a
-            # short last axis
-            D = np.tile(np.diag(S), (n_paths, 1))
-            return lambda X, t, dW: dW * D
-    entries = _lambdify_field(sigma, ctx)
-    return lambda X, t, dW: np.einsum(
-        "pik,pk->pi", entries(X, t).reshape(-1, n, m), dW)
+# Bytes of normals per drawn block: large enough that drawing the next block
+# overlaps several steps, small enough to add little to peak memory.
+_BLOCK_BYTES = 1 << 20
+
+
+def _increments(seed, n_steps, n_paths, m, dt):
+    """Yield the Wiener increments sqrt(dt) z of each step as an
+    (m, n_paths) array, from the seed's Philox stream in its per-step
+    (path, channel) order. Blocks of whole steps are drawn one ahead on a
+    worker thread; closing the generator joins it. The yielded array is
+    overwritten by the next step."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    k = max(1, _BLOCK_BYTES // (8 * n_paths * max(m, 1)))
+    n_blocks = -(-n_steps // k)
+    blocks = (np.empty((k, n_paths, m)), np.empty((k, n_paths, m)))
+    dW = np.empty((m, n_paths))
+    sqrt_dt = np.sqrt(dt)
+
+    def draw(b):
+        block = blocks[b % 2][:min(k, n_steps - b * k)]
+        rng.standard_normal(out=block)
+        return block
+
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        pending = None
+        for b in range(n_blocks):
+            # a block the worker has not started is drawn here, so a worker
+            # that gets no core never stalls the loop
+            if pending is None or pending.cancel():
+                block = draw(b)
+            else:
+                block = pending.result()
+            if b + 1 < n_blocks:
+                pending = pool.submit(draw, b + 1)
+            for z in block:
+                np.multiply(z.T, sqrt_dt, out=dW)
+                yield dW
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def euler_maruyama(ito: ItoSystem, x0, t0, t1, dt, n_paths, seed,
@@ -137,32 +172,50 @@ def euler_maruyama(ito: ItoSystem, x0, t0, t1, dt, n_paths, seed,
     if store_every is None:
         store_every = max(1, n_steps // 10)
     ctx = ito.context
-    drift = _lambdify_field(_bind(ito.f, ctx, params), ctx)
-    noise = _noise_increment(
-        _bind([e for row in ito.sigma for e in row], ctx, params), ctx, n, m,
-        n_paths)
+    sigma = _bind([e for row in ito.sigma for e in row], ctx, params)
+    nonzero = [(i, k) for i in range(n) for k in range(m)
+               if not sigma[i * m + k].is_zero]
+    field = _row_field([*_bind(ito.f, ctx, params),
+                        *(sigma[i * m + k] for i, k in nonzero)], ctx)
+    # row i of the increment: sum over its entries (slot in field, channel)
+    terms = [[] for _ in range(n)]
+    for slot, (i, k) in enumerate(nonzero, start=n):
+        terms[i].append((slot, k))
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    X = np.tile(np.asarray(x0, dtype=float).reshape(1, n), (n_paths, 1))
+    X = np.empty((n, n_paths))
+    X[:] = np.asarray(x0, dtype=float).reshape(n, 1)
+    Y = np.empty_like(X)
+    noise, product = np.empty(n_paths), np.empty(n_paths)
+    paths = np.empty((n_paths, 1 + -(-n_steps // store_every), n))
+    paths[:, 0, :] = X.T
     times = [t0]
-    stored = [X.copy()]
-    sqrt_dt = np.sqrt(dt)
     t = t0
-    for step in range(1, n_steps + 1):
-        dW = rng.standard_normal((n_paths, m)) * sqrt_dt
-        # a path that overflows is reported below as a BlowupError
-        with np.errstate(over="ignore", invalid="ignore"):
-            X = X + drift(X, t) * dt + noise(X, t, dW)
-        t = t0 + step * dt
-        bad = ~np.isfinite(X)
-        if bad.any():
-            p, _ = np.argwhere(bad)[0]
-            raise BlowupError(int(p), step, t)
-        if step % store_every == 0 or step == n_steps:
-            times.append(t)
-            stored.append(X.copy())
-    return Ensemble(times=np.asarray(times),
-                    paths=np.stack(stored, axis=1),
+    dWs = _increments(seed, n_steps, n_paths, m, dt)
+    # a path that overflows is reported below as a BlowupError
+    with closing(dWs), np.errstate(over="ignore", invalid="ignore"):
+        for step, dW in enumerate(dWs, start=1):
+            vals = field(X, t)
+            for i, row in enumerate(terms):
+                y = Y[i]
+                np.multiply(vals[i], dt, out=y)
+                np.add(X[i], y, out=y)
+                if row:
+                    (slot, k), *rest = row
+                    np.multiply(vals[slot], dW[k], out=noise)
+                    for slot, k in rest:
+                        np.multiply(vals[slot], dW[k], out=product)
+                        np.add(noise, product, out=noise)
+                    np.add(y, noise, out=y)
+            X, Y = Y, X
+            t = t0 + step * dt
+            if not np.isfinite(X.sum()):
+                bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
+                if bad.size:
+                    raise BlowupError(int(bad[0]), step, t)
+            if step % store_every == 0 or step == n_steps:
+                paths[:, len(times), :] = X.T
+                times.append(t)
+    return Ensemble(times=np.asarray(times), paths=paths,
                     seed=seed, dt=dt, n_paths=n_paths)
 
 
@@ -249,12 +302,12 @@ def compare_ensembles(a: Ensemble, b: Ensemble, significance=0.01,
 
 
 def _push_paths(ens: Ensemble, exprs, ctx, params, epsilon=None):
-    fn = _lambdify_field(_bind(exprs, ctx, params), ctx)
+    field = _row_field(_bind(exprs, ctx, params), ctx)
     out = np.empty_like(ens.paths)
     for ti, t in enumerate(ens.times):
         X = ens.paths[:, ti, :]
-        val = fn(X, float(t))
-        out[:, ti, :] = X + epsilon * val if epsilon is not None else val
+        for i, val in enumerate(field(np.ascontiguousarray(X.T), float(t))):
+            out[:, ti, i] = val if epsilon is None else X[:, i] + epsilon * val
     return Ensemble(times=ens.times, paths=out, seed=ens.seed,
                     dt=ens.dt, n_paths=ens.n_paths)
 

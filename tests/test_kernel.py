@@ -1,6 +1,7 @@
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
+from sympy.core.evalf import EvalfMixin
 
 import stosym.kernel as kernel
 from stosym.kernel import (Context, InconclusiveError, ParseError,
@@ -223,6 +224,30 @@ class TestZeroTest:
         assert zero_verdict(c) is not Verdict.NONZERO
         assert zero_verdict(sp.expand(c * sp.exp(k**2 * t * x))) \
             is not Verdict.NONZERO
+
+    def test_zero_float_is_zero_without_sampling(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled or simplified")
+        monkeypatch.setattr(sp, "simplify", fail)
+        monkeypatch.setattr(kernel, "_probe", fail)
+        assert zero_verdict(sp.Float(0.0)) is Verdict.ZERO
+        assert zero_verdict(0.0) is Verdict.ZERO
+
+    def test_constant_is_evaluated_once(self, monkeypatch):
+        """Every sample of an input without free symbols is the same
+        point, so the probe evaluates it once."""
+        c = (sp.cos(sp.pi / 7) - sp.cos(2 * sp.pi / 7) + sp.cos(3 * sp.pi / 7)
+             - sp.Rational(1, 2))
+        calls = []
+        evalf = EvalfMixin.evalf
+
+        def counting(self, *args, **kwargs):
+            if self == c:
+                calls.append(self)
+            return evalf(self, *args, **kwargs)
+        monkeypatch.setattr(EvalfMixin, "evalf", counting)
+        assert kernel._probe(c, kernel.random.Random(0)) == "zero"
+        assert len(calls) == 1
 
     def test_small_nonzero_value_is_nonzero(self, ctx):
         assert zero_verdict(sp.exp(ctx.t) / 10**9) is Verdict.NONZERO

@@ -1,13 +1,20 @@
+import json
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sp
 
+from stosym import mcsim
 from stosym.dsl import load_system
 from stosym.kernel import Context
 from stosym.kpz import KpzChain, kpz_ito
 from stosym.model import DiscreteMap, ItoSystem, VectorField
 from stosym.mcsim import (BlowupError, compare_ensembles, euler_maruyama,
                           export_binary, load_binary, validate_symmetry_mc)
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "em_golden.json"
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +54,62 @@ class TestEulerMaruyama:
         with pytest.raises(BlowupError) as err:
             euler_maruyama(ito, [50.0], 0.0, 1.0, 1e-2, 4, seed=0)
         assert err.value.step > 0
+
+    def test_stream_across_blocks(self, wiener):
+        """The increments drawn block by block are the seed's stream in its
+        per-step (step, path, channel) order, bit for bit."""
+        steps, n_paths, dt, seed = 50, 20_000, 1e-2, 17
+        assert steps * n_paths * 8 > 4 * mcsim._BLOCK_BYTES
+        before = threading.active_count()
+        ens = euler_maruyama(wiener, [0.0], 0.0, steps * dt, dt, n_paths,
+                             seed, store_every=steps)
+        assert threading.active_count() == before
+        z = np.random.Generator(np.random.Philox(key=seed)).standard_normal(
+            (steps, n_paths, 1))
+        assert np.array_equal(ens.paths[:, -1, :],
+                              np.cumsum(z * np.sqrt(dt), axis=0)[-1])
+
+    def test_blowup_matches_plain_loop(self):
+        """A noisy x^3 drift: the error names the first path and step that
+        a plain per-step loop over the same stream finds, and the draw
+        thread is gone after the raise."""
+        ctx = Context(spatial=("x",), noises=("w",))
+        x = ctx.spatial[0]
+        ito = ItoSystem(context=ctx, f=(x**3,), sigma=((sp.Rational(1, 2),),))
+        x0, dt, n_paths, seed = 0.5, 1e-2, 20_000, 3
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        X = np.full(n_paths, x0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(1, 1001):
+                dW = rng.standard_normal((n_paths, 1))[:, 0] * np.sqrt(dt)
+                X = X + X**3 * dt + 0.5 * dW
+                bad = np.flatnonzero(~np.isfinite(X))
+                if bad.size:
+                    break
+        expected = (int(bad[0]), step)
+        # the blow-up lies several blocks in, so the worker was drawing
+        assert step * n_paths * 8 > 4 * mcsim._BLOCK_BYTES
+        before = threading.active_count()
+        with pytest.raises(BlowupError) as err:
+            euler_maruyama(ito, [x0], 0.0, 10.0, dt, n_paths, seed)
+        assert (err.value.path, err.value.step) == expected
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("name,make", [
+        ("langevin2", lambda fx: load_system(fx / "langevin2.sde")),
+        ("chain8", lambda fx: kpz_ito(KpzChain(8))),
+    ])
+    def test_constant_noise_paths_unchanged(self, fixtures_dir, name, make):
+        """Constant-noise systems keep their paths bit for bit: every
+        stored time of a sample of paths, over several draw blocks, as the
+        earlier path-major stepper computed them."""
+        case = json.loads(GOLDEN.read_text())[name]
+        steps, dt = case["steps"], case["dt"]
+        ens = euler_maruyama(make(fixtures_dir), case["x0"], 0.0, steps * dt,
+                             dt, case["n_paths"], case["seed"],
+                             params=case["params"])
+        assert np.array_equal(ens.paths[::case["stride"]],
+                              np.array(case["paths"]))
 
     def test_snapshot_schedule(self, wiener):
         ens = euler_maruyama(wiener, [0.0], 0.0, 1.0, 1e-2, 10, seed=0,

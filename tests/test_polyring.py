@@ -89,3 +89,11 @@ def test_from_expr_of_a_vanishing_polynomial_is_zero():
     # kernel.zero_verdict reads ZERO from this without normalizing first
     assert RING.from_expr((X + A * Y) ** 2 - X**2 - 2 * A * X * Y
                           - A**2 * Y**2) == 0
+
+
+def test_own_rings_are_shared():
+    """Conversions over the same symbols, without a given ring, land in
+    one ring rather than building a new one each time."""
+    p, q = _ring_element(X * Y + A), _ring_element(A - X**2 * Y / 3)
+    assert p.ring is q.ring
+    assert _ring_element(X + Y).ring is not p.ring
