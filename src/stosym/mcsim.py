@@ -172,20 +172,22 @@ def euler_maruyama(ito: ItoSystem, x0, t0, t1, dt, n_paths, seed,
     if store_every is None:
         store_every = max(1, n_steps // 10)
     ctx = ito.context
+    exprs = _bind(ito.f, ctx, params)
     sigma = _bind([e for row in ito.sigma for e in row], ctx, params)
-    nonzero = [(i, k) for i in range(n) for k in range(m)
-               if not sigma[i * m + k].is_zero]
-    field = _row_field([*_bind(ito.f, ctx, params),
-                        *(sigma[i * m + k] for i, k in nonzero)], ctx)
-    # row i of the increment: sum over its entries (slot in field, channel)
+    # row i of the increment: a sum over its nonzero sigma entries, each
+    # given as (its slot in the field, its channel)
     terms = [[] for _ in range(n)]
-    for slot, (i, k) in enumerate(nonzero, start=n):
-        terms[i].append((slot, k))
+    for i in range(n):
+        for k in range(m):
+            if not sigma[i * m + k].is_zero:
+                terms[i].append((len(exprs), k))
+                exprs.append(sigma[i * m + k])
+    field = _row_field(exprs, ctx)
 
     X = np.empty((n, n_paths))
     X[:] = np.asarray(x0, dtype=float).reshape(n, 1)
     Y = np.empty_like(X)
-    noise, product = np.empty(n_paths), np.empty(n_paths)
+    noise = np.empty(n_paths)
     paths = np.empty((n_paths, 1 + -(-n_steps // store_every), n))
     paths[:, 0, :] = X.T
     times = [t0]
@@ -199,12 +201,8 @@ def euler_maruyama(ito: ItoSystem, x0, t0, t1, dt, n_paths, seed,
                 y = Y[i]
                 np.multiply(vals[i], dt, out=y)
                 np.add(X[i], y, out=y)
-                if row:
-                    (slot, k), *rest = row
+                for slot, k in row:
                     np.multiply(vals[slot], dW[k], out=noise)
-                    for slot, k in rest:
-                        np.multiply(vals[slot], dW[k], out=product)
-                        np.add(noise, product, out=noise)
                     np.add(y, noise, out=y)
             X, Y = Y, X
             t = t0 + step * dt
