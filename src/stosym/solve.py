@@ -1,16 +1,19 @@
 """Symmetry search by bounded ansatz: xi polynomial in x with coefficients
 over a finite time-function basis closed under d/dt, tau over the same
 basis. Coefficient matching turns the determining systems into an exact
-homogeneous linear problem solved by nullspace computation over the
-rationals (parameters kept symbolic where linear). The determining
-operator is linear in the candidate, so the coefficient matrix is built
-column by column, one ansatz basis element at a time."""
+homogeneous linear problem, eliminated by one sparse row reduction over
+the fraction field of the parameters, or over EX for radical
+coefficients. The determining operator is linear in the candidate, so the
+coefficient matrix is built column by column, one ansatz basis element at
+a time."""
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import PolyElement
 
 from .kernel import InconclusiveError, Verdict
 from .model import ItoSystem, VectorField, WSymmetry, lie_bracket
@@ -61,67 +64,88 @@ def _replace_exps(e, reps):
 
 
 def _coefficient_matrix(columns, variables, error):
-    """Matrix whose column j holds the coordinates of `columns[j]`, a
-    sequence of expressions, with one row per (entry, monomial) over
-    `variables` and the exponential atoms. All columns share one exp-atom
-    table. Raises `error` for an entry outside that span."""
+    """Sparse DomainMatrix over a field whose column j holds the coordinates
+    of `columns[j]`, a sequence of expressions or ring elements, with one
+    row per (entry, monomial) over `variables` and the exponential atoms.
+    All columns share one exp-atom table and one coefficient domain: the
+    parameters' polynomial ring (eliminated over its fraction field), or EX
+    for radical coefficients. Raises `error` for an entry outside that
+    span."""
     reps = {}
-    columns = [[sp.expand(e) for e in col] for col in columns]
-    prepared = [[_replace_exps(e, reps) for e in col] for col in columns]
-    gens = list(variables) + list(reps.values())
-    rows = {}
-    for j, col in enumerate(prepared):
-        for r, e in enumerate(col):
+    keys = [(j, r) for j, col in enumerate(columns) for r in range(len(col))]
+    # a ring element is already expanded and holds no exponential
+    entries = [e.as_expr() if isinstance(e, PolyElement)
+               else _replace_exps(sp.expand(e), reps)
+               for col in columns for e in col]
+    gens = (*variables, *reps.values())
+    try:
+        polys, opt = sp.parallel_poly_from_expr(entries, *gens)
+    except sp.PolynomialError as exc:
+        # name the first offending entry, on this error path only
+        exps = {v: sp.exp(k) for k, v in reps.items()}
+        for e in entries:
             try:
-                terms = sp.Poly(e, *gens).terms()
-            except sp.PolynomialError as exc:
-                raise error(f"{columns[j][r]} is not polynomial over the "
+                sp.Poly(e, *gens)
+            except sp.PolynomialError:
+                raise error(f"{e.xreplace(exps)} is not polynomial over the "
                             f"ansatz monomials (x, t and exponentials)") from exc
-            for monom, c in terms:
-                if c != 0:
-                    rows.setdefault((r, monom), {})[j] = c
-    A = sp.zeros(len(rows), len(columns))
-    for i, key in enumerate(sorted(rows)):
-        for j, c in rows[key].items():
-            A[i, j] = c
-    return A
+        raise
+    rows = {}
+    for (j, r), p in zip(keys, polys):
+        for monom, c in p.as_dict(native=True).items():
+            rows.setdefault((r, monom), {})[j] = c
+    index = {key: i for i, key in enumerate(sorted(rows))}
+    return DomainMatrix({index[key]: row for key, row in rows.items()},
+                        (len(rows), len(columns)), opt.domain).to_field()
+
+
+def _rref_rows(M):
+    """Pivot columns and rows {column: element} of the RREF of M, in pivot
+    order."""
+    R, pivots = M.rref()
+    return pivots, [R.rep[i] for i in sorted(R.rep)]
 
 
 def _coordinates(columns, target, variables, error):
     """Coefficients expressing `target` in the span of `columns` (sequences
-    of expressions of equal length), or None when it lies outside."""
+    of expressions of equal length), or None when it lies outside. Free
+    coordinates are pinned to zero."""
     M = _coefficient_matrix([*columns, target], variables, error)
-    cs = sp.symbols(f"c0:{len(columns)}", cls=sp.Dummy)
-    sol = sp.linsolve((M[:, :-1], M[:, -1]), *cs)
-    if not sol:
+    k = len(columns)
+    pivots, rows = _rref_rows(M)
+    if k in pivots:
         return None
-    # free parameters in underdetermined solutions are pinned to zero
-    pinned = {c: sp.Integer(0) for c in cs}
-    return tuple(v.xreplace(pinned) for v in next(iter(sol)))
+    coords = [sp.Integer(0)] * k
+    for p, row in zip(pivots, rows):
+        coords[p] = M.domain.to_sympy(row.get(k, M.domain.zero))
+    return tuple(coords)
 
 
 @dataclass(frozen=True)
 class Ansatz:
     """Search space: xi of max total degree `degree` in x, with tau and all
     polynomial coefficients drawn from `time_basis` (validated to be closed
-    under d/dt at construction)."""
+    under d/dt at construction; linearly dependent elements are dropped,
+    the first occurrence kept)."""
     degree: int
     time_basis: tuple
     t: sp.Symbol
     include_B: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "time_basis",
-                           tuple(sp.sympify(b) for b in self.time_basis))
+        basis = tuple(sp.sympify(b) for b in self.time_basis)
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        # closed iff rank([B | dB/dt]) == rank(B)
-        columns = [(b,) for b in self.time_basis]
-        columns += [(sp.diff(b, self.t),) for b in self.time_basis]
+        # closed iff every pivot of [B | dB/dt] lies in B; B's pivot
+        # columns are a basis of its span
+        columns = [(b,) for b in basis]
+        columns += [(sp.diff(b, self.t),) for b in basis]
         M = _coefficient_matrix(columns, (self.t,), NonClosedBasisError)
-        if M.rank() != M[:, :len(self.time_basis)].rank():
+        pivots, _ = _rref_rows(M)
+        if any(p >= len(basis) for p in pivots):
             raise NonClosedBasisError(
-                f"d/dt of the time basis {self.time_basis} leaves its span")
+                f"d/dt of the time basis {basis} leaves its span")
+        object.__setattr__(self, "time_basis", tuple(basis[p] for p in pivots))
 
 
 @dataclass(frozen=True)
@@ -194,20 +218,21 @@ def solve_ansatz(ito: ItoSystem, ansatz: Ansatz, which: str = "projectable") -> 
     columns = []
     for tau, xi, B in elements:
         lam, gam = _lambda_gamma(ito, tau, xi, B)
-        # a ring element and a raw expression both leave through as_expr()
-        columns.append([e.as_expr() for e in lam]
-                       + [e.as_expr() for row in gam for e in row])
+        columns.append([*lam, *(e for row in gam for e in row)])
 
-    null = _coefficient_matrix(columns, (*x, t), OutsideAnsatzError).nullspace()
-    if not null:
-        return SymmetryBasis(generators=())
-    stacked = sp.Matrix([list(v.T) for v in null])
-    reduced, _ = stacked.rref()
+    M = _coefficient_matrix(columns, (*x, t), OutsideAnsatzError)
+    K = M.domain
+    # null basis off the free columns, then its unique RREF
+    pivots, rows = _rref_rows(M)
+    free = sorted(set(range(len(elements))) - set(pivots))
+    null = {}
+    for i, f in enumerate(free):
+        null[i] = {p: -row[f] for p, row in zip(pivots, rows) if f in row}
+        null[i][f] = K.one
+    _, reduced = _rref_rows(DomainMatrix(null, (len(free), len(elements)), K))
     generators = []
-    for r in range(reduced.rows):
-        picked = [(c, el) for c, el in zip(reduced.row(r), elements) if c != 0]
-        if not picked:
-            continue
+    for row in reduced:
+        picked = [(K.to_sympy(row[j]), elements[j]) for j in sorted(row)]
         # the constructors normalize every entry
         g_tau = sum(c * tau for c, (tau, _, _) in picked)
         g_xi = tuple(sum(c * xi[i] for c, (_, xi, _) in picked) for i in range(n))

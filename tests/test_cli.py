@@ -159,6 +159,19 @@ class TestSolve:
         data = json.loads(result.output)
         assert data["dimension"] == 3
 
+    @pytest.mark.parametrize("tokens", [["exp:0"], ["exp:1", "exp:-1"]],
+                             ids=["exp0", "exp1-exp-1"])
+    def test_dependent_time_basis(self, runner, fixtures_dir, tokens):
+        """A repeated time-basis element adds no generator."""
+        heat = fx(fixtures_dir, "heat.sde")
+        default = runner.invoke(main, ["solve", heat, "--json"])
+        args = [a for tok in tokens for a in ("--time-basis", tok)]
+        result = runner.invoke(main, ["solve", heat, "--json", *args])
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        assert data["dimension"] == 3
+        assert data["generators"] == json.loads(default.output)["generators"]
+
     def test_bad_basis_token(self, runner, fixtures_dir):
         result = runner.invoke(main, ["solve", fx(fixtures_dir, "heat.sde"),
                                       "--time-basis", "cheb:3"])

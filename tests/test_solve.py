@@ -29,6 +29,17 @@ class TestAnsatz:
         t = systems["heat.sde"].context.t
         Ansatz(degree=1, time_basis=default_time_basis(t, (2,)), t=t)
 
+    @pytest.mark.parametrize("rates,kept", [
+        ((0,), "1, t, t**2"),
+        ((1, -1), "1, t, t**2, exp(t), exp(-t), t*exp(t), t*exp(-t)")],
+        ids=["exp0", "exp1-exp-1"])
+    def test_dependent_elements_dropped(self, systems, rates, kept):
+        """A repeated or vanishing element leaves the basis; the first
+        occurrence stays."""
+        t = systems["heat.sde"].context.t
+        ansatz = Ansatz(degree=1, time_basis=default_time_basis(t, rates), t=t)
+        assert ansatz.time_basis == sp.sympify(f"({kept},)", locals={"t": t})
+
 
 class TestHeat:
     def test_dimension_three(self, systems):
@@ -60,6 +71,29 @@ class TestHeat:
         heat = systems["heat.sde"]
         report = commutator_closure(solve_ansatz(heat, _poly_ansatz(heat, 1)))
         assert report.closed
+        assert report.table == {(0, 1): (1, 0, 0), (0, 2): (0, 0, 0),
+                                (1, 2): (0, 0, -2)}
+
+    @pytest.mark.parametrize("rates", [(0,), (1, -1)],
+                             ids=["exp0", "exp1-exp-1"])
+    def test_dependent_time_basis(self, systems, rates):
+        """A linearly dependent time basis spans the same generators as the
+        default one, each once."""
+        heat = systems["heat.sde"]
+        basis = solve_ansatz(heat, _poly_ansatz(heat, 1, rates))
+        assert basis.dimension == 3
+        assert _dsl(basis) == _dsl(solve_ansatz(heat, _poly_ansatz(heat, 1)))
+
+    def test_repeated_generator_pins_free_coordinates(self, systems):
+        """In a basis with a repeated generator the target's coordinates are
+        not unique; the free ones are 0."""
+        ctx = systems["heat.sde"].context
+        s0 = ctx.params["s0"]
+        dt = VectorField(context=ctx, tau=1)
+        dx = VectorField(context=ctx, tau=0, xi=(s0,))
+        basis = SymmetryBasis(generators=(dt, dx, dt))
+        target = VectorField(context=ctx, tau=2, xi=(sp.Integer(1),))
+        assert membership_coordinates(basis, target) == (2, 1 / s0, 0)
 
     def test_soundness(self, systems):
         heat = systems["heat.sde"]
@@ -102,6 +136,16 @@ class TestLangevin:
                                            include_B=True), which="w")
         assert proj.dimension == 4
         assert w.dimension == proj.dimension + 1
+
+    def test_projectable_closure(self, systems):
+        lan = systems["langevin2.sde"]
+        basis = solve_ansatz(lan, _poly_ansatz(lan, 1, rates=(1, 2)))
+        table = {(0, 3): (1, 0, 0, 0), (1, 3): (0, 2, 0, 0),
+                 (2, 3): (0, 0, 1, 0)}
+        zero = (0, 0, 0, 0)
+        assert commutator_closure(basis).table == {
+            (i, j): table.get((i, j), zero)
+            for i in range(4) for j in range(i + 1, 4)}
 
 
 def _dsl(basis):
@@ -159,7 +203,8 @@ class TestRegressionPins:
 
     def test_time_dependence_outside_ansatz(self, systems):
         rot = systems["rotating.sde"]
-        with pytest.raises(NonlinearEntanglementError, match="not polynomial"):
+        with pytest.raises(NonlinearEntanglementError,
+                           match=r"cos\(t\) is not polynomial"):
             solve_ansatz(rot, _poly_ansatz(rot, 1))
 
 
