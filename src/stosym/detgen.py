@@ -5,20 +5,21 @@ Every family is expressed through S = (1/2) sigma sigma^T so that the
 reductions hold exactly: the W system with B = 0 equals the projectable
 system, which at tau = 0 equals the spatial system, equation by equation.
 
-The Lambda/Gamma and discrete families are computed in one of two
-coefficient types, chosen from the input alone. When f, sigma and every
-candidate entry (tau, xi and B, or phi and R) are float-free polynomials
-over QQ in the context's symbols, they run in the sparse polynomial ring
-QQ[params, x, t]. There +, *, d/dv and == 0 act on the canonical
-dictionary of monomials, so ring arithmetic is exact and a residual that
-is zero in the ring is identically zero; each residual leaves the ring
-once, through as_expr(), which is already its `normalize`d form. Anything
-else (a Float, sqrt, exp/sin/cos, a denominator, an opaque unknown) takes
-the general path on sympy expressions, normalized once at the output.
-The formulas are written once, over both types (`model._Exprs`,
-`model._Ring`). The system side is converted once per system: each
-`ItoSystem` builds its engine (`model._Engine`) on first use, and every
-builder here, `model.apply_discrete` and the ansatz solver read it.
+Every family is computed in one of two coefficient types, chosen from
+the input alone. When the system's coefficients (f and sigma, or the
+Fokker-Planck A, B and C) and every candidate entry are float-free
+polynomials over QQ in the context's symbols, they run in the sparse
+polynomial ring QQ[params, x, t]. There +, *, d/dv and == 0 are exact
+and canonical, so a residual that is zero in the ring is identically
+zero; each residual leaves the ring once, through as_expr(), already in
+`normalize`d form. Anything else (a Float, sqrt, exp/sin/cos, a
+denominator, an opaque unknown) takes the same formulas on sympy
+expressions (`model._Exprs`, `model._Ring`), normalized once at the
+output. Each `ItoSystem` converts once, into the engine
+(`model._Engine`) that every builder here, `model.apply_discrete` and
+the ansatz solver read; a Fokker-Planck equation is converted together
+with its candidate (`FokkerPlanck._of`). The ODE family is minus the
+Lambda family of the system with zero noise.
 """
 from __future__ import annotations
 
@@ -27,9 +28,8 @@ from dataclasses import dataclass
 import sympy as sp
 
 from .kernel import normalize
-from .model import (DiscreteMap, ItoSystem, VectorField, WSymmetry, _d,
-                    _dot, _gradient, _nonzero, _second_order,
-                    fokker_planck_of, lie_bracket)
+from .model import (DiscreteMap, ItoSystem, VectorField, WSymmetry,
+                    fokker_planck_of)
 
 __all__ = [
     "DeterminingSystem", "detsys_ode", "detsys_spatial", "detsys_projectable",
@@ -129,15 +129,14 @@ def lambda_(ito: ItoSystem, candidate):
 
 def detsys_ode(f, vf: VectorField) -> DeterminingSystem:
     """Deterministic determining equations
-    d_t(xi^i - tau f^i) + {f, xi}^i = 0 for dx/dt = f(x, t)."""
+    d_t(xi^i - tau f^i) + {f, xi}^i = 0 for dx/dt = f(x, t): minus the
+    Lambda family of the Ito system with drift f and zero noise."""
     if vf.beta is not None:
         raise ValueError("ODE determining equations take a candidate without beta")
     ctx = vf.context
-    x, t = ctx.spatial, ctx.t
-    bracket = lie_bracket(tuple(f), vf.xi, x)
-    eqs = [(f"ODE[{i + 1}]", sp.diff(vf.xi[i] - vf.tau * f[i], t) + bracket[i])
-           for i in range(len(vf.xi))]
-    return _pack("ode", eqs)
+    ito = ItoSystem(ctx, f=tuple(f), sigma=((0,) * ctx.m,) * ctx.n)
+    lam, _ = _lambda_gamma(ito, vf.tau, vf.xi)
+    return _pack("ode", [(f"ODE[{i + 1}]", -e) for i, e in enumerate(lam)])
 
 
 def _lambda_gamma_system(name, ito, candidate):
@@ -168,38 +167,28 @@ def detsys_w(ito: ItoSystem, ws: WSymmetry) -> DeterminingSystem:
 def detsys_fp(fp, vf: VectorField) -> DeterminingSystem:
     """Determining equations for nontrivial projectable symmetries of the
     Fokker-Planck equation; accepts a FokkerPlanck directly or derives one
-    from an ItoSystem."""
+    from an ItoSystem. A, B, C and the candidate are converted together,
+    so the family runs in the ring when every entry lies in it."""
     if isinstance(fp, ItoSystem):
         fp = fokker_planck_of(fp)
     if vf.beta is None:
         raise ValueError("FP determining equations require a beta component")
-    x, t = fp.context.spatial, fp.context.t
-    n = fp.context.n
-    A, B, C = fp.a_matrix(), fp.B, fp.C
-    A_nz = _nonzero(A)
-    tau, xi, beta = vf.tau, vf.xi, vf.beta
-    jac = [_gradient(e, x) for e in xi]
-    grad_beta = _gradient(beta, x)
-    eqs = []
-    for i in range(n):
-        for k in range(n):
-            e = (_d(tau * A[i, k], t)
-                 + _dot(xi, _gradient(A[i, k], x))
-                 - _dot(A.row(i), jac[k])
-                 - _dot(A.col(k), jac[i]))
-            eqs.append((f"FP-A[{i + 1}][{k + 1}]", e))
-    for i in range(n):
-        e = (_d(tau * B[i], t)
-             - (_d(xi[i], t) + _dot(B, jac[i]) - _dot(xi, _gradient(B[i], x)))
-             + _dot(A.row(i), grad_beta)
-             + _dot(A.col(i), grad_beta)
-             - _second_order(A_nz, jac[i], x))
-        eqs.append((f"FP-B[{i + 1}]", e))
-    e = (_d(tau * C, t) + _d(beta, t)
-         + _second_order(A_nz, grad_beta, x)
-         + _dot(B, grad_beta)
-         + _dot(xi, _gradient(C, x)))
-    eqs.append(("FP-C", e))
+    c, ((tau, beta), xi) = fp._of([(vf.tau, vf.beta), vf.xi])
+    calc, x, t, A = c.calc, c.x, c.t, c.A
+    cols = list(zip(*A))
+    jac = [calc.gradient(e, x) for e in xi]
+    grad_beta = calc.gradient(beta, x)
+
+    def moved(e):
+        """d_t(tau e) + xi^a d_a e for a coefficient e."""
+        return calc.d(tau * e, t) + calc.dot(xi, calc.gradient(e, x))
+    eqs = [(f"FP-A[{i + 1}][{k + 1}]", moved(a) - calc.dot(A[i], jac[k])
+            - calc.dot(cols[k], jac[i]))
+           for i, row in enumerate(A) for k, a in enumerate(row)]
+    eqs += [(f"FP-B[{i + 1}]", moved(b) + calc.dot(A[i], grad_beta)
+             + calc.dot(cols[i], grad_beta) - c.L(xi[i], jac[i]))
+            for i, b in enumerate(c.B)]
+    eqs.append(("FP-C", moved(c.C) + c.L(beta, grad_beta)))
     return _pack("fokker-planck", eqs)
 
 

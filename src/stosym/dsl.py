@@ -19,6 +19,8 @@ defaults to the identity, R to the identity matrix).
 """
 from __future__ import annotations
 
+import re
+
 import sympy as sp
 
 from .kernel import Context, ParseError, UndeclaredSymbolError, is_zero, \
@@ -32,6 +34,9 @@ __all__ = [
 ]
 
 _ASSUMPTIONS = {"positive", "nonzero", "real"}
+_ROW = r"\[([^\[\]]*)\]"
+# rows separated by single commas, nothing else inside the outer brackets
+_MATRIX = re.compile(rf"\[{_ROW}(\s*,\s*{_ROW})*\]")
 
 
 def _lines(text):
@@ -55,8 +60,9 @@ def _parse_at(expr_text, ctx, lineno):
         raise ParseError(message, lineno, e.col) from None
 
 
-def _parse_param_list(rest, lineno):
-    out = {}
+def _parse_param_list(rest, lineno, out):
+    """Add the declarations of one params line to `out`; a name already
+    declared, on this line or an earlier one, is rejected."""
     for chunk in rest.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -72,7 +78,6 @@ def _parse_param_list(rest, lineno):
         if name in out:
             _fail(f"duplicate parameter '{name}'", lineno)
         out[name] = assumption
-    return out
 
 
 def parse_system(text) -> ItoSystem:
@@ -86,11 +91,13 @@ def parse_system(text) -> ItoSystem:
                 _fail("system name must be an identifier", lineno)
             name = rest
         elif head == "params":
-            params.update(_parse_param_list(rest, lineno))
+            _parse_param_list(rest, lineno, params)
         elif head in ("vars", "noises"):
             if head in declared:
                 _fail(f"duplicate {head} declaration", lineno)
-            declared[head] = tuple(rest.split())
+            names = declared[head] = tuple(rest.split())
+            if len(set(names)) != len(names):
+                _fail(f"a name repeats in the {head} declaration", lineno)
         elif head in ("drift", "sigma"):
             coeff_lines.append((lineno, head, rest))
         else:
@@ -135,25 +142,10 @@ def parse_system(text) -> ItoSystem:
 
 def _parse_matrix_literal(text, ctx, lineno):
     text = text.strip()
-    if not (text.startswith("[[") and text.endswith("]]")):
+    if not _MATRIX.fullmatch(text):
         _fail("matrix literal must look like [[...], [...]]", lineno)
-    rows = []
-    depth = 0
-    row_start = None
-    for pos, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-            if depth == 2:
-                row_start = pos + 1
-        elif ch == "]":
-            if depth == 2:
-                entries = [e.strip() for e in text[row_start:pos].split(",")]
-                rows.append(tuple(_parse_at(e, ctx, lineno) for e in entries))
-            depth -= 1
-            if depth < 0:
-                _fail("unbalanced brackets in matrix literal", lineno)
-    if depth != 0:
-        _fail("unbalanced brackets in matrix literal", lineno)
+    rows = [tuple(_parse_at(e.strip(), ctx, lineno) for e in row.split(","))
+            for row in re.findall(_ROW, text[1:-1])]
     if len({len(r) for r in rows}) != 1:
         _fail("matrix rows have unequal lengths", lineno)
     return tuple(rows)
@@ -176,7 +168,7 @@ def parse_candidate(text, context):
             name = rest
             continue
         if head == "params":
-            extra_params.update(_parse_param_list(rest, lineno))
+            _parse_param_list(rest, lineno, extra_params)
             continue
         entries.append((lineno, line))
     ctx = context.with_params(extra_params) if extra_params else context

@@ -334,13 +334,13 @@ def _ring_element(e, ring=None):
     """e in `ring`, a sparse polynomial ring over QQ, or None when e is not
     a float-free polynomial over QQ in its generators (QQ would turn 0.5
     into 1/2). Without a ring the generators are e's symbols sorted by
-    name, and a constant gives None. The element is 0 iff e vanishes
-    identically. The one way into a ring: only sums, products, symbols,
-    rationals and powers with an integer exponent above 1 reach from_expr,
-    which admits just these (floats apart) and prints ring and input into
-    the error it raises on anything else."""
+    name, a constant gives None and a ring element is its own answer. The
+    element is 0 iff e vanishes identically. The one way into a ring: only
+    sums, products, symbols, rationals and powers with an integer exponent
+    above 1 reach from_expr, which admits just these (floats apart) and
+    prints ring and input into the error it raises on anything else."""
     if isinstance(e, PolyElement):
-        return e if e.ring == ring else None
+        return e if ring in (None, e.ring) else None
     e = sp.sympify(e)
     symbols, stack = set(), [e]
     while stack:
@@ -474,16 +474,16 @@ def _opaque_atoms(e):
 def zero_verdict(e) -> Verdict:
     """Tri-state zero test. Zero equivalence is undecidable in this
     fragment (Richardson, J. Symb. Logic 1968), so the answer may be
-    INCONCLUSIVE; it is never a guess. A polynomial over QQ is decided in
-    its canonical ring: parameters are only positive, nonzero or real, so a
-    nonzero polynomial never vanishes identically. Anything else is
-    normalized; 0 or 0.0 is ZERO, and opaque function symbols are split
-    off structurally before any sampling. The rest is probed once, with a
-    fixed seed: one certified nonzero sample gives NONZERO. Only when none
-    did does `simplify` run, and it confirms ZERO when every sample vanished
-    and sympy proves the simplified form zero.
+    INCONCLUSIVE; it is never a guess. A ring element, or a polynomial
+    over QQ, is decided in its canonical ring: parameters are only
+    positive, nonzero or real, so a nonzero polynomial never vanishes
+    identically. Anything else is normalized; 0 or 0.0 is ZERO, and opaque
+    function symbols are split off structurally before any sampling. The
+    rest is probed once, with a fixed seed: one certified nonzero sample
+    gives NONZERO. Only when none did does `simplify` run, and it confirms
+    ZERO when every sample vanished and sympy proves the simplified form
+    zero.
     """
-    e = sp.sympify(e)
     p = _ring_element(e)
     if p is not None:
         return Verdict.NONZERO if p else Verdict.ZERO

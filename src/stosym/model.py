@@ -48,14 +48,6 @@ def _set_tau_xi(candidate):
         raise ValueError("tau must not depend on the spatial variables")
 
 
-def _in_ring(entries, ring):
-    """Each entry in `ring` (None when it lies outside) and its `normalize`d
-    form, which is as_expr() of the element when there is one."""
-    elements = [_ring_element(e, ring) for e in entries]
-    return elements, tuple(normalize(e if p is None else p)
-                           for e, p in zip(entries, elements))
-
-
 @dataclass(frozen=True)
 class ItoSystem:
     """dx^i = f^i(x,t) dt + sigma^i_k(x,t) dw^k on R^n with m noise channels.
@@ -72,13 +64,11 @@ class ItoSystem:
 
     def __post_init__(self):
         ring = self.context.ring
-        f, exprs = _in_ring(self.f, ring)
-        object.__setattr__(self, "f", exprs)
-        sigma = [_in_ring(row, ring) for row in self.sigma]
-        object.__setattr__(self, "sigma", tuple(exprs for _, exprs in sigma))
-        sigma = [elements for elements, _ in sigma]
-        if all(p is not None for p in (*f, *(p for row in sigma for p in row))):
+        in_ring, (f, *sigma) = _one_type(ring, [self.f, *self.sigma])
+        if in_ring:
             object.__setattr__(self, "_elements", (f, sigma))
+        object.__setattr__(self, "f", _exprs(f))
+        object.__setattr__(self, "sigma", _matrix(sigma))
         n, m = self.context.n, self.context.m
         if len(self.f) != n:
             raise ValueError(f"expected {n} drift components, got {len(self.f)}")
@@ -134,8 +124,16 @@ class FokkerPlanck:
                         for i in range(n) for j in range(i + 1, n)):
             raise ValueError("A must be symmetric")
 
-    def a_matrix(self):
-        return sp.Matrix(self.A)
+    def _of(self, groups):
+        """The coefficients and the entry groups (sequences of expressions)
+        converted together, by the rule of `_Engine.of`."""
+        ctx, n = self.context, self.context.n
+        in_ring, (B, (C,), *rest) = _one_type(
+            ctx.ring, [self.B, (self.C,), *self.A, *groups])
+        A, groups = rest[:n], rest[n:]
+        calc = _Ring(ctx) if in_ring else _EXPRS
+        x, t = (calc.x, calc.t) if in_ring else (ctx.spatial, ctx.t)
+        return _FpCoefficients(calc, x, t, A, B, C), groups
 
 
 @dataclass(frozen=True)
@@ -263,13 +261,12 @@ class _Exprs:
 _EXPRS = _Exprs()
 # the expression calculus as plain functions, for the structural maps
 _d, _gradient, _dot = _EXPRS.d, _EXPRS.gradient, _EXPRS.dot
-_second_order, _noise_image = _EXPRS.second_order, _EXPRS.noise_image
 
 
 def _nonzero(M):
-    """The (a, b, M[a, b]) of the nonzero entries of a square matrix."""
-    return [(a, b, M[a, b]) for a in range(M.rows) for b in range(M.cols)
-            if M[a, b] != 0]
+    """The (a, b, M^{ab}) of the nonzero entries of M, nested rows."""
+    return [(a, b, e) for a, row in enumerate(M) for b, e in enumerate(row)
+            if e != 0]
 
 
 class _Ring(_Exprs):
@@ -349,6 +346,36 @@ class _Coefficients:
         return drift, noise
 
 
+@dataclass(frozen=True)
+class _FpCoefficients:
+    """A Fokker-Planck equation in one coefficient type: the calculus `calc`
+    of that type, the variables x and t, A (nested rows), B and C."""
+    calc: _Exprs
+    x: tuple
+    t: object
+    A: list
+    B: list
+    C: object
+
+    def L(self, u, grad):
+        """d_t u + A^{ab} d2_{ab} u + B^a d_a u from (u, grad u): the
+        Fokker-Planck operator without its C u term."""
+        c = self.calc
+        return (c.d(u, self.t) + c.second_order(_nonzero(self.A), grad, self.x)
+                + c.dot(self.B, grad))
+
+
+def _one_type(ring, groups):
+    """Whether the entry groups lie in `ring`, and the groups as its
+    elements when every entry does (and ring is not None), else as sympy
+    expressions."""
+    if ring is not None:
+        converted = [[_ring_element(e, ring) for e in g] for g in groups]
+        if all(p is not None for g in converted for p in g):
+            return True, converted
+    return False, [[sp.sympify(e) for e in g] for g in groups]
+
+
 class _Engine:
     """The coefficients of an Ito system in the ring when f and sigma lie in
     QQ[params, x, t] (from the elements the system keeps); the expression
@@ -366,18 +393,16 @@ class _Engine:
     def exprs(self):
         ctx = self.ito.context
         return _Coefficients(_EXPRS, ctx.spatial, ctx.t, self.ito.f,
-                             self.ito.sigma, _nonzero(self.ito.half_diffusion()))
+                             self.ito.sigma,
+                             _nonzero(self.ito.half_diffusion().tolist()))
 
     def of(self, groups):
         """The coefficients and the candidate's entry groups (sequences of
         expressions) in one type: the ring when every entry lies in it too,
         else expressions."""
-        if self.ring is not None:
-            ring = self.ring.calc.ring
-            converted = [[_ring_element(e, ring) for e in g] for g in groups]
-            if all(p is not None for g in converted for p in g):
-                return self.ring, converted
-        return self.exprs, [[sp.sympify(e) for e in g] for g in groups]
+        in_ring, groups = _one_type(
+            None if self.ring is None else self.ito.context.ring, groups)
+        return self.ring if in_ring else self.exprs, groups
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ import sympy as sp
 
 from .kernel import Verdict, _fold, all_zero, is_zero, substitute, \
     zero_verdict
-from .model import (ItoSystem, VectorField, _d, _dot, _gradient, _nonzero,
-                    _second_order, fokker_planck_of)
+from .model import ItoSystem, VectorField, fokker_planck_of
 from .detgen import DeterminingSystem, detsys_fp, gamma
 
 __all__ = [
@@ -30,7 +29,6 @@ class OverallVerdict(enum.Enum):
 class FpClassification(enum.Enum):
     ITO_SYMMETRY = "ito_symmetry"
     STATISTICAL_EQUIVALENCE = "statistical_equivalence"
-    NEITHER = "neither"
 
 
 class PreconditionError(ValueError):
@@ -108,14 +106,16 @@ def _resolve_bindings(e, bindings):
     return out
 
 
+def _divergence(vf: VectorField):
+    return sp.Add(*map(sp.diff, vf.xi, vf.context.spatial))
+
+
 def extend_to_fp(vf: VectorField) -> VectorField:
     """Unique normalization-preserving extension beta = -div(xi)."""
     if vf.beta is not None:
         raise ValueError("candidate already carries a beta component")
-    x = vf.context.spatial
-    beta = -sum(sp.diff(vf.xi[i], x[i]) for i in range(len(x)))
-    return VectorField(context=vf.context, tau=vf.tau, xi=vf.xi, beta=beta,
-                       name=vf.name)
+    return VectorField(context=vf.context, tau=vf.tau, xi=vf.xi,
+                       beta=-_divergence(vf), name=vf.name)
 
 
 def check_normalization_preserving(vf: VectorField) -> bool:
@@ -123,15 +123,15 @@ def check_normalization_preserving(vf: VectorField) -> bool:
     test cannot decide."""
     if vf.beta is None:
         raise ValueError("candidate has no beta component")
-    div = sp.Add(*(_d(e, v) for e, v in zip(vf.xi, vf.context.spatial)))
-    return is_zero(vf.beta + div)
+    return is_zero(vf.beta + _divergence(vf))
 
 
 def project_fp_symmetry(ito: ItoSystem, vf: VectorField) -> FpClassification:
     """Classify a normalization-preserving Fokker-Planck symmetry:
-    ITO_SYMMETRY when Gamma == 0, STATISTICAL_EQUIVALENCE when Gamma != 0
-    but sigma Gamma^T + Gamma sigma^T == 0, NEITHER otherwise. Raises
-    InconclusiveError when the zero test cannot decide between them."""
+    ITO_SYMMETRY when Gamma == 0, STATISTICAL_EQUIVALENCE otherwise: the
+    Fokker-Planck residuals FP-A = (1/2)(sigma Gamma^T + Gamma sigma^T)
+    vanish, so the transition law is kept. Raises InconclusiveError when
+    the zero test cannot decide whether Gamma vanishes."""
     if vf.beta is None or not check_normalization_preserving(vf):
         raise PreconditionError("candidate must carry beta = -div(xi)")
     fp_report = check(detsys_fp(fokker_planck_of(ito), vf))
@@ -144,13 +144,9 @@ def _fp_classification(ito: ItoSystem, vf: VectorField) -> FpClassification:
     """The Gamma-based classification of `project_fp_symmetry`, for a
     candidate already known to be a normalization-preserving Fokker-Planck
     symmetry."""
-    gam = sp.Matrix(gamma(ito, vf))
-    if all_zero(gam):
+    if all_zero(e for row in gamma(ito, vf) for e in row):
         return FpClassification.ITO_SYMMETRY
-    sig = ito.sigma_matrix()
-    if all_zero(sig * gam.T + gam * sig.T):
-        return FpClassification.STATISTICAL_EQUIVALENCE
-    return FpClassification.NEITHER
+    return FpClassification.STATISTICAL_EQUIVALENCE
 
 
 def check_superposition(fp, alpha) -> bool:
@@ -160,9 +156,5 @@ def check_superposition(fp, alpha) -> bool:
     decide."""
     if isinstance(fp, ItoSystem):
         fp = fokker_planck_of(fp)
-    x, t = fp.context.spatial, fp.context.t
-    alpha = sp.sympify(alpha)
-    grad = _gradient(alpha, x)
-    residual = (_d(alpha, t) + _second_order(_nonzero(fp.a_matrix()), grad, x)
-                + _dot(fp.B, grad) + fp.C * alpha)
-    return is_zero(residual)
+    c, ((alpha,),) = fp._of([(alpha,)])
+    return is_zero(c.L(alpha, c.calc.gradient(alpha, c.x)) + c.C * alpha)

@@ -70,6 +70,15 @@ class TestCheck:
                                       fx(fixtures_dir, "heat_v1.cand")])
         assert result.exit_code == 2
 
+    def test_repeated_noise_name_exit_two(self, runner, fixtures_dir,
+                                          tmp_path):
+        bad = tmp_path / "twice.sde"
+        bad.write_text("vars x\nnoises w w\nsigma x w = 1\n")
+        result = runner.invoke(main, ["check", str(bad),
+                                      fx(fixtures_dir, "heat_v1.cand")])
+        assert result.exit_code == 2
+        assert "line 2" in result.stderr
+
     def test_radical_zero_is_not_a_nonzero(self, runner, fixtures_dir,
                                            tmp_path):
         """The drift coefficient sqrt(3 + 2 sqrt(2)) - 1 - sqrt(2) is 0, so
@@ -132,6 +141,25 @@ def test_manifest_check_golden(runner, fixtures_dir, entry):
     data = json.loads(runner.invoke(main, args).output)
     assert [[q["label"], q["verdict"], q["residual"]]
             for q in data["equations"]] == entry["equations"]
+
+
+# [exit code, stdout] of `detsys --json` for three failing Fokker-Planck
+# candidates (heat in the ring; kramers with exp(t) in xi; a system whose A
+# is not a polynomial) and of `derive-fp --json` for the fixture systems,
+# written by `tools/cli_snapshot.py --golden`. Paths in the commands are
+# relative to the repository root.
+ROOT = Path(__file__).resolve().parent.parent
+FP_GOLDEN = json.loads((ROOT / "tests" / "data" / "fp_golden.json")
+                       .read_text())
+
+
+@pytest.mark.parametrize("command", FP_GOLDEN, ids=lambda c: " ".join(
+    Path(a).name for a in c.split()[:3]))
+def test_fp_golden(runner, command):
+    args = [str(ROOT / a) if (ROOT / a).is_file() else a
+            for a in command.split()]
+    result = runner.invoke(main, args)
+    assert [result.exit_code, result.stdout] == FP_GOLDEN[command]
 
 
 class TestDetsys:

@@ -1,13 +1,18 @@
+from unittest import mock
+
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from stosym import model
 from stosym.kernel import Context, normalize, to_dsl
 from stosym.model import (DiscreteMap, ItoSystem, VectorField, WSymmetry,
-                          _Engine, apply_discrete, transform_ito_first_order)
+                          _Engine, apply_discrete, fokker_planck_of,
+                          lie_bracket, transform_ito_first_order)
 from stosym.detgen import (_discrete_equations, _lambda_gamma_of,
-                           detsys_discrete, detsys_ode, detsys_projectable,
-                           detsys_spatial, detsys_w, gamma, lambda_)
+                           detsys_discrete, detsys_fp, detsys_ode,
+                           detsys_projectable, detsys_spatial, detsys_w,
+                           gamma, lambda_)
 from stosym.kpz import KpzChain, kpz_ito
 from conftest import random_expression, seeded_rng
 
@@ -103,6 +108,22 @@ class TestOde:
         vf = VectorField(context=ctx, tau=0, xi=(x**2,))
         ds = detsys_ode((x,), vf)
         assert any(normalize(e) != 0 for _, e in ds.equations)
+
+    @pytest.mark.parametrize("polynomial", [True, False])
+    def test_matches_bracket_form(self, polynomial):
+        """ODE[i] = d_t(xi^i - tau f^i) + {f, xi}^i, in the ring and on
+        expressions, also without noise channels."""
+        ctx = Context(spatial=("x", "y"), params={"a": None})
+        (x, y), t, a = ctx.spatial, ctx.t, ctx.symbol("a")
+        f = (a * y - x**2, x * t)
+        if polynomial:
+            vf = VectorField(ctx, tau=t**2, xi=(x * y + t, a * x**2))
+        else:
+            vf = VectorField(ctx, tau=sp.exp(t), xi=(x * sp.sin(t), y / a))
+        bracket = lie_bracket(f, vf.xi, (x, y))
+        assert detsys_ode(f, vf).residuals() == tuple(
+            normalize(sp.diff(xi - vf.tau * fi, t) + b)
+            for xi, fi, b in zip(vf.xi, f, bracket))
 
 
 @pytest.mark.parametrize("name", ["heat.sde", "kramers.sde"])
@@ -211,6 +232,53 @@ def test_ring_discrete_matches_expression_path(rng):
     ds = detsys_discrete(ito, dmap)
     assert ds.labels() == tuple(label for label, _ in eqs)
     assert list(ds.residuals()) == [normalize(e) for _, e in eqs]
+
+
+def _random_fp_case(rng):
+    """A random polynomial system with a nonvanishing diffusion matrix and
+    a random polynomial candidate tau(t), xi(x, t), beta(x, t)."""
+    ito = _random_polynomial_system(rng)
+    assume(any(e != 0 for e in ito.half_diffusion()))
+    t = _RING_CTX.t
+
+    def poly():
+        return random_expression(rng, _RING_CTX, depth=2, functions=False)
+    vf = VectorField(context=_RING_CTX,
+                     tau=sum(_rational(rng) * t**p for p in range(3)),
+                     xi=(poly(), poly()), beta=poly())
+    return ito, vf
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_ring_fp_matches_expression_path(rng):
+    """The Fokker-Planck family of a polynomial system and candidate is the
+    same in the ring as on the expression path."""
+    ito, vf = _random_fp_case(rng)
+    fp = fokker_planck_of(ito)
+    c, _ = fp._of([(vf.tau, vf.beta), vf.xi])
+    assert c.calc is not model._EXPRS
+    in_ring = detsys_fp(fp, vf)
+    one_type = model._one_type
+    with mock.patch.object(model, "_one_type",
+                           lambda ring, groups: one_type(None, groups)):
+        assert fp._of([])[0].calc is model._EXPRS
+        on_exprs = detsys_fp(fp, vf)
+    assert in_ring.equations == on_exprs.equations
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_fp_a_is_symmetrized_gamma(rng):
+    """FP-A[i][k] = (1/2)(sigma Gamma^T + Gamma sigma^T)_ik, with Gamma the
+    noise family of the Ito system: the Fokker-Planck equation keeps only
+    the symmetric part of the change of the noise."""
+    ito, vf = _random_fp_case(rng)
+    sigma, gam = sp.Matrix(ito.sigma), sp.Matrix(gamma(ito, vf))
+    mixed = (sigma * gam.T + gam * sigma.T) / 2
+    fp_a = [e for label, e in detsys_fp(ito, vf).equations
+            if label.startswith("FP-A")]
+    assert fp_a == [normalize(e) for e in mixed]
 
 
 class TestFallback:

@@ -69,6 +69,23 @@ class TestSystemParsing:
         with pytest.raises(ParseError):
             parse_system("vars x\nnoises w\ndrift z = 1\n")
 
+    @pytest.mark.parametrize("head", ["noises", "vars"])
+    def test_repeated_name_in_declaration(self, head):
+        """`noises w w` would give two channels, the second one unreachable
+        by `sigma x w` lines."""
+        text = {"noises": "vars x\nnoises w w\nsigma x w = 1\n",
+                "vars": "vars x x\nnoises w\n"}[head]
+        with pytest.raises(ParseError, match="repeats") as err:
+            parse_system(text)
+        assert err.value.line == (2 if head == "noises" else 1)
+
+    def test_parameter_repeated_on_a_later_line(self):
+        """A repeat on a second params line does not override the first
+        declaration's assumption."""
+        with pytest.raises(ParseError, match="duplicate parameter 'a'") as err:
+            parse_system("params a : positive\nparams a\nvars x\nnoises w\n")
+        assert err.value.line == 2
+
 
 class TestCandidateParsing:
     def test_vector_field(self, pair):
@@ -113,6 +130,21 @@ class TestCandidateParsing:
     def test_error_line_number(self, pair):
         with pytest.raises(ParseError) as err:
             parse_candidate("tau = 1\nxi z = 1\n", pair)
+        assert err.value.line == 2
+
+    def test_parameter_repeated_on_a_later_line(self, pair):
+        with pytest.raises(ParseError, match="duplicate parameter 'eps'") as err:
+            parse_candidate("params eps\nparams eps : positive\nxi x = eps\n",
+                            pair)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("literal", [
+        "[[0, 1] junk [1, 0]]", "[[0, 1]], [[1, 0]]", "[[0, 1] [1, 0]]",
+        "[[0, 1], [1, 0],]"])
+    def test_text_around_matrix_rows(self, pair, literal):
+        """Nothing but single commas may stand between the rows of R."""
+        with pytest.raises(ParseError, match="matrix literal") as err:
+            parse_candidate(f"phi x = -x\nR = {literal}\n", pair)
         assert err.value.line == 2
 
 
