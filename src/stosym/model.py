@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import sympy as sp
+from sympy.core.cache import cacheit
 from sympy.polys.domains import QQ
 
 from .kernel import Context, _ring_element, all_zero, normalize
@@ -222,11 +223,14 @@ class DiscreteMap:
 class _Exprs:
     """Calculus on sympy expressions, the general coefficient type; a
     variable is a symbol."""
-    half = sp.Rational(1, 2)
+    zero, one, half = sp.Integer(0), sp.Integer(1), sp.Rational(1, 2)
 
     @staticmethod
+    @cacheit
     def d(e, v):
-        """d e / d v, without calling the differentiator when e is free of v."""
+        """d e / d v, without calling the differentiator when e is free of v;
+        kept in sympy's cache, since an ansatz differentiates each product
+        of a time function and a monomial once per component of xi."""
         return sp.diff(e, v) if e.has(v) else sp.Integer(0)
 
     @staticmethod
@@ -276,10 +280,13 @@ class _Ring(_Exprs):
     as_expr() in `normalize`d form)."""
 
     def __init__(self, ctx: Context):
-        self.ring = ctx.ring
-        self.zero, self.half = self.ring.zero, self.ring(QQ(1, 2))
-        index = {s: i for i, s in enumerate(self.ring.symbols)}
-        self.x, self.t = tuple(index[v] for v in ctx.spatial), index[ctx.t]
+        self._over(ctx.ring, ctx.spatial, ctx.t)
+
+    def _over(self, ring, x, t):
+        self.ring = ring
+        self.zero, self.one, self.half = ring.zero, ring.one, ring(QQ(1, 2))
+        index = {s: i for i, s in enumerate(ring.symbols)}
+        self.x, self.t = tuple(index[v] for v in x), index[t]
 
     def d(self, e, i):
         return self.zero if e.is_ground else e.diff(i)
@@ -305,6 +312,36 @@ class _Ring(_Exprs):
                 for b, v in rows:
                     S[a, b] = S.get((a, b), self.zero) + u * v
         return [(a, b, self.half * w) for (a, b), w in sorted(S.items()) if w]
+
+
+class _ExpRing(_Ring):
+    """The ring calculus over QQ[params, x, t, E_1..E_k], E_k standing for
+    exp(c_k t) with c_k in QQ[params], under the derivation
+    d_t E_k = c_k E_k. A `_Ring` has no exponential generators and keeps
+    the single e.diff(i)."""
+
+    def __init__(self, ring, x, t, rates):
+        """`ring`'s last len(rates) generators are the E_k, rates[k] is c_k
+        as an element of the ring without them, and x and t are symbols."""
+        self._over(ring, x, t)
+        self._pad = (0,) * len(rates)
+        first = ring.ngens - len(rates)
+        self.rates = [(first + k, self.lift(c)) for k, c in enumerate(rates)]
+
+    def d(self, e, i):
+        de = super().d(e, i)
+        if i == self.t:
+            # c_k times the Euler operator E_k d/dE_k
+            for k, c in self.rates:
+                scaled = {m: v * m[k] for m, v in e.items() if m[k]}
+                if scaled:
+                    de += c * e.new(scaled)
+        return de
+
+    def lift(self, p):
+        """An element of the ring without the E_k as an element of this
+        one."""
+        return self.ring.dtype({m + self._pad: v for m, v in p.items()})
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,25 @@ homogeneous linear problem, eliminated by one sparse row reduction over
 the fraction field of the parameters, or over EX for radical
 coefficients. The determining operator is linear in the candidate, so the
 coefficient matrix is built column by column, one ansatz basis element at
-a time."""
+a time. When the system and the time basis allow, the columns are
+computed in QQ[params, x, t, E_1..E_k], one generator E_k per exp(c_k t)
+with d/dt E_k = c_k E_k, and the matrix is read off their terms; other
+input takes sympy expressions."""
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import sympy as sp
+from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyElement
 
-from .kernel import InconclusiveError, Verdict
-from .model import ItoSystem, VectorField, WSymmetry, lie_bracket
-from .detgen import _lambda_gamma, detsys_projectable, detsys_w
+from .kernel import InconclusiveError, Verdict, _own_ring, _ring_element
+from .model import (ItoSystem, VectorField, WSymmetry, _Coefficients,
+                    _ExpRing, lie_bracket)
+from .detgen import _lambda_gamma_of, detsys_projectable, detsys_w
 from .verify import OverallVerdict, check
 
 __all__ = [
@@ -52,34 +58,84 @@ def default_time_basis(t, rates=()):
 
 # --- linear decomposition over {x^a * t^b * exp(...)} monomials ---
 
+class _Exp(sp.Dummy):
+    """The generator E that stands for one exp(c t) in a coefficient
+    system."""
+
+
+@lru_cache(maxsize=None)
+def _exp_generator(k):
+    """The k-th generator E_k, the same one on every call, so that the
+    rings over the same generators are built once."""
+    return _Exp(f"E{k}")
+
+
 def _replace_exps(e, reps):
-    """Structurally replace every exp node by a fresh generator keyed by its
-    (expanded) argument; distinct arguments are linearly independent."""
-    def repl(arg):
-        key = sp.expand(arg)
+    """Replace every exp atom of e by a generator E_k keyed by its
+    (expanded) argument in `reps`; distinct arguments are linearly
+    independent."""
+    sub = {}
+    for a in e.atoms(sp.exp):
+        key = sp.expand(a.args[0])
         if key not in reps:
-            reps[key] = sp.Dummy("E")
-        return reps[key]
-    return e.replace(sp.exp, repl)
+            reps[key] = _exp_generator(len(reps) + 1)
+        sub[a] = reps[key]
+    return e.xreplace(sub) if sub else e
+
+
+def _rate(base, arg, x, t):
+    """c in QQ[params] with arg = c t, as an element of `base` (the ring
+    QQ[params, x, t]), or None."""
+    p = _ring_element(arg, base)
+    ti = base.symbols.index(t)
+    xs = [base.symbols.index(v) for v in x]
+    if not p or any(m[ti] != 1 or any(m[i] for i in xs) for m in p):
+        return None
+    return base.dtype({m[:ti] + (0,) + m[ti + 1:]: v for m, v in p.items()})
+
+
+def _in_exp_ring(symbols, x, t, groups):
+    """The calculus of QQ[symbols, E_1..E_k], with one generator E_k per
+    distinct exp(c_k t) in the entry groups (sequences of expressions) and
+    c_k in QQ[symbols other than x and t], and the groups as its elements.
+    None when some entry lies outside that ring, and when a term holds two
+    exponential generators: E_c E_-c = 1 is no relation of the ring, so
+    distinct generators are linearly independent only one to a term."""
+    reps = {}
+    entries = [_replace_exps(sp.sympify(e), reps) for g in groups for e in g]
+    base = _own_ring(tuple(symbols))
+    rates = [_rate(base, arg, x, t) for arg in reps]
+    if any(c is None for c in rates):
+        return None
+    ring = _own_ring((*symbols, *reps.values()))
+    out, n = [], len(symbols)
+    for e in entries:
+        p = _ring_element(e, ring)
+        if p is None or any(sum(m[n:]) > 1 for m in p):
+            return None
+        out.append(p)
+    calc = _ExpRing(ring, x, t, rates)
+    it = iter(out)
+    return calc, [[next(it) for _ in g] for g in groups]
 
 
 def _coefficient_matrix(columns, variables, error):
     """Sparse DomainMatrix over a field whose column j holds the coordinates
-    of `columns[j]`, a sequence of expressions or ring elements, with one
-    row per (entry, monomial) over `variables` and the exponential atoms.
-    All columns share one exp-atom table and one coefficient domain: the
-    parameters' polynomial ring (eliminated over its fraction field), or EX
-    for radical coefficients. Raises `error` for an entry outside that
-    span."""
-    reps = {}
+    of `columns[j]`, with one row per (entry, monomial) over `variables` and
+    the exponential atoms. The columns are sequences of expressions, or of
+    elements of one ring from `_in_exp_ring`; the coefficient domain is
+    the parameters' fraction field, or EX for radical coefficients. Raises
+    `error` for an expression entry outside that span."""
     keys = [(j, r) for j, col in enumerate(columns) for r in range(len(col))]
-    # a ring element is already expanded and holds no exponential
-    entries = [e.as_expr() if isinstance(e, PolyElement)
-               else _replace_exps(sp.expand(e), reps)
-               for col in columns for e in col]
+    entries = [e for col in columns for e in col]
+    if entries and isinstance(entries[0], PolyElement):
+        return _ring_matrix(keys, entries, variables, len(columns))
+    reps = {}
+    entries = [_replace_exps(sp.expand(e), reps) for e in entries]
     gens = (*variables, *reps.values())
     try:
-        polys, opt = sp.parallel_poly_from_expr(entries, *gens)
+        # the entries are expanded already
+        polys, opt = sp.parallel_poly_from_expr(entries, *gens, expand=False)
     except sp.PolynomialError as exc:
         # name the first offending entry, on this error path only
         exps = {v: sp.exp(k) for k, v in reps.items()}
@@ -99,6 +155,43 @@ def _coefficient_matrix(columns, variables, error):
                         (len(rows), len(columns)), opt.domain).to_field()
 
 
+def _ring_matrix(keys, entries, variables, width):
+    """`_coefficient_matrix` of ring elements, read off their terms: the
+    (x, t, E) part of a monomial is its row, the rest its coefficient in
+    QQ(params), over the parameters that occur."""
+    symbols = entries[0].ring.symbols
+    row_part = [i for i, s in enumerate(symbols)
+                if s in variables or isinstance(s, _Exp)]
+    params = set(range(len(symbols))) - set(row_part)
+    split = sorted({i for e in entries for m in e for i in params if m[i]})
+    rows = {}
+    for (j, r), e in zip(keys, entries):
+        for monom, c in e.terms():
+            row = rows.setdefault((r, tuple(monom[i] for i in row_part)), {})
+            row.setdefault(j, {})[tuple(monom[i] for i in split)] = c
+    if split:
+        K = QQ.frac_field(*(symbols[i] for i in split))
+        element = partial(_field_element, K.field)
+    else:
+        K, element = QQ, lambda terms: terms[()]
+    index = {key: i for i, key in enumerate(sorted(rows))}
+    return DomainMatrix(
+        {index[key]: {j: element(terms) for j, terms in row.items()}
+         for key, row in rows.items()}, (len(rows), width), K)
+
+
+def _field_element(field, terms):
+    """The element of `field`, a field of fractions over QQ, with numerator
+    `terms` ({monomial: coefficient}) and denominator 1, in the form its
+    own arithmetic gives: integer numerator coefficients over a positive
+    integer denominator."""
+    numer = field.ring.dtype(terms)
+    if all(c.denominator == 1 for c in terms.values()):
+        return field.raw_new(numer)
+    den, numer = numer.clear_denoms()
+    return field.raw_new(numer, field.ring.ground_new(den))
+
+
 def _rref_rows(M):
     """Pivot columns and rows {column: element} of the RREF of M, in pivot
     order."""
@@ -106,11 +199,15 @@ def _rref_rows(M):
     return pivots, [R.rep[i] for i in sorted(R.rep)]
 
 
-def _coordinates(columns, target, variables, error):
+def _coordinates(columns, target, ctx, error):
     """Coefficients expressing `target` in the span of `columns` (sequences
-    of expressions of equal length), or None when it lies outside. Free
-    coordinates are pinned to zero."""
-    M = _coefficient_matrix([*columns, target], variables, error)
+    of expressions of equal length, in the context `ctx`), or None when it
+    lies outside. Free coordinates are pinned to zero."""
+    x, t = ctx.spatial, ctx.t
+    groups = [*columns, target]
+    converted = _in_exp_ring(ctx.ring.symbols, x, t, groups)
+    M = _coefficient_matrix(groups if converted is None else converted[1],
+                            (*x, t), error)
     k = len(columns)
     pivots, rows = _rref_rows(M)
     if k in pivots:
@@ -138,9 +235,17 @@ class Ansatz:
             raise ValueError("degree must be >= 0")
         # closed iff every pivot of [B | dB/dt] lies in B; B's pivot
         # columns are a basis of its span
-        columns = [(b,) for b in basis]
-        columns += [(sp.diff(b, self.t),) for b in basis]
-        M = _coefficient_matrix(columns, (self.t,), NonClosedBasisError)
+        t = self.t
+        symbols = sorted({t}.union(*(b.free_symbols for b in basis)),
+                         key=sp.default_sort_key)
+        converted = _in_exp_ring(symbols, (), t, [basis])
+        if converted is None:
+            elements, d = basis, lambda b: sp.diff(b, t)
+        else:
+            calc, (elements,) = converted
+            d = lambda b: calc.d(b, calc.t)
+        columns = [(b,) for b in elements] + [(d(b),) for b in elements]
+        M = _coefficient_matrix(columns, (t,), NonClosedBasisError)
         pivots, _ = _rref_rows(M)
         if any(p >= len(basis) for p in pivots):
             raise NonClosedBasisError(
@@ -175,19 +280,72 @@ def xi_second_derivative_constraint(ito: ItoSystem) -> StructuralFact:
     return StructuralFact(applies=True, degree_cap=None if null else 1)
 
 
-def _monomials(x, degree):
+def _monomials(x, degree, one):
     out = []
     for total in range(degree + 1):
         for combo in itertools.combinations_with_replacement(range(len(x)), total):
-            m = sp.Integer(1)
+            m = one
             for j in combo:
                 m *= x[j]
             out.append(m)
     return out
 
 
+def _elements(n, basis, monomials, mixers, zero):
+    """(tau, xi, mixer) of each ansatz basis element, one per column of the
+    coefficient matrix; a mixer is a pair (p, q) for B = e_pq - e_qp."""
+    z = (zero,) * n
+    out = [(zero, z[:i] + (bt * mu,) + z[i + 1:], None)
+           for i in range(n) for mu in monomials for bt in basis]
+    out += [(bt, z, None) for bt in basis]
+    return out + [(zero, z, pq) for pq in mixers]
+
+
 def _first_label(report, verdict):
     return next(label for label, v, _ in report.per_equation if v is verdict)
+
+
+def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
+    """The ansatz basis elements (tau, xi, mixer) as expressions, and the
+    columns of the coefficient matrix: the Lambda and Gamma entries of each
+    element, in the ring with the time basis's exponentials when the
+    system and the basis lie in it, else as expressions."""
+    ctx = ito.context
+    x, t = ctx.spatial, ctx.t
+    n, m = ito.n, ito.m
+    degree = ansatz.degree
+    cap = xi_second_derivative_constraint(ito)
+    if cap.degree_cap is not None:
+        degree = min(degree, cap.degree_cap)
+    mixers = (list(itertools.combinations(range(m), 2))
+              if which == "w" and ansatz.include_B else [])
+    elements = _elements(n, ansatz.time_basis,
+                         _monomials(x, degree, sp.Integer(1)), mixers,
+                         sp.Integer(0))
+    ring = ito._engine.ring
+    converted = ring and _in_exp_ring(ctx.ring.symbols, x, t,
+                                      [ansatz.time_basis])
+    if converted:
+        calc, (basis,) = converted
+        lift = calc.lift
+        c = _Coefficients(calc, calc.x, calc.t, [lift(e) for e in ring.f],
+                          [[lift(e) for e in row] for row in ring.sigma],
+                          [(a, b, lift(w)) for a, b, w in ring.S])
+        gens = [calc.ring.gens[i] for i in calc.x]
+        forms = _elements(n, basis, _monomials(gens, degree, calc.one),
+                          mixers, calc.zero)
+    else:
+        c, forms = ito._engine.exprs, elements
+    one, zero = c.calc.one, c.calc.zero
+    columns = []
+    for tau, xi, pq in forms:
+        # the columns of B = e_pq - e_qp
+        B = [] if pq is None else [
+            [one if (a, j) == pq else -one if (j, a) == pq else zero
+             for a in range(m)] for j in range(m)]
+        lam, gam = _lambda_gamma_of(c, tau, xi, B)
+        columns.append([*lam, *(e for row in gam for e in row)])
+    return elements, columns
 
 
 def solve_ansatz(ito: ItoSystem, ansatz: Ansatz, which: str = "projectable") -> SymmetryBasis:
@@ -197,30 +355,10 @@ def solve_ansatz(ito: ItoSystem, ansatz: Ansatz, which: str = "projectable") -> 
     if which not in ("projectable", "w"):
         raise ValueError("which must be 'projectable' or 'w'")
     ctx = ito.context
-    x, t = ctx.spatial, ctx.t
     n, m = ito.n, ito.m
-    degree = ansatz.degree
-    cap = xi_second_derivative_constraint(ito)
-    if cap.degree_cap is not None:
-        degree = min(degree, cap.degree_cap)
-    zero = (sp.Integer(0),) * n
-
-    # basis elements (tau, xi, B), one per column of the coefficient matrix
-    elements = [(0, zero[:i] + (bt * mu,) + zero[i + 1:], None)
-                for i in range(n) for mu in _monomials(x, degree)
-                for bt in ansatz.time_basis]
-    elements += [(bt, zero, None) for bt in ansatz.time_basis]
-    if which == "w" and ansatz.include_B and m > 1:
-        for p, q in itertools.combinations(range(m), 2):
-            B = sp.zeros(m, m)
-            B[p, q], B[q, p] = 1, -1
-            elements.append((0, zero, B))
-    columns = []
-    for tau, xi, B in elements:
-        lam, gam = _lambda_gamma(ito, tau, xi, B)
-        columns.append([*lam, *(e for row in gam for e in row)])
-
-    M = _coefficient_matrix(columns, (*x, t), OutsideAnsatzError)
+    elements, columns = _columns(ito, ansatz, which)
+    M = _coefficient_matrix(columns, (*ctx.spatial, ctx.t),
+                            OutsideAnsatzError)
     K = M.domain
     # null basis off the free columns, then its unique RREF
     pivots, rows = _rref_rows(M)
@@ -237,8 +375,11 @@ def solve_ansatz(ito: ItoSystem, ansatz: Ansatz, which: str = "projectable") -> 
         g_tau = sum(c * tau for c, (tau, _, _) in picked)
         g_xi = tuple(sum(c * xi[i] for c, (_, xi, _) in picked) for i in range(n))
         if which == "w":
-            g_B = sum((c * B for c, (_, _, B) in picked if B is not None),
-                      sp.zeros(m, m))
+            g_B = sp.zeros(m, m)
+            for c, (_, _, pq) in picked:
+                if pq is not None:
+                    g_B[pq] += c
+                    g_B[pq[::-1]] -= c
             gen = WSymmetry(ctx, tau=g_tau, xi=g_xi, Bmat=g_B.tolist())
             report = check(detsys_w(ito, gen))
         else:
@@ -260,12 +401,8 @@ def solve_ansatz(ito: ItoSystem, ansatz: Ansatz, which: str = "projectable") -> 
 def membership_coordinates(basis: SymmetryBasis, vf: VectorField):
     """Coordinates of vf in the span of the basis generators, or None.
     Used to test completeness within an ansatz."""
-    if not basis.generators:
-        return None
-    ctx = vf.context
     return _coordinates([(g.tau, *g.xi) for g in basis.generators],
-                        (vf.tau, *vf.xi), (*ctx.spatial, ctx.t),
-                        OutsideAnsatzError)
+                        (vf.tau, *vf.xi), vf.context, OutsideAnsatzError)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ import pytest
 import sympy as sp
 
 from stosym.dsl import load_candidate, load_system
+from stosym.kernel import Context
+from stosym.model import ItoSystem
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "stosym" / "fixtures"
 
@@ -51,6 +53,20 @@ def random_expression(rng, ctx, depth=3, functions=True):
                 ** rng.randint(2, 3))
     fn = rng.choice([sp.sin, sp.cos, sp.exp])
     return fn(rng.choice(atoms) * sp.Rational(rng.randint(1, 3), rng.randint(1, 2)))
+
+
+# two variables, two noises and two parameters, one of them positive
+RING_CTX = Context(spatial=("x", "y"), params={"k": "positive", "c": None},
+                   noises=("w1", "w2"))
+
+
+def random_polynomial_system(rng):
+    """Random Ito system with float-free polynomial f and sigma over
+    RING_CTX, for property tests of the polynomial-ring paths."""
+    def poly():
+        return random_expression(rng, RING_CTX, depth=2, functions=False)
+    return ItoSystem(context=RING_CTX, f=(poly(), poly()),
+                     sigma=((poly(), poly()), (poly(), poly())))
 
 
 def seeded_rng(seed):

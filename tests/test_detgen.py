@@ -14,7 +14,8 @@ from stosym.detgen import (_discrete_equations, _lambda_gamma_of,
                            detsys_projectable, detsys_spatial, detsys_w,
                            gamma, lambda_)
 from stosym.kpz import KpzChain, kpz_ito
-from conftest import random_expression, seeded_rng
+from conftest import (RING_CTX, random_expression, random_polynomial_system,
+                      seeded_rng)
 
 
 @pytest.fixture
@@ -170,17 +171,6 @@ def test_free_unknowns_detected(kramers):
 # ---------------------------------------------------------------------------
 # the polynomial-ring path against the expression path, called directly
 
-_RING_CTX = Context(spatial=("x", "y"), params={"k": "positive", "c": None},
-                    noises=("w1", "w2"))
-
-
-def _random_polynomial_system(rng):
-    def poly():
-        return random_expression(rng, _RING_CTX, depth=2, functions=False)
-    return ItoSystem(context=_RING_CTX, f=(poly(), poly()),
-                     sigma=((poly(), poly()), (poly(), poly())))
-
-
 def _rational(rng):
     return sp.Rational(rng.randint(-5, 5), rng.randint(1, 4))
 
@@ -196,12 +186,12 @@ def test_ring_lambda_gamma_matches_expression_path(rng):
     """A float-free polynomial system and candidate (tau(t), polynomial xi,
     antisymmetric rational B) give the same equations in the ring as on
     the expression path."""
-    ito = _random_polynomial_system(rng)
-    t = _RING_CTX.t
+    ito = random_polynomial_system(rng)
+    t = RING_CTX.t
     b = _rational(rng)
-    ws = WSymmetry(context=_RING_CTX,
+    ws = WSymmetry(context=RING_CTX,
                    tau=sum(_rational(rng) * t**p for p in range(3)),
-                   xi=tuple(random_expression(rng, _RING_CTX, depth=2,
+                   xi=tuple(random_expression(rng, RING_CTX, depth=2,
                                               functions=False)
                             for _ in range(2)),
                    Bmat=((0, b), (-b, 0)))
@@ -218,14 +208,14 @@ def test_ring_lambda_gamma_matches_expression_path(rng):
 def test_ring_discrete_matches_expression_path(rng):
     """The same for a discrete map with an affine phi and a
     signed-permutation R."""
-    ito = _random_polynomial_system(rng)
-    x, t = _RING_CTX.spatial, _RING_CTX.t
+    ito = random_polynomial_system(rng)
+    x, t = RING_CTX.spatial, RING_CTX.t
     perm = rng.choice([(0, 1), (1, 0)])
     R = tuple(tuple(rng.choice([-1, 1]) if q == perm[p] else 0
                     for q in range(2)) for p in range(2))
     phi = tuple(sum(_rational(rng) * v for v in x)
                 + _rational(rng) * t ** rng.randint(0, 2) for _ in range(2))
-    dmap = DiscreteMap(context=_RING_CTX, phi=phi, R=R)
+    dmap = DiscreteMap(context=RING_CTX, phi=phi, R=R)
     assert _takes_ring(ito, [dmap.phi, *dmap.R])
     eqs = _discrete_equations(_Engine(ito).exprs, dmap.phi,
                               [[sp.sympify(e) for e in row] for row in dmap.R])
@@ -237,13 +227,13 @@ def test_ring_discrete_matches_expression_path(rng):
 def _random_fp_case(rng):
     """A random polynomial system with a nonvanishing diffusion matrix and
     a random polynomial candidate tau(t), xi(x, t), beta(x, t)."""
-    ito = _random_polynomial_system(rng)
+    ito = random_polynomial_system(rng)
     assume(any(e != 0 for e in ito.half_diffusion()))
-    t = _RING_CTX.t
+    t = RING_CTX.t
 
     def poly():
-        return random_expression(rng, _RING_CTX, depth=2, functions=False)
-    vf = VectorField(context=_RING_CTX,
+        return random_expression(rng, RING_CTX, depth=2, functions=False)
+    vf = VectorField(context=RING_CTX,
                      tau=sum(_rational(rng) * t**p for p in range(3)),
                      xi=(poly(), poly()), beta=poly())
     return ito, vf

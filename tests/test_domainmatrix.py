@@ -1,13 +1,23 @@
 """The sympy API that the solver's exact elimination relies on
-(stosym.solve._coefficient_matrix and _rref_rows): parallel_poly_from_expr
-choosing one coefficient domain for many expressions, Poly.as_dict(native=True),
-the dict-of-dicts DomainMatrix constructor, to_field, rref() returning the
-pivots with the nonzero sparse rows in R.rep, and domain.to_sympy. These pin
-it at every sympy version the project supports, so that an API change fails
+(stosym.solve._coefficient_matrix and _rref_rows). On the expression
+branch: parallel_poly_from_expr choosing one coefficient domain for many
+expressions, Poly.as_dict(native=True) and to_field. On the ring branch:
+PolyElement.terms(), items() and new(), the lift of a ring element into a
+ring with more generators through ring.dtype, and elements of
+QQ.frac_field(*params) built from a numerator's terms. On both: the
+dict-of-dicts DomainMatrix constructor, rref() returning the pivots with
+the nonzero sparse rows in R.rep, and domain.to_sympy. These pin it at
+every sympy version the project supports, so that an API change fails
 here first."""
+import random
+
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import PolyRing
+
+from stosym.solve import _field_element
 
 X = sp.Symbol("x")
 A = sp.Symbol("a", positive=True)
@@ -57,3 +67,56 @@ def test_rref_of_an_empty_system():
     R, pivots = M.rref()
     assert tuple(pivots) == ()
     assert dict(R.rep) == {}
+
+
+def test_ring_terms_lift_and_euler_operator():
+    """terms() lists (monomial, coefficient) pairs; padding the monomials
+    lifts an element into a ring with one more generator E, and
+    new({m: c * m[E]}) is E d/dE of an element."""
+    E = sp.Dummy("E")
+    small, big = PolyRing((A, X), QQ), PolyRing((A, X, E), QQ)
+    p = small.from_expr(A * X**2 / 2 + 3)
+    assert sorted(p.terms()) == [((0, 0), QQ(3)), ((1, 2), QQ(1, 2))]
+    lifted = big.dtype({m + (0,): c for m, c in p.items()})
+    assert lifted == big.from_expr(A * X**2 / 2 + 3)
+    assert lifted.diff(1) == big.from_expr(A * X)
+    q = big.from_expr(X * E**2 + 5 * E + A)
+    euler = q.new({m: c * m[2] for m, c in q.items() if m[2]})
+    assert euler == big.from_expr(2 * X * E**2 + 5 * E)
+
+
+def test_fraction_field_elements_are_canonical():
+    """An element of QQ(a, b) built from a numerator's terms has the form
+    that the field's own arithmetic gives it (integer numerator
+    coefficients over a positive integer), so equal elements compare
+    equal."""
+    B = sp.Symbol("b")
+    field = QQ.frac_field(A, B).field
+    rng = random.Random(0)
+    for _ in range(200):
+        terms = {(rng.randint(0, 2), rng.randint(0, 2)):
+                 QQ(rng.choice([-3, -1, 1, 2, 7]), rng.randint(1, 6))
+                 for _ in range(rng.randint(1, 4))}
+        got = _field_element(field, terms)
+        want = field.new(field.ring.dtype(terms))
+        assert (got.numer, got.denom) == (want.numer, want.denom)
+        assert got - want == field.zero
+
+
+def test_rref_over_a_parameter_fraction_field():
+    """The dict-of-dicts constructor over QQ.frac_field(a) and its RREF,
+    from elements built off their numerators' terms."""
+    K = QQ.frac_field(A)
+    field = K.field
+
+    def el(*coeffs):
+        return _field_element(field, {(k,): QQ(c) for k, c in
+                                      enumerate(coeffs) if c})
+    M = DomainMatrix({0: {0: el(0, 1), 1: el(1)},
+                      1: {0: el(0, 0, 1), 1: el(0, 1)},
+                      2: {2: el(QQ(1, 2))}}, (3, 3), K)
+    R, pivots = M.rref()
+    assert tuple(pivots) == (0, 2)
+    assert [sorted(R.rep[i]) for i in sorted(R.rep)] == [[0, 1], [2]]
+    assert K.to_sympy(R.rep[0][1]) == 1 / A
+    assert K.to_sympy(R.rep[1][2]) == 1

@@ -1,8 +1,16 @@
+from collections import Counter
+from pathlib import Path
+from unittest import mock
+
 import pytest
 import sympy as sp
+from sympy.polys.rings import PolyElement
+from hypothesis import given, settings, strategies as st
 
 from stosym import solve
-from stosym.kernel import InconclusiveError, Verdict, normalize, to_dsl
+from stosym.dsl import load_system
+from stosym.kernel import (InconclusiveError, Verdict, normalize, parse_expr,
+                           to_dsl)
 from stosym.model import VectorField, WSymmetry
 from stosym.detgen import detsys_projectable, detsys_w
 from stosym.verify import OverallVerdict, VerificationReport, check
@@ -11,6 +19,9 @@ from stosym.solve import (Ansatz, NonClosedBasisError,
                           commutator, commutator_closure, default_time_basis,
                           membership_coordinates, solve_ansatz,
                           xi_second_derivative_constraint)
+from conftest import RING_CTX, random_polynomial_system
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _poly_ansatz(ito, degree, rates=(), include_B=False):
@@ -94,6 +105,14 @@ class TestHeat:
         basis = SymmetryBasis(generators=(dt, dx, dt))
         target = VectorField(context=ctx, tau=2, xi=(sp.Integer(1),))
         assert membership_coordinates(basis, target) == (2, 1 / s0, 0)
+
+    def test_empty_basis(self, systems):
+        """The zero field lies in the span of no generators; any other
+        field does not."""
+        ctx = systems["heat.sde"].context
+        empty = SymmetryBasis(generators=())
+        assert membership_coordinates(empty, VectorField(ctx, tau=0)) == ()
+        assert membership_coordinates(empty, VectorField(ctx, tau=1)) is None
 
     def test_soundness(self, systems):
         heat = systems["heat.sde"]
@@ -180,7 +199,16 @@ PINNED = [
       ["-exp(-2*t)", "x1*exp(-2*t)", "x2*exp(-2*t)"],
       ["0", "0", "exp(-t)"],
       ["1", "0", "0"]]),
+    # exponential time-basis elements on systems in QQ[params, x, t]
+    ("ou.sde", 1, ("a",), "projectable",
+     [["0", "exp(-a*t)"], ["1", "0"]]),
+    ("ou1.sde", 1, (1, 2), "projectable",
+     [["0", "exp(-t)"], ["-exp(-2*t)", "x*exp(-2*t)"], ["1", "0"]]),
 ]
+
+
+def _system(systems, name):
+    return systems.get(name) or load_system(DATA / name)
 
 
 class TestRegressionPins:
@@ -188,7 +216,8 @@ class TestRegressionPins:
                              ids=[f"{p[0]}-{p[3]}" for p in PINNED])
     def test_generators_unchanged(self, systems, name, degree, rates, which,
                                   expected):
-        ito = systems[name]
+        ito = _system(systems, name)
+        rates = [parse_expr(str(r), ito.context) for r in rates]
         ansatz = _poly_ansatz(ito, degree, rates, include_B=which == "w")
         assert _dsl(solve_ansatz(ito, ansatz, which=which)) == expected
 
@@ -269,3 +298,79 @@ class TestCommutator:
         bwd = commutator(b, a)
         assert normalize(fwd.tau + bwd.tau) == 0
         assert all(normalize(u + v) == 0 for u, v in zip(fwd.xi, bwd.xi))
+
+
+# ---------------------------------------------------------------------------
+# the coefficient matrix built in the ring with exponential generators
+# against the one built through the expression branch
+
+_RATES = (1, -1, 2, -2, RING_CTX.params["k"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_exp_ring_matrix_matches_expression_path(rng):
+    """A random polynomial system and a random exponential time basis give
+    the same coefficient matrix, up to the order of its rows, and so the
+    same pivots and the same RREF, in the ring with d/dt E = c E as
+    through sympy expressions."""
+    ito = random_polynomial_system(rng)
+    t = RING_CTX.t
+    rates = rng.sample(_RATES, rng.randint(1, 2))
+    ansatz = Ansatz(degree=rng.randint(0, 1), t=t, include_B=True,
+                    time_basis=default_time_basis(t, rates))
+
+    def matrix(columns):
+        """The multiset of rows and the pivots and rows of the RREF, each
+        row as a set of (column, value) pairs."""
+        M = solve._coefficient_matrix(columns, (*RING_CTX.spatial, t),
+                                      solve.OutsideAnsatzError)
+        K = M.domain
+
+        def values(row):
+            return frozenset((j, K.to_sympy(v)) for j, v in row.items())
+        pivots, rows = solve._rref_rows(M)
+        return (Counter(map(values, M.to_sdm().values())), pivots,
+                [values(r) for r in rows])
+
+    _, in_ring = solve._columns(ito, ansatz, "w")
+    assert all(isinstance(e, PolyElement) for col in in_ring for e in col)
+    with mock.patch.object(solve, "_in_exp_ring", lambda *args: None):
+        _, on_exprs = solve._columns(ito, ansatz, "w")
+    assert not any(isinstance(e, PolyElement) for col in on_exprs for e in col)
+    assert matrix(in_ring) == matrix(on_exprs)
+
+
+def test_exp_ring_refuses_two_exponentials_in_a_term():
+    """exp(t) exp(-t) = 1 is no relation of the ring: an entry holding both
+    in one term stays on the expression path."""
+    ctx = RING_CTX
+    t, (x, _) = ctx.t, ctx.spatial
+    two = sp.Mul(sp.exp(t), sp.exp(-t), x, evaluate=False)
+    assert solve._in_exp_ring(ctx.ring.symbols, ctx.spatial, t,
+                              [(sp.exp(t) + x,)]) is not None
+    assert solve._in_exp_ring(ctx.ring.symbols, ctx.spatial, t,
+                              [(two,)]) is None
+
+
+@pytest.mark.parametrize("entry", ["exp(x*t)", "exp(t**2)", "exp(t + 1)",
+                                   "exp(sqrt(2)*t)", "cos(t)*exp(t)"])
+def test_exp_ring_fallback(entry):
+    """An exponential whose argument is not c t with c in QQ[params], or
+    any other function, leaves the ring."""
+    ctx = RING_CTX
+    e = sp.sympify(entry, locals={"x": ctx.spatial[0], "t": ctx.t})
+    assert solve._in_exp_ring(ctx.ring.symbols, ctx.spatial, ctx.t,
+                              [(e,)]) is None
+
+
+def test_exp_ring_derivation():
+    """d/dt (t^2 exp(k t)) = 2 t exp(k t) + k t^2 exp(k t)."""
+    ctx = RING_CTX
+    t, k = ctx.t, ctx.params["k"]
+    calc, ((p,),) = solve._in_exp_ring(ctx.ring.symbols, ctx.spatial, t,
+                                       [(t**2 * sp.exp(k * t),)])
+    _, ((want,),) = solve._in_exp_ring(
+        ctx.ring.symbols, ctx.spatial, t,
+        [((2 * t + k * t**2) * sp.exp(k * t),)])
+    assert calc.d(p, calc.t) == want

@@ -55,6 +55,16 @@ def commands():
     out += [f"solve {FIXTURES}{system} --json {options}" for system in systems
             for options in ("--degree 1", "--degree 2", "--with-b",
                             "--time-basis exp:1")]
+    # exponential time-basis elements on ring systems, a symbolic rate and
+    # linearly dependent bases
+    out += [f"solve {DATA}ou.sde --time-basis exp:a{fmt}" for fmt in ("", " --json")]
+    out += [f"solve {DATA}ou.sde --degree 2 --with-b --time-basis exp:a --json",
+            f"solve {DATA}ou1.sde --time-basis exp:1 --time-basis exp:2",
+            f"solve {DATA}ou1.sde --time-basis exp:1 --time-basis exp:2 --json",
+            f"solve {FIXTURES}heat.sde --time-basis exp:0 --json",
+            f"solve {FIXTURES}heat.sde --time-basis exp:1 --time-basis exp:-1 --json",
+            f"solve {FIXTURES}norm_coupled2.sde --degree 2 --with-b "
+            "--time-basis exp:2 --json"]
     out += [f"kpz --sites {n} {params}--check {which} --json"
             for n in (3, 5, 8)
             for params in ("", "--beta 0 ", "--alpha 1 ",
