@@ -324,9 +324,9 @@ class _ExpRing(_Ring):
         """`ring`'s last len(rates) generators are the E_k, rates[k] is c_k
         as an element of the ring without them, and x and t are symbols."""
         self._over(ring, x, t)
-        self._pad = (0,) * len(rates)
-        first = ring.ngens - len(rates)
-        self.rates = [(first + k, self.lift(c)) for k, c in enumerate(rates)]
+        pad, first = (0,) * len(rates), ring.ngens - len(rates)
+        self.rates = [(first + k, ring.dtype({m + pad: v for m, v in c.items()}))
+                      for k, c in enumerate(rates)]
 
     def d(self, e, i):
         de = super().d(e, i)
@@ -337,11 +337,6 @@ class _ExpRing(_Ring):
                 if scaled:
                     de += c * e.new(scaled)
         return de
-
-    def lift(self, p):
-        """An element of the ring without the E_k as an element of this
-        one."""
-        return self.ring.dtype({m + self._pad: v for m, v in p.items()})
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,17 @@
 over a finite time-function basis closed under d/dt, tau over the same
 basis. Coefficient matching turns the determining systems into an exact
 homogeneous linear problem, eliminated by one sparse row reduction over
-the fraction field of the parameters, or over EX for radical
-coefficients. The determining operator is linear in the candidate, so the
-coefficient matrix is built column by column, one ansatz basis element at
-a time. When the system and the time basis allow, the columns are
-computed in QQ[params, x, t, E_1..E_k], one generator E_k per exp(c_k t)
-with d/dt E_k = c_k E_k, and the matrix is read off their terms; other
-input takes sympy expressions."""
+the fraction field of the parameters. The determining operator is linear
+in the candidate, so the coefficient matrix is built column by column, one
+ansatz basis element at a time. When the system and the time basis allow,
+the columns are computed in QQ[q, params, x, t, r, E_1..E_k] and the
+matrix is read off their terms:
+- one generator E_k per exp(c_k t), with d/dt E_k = c_k E_k;
+- one positive generator q per parameter p declared positive that occurs
+  as sqrt(p), with p = q^2;
+- one placeholder r per sqrt of a positive rational, which the matrix
+  maps into QQ.algebraic_field of those radicals.
+Only input outside that ring takes sympy expressions and the EX domain."""
 from __future__ import annotations
 
 import itertools
@@ -70,6 +74,40 @@ def _exp_generator(k):
     return _Exp(f"E{k}")
 
 
+class _Root(sp.Dummy):
+    """The positive generator q that stands for sqrt(p) of a positive
+    parameter p, with p = q^2: p -> sqrt(p) is a bijection of (0, oo), so a
+    rational identity in q > 0 holds in p > 0."""
+
+
+@lru_cache(maxsize=None)
+def _root_generator(p):
+    """q of the parameter p, the same one on every call."""
+    q = _Root(f"q_{p.name}", positive=True)
+    q.param = p
+    return q
+
+
+class _Surd(sp.Dummy):
+    """The placeholder r of sqrt(n) for a positive rational n in a ring over
+    QQ; `_ring_matrix` maps its powers into the algebraic field."""
+
+
+@lru_cache(maxsize=None)
+def _surd_generator(radical):
+    """r of the radical, the same one on every call."""
+    r = _Surd(str(radical))
+    r.radical = radical
+    return r
+
+
+@lru_cache(maxsize=None)
+def _radical_field(radicals):
+    """QQ(radicals) and each radical as its element, built once."""
+    K = QQ.algebraic_field(*radicals)
+    return K, [K.from_sympy(a) for a in radicals]
+
+
 def _replace_exps(e, reps):
     """Replace every exp atom of e by a generator E_k keyed by its
     (expanded) argument in `reps`; distinct arguments are linearly
@@ -95,14 +133,36 @@ def _rate(base, arg, x, t):
 
 
 def _in_exp_ring(symbols, x, t, groups):
-    """The calculus of QQ[symbols, E_1..E_k], with one generator E_k per
-    distinct exp(c_k t) in the entry groups (sequences of expressions) and
-    c_k in QQ[symbols other than x and t], and the groups as its elements.
+    """The calculus of QQ[symbols, r_1..r_j, E_1..E_k], and the entry groups
+    (sequences of expressions) as its elements, with
+    - each parameter p declared positive that occurs as sqrt(p) replaced by
+      its generator q (`_Root`), p = q^2 in every entry and rate;
+    - one placeholder r_i (`_Surd`) per sqrt of a positive rational;
+    - one generator E_k per distinct exp(c_k t), c_k in QQ[symbols other
+      than x and t].
     None when some entry lies outside that ring, and when a term holds two
     exponential generators: E_c E_-c = 1 is no relation of the ring, so
     distinct generators are linearly independent only one to a term."""
+    entries = [sp.sympify(e) for g in groups for e in g]
+    powers = {w for e in entries for w in e.atoms(sp.Pow)
+              if w.exp.is_Rational and w.exp.q == 2}
+    roots = {w.base: _root_generator(w.base) for w in powers
+             if w.base in symbols and w.base.is_positive
+             and w.base != t and w.base not in x}
+    if roots:
+        # sqrt(q^2) folds to q
+        square = {p: q**2 for p, q in roots.items()}
+        entries = [e.xreplace(square) for e in entries]
+        symbols = tuple(roots.get(s, s) for s in symbols)
     reps = {}
-    entries = [_replace_exps(sp.sympify(e), reps) for g in groups for e in g]
+    entries = [_replace_exps(e, reps) for e in entries]
+    surds = sorted((w for w in powers if w.base.is_Rational
+                    and w.base > 0 and w.exp == sp.S.Half),
+                   key=sp.default_sort_key)
+    if surds:
+        places = {a: _surd_generator(a) for a in surds}
+        entries = [e.xreplace(places) for e in entries]
+        symbols = (*symbols, *places.values())
     base = _own_ring(tuple(symbols))
     rates = [_rate(base, arg, x, t) for arg in reps]
     if any(c is None for c in rates):
@@ -122,10 +182,12 @@ def _in_exp_ring(symbols, x, t, groups):
 def _coefficient_matrix(columns, variables, error):
     """Sparse DomainMatrix over a field whose column j holds the coordinates
     of `columns[j]`, with one row per (entry, monomial) over `variables` and
-    the exponential atoms. The columns are sequences of expressions, or of
-    elements of one ring from `_in_exp_ring`; the coefficient domain is
-    the parameters' fraction field, or EX for radical coefficients. Raises
-    `error` for an expression entry outside that span."""
+    the exponential atoms. The columns are sequences of elements of one
+    ring from `_in_exp_ring`, whose coefficient domain is the fraction
+    field of the parameters over QQ and its radicals, or of expressions
+    outside that ring, eliminated over the domain that sympy picks for
+    them (EX for radicals). Raises `error` for an expression entry outside
+    that span."""
     keys = [(j, r) for j, col in enumerate(columns) for r in range(len(col))]
     entries = [e for col in columns for e in col]
     if entries and isinstance(entries[0], PolyElement):
@@ -158,38 +220,73 @@ def _coefficient_matrix(columns, variables, error):
 def _ring_matrix(keys, entries, variables, width):
     """`_coefficient_matrix` of ring elements, read off their terms: the
     (x, t, E) part of a monomial is its row, the rest its coefficient in
-    QQ(params), over the parameters that occur."""
+    K(params), over the parameters that occur and K = QQ(radicals) of the
+    placeholders `_Surd` that occur."""
     symbols = entries[0].ring.symbols
     row_part = [i for i, s in enumerate(symbols)
                 if s in variables or isinstance(s, _Exp)]
-    params = set(range(len(symbols))) - set(row_part)
-    split = sorted({i for e in entries for m in e for i in params if m[i]})
+    rest = set(range(len(symbols))) - set(row_part)
+    used = sorted({i for e in entries for m in e for i in rest if m[i]})
+    surds = [i for i in used if isinstance(symbols[i], _Surd)]
+    split = [i for i in used if i not in surds]
+    K = QQ
+    if surds:
+        K, roots = _radical_field(tuple(symbols[i].radical for i in surds))
+        entries = [_map_surds(e, surds, roots, K) for e in entries]
     rows = {}
     for (j, r), e in zip(keys, entries):
-        for monom, c in e.terms():
+        for monom, c in e.items():
             row = rows.setdefault((r, tuple(monom[i] for i in row_part)), {})
             row.setdefault(j, {})[tuple(monom[i] for i in split)] = c
     if split:
-        K = QQ.frac_field(*(symbols[i] for i in split))
+        K = K.frac_field(*(symbols[i] for i in split))
         element = partial(_field_element, K.field)
     else:
-        K, element = QQ, lambda terms: terms[()]
+        element = lambda terms: terms[()]
     index = {key: i for i, key in enumerate(sorted(rows))}
     return DomainMatrix(
         {index[key]: {j: element(terms) for j, terms in row.items()}
          for key, row in rows.items()}, (len(rows), width), K)
 
 
+def _map_surds(e, surds, roots, K):
+    """The nonzero terms {monomial: coefficient in K} of e with each power
+    of the placeholder at index surds[i] moved into the coefficient as
+    that power of roots[i]; sqrt(2)^2 - 2 is no relation of the ring, so
+    terms may cancel here."""
+    out = {}
+    for monom, c in e.items():
+        v, m = K.convert(c, QQ), list(monom)
+        for i, a in zip(surds, roots):
+            if m[i]:
+                v *= a**m[i]
+                m[i] = 0
+        m = tuple(m)
+        out[m] = out.get(m, K.zero) + v
+    return {m: v for m, v in out.items() if v}
+
+
 def _field_element(field, terms):
-    """The element of `field`, a field of fractions over QQ, with numerator
-    `terms` ({monomial: coefficient}) and denominator 1, in the form its
-    own arithmetic gives: integer numerator coefficients over a positive
-    integer denominator."""
+    """The element of `field`, a field of fractions over QQ or an algebraic
+    field, with numerator `terms` ({monomial: coefficient}) and denominator
+    1, in the form its own arithmetic gives: over QQ integer numerator
+    coefficients over a positive integer denominator, over an algebraic
+    field (which has no ring to clear denominators into) the numerator
+    itself."""
     numer = field.ring.dtype(terms)
-    if all(c.denominator == 1 for c in terms.values()):
+    if not field.domain.is_QQ or all(c.denominator == 1
+                                     for c in terms.values()):
         return field.raw_new(numer)
     den, numer = numer.clear_denoms()
     return field.raw_new(numer, field.ring.ground_new(den))
+
+
+def _to_sympy(K):
+    """K.to_sympy, with each generator q of `_in_exp_ring` mapped back to
+    the sqrt(p) it stands for."""
+    back = {q: sp.sqrt(q.param) for q in getattr(K, "symbols", ())
+            if isinstance(q, _Root)}
+    return lambda v: K.to_sympy(v).xreplace(back)
 
 
 def _rref_rows(M):
@@ -213,8 +310,9 @@ def _coordinates(columns, target, ctx, error):
     if k in pivots:
         return None
     coords = [sp.Integer(0)] * k
+    to_sympy = _to_sympy(M.domain)
     for p, row in zip(pivots, rows):
-        coords[p] = M.domain.to_sympy(row.get(k, M.domain.zero))
+        coords[p] = to_sympy(row.get(k, M.domain.zero))
     return tuple(coords)
 
 
@@ -308,8 +406,8 @@ def _first_label(report, verdict):
 def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
     """The ansatz basis elements (tau, xi, mixer) as expressions, and the
     columns of the coefficient matrix: the Lambda and Gamma entries of each
-    element, in the ring with the time basis's exponentials when the
-    system and the basis lie in it, else as expressions."""
+    element, in the ring of `_in_exp_ring` when the system and the basis
+    lie in it, else as expressions."""
     ctx = ito.context
     x, t = ctx.spatial, ctx.t
     n, m = ito.n, ito.m
@@ -322,15 +420,12 @@ def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
     elements = _elements(n, ansatz.time_basis,
                          _monomials(x, degree, sp.Integer(1)), mixers,
                          sp.Integer(0))
-    ring = ito._engine.ring
-    converted = ring and _in_exp_ring(ctx.ring.symbols, x, t,
-                                      [ansatz.time_basis])
+    converted = _in_exp_ring(ctx.ring.symbols, x, t,
+                             [ansatz.time_basis, ito.f, *ito.sigma])
     if converted:
-        calc, (basis,) = converted
-        lift = calc.lift
-        c = _Coefficients(calc, calc.x, calc.t, [lift(e) for e in ring.f],
-                          [[lift(e) for e in row] for row in ring.sigma],
-                          [(a, b, lift(w)) for a, b, w in ring.S])
+        calc, (basis, f, *sigma) = converted
+        c = _Coefficients(calc, calc.x, calc.t, f, sigma,
+                          calc.half_diffusion(sigma))
         gens = [calc.ring.gens[i] for i in calc.x]
         forms = _elements(n, basis, _monomials(gens, degree, calc.one),
                           mixers, calc.zero)
@@ -368,9 +463,10 @@ def solve_ansatz(ito: ItoSystem, ansatz: Ansatz, which: str = "projectable") -> 
         null[i] = {p: -row[f] for p, row in zip(pivots, rows) if f in row}
         null[i][f] = K.one
     _, reduced = _rref_rows(DomainMatrix(null, (len(free), len(elements)), K))
+    to_sympy = _to_sympy(K)
     generators = []
     for row in reduced:
-        picked = [(K.to_sympy(row[j]), elements[j]) for j in sorted(row)]
+        picked = [(to_sympy(row[j]), elements[j]) for j in sorted(row)]
         # the constructors normalize every entry
         g_tau = sum(c * tau for c, (tau, _, _) in picked)
         g_xi = tuple(sum(c * xi[i] for c, (_, xi, _) in picked) for i in range(n))

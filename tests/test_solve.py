@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from stosym import solve
 from stosym.dsl import load_system
-from stosym.kernel import (InconclusiveError, Verdict, normalize, parse_expr,
-                           to_dsl)
-from stosym.model import VectorField, WSymmetry
+from stosym.kernel import (Context, InconclusiveError, Verdict, normalize,
+                           parse_expr, to_dsl)
+from stosym.model import ItoSystem, VectorField, WSymmetry
 from stosym.detgen import detsys_projectable, detsys_w
 from stosym.verify import OverallVerdict, VerificationReport, check
 from stosym.solve import (Ansatz, NonClosedBasisError,
@@ -374,3 +374,115 @@ def test_exp_ring_derivation():
         ctx.ring.symbols, ctx.spatial, t,
         [((2 * t + k * t**2) * sp.exp(k * t),)])
     assert calc.d(p, calc.t) == want
+
+
+# ---------------------------------------------------------------------------
+# radicals: sqrt of a positive parameter as a generator q with p = q^2,
+# sqrt of a rational as an algebraic coefficient
+
+def _same_value(a, b):
+    """a == b for rational functions of radicals: the expanded numerator of
+    a - b is 0, since sympy folds sqrt(n)^2 = n as it expands."""
+    return sp.expand(sp.fraction(sp.together(a - b))[0]) == 0
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_radical_ring_matrix_matches_expression_path(rng):
+    """A random polynomial system whose noise is scaled by sqrt(2), by
+    sqrt(k) for the positive parameter k, or by both, gives the same pivots
+    and the same RREF, mapped q -> sqrt(k), in the ring as over EX."""
+    base = random_polynomial_system(rng)
+    t, k = RING_CTX.t, RING_CTX.params["k"]
+    scale = rng.choice([sp.sqrt(2), sp.sqrt(k), sp.sqrt(2) * sp.sqrt(k)])
+    ito = ItoSystem(RING_CTX, f=base.f,
+                    sigma=[[scale * e for e in row] for row in base.sigma])
+    ansatz = Ansatz(degree=rng.randint(0, 1), t=t, include_B=True,
+                    time_basis=default_time_basis(
+                        t, rng.sample(_RATES, rng.randint(0, 1))))
+
+    def rref(columns):
+        M = solve._coefficient_matrix(columns, (*RING_CTX.spatial, t),
+                                      solve.OutsideAnsatzError)
+        to_sympy = solve._to_sympy(M.domain)
+        pivots, rows = solve._rref_rows(M)
+        return M.domain, pivots, [{j: to_sympy(v) for j, v in row.items()}
+                                  for row in rows]
+
+    _, in_ring = solve._columns(ito, ansatz, "w")
+    assert all(isinstance(e, PolyElement) for col in in_ring for e in col)
+    with mock.patch.object(solve, "_in_exp_ring", lambda *args: None):
+        _, on_exprs = solve._columns(ito, ansatz, "w")
+    K, pivots, rows = rref(in_ring)
+    K_ex, pivots_ex, rows_ex = rref(on_exprs)
+    assert not K.is_EX
+    assert pivots == pivots_ex
+    for row, row_ex in zip(rows, rows_ex):
+        assert sorted(row) == sorted(row_ex)
+        assert all(_same_value(row[j], row_ex[j]) for j in row)
+
+
+def _amplitude_system():
+    """langevin2 with its noise amplitudes r_i = sqrt(2 s_i) as parameters
+    of QQ[r] and no radical."""
+    ctx = Context(spatial=("x1", "x2"), params=("r1", "r2"),
+                  noises=("w1", "w2"))
+    (x1, x2), r = ctx.spatial, ctx.params
+    return ItoSystem(ctx, f=(-x1, -x2),
+                     sigma=((r["r1"], 0), (0, r["r2"])))
+
+
+class TestRadicals:
+    @pytest.mark.parametrize("degree,rates,which", [
+        (1, (1, 2), "w"), (2, (1,), "projectable")], ids=["w", "projectable"])
+    def test_langevin2_matches_amplitude_system(self, systems, degree, rates,
+                                                which):
+        """Solved on its radicals, langevin2 has the generators of the same
+        drift with noise r_i in QQ[r], mapped r_i -> sqrt(2 s_i)."""
+        lan, amp = systems["langevin2.sde"], _amplitude_system()
+        s = lan.context.params
+        back = {amp.context.params[f"r{i}"]: sp.sqrt(2 * s[f"s{i}"])
+                for i in (1, 2)}
+
+        def generators(ito, sub):
+            ansatz = _poly_ansatz(ito, degree, rates, include_B=which == "w")
+            basis = solve_ansatz(ito, ansatz, which=which)
+            out = []
+            for g in basis.generators:
+                row = [g.tau, *g.xi, *(sum(g.Bmat, ()) if which == "w" else ())]
+                out.append([to_dsl(normalize(e.xreplace(sub))) for e in row])
+            return out
+        assert generators(lan, {}) == generators(amp, back)
+
+    @pytest.mark.parametrize("sigma,expected", [
+        ("sqrt(a)", [["0", "exp(-t)"], ["1", "0"]]),
+        ("sqrt(1 + x^2)", solve.OutsideAnsatzError)], ids=["nonzero", "polynomial"])
+    def test_fallback(self, sigma, expected):
+        """sqrt of a parameter declared only nonzero, and of a polynomial,
+        stay outside the ring and keep the expression path's answer."""
+        ctx = Context(spatial=("x",), params={"a": "nonzero"}, noises=("w",))
+        x = ctx.spatial[0]
+        ito = ItoSystem(ctx, f=(-x,), sigma=((parse_expr(sigma, ctx),),))
+        ansatz = _poly_ansatz(ito, 1, (1,))
+        assert solve._in_exp_ring(ctx.ring.symbols, ctx.spatial, ctx.t,
+                                  [ansatz.time_basis, ito.f,
+                                   *ito.sigma]) is None
+        if isinstance(expected, list):
+            assert _dsl(solve_ansatz(ito, ansatz)) == expected
+        else:
+            with pytest.raises(expected, match=r"-x/sqrt\(x\*\*2 \+ 1\) is "
+                               "not polynomial"):
+                solve_ansatz(ito, ansatz)
+
+    def test_parameter_radical_in_a_rate(self, systems):
+        """A rate meets a reparametrized parameter: exp(s1 t) becomes
+        exp(q^2 t) with q = sqrt(s1) a generator."""
+        lan = systems["langevin2.sde"]
+        ctx, s1 = lan.context, lan.context.params["s1"]
+        calc, (basis, sigma) = solve._in_exp_ring(
+            ctx.ring.symbols, ctx.spatial, ctx.t,
+            [(sp.exp(s1 * ctx.t),), lan.sigma[0]])
+        q = solve._root_generator(s1)
+        assert q in calc.ring.symbols and s1 not in calc.ring.symbols
+        (_, rate), = calc.rates
+        assert rate == calc.ring(q**2)

@@ -65,6 +65,12 @@ def commands():
             f"solve {FIXTURES}heat.sde --time-basis exp:1 --time-basis exp:-1 --json",
             f"solve {FIXTURES}norm_coupled2.sde --degree 2 --with-b "
             "--time-basis exp:2 --json"]
+    # radicals: sqrt of a positive parameter, also where a rate meets it,
+    # and sqrt(2) as an algebraic coefficient
+    out += [f"solve {FIXTURES}langevin2.sde --with-b --time-basis exp:1 "
+            "--time-basis exp:2 --json",
+            f"solve {FIXTURES}langevin2.sde --time-basis exp:s1 --json",
+            f"solve {FIXTURES}kramers.sde --degree 2 --time-basis exp:k^2 --json"]
     out += [f"kpz --sites {n} {params}--check {which} --json"
             for n in (3, 5, 8)
             for params in ("", "--beta 0 ", "--alpha 1 ",
