@@ -7,7 +7,9 @@ in the candidate, so the coefficient matrix is built column by column, one
 ansatz basis element at a time. When the system and the time basis allow,
 the columns are computed in QQ[q, params, x, t, r, E_1..E_k] and the
 matrix is read off their terms:
-- one generator E_k per exp(c_k t), with d/dt E_k = c_k E_k;
+- one generator E_k per exp(c_k t), with d/dt E_k = c_k E_k, in the
+  columns from the time basis only: they multiply the system by the
+  candidate, and E_c E_-c = 1 is no relation of the ring;
 - one positive generator q per parameter p declared positive that occurs
   as sqrt(p), with p = q^2;
 - one placeholder r per sqrt of a positive rational, which the matrix
@@ -407,7 +409,7 @@ def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
     """The ansatz basis elements (tau, xi, mixer) as expressions, and the
     columns of the coefficient matrix: the Lambda and Gamma entries of each
     element, in the ring of `_in_exp_ring` when the system and the basis
-    lie in it, else as expressions."""
+    lie in it and the system holds no exponential, else as expressions."""
     ctx = ito.context
     x, t = ctx.spatial, ctx.t
     n, m = ito.n, ito.m
@@ -420,8 +422,14 @@ def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
     elements = _elements(n, ansatz.time_basis,
                          _monomials(x, degree, sp.Integer(1)), mixers,
                          sp.Integer(0))
-    converted = _in_exp_ring(ctx.ring.symbols, x, t,
-                             [ansatz.time_basis, ito.f, *ito.sigma])
+    # the columns multiply f, sigma and S by the candidate, where an
+    # exponential of the system would meet one of the basis in a term and
+    # E_c E_-c = 1 is no relation of the ring: the E_k come from the basis
+    system = [*ito.f, *(e for row in ito.sigma for e in row)]
+    converted = None
+    if not any(sp.sympify(e).has(sp.exp) for e in system):
+        converted = _in_exp_ring(ctx.ring.symbols, x, t,
+                                 [ansatz.time_basis, ito.f, *ito.sigma])
     if converted:
         calc, (basis, f, *sigma) = converted
         c = _Coefficients(calc, calc.x, calc.t, f, sigma,

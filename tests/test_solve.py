@@ -353,6 +353,28 @@ def test_exp_ring_refuses_two_exponentials_in_a_term():
                               [(two,)]) is None
 
 
+@pytest.mark.parametrize("drift,noise,which", [
+    ("x*exp(-t)", "exp(-t)", "projectable"), ("x*exp(-t)", "exp(-t)", "w"),
+    ("x*exp(-t)", "x*exp(-t)", "w"), ("exp(-t)", "exp(-t)", "projectable"),
+    ("x*exp(t)", "exp(t)", "w"), ("x*exp(-t)", "1", "w")])
+def test_exponential_system_matches_expression_path(drift, noise, which):
+    """The columns multiply the drift and the noise by the candidate, so an
+    exponential of the system meets the basis's in one term, exp(2 t)
+    exp(-t) = exp(t) among them: solved with exp(+-t), exp(+-2t) in the
+    basis, such a system gets the expression path's generators."""
+    ctx = Context(spatial=("x",), noises=("w",))
+    ito = ItoSystem(ctx, f=(parse_expr(drift, ctx),),
+                    sigma=((parse_expr(noise, ctx),),))
+    ansatz = _poly_ansatz(ito, 1, (1, 2), include_B=which == "w")
+    _, columns = solve._columns(ito, ansatz, which)
+    assert not any(isinstance(e, PolyElement) for col in columns for e in col)
+    got = _dsl(solve_ansatz(ito, ansatz, which))
+    with mock.patch.object(solve, "_in_exp_ring", lambda *args: None):
+        assert got == _dsl(solve_ansatz(ito, ansatz, which))
+    if (drift, noise, which) == ("x*exp(-t)", "exp(-t)", "projectable"):
+        assert got == [["exp(2*t) - 2*exp(t)", "x*exp(t)"]]
+
+
 @pytest.mark.parametrize("entry", ["exp(x*t)", "exp(t**2)", "exp(t + 1)",
                                    "exp(sqrt(2)*t)", "cos(t)*exp(t)"])
 def test_exp_ring_fallback(entry):
