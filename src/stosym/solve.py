@@ -4,17 +4,17 @@ basis. Coefficient matching turns the determining systems into an exact
 homogeneous linear problem, eliminated by one sparse row reduction over
 the fraction field of the parameters. The determining operator is linear
 in the candidate, so the coefficient matrix is built column by column, one
-ansatz basis element at a time. When the system and the time basis allow,
-the columns are computed in QQ[q, params, x, t, r, E_1..E_k] and the
-matrix is read off their terms:
-- one generator E_k per exp(c_k t), with d/dt E_k = c_k E_k, in the
-  columns from the time basis only: they multiply the system by the
-  candidate, and E_c E_-c = 1 is no relation of the ring;
-- one positive generator q per parameter p declared positive that occurs
-  as sqrt(p), with p = q^2;
-- one placeholder r per sqrt of a positive rational, which the matrix
-  maps into QQ.algebraic_field of those radicals.
-Only input outside that ring takes sympy expressions and the EX domain."""
+ansatz basis element at a time, in one ring, and read off the terms of its
+elements. Each exp(c t + d) of the system or the basis is exp(d) E_c, one
+generator E_c per rate c with d/dt E_c = c E_c, and a row of the matrix is
+an entry, an x-t monomial and a net rate. The ring is
+- QQ[q, params, x, t, r, E_1..E_k] when every entry lies in it and no
+  exponential carries a shift d, with one positive generator q per
+  parameter p declared positive that occurs as sqrt(p) (p = q^2) and one
+  placeholder r per sqrt of a positive rational, which the matrix maps
+  into QQ.algebraic_field of those radicals;
+- EX[x, t, E_1..E_k] otherwise.
+Input outside both lies outside the ansatz."""
 from __future__ import annotations
 
 import itertools
@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import sympy as sp
-from sympy.polys.domains import QQ
+from sympy.polys.domains import EX, QQ
 from sympy.polys.matrices import DomainMatrix
-from sympy.polys.rings import PolyElement
+from sympy.polys.rings import PolyRing
 
 from .kernel import InconclusiveError, Verdict, _own_ring, _ring_element
 from .model import (ItoSystem, VectorField, WSymmetry, _Coefficients,
@@ -62,18 +62,14 @@ def default_time_basis(t, rates=()):
     return tuple(basis)
 
 
-# --- linear decomposition over {x^a * t^b * exp(...)} monomials ---
-
-class _Exp(sp.Dummy):
-    """The generator E that stands for one exp(c t) in a coefficient
-    system."""
-
+# --- linear decomposition over {x^a * t^b * exp(r t)} monomials ---
 
 @lru_cache(maxsize=None)
 def _exp_generator(k):
-    """The k-th generator E_k, the same one on every call, so that the
-    rings over the same generators are built once."""
-    return _Exp(f"E{k}")
+    """The k-th generator E_k, standing for one exp(c_k t), the same one on
+    every call, so that the rings over the same generators are built
+    once."""
+    return sp.Dummy(f"E{k}")
 
 
 class _Root(sp.Dummy):
@@ -92,7 +88,7 @@ def _root_generator(p):
 
 class _Surd(sp.Dummy):
     """The placeholder r of sqrt(n) for a positive rational n in a ring over
-    QQ; `_ring_matrix` maps its powers into the algebraic field."""
+    QQ; `_coefficient_matrix` maps its powers into the algebraic field."""
 
 
 @lru_cache(maxsize=None)
@@ -110,145 +106,142 @@ def _radical_field(radicals):
     return K, [K.from_sympy(a) for a in radicals]
 
 
-def _replace_exps(e, reps):
-    """Replace every exp atom of e by a generator E_k keyed by its
-    (expanded) argument in `reps`; distinct arguments are linearly
-    independent."""
-    sub = {}
-    for a in e.atoms(sp.exp):
-        key = sp.expand(a.args[0])
-        if key not in reps:
-            reps[key] = _exp_generator(len(reps) + 1)
-        sub[a] = reps[key]
-    return e.xreplace(sub) if sub else e
+def _exp_split(a, x, t):
+    """(c, d) with a = exp(c t + d) and c, d free of x and t, or None."""
+    d, ct = sp.expand(a.args[0]).as_independent(t, as_Add=True)
+    c = ct.diff(t)
+    return None if c.has(t, *x) or d.has(*x) else (c, d)
 
 
-def _rate(base, arg, x, t):
-    """c in QQ[params] with arg = c t, as an element of `base` (the ring
-    QQ[params, x, t]), or None."""
-    p = _ring_element(arg, base)
-    ti = base.symbols.index(t)
-    xs = [base.symbols.index(v) for v in x]
-    if not p or any(m[ti] != 1 or any(m[i] for i in xs) for m in p):
-        return None
-    return base.dtype({m[:ti] + (0,) + m[ti + 1:]: v for m, v in p.items()})
-
-
-def _in_exp_ring(symbols, x, t, groups):
-    """The calculus of QQ[symbols, r_1..r_j, E_1..E_k], and the entry groups
-    (sequences of expressions) as its elements, with
+def _in_exp_ring(symbols, x, t, groups, error):
+    """The calculus of the ansatz ring, and the entry groups (sequences of
+    expressions) as its elements. Each exp(c t + d) with c, d free of x and
+    t is exp(d) E_c, one generator E_c per rate c. The ring is
+    QQ[symbols, r_1..r_j, E_1..E_k] when every entry and rate lies in it
+    and every d is 0, with
     - each parameter p declared positive that occurs as sqrt(p) replaced by
       its generator q (`_Root`), p = q^2 in every entry and rate;
     - one placeholder r_i (`_Surd`) per sqrt of a positive rational;
-    - one generator E_k per distinct exp(c_k t), c_k in QQ[symbols other
-      than x and t].
-    None when some entry lies outside that ring, and when a term holds two
-    exponential generators: E_c E_-c = 1 is no relation of the ring, so
-    distinct generators are linearly independent only one to a term."""
+    and EX[x, t, E_1..E_k] otherwise. Raises `error` naming the first entry
+    outside both."""
     entries = [sp.sympify(e) for g in groups for e in g]
-    powers = {w for e in entries for w in e.atoms(sp.Pow)
-              if w.exp.is_Rational and w.exp.q == 2}
-    roots = {w.base: _root_generator(w.base) for w in powers
-             if w.base in symbols and w.base.is_positive
-             and w.base != t and w.base not in x}
-    if roots:
-        # sqrt(q^2) folds to q
-        square = {p: q**2 for p, q in roots.items()}
-        entries = [e.xreplace(square) for e in entries]
-        symbols = tuple(roots.get(s, s) for s in symbols)
-    reps = {}
-    entries = [_replace_exps(e, reps) for e in entries]
-    surds = sorted((w for w in powers if w.base.is_Rational
-                    and w.base > 0 and w.exp == sp.S.Half),
-                   key=sp.default_sort_key)
-    if surds:
-        places = {a: _surd_generator(a) for a in surds}
-        entries = [e.xreplace(places) for e in entries]
-        symbols = (*symbols, *places.values())
-    base = _own_ring(tuple(symbols))
-    rates = [_rate(base, arg, x, t) for arg in reps]
-    if any(c is None for c in rates):
-        return None
-    ring = _own_ring((*symbols, *reps.values()))
-    out, n = [], len(symbols)
-    for e in entries:
-        p = _ring_element(e, ring)
-        if p is None or any(sum(m[n:]) > 1 for m in p):
-            return None
-        out.append(p)
-    calc = _ExpRing(ring, x, t, rates)
+    # one walk per entry finds the radicals and the exponentials
+    found = set().union(*(e.atoms(sp.Pow, sp.exp) for e in entries))
+    powers = [w for w in found if w.is_Pow and w.exp.is_Rational
+              and w.exp.q == 2]
+    exps = sorted((a for a in found if isinstance(a, sp.exp)),
+                  key=sp.default_sort_key)
+    calc, out = (_over_rationals(symbols, x, t, entries, powers, exps)
+                 or _over_expressions(x, t, entries, exps, error))
     it = iter(out)
     return calc, [[next(it) for _ in g] for g in groups]
 
 
-def _coefficient_matrix(columns, variables, error):
-    """Sparse DomainMatrix over a field whose column j holds the coordinates
-    of `columns[j]`, with one row per (entry, monomial) over `variables` and
-    the exponential atoms. The columns are sequences of elements of one
-    ring from `_in_exp_ring`, whose coefficient domain is the fraction
-    field of the parameters over QQ and its radicals, or of expressions
-    outside that ring, eliminated over the domain that sympy picks for
-    them (EX for radicals). Raises `error` for an expression entry outside
-    that span."""
-    keys = [(j, r) for j, col in enumerate(columns) for r in range(len(col))]
-    entries = [e for col in columns for e in col]
-    if entries and isinstance(entries[0], PolyElement):
-        return _ring_matrix(keys, entries, variables, len(columns))
-    reps = {}
-    entries = [_replace_exps(sp.expand(e), reps) for e in entries]
-    gens = (*variables, *reps.values())
+def _over_rationals(symbols, x, t, entries, powers, exps):
+    """`_in_exp_ring` over QQ, or None."""
+    roots = {w.base: _root_generator(w.base) for w in powers
+             if w.base in symbols and w.base.is_positive
+             and w.base != t and w.base not in x}
+    # sqrt(q^2) folds to q
+    square = {p: q**2 for p, q in roots.items()}
+    symbols = tuple(roots.get(s, s) for s in symbols)
+    surds = sorted((w for w in powers if w.base.is_Rational
+                    and w.base > 0 and w.exp == sp.S.Half),
+                   key=sp.default_sort_key)
+    places = {a: _surd_generator(a) for a in surds}
+    rates, sub = {}, {**square, **places}
+    for a in exps:
+        split = _exp_split(a.xreplace(square), x, t)
+        if split is None or split[1] != 0:
+            return None
+        sub[a] = rates.setdefault(split[0], _exp_generator(len(rates) + 1))
+    ring = _own_ring((*symbols, *places.values(), *rates.values()))
+    out = [_ring_element(e.xreplace(sub) if sub else e, ring)
+           for e in entries]
+    rates = [_ring_element(c, ring) for c in rates]
+    if any(e is None for e in (*out, *rates)):
+        return None
+    return _ExpRing(ring, x, t, rates), out
+
+
+def _over_expressions(x, t, entries, exps, error):
+    """`_in_exp_ring` over EX."""
+    rates, sub = {}, {}
+    for a in exps:
+        split = _exp_split(a, x, t)
+        if split is not None:
+            E = rates.setdefault(split[0], _exp_generator(len(rates) + 1))
+            sub[a] = sp.exp(split[1]) * E
+    gens = (*x, t, *rates.values())
+    replaced = [e.xreplace(sub) for e in entries]
     try:
-        # the entries are expanded already
-        polys, opt = sp.parallel_poly_from_expr(entries, *gens, expand=False)
+        polys, _ = sp.parallel_poly_from_expr(replaced, *gens, domain=EX)
     except sp.PolynomialError as exc:
         # name the first offending entry, on this error path only
-        exps = {v: sp.exp(k) for k, v in reps.items()}
-        for e in entries:
+        for e, r in zip(entries, replaced):
             try:
-                sp.Poly(e, *gens)
+                sp.Poly(r, *gens, domain=EX)
             except sp.PolynomialError:
-                raise error(f"{e.xreplace(exps)} is not polynomial over the "
-                            f"ansatz monomials (x, t and exponentials)") from exc
+                raise error(f"{e} is not polynomial over the ansatz "
+                            "monomials (x, t and exponentials)") from exc
         raise
-    rows = {}
-    for (j, r), p in zip(keys, polys):
-        for monom, c in p.as_dict(native=True).items():
-            rows.setdefault((r, monom), {})[j] = c
-    index = {key: i for i, key in enumerate(sorted(rows))}
-    return DomainMatrix({index[key]: row for key, row in rows.items()},
-                        (len(rows), len(columns)), opt.domain).to_field()
+    ring = PolyRing(gens, EX)
+    rates = [ring.ground_new(EX.from_sympy(c)) for c in rates]
+    return (_ExpRing(ring, x, t, rates),
+            [ring.from_dict(p.as_dict(native=True)) for p in polys])
 
 
-def _ring_matrix(keys, entries, variables, width):
-    """`_coefficient_matrix` of ring elements, read off their terms: the
-    (x, t, E) part of a monomial is its row, the rest its coefficient in
-    K(params), over the parameters that occur and K = QQ(radicals) of the
-    placeholders `_Surd` that occur."""
-    symbols = entries[0].ring.symbols
-    row_part = [i for i, s in enumerate(symbols)
-                if s in variables or isinstance(s, _Exp)]
-    rest = set(range(len(symbols))) - set(row_part)
+def _coefficient_matrix(calc, columns):
+    """Sparse DomainMatrix over a field whose column j holds the coordinates
+    of `columns[j]`, sequences of elements of calc.ring from
+    `_in_exp_ring`. A monomial's row is its entry, its x-t exponents and
+    its net rate sum_k m_k c_k of E_1^m_1..E_k^m_k: E_k -> exp(c_k t) is a
+    ring homomorphism that commutes with d/dt, and t^b x^a exp(r t) of
+    distinct (a, b, r) are linearly independent. The rest of the monomial
+    is its coefficient in K(params), over the parameters that occur and
+    K = QQ(radicals) of the placeholders `_Surd` that occur, or in EX."""
+    ring = calc.ring
+    symbols, rates = ring.symbols, calc.rates
+    xt, es = (*calc.x, calc.t), [k for k, _ in rates]
+    rest = set(range(len(symbols))) - set(xt) - set(es)
+    entries = [e for col in columns for e in col]
     used = sorted({i for e in entries for m in e for i in rest if m[i]})
     surds = [i for i in used if isinstance(symbols[i], _Surd)]
     split = [i for i in used if i not in surds]
-    K = QQ
+    K = ring.domain
     if surds:
         K, roots = _radical_field(tuple(symbols[i].radical for i in surds))
         entries = [_map_surds(e, surds, roots, K) for e in entries]
-    rows = {}
+    keys = [(j, r) for j, col in enumerate(columns) for r in range(len(col))]
+    nets, rows = {}, {}
     for (j, r), e in zip(keys, entries):
         for monom, c in e.items():
-            row = rows.setdefault((r, tuple(monom[i] for i in row_part)), {})
-            row.setdefault(j, {})[tuple(monom[i] for i in split)] = c
+            power = tuple(monom[k] for k in es)
+            net = nets.get(power)
+            if net is None:
+                net = nets[power] = ring.add(
+                    *(m * c_k for m, (_, c_k) in zip(power, rates) if m))
+            row = rows.setdefault((r, tuple(monom[i] for i in xt), net), {})
+            terms = row.setdefault(j, {})
+            key = tuple(monom[i] for i in split)
+            # E_c E_-c = 1: terms of one row may cancel
+            terms[key] = terms[key] + c if key in terms else c
     if split:
         K = K.frac_field(*(symbols[i] for i in split))
         element = partial(_field_element, K.field)
     else:
         element = lambda terms: terms[()]
-    index = {key: i for i, key in enumerate(sorted(rows))}
-    return DomainMatrix(
-        {index[key]: {j: element(terms) for j, terms in row.items()}
-         for key, row in rows.items()}, (len(rows), width), K)
+    matrix = []
+    for key in sorted(rows, key=lambda key: key[:2]):
+        row = {}
+        for j, terms in rows[key].items():
+            terms = {m: v for m, v in terms.items() if v}
+            if terms:
+                row[j] = element(terms)
+        if row:
+            matrix.append(row)
+    return DomainMatrix(dict(enumerate(matrix)), (len(matrix), len(columns)),
+                        K)
 
 
 def _map_surds(e, surds, roots, K):
@@ -298,15 +291,13 @@ def _rref_rows(M):
     return pivots, [R.rep[i] for i in sorted(R.rep)]
 
 
-def _coordinates(columns, target, ctx, error):
+def _coordinates(columns, target, ctx):
     """Coefficients expressing `target` in the span of `columns` (sequences
     of expressions of equal length, in the context `ctx`), or None when it
     lies outside. Free coordinates are pinned to zero."""
-    x, t = ctx.spatial, ctx.t
-    groups = [*columns, target]
-    converted = _in_exp_ring(ctx.ring.symbols, x, t, groups)
-    M = _coefficient_matrix(groups if converted is None else converted[1],
-                            (*x, t), error)
+    M = _coefficient_matrix(*_in_exp_ring(
+        ctx.ring.symbols, ctx.spatial, ctx.t, [*columns, target],
+        OutsideAnsatzError))
     k = len(columns)
     pivots, rows = _rref_rows(M)
     if k in pivots:
@@ -338,15 +329,11 @@ class Ansatz:
         t = self.t
         symbols = sorted({t}.union(*(b.free_symbols for b in basis)),
                          key=sp.default_sort_key)
-        converted = _in_exp_ring(symbols, (), t, [basis])
-        if converted is None:
-            elements, d = basis, lambda b: sp.diff(b, t)
-        else:
-            calc, (elements,) = converted
-            d = lambda b: calc.d(b, calc.t)
-        columns = [(b,) for b in elements] + [(d(b),) for b in elements]
-        M = _coefficient_matrix(columns, (t,), NonClosedBasisError)
-        pivots, _ = _rref_rows(M)
+        calc, (elements,) = _in_exp_ring(symbols, (), t, [basis],
+                                         NonClosedBasisError)
+        columns = ([(b,) for b in elements]
+                   + [(calc.d(b, calc.t),) for b in elements])
+        pivots, _ = _rref_rows(_coefficient_matrix(calc, columns))
         if any(p >= len(basis) for p in pivots):
             raise NonClosedBasisError(
                 f"d/dt of the time basis {basis} leaves its span")
@@ -406,10 +393,10 @@ def _first_label(report, verdict):
 
 
 def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
-    """The ansatz basis elements (tau, xi, mixer) as expressions, and the
-    columns of the coefficient matrix: the Lambda and Gamma entries of each
-    element, in the ring of `_in_exp_ring` when the system and the basis
-    lie in it and the system holds no exponential, else as expressions."""
+    """The ansatz basis elements (tau, xi, mixer) as expressions, the
+    calculus of the ring of `_in_exp_ring` and the columns of the
+    coefficient matrix in it: the Lambda and Gamma entries of each
+    element."""
     ctx = ito.context
     x, t = ctx.spatial, ctx.t
     n, m = ito.n, ito.m
@@ -422,24 +409,15 @@ def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
     elements = _elements(n, ansatz.time_basis,
                          _monomials(x, degree, sp.Integer(1)), mixers,
                          sp.Integer(0))
-    # the columns multiply f, sigma and S by the candidate, where an
-    # exponential of the system would meet one of the basis in a term and
-    # E_c E_-c = 1 is no relation of the ring: the E_k come from the basis
-    system = [*ito.f, *(e for row in ito.sigma for e in row)]
-    converted = None
-    if not any(sp.sympify(e).has(sp.exp) for e in system):
-        converted = _in_exp_ring(ctx.ring.symbols, x, t,
-                                 [ansatz.time_basis, ito.f, *ito.sigma])
-    if converted:
-        calc, (basis, f, *sigma) = converted
-        c = _Coefficients(calc, calc.x, calc.t, f, sigma,
-                          calc.half_diffusion(sigma))
-        gens = [calc.ring.gens[i] for i in calc.x]
-        forms = _elements(n, basis, _monomials(gens, degree, calc.one),
-                          mixers, calc.zero)
-    else:
-        c, forms = ito._engine.exprs, elements
-    one, zero = c.calc.one, c.calc.zero
+    calc, (basis, f, *sigma) = _in_exp_ring(
+        ctx.ring.symbols, x, t, [ansatz.time_basis, ito.f, *ito.sigma],
+        OutsideAnsatzError)
+    c = _Coefficients(calc, calc.x, calc.t, f, sigma,
+                      calc.half_diffusion(sigma))
+    gens = [calc.ring.gens[i] for i in calc.x]
+    forms = _elements(n, basis, _monomials(gens, degree, calc.one), mixers,
+                      calc.zero)
+    one, zero = calc.one, calc.zero
     columns = []
     for tau, xi, pq in forms:
         # the columns of B = e_pq - e_qp
@@ -448,7 +426,7 @@ def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
              for a in range(m)] for j in range(m)]
         lam, gam = _lambda_gamma_of(c, tau, xi, B)
         columns.append([*lam, *(e for row in gam for e in row)])
-    return elements, columns
+    return elements, calc, columns
 
 
 def solve_ansatz(ito: ItoSystem, ansatz: Ansatz, which: str = "projectable") -> SymmetryBasis:
@@ -459,9 +437,8 @@ def solve_ansatz(ito: ItoSystem, ansatz: Ansatz, which: str = "projectable") -> 
         raise ValueError("which must be 'projectable' or 'w'")
     ctx = ito.context
     n, m = ito.n, ito.m
-    elements, columns = _columns(ito, ansatz, which)
-    M = _coefficient_matrix(columns, (*ctx.spatial, ctx.t),
-                            OutsideAnsatzError)
+    elements, calc, columns = _columns(ito, ansatz, which)
+    M = _coefficient_matrix(calc, columns)
     K = M.domain
     # null basis off the free columns, then its unique RREF
     pivots, rows = _rref_rows(M)
@@ -506,7 +483,7 @@ def membership_coordinates(basis: SymmetryBasis, vf: VectorField):
     """Coordinates of vf in the span of the basis generators, or None.
     Used to test completeness within an ansatz."""
     return _coordinates([(g.tau, *g.xi) for g in basis.generators],
-                        (vf.tau, *vf.xi), vf.context, OutsideAnsatzError)
+                        (vf.tau, *vf.xi), vf.context)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
 """The sympy API that the solver's exact elimination relies on
-(stosym.solve._coefficient_matrix and _rref_rows). On the expression
-branch: parallel_poly_from_expr choosing one coefficient domain for many
-expressions, Poly.as_dict(native=True) and to_field. On the ring branch:
-PolyElement.terms(), items() and new(), the lift of a ring element into a
-ring with more generators through ring.dtype, and elements of
-QQ.frac_field(*params) built from a numerator's terms. On both: the
+(stosym.solve._in_exp_ring, _coefficient_matrix and _rref_rows). Over QQ:
+PolyElement.terms(), items() and new(), and elements of
+QQ.frac_field(*params) built from a numerator's terms. Over EX:
+parallel_poly_from_expr(..., domain=EX), Poly.as_dict(native=True),
+PolyRing(gens, EX) with from_dict, ground_new and diff. On both: the
 dict-of-dicts DomainMatrix constructor, rref() returning the pivots with
 the nonzero sparse rows in R.rep, and domain.to_sympy. For radical
 coefficients: QQ.algebraic_field, its from_sympy, convert from QQ and
@@ -15,7 +14,7 @@ import random
 
 import pytest
 import sympy as sp
-from sympy.polys.domains import QQ
+from sympy.polys.domains import EX, QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyRing
 
@@ -26,31 +25,30 @@ A = sp.Symbol("a", positive=True)
 R2A = sp.sqrt(2) * sp.sqrt(A)
 
 
-def _field_matrix(rows):
-    """Domain and sparse field DomainMatrix of `rows`, lists of constants
-    read as polynomials in x the way the solver reads its entries."""
+def _ex_matrix(rows):
+    """Sparse DomainMatrix over EX of `rows`, lists of constants read as
+    polynomials in x over EX the way the solver reads its entries."""
     width = len(rows[0])
     polys, opt = sp.parallel_poly_from_expr(
-        [sp.sympify(e) for row in rows for e in row], X)
+        [sp.sympify(e) for row in rows for e in row], X, domain=EX)
+    assert opt.domain.is_EX
     dod = {}
     for k, p in enumerate(polys):
         for (deg,), c in p.as_dict(native=True).items():
             assert deg == 0
             dod.setdefault(k // width, {})[k % width] = c
-    return opt.domain, DomainMatrix(dod, (len(rows), width), opt.domain).to_field()
+    return DomainMatrix(dod, (len(rows), width), EX)
 
 
-@pytest.mark.parametrize("rows,kind,pivots,rref", [
-    ([[1, 2, 3], [2, 4, 7], [0, 0, 0]], "is_ZZ", (0, 2),
-     [{0: 1, 1: 2}, {2: 1}]),
-    ([[A, 1], [A**2, A]], "is_PolynomialRing", (0,),
-     [{0: 1, 1: 1 / A}]),
-    ([[R2A, 1, 0], [2 * A, R2A, 0], [0, 0, A]], "is_EX", (0, 2),
+@pytest.mark.parametrize("rows,pivots,rref", [
+    ([[1, 2, 3], [2, 4, 7], [0, 0, 0]], (0, 2), [{0: 1, 1: 2}, {2: 1}]),
+    ([[A, 1], [A**2, A]], (0,), [{0: 1, 1: 1 / A}]),
+    ([[R2A, 1, 0], [2 * A, R2A, 0], [0, 0, A]], (0, 2),
      [{0: 1, 1: 1 / R2A}, {2: 1}]),
 ], ids=["rational", "parameter", "radical"])
-def test_rref_over_the_coefficient_field(rows, kind, pivots, rref):
-    domain, M = _field_matrix(rows)
-    assert getattr(domain, kind)
+def test_rref_over_the_coefficient_field(rows, pivots, rref):
+    """rref over EX, where every step cancels: dependent rows vanish."""
+    M = _ex_matrix(rows)
     K = M.domain
     assert K.is_Field
     R, got = M.rref()
@@ -63,9 +61,25 @@ def test_rref_over_the_coefficient_field(rows, kind, pivots, rref):
             assert sp.simplify(K.to_sympy(row[j]) - v) == 0
 
 
+def test_ex_ring_from_parallel_polys():
+    """PolyRing(gens, EX) holds parallel_poly_from_expr(..., domain=EX)
+    through from_dict; ground_new of an EX element, a rational constant,
+    diff by generator index and products stay exact."""
+    t, E = sp.Symbol("t"), sp.Dummy("E")
+    ring = PolyRing((X, t, E), EX)
+    (p, q), _ = sp.parallel_poly_from_expr(
+        [X * sp.exp(-1) * E + R2A * t**2, sp.sqrt(A) * X], X, t, E, domain=EX)
+    p, q = (ring.from_dict(e.as_dict(native=True)) for e in (p, q))
+    assert p.diff(1) == ring.from_dict({(0, 1, 0): EX.from_sympy(2 * R2A)})
+    c = ring.ground_new(EX.from_sympy(sp.sqrt(2)))
+    assert q * q * c == ring.from_dict({(2, 0, 0): EX.from_sympy(A * sp.sqrt(2))})
+    assert ring(QQ(1, 2)) * 2 == ring.one
+    assert EX.to_sympy(dict(p)[(1, 0, 1)]) == sp.exp(-1)
+
+
 def test_rref_of_an_empty_system():
     """A system whose entries all vanish has no rows and no pivots."""
-    M = DomainMatrix({}, (0, 3), sp.QQ).to_field()
+    M = DomainMatrix({}, (0, 3), QQ)
     R, pivots = M.rref()
     assert tuple(pivots) == ()
     assert dict(R.rep) == {}

@@ -71,6 +71,11 @@ def commands():
             "--time-basis exp:2 --json",
             f"solve {FIXTURES}langevin2.sde --time-basis exp:s1 --json",
             f"solve {FIXTURES}kramers.sde --degree 2 --time-basis exp:k^2 --json"]
+    # exponentials in the drift and the noise, one of them shifted by a
+    # constant, and sqrt of a parameter declared only nonzero
+    out += [f"solve {DATA}{system} --time-basis exp:1 --time-basis exp:2{fmt}"
+            for system in ("expshift.sde", "expdrift.sde", "nonzeroroot.sde")
+            for fmt in ("", " --json")]
     out += [f"kpz --sites {n} {params}--check {which} --json"
             for n in (3, 5, 8)
             for params in ("", "--beta 0 ", "--alpha 1 ",
