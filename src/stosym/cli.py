@@ -6,7 +6,8 @@ argument or parameter binding is unusable, or the system is degenerate
 where a command needs its Fokker-Planck equation), 3 the verdict is
 inconclusive (the zero test could not decide a residual, a degeneracy or
 the orthogonality of a candidate's R), 4 a simulation blew up
-(`simulate`, `mc-check`: a path left the finite numbers).
+(`simulate`, `mc-check`: a path, or a state the candidate moved, left the
+finite numbers).
 """
 from __future__ import annotations
 
@@ -322,13 +323,17 @@ def simulate(system_file, x0, t0, t1, dt, n_paths, seed, param_pairs,
 @click.option("--dt", default=1e-3, show_default=True)
 @click.option("--n-paths", default=10000, show_default=True)
 @click.option("--seed", default=12345, show_default=True)
-@click.option("--epsilon", default=1e-2, show_default=True)
+@click.option("--epsilon", default=0.3, show_default=True,
+              help="A generator moves states by exp(epsilon xi).")
 @click.option("--significance", default=0.01, show_default=True)
 @click.option("--param", "param_pairs", multiple=True)
 @click.option("--json", "as_json", is_flag=True)
 def mc_check(system_file, candidate_file, x0, t1, dt, n_paths, seed,
              epsilon, significance, param_pairs, as_json):
-    """Cross-validate a candidate numerically by ensemble comparison."""
+    """Cross-validate a candidate numerically: move every simulated path
+    through it (phi, or exp(epsilon xi) with tau = 0) and compare with the
+    system started at the moved point. Only one-time marginals of the laws
+    are compared, so a Fokker-Planck statistical equivalence passes too."""
     from .mcsim import BlowupError, InputError, validate_symmetry_mc
     ito = _load(system_file, load_system)
     candidate = _load(candidate_file, load_candidate, ito)

@@ -255,7 +255,8 @@ class TestSimulateAndMc:
     @pytest.mark.parametrize("option,value", [
         ("--param", "s0=abc"), ("--param", "s0=nan"), ("--param", "s0=inf"),
         ("--param", "zz=2"), ("--param", "x=1"), ("--param", "s0"),
-        ("--x0", "a"), ("--x0", "0,0"), ("--n-paths", "0")])
+        ("--x0", "a"), ("--x0", "0,0"), ("--n-paths", "0"),
+        ("--dt", "nan"), ("--t1", "inf"), ("--t1", "nan")])
     def test_bad_numeric_option_exit_two(self, runner, fixtures_dir, tmp_path,
                                          command, option, value):
         """Rejected before any simulation: exit 2 with one stderr line, and
@@ -272,11 +273,61 @@ class TestSimulateAndMc:
         assert len(result.stderr.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("candidate", ["scale", "heat_v4.cand"])
+    def test_mc_check_non_symmetry_exit_one(self, runner, fixtures_dir,
+                                            tmp_path, candidate):
+        """`check` calls both not_symmetry: the moved ensemble must differ
+        from the heat equation started at the moved point."""
+        if candidate == "scale":
+            path = tmp_path / "scale.cand"
+            path.write_text("candidate scale\nxi x = x\n")
+        else:
+            path = fixtures_dir / candidate
+        result = runner.invoke(main, [
+            "mc-check", fx(fixtures_dir, "heat.sde"), str(path),
+            "--x0", "0.3", "--param", "s0=1", "--n-paths", "4000"])
+        assert result.exit_code == 1
+        assert result.output.strip() == "fail"
+
+    def test_mc_check_w_candidate(self, runner, fixtures_dir):
+        result = runner.invoke(main, [
+            "mc-check", fx(fixtures_dir, "langevin2.sde"),
+            fx(fixtures_dir, "langevin_wrot.cand"), "--x0", "0.5,0.1",
+            "--param", "s1=1", "--param", "s2=1", "--dt", "0.01", "--json"])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert report["verdict"] == "pass"
+        assert report["ks_pass"] is True and report["moment_pass"] is True
+
+    @pytest.mark.parametrize("option,value", [
+        ("--significance", "0"), ("--significance", "1"),
+        ("--n-paths", "1")])
+    def test_mc_check_unusable_comparison_exit_two(self, runner, fixtures_dir,
+                                                   option, value):
+        result = runner.invoke(main, [
+            "mc-check", fx(fixtures_dir, "heat.sde"),
+            fx(fixtures_dir, "heat_v2.cand"), "--x0", "0", "--param", "s0=1",
+            "--n-paths", "10", option, value])
+        assert result.exit_code == 2
+        assert len(result.stderr.strip().splitlines()) == 1
+
     def test_mc_check_time_component_exit_two(self, runner, fixtures_dir):
         result = runner.invoke(main, [
             "mc-check", fx(fixtures_dir, "heat.sde"),
             fx(fixtures_dir, "heat_v5.cand"), "--x0", "0", "--n-paths", "10",
             "--param", "s0=1"])
+        assert result.exit_code == 2
+        assert "tau = 0" in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    def test_mc_check_w_time_component_exit_two(self, runner, fixtures_dir,
+                                                tmp_path):
+        cand = tmp_path / "w_time.cand"
+        cand.write_text("candidate w_time\ntau = 1\nB[1][2] = 1\n")
+        result = runner.invoke(main, [
+            "mc-check", fx(fixtures_dir, "langevin2.sde"), str(cand),
+            "--x0", "0,0", "--n-paths", "10", "--param", "s1=1",
+            "--param", "s2=1"])
         assert result.exit_code == 2
         assert "tau = 0" in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
@@ -474,4 +525,19 @@ class TestExitContract:
         assert result.exit_code == 4
         assert result.stderr.startswith(f"{command}: non-finite value in path")
         assert "step" in result.stderr and "t=" in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    def test_moved_blowup_exit_four(self, runner, fixtures_dir, tmp_path):
+        """The flow of xi = exp(x) leaves the finite numbers before
+        epsilon = 2 from x = 1: one line naming the moved path, no
+        traceback."""
+        cand = tmp_path / "exp.cand"
+        cand.write_text("candidate exp\nxi x = exp(x)\n")
+        result = runner.invoke(main, [
+            "mc-check", fx(fixtures_dir, "heat.sde"), str(cand), "--x0", "1",
+            "--param", "s0=1", "--n-paths", "20", "--dt", "0.01",
+            "--epsilon", "2"])
+        assert result.exit_code == 4
+        assert result.stderr.startswith(
+            "mc-check: non-finite moved value in path 0 at step 0")
         assert len(result.stderr.strip().splitlines()) == 1

@@ -10,9 +10,10 @@ from stosym import mcsim
 from stosym.dsl import load_system
 from stosym.kernel import Context
 from stosym.kpz import KpzChain, kpz_ito
-from stosym.model import DiscreteMap, ItoSystem, VectorField
-from stosym.mcsim import (BlowupError, compare_ensembles, euler_maruyama,
-                          export_binary, load_binary, validate_symmetry_mc)
+from stosym.model import DiscreteMap, ItoSystem, VectorField, WSymmetry
+from stosym.mcsim import (BlowupError, InputError, compare_ensembles,
+                          euler_maruyama, export_binary, load_binary,
+                          validate_symmetry_mc)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "em_golden.json"
 
@@ -198,6 +199,19 @@ class TestCompare:
         assert not rep.verdict
         assert min(e["ks_pvalue"] for e in rep.entries) < 1e-6
 
+    @pytest.mark.parametrize("significance", [0.0, 1.0, -0.1, float("nan")])
+    def test_significance_outside_unit_interval_rejected(self, wiener,
+                                                         significance):
+        a = euler_maruyama(wiener, [0.0], 0.0, 0.1, 1e-2, 50, seed=5)
+        with pytest.raises(InputError, match="significance"):
+            compare_ensembles(a, a, significance=significance)
+
+    def test_single_path_rejected(self, wiener):
+        a = euler_maruyama(wiener, [0.0], 0.0, 0.1, 1e-2, 1, seed=5)
+        b = euler_maruyama(wiener, [0.0], 0.0, 0.1, 1e-2, 50, seed=6)
+        with pytest.raises(InputError, match="at least 2 paths"):
+            compare_ensembles(a, b)
+
     def test_mismatched_shapes_rejected(self, wiener):
         a = euler_maruyama(wiener, [0.0], 0.0, 0.5, 1e-3, 100, seed=9)
         b = euler_maruyama(wiener, [0.0], 0.0, 0.5, 1e-3, 100, seed=9,
@@ -225,6 +239,52 @@ class TestValidate:
         vf = VectorField(context=wiener.context, tau=1)
         with pytest.raises(ValueError):
             validate_symmetry_mc(wiener, vf, x0=[0.0])
+
+    @pytest.mark.parametrize("kind", ["xi=x^2", "phi=2x"])
+    def test_non_symmetry_fails(self, wiener, kind):
+        """Neither map takes Wiener paths to Wiener paths; the moved
+        ensemble follows the transformed equation, not the system."""
+        ctx = wiener.context
+        x = ctx.spatial[0]
+        if kind == "xi=x^2":
+            candidate = VectorField(context=ctx, xi=(x**2,))
+        else:
+            candidate = DiscreteMap(context=ctx, phi=(2 * x,),
+                                    R=((sp.Integer(1),),))
+        rep = validate_symmetry_mc(wiener, candidate, x0=[0.0], n_paths=3000,
+                                   dt=1e-3, seed=11)
+        assert not rep.verdict
+        assert min(e["ks_pvalue"] for e in rep.entries) < 1e-6
+
+    @pytest.mark.parametrize("s1,s2,symmetry", [(0.5, 0.5, True),
+                                                 (0.9, 0.1, False)])
+    def test_noise_rotation(self, fixtures_dir, s1, s2, symmetry):
+        """xi = (x2, -x1) with B[1][2] = 1 rotates the two oscillators and
+        their noises together: a symmetry only when their noise strengths
+        agree."""
+        lan = load_system(fixtures_dir / "langevin2.sde")
+        x1, x2 = lan.context.spatial
+        rot = WSymmetry(context=lan.context, xi=(x2, -x1),
+                        Bmat=((0, 1), (-1, 0)))
+        rep = validate_symmetry_mc(lan, rot, x0=[0.5, -0.2], dt=1e-2,
+                                   seed=13, params={"s1": s1, "s2": s2})
+        assert rep.verdict == symmetry
+
+    def test_moved_blowup_reported(self, wiener):
+        """The flow of xi = exp(x) leaves the finite numbers before eps = 2
+        from x = 1, at the initial point already."""
+        x = wiener.context.spatial[0]
+        vf = VectorField(context=wiener.context, xi=(sp.exp(x),))
+        with pytest.raises(BlowupError, match="non-finite moved value in "
+                                              "path 0 at step 0"):
+            validate_symmetry_mc(wiener, vf, x0=[1.0], n_paths=10, dt=1e-2,
+                                 epsilon=2.0)
+
+    @pytest.mark.parametrize("epsilon", [0.0, float("inf"), float("nan")])
+    def test_unusable_epsilon_rejected(self, wiener, epsilon):
+        vf = VectorField(context=wiener.context, xi=(sp.Integer(1),))
+        with pytest.raises(InputError, match="epsilon"):
+            validate_symmetry_mc(wiener, vf, x0=[0.0], epsilon=epsilon)
 
 
 def test_binary_round_trip(tmp_path, wiener):

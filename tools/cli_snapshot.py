@@ -88,6 +88,12 @@ def commands():
         "--param s1=1 --param s2=0.5 --json",
         f"mc-check {FIXTURES}heat.sde {FIXTURES}heat_v2.cand --x0 0.2 "
         "--t1 0.5 --dt 0.01 --n-paths 2000 --param s0=1 --json",
+        # a manifest not_symmetry entry, and a W candidate
+        f"mc-check {FIXTURES}heat.sde {FIXTURES}heat_v4.cand --x0 0.2 "
+        "--t1 0.5 --dt 0.01 --n-paths 2000 --param s0=1 --json",
+        f"mc-check {FIXTURES}langevin2.sde {FIXTURES}langevin_wrot.cand "
+        "--x0 0.5,0.1 --t1 0.5 --dt 0.01 --n-paths 2000 "
+        "--param s1=0.7 --param s2=0.3 --json",
         f"simulate {FIXTURES}heat.sde --x0 0 --t1 0.1 --dt 0.01 "
         "--n-paths 100 --param s0=1 --out paths.bin --json",
         *GOLDEN,
