@@ -325,7 +325,8 @@ def simulate(system_file, x0, t0, t1, dt, n_paths, seed, param_pairs,
 @click.option("--seed", default=12345, show_default=True)
 @click.option("--epsilon", default=0.3, show_default=True,
               help="A generator moves states by exp(epsilon xi).")
-@click.option("--significance", default=0.01, show_default=True)
+@click.option("--significance", default=0.01, show_default=True,
+              help="Family-wise false-alarm rate of the KS tests.")
 @click.option("--param", "param_pairs", multiple=True)
 @click.option("--json", "as_json", is_flag=True)
 def mc_check(system_file, candidate_file, x0, t1, dt, n_paths, seed,
@@ -355,13 +356,18 @@ def mc_check(system_file, candidate_file, x0, t1, dt, n_paths, seed,
     sys.exit(EXIT_SYMMETRY if report.verdict else EXIT_NOT_SYMMETRY)
 
 
-def _exact(value):
-    """A numeric option as an exact number; raises ValueError otherwise."""
+def _exact(value, option):
+    """An option as an exact real number of the expression language
+    (0.1 -> 1/10); raises ValueError otherwise."""
     if value is None:
         return None
-    number = sp.sympify(value, rational=True)
-    if not number.is_real:
-        raise ValueError(f"'{value}' is not a real number")
+    try:
+        number = parse_expr(value, Context())
+    except ParseError as e:
+        raise ValueError(f"{option} '{value}' is not a real number: {e}") \
+            from None
+    if number.free_symbols or not number.is_real:
+        raise ValueError(f"{option} '{value}' is not a real number")
     return number
 
 
@@ -378,7 +384,8 @@ def kpz_cmd(sites, alpha, beta, which, as_json):
     """Check a named symmetry of the periodic growth chain."""
     try:
         # exact parameters (0.1 -> 1/10) keep the chain in the polynomial ring
-        chain = kpzmod.KpzChain(sites, alpha=_exact(alpha), beta=_exact(beta))
+        chain = kpzmod.KpzChain(sites, alpha=_exact(alpha, "--alpha"),
+                                 beta=_exact(beta, "--beta"))
     except ValueError as e:
         _reject(f"kpz: {e}")
     n = sites

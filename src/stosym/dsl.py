@@ -176,6 +176,7 @@ def parse_candidate(text, context):
     var_index = {v: i for i, v in enumerate(ctx.spatial_names)}
 
     single, xi, phi, B = {}, {}, {}, {}
+    at = {}  # the line of each entry, keyed by (head, component)
     for lineno, line in entries:
         lhs, eq, expr_text = line.partition("=")
         if not eq:
@@ -189,6 +190,7 @@ def parse_candidate(text, context):
                 _fail(f"duplicate {head} entry", lineno)
             parse = _parse_matrix_literal if head == "R" else _parse_at
             single[head] = parse(expr_text, ctx, lineno)
+            at[head, None] = lineno
         elif head in ("xi", "phi"):
             component = xi if head == "xi" else phi
             if len(fields) != 2 or fields[1] not in var_index:
@@ -197,6 +199,7 @@ def parse_candidate(text, context):
             if i in component:
                 _fail(f"duplicate {head} entry for '{fields[1]}'", lineno)
             component[i] = _parse_at(expr_text, ctx, lineno)
+            at[head, i] = lineno
         elif head.startswith("B[") and len(fields) == 1:
             inner = head[1:]
             parts = inner.replace("[", " ").replace("]", " ").split()
@@ -208,13 +211,19 @@ def parse_candidate(text, context):
             if (p, q) in B:
                 _fail(f"duplicate B entry B[{p + 1}][{q + 1}]", lineno)
             B[(p, q)] = _parse_at(expr_text, ctx, lineno)
+            at["B", (p, q)] = lineno
         else:
             _fail(f"unknown candidate directive '{lhs}'", lineno)
 
+    def first(*heads):
+        return min(line for (head, _), line in at.items() if head in heads)
+
+    # a conflict between entries is reported at the later one
     tau, beta, R = (single.get(head) for head in ("tau", "beta", "R"))
     is_map = bool(phi) or R is not None
     if is_map and (tau is not None or xi or beta is not None or B):
-        _fail("a finite map cannot also carry tau, xi, beta or B entries", 1)
+        _fail("a finite map cannot also carry tau, xi, beta or B entries",
+              max(first("phi", "R"), first("tau", "xi", "beta", "B")))
     if is_map:
         full_phi = tuple(phi.get(i, ctx.spatial[i]) for i in range(n))
         full_R = R if R is not None else tuple(
@@ -225,7 +234,8 @@ def parse_candidate(text, context):
     full_xi = tuple(xi.get(i, sp.Integer(0)) for i in range(n))
     if B:
         if beta is not None:
-            _fail("beta is not supported on noise-mixing candidates", 1)
+            _fail("beta is not supported on noise-mixing candidates",
+                  max(at["beta", None], first("B")))
         mat = [[sp.Integer(0)] * m for _ in range(m)]
         for (p, q), e in B.items():
             mat[p][q] = e
@@ -233,7 +243,8 @@ def parse_candidate(text, context):
                 mat[q][p] = -e
             elif p < q and not is_zero(B[(q, p)] + e):
                 _fail(f"B[{p + 1}][{q + 1}] and B[{q + 1}][{p + 1}] "
-                      "are not antisymmetric", 1)
+                      "are not antisymmetric",
+                      max(at["B", (p, q)], at["B", (q, p)]))
         return WSymmetry(context=ctx, tau=tau if tau is not None else 0,
                          xi=full_xi, Bmat=tuple(tuple(r) for r in mat))
     return VectorField(context=ctx, tau=tau if tau is not None else 0,

@@ -132,7 +132,7 @@ class FokkerPlanck:
         in_ring, (B, (C,), *rest) = _one_type(
             ctx.ring, [self.B, (self.C,), *self.A, *groups])
         A, groups = rest[:n], rest[n:]
-        calc = _Ring(ctx) if in_ring else _EXPRS
+        calc = _Ring(ctx.ring, ctx.spatial, ctx.t) if in_ring else _EXPRS
         x, t = (calc.x, calc.t) if in_ring else (ctx.spatial, ctx.t)
         return _FpCoefficients(calc, x, t, A, B, C), groups
 
@@ -275,22 +275,33 @@ def _nonzero(M):
 
 
 class _Ring(_Exprs):
-    """The same calculus in the sparse polynomial ring QQ[params, x, t] of a
-    context, where +, *, d/dv and == 0 are exact and canonical; a variable
-    is a generator index (`Context.ring`, whose elements leave through
-    as_expr() in `normalize`d form)."""
+    """The same calculus in a sparse polynomial ring, where +, *, d/dv and
+    == 0 are exact and canonical; a variable is a generator index. The
+    ring is QQ[params, x, t] of a context (`Context.ring`, whose elements
+    leave through as_expr() in `normalize`d form), or, for the solver,
+    QQ[params, x, t, E_1..E_k] or EX[x, t, E_1..E_k] with E_k standing for
+    exp(c_k t), c_k free of x and t, under d_t E_k = c_k E_k."""
 
-    def __init__(self, ctx: Context):
-        self._over(ctx.ring, ctx.spatial, ctx.t)
-
-    def _over(self, ring, x, t):
+    def __init__(self, ring, x, t, rates=()):
+        """`ring`'s last len(rates) generators are the E_k, rates[k] is c_k
+        as an element of `ring` free of them, and x and t are symbols."""
         self.ring = ring
         self.zero, self.one, self.half = ring.zero, ring.one, ring(QQ(1, 2))
         index = {s: i for i, s in enumerate(ring.symbols)}
         self.x, self.t = tuple(index[v] for v in x), index[t]
+        self.rates = list(enumerate(rates, ring.ngens - len(rates)))
 
     def d(self, e, i):
-        return self.zero if e.is_ground else e.diff(i)
+        if e.is_ground:
+            return self.zero
+        de = e.diff(i)
+        if self.rates and i == self.t:
+            # c_k times the Euler operator E_k d/dE_k
+            for k, c in self.rates:
+                scaled = {m: v * m[k] for m, v in e.items() if m[k]}
+                if scaled:
+                    de += c * e.new(scaled)
+        return de
 
     def gradient(self, e, x):
         return [self.zero] * len(x) if e.is_ground else [e.diff(i) for i in x]
@@ -313,29 +324,6 @@ class _Ring(_Exprs):
                 for b, v in rows:
                     S[a, b] = S.get((a, b), self.zero) + u * v
         return [(a, b, self.half * w) for (a, b), w in sorted(S.items()) if w]
-
-
-class _ExpRing(_Ring):
-    """The ring calculus over QQ[params, x, t, E_1..E_k] or
-    EX[x, t, E_1..E_k], E_k standing for exp(c_k t) with c_k free of x and
-    t, under the derivation d_t E_k = c_k E_k. A `_Ring` has no exponential
-    generators and keeps the single e.diff(i)."""
-
-    def __init__(self, ring, x, t, rates):
-        """`ring`'s last len(rates) generators are the E_k, rates[k] is c_k
-        as an element of `ring` free of them, and x and t are symbols."""
-        self._over(ring, x, t)
-        self.rates = list(enumerate(rates, ring.ngens - len(rates)))
-
-    def d(self, e, i):
-        de = super().d(e, i)
-        if i == self.t:
-            # c_k times the Euler operator E_k d/dE_k
-            for k, c in self.rates:
-                scaled = {m: v * m[k] for m, v in e.items() if m[k]}
-                if scaled:
-                    de += c * e.new(scaled)
-        return de
 
 
 @dataclass(frozen=True)
@@ -416,7 +404,8 @@ class _Engine:
         self.ito = ito
         self.ring = None
         if ito._elements is not None:
-            calc, (f, sigma) = _Ring(ito.context), ito._elements
+            ctx, (f, sigma) = ito.context, ito._elements
+            calc = _Ring(ctx.ring, ctx.spatial, ctx.t)
             self.ring = _Coefficients(calc, calc.x, calc.t, f, sigma,
                                       calc.half_diffusion(sigma))
 

@@ -28,7 +28,7 @@ from sympy.polys.rings import PolyRing
 
 from .kernel import InconclusiveError, Verdict, _own_ring, _ring_element
 from .model import (ItoSystem, VectorField, WSymmetry, _Coefficients,
-                    _ExpRing, lie_bracket)
+                    _Ring, lie_bracket)
 from .detgen import _lambda_gamma_of, detsys_projectable, detsys_w
 from .verify import OverallVerdict, check
 
@@ -161,7 +161,7 @@ def _over_rationals(symbols, x, t, entries, powers, exps):
     rates = [_ring_element(c, ring) for c in rates]
     if any(e is None for e in (*out, *rates)):
         return None
-    return _ExpRing(ring, x, t, rates), out
+    return _Ring(ring, x, t, rates), out
 
 
 def _over_expressions(x, t, entries, exps, error):
@@ -187,7 +187,7 @@ def _over_expressions(x, t, entries, exps, error):
         raise
     ring = PolyRing(gens, EX)
     rates = [ring.ground_new(EX.from_sympy(c)) for c in rates]
-    return (_ExpRing(ring, x, t, rates),
+    return (_Ring(ring, x, t, rates),
             [ring.from_dict(p.as_dict(native=True)) for p in polys])
 
 

@@ -297,7 +297,11 @@ class TestSimulateAndMc:
         assert result.exit_code == 0
         report = json.loads(result.output)
         assert report["verdict"] == "pass"
-        assert report["ks_pass"] is True and report["moment_pass"] is True
+        assert report["schema"] == 2
+        assert report["min_pvalue"] >= report["significance"] / report["n_tests"]
+        worst = min(report["entries"], key=lambda e: e["ks_pvalue"])
+        assert report["worst_slice"] == {"time": worst["time"],
+                                         "coordinate": worst["coordinate"]}
 
     @pytest.mark.parametrize("option,value", [
         ("--significance", "0"), ("--significance", "1"),
@@ -389,12 +393,16 @@ class TestKpz:
         assert drift == {"label": "drift[1]", "verdict": "nonzero",
                          "residual": "-x2^2/5 + 2*x2*x3/5 - x3^2/5"}
 
-    @pytest.mark.parametrize("value", ["foo", "1/0", "I"])
+    @pytest.mark.parametrize("value", ["foo", "1/0", "I", "len('abcd')",
+                                       "t", "2^99"])
     def test_non_real_parameter_exit_two(self, runner, value):
+        """--alpha is read by the expression language, never evaluated as
+        Python, and must be a real number free of symbols."""
         result = runner.invoke(main, ["kpz", "--sites", "3", "--alpha", value,
                                       "--check", "site-shift"])
         assert result.exit_code == 2
         assert "not a real number" in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
 
     def test_unknown_check(self, runner):
         result = runner.invoke(main, ["kpz", "--sites", "5",

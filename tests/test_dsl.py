@@ -132,6 +132,23 @@ class TestCandidateParsing:
             parse_candidate("tau = 1\nxi z = 1\n", pair)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("text,message,line", [
+        ("candidate rot\nxi x = y\nB[1][2] = 1\nB[2][1] = 1\n",
+         "not antisymmetric", 4),
+        ("candidate c\nB[1][2] = 1\nbeta = -x\n", "beta is not supported", 3),
+        ("beta = -x\n# mixer\nB[1][2] = 1\n", "beta is not supported", 3),
+        ("candidate c\nphi x = -x\ntau = 1\n", "finite map cannot", 3),
+        ("xi y = 1\n\nR = [[0, 1], [1, 0]]\n", "finite map cannot", 3),
+    ], ids=["antisymmetry", "beta-after-B", "B-after-beta", "field-after-map",
+            "map-after-field"])
+    def test_conflict_reported_at_later_entry(self, pair, text, message,
+                                              line):
+        """A conflict between two entries names the line of the later
+        one."""
+        with pytest.raises(ParseError, match=message) as err:
+            parse_candidate(text, pair)
+        assert err.value.line == line
+
     def test_parameter_repeated_on_a_later_line(self, pair):
         with pytest.raises(ParseError, match="duplicate parameter 'eps'") as err:
             parse_candidate("params eps\nparams eps : positive\nxi x = eps\n",

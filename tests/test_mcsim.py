@@ -183,6 +183,16 @@ def test_noise_classes_match_plain_em(fixtures_dir, make, x0, params):
                                atol=1e-12)
 
 
+def _wiener_samples(rng, n_paths, n_slices, scale=1.0, dt=0.1):
+    """An ensemble of exact Wiener paths times `scale`, sampled at
+    n_slices times after 0."""
+    steps = rng.standard_normal((n_paths, n_slices, 1)) * np.sqrt(dt)
+    paths = np.concatenate([np.zeros((n_paths, 1, 1)), steps.cumsum(axis=1)],
+                           axis=1)
+    return mcsim.Ensemble(times=dt * np.arange(n_slices + 1),
+                          paths=scale * paths, seed=0, dt=dt, n_paths=n_paths)
+
+
 class TestCompare:
     def test_same_law_passes(self, wiener):
         a = euler_maruyama(wiener, [0.0], 0.0, 0.5, 1e-3, 3000, seed=5)
@@ -211,6 +221,45 @@ class TestCompare:
         b = euler_maruyama(wiener, [0.0], 0.0, 0.1, 1e-2, 50, seed=6)
         with pytest.raises(InputError, match="at least 2 paths"):
             compare_ensembles(a, b)
+
+    def test_false_alarm_rate_within_significance(self):
+        """The verdict on true nulls fails at most a `significance` share
+        of comparisons. A second family of tests at the same threshold,
+        such as mean and variance checks, would push the rate above it."""
+        rng = np.random.default_rng(0)
+        n, significance = 600, 0.05
+        fails = sum(not compare_ensembles(_wiener_samples(rng, 1000, 5),
+                                          _wiener_samples(rng, 1000, 5),
+                                          significance=significance).verdict
+                    for _ in range(n))
+        assert fails <= significance * n
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_values_compared_without_overflow(self):
+        """Values near 1e160 have finite ranks but squares past the float
+        range; the comparison must not square them."""
+        rng = np.random.default_rng(1)
+        a = _wiener_samples(rng, 1000, 5, scale=1e160)
+        b = _wiener_samples(rng, 1000, 5, scale=1e160)
+        assert compare_ensembles(a, b).verdict
+
+    def test_report_names_worst_slice(self, wiener):
+        a = euler_maruyama(wiener, [0.0], 0.0, 0.5, 1e-2, 500, seed=5)
+        b = euler_maruyama(wiener, [0.0], 0.0, 0.5, 1e-2, 500, seed=6)
+        rep = compare_ensembles(a, b)
+        d = rep.to_dict()
+        worst = min(rep.entries, key=lambda e: e["ks_pvalue"])
+        assert d["schema"] == 2 and d["n_tests"] == len(rep.entries) == 10
+        assert d["min_pvalue"] == worst["ks_pvalue"]
+        assert d["worst_slice"] == {"time": worst["time"],
+                                    "coordinate": worst["coordinate"]}
+        assert all(set(e) == {"time", "coordinate", "ks_pvalue"}
+                   for e in d["entries"])
+
+    def test_no_time_after_the_initial_one_rejected(self):
+        a = _wiener_samples(np.random.default_rng(2), 10, 0)
+        with pytest.raises(InputError, match="stored time"):
+            compare_ensembles(a, a)
 
     def test_mismatched_shapes_rejected(self, wiener):
         a = euler_maruyama(wiener, [0.0], 0.0, 0.5, 1e-3, 100, seed=9)

@@ -82,6 +82,8 @@ def commands():
                            "--alpha 2 --beta 1/3 ", "--alpha 0.5 --beta 0.1 ")
             for which in ("time-shift", "h-shift", "site-shift",
                           "inversion:1", "h-inversion")]
+    # a coupling that is not a number of the expression language
+    out.append("kpz --sites 3 --alpha \"len('abcd')\" --check time-shift")
     out += [
         f"mc-check {FIXTURES}langevin2.sde {FIXTURES}langevin_reflect.cand "
         "--x0 0.5,-0.3 --t1 0.5 --dt 0.01 --n-paths 2000 "
