@@ -17,9 +17,10 @@ denominator, an opaque unknown) takes the same formulas on sympy
 expressions (`model._Exprs`, `model._Ring`), normalized once at the
 output. Each `ItoSystem` converts once, into the engine
 (`model._Engine`) that every builder here, `model.apply_discrete` and
-the ansatz solver read; a Fokker-Planck equation is converted together
-with its candidate (`FokkerPlanck._of`). The ODE family is minus the
-Lambda family of the system with zero noise.
+the ansatz solver read, and builds its Fokker-Planck A, B and C from it
+once (`model.fokker_planck_of`), into an engine of the same class that
+the Fokker-Planck family reads. The ODE family is minus the Lambda
+family of the system with zero noise.
 """
 from __future__ import annotations
 
@@ -164,16 +165,14 @@ def detsys_w(ito: ItoSystem, ws: WSymmetry) -> DeterminingSystem:
     return _lambda_gamma_system("ito-w", ito, ws)
 
 
-def detsys_fp(fp, vf: VectorField) -> DeterminingSystem:
+def detsys_fp(ito: ItoSystem, vf: VectorField) -> DeterminingSystem:
     """Determining equations for nontrivial projectable symmetries of the
-    Fokker-Planck equation; accepts a FokkerPlanck directly or derives one
-    from an ItoSystem. A, B, C and the candidate are converted together,
-    so the family runs in the ring when every entry lies in it."""
-    if isinstance(fp, ItoSystem):
-        fp = fokker_planck_of(fp)
+    Fokker-Planck equation of the system, as `fokker_planck_of` builds it
+    once; in the ring when A, B, C and every candidate entry lie in it."""
     if vf.beta is None:
         raise ValueError("FP determining equations require a beta component")
-    c, ((tau, beta), xi) = fp._of([(vf.tau, vf.beta), vf.xi])
+    c, ((tau, beta), xi) = fokker_planck_of(ito)._engine.of(
+        [(vf.tau, vf.beta), vf.xi])
     calc, x, t, A = c.calc, c.x, c.t, c.A
     cols = list(zip(*A))
     jac = [calc.gradient(e, x) for e in xi]

@@ -93,15 +93,37 @@ class ItoSystem:
     def sigma_matrix(self):
         return sp.Matrix(self.sigma)
 
-    def half_diffusion(self):
-        """S = (1/2) sigma sigma^T (no degeneracy check)."""
-        s = self.sigma_matrix()
-        return (s * s.T).applyfunc(normalize) / 2
-
     @cached_property
     def _engine(self):
         """The system side of the determining equations, built once."""
-        return _Engine(self)
+        ctx, ring = self.context, None
+        if self._elements is not None:
+            calc = _Ring(ctx.ring, ctx.spatial, ctx.t)
+            ring = _Coefficients(calc, calc.x, calc.t, *self._elements)
+        return _Engine(ring, lambda: _Coefficients(
+            _EXPRS, ctx.spatial, ctx.t, self.f, self.sigma))
+
+    @cached_property
+    def _fokker_planck(self):
+        """The Fokker-Planck equation, computed from the engine's ring
+        coefficients, or from its expressions and kept in the ring when A,
+        B and C lie in it (kramers' sigma = sqrt(2) k gives A = -k^2); with
+        the engine that its family reads."""
+        ctx, engine = self.context, self._engine
+        c = engine.exprs if engine.ring is None else engine.ring
+        if all_zero(w for _, _, w in c.S):
+            raise DegeneracyError("sigma sigma^T vanishes identically")
+        ring = c.fokker_planck()
+        fp = FokkerPlanck(ctx, A=ring.A, B=ring.B, C=ring.C)
+        if engine.ring is None:
+            calc = _Ring(ctx.ring, ctx.spatial, ctx.t)
+            in_ring, (B, (C,), *A) = _one_type(ctx.ring,
+                                               [fp.B, (fp.C,), *fp.A])
+            ring = (_FpCoefficients(calc, calc.x, calc.t, A, B, C)
+                    if in_ring else None)
+        object.__setattr__(fp, "_engine", _Engine(ring, lambda: _FpCoefficients(
+            _EXPRS, ctx.spatial, ctx.t, fp.A, fp.B, fp.C)))
+        return fp
 
 
 @dataclass(frozen=True)
@@ -111,6 +133,8 @@ class FokkerPlanck:
     A: tuple
     B: tuple
     C: object
+    _engine: object = field(init=False, default=None, compare=False,
+                            repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", _matrix(self.A))
@@ -124,17 +148,6 @@ class FokkerPlanck:
         if not all_zero(self.A[i][j] - self.A[j][i]
                         for i in range(n) for j in range(i + 1, n)):
             raise ValueError("A must be symmetric")
-
-    def _of(self, groups):
-        """The coefficients and the entry groups (sequences of expressions)
-        converted together, by the rule of `_Engine.of`."""
-        ctx, n = self.context, self.context.n
-        in_ring, (B, (C,), *rest) = _one_type(
-            ctx.ring, [self.B, (self.C,), *self.A, *groups])
-        A, groups = rest[:n], rest[n:]
-        calc = _Ring(ctx.ring, ctx.spatial, ctx.t) if in_ring else _EXPRS
-        x, t = (calc.x, calc.t) if in_ring else (ctx.spatial, ctx.t)
-        return _FpCoefficients(calc, x, t, A, B, C), groups
 
 
 @dataclass(frozen=True)
@@ -265,13 +278,7 @@ class _Exprs:
 
 _EXPRS = _Exprs()
 # the expression calculus as plain functions, for the structural maps
-_d, _gradient, _dot = _EXPRS.d, _EXPRS.gradient, _EXPRS.dot
-
-
-def _nonzero(M):
-    """The (a, b, M^{ab}) of the nonzero entries of M, nested rows."""
-    return [(a, b, e) for a, row in enumerate(M) for b, e in enumerate(row)
-            if e != 0]
+_gradient, _dot = _EXPRS.gradient, _EXPRS.dot
 
 
 class _Ring(_Exprs):
@@ -314,29 +321,28 @@ class _Ring(_Exprs):
         pairs = [(self.ring.gens[i], p) for i, p in zip(x, phi)]
         return lambda e: e if e.is_ground else e.compose(pairs)
 
-    def half_diffusion(self, sigma):
-        """The nonzero entries (a, b, S^{ab}) of S = (1/2) sigma sigma^T in
-        row-major order, summed over sigma's nonzero pattern only."""
-        S = {}
-        for col in zip(*sigma):
-            rows = [(a, e) for a, e in enumerate(col) if e]
-            for a, u in rows:
-                for b, v in rows:
-                    S[a, b] = S.get((a, b), self.zero) + u * v
-        return [(a, b, self.half * w) for (a, b), w in sorted(S.items()) if w]
-
 
 @dataclass(frozen=True)
 class _Coefficients:
     """An Ito system in one coefficient type: the calculus `calc` of that
-    type, the variables x and t, f, sigma and the nonzero entries
-    (a, b, S^{ab}) of S = (1/2) sigma sigma^T."""
+    type, the variables x and t, f and sigma."""
     calc: _Exprs
     x: tuple
     t: object
     f: list
     sigma: list
-    S: list
+
+    @cached_property
+    def S(self):
+        """The nonzero entries (a, b, S^{ab}) of S = (1/2) sigma sigma^T in
+        row-major order, summed over sigma's nonzero pattern only."""
+        c, S = self.calc, {}
+        for col in zip(*self.sigma):
+            rows = [(a, e) for a, e in enumerate(col) if e]
+            for a, u in rows:
+                for b, v in rows:
+                    S[a, b] = S.get((a, b), c.zero) + u * v
+        return [(a, b, c.half * w) for (a, b), w in sorted(S.items()) if w]
 
     def L(self, u, grad):
         """L u = d_t u + f^a d_a u + S^{ab} d2_{ab} u from (u, grad u)."""
@@ -364,6 +370,19 @@ class _Coefficients:
             noise.append(c.noise_image(grad, sig))
         return drift, noise
 
+    def fokker_planck(self):
+        """The associated Fokker-Planck coefficients in the same type:
+        A = -S, B^i = f^i + 2 d_j A^{ij}, C = d_i f^i + d2_{ij} A^{ij}."""
+        c, x, n = self.calc, self.x, len(self.f)
+        A = [[c.zero] * n for _ in range(n)]
+        for a, b, w in self.S:
+            A[a][b] = -w
+        # d_j A^{ij}, so that d2_{ij} A^{ij} = d_i (d_j A^{ij})
+        div = [c.add([c.d(e, v) for e, v in zip(row, x)]) for row in A]
+        B = [f + 2 * d for f, d in zip(self.f, div)]
+        C = c.add([c.d(f + d, v) for f, d, v in zip(self.f, div, x)])
+        return _FpCoefficients(c, x, self.t, A, B, C)
+
 
 @dataclass(frozen=True)
 class _FpCoefficients:
@@ -380,7 +399,9 @@ class _FpCoefficients:
         """d_t u + A^{ab} d2_{ab} u + B^a d_a u from (u, grad u): the
         Fokker-Planck operator without its C u term."""
         c = self.calc
-        return (c.d(u, self.t) + c.second_order(_nonzero(self.A), grad, self.x)
+        A = [(a, b, e) for a, row in enumerate(self.A)
+             for b, e in enumerate(row) if e != 0]
+        return (c.d(u, self.t) + c.second_order(A, grad, self.x)
                 + c.dot(self.B, grad))
 
 
@@ -395,33 +416,24 @@ def _one_type(ring, groups):
     return False, [[sp.sympify(e) for e in g] for g in groups]
 
 
+@dataclass(frozen=True)
 class _Engine:
-    """The coefficients of an Ito system in the ring when f and sigma lie in
-    QQ[params, x, t] (from the elements the system keeps); the expression
-    form is built on first need."""
-
-    def __init__(self, ito: ItoSystem):
-        self.ito = ito
-        self.ring = None
-        if ito._elements is not None:
-            ctx, (f, sigma) = ito.context, ito._elements
-            calc = _Ring(ctx.ring, ctx.spatial, ctx.t)
-            self.ring = _Coefficients(calc, calc.x, calc.t, f, sigma,
-                                      calc.half_diffusion(sigma))
+    """An equation's coefficients (`_Coefficients`, `_FpCoefficients`) in
+    the ring QQ[params, x, t], or None when they do not lie in it, and the
+    function that builds their expression form, called on first need."""
+    ring: object
+    _exprs: object
 
     @cached_property
     def exprs(self):
-        ctx = self.ito.context
-        return _Coefficients(_EXPRS, ctx.spatial, ctx.t, self.ito.f,
-                             self.ito.sigma,
-                             _nonzero(self.ito.half_diffusion().tolist()))
+        return self._exprs()
 
     def of(self, groups):
         """The coefficients and the candidate's entry groups (sequences of
         expressions) in one type: the ring when every entry lies in it too,
         else expressions."""
         in_ring, groups = _one_type(
-            None if self.ring is None else self.ito.context.ring, groups)
+            None if self.ring is None else self.ring.calc.ring, groups)
         return self.ring if in_ring else self.exprs, groups
 
 
@@ -429,26 +441,18 @@ class _Engine:
 # structural maps
 
 def diffusion_matrix(ito: ItoSystem):
-    """A = (1/2) sigma sigma^T as an n x n tuple matrix; raises
+    """S = (1/2) sigma sigma^T = -A as an n x n tuple matrix; raises
     DegeneracyError when it vanishes identically and InconclusiveError when
     the zero test cannot decide whether it does."""
-    S = ito.half_diffusion()
-    if all_zero(S):
-        raise DegeneracyError("sigma sigma^T vanishes identically")
-    return tuple(map(tuple, S.tolist()))
+    return tuple(tuple(normalize(-a) for a in row)
+                 for row in fokker_planck_of(ito).A)
 
 
 def fokker_planck_of(ito: ItoSystem) -> FokkerPlanck:
-    """Coefficients of the associated Fokker-Planck equation:
-    A = -(1/2) sigma sigma^T, B^i = f^i + 2 d_j A^{ij},
-    C = d_i f^i + d2_{ij} A^{ij}."""
-    A = tuple(tuple(-e for e in row) for row in diffusion_matrix(ito))
-    x = ito.context.spatial
-    # d_j A^{ij}, so that d2_{ij} A^{ij} = d_i (d_j A^{ij})
-    div = [sp.Add(*(_d(a, v) for a, v in zip(row, x))) for row in A]
-    B = tuple(f + 2 * d for f, d in zip(ito.f, div))
-    C = sp.Add(*(_d(f + d, v) for f, d, v in zip(ito.f, div, x)))
-    return FokkerPlanck(context=ito.context, A=A, B=B, C=C)
+    """Coefficients of the associated Fokker-Planck equation, built once per
+    system: A = -(1/2) sigma sigma^T, B^i = f^i + 2 d_j A^{ij},
+    C = d_i f^i + d2_{ij} A^{ij}. Raises as `diffusion_matrix` does."""
+    return ito._fokker_planck
 
 
 def same_fp(sigma1, sigma2) -> bool:
@@ -486,11 +490,11 @@ def transform_ito_first_order(ito: ItoSystem, xi):
     ctx = ito.context
     x, t = ctx.spatial, ctx.t
     n, m = ito.n, ito.m
-    S = ito.half_diffusion()
+    S = ito.sigma_matrix() * ito.sigma_matrix().T
     bracket = lie_bracket(ito.f, xi, x)
     delta_f = []
     for i in range(n):
-        second = sum(2 * S[j, k] * sp.diff(xi[i], x[j], x[k])
+        second = sum(S[j, k] * sp.diff(xi[i], x[j], x[k])
                      for j in range(n) for k in range(n)) / 2
         delta_f.append(normalize(sp.diff(xi[i], t) + bracket[i] + second))
     delta_sigma = []

@@ -412,8 +412,7 @@ def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
     calc, (basis, f, *sigma) = _in_exp_ring(
         ctx.ring.symbols, x, t, [ansatz.time_basis, ito.f, *ito.sigma],
         OutsideAnsatzError)
-    c = _Coefficients(calc, calc.x, calc.t, f, sigma,
-                      calc.half_diffusion(sigma))
+    c = _Coefficients(calc, calc.x, calc.t, f, sigma)
     gens = [calc.ring.gens[i] for i in calc.x]
     forms = _elements(n, basis, _monomials(gens, degree, calc.one), mixers,
                       calc.zero)

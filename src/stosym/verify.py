@@ -134,7 +134,7 @@ def project_fp_symmetry(ito: ItoSystem, vf: VectorField) -> FpClassification:
     the zero test cannot decide whether Gamma vanishes."""
     if vf.beta is None or not check_normalization_preserving(vf):
         raise PreconditionError("candidate must carry beta = -div(xi)")
-    fp_report = check(detsys_fp(fokker_planck_of(ito), vf))
+    fp_report = check(detsys_fp(ito, vf))
     if not fp_report.is_symmetry:
         raise PreconditionError("candidate is not a Fokker-Planck symmetry")
     return _fp_classification(ito, vf)
@@ -149,12 +149,10 @@ def _fp_classification(ito: ItoSystem, vf: VectorField) -> FpClassification:
     return FpClassification.STATISTICAL_EQUIVALENCE
 
 
-def check_superposition(fp, alpha) -> bool:
-    """True iff alpha(x,t) solves the Fokker-Planck equation, i.e. generates
-    a trivial superposition symmetry alpha(x,t) d_u (excluded from
-    classification); raises InconclusiveError when the zero test cannot
-    decide."""
-    if isinstance(fp, ItoSystem):
-        fp = fokker_planck_of(fp)
-    c, ((alpha,),) = fp._of([(alpha,)])
+def check_superposition(ito: ItoSystem, alpha) -> bool:
+    """True iff alpha(x,t) solves the Fokker-Planck equation of the system
+    (as `fokker_planck_of` builds it), i.e. generates a trivial superposition
+    symmetry alpha(x,t) d_u (excluded from classification); raises
+    InconclusiveError when the zero test cannot decide."""
+    c, ((alpha,),) = fokker_planck_of(ito)._engine.of([(alpha,)])
     return is_zero(c.L(alpha, c.calc.gradient(alpha, c.x)) + c.C * alpha)

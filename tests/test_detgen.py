@@ -7,8 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 from stosym import model
 from stosym.kernel import Context, normalize, to_dsl
 from stosym.model import (DiscreteMap, ItoSystem, VectorField, WSymmetry,
-                          _Engine, apply_discrete, fokker_planck_of,
-                          lie_bracket, transform_ito_first_order)
+                          _Engine, apply_discrete, diffusion_matrix,
+                          fokker_planck_of, lie_bracket,
+                          transform_ito_first_order)
+from stosym.verify import (check_superposition, extend_to_fp,
+                           project_fp_symmetry)
 from stosym.detgen import (_discrete_equations, _lambda_gamma_of,
                            detsys_discrete, detsys_fp, detsys_ode,
                            detsys_projectable, detsys_spatial, detsys_w,
@@ -133,8 +136,8 @@ def test_engine_built_once_per_system(systems, monkeypatch, name):
     the ring (heat) and on the expression path (kramers' sqrt)."""
     built = []
     init = _Engine.__init__
-    monkeypatch.setattr(_Engine, "__init__",
-                        lambda self, ito: built.append(ito) or init(self, ito))
+    monkeypatch.setattr(_Engine, "__init__", lambda self, *args:
+                        built.append(self) or init(self, *args))
     loaded = systems[name]
     ito = ItoSystem(loaded.context, f=loaded.f, sigma=loaded.sigma)
     ctx, x = ito.context, ito.context.spatial
@@ -147,8 +150,52 @@ def test_engine_built_once_per_system(systems, monkeypatch, name):
     lambda_(ito, vf)
     gamma(ito, vf)
     apply_discrete(ito, dmap, inverse=tuple(-v for v in x))
-    assert built == [ito]
+    assert built == [ito._engine]
     assert (ito._engine.ring is None) == (name == "kramers.sde")
+
+
+@pytest.mark.parametrize("name", ["heat.sde", "kramers.sde", "langevin2.sde"])
+def test_fp_coefficients_built_once_per_system(systems, monkeypatch, name):
+    """fokker_planck_of, diffusion_matrix, detsys_fp, check_superposition
+    and project_fp_symmetry read one build of A, B and C, made from the
+    system's engine: one engine for the Ito families and one for the
+    Fokker-Planck family."""
+    built, engines = [], []
+    derive = model._Coefficients.fokker_planck
+    monkeypatch.setattr(model._Coefficients, "fokker_planck",
+                        lambda self: built.append(self) or derive(self))
+    init = _Engine.__init__
+    monkeypatch.setattr(_Engine, "__init__", lambda self, *args:
+                        engines.append(self) or init(self, *args))
+    loaded = systems[name]
+    ito = ItoSystem(loaded.context, f=loaded.f, sigma=loaded.sigma)
+    ctx = ito.context
+    vf = extend_to_fp(VectorField(ctx, tau=1, xi=(0,) * ito.n))
+    fp = fokker_planck_of(ito)
+    diffusion_matrix(ito)
+    detsys_fp(ito, vf)
+    check_superposition(ito, 1)
+    project_fp_symmetry(ito, vf)
+    assert fokker_planck_of(ito) is fp
+    engine = ito._engine
+    assert built == [engine.exprs if engine.ring is None else engine.ring]
+    assert engines == [engine, fp._engine]
+
+
+def test_kramers_fp_in_ring_and_pathwise_on_expressions(kramers):
+    """sigma = sqrt(2) k is not a polynomial, but A = -k^2, B and C are: the
+    Fokker-Planck family of a polynomial candidate runs in the ring and its
+    Lambda and Gamma families on expressions."""
+    ctx = kramers.context
+    x, y = ctx.spatial
+    vf = VectorField(ctx, tau=ctx.t, xi=(x, y), beta=-2 * ctx.t)
+    fp = fokker_planck_of(kramers)._engine
+    c, _ = fp.of([(vf.tau, vf.beta), vf.xi])
+    assert c is fp.ring is not None
+    assert c.A[1][1] == -ctx.ring(ctx.symbol("k")) ** 2
+    engine = kramers._engine
+    assert engine.ring is None
+    assert engine.of([(vf.tau,), vf.xi])[0] is engine.exprs
 
 
 def test_labels_cover_all_components(kramers):
@@ -176,7 +223,7 @@ def _rational(rng):
 
 
 def _takes_ring(ito, groups):
-    engine = _Engine(ito)
+    engine = ito._engine
     return engine.of(groups)[0] is engine.ring is not None
 
 
@@ -197,7 +244,7 @@ def test_ring_lambda_gamma_matches_expression_path(rng):
                    Bmat=((0, b), (-b, 0)))
     B = ws.b_matrix()
     assert _takes_ring(ito, [(ws.tau,), ws.xi, B])
-    lam, gam = _lambda_gamma_of(_Engine(ito).exprs, ws.tau, ws.xi,
+    lam, gam = _lambda_gamma_of(ito._engine.exprs, ws.tau, ws.xi,
                                 B.T.tolist())
     expected = [normalize(e) for e in (*lam, *(e for row in gam for e in row))]
     assert list(detsys_w(ito, ws).residuals()) == expected
@@ -217,7 +264,7 @@ def test_ring_discrete_matches_expression_path(rng):
                 + _rational(rng) * t ** rng.randint(0, 2) for _ in range(2))
     dmap = DiscreteMap(context=RING_CTX, phi=phi, R=R)
     assert _takes_ring(ito, [dmap.phi, *dmap.R])
-    eqs = _discrete_equations(_Engine(ito).exprs, dmap.phi,
+    eqs = _discrete_equations(ito._engine.exprs, dmap.phi,
                               [[sp.sympify(e) for e in row] for row in dmap.R])
     ds = detsys_discrete(ito, dmap)
     assert ds.labels() == tuple(label for label, _ in eqs)
@@ -228,7 +275,7 @@ def _random_fp_case(rng):
     """A random polynomial system with a nonvanishing diffusion matrix and
     a random polynomial candidate tau(t), xi(x, t), beta(x, t)."""
     ito = random_polynomial_system(rng)
-    assume(any(e != 0 for e in ito.half_diffusion()))
+    assume(ito._engine.ring.S)
     t = RING_CTX.t
 
     def poly():
@@ -245,15 +292,15 @@ def test_ring_fp_matches_expression_path(rng):
     """The Fokker-Planck family of a polynomial system and candidate is the
     same in the ring as on the expression path."""
     ito, vf = _random_fp_case(rng)
-    fp = fokker_planck_of(ito)
-    c, _ = fp._of([(vf.tau, vf.beta), vf.xi])
+    engine = fokker_planck_of(ito)._engine
+    c, _ = engine.of([(vf.tau, vf.beta), vf.xi])
     assert c.calc is not model._EXPRS
-    in_ring = detsys_fp(fp, vf)
+    in_ring = detsys_fp(ito, vf)
     one_type = model._one_type
     with mock.patch.object(model, "_one_type",
                            lambda ring, groups: one_type(None, groups)):
-        assert fp._of([])[0].calc is model._EXPRS
-        on_exprs = detsys_fp(fp, vf)
+        assert engine.of([])[0].calc is model._EXPRS
+        on_exprs = detsys_fp(ito, vf)
     assert in_ring.equations == on_exprs.equations
 
 
@@ -279,14 +326,14 @@ class TestFallback:
         ctx = Context(spatial=("x",), noises=("w",))
         x = ctx.spatial[0]
         ito = ItoSystem(ctx, f=(sp.Float(0.5) * x,), sigma=((1,),))
-        assert _Engine(ito).ring is None
+        assert ito._engine.ring is None
         ds = detsys_projectable(ito, VectorField(ctx, tau=1, xi=(x**2,)))
         assert [to_dsl(e) for e in ds.residuals()] == ["-0.5*x^2 - 1.0",
                                                         "2*x"]
 
     def test_sqrt_noise(self, systems):
         ito = systems["langevin2.sde"]
-        assert _Engine(ito).ring is None
+        assert ito._engine.ring is None
         x1, x2 = ito.context.spatial
         t = ito.context.t
         ds = detsys_projectable(ito, VectorField(ito.context, tau=t,
@@ -299,7 +346,7 @@ class TestFallback:
         ito = systems["heat.sde"]
         x, t = ito.context.spatial[0], ito.context.t
         vf = VectorField(ito.context, tau=sp.exp(t), xi=(x,))
-        assert _Engine(ito).ring is not None
+        assert ito._engine.ring is not None
         assert not _takes_ring(ito, [(vf.tau,), vf.xi])
         assert [to_dsl(e) for e in detsys_projectable(ito, vf).residuals()] == [
             "0", "-s0*exp(t)/2 + s0"]

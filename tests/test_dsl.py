@@ -165,6 +165,55 @@ class TestCandidateParsing:
         assert err.value.line == 2
 
 
+@pytest.mark.parametrize("kind,text,message,line", [
+    ("system", "params a,\nvars x\nnoises w\n",
+     "empty parameter declaration", 1),
+    ("system", "params a : big\nvars x\nnoises w\n",
+     "unknown assumption 'big'", 1),
+    ("system", "vars x\nparams 2a\nnoises w\n",
+     "invalid parameter name '2a'", 2),
+    ("system", "system my heat\nvars x\nnoises w\n",
+     "system name must be an identifier", 1),
+    ("system", "vars x\nnoises w\nvars y\n", "duplicate vars declaration", 3),
+    ("system", "vars x\nnoises w\nnoises v\n",
+     "duplicate noises declaration", 3),
+    ("system", "vars x\n\ndrift x = 1\n", "missing noises declaration", 1),
+    ("system", "vars x\nnoises w\ndrift x 1\n",
+     "expected '=' in drift line", 3),
+    ("system", "vars x\nnoises w\nsigma x = 1\n",
+     "sigma expects a variable name and a noise name", 3),
+    ("system", "vars x\nnoises w\nsigma x w = 1\n\nsigma x w = 2\n",
+     "duplicate sigma entry for 'x w'", 5),
+    ("candidate", "candidate my field\n",
+     "candidate name must be an identifier", 1),
+    ("candidate", "tau = 1\nxi x 1\n", "expected '=' in candidate entry", 2),
+    ("candidate", "tau = 1\n\ntau = t\n", "duplicate tau entry", 3),
+    ("candidate", "R = [[1, 0], [0]]\n", "matrix rows have unequal lengths",
+     1),
+    ("candidate", "xi x = 1\nxi x = y\n", "duplicate xi entry for 'x'", 2),
+    ("candidate", "B[1] = 1\n", "B entries are addressed as B[i][j]", 1),
+    ("candidate", "B[1][3] = 1\n",
+     "B indices out of range or on the diagonal", 1),
+    ("candidate", "B[1][2] = 1\nB[1][2] = 2\n",
+     "duplicate B entry B[1][2]", 2),
+    ("candidate", "tau = 1\neta = 0\n", "unknown candidate directive 'eta'",
+     2),
+], ids=["empty-param", "assumption", "param-name", "system-name",
+        "duplicate-vars", "duplicate-noises", "no-noises", "no-equals",
+        "sigma-fields", "duplicate-sigma", "candidate-name",
+        "candidate-no-equals", "duplicate-tau", "ragged-R", "duplicate-xi",
+        "B-index", "B-range", "duplicate-B", "candidate-directive"])
+def test_parse_error_message_and_line(kind, text, message, line):
+    """Each rejection of a malformed system or candidate line names the
+    problem and the line it stands on."""
+    with pytest.raises(ParseError) as err:
+        if kind == "system":
+            parse_system(text)
+        else:
+            parse_candidate(text, parse_system(PAIR))
+    assert str(err.value) == f"{message} (line {line}, column 1)"
+
+
 class TestRoundTrips:
     def test_system_text(self, pair):
         again = parse_system(to_sde(pair))

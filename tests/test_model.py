@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 import stosym.kernel as kernel
+from stosym.dsl import load_system
 from stosym.kernel import (Context, InconclusiveError, Verdict, normalize,
                            zero_verdict)
 from stosym.model import (DegeneracyError, DiscreteMap, FokkerPlanck,
@@ -9,6 +13,7 @@ from stosym.model import (DegeneracyError, DiscreteMap, FokkerPlanck,
                           fokker_planck_of, ito_to_stratonovich, lie_bracket,
                           same_fp, transform_ito_first_order)
 from stosym.kpz import KpzChain, kpz_ito
+from conftest import FIXTURES, random_polynomial_system
 
 
 @pytest.fixture
@@ -64,8 +69,7 @@ class TestItoSystem:
 
     def test_half_diffusion(self, kramers):
         k = kramers.context.symbol("k")
-        S = kramers.half_diffusion()
-        assert S == sp.Matrix([[0, 0], [0, k**2]])
+        assert diffusion_matrix(kramers) == ((0, 0), (0, k**2))
 
 
 class TestFokkerPlanck:
@@ -107,17 +111,61 @@ class TestFokkerPlanck:
             diffusion_matrix(ito)
 
     def test_undecided_degeneracy_raises(self, heat, monkeypatch):
-        """An undecided S is not read as 'not degenerate'."""
+        """An undecided S is not read as 'not degenerate'. The system is
+        built afresh: the shared fixture may hold its Fokker-Planck
+        coefficients already, built and checked once."""
         import stosym.kernel as kernel
+        fresh = ItoSystem(heat.context, f=heat.f, sigma=heat.sigma)
         monkeypatch.setattr(kernel, "zero_verdict",
                             lambda e: Verdict.INCONCLUSIVE)
         with pytest.raises(kernel.InconclusiveError):
-            diffusion_matrix(heat)
+            diffusion_matrix(fresh)
 
     def test_nondegenerate_diffusion(self, heat):
         s0 = heat.context.symbol("s0")
         S = diffusion_matrix(heat)
         assert normalize(S[0][0] - s0**2 / 2) == 0
+
+
+# systems whose sigma holds sqrt or exp, next to the random polynomial ones
+NAMED_SYSTEMS = {name: load_system(path) for name, path in (
+    ("kramers", FIXTURES / "kramers.sde"),
+    ("langevin2", FIXTURES / "langevin2.sde"),
+    ("expnoise", Path(__file__).resolve().parent / "data" / "expnoise.sde"))}
+
+
+def _fp_formula(ito):
+    """A, B and C of the associated Fokker-Planck equation straight from
+    the formulas, on sympy matrices: A = -(1/2) sigma sigma^T,
+    B^i = f^i + 2 d_j A^{ij}, C = d_i f^i + d2_{ij} A^{ij}."""
+    x, n = ito.context.spatial, ito.n
+    s = sp.Matrix(ito.sigma)
+    A = -s * s.T / 2
+    B = [ito.f[i] + 2 * sum(sp.diff(A[i, j], x[j]) for j in range(n))
+         for i in range(n)]
+    C = sum(sp.diff(ito.f[i], x[i]) for i in range(n)) + sum(
+        sp.diff(A[i, j], x[i], x[j]) for i in range(n) for j in range(n))
+    return A, B, C
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from([None, *NAMED_SYSTEMS]))
+def test_fokker_planck_of_matches_formula(rng, name):
+    """fokker_planck_of, built from the system's engine in the ring or on
+    expressions, gives the normalized coefficients of the formulas; a
+    vanishing sigma sigma^T is rejected."""
+    ito = random_polynomial_system(rng) if name is None else NAMED_SYSTEMS[name]
+    A, B, C = _fp_formula(ito)
+    if all(normalize(e) == 0 for e in A):
+        with pytest.raises(DegeneracyError):
+            fokker_planck_of(ito)
+        return
+    fp = fokker_planck_of(ito)
+    assert fp.A == tuple(tuple(normalize(e) for e in A.row(i))
+                         for i in range(ito.n))
+    assert fp.B == tuple(normalize(e) for e in B)
+    assert fp.C == normalize(C)
 
 
 def test_ito_to_stratonovich_multiplicative_noise():

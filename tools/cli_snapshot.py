@@ -1,8 +1,8 @@
 """Run a fixed list of stosym CLI commands in process and write
-{command: [exit code, stdout]} as JSON.
+{command: [exit code, stdout, stderr]} as JSON.
 
-Two trees, or one tree under two hash seeds, give the same stdout and
-exit code on every command iff their files are equal:
+Two trees, or one tree under two hash seeds, give the same exit code,
+stdout and stderr on every command iff their files are equal:
 
     PYTHONHASHSEED=0 PYTHONPATH=src python tools/cli_snapshot.py snap0.json
     PYTHONHASHSEED=1 PYTHONPATH=src python tools/cli_snapshot.py snap1.json
@@ -10,7 +10,8 @@ exit code on every command iff their files are equal:
 
 Commands name their files relative to the repository root, so snapshots
 of two checkouts compare key by key. `--golden` runs only the commands of
-tests/data/fp_golden.json (Fokker-Planck output that is not all zero).
+tests/data/fp_golden.json (Fokker-Planck output that is not all zero) and
+writes [exit code, stdout] for each, the entries that file holds.
 """
 from __future__ import annotations
 
@@ -103,13 +104,15 @@ def commands():
     return list(dict.fromkeys(out))
 
 
-def run(command, runner):
-    """[exit code, stdout] of one command; files are resolved against the
-    repository root, anything written lands in the runner's directory."""
+def run(command, runner, stderr=True):
+    """[exit code, stdout, stderr] of one command, without stderr when
+    `stderr` is false; files are resolved against the repository root,
+    anything written lands in the runner's directory."""
     args = [str(ROOT / a) if (ROOT / a).is_file() else a
             for a in shlex.split(command)]
     result = runner.invoke(cli, args)
-    return [result.exit_code, result.stdout]
+    return [result.exit_code, result.stdout,
+            *([result.stderr] if stderr else [])]
 
 
 def main(argv=None):
@@ -120,7 +123,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     runner = CliRunner()
     with runner.isolated_filesystem():
-        snapshot = {c: run(c, runner)
+        snapshot = {c: run(c, runner, stderr=not args.golden)
                     for c in (GOLDEN if args.golden else commands())}
     Path(args.out).write_text(json.dumps(snapshot, indent=1) + "\n")
     print(f"{len(snapshot)} commands -> {args.out}")
