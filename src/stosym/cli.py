@@ -20,10 +20,9 @@ from dataclasses import replace
 import click
 import sympy as sp
 
-from .kernel import Context, InconclusiveError, ParseError, parse_expr, \
-    to_dsl
+from .kernel import Context, InconclusiveError, ParseError, _dsl, parse_expr
 from .model import DegeneracyError, DiscreteMap, VectorField, WSymmetry, \
-    fokker_planck_of
+    _trusted, fokker_planck_of
 from .detgen import detsys_discrete, detsys_fp, detsys_projectable, detsys_w
 from .verify import OverallVerdict, _fp_classification, check, \
     check_normalization_preserving, extend_to_fp
@@ -99,7 +98,7 @@ def _generic_candidate(ito):
     tau = octx.opaque["tau"](octx.t)
     xi = tuple(octx.opaque[f"xi_{v}"](*octx.spatial, octx.t)
                for v in ctx.spatial_names)
-    return VectorField(context=octx, tau=tau, xi=xi)
+    return _trusted(VectorField, context=octx, tau=tau, xi=xi)
 
 
 @click.group()
@@ -118,9 +117,9 @@ def derive_fp(system_file, as_json):
     data = {
         "schema": 1,
         "system": ito.name,
-        "A": [[to_dsl(e) for e in row] for row in fp.A],
-        "B": [to_dsl(e) for e in fp.B],
-        "C": to_dsl(fp.C),
+        "A": [[_dsl(e) for e in row] for row in fp.A],
+        "B": [_dsl(e) for e in fp.B],
+        "C": _dsl(fp.C),
     }
     if as_json:
         _emit(data)
@@ -145,7 +144,7 @@ def detsys(system_file, candidate_file, as_json):
         candidate = _generic_candidate(ito)
     ds = _detsys_for(ito, candidate)
     data = {"schema": 1, "system": ds.name,
-            "equations": [{"label": label, "residual": to_dsl(e)}
+            "equations": [{"label": label, "residual": _dsl(e)}
                           for label, e in ds.equations]}
     if as_json:
         _emit(data)
@@ -238,11 +237,11 @@ def solve_cmd(system_file, degree, basis_tokens, with_b, as_json):
     else:
         click.echo(f"dimension {basis.dimension}")
         for i, g in enumerate(basis.generators, start=1):
-            parts = [f"tau = {to_dsl(g.tau)}"]
-            parts += [f"xi {v} = {to_dsl(g.xi[j])}"
+            parts = [f"tau = {_dsl(g.tau)}"]
+            parts += [f"xi {v} = {_dsl(g.xi[j])}"
                       for j, v in enumerate(ito.context.spatial_names)]
             if isinstance(g, WSymmetry):
-                parts.append(f"B = {[[to_dsl(e) for e in row] for row in g.Bmat]}")
+                parts.append(f"B = {[[_dsl(e) for e in row] for row in g.Bmat]}")
             click.echo(f"generator {i}: " + ", ".join(parts))
 
 

@@ -15,7 +15,8 @@ zero; each residual leaves the ring once, through as_expr(), already in
 `normalize`d form. Anything else (a Float, sqrt, exp/sin/cos, a
 denominator, an opaque unknown) takes the same formulas on sympy
 expressions (`model._Exprs`, `model._Ring`), normalized once at the
-output. Each `ItoSystem` converts once, into the engine
+output, its only normalization: `verify.check` decides and prints it as
+stored. Each `ItoSystem` converts once, into the engine
 (`model._Engine`) that every builder here, `model.apply_discrete` and
 the ansatz solver read, and builds its Fokker-Planck A, B and C from it
 once (`model.fokker_planck_of`), into an engine of the same class that
@@ -42,7 +43,7 @@ __all__ = [
 class DeterminingSystem:
     """Named residuals that must all vanish. Every equation is stored in
     `normalize`d form (the detsys_* builders do this once), and `verify.check`
-    reports it as stored."""
+    decides and reports it as stored, without normalizing it again."""
     name: str
     equations: tuple  # of (label, expr) pairs
     free_unknowns: tuple = ()

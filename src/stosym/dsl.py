@@ -23,9 +23,9 @@ import re
 
 import sympy as sp
 
-from .kernel import Context, ParseError, UndeclaredSymbolError, is_zero, \
-    parse_expr, to_dsl
-from .model import DiscreteMap, ItoSystem, VectorField, WSymmetry
+from .kernel import Context, ParseError, UndeclaredSymbolError, _dsl, \
+    is_zero, parse_expr
+from .model import DiscreteMap, ItoSystem, VectorField, WSymmetry, _trusted
 
 __all__ = [
     "parse_system", "parse_candidate", "load_system", "load_candidate",
@@ -136,8 +136,8 @@ def parse_system(text) -> ItoSystem:
                 _fail(f"duplicate sigma entry for '{fields[0]} {fields[1]}'", lineno)
             sigma_seen.add(key)
             sigma[key[0]][key[1]] = _parse_at(expr_text.strip(), ctx, lineno)
-    return ItoSystem(context=ctx, f=tuple(f),
-                     sigma=tuple(tuple(row) for row in sigma), name=name)
+    return _trusted(ItoSystem, context=ctx, f=tuple(f),
+                    sigma=tuple(tuple(row) for row in sigma), name=name)
 
 
 def _parse_matrix_literal(text, ctx, lineno):
@@ -229,8 +229,7 @@ def parse_candidate(text, context):
         full_R = R if R is not None else tuple(
             tuple(sp.Integer(1) if p == q else sp.Integer(0) for q in range(m))
             for p in range(m))
-        dmap = DiscreteMap(context=ctx, phi=full_phi, R=full_R)
-        return dmap
+        return _trusted(DiscreteMap, context=ctx, phi=full_phi, R=full_R)
     full_xi = tuple(xi.get(i, sp.Integer(0)) for i in range(n))
     if B:
         if beta is not None:
@@ -245,10 +244,11 @@ def parse_candidate(text, context):
                 _fail(f"B[{p + 1}][{q + 1}] and B[{q + 1}][{p + 1}] "
                       "are not antisymmetric",
                       max(at["B", (p, q)], at["B", (q, p)]))
-        return WSymmetry(context=ctx, tau=tau if tau is not None else 0,
-                         xi=full_xi, Bmat=tuple(tuple(r) for r in mat))
-    return VectorField(context=ctx, tau=tau if tau is not None else 0,
-                       xi=full_xi, beta=beta, name=name)
+        return _trusted(WSymmetry, context=ctx,
+                        tau=tau if tau is not None else 0, xi=full_xi,
+                        Bmat=tuple(tuple(r) for r in mat))
+    return _trusted(VectorField, context=ctx, tau=tau if tau is not None else 0,
+                    xi=full_xi, beta=beta, name=name)
 
 
 def load_system(path) -> ItoSystem:
@@ -288,11 +288,11 @@ def to_sde(ito: ItoSystem) -> str:
     out.append("noises " + " ".join(ctx.noise_names))
     for i, v in enumerate(ctx.spatial_names):
         if ito.f[i] != 0:
-            out.append(f"drift {v} = {to_dsl(ito.f[i])}")
+            out.append(f"drift {v} = {_dsl(ito.f[i])}")
     for i, v in enumerate(ctx.spatial_names):
         for k, w in enumerate(ctx.noise_names):
             if ito.sigma[i][k] != 0:
-                out.append(f"sigma {v} {w} = {to_dsl(ito.sigma[i][k])}")
+                out.append(f"sigma {v} {w} = {_dsl(ito.sigma[i][k])}")
     return "\n".join(out) + "\n"
 
 
@@ -306,10 +306,10 @@ def to_cand(candidate, base_context=None, name="") -> str:
         header_len = len(out)
         for i, v in enumerate(ctx.spatial_names):
             if candidate.phi[i] != ctx.spatial[i]:
-                out.append(f"phi {v} = {to_dsl(candidate.phi[i])}")
+                out.append(f"phi {v} = {_dsl(candidate.phi[i])}")
         if candidate.r_matrix() != sp.eye(ctx.m):
             rows = ", ".join(
-                "[" + ", ".join(to_dsl(e) for e in row) + "]"
+                "[" + ", ".join(_dsl(e) for e in row) + "]"
                 for row in candidate.R)
             out.append(f"R = [{rows}]")
         if len(out) == header_len:
@@ -317,12 +317,12 @@ def to_cand(candidate, base_context=None, name="") -> str:
             out.append(f"phi {ctx.spatial_names[0]} = {ctx.spatial_names[0]}")
         return "\n".join(out) + "\n"
     if candidate.tau != 0:
-        out.append(f"tau = {to_dsl(candidate.tau)}")
+        out.append(f"tau = {_dsl(candidate.tau)}")
     for i, v in enumerate(ctx.spatial_names):
         if candidate.xi[i] != 0:
-            out.append(f"xi {v} = {to_dsl(candidate.xi[i])}")
+            out.append(f"xi {v} = {_dsl(candidate.xi[i])}")
     if isinstance(candidate, WSymmetry):
-        b_lines = [f"B[{p + 1}][{q + 1}] = {to_dsl(candidate.Bmat[p][q])}"
+        b_lines = [f"B[{p + 1}][{q + 1}] = {_dsl(candidate.Bmat[p][q])}"
                    for p in range(ctx.m) for q in range(p + 1, ctx.m)
                    if candidate.Bmat[p][q] != 0]
         if not b_lines and ctx.m > 1:
@@ -330,7 +330,7 @@ def to_cand(candidate, base_context=None, name="") -> str:
             b_lines = ["B[1][2] = 0"]
         out += b_lines
     elif candidate.beta is not None:
-        out.append(f"beta = {to_dsl(candidate.beta)}")
+        out.append(f"beta = {_dsl(candidate.beta)}")
     if not out:
         out.append("tau = 0")
     return "\n".join(out) + "\n"
@@ -344,8 +344,8 @@ def system_to_dict(ito: ItoSystem) -> dict:
         "params": dict(ctx.param_assumptions),
         "vars": list(ctx.spatial_names),
         "noises": list(ctx.noise_names),
-        "drift": {v: to_dsl(ito.f[i]) for i, v in enumerate(ctx.spatial_names)},
-        "sigma": {v: {w: to_dsl(ito.sigma[i][k])
+        "drift": {v: _dsl(ito.f[i]) for i, v in enumerate(ctx.spatial_names)},
+        "sigma": {v: {w: _dsl(ito.sigma[i][k])
                       for k, w in enumerate(ctx.noise_names)}
                   for i, v in enumerate(ctx.spatial_names)},
     }
@@ -357,7 +357,8 @@ def system_from_dict(d) -> ItoSystem:
     f = tuple(parse_expr(d["drift"].get(v, "0"), ctx) for v in d["vars"])
     sigma = tuple(tuple(parse_expr(d["sigma"].get(v, {}).get(w, "0"), ctx)
                         for w in d["noises"]) for v in d["vars"])
-    return ItoSystem(context=ctx, f=f, sigma=sigma, name=d.get("name", "system"))
+    return _trusted(ItoSystem, context=ctx, f=f, sigma=sigma,
+                    name=d.get("name", "system"))
 
 
 def candidate_to_dict(candidate, base_context=None, name="") -> dict:
@@ -366,20 +367,20 @@ def candidate_to_dict(candidate, base_context=None, name="") -> dict:
          "params": _extra_params(ctx, base_context)}
     if isinstance(candidate, DiscreteMap):
         d["type"] = "discrete_map"
-        d["phi"] = {v: to_dsl(candidate.phi[i])
+        d["phi"] = {v: _dsl(candidate.phi[i])
                     for i, v in enumerate(ctx.spatial_names)}
-        d["R"] = [[to_dsl(e) for e in row] for row in candidate.R]
+        d["R"] = [[_dsl(e) for e in row] for row in candidate.R]
         return d
-    d["tau"] = to_dsl(candidate.tau)
-    d["xi"] = {v: to_dsl(candidate.xi[i])
+    d["tau"] = _dsl(candidate.tau)
+    d["xi"] = {v: _dsl(candidate.xi[i])
                for i, v in enumerate(ctx.spatial_names)}
     if isinstance(candidate, WSymmetry):
         d["type"] = "w_symmetry"
-        d["B"] = [[to_dsl(e) for e in row] for row in candidate.Bmat]
+        d["B"] = [[_dsl(e) for e in row] for row in candidate.Bmat]
     else:
         d["type"] = "vector_field"
         if candidate.beta is not None:
-            d["beta"] = to_dsl(candidate.beta)
+            d["beta"] = _dsl(candidate.beta)
     return d
 
 
@@ -392,14 +393,14 @@ def candidate_from_dict(d, context):
     if kind == "discrete_map":
         phi = tuple(parse_expr(d["phi"].get(v, v), ctx) for v in ctx.spatial_names)
         R = tuple(tuple(parse_expr(e, ctx) for e in row) for row in d["R"])
-        return DiscreteMap(context=ctx, phi=phi, R=R)
+        return _trusted(DiscreteMap, context=ctx, phi=phi, R=R)
     tau = parse_expr(d.get("tau", "0"), ctx)
     xi = tuple(parse_expr(d["xi"].get(v, "0"), ctx) for v in ctx.spatial_names)
     if kind == "w_symmetry":
         B = tuple(tuple(parse_expr(e, ctx) for e in row) for row in d["B"])
-        return WSymmetry(context=ctx, tau=tau, xi=xi, Bmat=B)
+        return _trusted(WSymmetry, context=ctx, tau=tau, xi=xi, Bmat=B)
     if kind == "vector_field":
         beta = parse_expr(d["beta"], ctx) if "beta" in d else None
-        return VectorField(context=ctx, tau=tau, xi=xi, beta=beta,
-                           name=d.get("name", ""))
+        return _trusted(VectorField, context=ctx, tau=tau, xi=xi, beta=beta,
+                        name=d.get("name", ""))
     raise ValueError(f"unknown candidate type '{kind}'")

@@ -484,10 +484,15 @@ def zero_verdict(e) -> Verdict:
     ZERO when every sample vanished and sympy proves the simplified form
     zero.
     """
+    return _zero_verdict(e)
+
+
+def _zero_verdict(e, normalized=False) -> Verdict:
+    """`zero_verdict`, without normalizing e again when it is `normalized`."""
     p = _ring_element(e)
     if p is not None:
         return Verdict.NONZERO if p else Verdict.ZERO
-    n = normalize(e)
+    n = e if normalized else normalize(e)
     if n.is_Number and n.is_zero:
         return Verdict.ZERO
     atoms = _opaque_atoms(n)
@@ -574,4 +579,9 @@ def eval_numeric(e, point, context: Context | None = None) -> float:
 
 def to_dsl(e) -> str:
     """Canonical string form, parseable by parse_expr."""
-    return sp.sstr(normalize(e), order="lex").replace("**", "^")
+    return _dsl(normalize(e))
+
+
+def _dsl(n) -> str:
+    """`to_dsl` of n in `normalize`d form, as model values and residuals are."""
+    return sp.sstr(n, order="lex").replace("**", "^")

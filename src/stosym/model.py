@@ -8,6 +8,7 @@ terms, which makes the tau = 0 and B = 0 reductions exact.
 """
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,19 +30,38 @@ class DegeneracyError(ValueError):
     """sigma sigma^T vanishes identically."""
 
 
+_TRUSTED = ContextVar("trusted", default=False)
+
+
+def _trusted(cls, *args, **kwargs):
+    """cls(*args, **kwargs) from entries in `normalize`d form (parsed, or
+    held by a model value), for the package's own builds only: __post_init__
+    validates them but does not normalize them again, nor test the A = -S
+    of a FokkerPlanck for symmetry."""
+    token = _TRUSTED.set(True)
+    try:
+        return cls(*args, **kwargs)
+    finally:
+        _TRUSTED.reset(token)
+
+
+def _normal(e):
+    return sp.sympify(e) if _TRUSTED.get() else normalize(e)
+
+
 def _exprs(seq):
-    return tuple(normalize(e) for e in seq)
+    return tuple(_normal(e) for e in seq)
 
 
 def _matrix(rows):
-    return tuple(tuple(normalize(e) for e in row) for row in rows)
+    return tuple(tuple(_normal(e) for e in row) for row in rows)
 
 
 def _set_tau_xi(candidate):
     """Normalize tau and xi of a generator in place: xi defaults to zero and
     needs one entry per spatial variable, and tau must be free of them."""
     ctx = candidate.context
-    object.__setattr__(candidate, "tau", normalize(candidate.tau))
+    object.__setattr__(candidate, "tau", _normal(candidate.tau))
     object.__setattr__(candidate, "xi", _exprs(candidate.xi or (0,) * ctx.n))
     if len(candidate.xi) != ctx.n:
         raise ValueError(f"expected {ctx.n} xi components")
@@ -53,9 +73,9 @@ def _set_tau_xi(candidate):
 class ItoSystem:
     """dx^i = f^i(x,t) dt + sigma^i_k(x,t) dw^k on R^n with m noise channels.
 
-    f and sigma are converted into the context's ring QQ[params, x, t] once;
-    when every entry lies in it, the elements are kept for the
-    determining-equation engine, and f and sigma hold their as_expr()."""
+    The constructor normalizes f and sigma (a `_trusted` build keeps them)
+    and converts them into the context's ring QQ[params, x, t] once; when
+    every entry lies in it, the elements are kept for the engine."""
     context: Context
     f: tuple
     sigma: tuple
@@ -68,6 +88,8 @@ class ItoSystem:
         in_ring, (f, *sigma) = _one_type(ring, [self.f, *self.sigma])
         if in_ring:
             object.__setattr__(self, "_elements", (f, sigma))
+            if _TRUSTED.get():
+                f, sigma = self.f, self.sigma
         object.__setattr__(self, "f", _exprs(f))
         object.__setattr__(self, "sigma", _matrix(sigma))
         n, m = self.context.n, self.context.m
@@ -108,13 +130,15 @@ class ItoSystem:
         """The Fokker-Planck equation, computed from the engine's ring
         coefficients, or from its expressions and kept in the ring when A,
         B and C lie in it (kramers' sigma = sqrt(2) k gives A = -k^2); with
-        the engine that its family reads."""
+        the engine that its family reads; A, B and C are normalized once."""
         ctx, engine = self.context, self._engine
         c = engine.exprs if engine.ring is None else engine.ring
         if all_zero(w for _, _, w in c.S):
             raise DegeneracyError("sigma sigma^T vanishes identically")
         ring = c.fokker_planck()
-        fp = FokkerPlanck(ctx, A=ring.A, B=ring.B, C=ring.C)
+        fp = _trusted(FokkerPlanck, ctx,
+                      A=[[normalize(e) for e in row] for row in ring.A],
+                      B=[normalize(e) for e in ring.B], C=normalize(ring.C))
         if engine.ring is None:
             calc = _Ring(ctx.ring, ctx.spatial, ctx.t)
             in_ring, (B, (C,), *A) = _one_type(ctx.ring,
@@ -128,7 +152,8 @@ class ItoSystem:
 
 @dataclass(frozen=True)
 class FokkerPlanck:
-    """Coefficients of u_t + A^{ij} d2_{ij} u + B^i d_i u + C u = 0."""
+    """Coefficients of u_t + A^{ij} d2_{ij} u + B^i d_i u + C u = 0; the
+    constructor normalizes them and checks that A is symmetric."""
     context: Context
     A: tuple
     B: tuple
@@ -139,21 +164,22 @@ class FokkerPlanck:
     def __post_init__(self):
         object.__setattr__(self, "A", _matrix(self.A))
         object.__setattr__(self, "B", _exprs(self.B))
-        object.__setattr__(self, "C", normalize(self.C))
+        object.__setattr__(self, "C", _normal(self.C))
         n = self.context.n
         if len(self.A) != n or any(len(row) != n for row in self.A):
             raise ValueError(f"A must be {n}x{n}")
         if len(self.B) != n:
             raise ValueError(f"expected {n} first-order coefficients")
-        if not all_zero(self.A[i][j] - self.A[j][i]
-                        for i in range(n) for j in range(i + 1, n)):
+        if not _TRUSTED.get() and not all_zero(
+                self.A[i][j] - self.A[j][i]
+                for i in range(n) for j in range(i + 1, n)):
             raise ValueError("A must be symmetric")
 
 
 @dataclass(frozen=True)
 class VectorField:
     """Projectable generator tau(t) d_t + xi^i(x,t) d_i, optionally extended
-    by beta(x,t) u d_u."""
+    by beta(x,t) u d_u; the constructor normalizes tau, xi and beta."""
     context: Context
     tau: object = 0
     xi: tuple = ()
@@ -163,7 +189,7 @@ class VectorField:
     def __post_init__(self):
         _set_tau_xi(self)
         if self.beta is not None:
-            object.__setattr__(self, "beta", normalize(self.beta))
+            object.__setattr__(self, "beta", _normal(self.beta))
 
 
 def _check_constant_matrix(ctx, mat, what):
@@ -177,7 +203,7 @@ def _check_constant_matrix(ctx, mat, what):
 @dataclass(frozen=True)
 class WSymmetry:
     """Generator acting also on the Wiener process: w -> w + eps B w with
-    B constant antisymmetric."""
+    B constant antisymmetric; the constructor normalizes tau, xi and B."""
     context: Context
     tau: object = 0
     xi: tuple = ()
@@ -202,7 +228,7 @@ class WSymmetry:
 @dataclass(frozen=True)
 class DiscreteMap:
     """Finite change of coordinates y^i = phi^i(x,t) with new noise
-    z = R w, R constant orthogonal."""
+    z = R w, R constant orthogonal; the constructor normalizes phi and R."""
     context: Context
     phi: tuple
     R: tuple

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from .kernel import Verdict, _fold, all_zero, is_zero, substitute, \
-    zero_verdict
-from .model import ItoSystem, VectorField, fokker_planck_of
-from .detgen import DeterminingSystem, detsys_fp, gamma
+from .kernel import Verdict, _dsl, _fold, _zero_verdict, all_zero, \
+    is_zero, normalize, substitute
+from .model import ItoSystem, VectorField, _trusted, fokker_planck_of
+from .detgen import DeterminingSystem, _lambda_gamma, _parts, detsys_fp
 
 __all__ = [
     "OverallVerdict", "FpClassification", "VerificationReport",
@@ -47,12 +47,11 @@ class VerificationReport:
         return self.overall is OverallVerdict.SYMMETRY
 
     def to_dict(self):
-        from .kernel import to_dsl
         d = {
             "schema": 1,
             "system": self.system_name,
             "equations": [
-                {"label": label, "verdict": v.value, "residual": to_dsl(r)}
+                {"label": label, "verdict": v.value, "residual": _dsl(r)}
                 for label, v, r in self.per_equation
             ],
             "overall": self.overall.value,
@@ -71,32 +70,28 @@ def check(ds: DeterminingSystem, bindings=None) -> VerificationReport:
     """Substitute candidate bindings for the free unknowns of the system and
     classify every residual. Overall verdict is SYMMETRY iff every residual
     is provably zero and NOT_SYMMETRY if one is provably nonzero; otherwise
-    an INCONCLUSIVE residual makes it INCONCLUSIVE, never a silent pass."""
-    bindings = dict(bindings or {})
-    if ds.free_unknowns:
-        missing = [f.__name__ for f in ds.free_unknowns
-                   if f not in bindings and f.__name__ not in
-                   {getattr(k, "__name__", k) for k in bindings}]
-        if missing:
-            raise ValueError(f"unbound unknowns: {', '.join(missing)}")
+    an INCONCLUSIVE residual makes it INCONCLUSIVE, never a silent pass.
+    Residuals are decided as stored (or substituted), already normalized."""
+    by_name = {getattr(k, "__name__", k): v
+               for k, v in dict(bindings or {}).items()}
+    missing = [f.__name__ for f in ds.free_unknowns if f.__name__ not in by_name]
+    if missing:
+        raise ValueError(f"unbound unknowns: {', '.join(missing)}")
     per_equation = []
     for label, e in ds.equations:
-        if bindings:
-            e = substitute(e, _resolve_bindings(e, bindings))
-        per_equation.append((label, zero_verdict(e), e))
+        if by_name:
+            e = substitute(e, _resolve_bindings(e, by_name))
+        per_equation.append((label, _zero_verdict(e, normalized=True), e))
     overall = _OVERALL[_fold(v for _, v, _ in per_equation)]
     return VerificationReport(system_name=ds.name,
                               per_equation=tuple(per_equation), overall=overall)
 
 
-def _resolve_bindings(e, bindings):
-    """Map name- or function-keyed bindings onto the opaque functions
-    actually present in the expression."""
-    by_name = {}
-    for k, v in bindings.items():
-        by_name[getattr(k, "__name__", k)] = v
+def _resolve_bindings(e, by_name):
+    """Map the bindings, keyed by name, onto the opaque functions actually
+    present in the expression."""
     out = {}
-    for f in sp.sympify(e).atoms(sp.core.function.AppliedUndef):
+    for f in e.atoms(sp.core.function.AppliedUndef):
         name = f.func.__name__
         if name in by_name:
             val = by_name[name]
@@ -114,8 +109,8 @@ def extend_to_fp(vf: VectorField) -> VectorField:
     """Unique normalization-preserving extension beta = -div(xi)."""
     if vf.beta is not None:
         raise ValueError("candidate already carries a beta component")
-    return VectorField(context=vf.context, tau=vf.tau, xi=vf.xi,
-                       beta=-_divergence(vf), name=vf.name)
+    return _trusted(VectorField, context=vf.context, tau=vf.tau, xi=vf.xi,
+                    beta=normalize(-_divergence(vf)), name=vf.name)
 
 
 def check_normalization_preserving(vf: VectorField) -> bool:
@@ -144,7 +139,8 @@ def _fp_classification(ito: ItoSystem, vf: VectorField) -> FpClassification:
     """The Gamma-based classification of `project_fp_symmetry`, for a
     candidate already known to be a normalization-preserving Fokker-Planck
     symmetry."""
-    if all_zero(e for row in gamma(ito, vf) for e in row):
+    _, gam = _lambda_gamma(ito, *_parts(vf))
+    if all_zero(e for row in gam for e in row):
         return FpClassification.ITO_SYMMETRY
     return FpClassification.STATISTICAL_EQUIVALENCE
 

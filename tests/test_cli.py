@@ -162,6 +162,34 @@ def test_fp_golden(runner, command):
     assert [result.exit_code, result.stdout] == FP_GOLDEN[command]
 
 
+@pytest.mark.parametrize("args, calls", [
+    (("kramers.sde", "kramers_v6.cand", "--fp"), 5),
+    (("langevin2.sde", "langevin_wrot_ratio.cand"), 6),
+    (("rotating.sde", "rotating_dt.cand"), 8),
+], ids=["kramers_v6-fp", "langevin_wrot_ratio", "rotating_dt"])
+def test_normalize_loop_calls_pinned(runner, fixtures_dir, monkeypatch, args,
+                                     calls):
+    """Expression-path checks put each non-polynomial value through the
+    general normalizer once: at parse, when a builder emits a raw residual,
+    or in a zero test of a raw sum. Model values built from parsed ones,
+    `check` and the JSON report do not normalize again (the counts were 9,
+    14 and 20 when they did). Sympy's cache is cleared first, so every call
+    is counted."""
+    from sympy.core.cache import clear_cache
+    import stosym.kernel as kernel
+    seen = []
+    loop = kernel._normalize_loop
+    monkeypatch.setattr(kernel, "_normalize_loop",
+                        lambda e: seen.append(e) or loop(e))
+    system, candidate, *options = args
+    clear_cache()
+    result = runner.invoke(main, ["check", fx(fixtures_dir, system),
+                                  fx(fixtures_dir, candidate), "--json",
+                                  *options])
+    assert result.exit_code in (0, 1)
+    assert len(seen) == calls
+
+
 class TestDetsys:
     def test_symbolic_unknowns(self, runner, fixtures_dir):
         result = runner.invoke(main, ["detsys", fx(fixtures_dir, "heat.sde"),
@@ -422,13 +450,13 @@ class TestExitContract:
     stderr: 2 rejected input, 3 inconclusive, 4 blow-up."""
 
     @staticmethod
-    def _undecided(e):
+    def _undecided(e, normalized=False):
         return stosym.kernel.Verdict.INCONCLUSIVE
 
     @pytest.mark.parametrize("which", ["time-shift", "h-shift"])
     def test_kpz_continuous_inconclusive_exit_three(self, runner, monkeypatch,
                                                     which):
-        monkeypatch.setattr(stosym.verify, "zero_verdict", self._undecided)
+        monkeypatch.setattr(stosym.verify, "_zero_verdict", self._undecided)
         result = runner.invoke(main, ["kpz", "--sites", "5", "--check", which])
         assert result.exit_code == 3
         assert result.output.strip() == "inconclusive"
@@ -451,7 +479,8 @@ class TestExitContract:
         """An undecided re-verification of a solver generator is
         inconclusive (3); a failed one is rejected input (2)."""
         answer = stosym.kernel.Verdict[verdict]
-        monkeypatch.setattr(stosym.verify, "zero_verdict", lambda e: answer)
+        monkeypatch.setattr(stosym.verify, "_zero_verdict",
+                            lambda e, normalized: answer)
         result = runner.invoke(main, ["solve", fx(fixtures_dir, "heat.sde"),
                                       "--json"])
         assert result.exit_code == code

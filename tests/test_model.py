@@ -284,3 +284,83 @@ class TestCandidateValidation:
         ctx = Context(spatial=("x", "y"), noises=("w1", "w2"))
         with pytest.raises(ValueError):
             WSymmetry(context=ctx, Bmat=((0, ctx.t), (-ctx.t, 0)))
+
+
+class TestPublicConstructionNormalizes:
+    """Built from user code, every model class normalizes its entries and
+    validates them; only the package's own builds from normalized values
+    skip the normalization. The public zero test and printer normalize raw
+    input too."""
+    CTX = Context(spatial=("x", "y"), params={"k": "positive"},
+                  noises=("w1", "w2"))
+    x, y = CTX.spatial
+    t, k = CTX.t, CTX.symbol("k")
+    POLY = x * (x + 1)                          # x**2 + x
+    RADICAL = sp.sqrt(2) * (k + 1)              # sqrt(2)*k + sqrt(2)
+    HALF = sp.sqrt(2) * (k + 1) / (2 * k + 2)   # sqrt(2)/2
+    CLASSES = {ItoSystem: ("f", "sigma"), FokkerPlanck: ("A", "B", "C"),
+               VectorField: ("tau", "xi", "beta"),
+               WSymmetry: ("tau", "xi", "Bmat"), DiscreteMap: ("phi", "R")}
+
+    @classmethod
+    def build(cls, kind, **overrides):
+        P, Q, c = cls.POLY, cls.RADICAL, cls.HALF
+        fields = {
+            ItoSystem: dict(f=(P, Q), sigma=((Q, 0), (0, P))),
+            FokkerPlanck: dict(A=((Q, P), (P, Q)), B=(P, Q), C=P),
+            VectorField: dict(tau=cls.t * (cls.t + 1), xi=(P, Q), beta=P),
+            WSymmetry: dict(tau=Q, xi=(P, Q), Bmat=((0, Q), (-Q, 0))),
+            DiscreteMap: dict(phi=(P, Q), R=((c, -c), (c, c))),
+        }[kind]
+        return kind(context=cls.CTX, **{**fields, **overrides})
+
+    @pytest.mark.parametrize("kind", list(CLASSES), ids=lambda k: k.__name__)
+    def test_stores_normalized_entries(self, kind):
+        value, entries = self.build(kind), []
+        stack = [getattr(value, name) for name in self.CLASSES[kind]]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, tuple):
+                stack.extend(e)
+            else:
+                entries.append(e)
+        stored = [sp.srepr(e) for e in entries]
+        assert stored == [sp.srepr(normalize(e)) for e in entries]
+        assert sp.srepr(normalize(self.POLY)) in stored
+        assert not {sp.srepr(e) for e in (self.POLY, self.RADICAL,
+                                          self.HALF)} & set(stored)
+
+    @pytest.mark.parametrize("kind, overrides", [
+        (ItoSystem, dict(f=(POLY,))),
+        (ItoSystem, dict(sigma=((RADICAL, 0),))),
+        (ItoSystem, dict(f=(sp.Symbol("u"), 0))),
+        (FokkerPlanck, dict(A=((RADICAL, POLY), (0, RADICAL)))),
+        (FokkerPlanck, dict(B=(POLY,))),
+        (VectorField, dict(xi=(POLY,))),
+        (VectorField, dict(tau=x)),
+        (WSymmetry, dict(Bmat=((0, RADICAL), (RADICAL, 0)))),
+        (WSymmetry, dict(Bmat=((0, x), (-x, 0)))),
+        (WSymmetry, dict(Bmat=((0,),))),
+        (DiscreteMap, dict(R=((HALF, HALF), (HALF, HALF)))),
+        (DiscreteMap, dict(R=((0, t), (t, 0)))),
+        (DiscreteMap, dict(phi=(POLY,))),
+    ], ids=["f-length", "sigma-shape", "foreign-symbol", "A-not-symmetric",
+            "B-length", "xi-length", "tau-in-x", "B-not-antisymmetric",
+            "B-not-constant", "B-shape", "R-not-orthogonal",
+            "R-not-constant", "phi-length"])
+    def test_rejects_bad_input(self, kind, overrides):
+        with pytest.raises(ValueError):
+            self.build(kind, **overrides)
+
+    def test_zero_verdict_and_to_dsl_normalize_raw_input(self, monkeypatch):
+        """None of the three inputs is a polynomial, so each takes the
+        general loop once."""
+        calls = []
+        loop = kernel._normalize_loop
+        monkeypatch.setattr(kernel, "_normalize_loop",
+                            lambda e: calls.append(e) or loop(e))
+        residual = self.RADICAL - sp.sqrt(2) * self.k - sp.sqrt(2)
+        assert zero_verdict(residual) is Verdict.ZERO
+        assert kernel.to_dsl(self.RADICAL) == "sqrt(2)*k + sqrt(2)"
+        assert kernel.to_dsl(self.HALF) == "sqrt(2)/2"
+        assert len(calls) == 3

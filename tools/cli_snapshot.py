@@ -8,6 +8,12 @@ stdout and stderr on every command iff their files are equal:
     PYTHONHASHSEED=1 PYTHONPATH=src python tools/cli_snapshot.py snap1.json
     cmp snap0.json snap1.json
 
+tests/data/cli_snapshot.json holds this tree's snapshot under
+PYTHONHASHSEED=0, and CI compares a fresh one with it; a change that
+alters output regenerates it:
+
+    PYTHONHASHSEED=0 PYTHONPATH=src python tools/cli_snapshot.py tests/data/cli_snapshot.json
+
 Commands name their files relative to the repository root, so snapshots
 of two checkouts compare key by key. `--golden` runs only the commands of
 tests/data/fp_golden.json (Fokker-Planck output that is not all zero) and
