@@ -78,6 +78,10 @@ def commands():
             "--time-basis exp:2 --json",
             f"solve {FIXTURES}langevin2.sde --time-basis exp:s1 --json",
             f"solve {FIXTURES}kramers.sde --degree 2 --time-basis exp:k^2 --json"]
+    # a radical that is not a common factor of sigma
+    out += [f"solve {DATA}mixedradical.sde --with-b --time-basis exp:1 --json",
+            f"detsys {DATA}mixedradical.sde --json",
+            f"derive-fp {DATA}mixedradical.sde --json"]
     # exponentials in the drift and the noise, one of them shifted by a
     # constant, and sqrt of a parameter declared only nonzero
     out += [f"solve {DATA}{system} --time-basis exp:1 --time-basis exp:2{fmt}"
