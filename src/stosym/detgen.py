@@ -6,22 +6,18 @@ reductions hold exactly: the W system with B = 0 equals the projectable
 system, which at tau = 0 equals the spatial system, equation by equation.
 
 Every family is computed in one of two coefficient types, chosen from
-the input alone. When the system's coefficients (f and sigma, or the
-Fokker-Planck A, B and C) and every candidate entry are float-free
-polynomials over QQ in the context's symbols, they run in the sparse
-polynomial ring QQ[params, x, t]. There +, *, d/dv and == 0 are exact
-and canonical, so a residual that is zero in the ring is identically
-zero; each residual leaves the ring once, through as_expr(), already in
-`normalize`d form. Anything else (a Float, sqrt, exp/sin/cos, a
-denominator, an opaque unknown) takes the same formulas on sympy
-expressions (`model._Exprs`, `model._Ring`), normalized once at the
-output, its only normalization: `verify.check` decides and prints it as
-stored. Each `ItoSystem` converts once, into the engine
+the input alone: the exact domain of `model._convert` (QQ[params, x, t]
+with sqrt(p) of positive parameters and exp(c t) as generators) when the
+system's coefficients and every candidate entry lie in it, with sigma's
+common radical scaled out (`model._common_radical`), and sympy
+expressions otherwise. Each residual leaves through `leave` and is
+normalized once, its only normalization: `verify.check` decides and
+prints it as stored. Each `ItoSystem` converts once, into the engine
 (`model._Engine`) that every builder here, `model.apply_discrete` and
 the ansatz solver read, and builds its Fokker-Planck A, B and C from it
-once (`model.fokker_planck_of`), into an engine of the same class that
-the Fokker-Planck family reads. The ODE family is minus the Lambda
-family of the system with zero noise.
+once (`model.fokker_planck_of`), into an engine that the Fokker-Planck
+family reads. The ODE family is minus the Lambda family of the system
+with zero noise.
 """
 from __future__ import annotations
 
@@ -72,13 +68,14 @@ def _pack(name, equations):
 def _lambda_gamma(ito: ItoSystem, tau, xi, B=None):
     """Raw (Lambda, Gamma) of the candidate (tau, xi, B), with B a constant
     antisymmetric m x m matrix or None: a list of n Lambda entries and n
-    rows of m Gamma entries, linear in the candidate. They are ring
-    elements when f, sigma, tau, xi and B all lie in QQ[params, x, t], and
-    unnormalized expressions otherwise."""
+    rows of m Gamma entries, linear in the candidate, out of the engine
+    (`leave`), to be normalized."""
     # B's columns, read once; a zero B adds no term
     cols = [] if B is None or all(e == 0 for e in B) else B.T.tolist()
     c, ((tau,), xi, *cols) = ito._engine.of([(tau,), xi, *cols])
-    return _lambda_gamma_of(c, tau, xi, cols)
+    lam, gam = _lambda_gamma_of(c, tau, xi, cols)
+    return ([c.calc.leave(e) for e in lam],
+            [[c.calc.leave(e, c.lam) for e in row] for row in gam])
 
 
 def _lambda_gamma_of(c, tau, xi, B):
@@ -189,7 +186,7 @@ def detsys_fp(ito: ItoSystem, vf: VectorField) -> DeterminingSystem:
              + calc.dot(cols[i], grad_beta) - c.L(xi[i], jac[i]))
             for i, b in enumerate(c.B)]
     eqs.append(("FP-C", moved(c.C) + c.L(beta, grad_beta)))
-    return _pack("fokker-planck", eqs)
+    return _pack("fokker-planck", [(label, calc.leave(e)) for label, e in eqs])
 
 
 def detsys_discrete(ito: ItoSystem, dmap: DiscreteMap) -> DeterminingSystem:
@@ -201,12 +198,12 @@ def detsys_discrete(ito: ItoSystem, dmap: DiscreteMap) -> DeterminingSystem:
 
 
 def _discrete_equations(c, phi, R):
-    """Labelled raw residuals of the map (phi, R) over the coefficients c."""
+    """Labelled raw residuals of the map (phi, R) out of the engine c."""
     drift, noise = c.image(phi, R)
-    at_phi = c.calc.substitution(c.x, phi)
-    eqs = [(f"drift[{i + 1}]", e - at_phi(f))
+    at_phi, leave = c.calc.substitution(c.x, phi), c.calc.leave
+    eqs = [(f"drift[{i + 1}]", leave(e - at_phi(f)))
            for i, (e, f) in enumerate(zip(drift, c.f))]
-    eqs += [(f"noise[{i + 1}][{k + 1}]", e - at_phi(sig))
+    eqs += [(f"noise[{i + 1}][{k + 1}]", leave(e - at_phi(sig), c.lam))
             for i, (row, sig_row) in enumerate(zip(noise, c.sigma))
             for k, (e, sig) in enumerate(zip(row, sig_row))]
     return eqs

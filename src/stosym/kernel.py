@@ -235,7 +235,14 @@ class _Parser:
         e = self.base()
         if self.peek()[1] == "^":
             self.advance()
-            return e ** self.exponent()
+            _, _, line, col = self.peek()
+            e = e ** self.exponent()
+            # sympy folds (b^p)^q into b^(p q), which the bound must cover
+            for a in sp.Mul.make_args(e):
+                if (a.is_Pow and a.exp.is_Rational
+                        and abs(a.exp) > _MAX_EXPONENT):
+                    raise ParseError(f"folded exponent {abs(a.exp)} is larger "
+                                     f"than {_MAX_EXPONENT}", line, col)
         return e
 
     def exponent(self):
@@ -539,9 +546,14 @@ def all_zero(entries) -> bool:
     """True iff every entry vanishes identically; False as soon as one is
     provably nonzero. Raises InconclusiveError when none is nonzero and
     some entry cannot be decided."""
+    return _all_zero(entries)
+
+
+def _all_zero(entries, normalized=False) -> bool:
+    """`all_zero`, without normalizing entries that are `normalized`."""
     undecided = None
     for e in entries:
-        verdict = zero_verdict(e)
+        verdict = _zero_verdict(e, True) if normalized else zero_verdict(e)
         if verdict is Verdict.NONZERO:
             return False
         if verdict is Verdict.INCONCLUSIVE and undecided is None:

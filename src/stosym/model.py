@@ -9,14 +9,18 @@ terms, which makes the tau = 0 and B = 0 reductions exact.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property, lru_cache
+from operator import mul
 
 import sympy as sp
 from sympy.core.cache import cacheit
+from sympy.utilities.iterables import sift
 from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyElement
 
-from .kernel import Context, _ring_element, all_zero, normalize
+from .kernel import (Context, _all_zero, _own_ring, _ring_element, all_zero,
+                     normalize)
 
 __all__ = [
     "DegeneracyError",
@@ -74,22 +78,21 @@ class ItoSystem:
     """dx^i = f^i(x,t) dt + sigma^i_k(x,t) dw^k on R^n with m noise channels.
 
     The constructor normalizes f and sigma (a `_trusted` build keeps them)
-    and converts them into the context's ring QQ[params, x, t] once; when
-    every entry lies in it, the elements are kept for the engine."""
+    and converts f and sigma / lam (`_common_radical`) once for the engine."""
     context: Context
     f: tuple
     sigma: tuple
     name: str = ""
-    _elements: tuple = field(init=False, default=None, compare=False,
-                             repr=False)
+    _coefficients: object = field(init=False, default=None, compare=False,
+                                  repr=False)
 
     def __post_init__(self):
-        ring = self.context.ring
-        in_ring, (f, *sigma) = _one_type(ring, [self.f, *self.sigma])
-        if in_ring:
-            object.__setattr__(self, "_elements", (f, sigma))
-            if _TRUSTED.get():
-                f, sigma = self.f, self.sigma
+        ctx = self.context
+        base = _Ring(ctx.ring, ctx.spatial, ctx.t)
+        converted = _convert(base, [self.f, *self.sigma])
+        # as_expr() of an element of QQ[params, x, t] is normalized
+        f, *sigma = (converted[1] if converted and converted[0] is base
+                     and not _TRUSTED.get() else [self.f, *self.sigma])
         object.__setattr__(self, "f", _exprs(f))
         object.__setattr__(self, "sigma", _matrix(sigma))
         n, m = self.context.n, self.context.m
@@ -97,12 +100,19 @@ class ItoSystem:
             raise ValueError(f"expected {n} drift components, got {len(self.f)}")
         if len(self.sigma) != n or any(len(row) != m for row in self.sigma):
             raise ValueError(f"sigma must be {n}x{m}")
-        allowed = set(ring.symbols)
+        allowed = set(ctx.ring.symbols)
         for e in (*self.f, *(x for row in self.sigma for x in row)):
             extra = sp.sympify(e).free_symbols - allowed
             if extra:
                 names = ", ".join(sorted(s.name for s in extra))
                 raise ValueError(f"coefficient depends on non-(x,t) symbols: {names}")
+        lam, sigma = (1, ()) if converted else _common_radical(self.sigma)
+        if lam != 1:
+            converted = _convert(base, [self.f, *sigma])
+        if converted:
+            calc, (f, *sigma) = converted
+            object.__setattr__(self, "_coefficients", _Coefficients(
+                calc, calc.x, calc.t, f, sigma, lam))
 
     @property
     def n(self):
@@ -118,36 +128,28 @@ class ItoSystem:
     @cached_property
     def _engine(self):
         """The system side of the determining equations, built once."""
-        ctx, ring = self.context, None
-        if self._elements is not None:
-            calc = _Ring(ctx.ring, ctx.spatial, ctx.t)
-            ring = _Coefficients(calc, calc.x, calc.t, *self._elements)
-        return _Engine(ring, lambda: _Coefficients(
+        ctx = self.context
+        return _Engine(self._coefficients, lambda: _Coefficients(
             _EXPRS, ctx.spatial, ctx.t, self.f, self.sigma))
 
     @cached_property
     def _fokker_planck(self):
-        """The Fokker-Planck equation, computed from the engine's ring
-        coefficients, or from its expressions and kept in the ring when A,
-        B and C lie in it (kramers' sigma = sqrt(2) k gives A = -k^2); with
-        the engine that its family reads; A, B and C are normalized once."""
+        """The Fokker-Planck equation, with the engine its family reads; its
+        degeneracy is decided once, and A, B and C are normalized once."""
         ctx, engine = self.context, self._engine
         c = engine.exprs if engine.ring is None else engine.ring
-        if all_zero(w for _, _, w in c.S):
+        fp, leave = c.fokker_planck(), c.calc.leave
+        A = [[normalize(leave(e)) for e in row] for row in fp.A]
+        if not c.S or (engine.ring is None and _all_zero(
+                (e for row in A for e in row), normalized=True)):
             raise DegeneracyError("sigma sigma^T vanishes identically")
-        ring = c.fokker_planck()
-        fp = _trusted(FokkerPlanck, ctx,
-                      A=[[normalize(e) for e in row] for row in ring.A],
-                      B=[normalize(e) for e in ring.B], C=normalize(ring.C))
-        if engine.ring is None:
-            calc = _Ring(ctx.ring, ctx.spatial, ctx.t)
-            in_ring, (B, (C,), *A) = _one_type(ctx.ring,
-                                               [fp.B, (fp.C,), *fp.A])
-            ring = (_FpCoefficients(calc, calc.x, calc.t, A, B, C)
-                    if in_ring else None)
-        object.__setattr__(fp, "_engine", _Engine(ring, lambda: _FpCoefficients(
-            _EXPRS, ctx.spatial, ctx.t, fp.A, fp.B, fp.C)))
-        return fp
+        out = _trusted(FokkerPlanck, ctx, A=A,
+                       B=[normalize(leave(e)) for e in fp.B],
+                       C=normalize(leave(fp.C)))
+        object.__setattr__(out, "_engine", _Engine(
+            None if engine.ring is None else fp, lambda: _FpCoefficients(
+                _EXPRS, ctx.spatial, ctx.t, out.A, out.B, out.C)))
+        return out
 
 
 @dataclass(frozen=True)
@@ -255,14 +257,15 @@ class DiscreteMap:
 #
 # The formulas below are written once, over two exact coefficient types:
 # sympy expressions, differentiated by symbol, and elements of a sparse
-# polynomial ring over QQ, differentiated by generator index. They return
-# raw sums over the structurally nonzero terms only; their callers
-# normalize once, at their output, and a ring element is canonical already.
+# polynomial ring, differentiated by generator index. They return raw sums
+# over the structurally nonzero terms only; their callers take them out
+# through `leave` and normalize once, at their output.
 
 class _Exprs:
     """Calculus on sympy expressions, the general coefficient type; a
     variable is a symbol."""
     zero, one, half = sp.Integer(0), sp.Integer(1), sp.Rational(1, 2)
+    back = {}
 
     @staticmethod
     @cacheit
@@ -287,6 +290,14 @@ class _Exprs:
     def gradient(self, e, x):
         return [self.d(e, v) for v in x]
 
+    def leave(self, e, scale=1):
+        """e for `normalize` and the zero test, or, when a generator maps
+        back or scale is not 1, its expression times scale (exp(t)^2 and
+        exp(2 t) are distinct generators: a nonzero element may vanish)."""
+        if scale == 1 and not self.back:
+            return e
+        return e.as_expr().xreplace(self.back) * scale
+
     def dot(self, u, v):
         return self.add([a * b for a, b in zip(u, v) if a != 0 and b != 0])
 
@@ -308,21 +319,22 @@ _gradient, _dot = _EXPRS.gradient, _EXPRS.dot
 
 
 class _Ring(_Exprs):
-    """The same calculus in a sparse polynomial ring, where +, *, d/dv and
-    == 0 are exact and canonical; a variable is a generator index. The
-    ring is QQ[params, x, t] of a context (`Context.ring`, whose elements
-    leave through as_expr() in `normalize`d form), or, for the solver,
-    QQ[params, x, t, E_1..E_k] or EX[x, t, E_1..E_k] with E_k standing for
-    exp(c_k t), c_k free of x and t, under d_t E_k = c_k E_k."""
+    """The same calculus in a sparse polynomial ring, where +, * and d/dv
+    are exact; a variable is a generator index. The ring is the exact
+    domain (`_convert`), or, for the solver, EX[x, t, E_1..E_k]; E_k stands
+    for exp(c_k t), c_k free of x and t, under d_t E_k = c_k E_k."""
 
-    def __init__(self, ring, x, t, rates=()):
+    def __init__(self, ring, x, t, rates=(), back=None, key=None):
         """`ring`'s last len(rates) generators are the E_k, rates[k] is c_k
-        as an element of `ring` free of them, and x and t are symbols."""
+        in `ring`, x and t are symbols, `back` maps generators to what they
+        stand for, `key` (base, x, t, roots, rates) names the domain."""
         self.ring = ring
         self.zero, self.one, self.half = ring.zero, ring.one, ring(QQ(1, 2))
         index = {s: i for i, s in enumerate(ring.symbols)}
         self.x, self.t = tuple(index[v] for v in x), index[t]
         self.rates = list(enumerate(rates, ring.ngens - len(rates)))
+        self.back = back or {}
+        self.key = key or (ring, tuple(x), t, (), ())
 
     def d(self, e, i):
         if e.is_ground:
@@ -351,12 +363,13 @@ class _Ring(_Exprs):
 @dataclass(frozen=True)
 class _Coefficients:
     """An Ito system in one coefficient type: the calculus `calc` of that
-    type, the variables x and t, f and sigma."""
+    type, the variables x and t, f and sigma / lam (`_common_radical`)."""
     calc: _Exprs
     x: tuple
     t: object
     f: list
     sigma: list
+    lam: object = 1
 
     @cached_property
     def S(self):
@@ -368,7 +381,8 @@ class _Coefficients:
             for a, u in rows:
                 for b, v in rows:
                     S[a, b] = S.get((a, b), c.zero) + u * v
-        return [(a, b, c.half * w) for (a, b), w in sorted(S.items()) if w]
+        half = c.half if self.lam == 1 else c.half * int(self.lam**2)
+        return [(a, b, half * w) for (a, b), w in sorted(S.items()) if w]
 
     def L(self, u, grad):
         """L u = d_t u + f^a d_a u + S^{ab} d2_{ab} u from (u, grad u)."""
@@ -431,36 +445,131 @@ class _FpCoefficients:
                 + c.dot(self.B, grad))
 
 
-def _one_type(ring, groups):
-    """Whether the entry groups lie in `ring`, and the groups as its
-    elements when every entry does (and ring is not None), else as sympy
-    expressions."""
-    if ring is not None:
-        converted = [[_ring_element(e, ring) for e in g] for g in groups]
-        if all(p is not None for g in converted for p in g):
-            return True, converted
-    return False, [[sp.sympify(e) for e in g] for g in groups]
+# ---------------------------------------------------------------------------
+# the exact domain
+
+@lru_cache(maxsize=None)
+def _generator(name, positive=None):
+    """A generator, the same on every call: E_k for exp(c_k t), or q_p > 0
+    for sqrt(p) of a parameter p > 0 (p -> sqrt(p) is a bijection)."""
+    return sp.Dummy(name, positive=positive)
+
+
+def _exp_split(a, x, t):
+    """(c, d) with a = exp(c t + d) and c, d free of x and t, or None."""
+    d, ct = sp.expand(a.args[0]).as_independent(t, as_Add=True)
+    c = ct.diff(t)
+    return None if c.has(t, *x) or d.has(*x) else (c, d)
+
+
+def _convert(calc, groups):
+    """The one way into the exact domain: calc's domain, widened where the
+    groups of entries need it, and the groups as its elements, or None.
+    An entry that calc's ring takes costs that walk alone; the others are
+    scanned for sqrt(p) of a parameter p > 0 (then p = q_p^2 everywhere)
+    and exp(c t), c free of x and t, one E_k per rate c."""
+    out = [[_ring_element(e, calc.ring) for e in g] for g in groups]
+    refused = [sp.sympify(e) for g, row in zip(groups, out)
+               for e, p in zip(g, row) if p is None]
+    if not refused:
+        return calc, out
+    base, x, t, roots, rates = calc.key
+    found = set().union(*(e.atoms(sp.Pow, sp.exp) for e in refused))
+    # x and t are not positive; p^(n/2) -> q^n spares sympy (q^2)^(n/2)
+    sub = {p: _generator("q_" + p.name, True)**2 for p in {*roots, *(
+        w.base for w in found if w.is_Pow and w.exp.is_Rational
+        and w.exp.q == 2 and w.base in base.symbols and w.base.is_positive)}}
+    sub.update((w, sub[w.base].base**(2 * w.exp)) for w in found
+               if w.is_Pow and w.base in sub)
+    if any(w.is_Pow and not w.exp.is_Integer and w not in sub for w in found):
+        return None
+    rates = [c.xreplace(sub) for c in rates]
+    for a in sorted((a for a in found if isinstance(a, sp.exp)),
+                    key=sp.default_sort_key):
+        split = _exp_split(a.xreplace(sub), x, t)
+        if split is None or split[1] != 0:
+            return None
+        if split[0] not in rates:
+            rates.append(split[0])
+        sub[a] = _generator(f"E{rates.index(split[0]) + 1}")
+    key = (base, x, t, tuple(s for s in base.symbols if s in sub),
+           tuple(rates))
+    wider = calc
+    if key != calc.key:
+        qs = {p: _generator("q_" + p.name, True) for p in key[3]}
+        es = [_generator(f"E{k}") for k in range(1, len(rates) + 1)]
+        ring = _own_ring((*(qs.get(s, s) for s in base.symbols), *es))
+        elements = [_ring_element(c, ring) for c in rates]
+        if any(c is None for c in elements):
+            return None
+        back = {q: sp.sqrt(p) for p, q in qs.items()}
+        back.update((E, sp.exp(c.xreplace(back) * t))
+                    for E, c in zip(es, rates))
+        wider = _Ring(ring, x, t, elements, back, key)
+    lift, rest = _lift(calc, wider), iter(refused)
+    out = [[_ring_element(next(rest).xreplace(sub), wider.ring) if p is None
+            else lift(p) for p in row] for row in out]
+    return None if any(p is None for r in out for p in r) else (wider, out)
+
+
+def _lift(calc, wider):
+    """The map of calc's ring (and of nested lists of its elements) into
+    that of `wider`, which widens it: E_k appended, q_p in place of p."""
+    a, b = calc.ring.symbols, wider.ring.symbols
+    pw, pad = [1 + (u != v) for u, v in zip(a, b)], (0,) * (len(b) - len(a))
+
+    def lift(e):
+        if isinstance(e, list):
+            return [lift(u) for u in e]
+        return wider.ring.dtype({tuple(map(mul, m, pw)) + pad: v
+                                 for m, v in e.items()})
+    return lift
+
+
+def _common_radical(sigma):
+    """(lam, sigma / lam) when every term of sigma's entries has one factor
+    lam = sqrt(r), r an integer, else (1, sigma): the noise families are
+    homogeneous in sigma, and the others see only S."""
+    def radical(f):
+        return f.is_Pow and f.exp == sp.S.Half and f.base.is_Integer
+    parts = [[[sift(sp.Mul.make_args(a), radical, binary=True)
+               for a in sp.Add.make_args(e) if a != 0] for e in row]
+             for row in sigma]
+    radicals = {sp.Mul(*r) for row in parts for e in row for r, _ in e}
+    if len(radicals) != 1 or 1 in radicals:
+        return 1, sigma
+    return radicals.pop(), [[sp.Add(*(sp.Mul(*a) for _, a in e)) for e in row]
+                            for row in parts]
 
 
 @dataclass(frozen=True)
 class _Engine:
-    """An equation's coefficients (`_Coefficients`, `_FpCoefficients`) in
-    the ring QQ[params, x, t], or None when they do not lie in it, and the
-    function that builds their expression form, called on first need."""
+    """An equation's coefficients in the exact domain (or None), their lifts
+    into the domains that candidates widen it to, and their expression form."""
     ring: object
     _exprs: object
+    _lifts: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def exprs(self):
         return self._exprs()
 
     def of(self, groups):
-        """The coefficients and the candidate's entry groups (sequences of
-        expressions) in one type: the ring when every entry lies in it too,
-        else expressions."""
-        in_ring, groups = _one_type(
-            None if self.ring is None else self.ring.calc.ring, groups)
-        return self.ring if in_ring else self.exprs, groups
+        """The coefficients and the candidate's entry groups in one type:
+        the exact domain when every entry lies in it too, else expressions."""
+        converted = self.ring and _convert(self.ring.calc, groups)
+        if converted is None:
+            return self.exprs, [[sp.sympify(e) for e in g] for g in groups]
+        calc, groups = converted
+        if calc is self.ring.calc:
+            return self.ring, groups
+        c = self._lifts.get(calc.key)
+        if c is None:
+            lift, old = _lift(self.ring.calc, calc), vars(self.ring)
+            c = self._lifts[calc.key] = replace(self.ring, calc=calc, **{
+                f.name: lift(old[f.name]) for f in fields(self.ring)
+                if isinstance(old[f.name], (list, PolyElement))})
+        return c, groups
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +654,8 @@ def apply_discrete(ito: ItoSystem, dmap: DiscreteMap,
     inverse = () if inverse is None else inverse
     c, (phi, inverse, *R) = ito._engine.of([dmap.phi, inverse, *dmap.R])
     drift, noise = c.image(phi, R)
-    if inverse:
-        at = c.calc.substitution(c.x, inverse)
-        drift = [at(e) for e in drift]
-        noise = [[at(e) for e in row] for row in noise]
-    return ItoSystem(context=ito.context, f=drift, sigma=noise,
+    at = c.calc.substitution(c.x, inverse) if inverse else (lambda e: e)
+    leave = c.calc.leave
+    return ItoSystem(context=ito.context, f=[leave(at(e)) for e in drift],
+                     sigma=[[leave(at(e), c.lam) for e in r] for r in noise],
                      name=ito.name and f"{ito.name}*")

@@ -8,27 +8,26 @@ ansatz basis element at a time, in one ring, and read off the terms of its
 elements. Each exp(c t + d) of the system or the basis is exp(d) E_c, one
 generator E_c per rate c with d/dt E_c = c E_c, and a row of the matrix is
 an entry, an x-t monomial and a net rate. The ring is
-- QQ[q, params, x, t, r, E_1..E_k] when every entry lies in it and no
-  exponential carries a shift d, with one positive generator q per
-  parameter p declared positive that occurs as sqrt(p) (p = q^2) and one
-  placeholder r per sqrt of a positive rational, which the matrix maps
-  into QQ.algebraic_field of those radicals;
+- the exact domain of `model._convert` (QQ[q, params, x, t, E_1..E_k],
+  q = sqrt(p) of a positive parameter p) when every entry lies in it, the
+  system's from its engine, with sigma's common radical scaled out;
 - EX[x, t, E_1..E_k] otherwise.
 Input outside both lies outside the ansatz."""
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import sympy as sp
-from sympy.polys.domains import EX, QQ
+from sympy.polys.domains import EX
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyRing
 
-from .kernel import InconclusiveError, Verdict, _own_ring, _ring_element
-from .model import (ItoSystem, VectorField, WSymmetry, _Coefficients,
-                    _Ring, lie_bracket)
+from .kernel import InconclusiveError, Verdict, _own_ring
+from .model import (_EXPRS, ItoSystem, VectorField, WSymmetry,
+                    _Coefficients, _Ring, _convert,
+                    _exp_split, _generator, lie_bracket)
 from .detgen import _lambda_gamma_of, detsys_projectable, detsys_w
 from .verify import OverallVerdict, check
 
@@ -64,113 +63,25 @@ def default_time_basis(t, rates=()):
 
 # --- linear decomposition over {x^a * t^b * exp(r t)} monomials ---
 
-@lru_cache(maxsize=None)
-def _exp_generator(k):
-    """The k-th generator E_k, standing for one exp(c_k t), the same one on
-    every call, so that the rings over the same generators are built
-    once."""
-    return sp.Dummy(f"E{k}")
-
-
-class _Root(sp.Dummy):
-    """The positive generator q that stands for sqrt(p) of a positive
-    parameter p, with p = q^2: p -> sqrt(p) is a bijection of (0, oo), so a
-    rational identity in q > 0 holds in p > 0."""
-
-
-@lru_cache(maxsize=None)
-def _root_generator(p):
-    """q of the parameter p, the same one on every call."""
-    q = _Root(f"q_{p.name}", positive=True)
-    q.param = p
-    return q
-
-
-class _Surd(sp.Dummy):
-    """The placeholder r of sqrt(n) for a positive rational n in a ring over
-    QQ; `_coefficient_matrix` maps its powers into the algebraic field."""
-
-
-@lru_cache(maxsize=None)
-def _surd_generator(radical):
-    """r of the radical, the same one on every call."""
-    r = _Surd(str(radical))
-    r.radical = radical
-    return r
-
-
-@lru_cache(maxsize=None)
-def _radical_field(radicals):
-    """QQ(radicals) and each radical as its element, built once."""
-    K = QQ.algebraic_field(*radicals)
-    return K, [K.from_sympy(a) for a in radicals]
-
-
-def _exp_split(a, x, t):
-    """(c, d) with a = exp(c t + d) and c, d free of x and t, or None."""
-    d, ct = sp.expand(a.args[0]).as_independent(t, as_Add=True)
-    c = ct.diff(t)
-    return None if c.has(t, *x) or d.has(*x) else (c, d)
-
-
 def _in_exp_ring(symbols, x, t, groups, error):
     """The calculus of the ansatz ring, and the entry groups (sequences of
-    expressions) as its elements. Each exp(c t + d) with c, d free of x and
-    t is exp(d) E_c, one generator E_c per rate c. The ring is
-    QQ[symbols, r_1..r_j, E_1..E_k] when every entry and rate lies in it
-    and every d is 0, with
-    - each parameter p declared positive that occurs as sqrt(p) replaced by
-      its generator q (`_Root`), p = q^2 in every entry and rate;
-    - one placeholder r_i (`_Surd`) per sqrt of a positive rational;
-    and EX[x, t, E_1..E_k] otherwise. Raises `error` naming the first entry
-    outside both."""
+    expressions) as its elements: the exact domain over `symbols`, else
+    EX[x, t, E_1..E_k]. Raises `error` naming the first entry outside."""
+    return (_convert(_Ring(_own_ring(tuple(symbols)), x, t), groups)
+            or _over_expressions(x, t, groups, error))
+
+
+def _over_expressions(x, t, groups, error):
+    """`_in_exp_ring` over EX: each exp(c t + d) with c, d free of x and t
+    is exp(d) E_c, one generator E_c per rate c."""
     entries = [sp.sympify(e) for g in groups for e in g]
-    # one walk per entry finds the radicals and the exponentials
-    found = set().union(*(e.atoms(sp.Pow, sp.exp) for e in entries))
-    powers = [w for w in found if w.is_Pow and w.exp.is_Rational
-              and w.exp.q == 2]
-    exps = sorted((a for a in found if isinstance(a, sp.exp)),
+    exps = sorted(set().union(*(e.atoms(sp.exp) for e in entries)),
                   key=sp.default_sort_key)
-    calc, out = (_over_rationals(symbols, x, t, entries, powers, exps)
-                 or _over_expressions(x, t, entries, exps, error))
-    it = iter(out)
-    return calc, [[next(it) for _ in g] for g in groups]
-
-
-def _over_rationals(symbols, x, t, entries, powers, exps):
-    """`_in_exp_ring` over QQ, or None."""
-    roots = {w.base: _root_generator(w.base) for w in powers
-             if w.base in symbols and w.base.is_positive
-             and w.base != t and w.base not in x}
-    # sqrt(q^2) folds to q
-    square = {p: q**2 for p, q in roots.items()}
-    symbols = tuple(roots.get(s, s) for s in symbols)
-    surds = sorted((w for w in powers if w.base.is_Rational
-                    and w.base > 0 and w.exp == sp.S.Half),
-                   key=sp.default_sort_key)
-    places = {a: _surd_generator(a) for a in surds}
-    rates, sub = {}, {**square, **places}
-    for a in exps:
-        split = _exp_split(a.xreplace(square), x, t)
-        if split is None or split[1] != 0:
-            return None
-        sub[a] = rates.setdefault(split[0], _exp_generator(len(rates) + 1))
-    ring = _own_ring((*symbols, *places.values(), *rates.values()))
-    out = [_ring_element(e.xreplace(sub) if sub else e, ring)
-           for e in entries]
-    rates = [_ring_element(c, ring) for c in rates]
-    if any(e is None for e in (*out, *rates)):
-        return None
-    return _Ring(ring, x, t, rates), out
-
-
-def _over_expressions(x, t, entries, exps, error):
-    """`_in_exp_ring` over EX."""
     rates, sub = {}, {}
     for a in exps:
         split = _exp_split(a, x, t)
         if split is not None:
-            E = rates.setdefault(split[0], _exp_generator(len(rates) + 1))
+            E = rates.setdefault(split[0], _generator(f"E{len(rates) + 1}"))
             sub[a] = sp.exp(split[1]) * E
     gens = (*x, t, *rates.values())
     replaced = [e.xreplace(sub) for e in entries]
@@ -187,8 +98,8 @@ def _over_expressions(x, t, entries, exps, error):
         raise
     ring = PolyRing(gens, EX)
     rates = [ring.ground_new(EX.from_sympy(c)) for c in rates]
-    return (_Ring(ring, x, t, rates),
-            [ring.from_dict(p.as_dict(native=True)) for p in polys])
+    it = iter(ring.from_dict(p.as_dict(native=True)) for p in polys)
+    return _Ring(ring, x, t, rates), [[next(it) for _ in g] for g in groups]
 
 
 def _coefficient_matrix(calc, columns):
@@ -198,20 +109,15 @@ def _coefficient_matrix(calc, columns):
     its net rate sum_k m_k c_k of E_1^m_1..E_k^m_k: E_k -> exp(c_k t) is a
     ring homomorphism that commutes with d/dt, and t^b x^a exp(r t) of
     distinct (a, b, r) are linearly independent. The rest of the monomial
-    is its coefficient in K(params), over the parameters that occur and
-    K = QQ(radicals) of the placeholders `_Surd` that occur, or in EX."""
+    is its coefficient in QQ(params), over the parameters that occur, or
+    in EX."""
     ring = calc.ring
     symbols, rates = ring.symbols, calc.rates
     xt, es = (*calc.x, calc.t), [k for k, _ in rates]
     rest = set(range(len(symbols))) - set(xt) - set(es)
     entries = [e for col in columns for e in col]
-    used = sorted({i for e in entries for m in e for i in rest if m[i]})
-    surds = [i for i in used if isinstance(symbols[i], _Surd)]
-    split = [i for i in used if i not in surds]
+    split = sorted({i for e in entries for m in e for i in rest if m[i]})
     K = ring.domain
-    if surds:
-        K, roots = _radical_field(tuple(symbols[i].radical for i in surds))
-        entries = [_map_surds(e, surds, roots, K) for e in entries]
     keys = [(j, r) for j, col in enumerate(columns) for r in range(len(col))]
     nets, rows = {}, {}
     for (j, r), e in zip(keys, entries):
@@ -244,44 +150,16 @@ def _coefficient_matrix(calc, columns):
                         K)
 
 
-def _map_surds(e, surds, roots, K):
-    """The nonzero terms {monomial: coefficient in K} of e with each power
-    of the placeholder at index surds[i] moved into the coefficient as
-    that power of roots[i]; sqrt(2)^2 - 2 is no relation of the ring, so
-    terms may cancel here."""
-    out = {}
-    for monom, c in e.items():
-        v, m = K.convert(c, QQ), list(monom)
-        for i, a in zip(surds, roots):
-            if m[i]:
-                v *= a**m[i]
-                m[i] = 0
-        m = tuple(m)
-        out[m] = out.get(m, K.zero) + v
-    return {m: v for m, v in out.items() if v}
-
-
 def _field_element(field, terms):
-    """The element of `field`, a field of fractions over QQ or an algebraic
-    field, with numerator `terms` ({monomial: coefficient}) and denominator
-    1, in the form its own arithmetic gives: over QQ integer numerator
-    coefficients over a positive integer denominator, over an algebraic
-    field (which has no ring to clear denominators into) the numerator
-    itself."""
+    """The element of `field`, a field of fractions over QQ, with numerator
+    `terms` ({monomial: coefficient}) and denominator 1, in the form its
+    own arithmetic gives: integer numerator coefficients over a positive
+    integer denominator."""
     numer = field.ring.dtype(terms)
-    if not field.domain.is_QQ or all(c.denominator == 1
-                                     for c in terms.values()):
+    if all(c.denominator == 1 for c in terms.values()):
         return field.raw_new(numer)
     den, numer = numer.clear_denoms()
     return field.raw_new(numer, field.ring.ground_new(den))
-
-
-def _to_sympy(K):
-    """K.to_sympy, with each generator q of `_in_exp_ring` mapped back to
-    the sqrt(p) it stands for."""
-    back = {q: sp.sqrt(q.param) for q in getattr(K, "symbols", ())
-            if isinstance(q, _Root)}
-    return lambda v: K.to_sympy(v).xreplace(back)
 
 
 def _rref_rows(M):
@@ -295,17 +173,16 @@ def _coordinates(columns, target, ctx):
     """Coefficients expressing `target` in the span of `columns` (sequences
     of expressions of equal length, in the context `ctx`), or None when it
     lies outside. Free coordinates are pinned to zero."""
-    M = _coefficient_matrix(*_in_exp_ring(
-        ctx.ring.symbols, ctx.spatial, ctx.t, [*columns, target],
-        OutsideAnsatzError))
-    k = len(columns)
+    calc, entries = _in_exp_ring(ctx.ring.symbols, ctx.spatial, ctx.t,
+                                 [*columns, target], OutsideAnsatzError)
+    M, k = _coefficient_matrix(calc, entries), len(columns)
     pivots, rows = _rref_rows(M)
     if k in pivots:
         return None
     coords = [sp.Integer(0)] * k
-    to_sympy = _to_sympy(M.domain)
     for p, row in zip(pivots, rows):
-        coords[p] = to_sympy(row.get(k, M.domain.zero))
+        coords[p] = M.domain.to_sympy(row.get(k, M.domain.zero)).xreplace(
+            calc.back)
     return tuple(coords)
 
 
@@ -396,7 +273,8 @@ def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
     """The ansatz basis elements (tau, xi, mixer) as expressions, the
     calculus of the ring of `_in_exp_ring` and the columns of the
     coefficient matrix in it: the Lambda and Gamma entries of each
-    element."""
+    element. Gamma is built from sigma / lam (`model._common_radical`),
+    which keeps the row space, hence the generators."""
     ctx = ito.context
     x, t = ctx.spatial, ctx.t
     n, m = ito.n, ito.m
@@ -409,10 +287,12 @@ def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
     elements = _elements(n, ansatz.time_basis,
                          _monomials(x, degree, sp.Integer(1)), mixers,
                          sp.Integer(0))
-    calc, (basis, f, *sigma) = _in_exp_ring(
-        ctx.ring.symbols, x, t, [ansatz.time_basis, ito.f, *ito.sigma],
-        OutsideAnsatzError)
-    c = _Coefficients(calc, calc.x, calc.t, f, sigma)
+    c, (basis,) = ito._engine.of([ansatz.time_basis])
+    if c.calc is _EXPRS:
+        calc, (basis, f, *sigma) = _over_expressions(
+            x, t, [ansatz.time_basis, ito.f, *ito.sigma], OutsideAnsatzError)
+        c = _Coefficients(calc, calc.x, calc.t, f, sigma)
+    calc = c.calc
     gens = [calc.ring.gens[i] for i in calc.x]
     forms = _elements(n, basis, _monomials(gens, degree, calc.one), mixers,
                       calc.zero)
@@ -447,10 +327,11 @@ def solve_ansatz(ito: ItoSystem, ansatz: Ansatz, which: str = "projectable") -> 
         null[i] = {p: -row[f] for p, row in zip(pivots, rows) if f in row}
         null[i][f] = K.one
     _, reduced = _rref_rows(DomainMatrix(null, (len(free), len(elements)), K))
-    to_sympy = _to_sympy(K)
     generators = []
     for row in reduced:
-        picked = [(to_sympy(row[j]), elements[j]) for j in sorted(row)]
+        # each q mapped back to the sqrt(p) it stands for
+        picked = [(K.to_sympy(row[j]).xreplace(calc.back), elements[j])
+                  for j in sorted(row)]
         # the constructors normalize every entry
         g_tau = sum(c * tau for c, (tau, _, _) in picked)
         g_xi = tuple(sum(c * xi[i] for c, (_, xi, _) in picked) for i in range(n))

@@ -151,4 +151,5 @@ def check_superposition(ito: ItoSystem, alpha) -> bool:
     symmetry alpha(x,t) d_u (excluded from classification); raises
     InconclusiveError when the zero test cannot decide."""
     c, ((alpha,),) = fokker_planck_of(ito)._engine.of([(alpha,)])
-    return is_zero(c.L(alpha, c.calc.gradient(alpha, c.x)) + c.C * alpha)
+    return is_zero(c.calc.leave(c.L(alpha, c.calc.gradient(alpha, c.x))
+                                + c.C * alpha))

@@ -524,10 +524,14 @@ class TestExitContract:
     @pytest.mark.parametrize("command", ["derive-fp", "detsys"])
     def test_undecided_degeneracy_exit_three(self, runner, fixtures_dir,
                                              monkeypatch, command):
+        """The zero test decides degeneracy on the expression path only:
+        in the exact domain S == 0 decides it."""
         monkeypatch.setattr(stosym.kernel, "zero_verdict", self._undecided)
-        files = [fx(fixtures_dir, "heat.sde")]
+        monkeypatch.setattr(stosym.kernel, "_zero_verdict", self._undecided)
+        data = ROOT / "tests" / "data"
+        files = [str(data / "expnoise.sde")]
         if command == "detsys":
-            files.append(fx(fixtures_dir, "heat_v3.cand"))  # carries beta
+            files.append(str(data / "expnoise_fp_fail.cand"))
         result = runner.invoke(main, [command, *files, "--json"])
         assert result.exit_code == 3
         assert result.stdout == ""

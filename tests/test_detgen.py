@@ -5,20 +5,22 @@ import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from stosym import model
-from stosym.kernel import Context, normalize, to_dsl
+from stosym.dsl import load_candidate
+from stosym.kernel import Context, Verdict, normalize, to_dsl
 from stosym.model import (DiscreteMap, ItoSystem, VectorField, WSymmetry,
                           _Engine, apply_discrete, diffusion_matrix,
                           fokker_planck_of, lie_bracket,
                           transform_ito_first_order)
-from stosym.verify import (check_superposition, extend_to_fp,
+from stosym.verify import (FpClassification, _fp_classification, check,
+                           check_superposition, extend_to_fp,
                            project_fp_symmetry)
 from stosym.detgen import (_discrete_equations, _lambda_gamma_of,
                            detsys_discrete, detsys_fp, detsys_ode,
                            detsys_projectable, detsys_spatial, detsys_w,
                            gamma, lambda_)
 from stosym.kpz import KpzChain, kpz_ito
-from conftest import (RING_CTX, random_expression, random_polynomial_system,
-                      seeded_rng)
+from conftest import (FIXTURES, RING_CTX, random_expression,
+                      random_polynomial_system, seeded_rng)
 
 
 @pytest.fixture
@@ -130,10 +132,11 @@ class TestOde:
             for xi, fi, b in zip(vf.xi, f, bracket))
 
 
-@pytest.mark.parametrize("name", ["heat.sde", "kramers.sde"])
+@pytest.mark.parametrize("name", ["heat.sde", "kramers.sde", "rotating.sde"])
 def test_engine_built_once_per_system(systems, monkeypatch, name):
     """Every builder, lambda_, gamma and apply_discrete read one engine, in
-    the ring (heat) and on the expression path (kramers' sqrt)."""
+    the exact domain (heat, and kramers with its sqrt(2) scaled out) and
+    on the expression path (rotating's cos and sin)."""
     built = []
     init = _Engine.__init__
     monkeypatch.setattr(_Engine, "__init__", lambda self, *args:
@@ -151,7 +154,7 @@ def test_engine_built_once_per_system(systems, monkeypatch, name):
     gamma(ito, vf)
     apply_discrete(ito, dmap, inverse=tuple(-v for v in x))
     assert built == [ito._engine]
-    assert (ito._engine.ring is None) == (name == "kramers.sde")
+    assert (ito._engine.ring is None) == (name == "rotating.sde")
 
 
 @pytest.mark.parametrize("name", ["heat.sde", "kramers.sde", "langevin2.sde"])
@@ -182,20 +185,23 @@ def test_fp_coefficients_built_once_per_system(systems, monkeypatch, name):
     assert engines == [engine, fp._engine]
 
 
-def test_kramers_fp_in_ring_and_pathwise_on_expressions(kramers):
-    """sigma = sqrt(2) k is not a polynomial, but A = -k^2, B and C are: the
-    Fokker-Planck family of a polynomial candidate runs in the ring and its
-    Lambda and Gamma families on expressions."""
+def test_kramers_in_ring_with_its_radical_scaled_out(kramers):
+    """sigma = sqrt(2) k is lam sigma_0 with lam = sqrt(2) and sigma_0 = k
+    in QQ[params, x, t], S = 2 (k^2 / 2): the Ito families of a polynomial
+    candidate run in the ring, and so does the Fokker-Planck family, with
+    A = -k^2."""
     ctx = kramers.context
     x, y = ctx.spatial
+    k = ctx.ring(ctx.symbol("k"))
     vf = VectorField(ctx, tau=ctx.t, xi=(x, y), beta=-2 * ctx.t)
     fp = fokker_planck_of(kramers)._engine
     c, _ = fp.of([(vf.tau, vf.beta), vf.xi])
     assert c is fp.ring is not None
-    assert c.A[1][1] == -ctx.ring(ctx.symbol("k")) ** 2
+    assert c.A[1][1] == -k**2
     engine = kramers._engine
-    assert engine.ring is None
-    assert engine.of([(vf.tau,), vf.xi])[0] is engine.exprs
+    c, _ = engine.of([(vf.tau,), vf.xi])
+    assert c is engine.ring is not None
+    assert (c.lam, c.sigma, c.S) == (sp.sqrt(2), [[0], [k]], [(1, 1, k**2)])
 
 
 def test_labels_cover_all_components(kramers):
@@ -296,9 +302,7 @@ def test_ring_fp_matches_expression_path(rng):
     c, _ = engine.of([(vf.tau, vf.beta), vf.xi])
     assert c.calc is not model._EXPRS
     in_ring = detsys_fp(ito, vf)
-    one_type = model._one_type
-    with mock.patch.object(model, "_one_type",
-                           lambda ring, groups: one_type(None, groups)):
+    with mock.patch.object(model, "_convert", lambda calc, groups: None):
         assert engine.of([])[0].calc is model._EXPRS
         on_exprs = detsys_fp(ito, vf)
     assert in_ring.equations == on_exprs.equations
@@ -331,23 +335,25 @@ class TestFallback:
         assert [to_dsl(e) for e in ds.residuals()] == ["-0.5*x^2 - 1.0",
                                                         "2*x"]
 
-    def test_sqrt_noise(self, systems):
-        ito = systems["langevin2.sde"]
+    def test_sqrt_noise(self):
+        """sqrt(2) that is not a common factor of sigma."""
+        ctx = Context(spatial=("x", "y"), noises=("w1", "w2"))
+        (x, y), t = ctx.spatial, ctx.t
+        ito = ItoSystem(ctx, f=(-x, -y), sigma=((1, 0), (0, sp.sqrt(2))))
         assert ito._engine.ring is None
-        x1, x2 = ito.context.spatial
-        t = ito.context.t
-        ds = detsys_projectable(ito, VectorField(ito.context, tau=t,
-                                                 xi=(x1, x2 * t)))
+        ds = detsys_projectable(ito, VectorField(ctx, tau=t, xi=(x, y * t)))
         assert [to_dsl(e) for e in ds.residuals()] == [
-            "-x1", "-2*x2", "sqrt(2)*sqrt(s1)/2", "0", "0",
-            "sqrt(2)*sqrt(s2)*t - sqrt(2)*sqrt(s2)/2"]
+            "-x", "-2*y", "1/2", "0", "0", "sqrt(2)*t - sqrt(2)/2"]
 
     def test_exp_in_tau(self, systems):
+        """exp(t) lies in the exact domain widened by E_1 = exp(t), with
+        the output of the expression path."""
         ito = systems["heat.sde"]
         x, t = ito.context.spatial[0], ito.context.t
         vf = VectorField(ito.context, tau=sp.exp(t), xi=(x,))
         assert ito._engine.ring is not None
-        assert not _takes_ring(ito, [(vf.tau,), vf.xi])
+        c, _ = ito._engine.of([(vf.tau,), vf.xi])
+        assert c is not ito._engine.ring and len(c.calc.rates) == 1
         assert [to_dsl(e) for e in detsys_projectable(ito, vf).residuals()] == [
             "0", "-s0*exp(t)/2 + s0"]
 
@@ -364,3 +370,202 @@ class TestFallback:
             "-s0^2*Derivative(xi_x(x, t), (x, 2))/2 - Derivative(xi_x(x, t), t)",
             "-s0*Derivative(tau(t), t)/2 + s0*Derivative(xi_x(x, t), x)"]
         assert [f.__name__ for f in ds.free_unknowns] == ["tau", "xi_x"]
+
+
+# ---------------------------------------------------------------------------
+# the exact domain widened by q = sqrt(p) and E_c = exp(c t), and sigma's
+# common radical scaled out, against the expression path
+
+def _exp_term(rng, ctx, poly):
+    """A nonzero rational multiple of exp(c t), c in {1, -1, 2, k}, times
+    1 plus a random polynomial in x, t and the parameters when `poly`."""
+    k, t = ctx.params["k"], ctx.t
+    p = (random_expression(rng, ctx, depth=1, functions=False)
+         if poly else 0)
+    return (sp.Rational(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+            * sp.exp(rng.choice([1, -1, 2, k]) * t) * (1 + p))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_wider_domain_matches_expression_path(rng):
+    """A polynomial system with sigma scaled by sqrt(2), sqrt(k) or both,
+    and candidates holding exp(c t): the projectable, W and Fokker-Planck
+    equations are those of the same system built while the converter
+    refuses everything."""
+    k = RING_CTX.params["k"]
+    scale = rng.choice([sp.sqrt(2), sp.sqrt(k), sp.sqrt(2) * sp.sqrt(k)])
+    drawn = random_polynomial_system(rng)
+    ito = ItoSystem(RING_CTX, f=drawn.f, sigma=tuple(
+        tuple(scale * e for e in row) for row in drawn.sigma))
+    assume(ito._engine.ring is not None and ito._engine.ring.S)
+    with mock.patch.object(model, "_convert", lambda calc, groups: None):
+        on_exprs = ItoSystem(RING_CTX, f=ito.f, sigma=ito.sigma)
+    assert on_exprs._engine.ring is None
+    t, b = RING_CTX.t, _rational(rng)
+    tau = _rational(rng) + _exp_term(rng, RING_CTX, False)
+    xi = tuple(random_expression(rng, RING_CTX, depth=1, functions=False)
+               + _exp_term(rng, RING_CTX, True) for _ in range(2))
+    beta = _exp_term(rng, RING_CTX, True) + t
+    vf = VectorField(RING_CTX, tau=tau, xi=xi)
+    ws = WSymmetry(RING_CTX, tau=tau, xi=xi, Bmat=((0, b), (-b, 0)))
+    fp = VectorField(RING_CTX, tau=tau, xi=xi, beta=beta)
+    c, _ = ito._engine.of([(tau,), xi])
+    assert c.calc is not model._EXPRS and c.calc.rates
+    for build, candidate in ((detsys_projectable, vf), (detsys_w, ws),
+                             (detsys_fp, fp)):
+        assert (build(ito, candidate).equations
+                == build(on_exprs, candidate).equations)
+
+
+def test_nonzero_ring_element_that_vanishes_is_zero():
+    """exp(t) exp(t) meets exp(2 t): for dx = x exp(t) dt + dw, tau = exp(t)
+    and xi = x exp(2 t), the Lambda residual is 2 x (E_2 - E_1^2) in the
+    ring, nonzero, leaves it, and is decided and printed as 0."""
+    ctx = Context(spatial=("x",), noises=("w",))
+    x, t = ctx.spatial[0], ctx.t
+    ito = ItoSystem(ctx, f=(x * sp.exp(t),), sigma=((1,),))
+    vf = VectorField(ctx, tau=sp.exp(t), xi=(x * sp.exp(2 * t),))
+    c, ((tau,), xi) = ito._engine.of([(vf.tau,), vf.xi])
+    assert len(c.calc.rates) == 2
+    lam, _ = _lambda_gamma_of(c, tau, xi, [])
+    assert lam[0] != 0
+    ds = detsys_projectable(ito, vf)
+    report = check(ds)
+    assert ds.equations[0] == ("Lambda[1]", 0)
+    assert report.per_equation[0][1] is Verdict.ZERO
+    assert report.to_dict()["equations"][0]["residual"] == "0"
+
+
+def test_parameter_meets_its_root_is_zero():
+    """sigma = sqrt(2 k) is sqrt(2) q with q = sqrt(k), S = q^2; the
+    candidate's k enters as q^2 too, and the Lambda residual
+    -(S d2 xi + d_t xi) of xi = x^2 - 2 k t is 0."""
+    ctx = Context(spatial=("x",), params={"k": "positive"}, noises=("w",))
+    x, t, k = ctx.spatial[0], ctx.t, ctx.params["k"]
+    ito = ItoSystem(ctx, f=(0,), sigma=((sp.sqrt(2 * k),),))
+    assert ito._engine.ring.lam == sp.sqrt(2)
+    ds = detsys_projectable(ito, VectorField(ctx, xi=(x**2 - 2 * k * t,)))
+    assert [to_dsl(e) for e in ds.residuals()] == ["0", "2*sqrt(2)*sqrt(k)*x"]
+    assert [v for _, v, _ in check(ds).per_equation] == [Verdict.ZERO,
+                                                         Verdict.NONZERO]
+
+
+# values of gamma, lambda_, the classification, check_superposition and
+# apply_discrete on kramers (sigma = sqrt(2) k) and langevin2 (sigma =
+# sqrt(2) diag(sqrt(s1), sqrt(s2))), from the expression path that these
+# systems took before the common radical was scaled out
+_KRAMERS_CANDIDATES = {
+    "tau=t^2, xi=(x y, t y^2)": (
+        lambda ctx, x, y, t, k: VectorField(ctx, tau=t**2,
+                                       xi=(x * y, t * y**2)),
+        [["sqrt(2)*k*x"], ["2*sqrt(2)*k*t*y - sqrt(2)*k*t"]],
+        ["k**2*x*y + t*y**2 + 2*t*y - y**2",
+         "k**2*t*y**2 - 2*k**2*t*y - 2*k**2*t - y**2"]),
+    "tau=exp(-t), xi=(exp(-k^2 t), y)": (
+        lambda ctx, x, y, t, k: VectorField(ctx, tau=sp.exp(-t),
+                                       xi=(sp.exp(-k**2 * t), y)),
+        [["0"], ["sqrt(2)*k + sqrt(2)*k*exp(-t)/2"]],
+        ["k**2*exp(-k**2*t) + y - y*exp(-t)", "k**2*y*exp(-t)"]),
+}
+_LANGEVIN_CANDIDATES = {
+    "tau=t, xi=(x1, x2 t)": (
+        lambda ctx, x1, x2, t: VectorField(ctx, tau=t, xi=(x1, x2 * t)),
+        [["sqrt(2)*sqrt(s1)/2", "0"],
+         ["0", "sqrt(2)*sqrt(s2)*t - sqrt(2)*sqrt(s2)/2"]],
+        ["-x1", "-2*x2"]),
+    "W xi=(x2, -x1), B12=1": (
+        lambda ctx, x1, x2, t: WSymmetry(ctx, xi=(x2, -x1),
+                                    Bmat=((0, 1), (-1, 0))),
+        [["0", "-sqrt(2)*sqrt(s1) + sqrt(2)*sqrt(s2)"],
+         ["-sqrt(2)*sqrt(s1) + sqrt(2)*sqrt(s2)", "0"]],
+        ["0", "0"]),
+    "tau=exp(-2t), xi=(x1 exp(t), x2)": (
+        lambda ctx, x1, x2, t: VectorField(ctx, tau=sp.exp(-2 * t),
+                                      xi=(x1 * sp.exp(t), x2)),
+        [["sqrt(2)*sqrt(s1)*exp(t) + sqrt(2)*sqrt(s1)*exp(-2*t)", "0"],
+         ["0", "sqrt(2)*sqrt(s2) + sqrt(2)*sqrt(s2)*exp(-2*t)"]],
+        ["-x1*exp(t) + 2*x1*exp(-2*t)", "2*x2*exp(-2*t)"]),
+}
+
+def _strings(rows):
+    return [[str(e) for e in row] for row in rows]
+
+
+class TestScaledRadical:
+    """kramers and langevin2 now run in the exact domain with sqrt(2)
+    scaled out of sigma; what the model and the verdicts return is
+    unchanged."""
+
+    @pytest.mark.parametrize("name", sorted(_KRAMERS_CANDIDATES))
+    def test_kramers(self, kramers, name):
+        ctx = kramers.context
+        build, gam, lam = _KRAMERS_CANDIDATES[name]
+        vf = build(ctx, *ctx.spatial, ctx.t, ctx.params["k"])
+        assert kramers._engine.ring.lam == sp.sqrt(2)
+        assert _strings(gamma(kramers, vf)) == gam
+        assert [str(e) for e in lambda_(kramers, vf)] == lam
+        assert (_fp_classification(kramers, extend_to_fp(vf))
+                is FpClassification.STATISTICAL_EQUIVALENCE)
+
+    @pytest.mark.parametrize("name", sorted(_LANGEVIN_CANDIDATES))
+    def test_langevin2(self, systems, name):
+        lan = systems["langevin2.sde"]
+        ctx = lan.context
+        build, gam, lam = _LANGEVIN_CANDIDATES[name]
+        candidate = build(ctx, *ctx.spatial, ctx.t)
+        assert lan._engine.ring.lam == sp.sqrt(2)
+        assert _strings(gamma(lan, candidate)) == gam
+        assert [str(e) for e in lambda_(lan, candidate)] == lam
+        if isinstance(candidate, VectorField):
+            assert (_fp_classification(lan, extend_to_fp(candidate))
+                    is FpClassification.STATISTICAL_EQUIVALENCE)
+
+    def test_symmetries_classified(self, systems):
+        for system, names in (("kramers.sde", ("v1", "v2", "v3", "v5",
+                                                "v6")),
+                              ("langevin2.sde", ("q1", "v1", "v2"))):
+            ito = systems[system]
+            prefix = system.split(".")[0].rstrip("2")
+            for name in names:
+                vf = load_candidate(FIXTURES / f"{prefix}_{name}.cand", ito)
+                vf = vf if vf.beta is not None else extend_to_fp(vf)
+                assert (_fp_classification(ito, vf)
+                        is FpClassification.ITO_SYMMETRY)
+
+    def test_superposition(self, kramers, systems):
+        lan = systems["langevin2.sde"]
+        (x, y), t = kramers.context.spatial, kramers.context.t
+        k = kramers.context.params["k"]
+        assert check_superposition(kramers, sp.exp(k**2 * t))
+        assert not any(check_superposition(kramers, a)
+                       for a in (1, x, y, sp.exp(-t)))
+        (x1, x2), t = lan.context.spatial, lan.context.t
+        assert check_superposition(lan, sp.exp(2 * t))
+        assert not any(check_superposition(lan, a)
+                       for a in (1, x1, x1 * x2, sp.exp(-t)))
+
+    def test_apply_discrete(self, kramers, systems):
+        lan = systems["langevin2.sde"]
+        ctx = kramers.context
+        (x, y), t = ctx.spatial, ctx.t
+
+        def moved(ito, phi, R, **kwargs):
+            out = apply_discrete(ito, DiscreteMap(ito.context, phi, R),
+                                 **kwargs)
+            return [[str(e) for e in out.f], _strings(out.sigma)]
+        assert moved(kramers, (-x, -y), ((-1,),)) == [
+            ["-y", "k**2*y"], [["0"], ["sqrt(2)*k"]]]
+        assert moved(kramers, (2 * x, 2 * y), ((1,),)) == [
+            ["2*y", "-2*k**2*y"], [["0"], ["2*sqrt(2)*k"]]]
+        assert moved(kramers, (x + t, y + t), ((1,),),
+                     inverse=(x - t, y - t)) == [
+            ["-t + y + 1", "k**2*t - k**2*y + 1"], [["0"], ["sqrt(2)*k"]]]
+        (x1, x2), t = lan.context.spatial, lan.context.t
+        assert moved(lan, (x2, x1), ((0, 1), (1, 0))) == [
+            ["-x2", "-x1"],
+            [["sqrt(2)*sqrt(s2)", "0"], ["0", "sqrt(2)*sqrt(s1)"]]]
+        assert moved(lan, (x1 + t, x2 + t), ((1, 0), (0, 1)),
+                     inverse=(x1 - t, x2 - t)) == [
+            ["t - x1 + 1", "t - x2 + 1"],
+            [["sqrt(2)*sqrt(s1)", "0"], ["0", "sqrt(2)*sqrt(s2)"]]]

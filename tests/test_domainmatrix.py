@@ -5,10 +5,8 @@ QQ.frac_field(*params) built from a numerator's terms. Over EX:
 parallel_poly_from_expr(..., domain=EX), Poly.as_dict(native=True),
 PolyRing(gens, EX) with from_dict, ground_new and diff. On both: the
 dict-of-dicts DomainMatrix constructor, rref() returning the pivots with
-the nonzero sparse rows in R.rep, and domain.to_sympy. For radical
-coefficients: QQ.algebraic_field, its from_sympy, convert from QQ and
-to_sympy, and its frac_field with elements built from terms. These pin it
-at every sympy version the project supports, so that an API change fails
+the nonzero sparse rows in R.rep, and domain.to_sympy. These pin it at
+every sympy version the project supports, so that an API change fails
 here first."""
 import random
 
@@ -18,7 +16,7 @@ from sympy.polys.domains import EX, QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyRing
 
-from stosym.solve import _field_element, _to_sympy
+from stosym.solve import _field_element
 
 X = sp.Symbol("x")
 A = sp.Symbol("a", positive=True)
@@ -136,43 +134,3 @@ def test_rref_over_a_parameter_fraction_field():
     assert [sorted(R.rep[i]) for i in sorted(R.rep)] == [[0, 1], [2]]
     assert K.to_sympy(R.rep[0][1]) == 1 / A
     assert K.to_sympy(R.rep[1][2]) == 1
-
-
-def test_algebraic_coefficient_field():
-    """QQ<sqrt(2)>: a polynomial ring over it where sqrt(2)^2 - 2 == 0,
-    elements converted from QQ and from sympy, and to_sympy back to
-    sqrt(2)."""
-    K = QQ.algebraic_field(sp.sqrt(2))
-    r = K.from_sympy(sp.sqrt(2))
-    assert r * r - K.convert(QQ(2), QQ) == K.zero
-    assert K.to_sympy(r) == sp.sqrt(2)
-    assert K.to_sympy(K.convert(QQ(1, 3), QQ)) == sp.Rational(1, 3)
-    ring = PolyRing((A, X), K)
-    s2 = ring.ground_new(r)
-    assert (s2 * ring.gens[1])**2 - 2 * ring.gens[1]**2 == ring.zero
-    assert not K.is_QQ and not K.is_EX
-
-
-def test_rref_over_an_algebraic_fraction_field():
-    """QQ<sqrt(2)>(a): elements built from numerator terms, the same as the
-    field's own normal form; rref; to_sympy back to expressions in sqrt(2)
-    and a."""
-    K0 = QQ.algebraic_field(sp.sqrt(2))
-    r = K0.from_sympy(sp.sqrt(2))
-    K = K0.frac_field(A)
-    field = K.field
-    numer = {(1,): r, (0,): K0.one}
-    got = _field_element(field, numer)
-    want = field.new(field.ring.dtype(numer))
-    assert (got.numer, got.denom) == (want.numer, want.denom)
-
-    def el(terms):
-        return _field_element(field, terms)
-    # rows (sqrt(2) a, 1) and (2 a^2, sqrt(2) a) are dependent
-    M = DomainMatrix({0: {0: el({(1,): r}), 1: el({(0,): K0.one})},
-                      1: {0: el({(2,): K0.convert(QQ(2), QQ)}),
-                          1: el({(1,): r})}}, (2, 2), K)
-    R, pivots = M.rref()
-    assert tuple(pivots) == (0,)
-    assert sorted(R.rep) == [0]
-    assert sp.simplify(_to_sympy(K)(R.rep[0][1]) - 1 / (sp.sqrt(2) * A)) == 0

@@ -359,9 +359,16 @@ class TestParserLimits:
         x = ctx.spatial[0]
         assert parse_expr("x^64", ctx) == x**64
         assert parse_expr("x^(-64/64)", ctx) == 1 / x
-        for text in ("9^9999999999", "x^65", "x^(1/65)", "x^-99"):
+        assert parse_expr("(x^8)^8", ctx) == x**64
+        # sympy folds a power of a power into one exponent
+        for text in ("9^9999999999", "x^65", "x^(1/65)", "x^-99",
+                     "((x+1)^64)^64", "(((x+1)^64)^64)^64", "(x^64*t)^64",
+                     "((x+1)^-64)^2"):
             with pytest.raises(ParseError, match="larger than 64"):
                 parse_expr(text, ctx)
+        # reported at the outer exponent
+        with pytest.raises(ParseError, match=r"\(line 1, column 12\)$"):
+            parse_expr("((x+1)^64)^64", ctx)
 
 
 class TestAllZero:

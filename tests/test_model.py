@@ -49,7 +49,7 @@ class TestItoSystem:
         raw = [a * (x[(i + 1) % n] - 2 * x[i] + x[i - 1])
                + b * (x[(i + 1) % n] - x[i - 1]) ** 2 for i in range(n)]
         ito = kpz_ito(chain)
-        assert ito._elements is not None
+        assert ito._coefficients is not None
         assert [sp.srepr(e) for e in ito.f] == [sp.srepr(normalize(e))
                                                 for e in raw]
         assert ItoSystem(chain.context, f=raw, sigma=ito.sigma,
@@ -110,14 +110,18 @@ class TestFokkerPlanck:
         with pytest.raises(DegeneracyError):
             diffusion_matrix(ito)
 
-    def test_undecided_degeneracy_raises(self, heat, monkeypatch):
-        """An undecided S is not read as 'not degenerate'. The system is
-        built afresh: the shared fixture may hold its Fokker-Planck
-        coefficients already, built and checked once."""
+    def test_undecided_degeneracy_raises(self, monkeypatch):
+        """An undecided S is not read as 'not degenerate'. In the exact
+        domain S == 0 decides, so the noise is exp(x), on the expression
+        path, where the zero test decides."""
         import stosym.kernel as kernel
-        fresh = ItoSystem(heat.context, f=heat.f, sigma=heat.sigma)
-        monkeypatch.setattr(kernel, "zero_verdict",
-                            lambda e: Verdict.INCONCLUSIVE)
+        ctx = Context(spatial=("x",), noises=("w",))
+        fresh = ItoSystem(ctx, f=(0,), sigma=((sp.exp(ctx.spatial[0]),),))
+
+        def undecided(e, normalized=False):
+            return Verdict.INCONCLUSIVE
+        monkeypatch.setattr(kernel, "zero_verdict", undecided)
+        monkeypatch.setattr(kernel, "_zero_verdict", undecided)
         with pytest.raises(kernel.InconclusiveError):
             diffusion_matrix(fresh)
 

@@ -12,7 +12,7 @@ from stosym import solve
 from stosym.dsl import load_system
 from stosym.kernel import (Context, InconclusiveError, Verdict, normalize,
                            parse_expr, to_dsl)
-from stosym.model import ItoSystem, VectorField, WSymmetry
+from stosym.model import ItoSystem, VectorField, WSymmetry, _generator
 from stosym.detgen import detsys_projectable, detsys_w
 from stosym.verify import OverallVerdict, VerificationReport, check
 from stosym.solve import (Ansatz, NonClosedBasisError,
@@ -532,6 +532,17 @@ def _amplitude_system():
 
 
 class TestRadicals:
+    @pytest.mark.parametrize("name", ["kramers.sde", "langevin2.sde",
+                                      "langevin4.sde"])
+    def test_common_radical_solves_over_qq(self, systems, name):
+        """sqrt(2) is scaled out of sigma: the matrix is eliminated over
+        QQ(params, q), with no algebraic coefficient."""
+        ito = systems[name]
+        _, calc, columns = solve._columns(
+            ito, _poly_ansatz(ito, 1, (1,), include_B=True), "w")
+        K = solve._coefficient_matrix(calc, columns).domain
+        assert K.is_FractionField and K.domain.is_QQ
+
     @pytest.mark.parametrize("degree,rates,which", [
         (1, (1, 2), "w"), (2, (1,), "projectable")], ids=["w", "projectable"])
     def test_langevin2_matches_amplitude_system(self, systems, degree, rates,
@@ -575,13 +586,13 @@ class TestRadicals:
 
     def test_parameter_radical_in_a_rate(self, systems):
         """A rate meets a reparametrized parameter: exp(s1 t) becomes
-        exp(q^2 t) with q = sqrt(s1) a generator."""
+        exp(q^2 t) with q = sqrt(s1) a generator, in the domain of the
+        engine of langevin2, whose sigma_0 = sigma / sqrt(2) holds q."""
         lan = systems["langevin2.sde"]
-        ctx, s1 = lan.context, lan.context.params["s1"]
-        calc, (basis, sigma) = solve._in_exp_ring(
-            ctx.ring.symbols, ctx.spatial, ctx.t,
-            [(sp.exp(s1 * ctx.t),), lan.sigma[0]], solve.OutsideAnsatzError)
-        q = solve._root_generator(s1)
+        s1 = lan.context.params["s1"]
+        c, _ = lan._engine.of([(sp.exp(s1 * lan.context.t),)])
+        calc = c.calc
+        q = _generator("q_s1", True)
         assert q in calc.ring.symbols and s1 not in calc.ring.symbols
         (_, rate), = calc.rates
         assert rate == calc.ring(q**2)

@@ -73,7 +73,7 @@ def commands():
             f"solve {FIXTURES}norm_coupled2.sde --degree 2 --with-b "
             "--time-basis exp:2 --json"]
     # radicals: sqrt of a positive parameter, also where a rate meets it,
-    # and sqrt(2) as an algebraic coefficient
+    # and sqrt(2) as the common radical of sigma, scaled out of the noise
     out += [f"solve {FIXTURES}langevin2.sde --with-b --time-basis exp:1 "
             "--time-basis exp:2 --json",
             f"solve {FIXTURES}langevin2.sde --time-basis exp:s1 --json",
