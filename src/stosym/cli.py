@@ -22,7 +22,7 @@ import sympy as sp
 
 from .kernel import Context, InconclusiveError, ParseError, _dsl, parse_expr
 from .model import DegeneracyError, DiscreteMap, VectorField, WSymmetry, \
-    _trusted, fokker_planck_of
+    fokker_planck_of
 from .detgen import detsys_discrete, detsys_fp, detsys_projectable, detsys_w
 from .verify import OverallVerdict, _fp_classification, check, \
     check_normalization_preserving, extend_to_fp
@@ -98,7 +98,7 @@ def _generic_candidate(ito):
     tau = octx.opaque["tau"](octx.t)
     xi = tuple(octx.opaque[f"xi_{v}"](*octx.spatial, octx.t)
                for v in ctx.spatial_names)
-    return _trusted(VectorField, context=octx, tau=tau, xi=xi)
+    return VectorField(context=octx, tau=tau, xi=xi)
 
 
 @click.group()

@@ -11,13 +11,14 @@ with sqrt(p) of positive parameters and exp(c t) as generators) when the
 system's coefficients and every candidate entry lie in it, with sigma's
 common radical scaled out (`model._common_radical`), and sympy
 expressions otherwise. Each residual leaves through `leave` and is
-normalized once, its only normalization: `verify.check` decides and
-prints it as stored. Each `ItoSystem` converts once, into the engine
-(`model._Engine`) that every builder here, `model.apply_discrete` and
-the ansatz solver read, and builds its Fokker-Planck A, B and C from it
-once (`model.fokker_planck_of`), into an engine that the Fokker-Planck
-family reads. The ODE family is minus the Lambda family of the system
-with zero noise.
+normalized once; the zero test in `verify.check` decides a polynomial
+in its ring and finds any other residual's normal form in sympy's cache
+(`kernel._normalize_loop`). Each `ItoSystem` converts once, into the
+engine (`model._Engine`) that every builder here, `model.apply_discrete`
+and the ansatz solver read, and builds its Fokker-Planck A, B and C from
+it once (`model.fokker_planck_of`), into an engine that the
+Fokker-Planck family reads. The ODE family is minus the Lambda family of
+the system with zero noise.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ __all__ = [
 class DeterminingSystem:
     """Named residuals that must all vanish. Every equation is stored in
     `normalize`d form (the detsys_* builders do this once), and `verify.check`
-    decides and reports it as stored, without normalizing it again."""
+    decides each with the public `zero_verdict` and reports it as stored."""
     name: str
     equations: tuple  # of (label, expr) pairs
     free_unknowns: tuple = ()

@@ -25,7 +25,7 @@ import sympy as sp
 
 from .kernel import Context, ParseError, UndeclaredSymbolError, _dsl, \
     is_zero, parse_expr
-from .model import DiscreteMap, ItoSystem, VectorField, WSymmetry, _trusted
+from .model import DiscreteMap, ItoSystem, VectorField, WSymmetry
 
 __all__ = [
     "parse_system", "parse_candidate", "load_system", "load_candidate",
@@ -136,8 +136,8 @@ def parse_system(text) -> ItoSystem:
                 _fail(f"duplicate sigma entry for '{fields[0]} {fields[1]}'", lineno)
             sigma_seen.add(key)
             sigma[key[0]][key[1]] = _parse_at(expr_text.strip(), ctx, lineno)
-    return _trusted(ItoSystem, context=ctx, f=tuple(f),
-                    sigma=tuple(tuple(row) for row in sigma), name=name)
+    return ItoSystem(context=ctx, f=tuple(f),
+                     sigma=tuple(tuple(row) for row in sigma), name=name)
 
 
 def _parse_matrix_literal(text, ctx, lineno):
@@ -229,7 +229,7 @@ def parse_candidate(text, context):
         full_R = R if R is not None else tuple(
             tuple(sp.Integer(1) if p == q else sp.Integer(0) for q in range(m))
             for p in range(m))
-        return _trusted(DiscreteMap, context=ctx, phi=full_phi, R=full_R)
+        return DiscreteMap(context=ctx, phi=full_phi, R=full_R)
     full_xi = tuple(xi.get(i, sp.Integer(0)) for i in range(n))
     if B:
         if beta is not None:
@@ -244,11 +244,10 @@ def parse_candidate(text, context):
                 _fail(f"B[{p + 1}][{q + 1}] and B[{q + 1}][{p + 1}] "
                       "are not antisymmetric",
                       max(at["B", (p, q)], at["B", (q, p)]))
-        return _trusted(WSymmetry, context=ctx,
-                        tau=tau if tau is not None else 0, xi=full_xi,
-                        Bmat=tuple(tuple(r) for r in mat))
-    return _trusted(VectorField, context=ctx, tau=tau if tau is not None else 0,
-                    xi=full_xi, beta=beta, name=name)
+        return WSymmetry(context=ctx, tau=tau if tau is not None else 0,
+                         xi=full_xi, Bmat=tuple(tuple(r) for r in mat))
+    return VectorField(context=ctx, tau=tau if tau is not None else 0,
+                       xi=full_xi, beta=beta, name=name)
 
 
 def load_system(path) -> ItoSystem:
@@ -357,8 +356,7 @@ def system_from_dict(d) -> ItoSystem:
     f = tuple(parse_expr(d["drift"].get(v, "0"), ctx) for v in d["vars"])
     sigma = tuple(tuple(parse_expr(d["sigma"].get(v, {}).get(w, "0"), ctx)
                         for w in d["noises"]) for v in d["vars"])
-    return _trusted(ItoSystem, context=ctx, f=f, sigma=sigma,
-                    name=d.get("name", "system"))
+    return ItoSystem(context=ctx, f=f, sigma=sigma, name=d.get("name", "system"))
 
 
 def candidate_to_dict(candidate, base_context=None, name="") -> dict:
@@ -393,14 +391,14 @@ def candidate_from_dict(d, context):
     if kind == "discrete_map":
         phi = tuple(parse_expr(d["phi"].get(v, v), ctx) for v in ctx.spatial_names)
         R = tuple(tuple(parse_expr(e, ctx) for e in row) for row in d["R"])
-        return _trusted(DiscreteMap, context=ctx, phi=phi, R=R)
+        return DiscreteMap(context=ctx, phi=phi, R=R)
     tau = parse_expr(d.get("tau", "0"), ctx)
     xi = tuple(parse_expr(d["xi"].get(v, "0"), ctx) for v in ctx.spatial_names)
     if kind == "w_symmetry":
         B = tuple(tuple(parse_expr(e, ctx) for e in row) for row in d["B"])
-        return _trusted(WSymmetry, context=ctx, tau=tau, xi=xi, Bmat=B)
+        return WSymmetry(context=ctx, tau=tau, xi=xi, Bmat=B)
     if kind == "vector_field":
         beta = parse_expr(d["beta"], ctx) if "beta" in d else None
-        return _trusted(VectorField, context=ctx, tau=tau, xi=xi, beta=beta,
-                        name=d.get("name", ""))
+        return VectorField(context=ctx, tau=tau, xi=xi, beta=beta,
+                           name=d.get("name", ""))
     raise ValueError(f"unknown candidate type '{kind}'")

@@ -14,6 +14,7 @@ import random
 from functools import cached_property, lru_cache
 
 import sympy as sp
+from sympy.core.cache import cacheit
 from sympy.core.evalf import PrecisionExhausted
 from sympy.core.function import AppliedUndef, UndefinedFunction
 from sympy.polys.domains import QQ
@@ -29,8 +30,9 @@ __all__ = [
 ]
 
 BUILTIN_FUNCTIONS = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos, "sqrt": sp.sqrt}
-# Bound on every integer written in an exponent: a power is expanded when
-# it is normalized, and 9^9999999999 alone would need gigabytes.
+# Bound on every integer written in an exponent and on the degree a power
+# reaches: a power is expanded when it is normalized, and 9^9999999999
+# alone would need gigabytes.
 _MAX_EXPONENT = 64
 
 
@@ -236,13 +238,14 @@ class _Parser:
         if self.peek()[1] == "^":
             self.advance()
             _, _, line, col = self.peek()
-            e = e ** self.exponent()
-            # sympy folds (b^p)^q into b^(p q), which the bound must cover
-            for a in sp.Mul.make_args(e):
-                if (a.is_Pow and a.exp.is_Rational
-                        and abs(a.exp) > _MAX_EXPONENT):
-                    raise ParseError(f"folded exponent {abs(a.exp)} is larger "
-                                     f"than {_MAX_EXPONENT}", line, col)
+            p = self.exponent()
+            # the bound covers the degree that expanding e^p reaches, also
+            # when sympy folds (b^q)^p into b^(q p)
+            degree = _degree(e) * abs(p)
+            if degree > _MAX_EXPONENT:
+                raise ParseError(f"degree {degree} is larger than "
+                                 f"{_MAX_EXPONENT}", line, col)
+            e = e ** p
         return e
 
     def exponent(self):
@@ -299,6 +302,20 @@ class _Parser:
         raise ParseError(f"unexpected '{shown}'", line, col)
 
 
+def _degree(e):
+    """Total degree of e as a polynomial in its symbols and function calls,
+    read off the tree; a constant has degree 0."""
+    if e.is_Number:
+        return 0
+    if e.is_Add:
+        return max(map(_degree, e.args))
+    if e.is_Mul:
+        return sum(map(_degree, e.args))
+    if e.is_Pow and e.exp.is_Rational:
+        return abs(e.exp) * _degree(e.base)
+    return 1
+
+
 def parse_expr(text: str, context: Context) -> sp.Expr:
     """Parse a DSL expression against the declared names in `context`.
 
@@ -326,8 +343,10 @@ def normalize(e) -> sp.Expr:
     leaves through as_expr(). Any other input (a float, exp/sin/cos, sqrt,
     a denominator, an irrational constant or an opaque function) takes the
     general loop: expand, rewrite sin^2 -> 1 - cos^2, product-to-sum for
-    sin*cos pairs, cancel rational parts, iterated to a fixpoint. The ring
-    and the loop give the same expression on a polynomial."""
+    sin*cos pairs, cancel rational parts, iterated to a fixpoint that
+    sympy's cache remembers, so that normalizing a normalized value again
+    is one cache hit. The ring and the loop give the same expression on a
+    polynomial."""
     if isinstance(e, PolyElement):
         return e.as_expr()
     e = sp.sympify(e)
@@ -379,21 +398,30 @@ def _own_ring(generators):
 
 
 def _normalize_loop(e):
-    """The general path of `normalize`; the tests hold the polynomial path
-    to its output."""
+    """The general path of `normalize`: `_normalize_step` to a fixpoint.
+    The last step computed maps the output to itself and stays in sympy's
+    cache, so normalizing the output again is one cache hit. The tests
+    hold the polynomial path to the loop's output."""
     for _ in range(4):
-        new = sp.expand(e)
-        if new.has(sp.sin, sp.cos):
-            new = sp.expand(TR8(TR5(new)))
-        try:
-            new = sp.cancel(new)
-        except (sp.PolynomialError, NotImplementedError):
-            pass
-        new = sp.expand(new)
+        new = _normalize_step(e)
         if new == e:
             return new
         e = new
     return e
+
+
+@cacheit
+def _normalize_step(e):
+    """expand, rewrite sin^2 -> 1 - cos^2 and sin*cos -> sums, cancel the
+    rational parts, expand."""
+    new = sp.expand(e)
+    if new.has(sp.sin, sp.cos):
+        new = sp.expand(TR8(TR5(new)))
+    try:
+        new = sp.cancel(new)
+    except (sp.PolynomialError, NotImplementedError):
+        pass
+    return sp.expand(new)
 
 
 def differentiate(e, v) -> sp.Expr:
@@ -491,15 +519,10 @@ def zero_verdict(e) -> Verdict:
     ZERO when every sample vanished and sympy proves the simplified form
     zero.
     """
-    return _zero_verdict(e)
-
-
-def _zero_verdict(e, normalized=False) -> Verdict:
-    """`zero_verdict`, without normalizing e again when it is `normalized`."""
     p = _ring_element(e)
     if p is not None:
         return Verdict.NONZERO if p else Verdict.ZERO
-    n = e if normalized else normalize(e)
+    n = normalize(e)
     if n.is_Number and n.is_zero:
         return Verdict.ZERO
     atoms = _opaque_atoms(n)
@@ -546,14 +569,9 @@ def all_zero(entries) -> bool:
     """True iff every entry vanishes identically; False as soon as one is
     provably nonzero. Raises InconclusiveError when none is nonzero and
     some entry cannot be decided."""
-    return _all_zero(entries)
-
-
-def _all_zero(entries, normalized=False) -> bool:
-    """`all_zero`, without normalizing entries that are `normalized`."""
     undecided = None
     for e in entries:
-        verdict = _zero_verdict(e, True) if normalized else zero_verdict(e)
+        verdict = zero_verdict(e)
         if verdict is Verdict.NONZERO:
             return False
         if verdict is Verdict.INCONCLUSIVE and undecided is None:

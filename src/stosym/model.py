@@ -8,7 +8,6 @@ terms, which makes the tau = 0 and B = 0 reductions exact.
 """
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 from operator import mul
@@ -19,8 +18,7 @@ from sympy.utilities.iterables import sift
 from sympy.polys.domains import QQ
 from sympy.polys.rings import PolyElement
 
-from .kernel import (Context, _all_zero, _own_ring, _ring_element, all_zero,
-                     normalize)
+from .kernel import Context, _own_ring, _ring_element, all_zero, normalize
 
 __all__ = [
     "DegeneracyError",
@@ -34,38 +32,19 @@ class DegeneracyError(ValueError):
     """sigma sigma^T vanishes identically."""
 
 
-_TRUSTED = ContextVar("trusted", default=False)
-
-
-def _trusted(cls, *args, **kwargs):
-    """cls(*args, **kwargs) from entries in `normalize`d form (parsed, or
-    held by a model value), for the package's own builds only: __post_init__
-    validates them but does not normalize them again, nor test the A = -S
-    of a FokkerPlanck for symmetry."""
-    token = _TRUSTED.set(True)
-    try:
-        return cls(*args, **kwargs)
-    finally:
-        _TRUSTED.reset(token)
-
-
-def _normal(e):
-    return sp.sympify(e) if _TRUSTED.get() else normalize(e)
-
-
 def _exprs(seq):
-    return tuple(_normal(e) for e in seq)
+    return tuple(normalize(e) for e in seq)
 
 
 def _matrix(rows):
-    return tuple(tuple(_normal(e) for e in row) for row in rows)
+    return tuple(tuple(normalize(e) for e in row) for row in rows)
 
 
 def _set_tau_xi(candidate):
     """Normalize tau and xi of a generator in place: xi defaults to zero and
     needs one entry per spatial variable, and tau must be free of them."""
     ctx = candidate.context
-    object.__setattr__(candidate, "tau", _normal(candidate.tau))
+    object.__setattr__(candidate, "tau", normalize(candidate.tau))
     object.__setattr__(candidate, "xi", _exprs(candidate.xi or (0,) * ctx.n))
     if len(candidate.xi) != ctx.n:
         raise ValueError(f"expected {ctx.n} xi components")
@@ -77,8 +56,8 @@ def _set_tau_xi(candidate):
 class ItoSystem:
     """dx^i = f^i(x,t) dt + sigma^i_k(x,t) dw^k on R^n with m noise channels.
 
-    The constructor normalizes f and sigma (a `_trusted` build keeps them)
-    and converts f and sigma / lam (`_common_radical`) once for the engine."""
+    The constructor normalizes f and sigma and converts f and sigma / lam
+    (`_common_radical`) once for the engine."""
     context: Context
     f: tuple
     sigma: tuple
@@ -92,7 +71,7 @@ class ItoSystem:
         converted = _convert(base, [self.f, *self.sigma])
         # as_expr() of an element of QQ[params, x, t] is normalized
         f, *sigma = (converted[1] if converted and converted[0] is base
-                     and not _TRUSTED.get() else [self.f, *self.sigma])
+                     else [self.f, *self.sigma])
         object.__setattr__(self, "f", _exprs(f))
         object.__setattr__(self, "sigma", _matrix(sigma))
         n, m = self.context.n, self.context.m
@@ -135,17 +114,15 @@ class ItoSystem:
     @cached_property
     def _fokker_planck(self):
         """The Fokker-Planck equation, with the engine its family reads; its
-        degeneracy is decided once, and A, B and C are normalized once."""
+        degeneracy is decided once."""
         ctx, engine = self.context, self._engine
         c = engine.exprs if engine.ring is None else engine.ring
         fp, leave = c.fokker_planck(), c.calc.leave
-        A = [[normalize(leave(e)) for e in row] for row in fp.A]
-        if not c.S or (engine.ring is None and _all_zero(
-                (e for row in A for e in row), normalized=True)):
+        out = FokkerPlanck(ctx, A=[[leave(e) for e in row] for row in fp.A],
+                           B=[leave(e) for e in fp.B], C=leave(fp.C))
+        if not c.S or (engine.ring is None and all_zero(
+                e for row in out.A for e in row)):
             raise DegeneracyError("sigma sigma^T vanishes identically")
-        out = _trusted(FokkerPlanck, ctx, A=A,
-                       B=[normalize(leave(e)) for e in fp.B],
-                       C=normalize(leave(fp.C)))
         object.__setattr__(out, "_engine", _Engine(
             None if engine.ring is None else fp, lambda: _FpCoefficients(
                 _EXPRS, ctx.spatial, ctx.t, out.A, out.B, out.C)))
@@ -166,15 +143,14 @@ class FokkerPlanck:
     def __post_init__(self):
         object.__setattr__(self, "A", _matrix(self.A))
         object.__setattr__(self, "B", _exprs(self.B))
-        object.__setattr__(self, "C", _normal(self.C))
+        object.__setattr__(self, "C", normalize(self.C))
         n = self.context.n
         if len(self.A) != n or any(len(row) != n for row in self.A):
             raise ValueError(f"A must be {n}x{n}")
         if len(self.B) != n:
             raise ValueError(f"expected {n} first-order coefficients")
-        if not _TRUSTED.get() and not all_zero(
-                self.A[i][j] - self.A[j][i]
-                for i in range(n) for j in range(i + 1, n)):
+        if not all_zero(self.A[i][j] - self.A[j][i]
+                        for i in range(n) for j in range(i + 1, n)):
             raise ValueError("A must be symmetric")
 
 
@@ -191,7 +167,7 @@ class VectorField:
     def __post_init__(self):
         _set_tau_xi(self)
         if self.beta is not None:
-            object.__setattr__(self, "beta", _normal(self.beta))
+            object.__setattr__(self, "beta", normalize(self.beta))
 
 
 def _check_constant_matrix(ctx, mat, what):

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from .kernel import Verdict, _dsl, _fold, _zero_verdict, all_zero, \
-    is_zero, normalize, substitute
-from .model import ItoSystem, VectorField, _trusted, fokker_planck_of
+from .kernel import Verdict, _dsl, _fold, all_zero, is_zero, substitute, \
+    zero_verdict
+from .model import ItoSystem, VectorField, fokker_planck_of
 from .detgen import DeterminingSystem, _lambda_gamma, _parts, detsys_fp
 
 __all__ = [
@@ -70,8 +70,7 @@ def check(ds: DeterminingSystem, bindings=None) -> VerificationReport:
     """Substitute candidate bindings for the free unknowns of the system and
     classify every residual. Overall verdict is SYMMETRY iff every residual
     is provably zero and NOT_SYMMETRY if one is provably nonzero; otherwise
-    an INCONCLUSIVE residual makes it INCONCLUSIVE, never a silent pass.
-    Residuals are decided as stored (or substituted), already normalized."""
+    an INCONCLUSIVE residual makes it INCONCLUSIVE, never a silent pass."""
     by_name = {getattr(k, "__name__", k): v
                for k, v in dict(bindings or {}).items()}
     missing = [f.__name__ for f in ds.free_unknowns if f.__name__ not in by_name]
@@ -81,7 +80,7 @@ def check(ds: DeterminingSystem, bindings=None) -> VerificationReport:
     for label, e in ds.equations:
         if by_name:
             e = substitute(e, _resolve_bindings(e, by_name))
-        per_equation.append((label, _zero_verdict(e, normalized=True), e))
+        per_equation.append((label, zero_verdict(e), e))
     overall = _OVERALL[_fold(v for _, v, _ in per_equation)]
     return VerificationReport(system_name=ds.name,
                               per_equation=tuple(per_equation), overall=overall)
@@ -109,8 +108,8 @@ def extend_to_fp(vf: VectorField) -> VectorField:
     """Unique normalization-preserving extension beta = -div(xi)."""
     if vf.beta is not None:
         raise ValueError("candidate already carries a beta component")
-    return _trusted(VectorField, context=vf.context, tau=vf.tau, xi=vf.xi,
-                    beta=normalize(-_divergence(vf)), name=vf.name)
+    return VectorField(context=vf.context, tau=vf.tau, xi=vf.xi,
+                       beta=-_divergence(vf), name=vf.name)
 
 
 def check_normalization_preserving(vf: VectorField) -> bool:

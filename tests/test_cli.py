@@ -162,32 +162,27 @@ def test_fp_golden(runner, command):
     assert [result.exit_code, result.stdout] == FP_GOLDEN[command]
 
 
-@pytest.mark.parametrize("args, calls", [
-    (("kramers.sde", "kramers_v6.cand", "--fp"), 5),
+@pytest.mark.parametrize("args, steps", [
+    (("kramers.sde", "kramers_v6.cand", "--fp"), 4),
     (("langevin2.sde", "langevin_wrot_ratio.cand"), 6),
-    (("rotating.sde", "rotating_dt.cand"), 8),
+    (("rotating.sde", "rotating_dt.cand"), 4),
 ], ids=["kramers_v6-fp", "langevin_wrot_ratio", "rotating_dt"])
-def test_normalize_loop_calls_pinned(runner, fixtures_dir, monkeypatch, args,
-                                     calls):
-    """Expression-path checks put each non-polynomial value through the
-    general normalizer once: at parse, when a builder emits a raw residual,
-    or in a zero test of a raw sum. Model values built from parsed ones,
-    `check` and the JSON report do not normalize again (the counts were 9,
-    14 and 20 when they did). Sympy's cache is cleared first, so every call
-    is counted."""
+def test_normalize_loop_calls_pinned(runner, fixtures_dir, args, steps):
+    """Expression-path checks compute the general normalizer's steps for
+    each non-polynomial value once: at parse, when a builder emits a raw
+    residual, or in a zero test of a raw sum. Normalizing a value again, in
+    a constructor, `check` or the JSON report, finds its fixpoint in
+    sympy's cache. The cache is cleared first, so every computed step is a
+    miss."""
     from sympy.core.cache import clear_cache
     import stosym.kernel as kernel
-    seen = []
-    loop = kernel._normalize_loop
-    monkeypatch.setattr(kernel, "_normalize_loop",
-                        lambda e: seen.append(e) or loop(e))
     system, candidate, *options = args
     clear_cache()
     result = runner.invoke(main, ["check", fx(fixtures_dir, system),
                                   fx(fixtures_dir, candidate), "--json",
                                   *options])
     assert result.exit_code in (0, 1)
-    assert len(seen) == calls
+    assert kernel._normalize_step.cache_info().misses == steps
 
 
 class TestDetsys:
@@ -450,13 +445,13 @@ class TestExitContract:
     stderr: 2 rejected input, 3 inconclusive, 4 blow-up."""
 
     @staticmethod
-    def _undecided(e, normalized=False):
+    def _undecided(e):
         return stosym.kernel.Verdict.INCONCLUSIVE
 
     @pytest.mark.parametrize("which", ["time-shift", "h-shift"])
     def test_kpz_continuous_inconclusive_exit_three(self, runner, monkeypatch,
                                                     which):
-        monkeypatch.setattr(stosym.verify, "_zero_verdict", self._undecided)
+        monkeypatch.setattr(stosym.verify, "zero_verdict", self._undecided)
         result = runner.invoke(main, ["kpz", "--sites", "5", "--check", which])
         assert result.exit_code == 3
         assert result.output.strip() == "inconclusive"
@@ -479,8 +474,7 @@ class TestExitContract:
         """An undecided re-verification of a solver generator is
         inconclusive (3); a failed one is rejected input (2)."""
         answer = stosym.kernel.Verdict[verdict]
-        monkeypatch.setattr(stosym.verify, "_zero_verdict",
-                            lambda e, normalized: answer)
+        monkeypatch.setattr(stosym.verify, "zero_verdict", lambda e: answer)
         result = runner.invoke(main, ["solve", fx(fixtures_dir, "heat.sde"),
                                       "--json"])
         assert result.exit_code == code
@@ -527,7 +521,6 @@ class TestExitContract:
         """The zero test decides degeneracy on the expression path only:
         in the exact domain S == 0 decides it."""
         monkeypatch.setattr(stosym.kernel, "zero_verdict", self._undecided)
-        monkeypatch.setattr(stosym.kernel, "_zero_verdict", self._undecided)
         data = ROOT / "tests" / "data"
         files = [str(data / "expnoise.sde")]
         if command == "detsys":

@@ -71,6 +71,21 @@ class TestParsing:
             parse_expr(text, ctx)
         assert (err.value.line, err.value.col) == (1, col)
 
+    def test_opaque_function_call(self):
+        octx = Context(spatial=("x",), opaque=("g",))
+        x, t = octx.spatial[0], octx.t
+        assert parse_expr("g(x, t) + 1", octx) == octx.opaque["g"](x, t) + 1
+
+    def test_undeclared_function_call(self, ctx):
+        with pytest.raises(UndeclaredSymbolError) as err:
+            parse_expr("x + h(x)", ctx)
+        assert (err.value.name, err.value.line, err.value.col) == ("h", 1, 5)
+
+    def test_error_on_second_line(self, ctx):
+        with pytest.raises(ParseError) as err:
+            parse_expr("x +\n  * y", ctx)
+        assert (err.value.line, err.value.col) == (2, 3)
+
     def test_noise_names_not_expressions(self, ctx):
         with pytest.raises(UndeclaredSymbolError):
             parse_expr("w + 1", ctx)
@@ -150,6 +165,43 @@ class TestNormalizePaths:
         args = (octx.spatial[0], octx.t, octx.symbol("a"), octx.opaque["g"])
         assert normalize(build(*args)) == expected(*args)
         assert loop_calls
+
+
+class TestNormalizeCache:
+    """The loop's last computed step maps its output to itself and stays in
+    sympy's cache, so normalizing a normalized value again computes
+    nothing until the cache is cleared."""
+
+    def test_fixpoint_is_a_cache_hit(self, ctx):
+        from sympy.core.cache import clear_cache
+        x, k = ctx.spatial[0], ctx.symbol("k")
+        raw = sp.sqrt(2) * (x + k) ** 2 / (k + 1) + sp.sin(x) ** 2
+        clear_cache()
+        n = normalize(raw)
+        computed = kernel._normalize_step.cache_info().misses
+        assert computed > 0
+        assert normalize(n) == n
+        assert kernel._normalize_step.cache_info().misses == computed
+        clear_cache()
+        assert normalize(n) == n
+        assert kernel._normalize_step.cache_info().misses > 0
+
+    @pytest.mark.parametrize("order", [(0.5, sp.S.Half), (sp.S.Half, 0.5)],
+                             ids=["float-first", "rational-first"])
+    @pytest.mark.parametrize("base", ["x", "exp(x) + x"])
+    def test_float_and_rational_keep_their_form(self, ctx, order, base):
+        """x + 0.5 and x + 1/2 are distinct cache keys, in either order,
+        on the loop path (exp(x) + x + c) too."""
+        from sympy.core.cache import clear_cache
+        e = sp.sympify(base, locals={"x": ctx.spatial[0]})
+        alone = {}
+        for c in order:
+            clear_cache()
+            alone[c] = sp.srepr(normalize(e + c))
+        assert alone[0.5] != alone[sp.S.Half]
+        clear_cache()
+        for c in order:
+            assert sp.srepr(normalize(e + c)) == alone[c]
 
 
 class TestCalculus:
@@ -360,15 +412,21 @@ class TestParserLimits:
         assert parse_expr("x^64", ctx) == x**64
         assert parse_expr("x^(-64/64)", ctx) == 1 / x
         assert parse_expr("(x^8)^8", ctx) == x**64
-        # sympy folds a power of a power into one exponent
+        for text in ("(x+1)^64", "((x+1)^8+1)^8"):
+            assert sp.degree(parse_expr(text, ctx), x) == 64
+        # sympy folds a power of a power into one exponent, and expansion
+        # reaches deg(base) times the exponent
         for text in ("9^9999999999", "x^65", "x^(1/65)", "x^-99",
                      "((x+1)^64)^64", "(((x+1)^64)^64)^64", "(x^64*t)^64",
-                     "((x+1)^-64)^2"):
+                     "((x+1)^-64)^2", "((x+1)^32+1)^32", "((x+1)^16+1)^16",
+                     "((x+1)^8+1)^9", "(x^(3/2))^64", "(x*y)^33"):
             with pytest.raises(ParseError, match="larger than 64"):
                 parse_expr(text, ctx)
         # reported at the outer exponent
         with pytest.raises(ParseError, match=r"\(line 1, column 12\)$"):
             parse_expr("((x+1)^64)^64", ctx)
+        with pytest.raises(ParseError, match=r"\(line 1, column 14\)$"):
+            parse_expr("((x+1)^32+1)^32", ctx)
 
 
 class TestAllZero:

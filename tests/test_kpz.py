@@ -120,9 +120,9 @@ def test_discrete_inconclusive_raises(chain5, monkeypatch):
     import stosym.kernel as kernel
     import stosym.verify as verify
 
-    def undecided(e, normalized=False):
+    def undecided(e):
         return kernel.Verdict.INCONCLUSIVE
-    monkeypatch.setattr(verify, "_zero_verdict", undecided)
+    monkeypatch.setattr(verify, "zero_verdict", undecided)
     report = kpz_check_discrete(chain5, site_shift_matrix(5))
     assert report.overall is OverallVerdict.INCONCLUSIVE
     monkeypatch.setattr(kernel, "zero_verdict", undecided)

@@ -256,6 +256,20 @@ class TestCompare:
         assert all(set(e) == {"time", "coordinate", "ks_pvalue"}
                    for e in d["entries"])
 
+    def test_constant_slices(self):
+        """Slices without spread (a coordinate with no noise) compare as
+        equal or different constants: p-value 1 or 0."""
+        def constant(value):
+            return mcsim.Ensemble(times=np.array([0.0, 0.1, 0.2]),
+                                  paths=np.full((50, 3, 1), value), seed=0,
+                                  dt=0.1, n_paths=50)
+        same = compare_ensembles(constant(1.0), constant(1.0))
+        assert same.verdict
+        assert [e["ks_pvalue"] for e in same.entries] == [1.0, 1.0]
+        other = compare_ensembles(constant(1.0), constant(2.0))
+        assert not other.verdict
+        assert [e["ks_pvalue"] for e in other.entries] == [0.0, 0.0]
+
     def test_no_time_after_the_initial_one_rejected(self):
         a = _wiener_samples(np.random.default_rng(2), 10, 0)
         with pytest.raises(InputError, match="stored time"):

@@ -118,10 +118,9 @@ class TestFokkerPlanck:
         ctx = Context(spatial=("x",), noises=("w",))
         fresh = ItoSystem(ctx, f=(0,), sigma=((sp.exp(ctx.spatial[0]),),))
 
-        def undecided(e, normalized=False):
+        def undecided(e):
             return Verdict.INCONCLUSIVE
         monkeypatch.setattr(kernel, "zero_verdict", undecided)
-        monkeypatch.setattr(kernel, "_zero_verdict", undecided)
         with pytest.raises(kernel.InconclusiveError):
             diffusion_matrix(fresh)
 
@@ -292,9 +291,8 @@ class TestCandidateValidation:
 
 class TestPublicConstructionNormalizes:
     """Built from user code, every model class normalizes its entries and
-    validates them; only the package's own builds from normalized values
-    skip the normalization. The public zero test and printer normalize raw
-    input too."""
+    validates them, as the package's own builds do. The public zero test
+    and printer normalize raw input too."""
     CTX = Context(spatial=("x", "y"), params={"k": "positive"},
                   noises=("w1", "w2"))
     x, y = CTX.spatial

@@ -163,6 +163,23 @@ class TestCheckMechanics:
                                   "g": -sp.exp(-k**2 * octx.t)})
         assert rep.overall is OverallVerdict.SYMMETRY
 
+    def test_residuals_decided_by_public_zero_verdict(self, systems,
+                                                       monkeypatch):
+        """check decides every residual through the public zero test, once
+        each, so a wrapper on it sees every verdict."""
+        import stosym.verify as verify
+        kramers = systems["kramers.sde"]
+        ds = detsys_projectable(kramers, VectorField(context=kramers.context,
+                                                     tau=1))
+        seen = []
+        decide = verify.zero_verdict
+        monkeypatch.setattr(verify, "zero_verdict",
+                            lambda e: seen.append(e) or decide(e))
+        rep = check(ds)
+        assert seen == list(ds.residuals())
+        assert [v for _, v, _ in rep.per_equation] == [
+            decide(e) for e in seen]
+
     def test_report_serialization(self, systems):
         heat = systems["heat.sde"]
         vf = VectorField(context=heat.context, tau=1)
