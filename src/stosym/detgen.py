@@ -13,12 +13,13 @@ common radical scaled out (`model._common_radical`), and sympy
 expressions otherwise. Each residual leaves through `leave` and is
 normalized once; the zero test in `verify.check` decides a polynomial
 in its ring and finds any other residual's normal form in sympy's cache
-(`kernel._normalize_loop`). Each `ItoSystem` converts once, into the
-engine (`model._Engine`) that every builder here, `model.apply_discrete`
-and the ansatz solver read, and builds its Fokker-Planck A, B and C from
-it once (`model.fokker_planck_of`), into an engine that the
-Fokker-Planck family reads. The ODE family is minus the Lambda family of
-the system with zero noise.
+(`kernel._normalize_loop`). Each `ItoSystem` converts its coefficients
+once, and once more for each wider domain a candidate needs; every
+builder here, `model.apply_discrete` and the ansatz solver read them
+(`ItoSystem._of`), and the Fokker-Planck family reads the A, B and C
+that those coefficients compute once per domain, after
+`model.fokker_planck_of` has decided degeneracy. The ODE family is minus
+the Lambda family of the system with zero noise.
 """
 from __future__ import annotations
 
@@ -73,7 +74,7 @@ def _lambda_gamma(ito: ItoSystem, tau, xi, B=None):
     (`leave`), to be normalized."""
     # B's columns, read once; a zero B adds no term
     cols = [] if B is None or all(e == 0 for e in B) else B.T.tolist()
-    c, ((tau,), xi, *cols) = ito._engine.of([(tau,), xi, *cols])
+    c, ((tau,), xi, *cols) = ito._of([(tau,), xi, *cols])
     lam, gam = _lambda_gamma_of(c, tau, xi, cols)
     return ([c.calc.leave(e) for e in lam],
             [[c.calc.leave(e, c.lam) for e in row] for row in gam])
@@ -166,14 +167,14 @@ def detsys_w(ito: ItoSystem, ws: WSymmetry) -> DeterminingSystem:
 
 def detsys_fp(ito: ItoSystem, vf: VectorField) -> DeterminingSystem:
     """Determining equations for nontrivial projectable symmetries of the
-    Fokker-Planck equation of the system, as `fokker_planck_of` builds it
-    once; in the ring when A, B, C and every candidate entry lie in it."""
+    Fokker-Planck equation of the system, with A, B and C computed from its
+    coefficients; in the ring when they and every candidate entry lie in it."""
     if vf.beta is None:
         raise ValueError("FP determining equations require a beta component")
-    c, ((tau, beta), xi) = fokker_planck_of(ito)._engine.of(
-        [(vf.tau, vf.beta), vf.xi])
-    calc, x, t, A = c.calc, c.x, c.t, c.A
-    cols = list(zip(*A))
+    fokker_planck_of(ito)
+    c, ((tau, beta), xi) = ito._of([(vf.tau, vf.beta), vf.xi])
+    # A = -S is symmetric
+    calc, x, t, (A, B, C) = c.calc, c.x, c.t, c.fokker_planck
     jac = [calc.gradient(e, x) for e in xi]
     grad_beta = calc.gradient(beta, x)
 
@@ -181,12 +182,12 @@ def detsys_fp(ito: ItoSystem, vf: VectorField) -> DeterminingSystem:
         """d_t(tau e) + xi^a d_a e for a coefficient e."""
         return calc.d(tau * e, t) + calc.dot(xi, calc.gradient(e, x))
     eqs = [(f"FP-A[{i + 1}][{k + 1}]", moved(a) - calc.dot(A[i], jac[k])
-            - calc.dot(cols[k], jac[i]))
+            - calc.dot(A[k], jac[i]))
            for i, row in enumerate(A) for k, a in enumerate(row)]
     eqs += [(f"FP-B[{i + 1}]", moved(b) + calc.dot(A[i], grad_beta)
-             + calc.dot(cols[i], grad_beta) - c.L(xi[i], jac[i]))
-            for i, b in enumerate(c.B)]
-    eqs.append(("FP-C", moved(c.C) + c.L(beta, grad_beta)))
+             + calc.dot(A[i], grad_beta) - c.fp_L(xi[i], jac[i]))
+            for i, b in enumerate(B)]
+    eqs.append(("FP-C", moved(C) + c.fp_L(beta, grad_beta)))
     return _pack("fokker-planck", [(label, calc.leave(e)) for label, e in eqs])
 
 
@@ -194,7 +195,7 @@ def detsys_discrete(ito: ItoSystem, dmap: DiscreteMap) -> DeterminingSystem:
     """Determining equations for a finite map y = phi(x,t), z = R w:
     drift family  dphi^i/dx^j f^j + S^{jk} d2_{jk} phi^i + d_t phi^i - f^i(phi, t),
     noise family  (dphi/dx sigma R^T)^i_k - sigma^i_k(phi, t)."""
-    c, (phi, *R) = ito._engine.of([dmap.phi, *dmap.R])
+    c, (phi, *R) = ito._of([dmap.phi, *dmap.R])
     return _pack("ito-discrete", _discrete_equations(c, phi, R))
 
 

@@ -37,22 +37,29 @@ _ASSUMPTIONS = {"positive", "nonzero", "real"}
 _ROW = r"\[([^\[\]]*)\]"
 # rows separated by single commas, nothing else inside the outer brackets
 _MATRIX = re.compile(rf"\[{_ROW}(\s*,\s*{_ROW})*\]")
+# an entry of a row, with its spaces: from after "[" or "," to "," or "]"
+_ENTRY = re.compile(r"(?<=[\[,])[^,\]]*")
 
 
 def _lines(text):
+    """(lineno, line, end): a line without its comment and surrounding
+    whitespace, and the column past it; a suffix s begins at end - len(s)."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0].rstrip()
+        line = code.lstrip()
         if line:
-            yield lineno, line
+            yield lineno, line, len(code) + 1
 
 
 def _fail(message, lineno):
     raise ParseError(message, lineno, 1)
 
 
-def _parse_at(expr_text, ctx, lineno):
+def _parse_at(text, ctx, lineno, col):
+    """parse_expr of `text`, which begins at column `col` of line `lineno`:
+    indented to that column, so that a ParseError names its column."""
     try:
-        return parse_expr(expr_text, ctx)
+        return parse_expr(" " * (col - 1) + text, ctx)
     except UndeclaredSymbolError as e:
         raise UndeclaredSymbolError(e.name, lineno, e.col) from None
     except ParseError as e:
@@ -83,7 +90,7 @@ def _parse_param_list(rest, lineno, out):
 def parse_system(text) -> ItoSystem:
     name = "system"
     params, declared, coeff_lines = {}, {}, []
-    for lineno, line in _lines(text):
+    for lineno, line, end in _lines(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "system":
@@ -99,7 +106,7 @@ def parse_system(text) -> ItoSystem:
             if len(set(names)) != len(names):
                 _fail(f"a name repeats in the {head} declaration", lineno)
         elif head in ("drift", "sigma"):
-            coeff_lines.append((lineno, head, rest))
+            coeff_lines.append((lineno, end, head, rest))
         else:
             _fail(f"unknown directive '{head}'", lineno)
     spatial, noises = declared.get("vars"), declared.get("noises")
@@ -114,7 +121,7 @@ def parse_system(text) -> ItoSystem:
     f_seen = set()
     sigma = [[sp.Integer(0)] * len(noises) for _ in spatial]
     sigma_seen = set()
-    for lineno, head, rest in coeff_lines:
+    for lineno, end, head, rest in coeff_lines:
         lhs, eq, expr_text = rest.partition("=")
         if not eq:
             _fail(f"expected '=' in {head} line", lineno)
@@ -126,7 +133,7 @@ def parse_system(text) -> ItoSystem:
             if i in f_seen:
                 _fail(f"duplicate drift entry for '{fields[0]}'", lineno)
             f_seen.add(i)
-            f[i] = _parse_at(expr_text.strip(), ctx, lineno)
+            f[i] = _parse_at(expr_text, ctx, lineno, end - len(expr_text))
         else:
             if (len(fields) != 2 or fields[0] not in var_index
                     or fields[1] not in noise_index):
@@ -135,17 +142,20 @@ def parse_system(text) -> ItoSystem:
             if key in sigma_seen:
                 _fail(f"duplicate sigma entry for '{fields[0]} {fields[1]}'", lineno)
             sigma_seen.add(key)
-            sigma[key[0]][key[1]] = _parse_at(expr_text.strip(), ctx, lineno)
+            sigma[key[0]][key[1]] = _parse_at(expr_text, ctx, lineno,
+                                              end - len(expr_text))
     return ItoSystem(context=ctx, f=tuple(f),
                      sigma=tuple(tuple(row) for row in sigma), name=name)
 
 
-def _parse_matrix_literal(text, ctx, lineno):
-    text = text.strip()
+def _parse_matrix_literal(text, ctx, lineno, col):
+    """The rows of the literal `text`, which begins at column `col`."""
     if not _MATRIX.fullmatch(text):
         _fail("matrix literal must look like [[...], [...]]", lineno)
-    rows = [tuple(_parse_at(e.strip(), ctx, lineno) for e in row.split(","))
-            for row in re.findall(_ROW, text[1:-1])]
+    rows = [tuple(_parse_at(e.group(), ctx, lineno,
+                            col + row.start() + e.start())
+                  for e in _ENTRY.finditer(row.group()))
+            for row in re.finditer(_ROW, text)]
     if len({len(r) for r in rows}) != 1:
         _fail("matrix rows have unequal lengths", lineno)
     return tuple(rows)
@@ -159,7 +169,7 @@ def parse_candidate(text, context):
     name = ""
     extra_params = {}
     entries = []
-    for lineno, line in _lines(text):
+    for lineno, line, end in _lines(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "candidate":
@@ -170,26 +180,27 @@ def parse_candidate(text, context):
         if head == "params":
             _parse_param_list(rest, lineno, extra_params)
             continue
-        entries.append((lineno, line))
+        entries.append((lineno, line, end))
     ctx = context.with_params(extra_params) if extra_params else context
     n, m = ctx.n, ctx.m
     var_index = {v: i for i, v in enumerate(ctx.spatial_names)}
 
     single, xi, phi, B = {}, {}, {}, {}
     at = {}  # the line of each entry, keyed by (head, component)
-    for lineno, line in entries:
+    for lineno, line, end in entries:
         lhs, eq, expr_text = line.partition("=")
         if not eq:
             _fail("expected '=' in candidate entry", lineno)
         lhs = lhs.strip()
         expr_text = expr_text.strip()
+        col = end - len(expr_text)
         fields = lhs.split()
         head = fields[0]
         if head in ("tau", "beta", "R") and len(fields) == 1:
             if head in single:
                 _fail(f"duplicate {head} entry", lineno)
             parse = _parse_matrix_literal if head == "R" else _parse_at
-            single[head] = parse(expr_text, ctx, lineno)
+            single[head] = parse(expr_text, ctx, lineno, col)
             at[head, None] = lineno
         elif head in ("xi", "phi"):
             component = xi if head == "xi" else phi
@@ -198,7 +209,7 @@ def parse_candidate(text, context):
             i = var_index[fields[1]]
             if i in component:
                 _fail(f"duplicate {head} entry for '{fields[1]}'", lineno)
-            component[i] = _parse_at(expr_text, ctx, lineno)
+            component[i] = _parse_at(expr_text, ctx, lineno, col)
             at[head, i] = lineno
         elif head.startswith("B[") and len(fields) == 1:
             inner = head[1:]
@@ -210,7 +221,7 @@ def parse_candidate(text, context):
                 _fail("B indices out of range or on the diagonal", lineno)
             if (p, q) in B:
                 _fail(f"duplicate B entry B[{p + 1}][{q + 1}]", lineno)
-            B[(p, q)] = _parse_at(expr_text, ctx, lineno)
+            B[(p, q)] = _parse_at(expr_text, ctx, lineno, col)
             at["B", (p, q)] = lineno
         else:
             _fail(f"unknown candidate directive '{lhs}'", lineno)

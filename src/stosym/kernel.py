@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import enum
 import random
+import re
 from functools import cached_property, lru_cache
 
 import sympy as sp
@@ -34,6 +35,7 @@ BUILTIN_FUNCTIONS = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos, "sqrt": sp.sqr
 # reaches: a power is expanded when it is normalized, and 9^9999999999
 # alone would need gigabytes.
 _MAX_EXPONENT = 64
+_MAX_BITS = _MAX_EXPONENT ** 2  # of an evaluated power of a number
 
 
 class ExprError(Exception):
@@ -133,50 +135,24 @@ class Context:
 # ---------------------------------------------------------------------------
 # parsing
 
-_OPS = set("+-*/^(),[]=")
+# one alternative per token kind; a number has at most one dot
+_TOKEN = re.compile(r"(?P<NEWLINE>\n)|(?P<SPACE>\s)"
+                    r"|(?P<NUMBER>\d+\.?\d*|\.\d+)|(?P<NAME>[^\W\d]\w*)"
+                    r"|(?P<OP>[-+*/^(),\[\]=])|(?P<ERROR>.)")
 
 
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < len(text) and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            tokens.append(("NUMBER", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(("OP", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character '{ch}'", line, col)
-    tokens.append(("EOF", "", line, col))
+    """(kind, text, line, column) of each token of `text`, then EOF."""
+    tokens, line, start = [], 1, 0  # start: the index where the line starts
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - start + 1
+        if kind == "NEWLINE":
+            line, start = line + 1, m.end()
+        elif kind == "ERROR":
+            raise ParseError(f"unexpected character '{m.group()}'", line, col)
+        elif kind != "SPACE":
+            tokens.append((kind, m.group(), line, col))
+    tokens.append(("EOF", "", line, len(text) - start + 1))
     return tokens
 
 
@@ -245,6 +221,11 @@ class _Parser:
             if degree > _MAX_EXPONENT:
                 raise ParseError(f"degree {degree} is larger than "
                                  f"{_MAX_EXPONENT}", line, col)
+            bits = abs(p) * (max(e.p.bit_length(), e.q.bit_length())
+                             if e.is_Rational else 0)
+            if bits > _MAX_BITS:
+                raise ParseError(f"power of {int(bits)} bits is larger "
+                                 f"than {_MAX_BITS}", line, col)
             e = e ** p
         return e
 
@@ -304,11 +285,12 @@ class _Parser:
 
 def _degree(e):
     """Total degree of e as a polynomial in its symbols and function calls,
-    read off the tree; a constant has degree 0."""
+    read off the tree; a number has degree 0, and a constant sum, which
+    holds a radical or a function call, has degree 1 at least."""
     if e.is_Number:
         return 0
     if e.is_Add:
-        return max(map(_degree, e.args))
+        return max(int(e.is_number), *map(_degree, e.args))
     if e.is_Mul:
         return sum(map(_degree, e.args))
     if e.is_Pow and e.exp.is_Rational:

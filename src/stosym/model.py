@@ -8,15 +8,13 @@ terms, which makes the tau = 0 and B = 0 reductions exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import mul
 
 import sympy as sp
 from sympy.core.cache import cacheit
 from sympy.utilities.iterables import sift
 from sympy.polys.domains import QQ
-from sympy.polys.rings import PolyElement
 
 from .kernel import Context, _own_ring, _ring_element, all_zero, normalize
 
@@ -57,13 +55,17 @@ class ItoSystem:
     """dx^i = f^i(x,t) dt + sigma^i_k(x,t) dw^k on R^n with m noise channels.
 
     The constructor normalizes f and sigma and converts f and sigma / lam
-    (`_common_radical`) once for the engine."""
+    (`_common_radical`) once into the exact domain. The system keeps these
+    coefficients, their expressions and their conversion into each wider
+    domain a candidate needs (`_of`); none of them takes part in equality."""
     context: Context
     f: tuple
     sigma: tuple
     name: str = ""
     _coefficients: object = field(init=False, default=None, compare=False,
                                   repr=False)
+    _domains: dict = field(init=False, default_factory=dict, compare=False,
+                           repr=False)
 
     def __post_init__(self):
         ctx = self.context
@@ -105,27 +107,42 @@ class ItoSystem:
         return sp.Matrix(self.sigma)
 
     @cached_property
-    def _engine(self):
-        """The system side of the determining equations, built once."""
+    def _expr_coefficients(self):
+        """The coefficients as expressions, built once."""
         ctx = self.context
-        return _Engine(self._coefficients, lambda: _Coefficients(
-            _EXPRS, ctx.spatial, ctx.t, self.f, self.sigma))
+        return _Coefficients(_EXPRS, ctx.spatial, ctx.t, self.f, self.sigma)
+
+    def _of(self, groups):
+        """The coefficients and the candidate's entry groups in one type:
+        the exact domain, widened where the entries need it, when every
+        entry lies in it, else expressions. A wider domain converts f and
+        sigma / lam once more, and the system keeps them."""
+        c = self._coefficients
+        converted = c and _convert(c.calc, groups)
+        if converted is None:
+            return (self._expr_coefficients,
+                    [[sp.sympify(e) for e in g] for g in groups])
+        calc, groups = converted
+        if calc is c.calc:
+            return c, groups
+        wide = self._domains.get(calc.key)
+        if wide is None:
+            _, (f, *sigma) = _convert(
+                calc, [self.f, *_common_radical(self.sigma)[1]])
+            wide = self._domains[calc.key] = _Coefficients(
+                calc, calc.x, calc.t, f, sigma, c.lam)
+        return wide, groups
 
     @cached_property
     def _fokker_planck(self):
-        """The Fokker-Planck equation, with the engine its family reads; its
-        degeneracy is decided once."""
-        ctx, engine = self.context, self._engine
-        c = engine.exprs if engine.ring is None else engine.ring
-        fp, leave = c.fokker_planck(), c.calc.leave
-        out = FokkerPlanck(ctx, A=[[leave(e) for e in row] for row in fp.A],
-                           B=[leave(e) for e in fp.B], C=leave(fp.C))
-        if not c.S or (engine.ring is None and all_zero(
+        """The Fokker-Planck equation; its degeneracy is decided once."""
+        c = self._coefficients or self._expr_coefficients
+        (A, B, C), leave = c.fokker_planck, c.calc.leave
+        out = FokkerPlanck(self.context, A=[[leave(e) for e in r] for r in A],
+                           B=[leave(e) for e in B], C=leave(C))
+        if not c.S or (c.calc is _EXPRS and all_zero(
                 e for row in out.A for e in row)):
             raise DegeneracyError("sigma sigma^T vanishes identically")
-        object.__setattr__(out, "_engine", _Engine(
-            None if engine.ring is None else fp, lambda: _FpCoefficients(
-                _EXPRS, ctx.spatial, ctx.t, out.A, out.B, out.C)))
         return out
 
 
@@ -137,8 +154,6 @@ class FokkerPlanck:
     A: tuple
     B: tuple
     C: object
-    _engine: object = field(init=False, default=None, compare=False,
-                            repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", _matrix(self.A))
@@ -233,9 +248,10 @@ class DiscreteMap:
 #
 # The formulas below are written once, over two exact coefficient types:
 # sympy expressions, differentiated by symbol, and elements of a sparse
-# polynomial ring, differentiated by generator index. They return raw sums
-# over the structurally nonzero terms only; their callers take them out
-# through `leave` and normalize once, at their output.
+# polynomial ring, differentiated by generator index; `_Coefficients` holds
+# a system, its generator L and its Fokker-Planck A, B, C in one type. They
+# return raw sums over the structurally nonzero terms only; their callers
+# take them out through `leave` and normalize once, at their output.
 
 class _Exprs:
     """Calculus on sympy expressions, the general coefficient type; a
@@ -339,7 +355,8 @@ class _Ring(_Exprs):
 @dataclass(frozen=True)
 class _Coefficients:
     """An Ito system in one coefficient type: the calculus `calc` of that
-    type, the variables x and t, f and sigma / lam (`_common_radical`)."""
+    type, the variables x and t, f and sigma / lam (`_common_radical`);
+    the Fokker-Planck family reads its A, B and C, computed from them."""
     calc: _Exprs
     x: tuple
     t: object
@@ -386,9 +403,11 @@ class _Coefficients:
             noise.append(c.noise_image(grad, sig))
         return drift, noise
 
+    @cached_property
     def fokker_planck(self):
-        """The associated Fokker-Planck coefficients in the same type:
-        A = -S, B^i = f^i + 2 d_j A^{ij}, C = d_i f^i + d2_{ij} A^{ij}."""
+        """The associated Fokker-Planck coefficients (A, B, C) in the same
+        type: A = -S, B^i = f^i + 2 d_j A^{ij},
+        C = d_i f^i + d2_{ij} A^{ij}."""
         c, x, n = self.calc, self.x, len(self.f)
         A = [[c.zero] * n for _ in range(n)]
         for a, b, w in self.S:
@@ -397,28 +416,14 @@ class _Coefficients:
         div = [c.add([c.d(e, v) for e, v in zip(row, x)]) for row in A]
         B = [f + 2 * d for f, d in zip(self.f, div)]
         C = c.add([c.d(f + d, v) for f, d, v in zip(self.f, div, x)])
-        return _FpCoefficients(c, x, self.t, A, B, C)
+        return A, B, C
 
-
-@dataclass(frozen=True)
-class _FpCoefficients:
-    """A Fokker-Planck equation in one coefficient type: the calculus `calc`
-    of that type, the variables x and t, A (nested rows), B and C."""
-    calc: _Exprs
-    x: tuple
-    t: object
-    A: list
-    B: list
-    C: object
-
-    def L(self, u, grad):
-        """d_t u + A^{ab} d2_{ab} u + B^a d_a u from (u, grad u): the
-        Fokker-Planck operator without its C u term."""
+    def fp_L(self, u, grad):
+        """d_t u + A^{ab} d2_{ab} u + B^a d_a u from (u, grad u), A = -S:
+        the Fokker-Planck operator without its C u term."""
         c = self.calc
-        A = [(a, b, e) for a, row in enumerate(self.A)
-             for b, e in enumerate(row) if e != 0]
-        return (c.d(u, self.t) + c.second_order(A, grad, self.x)
-                + c.dot(self.B, grad))
+        return (c.d(u, self.t) - c.second_order(self.S, grad, self.x)
+                + c.dot(self.fokker_planck[1], grad))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +448,8 @@ def _convert(calc, groups):
     groups of entries need it, and the groups as its elements, or None.
     An entry that calc's ring takes costs that walk alone; the others are
     scanned for sqrt(p) of a parameter p > 0 (then p = q_p^2 everywhere)
-    and exp(c t), c free of x and t, one E_k per rate c."""
+    and exp(c t), c free of x and t, one E_k per rate c. In a wider
+    domain every entry is converted anew."""
     out = [[_ring_element(e, calc.ring) for e in g] for g in groups]
     refused = [sp.sympify(e) for g, row in zip(groups, out)
                for e, p in zip(g, row) if p is None]
@@ -482,24 +488,10 @@ def _convert(calc, groups):
         back.update((E, sp.exp(c.xreplace(back) * t))
                     for E, c in zip(es, rates))
         wider = _Ring(ring, x, t, elements, back, key)
-    lift, rest = _lift(calc, wider), iter(refused)
-    out = [[_ring_element(next(rest).xreplace(sub), wider.ring) if p is None
-            else lift(p) for p in row] for row in out]
+    out = [[_ring_element(sp.sympify(e).xreplace(sub), wider.ring)
+             if p is None or wider is not calc else p
+             for e, p in zip(g, row)] for g, row in zip(groups, out)]
     return None if any(p is None for r in out for p in r) else (wider, out)
-
-
-def _lift(calc, wider):
-    """The map of calc's ring (and of nested lists of its elements) into
-    that of `wider`, which widens it: E_k appended, q_p in place of p."""
-    a, b = calc.ring.symbols, wider.ring.symbols
-    pw, pad = [1 + (u != v) for u, v in zip(a, b)], (0,) * (len(b) - len(a))
-
-    def lift(e):
-        if isinstance(e, list):
-            return [lift(u) for u in e]
-        return wider.ring.dtype({tuple(map(mul, m, pw)) + pad: v
-                                 for m, v in e.items()})
-    return lift
 
 
 def _common_radical(sigma):
@@ -516,36 +508,6 @@ def _common_radical(sigma):
         return 1, sigma
     return radicals.pop(), [[sp.Add(*(sp.Mul(*a) for _, a in e)) for e in row]
                             for row in parts]
-
-
-@dataclass(frozen=True)
-class _Engine:
-    """An equation's coefficients in the exact domain (or None), their lifts
-    into the domains that candidates widen it to, and their expression form."""
-    ring: object
-    _exprs: object
-    _lifts: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @cached_property
-    def exprs(self):
-        return self._exprs()
-
-    def of(self, groups):
-        """The coefficients and the candidate's entry groups in one type:
-        the exact domain when every entry lies in it too, else expressions."""
-        converted = self.ring and _convert(self.ring.calc, groups)
-        if converted is None:
-            return self.exprs, [[sp.sympify(e) for e in g] for g in groups]
-        calc, groups = converted
-        if calc is self.ring.calc:
-            return self.ring, groups
-        c = self._lifts.get(calc.key)
-        if c is None:
-            lift, old = _lift(self.ring.calc, calc), vars(self.ring)
-            c = self._lifts[calc.key] = replace(self.ring, calc=calc, **{
-                f.name: lift(old[f.name]) for f in fields(self.ring)
-                if isinstance(old[f.name], (list, PolyElement))})
-        return c, groups
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +590,7 @@ def apply_discrete(ito: ItoSystem, dmap: DiscreteMap,
     symbols) is supplied.
     """
     inverse = () if inverse is None else inverse
-    c, (phi, inverse, *R) = ito._engine.of([dmap.phi, inverse, *dmap.R])
+    c, (phi, inverse, *R) = ito._of([dmap.phi, inverse, *dmap.R])
     drift, noise = c.image(phi, R)
     at = c.calc.substitution(c.x, inverse) if inverse else (lambda e: e)
     leave = c.calc.leave

@@ -287,7 +287,7 @@ def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
     elements = _elements(n, ansatz.time_basis,
                          _monomials(x, degree, sp.Integer(1)), mixers,
                          sp.Integer(0))
-    c, (basis,) = ito._engine.of([ansatz.time_basis])
+    c, (basis,) = ito._of([ansatz.time_basis])
     if c.calc is _EXPRS:
         calc, (basis, f, *sigma) = _over_expressions(
             x, t, [ansatz.time_basis, ito.f, *ito.sigma], OutsideAnsatzError)

@@ -146,9 +146,10 @@ def _fp_classification(ito: ItoSystem, vf: VectorField) -> FpClassification:
 
 def check_superposition(ito: ItoSystem, alpha) -> bool:
     """True iff alpha(x,t) solves the Fokker-Planck equation of the system
-    (as `fokker_planck_of` builds it), i.e. generates a trivial superposition
+    (that of `fokker_planck_of`), i.e. generates a trivial superposition
     symmetry alpha(x,t) d_u (excluded from classification); raises
     InconclusiveError when the zero test cannot decide."""
-    c, ((alpha,),) = fokker_planck_of(ito)._engine.of([(alpha,)])
-    return is_zero(c.calc.leave(c.L(alpha, c.calc.gradient(alpha, c.x))
-                                + c.C * alpha))
+    fokker_planck_of(ito)
+    c, ((alpha,),) = ito._of([(alpha,)])
+    return is_zero(c.calc.leave(c.fp_L(alpha, c.calc.gradient(alpha, c.x))
+                                + c.fokker_planck[2] * alpha))

@@ -146,11 +146,20 @@ def test_manifest_check_golden(runner, fixtures_dir, entry):
 # [exit code, stdout] of `detsys --json` for three failing Fokker-Planck
 # candidates (heat in the ring; kramers with exp(t) in xi; a system whose A
 # is not a polynomial) and of `derive-fp --json` for the fixture systems,
-# written by `tools/cli_snapshot.py --golden`. Paths in the commands are
+# as tests/data/cli_snapshot.json records them. Paths in the commands are
 # relative to the repository root.
 ROOT = Path(__file__).resolve().parent.parent
-FP_GOLDEN = json.loads((ROOT / "tests" / "data" / "fp_golden.json")
-                       .read_text())
+SNAPSHOT = json.loads((ROOT / "tests" / "data" / "cli_snapshot.json")
+                      .read_text())
+FP_GOLDEN = [
+    *(f"detsys {system} tests/data/{candidate}_fp_fail.cand --json"
+      for system, candidate in (("src/stosym/fixtures/heat.sde", "heat"),
+                                ("src/stosym/fixtures/kramers.sde", "kramers"),
+                                ("tests/data/expnoise.sde", "expnoise"))),
+    *(f"derive-fp src/stosym/fixtures/{system} --json" for system in (
+        "heat.sde", "kramers.sde", "rotating.sde", "langevin2.sde",
+        "langevin2_amp.sde", "langevin4.sde", "norm_coupled2.sde")),
+]
 
 
 @pytest.mark.parametrize("command", FP_GOLDEN, ids=lambda c: " ".join(
@@ -159,7 +168,7 @@ def test_fp_golden(runner, command):
     args = [str(ROOT / a) if (ROOT / a).is_file() else a
             for a in command.split()]
     result = runner.invoke(main, args)
-    assert [result.exit_code, result.stdout] == FP_GOLDEN[command]
+    assert [result.exit_code, result.stdout] == SNAPSHOT[command][:2]
 
 
 @pytest.mark.parametrize("args, steps", [

@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from stosym import model
 from stosym.dsl import load_candidate
-from stosym.kernel import Context, Verdict, normalize, to_dsl
+from stosym.kernel import Context, Verdict, normalize, to_dsl, zero_verdict
 from stosym.model import (DiscreteMap, ItoSystem, VectorField, WSymmetry,
-                          _Engine, apply_discrete, diffusion_matrix,
+                          apply_discrete, diffusion_matrix,
                           fokker_planck_of, lie_bracket,
                           transform_ito_first_order)
 from stosym.verify import (FpClassification, _fp_classification, check,
@@ -134,13 +134,16 @@ class TestOde:
 
 @pytest.mark.parametrize("name", ["heat.sde", "kramers.sde", "rotating.sde"])
 def test_engine_built_once_per_system(systems, monkeypatch, name):
-    """Every builder, lambda_, gamma and apply_discrete read one engine, in
-    the exact domain (heat, and kramers with its sqrt(2) scaled out) and
-    on the expression path (rotating's cos and sin)."""
-    built = []
-    init = _Engine.__init__
-    monkeypatch.setattr(_Engine, "__init__", lambda self, *args:
-                        built.append(self) or init(self, *args))
+    """Every builder, lambda_, gamma and apply_discrete read one set of
+    system coefficients, in the exact domain (heat, and kramers with its
+    sqrt(2) scaled out) and in expression form (rotating's cos and sin)."""
+    read, of = [], ItoSystem._of
+
+    def recorded(self, groups):
+        out = of(self, groups)
+        read.append(out[0])
+        return out
+    monkeypatch.setattr(ItoSystem, "_of", recorded)
     loaded = systems[name]
     ito = ItoSystem(loaded.context, f=loaded.f, sigma=loaded.sigma)
     ctx, x = ito.context, ito.context.spatial
@@ -153,23 +156,22 @@ def test_engine_built_once_per_system(systems, monkeypatch, name):
     lambda_(ito, vf)
     gamma(ito, vf)
     apply_discrete(ito, dmap, inverse=tuple(-v for v in x))
-    assert built == [ito._engine]
-    assert (ito._engine.ring is None) == (name == "rotating.sde")
+    rotating = name == "rotating.sde"
+    assert (ito._coefficients is None) == rotating
+    assert ("_expr_coefficients" in vars(ito)) == rotating
+    one = ito._expr_coefficients if rotating else ito._coefficients
+    assert len(read) == 6 and all(c is one for c in read)
 
 
 @pytest.mark.parametrize("name", ["heat.sde", "kramers.sde", "langevin2.sde"])
 def test_fp_coefficients_built_once_per_system(systems, monkeypatch, name):
     """fokker_planck_of, diffusion_matrix, detsys_fp, check_superposition
-    and project_fp_symmetry read one build of A, B and C, made from the
-    system's engine: one engine for the Ito families and one for the
-    Fokker-Planck family."""
-    built, engines = [], []
-    derive = model._Coefficients.fokker_planck
-    monkeypatch.setattr(model._Coefficients, "fokker_planck",
-                        lambda self: built.append(self) or derive(self))
-    init = _Engine.__init__
-    monkeypatch.setattr(_Engine, "__init__", lambda self, *args:
-                        engines.append(self) or init(self, *args))
+    and project_fp_symmetry read one computation of A, B and C from the
+    system's coefficients, and fokker_planck_of returns one value."""
+    built = []
+    prop = model._Coefficients.__dict__["fokker_planck"]
+    monkeypatch.setattr(prop, "func", lambda self, derive=prop.func:
+                        built.append(self) or derive(self))
     loaded = systems[name]
     ito = ItoSystem(loaded.context, f=loaded.f, sigma=loaded.sigma)
     ctx = ito.context
@@ -180,9 +182,13 @@ def test_fp_coefficients_built_once_per_system(systems, monkeypatch, name):
     check_superposition(ito, 1)
     project_fp_symmetry(ito, vf)
     assert fokker_planck_of(ito) is fp
-    engine = ito._engine
-    assert built == [engine.exprs if engine.ring is None else engine.ring]
-    assert engines == [engine, fp._engine]
+    assert built == [ito._coefficients]
+    # a candidate holding exp(t) widens the domain once
+    wide = extend_to_fp(VectorField(ctx, tau=sp.exp(ctx.t), xi=(0,) * ito.n))
+    detsys_fp(ito, wide)
+    check_superposition(ito, sp.exp(ctx.t))
+    assert built == [ito._coefficients, *ito._domains.values()]
+    assert len(built) == 2
 
 
 def test_kramers_in_ring_with_its_radical_scaled_out(kramers):
@@ -194,13 +200,12 @@ def test_kramers_in_ring_with_its_radical_scaled_out(kramers):
     x, y = ctx.spatial
     k = ctx.ring(ctx.symbol("k"))
     vf = VectorField(ctx, tau=ctx.t, xi=(x, y), beta=-2 * ctx.t)
-    fp = fokker_planck_of(kramers)._engine
-    c, _ = fp.of([(vf.tau, vf.beta), vf.xi])
-    assert c is fp.ring is not None
-    assert c.A[1][1] == -k**2
-    engine = kramers._engine
-    c, _ = engine.of([(vf.tau,), vf.xi])
-    assert c is engine.ring is not None
+    c, _ = kramers._of([(vf.tau, vf.beta), vf.xi])
+    assert c is kramers._coefficients is not None
+    A, _, _ = c.fokker_planck
+    assert A[1][1] == -k**2
+    c, _ = kramers._of([(vf.tau,), vf.xi])
+    assert c is kramers._coefficients
     assert (c.lam, c.sigma, c.S) == (sp.sqrt(2), [[0], [k]], [(1, 1, k**2)])
 
 
@@ -229,8 +234,7 @@ def _rational(rng):
 
 
 def _takes_ring(ito, groups):
-    engine = ito._engine
-    return engine.of(groups)[0] is engine.ring is not None
+    return ito._of(groups)[0] is ito._coefficients is not None
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -250,7 +254,7 @@ def test_ring_lambda_gamma_matches_expression_path(rng):
                    Bmat=((0, b), (-b, 0)))
     B = ws.b_matrix()
     assert _takes_ring(ito, [(ws.tau,), ws.xi, B])
-    lam, gam = _lambda_gamma_of(ito._engine.exprs, ws.tau, ws.xi,
+    lam, gam = _lambda_gamma_of(ito._expr_coefficients, ws.tau, ws.xi,
                                 B.T.tolist())
     expected = [normalize(e) for e in (*lam, *(e for row in gam for e in row))]
     assert list(detsys_w(ito, ws).residuals()) == expected
@@ -270,7 +274,7 @@ def test_ring_discrete_matches_expression_path(rng):
                 + _rational(rng) * t ** rng.randint(0, 2) for _ in range(2))
     dmap = DiscreteMap(context=RING_CTX, phi=phi, R=R)
     assert _takes_ring(ito, [dmap.phi, *dmap.R])
-    eqs = _discrete_equations(ito._engine.exprs, dmap.phi,
+    eqs = _discrete_equations(ito._expr_coefficients, dmap.phi,
                               [[sp.sympify(e) for e in row] for row in dmap.R])
     ds = detsys_discrete(ito, dmap)
     assert ds.labels() == tuple(label for label, _ in eqs)
@@ -281,7 +285,7 @@ def _random_fp_case(rng):
     """A random polynomial system with a nonvanishing diffusion matrix and
     a random polynomial candidate tau(t), xi(x, t), beta(x, t)."""
     ito = random_polynomial_system(rng)
-    assume(ito._engine.ring.S)
+    assume(ito._coefficients.S)
     t = RING_CTX.t
 
     def poly():
@@ -298,12 +302,11 @@ def test_ring_fp_matches_expression_path(rng):
     """The Fokker-Planck family of a polynomial system and candidate is the
     same in the ring as on the expression path."""
     ito, vf = _random_fp_case(rng)
-    engine = fokker_planck_of(ito)._engine
-    c, _ = engine.of([(vf.tau, vf.beta), vf.xi])
+    c, _ = ito._of([(vf.tau, vf.beta), vf.xi])
     assert c.calc is not model._EXPRS
     in_ring = detsys_fp(ito, vf)
     with mock.patch.object(model, "_convert", lambda calc, groups: None):
-        assert engine.of([])[0].calc is model._EXPRS
+        assert ito._of([])[0].calc is model._EXPRS
         on_exprs = detsys_fp(ito, vf)
     assert in_ring.equations == on_exprs.equations
 
@@ -330,7 +333,7 @@ class TestFallback:
         ctx = Context(spatial=("x",), noises=("w",))
         x = ctx.spatial[0]
         ito = ItoSystem(ctx, f=(sp.Float(0.5) * x,), sigma=((1,),))
-        assert ito._engine.ring is None
+        assert ito._coefficients is None
         ds = detsys_projectable(ito, VectorField(ctx, tau=1, xi=(x**2,)))
         assert [to_dsl(e) for e in ds.residuals()] == ["-0.5*x^2 - 1.0",
                                                         "2*x"]
@@ -340,7 +343,7 @@ class TestFallback:
         ctx = Context(spatial=("x", "y"), noises=("w1", "w2"))
         (x, y), t = ctx.spatial, ctx.t
         ito = ItoSystem(ctx, f=(-x, -y), sigma=((1, 0), (0, sp.sqrt(2))))
-        assert ito._engine.ring is None
+        assert ito._coefficients is None
         ds = detsys_projectable(ito, VectorField(ctx, tau=t, xi=(x, y * t)))
         assert [to_dsl(e) for e in ds.residuals()] == [
             "-x", "-2*y", "1/2", "0", "0", "sqrt(2)*t - sqrt(2)/2"]
@@ -351,9 +354,9 @@ class TestFallback:
         ito = systems["heat.sde"]
         x, t = ito.context.spatial[0], ito.context.t
         vf = VectorField(ito.context, tau=sp.exp(t), xi=(x,))
-        assert ito._engine.ring is not None
-        c, _ = ito._engine.of([(vf.tau,), vf.xi])
-        assert c is not ito._engine.ring and len(c.calc.rates) == 1
+        assert ito._coefficients is not None
+        c, _ = ito._of([(vf.tau,), vf.xi])
+        assert c is not ito._coefficients and len(c.calc.rates) == 1
         assert [to_dsl(e) for e in detsys_projectable(ito, vf).residuals()] == [
             "0", "-s0*exp(t)/2 + s0"]
 
@@ -398,10 +401,10 @@ def test_wider_domain_matches_expression_path(rng):
     drawn = random_polynomial_system(rng)
     ito = ItoSystem(RING_CTX, f=drawn.f, sigma=tuple(
         tuple(scale * e for e in row) for row in drawn.sigma))
-    assume(ito._engine.ring is not None and ito._engine.ring.S)
+    assume(ito._coefficients is not None and ito._coefficients.S)
     with mock.patch.object(model, "_convert", lambda calc, groups: None):
         on_exprs = ItoSystem(RING_CTX, f=ito.f, sigma=ito.sigma)
-    assert on_exprs._engine.ring is None
+    assert on_exprs._coefficients is None
     t, b = RING_CTX.t, _rational(rng)
     tau = _rational(rng) + _exp_term(rng, RING_CTX, False)
     xi = tuple(random_expression(rng, RING_CTX, depth=1, functions=False)
@@ -410,12 +413,43 @@ def test_wider_domain_matches_expression_path(rng):
     vf = VectorField(RING_CTX, tau=tau, xi=xi)
     ws = WSymmetry(RING_CTX, tau=tau, xi=xi, Bmat=((0, b), (-b, 0)))
     fp = VectorField(RING_CTX, tau=tau, xi=xi, beta=beta)
-    c, _ = ito._engine.of([(tau,), xi])
+    c, _ = ito._of([(tau,), xi])
     assert c.calc is not model._EXPRS and c.calc.rates
     for build, candidate in ((detsys_projectable, vf), (detsys_w, ws),
                              (detsys_fp, fp)):
         assert (build(ito, candidate).equations
                 == build(on_exprs, candidate).equations)
+
+
+def _nonzero_rational(rng):
+    return sp.Rational(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_wider_domain_against_first_order_transform(rng):
+    """An oracle outside the engine: at tau = 0, Lambda = -delta_f and
+    Gamma = delta_sigma of `transform_ito_first_order`, which differentiates
+    expressions with sympy. Each xi entry holds r exp(c t) and s sqrt(k) m,
+    m a monomial, so the system's coefficients are converted into a domain
+    widened by E_c and q = sqrt(k)."""
+    ito = random_polynomial_system(rng)
+    (x, y), t, k = RING_CTX.spatial, RING_CTX.t, RING_CTX.params["k"]
+
+    def entry():
+        m = x**rng.randint(0, 2) * y**rng.randint(0, 2) * t**rng.randint(0, 1)
+        return (random_expression(rng, RING_CTX, depth=2, functions=False)
+                + _nonzero_rational(rng) * sp.exp(_nonzero_rational(rng) * t)
+                + _nonzero_rational(rng) * sp.sqrt(k) * m)
+    vf = VectorField(RING_CTX, tau=0, xi=(entry(), entry()))
+    lam, gam = lambda_(ito, vf), gamma(ito, vf)
+    (wide,) = ito._domains.values()
+    assert wide.calc.rates and wide.calc.key[3] == (k,)
+    delta_f, delta_sigma = transform_ito_first_order(ito, vf.xi)
+    residuals = [a + b for a, b in zip(lam, delta_f)]
+    residuals += [a - b for row, drow in zip(gam, delta_sigma)
+                  for a, b in zip(row, drow)]
+    assert all(zero_verdict(e) is Verdict.ZERO for e in residuals)
 
 
 def test_nonzero_ring_element_that_vanishes_is_zero():
@@ -426,7 +460,7 @@ def test_nonzero_ring_element_that_vanishes_is_zero():
     x, t = ctx.spatial[0], ctx.t
     ito = ItoSystem(ctx, f=(x * sp.exp(t),), sigma=((1,),))
     vf = VectorField(ctx, tau=sp.exp(t), xi=(x * sp.exp(2 * t),))
-    c, ((tau,), xi) = ito._engine.of([(vf.tau,), vf.xi])
+    c, ((tau,), xi) = ito._of([(vf.tau,), vf.xi])
     assert len(c.calc.rates) == 2
     lam, _ = _lambda_gamma_of(c, tau, xi, [])
     assert lam[0] != 0
@@ -444,7 +478,7 @@ def test_parameter_meets_its_root_is_zero():
     ctx = Context(spatial=("x",), params={"k": "positive"}, noises=("w",))
     x, t, k = ctx.spatial[0], ctx.t, ctx.params["k"]
     ito = ItoSystem(ctx, f=(0,), sigma=((sp.sqrt(2 * k),),))
-    assert ito._engine.ring.lam == sp.sqrt(2)
+    assert ito._coefficients.lam == sp.sqrt(2)
     ds = detsys_projectable(ito, VectorField(ctx, xi=(x**2 - 2 * k * t,)))
     assert [to_dsl(e) for e in ds.residuals()] == ["0", "2*sqrt(2)*sqrt(k)*x"]
     assert [v for _, v, _ in check(ds).per_equation] == [Verdict.ZERO,
@@ -502,7 +536,7 @@ class TestScaledRadical:
         ctx = kramers.context
         build, gam, lam = _KRAMERS_CANDIDATES[name]
         vf = build(ctx, *ctx.spatial, ctx.t, ctx.params["k"])
-        assert kramers._engine.ring.lam == sp.sqrt(2)
+        assert kramers._coefficients.lam == sp.sqrt(2)
         assert _strings(gamma(kramers, vf)) == gam
         assert [str(e) for e in lambda_(kramers, vf)] == lam
         assert (_fp_classification(kramers, extend_to_fp(vf))
@@ -514,7 +548,7 @@ class TestScaledRadical:
         ctx = lan.context
         build, gam, lam = _LANGEVIN_CANDIDATES[name]
         candidate = build(ctx, *ctx.spatial, ctx.t)
-        assert lan._engine.ring.lam == sp.sqrt(2)
+        assert lan._coefficients.lam == sp.sqrt(2)
         assert _strings(gamma(lan, candidate)) == gam
         assert [str(e) for e in lambda_(lan, candidate)] == lam
         if isinstance(candidate, VectorField):

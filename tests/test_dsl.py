@@ -214,6 +214,29 @@ def test_parse_error_message_and_line(kind, text, message, line):
     assert str(err.value) == f"{message} (line {line}, column 1)"
 
 
+@pytest.mark.parametrize("kind,text,message,column", [
+    ("system", "vars x\nnoises w\ndrift x = ((x+1)^32+1)^32\n",
+     "degree 1024 is larger than 64", 24),
+    ("system", "vars x\nnoises w\ndrift x = 1 + y\n",
+     "undeclared symbol 'y'", 15),
+    ("system", "vars x\nnoises w\n  \tsigma x w = 2 * y  # noise\n",
+     "undeclared symbol 'y'", 20),
+    ("candidate", "xi x = 1 + z\n", "undeclared symbol 'z'", 12),
+    ("candidate", "phi x = -x\n  R = [[0, 1], [1, 1 + z]]\n",
+     "undeclared symbol 'z'", 24),
+], ids=["exponent", "drift", "indented-sigma", "xi", "R-entry"])
+def test_parse_error_column_in_line(kind, text, message, column):
+    """An error inside an expression names its column in the file's line,
+    leading whitespace included."""
+    with pytest.raises(ParseError) as err:
+        if kind == "system":
+            parse_system(text)
+        else:
+            parse_candidate(text, parse_system(PAIR))
+    line = text.count("\n")
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+
+
 class TestRoundTrips:
     def test_system_text(self, pair):
         again = parse_system(to_sde(pair))

@@ -379,8 +379,9 @@ def test_eval_numeric(ctx):
     assert val == pytest.approx(10.0)
 
 
-_PARSE_TOKENS = ("x", "t", *"0123456789", ".", "+", "-", "*", "/", "^", "(",
-                 ")", "sin", "cos", "exp", "sqrt")
+# "²" is a digit to str.isdigit but not to int()
+_PARSE_TOKENS = ("x", "t", *"0123456789", "²", ".", "+", "-", "*", "/", "^",
+                 "(", ")", "sin", "cos", "exp", "sqrt")
 
 
 @st.composite
@@ -427,6 +428,23 @@ class TestParserLimits:
             parse_expr("((x+1)^64)^64", ctx)
         with pytest.raises(ParseError, match=r"\(line 1, column 14\)$"):
             parse_expr("((x+1)^32+1)^32", ctx)
+        # a number has degree 0: an evaluated power of one is bounded by
+        # its bits, and a constant sum holding a radical has degree 1
+        r2 = sp.sqrt(2)
+        for text, value in (("9^64", sp.Integer(9)**64),
+                            ("2^64*x", 2**64 * x),
+                            ("(1/2)^64", sp.Rational(1, 2**64)),
+                            ("(2*x)^32", 2**32 * x**32),
+                            ("(sqrt(2)*x)^64", 2**32 * x**64),
+                            ("(sqrt(2)+1)^64", sp.expand((r2 + 1)**64))):
+            assert parse_expr(text, ctx) == value
+        for text, message in (("(9^64)^64", "power of 12992 bits is larger "
+                               r"than 4096 \(line 1, column 8\)$"),
+                              ("((9^64)^64)^64", r"\(line 1, column 9\)$"),
+                              ("((sqrt(2)+1)^64)^64", "degree 4096 is larger "
+                               r"than 64 \(line 1, column 18\)$")):
+            with pytest.raises(ParseError, match=message):
+                parse_expr(text, ctx)
 
 
 class TestAllZero:

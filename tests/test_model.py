@@ -5,6 +5,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 import stosym.kernel as kernel
+from stosym.detgen import detsys_projectable
 from stosym.dsl import load_system
 from stosym.kernel import (Context, InconclusiveError, Verdict, normalize,
                            zero_verdict)
@@ -66,6 +67,17 @@ class TestItoSystem:
                     expected = sp.srepr(normalize(e))
                     assert {sp.srepr(c) for c in (*out.f, *out.sigma[0])} \
                         == {expected}
+
+    def test_equal_after_widening(self, heat):
+        """The domains a system widens to are a cache: two equal systems
+        stay equal and hash equal after one of them has built one."""
+        other = ItoSystem(heat.context, f=heat.f, sigma=heat.sigma,
+                          name=heat.name)
+        ctx = other.context
+        detsys_projectable(other, VectorField(ctx, tau=sp.exp(ctx.t),
+                                              xi=ctx.spatial))
+        assert other._domains
+        assert other == heat and hash(other) == hash(heat)
 
     def test_half_diffusion(self, kramers):
         k = kramers.context.symbol("k")

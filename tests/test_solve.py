@@ -590,7 +590,7 @@ class TestRadicals:
         engine of langevin2, whose sigma_0 = sigma / sqrt(2) holds q."""
         lan = systems["langevin2.sde"]
         s1 = lan.context.params["s1"]
-        c, _ = lan._engine.of([(sp.exp(s1 * lan.context.t),)])
+        c, _ = lan._of([(sp.exp(s1 * lan.context.t),)])
         calc = c.calc
         q = _generator("q_s1", True)
         assert q in calc.ring.symbols and s1 not in calc.ring.symbols

@@ -15,9 +15,7 @@ alters output regenerates it:
     PYTHONHASHSEED=0 PYTHONPATH=src python tools/cli_snapshot.py tests/data/cli_snapshot.json
 
 Commands name their files relative to the repository root, so snapshots
-of two checkouts compare key by key. `--golden` runs only the commands of
-tests/data/fp_golden.json (Fokker-Planck output that is not all zero) and
-writes [exit code, stdout] for each, the entries that file holds.
+of two checkouts compare key by key.
 """
 from __future__ import annotations
 
@@ -35,6 +33,8 @@ FIXTURES = "src/stosym/fixtures/"
 DATA = "tests/data/"
 FP_KINDS = {"fp", "normalization", "classification"}
 
+# Fokker-Planck output that is not all zero; tests/test_cli.py compares
+# [exit code, stdout] of these commands with the snapshot
 GOLDEN = [
     f"detsys {FIXTURES}heat.sde {DATA}heat_fp_fail.cand --json",
     f"detsys {FIXTURES}kramers.sde {DATA}kramers_fp_fail.cand --json",
@@ -114,27 +114,23 @@ def commands():
     return list(dict.fromkeys(out))
 
 
-def run(command, runner, stderr=True):
-    """[exit code, stdout, stderr] of one command, without stderr when
-    `stderr` is false; files are resolved against the repository root,
-    anything written lands in the runner's directory."""
+def run(command, runner):
+    """[exit code, stdout, stderr] of one command; files are resolved
+    against the repository root, anything written lands in the runner's
+    directory."""
     args = [str(ROOT / a) if (ROOT / a).is_file() else a
             for a in shlex.split(command)]
     result = runner.invoke(cli, args)
-    return [result.exit_code, result.stdout,
-            *([result.stderr] if stderr else [])]
+    return [result.exit_code, result.stdout, result.stderr]
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="JSON file to write")
-    parser.add_argument("--golden", action="store_true",
-                        help="run only the Fokker-Planck golden commands")
     args = parser.parse_args(argv)
     runner = CliRunner()
     with runner.isolated_filesystem():
-        snapshot = {c: run(c, runner, stderr=not args.golden)
-                    for c in (GOLDEN if args.golden else commands())}
+        snapshot = {c: run(c, runner) for c in commands()}
     Path(args.out).write_text(json.dumps(snapshot, indent=1) + "\n")
     print(f"{len(snapshot)} commands -> {args.out}")
 
