@@ -8,7 +8,7 @@ from .kernel import (Context, DomainError, ExprError, InconclusiveError,
                      Verdict, all_zero, differentiate, eval_numeric, is_zero,
                      normalize, parse_expr, substitute, to_dsl, zero_verdict)
 from .model import (DegeneracyError, DiscreteMap, FokkerPlanck, ItoSystem,
-                    VectorField, WSymmetry, apply_discrete, diffusion_matrix,
+                    VectorField, apply_discrete, diffusion_matrix,
                     fokker_planck_of, ito_to_stratonovich, lie_bracket,
                     same_fp, transform_ito_first_order)
 from .detgen import (DeterminingSystem, detsys_discrete, detsys_fp,

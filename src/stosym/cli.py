@@ -7,7 +7,8 @@ where a command needs its Fokker-Planck equation), 3 the verdict is
 inconclusive (the zero test could not decide a residual, a degeneracy or
 the orthogonality of a candidate's R), 4 a simulation blew up
 (`simulate`, `mc-check`: a path, or a state the candidate moved, left the
-finite numbers).
+finite numbers), 5 an internal error, no verdict (any other exception; its
+traceback goes to stderr).
 """
 from __future__ import annotations
 
@@ -15,13 +16,14 @@ import functools
 import json
 import math
 import sys
+import traceback
 from dataclasses import replace
 
 import click
 import sympy as sp
 
 from .kernel import Context, InconclusiveError, ParseError, _dsl, parse_expr
-from .model import DegeneracyError, DiscreteMap, VectorField, WSymmetry, \
+from .model import DegeneracyError, DiscreteMap, VectorField, \
     fokker_planck_of
 from .detgen import detsys_discrete, detsys_fp, detsys_projectable, detsys_w
 from .verify import OverallVerdict, _fp_classification, check, \
@@ -36,6 +38,7 @@ EXIT_NOT_SYMMETRY = 1
 EXIT_PARSE_ERROR = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_BLOWUP = 4
+EXIT_INTERNAL = 5
 
 
 def _emit(data):
@@ -58,9 +61,9 @@ def _exit_for(overall):
 
 
 def _exit_contract(command):
-    """Map the errors a symbolic command can meet past parsing onto the exit
-    contract, with one line on stderr: a degenerate system is rejected
-    input (2) and an undecided zero test an inconclusive verdict (3)."""
+    """Map the errors a command meets past parsing onto the exit contract:
+    one stderr line for a degenerate system (2) or an undecided zero test
+    (3), the traceback of any other exception but click's own (5)."""
     @functools.wraps(command)
     def run(*args, **kwargs):
         try:
@@ -69,6 +72,10 @@ def _exit_contract(command):
             _reject(f"{click.get_current_context().info_name}: {e}")
         except InconclusiveError as e:
             _stop(EXIT_INCONCLUSIVE, f"inconclusive: {e}")
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception:
+            _stop(EXIT_INTERNAL, traceback.format_exc().rstrip())
     return run
 
 
@@ -82,7 +89,7 @@ def _load(path, loader, *args):
 def _detsys_for(ito, candidate):
     if isinstance(candidate, DiscreteMap):
         return detsys_discrete(ito, candidate)
-    if isinstance(candidate, WSymmetry):
+    if candidate.Bmat is not None:
         return detsys_w(ito, candidate)
     if candidate.beta is not None:
         return detsys_fp(ito, candidate)
@@ -167,7 +174,7 @@ def check_cmd(system_file, candidate_file, classify_fp, as_json):
     candidate = _load(candidate_file, load_candidate, ito)
     data = {"schema": 1}
     if classify_fp:
-        if not isinstance(candidate, VectorField):
+        if isinstance(candidate, DiscreteMap) or candidate.Bmat is not None:
             _reject("--fp applies to vector-field candidates only")
         vf = candidate if candidate.beta is not None else extend_to_fp(candidate)
         report = check(detsys_fp(ito, vf))
@@ -240,7 +247,7 @@ def solve_cmd(system_file, degree, basis_tokens, with_b, as_json):
             parts = [f"tau = {_dsl(g.tau)}"]
             parts += [f"xi {v} = {_dsl(g.xi[j])}"
                       for j, v in enumerate(ito.context.spatial_names)]
-            if isinstance(g, WSymmetry):
+            if g.Bmat is not None:
                 parts.append(f"B = {[[_dsl(e) for e in row] for row in g.Bmat]}")
             click.echo(f"generator {i}: " + ", ".join(parts))
 
@@ -277,6 +284,7 @@ def _parse_x0(text, n):
 
 
 @main.command("simulate")
+@_exit_contract
 @click.argument("system_file", type=click.Path(exists=True))
 @click.option("--x0", required=True, help="Comma-separated initial point.")
 @click.option("--t0", default=0.0, show_default=True)

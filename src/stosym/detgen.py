@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import sympy as sp
 
 from .kernel import normalize
-from .model import (DiscreteMap, ItoSystem, VectorField, WSymmetry,
-                    fokker_planck_of)
+from .model import DiscreteMap, ItoSystem, VectorField, fokker_planck_of
 
 __all__ = [
     "DeterminingSystem", "detsys_ode", "detsys_spatial", "detsys_projectable",
@@ -67,14 +66,14 @@ def _pack(name, equations):
                              free_unknowns=_unknown_functions(e for _, e in eqs))
 
 
-def _lambda_gamma(ito: ItoSystem, tau, xi, B=None):
-    """Raw (Lambda, Gamma) of the candidate (tau, xi, B), with B a constant
-    antisymmetric m x m matrix or None: a list of n Lambda entries and n
-    rows of m Gamma entries, linear in the candidate, out of the engine
-    (`leave`), to be normalized."""
+def _lambda_gamma(ito: ItoSystem, g: VectorField):
+    """Raw (Lambda, Gamma) of the generator g, its noise mixer included: n
+    Lambda entries and n rows of m Gamma entries, linear in g, out of the
+    engine (`leave`), to be normalized."""
     # B's columns, read once; a zero B adds no term
-    cols = [] if B is None or all(e == 0 for e in B) else B.T.tolist()
-    c, ((tau,), xi, *cols) = ito._of([(tau,), xi, *cols])
+    B = g.Bmat or ()
+    cols = [] if all(e == 0 for row in B for e in row) else list(zip(*B))
+    c, ((tau,), xi, *cols) = ito._of([(g.tau,), g.xi, *cols])
     lam, gam = _lambda_gamma_of(c, tau, xi, cols)
     return ([c.calc.leave(e) for e in lam],
             [[c.calc.leave(e, c.lam) for e in row] for row in gam])
@@ -105,12 +104,6 @@ def _lambda_gamma_of(c, tau, xi, B):
     return lam, gam
 
 
-def _parts(candidate):
-    """(tau, xi, B) of a projectable or W candidate."""
-    B = candidate.b_matrix() if isinstance(candidate, WSymmetry) else None
-    return candidate.tau, candidate.xi, B
-
-
 def gamma(ito: ItoSystem, candidate):
     """Gamma^k_j = sigma^m_j d_m xi^k - xi^m d_m sigma^k_j
     - tau d_t sigma^k_j - (1/2) sigma^k_j d_t tau, as an n x m matrix.
@@ -118,13 +111,13 @@ def gamma(ito: ItoSystem, candidate):
     For a W-symmetry candidate the constant antisymmetric B contributes an
     extra -(sigma B)^k_j term.
     """
-    _, gam = _lambda_gamma(ito, *_parts(candidate))
+    _, gam = _lambda_gamma(ito, candidate)
     return tuple(tuple(normalize(e) for e in row) for row in gam)
 
 
 def lambda_(ito: ItoSystem, candidate):
     """Lambda^i = -[d_t(xi^i - tau f^i) + {f, xi}^i + S^{mk} d2_{mk} xi^i]."""
-    lam, _ = _lambda_gamma(ito, *_parts(candidate))
+    lam, _ = _lambda_gamma(ito, candidate)
     return tuple(normalize(e) for e in lam)
 
 
@@ -136,12 +129,12 @@ def detsys_ode(f, vf: VectorField) -> DeterminingSystem:
         raise ValueError("ODE determining equations take a candidate without beta")
     ctx = vf.context
     ito = ItoSystem(ctx, f=tuple(f), sigma=((0,) * ctx.m,) * ctx.n)
-    lam, _ = _lambda_gamma(ito, vf.tau, vf.xi)
+    lam, _ = _lambda_gamma(ito, vf)
     return _pack("ode", [(f"ODE[{i + 1}]", -e) for i, e in enumerate(lam)])
 
 
 def _lambda_gamma_system(name, ito, candidate):
-    lam, gam = _lambda_gamma(ito, *_parts(candidate))
+    lam, gam = _lambda_gamma(ito, candidate)
     eqs = [(f"Lambda[{i + 1}]", e) for i, e in enumerate(lam)]
     eqs += [(f"Gamma[{i + 1}][{k + 1}]", e)
             for i, row in enumerate(gam) for k, e in enumerate(row)]
@@ -159,9 +152,9 @@ def detsys_projectable(ito: ItoSystem, vf: VectorField) -> DeterminingSystem:
     return _lambda_gamma_system("ito-projectable", ito, vf)
 
 
-def detsys_w(ito: ItoSystem, ws: WSymmetry) -> DeterminingSystem:
-    """Determining equations for W-symmetries: the Lambda family plus the
-    B-shifted Gamma family. With B = 0 this equals detsys_projectable."""
+def detsys_w(ito: ItoSystem, ws: VectorField) -> DeterminingSystem:
+    """Determining equations for W-symmetries, generators with a noise mixer
+    B (`Bmat`): Lambda and B-shifted Gamma; with B = 0, detsys_projectable."""
     return _lambda_gamma_system("ito-w", ito, ws)
 
 

@@ -25,7 +25,7 @@ import sympy as sp
 
 from .kernel import Context, ParseError, UndeclaredSymbolError, _dsl, \
     is_zero, parse_expr
-from .model import DiscreteMap, ItoSystem, VectorField, WSymmetry
+from .model import DiscreteMap, ItoSystem, VectorField
 
 __all__ = [
     "parse_system", "parse_candidate", "load_system", "load_candidate",
@@ -241,7 +241,7 @@ def parse_candidate(text, context):
             tuple(sp.Integer(1) if p == q else sp.Integer(0) for q in range(m))
             for p in range(m))
         return DiscreteMap(context=ctx, phi=full_phi, R=full_R)
-    full_xi = tuple(xi.get(i, sp.Integer(0)) for i in range(n))
+    mat = None
     if B:
         if beta is not None:
             _fail("beta is not supported on noise-mixing candidates",
@@ -255,10 +255,9 @@ def parse_candidate(text, context):
                 _fail(f"B[{p + 1}][{q + 1}] and B[{q + 1}][{p + 1}] "
                       "are not antisymmetric",
                       max(at["B", (p, q)], at["B", (q, p)]))
-        return WSymmetry(context=ctx, tau=tau if tau is not None else 0,
-                         xi=full_xi, Bmat=tuple(tuple(r) for r in mat))
     return VectorField(context=ctx, tau=tau if tau is not None else 0,
-                       xi=full_xi, beta=beta, name=name)
+                       xi=tuple(xi.get(i, sp.Integer(0)) for i in range(n)),
+                       beta=beta, name=name, Bmat=mat)
 
 
 def load_system(path) -> ItoSystem:
@@ -292,7 +291,9 @@ def _param_lines(params):
 
 def to_sde(ito: ItoSystem) -> str:
     ctx = ito.context
-    out = [f"system {ito.name or 'system'}"]
+    # the name as an identifier, which `system` takes: kpz-3 -> kpz_3
+    name = re.sub(r"\W", "_", ito.name or "system")
+    out = [f"system {name if name.isidentifier() else '_' + name}"]
     out += _param_lines(ctx.param_assumptions)
     out.append("vars " + " ".join(ctx.spatial_names))
     out.append("noises " + " ".join(ctx.noise_names))
@@ -317,7 +318,7 @@ def to_cand(candidate, base_context=None, name="") -> str:
         for i, v in enumerate(ctx.spatial_names):
             if candidate.phi[i] != ctx.spatial[i]:
                 out.append(f"phi {v} = {_dsl(candidate.phi[i])}")
-        if candidate.r_matrix() != sp.eye(ctx.m):
+        if sp.Matrix(candidate.R) != sp.eye(ctx.m):
             rows = ", ".join(
                 "[" + ", ".join(_dsl(e) for e in row) + "]"
                 for row in candidate.R)
@@ -331,7 +332,7 @@ def to_cand(candidate, base_context=None, name="") -> str:
     for i, v in enumerate(ctx.spatial_names):
         if candidate.xi[i] != 0:
             out.append(f"xi {v} = {_dsl(candidate.xi[i])}")
-    if isinstance(candidate, WSymmetry):
+    if candidate.Bmat is not None:
         b_lines = [f"B[{p + 1}][{q + 1}] = {_dsl(candidate.Bmat[p][q])}"
                    for p in range(ctx.m) for q in range(p + 1, ctx.m)
                    if candidate.Bmat[p][q] != 0]
@@ -361,9 +362,19 @@ def system_to_dict(ito: ItoSystem) -> dict:
     }
 
 
+def _declared(keys, names, what):
+    """Reject the first key of a JSON object that is not one of `names`."""
+    for key in keys:
+        if key not in names:
+            raise ValueError(f"'{key}' is not a {what}")
+
+
 def system_from_dict(d) -> ItoSystem:
     ctx = Context(spatial=tuple(d["vars"]), params=dict(d.get("params", {})),
                   noises=tuple(d["noises"]))
+    _declared([*d["drift"], *d["sigma"]], d["vars"], "declared variable")
+    _declared([w for row in d["sigma"].values() for w in row], d["noises"],
+              "declared noise")
     f = tuple(parse_expr(d["drift"].get(v, "0"), ctx) for v in d["vars"])
     sigma = tuple(tuple(parse_expr(d["sigma"].get(v, {}).get(w, "0"), ctx)
                         for w in d["noises"]) for v in d["vars"])
@@ -383,7 +394,7 @@ def candidate_to_dict(candidate, base_context=None, name="") -> dict:
     d["tau"] = _dsl(candidate.tau)
     d["xi"] = {v: _dsl(candidate.xi[i])
                for i, v in enumerate(ctx.spatial_names)}
-    if isinstance(candidate, WSymmetry):
+    if candidate.Bmat is not None:
         d["type"] = "w_symmetry"
         d["B"] = [[_dsl(e) for e in row] for row in candidate.Bmat]
     else:
@@ -393,23 +404,32 @@ def candidate_to_dict(candidate, base_context=None, name="") -> dict:
     return d
 
 
+# the keys of each candidate type beside schema, name, params and type
+_CANDIDATE_KEYS = {"discrete_map": ("phi", "R"),
+                   "vector_field": ("tau", "xi", "beta"),
+                   "w_symmetry": ("tau", "xi", "B")}
+
+
 def candidate_from_dict(d, context):
     if isinstance(context, ItoSystem):
         context = context.context
     ctx = (context.with_params(dict(d.get("params", {})))
            if d.get("params") else context)
-    kind = d["type"]
+    kind, names = d["type"], ctx.spatial_names
+    if kind not in _CANDIDATE_KEYS:
+        raise ValueError(f"unknown candidate type '{kind}'")
+    _declared(d, ("schema", "name", "params", "type", *_CANDIDATE_KEYS[kind]),
+              f"key of a {kind} candidate")
     if kind == "discrete_map":
-        phi = tuple(parse_expr(d["phi"].get(v, v), ctx) for v in ctx.spatial_names)
+        _declared(d["phi"], names, "declared variable")
+        phi = tuple(parse_expr(d["phi"].get(v, v), ctx) for v in names)
         R = tuple(tuple(parse_expr(e, ctx) for e in row) for row in d["R"])
         return DiscreteMap(context=ctx, phi=phi, R=R)
-    tau = parse_expr(d.get("tau", "0"), ctx)
-    xi = tuple(parse_expr(d["xi"].get(v, "0"), ctx) for v in ctx.spatial_names)
-    if kind == "w_symmetry":
-        B = tuple(tuple(parse_expr(e, ctx) for e in row) for row in d["B"])
-        return WSymmetry(context=ctx, tau=tau, xi=xi, Bmat=B)
-    if kind == "vector_field":
-        beta = parse_expr(d["beta"], ctx) if "beta" in d else None
-        return VectorField(context=ctx, tau=tau, xi=xi, beta=beta,
-                           name=d.get("name", ""))
-    raise ValueError(f"unknown candidate type '{kind}'")
+    _declared(d["xi"], names, "declared variable")
+    B = d["B"] if kind == "w_symmetry" else None
+    return VectorField(
+        context=ctx, tau=parse_expr(d.get("tau", "0"), ctx),
+        xi=tuple(parse_expr(d["xi"].get(v, "0"), ctx) for v in names),
+        beta=parse_expr(d["beta"], ctx) if "beta" in d else None,
+        name=d.get("name", ""),
+        Bmat=B and tuple(tuple(parse_expr(e, ctx) for e in row) for row in B))

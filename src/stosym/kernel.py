@@ -194,9 +194,16 @@ class _Parser:
 
     def term(self):
         e = self.unary()
+        degree = _degree(e)
         while self.peek()[1] in ("*", "/"):
             op = self.advance()[1]
+            _, _, line, col = self.peek()
             rhs = self.unary()
+            # a product is bounded as a power is: its factors' degrees add
+            degree += _degree(rhs)
+            if degree > _MAX_EXPONENT:
+                raise ParseError(f"degree {degree} is larger than "
+                                 f"{_MAX_EXPONENT}", line, col)
             e = e * rhs if op == "*" else e / rhs
         return e
 

@@ -12,7 +12,7 @@ import sympy as sp
 
 from .kernel import Context
 from .detgen import DeterminingSystem, detsys_discrete, detsys_w
-from .model import DiscreteMap, ItoSystem, WSymmetry
+from .model import DiscreteMap, ItoSystem, VectorField
 from .verify import VerificationReport, check
 
 __all__ = [
@@ -79,7 +79,7 @@ def kpz_detsys_continuous(chain: KpzChain, tau, Lambda_matrix, alpha_vec,
         raise ValueError("candidate shape does not match the chain size")
     xi = Lam * sp.Matrix(chain.context.spatial) + al
     B = () if Bmat is None else sp.Matrix(Bmat).tolist()
-    ws = WSymmetry(chain.context, tau=tau, xi=tuple(xi), Bmat=B)
+    ws = VectorField(chain.context, tau=tau, xi=tuple(xi), Bmat=B)
     return replace(detsys_w(kpz_ito(chain), ws), name="kpz-continuous")
 
 

@@ -67,13 +67,16 @@ class Ensemble:
     paths: np.ndarray   # (n_paths, n_stored, n)
     seed: int
     dt: float
-    n_paths: int
 
     def __post_init__(self):
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("sample times must be strictly increasing")
         if not np.all(np.isfinite(self.paths)):
             raise ValueError("ensemble contains non-finite values")
+
+    @property
+    def n_paths(self):
+        return self.paths.shape[0]
 
     @property
     def n(self):
@@ -217,8 +220,7 @@ def euler_maruyama(ito: ItoSystem, x0, t0, t1, dt, n_paths, seed,
             if step % store_every == 0 or step == n_steps:
                 paths[:, len(times), :] = X.T
                 times.append(t)
-    return Ensemble(times=np.asarray(times), paths=paths,
-                    seed=seed, dt=dt, n_paths=n_paths)
+    return Ensemble(times=np.asarray(times), paths=paths, seed=seed, dt=dt)
 
 
 @dataclass(frozen=True)
@@ -318,16 +320,15 @@ def _move(ens: Ensemble, candidate, ctx, params, epsilon) -> Ensemble:
                 step = int(round((t - ens.times[0]) / ens.dt))
                 raise BlowupError(int(bad[0]), step, t, what="moved value")
             out[:, ti, :] = X.T
-    return Ensemble(times=ens.times, paths=out, seed=ens.seed,
-                    dt=ens.dt, n_paths=ens.n_paths)
+    return Ensemble(times=ens.times, paths=out, seed=ens.seed, dt=ens.dt)
 
 
 def validate_symmetry_mc(ito: ItoSystem, candidate, x0, t0=0.0, t1=1.0,
                          dt=1e-3, n_paths=10_000, seed=12345, epsilon=0.3,
                          significance=0.01, params=None) -> ComparisonReport:
     """Simulate the system, move every stored state through the candidate
-    (a DiscreteMap by phi; a VectorField or WSymmetry with tau = 0 by the
-    flow exp(eps xi) at the state's own t, without beta or B), and compare
+    (a DiscreteMap by phi; a VectorField with tau = 0 by the flow
+    exp(eps xi) at the state's own t, its beta or Bmat unused), and compare
     the moved ensemble with the same system started at the moved point.
 
     Only one-time marginals of the two laws are compared, so a Fokker-Planck
@@ -389,4 +390,4 @@ def load_binary(path) -> Ensemble:
         paths = np.fromfile(fh, dtype="<f8", count=n_values)
         times = np.fromfile(fh, dtype="<f8", count=n_stored)
     return Ensemble(times=times, paths=paths.reshape(n_paths, n_stored, n),
-                    seed=seed, dt=dt, n_paths=n_paths)
+                    seed=seed, dt=dt)

@@ -20,7 +20,7 @@ from .kernel import Context, _own_ring, _ring_element, all_zero, normalize
 
 __all__ = [
     "DegeneracyError",
-    "ItoSystem", "FokkerPlanck", "VectorField", "WSymmetry", "DiscreteMap",
+    "ItoSystem", "FokkerPlanck", "VectorField", "DiscreteMap",
     "diffusion_matrix", "fokker_planck_of", "same_fp", "ito_to_stratonovich",
     "lie_bracket", "transform_ito_first_order", "apply_discrete",
 ]
@@ -36,18 +36,6 @@ def _exprs(seq):
 
 def _matrix(rows):
     return tuple(tuple(normalize(e) for e in row) for row in rows)
-
-
-def _set_tau_xi(candidate):
-    """Normalize tau and xi of a generator in place: xi defaults to zero and
-    needs one entry per spatial variable, and tau must be free of them."""
-    ctx = candidate.context
-    object.__setattr__(candidate, "tau", normalize(candidate.tau))
-    object.__setattr__(candidate, "xi", _exprs(candidate.xi or (0,) * ctx.n))
-    if len(candidate.xi) != ctx.n:
-        raise ValueError(f"expected {ctx.n} xi components")
-    if sp.sympify(candidate.tau).free_symbols & set(ctx.spatial):
-        raise ValueError("tau must not depend on the spatial variables")
 
 
 @dataclass(frozen=True)
@@ -171,51 +159,48 @@ class FokkerPlanck:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Projectable generator tau(t) d_t + xi^i(x,t) d_i, optionally extended
-    by beta(x,t) u d_u; the constructor normalizes tau, xi and beta."""
+    """Generator tau(t) d_t + xi^i(x,t) d_i. It may be extended by
+    beta(x,t) u d_u, or act also on the Wiener process by w -> w + eps B w
+    with B constant antisymmetric (`Bmat`; () stands for B = 0), not both.
+    The constructor normalizes tau, xi, beta and B; xi defaults to zero."""
     context: Context
     tau: object = 0
     xi: tuple = ()
     beta: object = None
     name: str = ""
+    Bmat: tuple = None
 
     def __post_init__(self):
-        _set_tau_xi(self)
+        ctx = self.context
+        object.__setattr__(self, "tau", normalize(self.tau))
+        object.__setattr__(self, "xi", _exprs(self.xi or (0,) * ctx.n))
+        if len(self.xi) != ctx.n:
+            raise ValueError(f"expected {ctx.n} xi components")
+        if sp.sympify(self.tau).free_symbols & set(ctx.spatial):
+            raise ValueError("tau must not depend on the spatial variables")
         if self.beta is not None:
+            if self.Bmat is not None:
+                raise ValueError("beta is not supported on noise-mixing "
+                                 "candidates")
             object.__setattr__(self, "beta", normalize(self.beta))
+        if self.Bmat is not None:
+            m = ctx.m
+            B = _noise_matrix(ctx, self.Bmat or ((0,) * m,) * m, "B")
+            object.__setattr__(self, "Bmat", B)
+            if not all_zero(B[p][q] + B[q][p]
+                            for p in range(m) for q in range(p, m)):
+                raise ValueError("B must be antisymmetric")
 
 
-def _check_constant_matrix(ctx, mat, what):
-    nonconst = {ctx.t, *ctx.spatial}
-    for row in mat:
-        for e in row:
-            if sp.sympify(e).free_symbols & nonconst:
-                raise ValueError(f"{what} must be constant in x and t")
-
-
-@dataclass(frozen=True)
-class WSymmetry:
-    """Generator acting also on the Wiener process: w -> w + eps B w with
-    B constant antisymmetric; the constructor normalizes tau, xi and B."""
-    context: Context
-    tau: object = 0
-    xi: tuple = ()
-    Bmat: tuple = ()
-
-    def __post_init__(self):
-        _set_tau_xi(self)
-        m = self.context.m
-        B = self.Bmat if self.Bmat else tuple((sp.Integer(0),) * m for _ in range(m))
-        object.__setattr__(self, "Bmat", _matrix(B))
-        if len(self.Bmat) != m or any(len(row) != m for row in self.Bmat):
-            raise ValueError(f"B must be {m}x{m}")
-        _check_constant_matrix(self.context, self.Bmat, "B")
-        if not all_zero(self.Bmat[p][q] + self.Bmat[q][p]
-                        for p in range(m) for q in range(p, m)):
-            raise ValueError("B must be antisymmetric")
-
-    def b_matrix(self):
-        return sp.Matrix(self.Bmat)
+def _noise_matrix(ctx, mat, what):
+    """mat normalized, checked to be an m x m matrix constant in x and t."""
+    mat, m = _matrix(mat), ctx.m
+    if len(mat) != m or any(len(row) != m for row in mat):
+        raise ValueError(f"{what} must be {m}x{m}")
+    if any(sp.sympify(e).free_symbols & {ctx.t, *ctx.spatial}
+           for row in mat for e in row):
+        raise ValueError(f"{what} must be constant in x and t")
+    return mat
 
 
 @dataclass(frozen=True)
@@ -228,19 +213,12 @@ class DiscreteMap:
 
     def __post_init__(self):
         object.__setattr__(self, "phi", _exprs(self.phi))
-        object.__setattr__(self, "R", _matrix(self.R))
-        n, m = self.context.n, self.context.m
-        if len(self.phi) != n:
-            raise ValueError(f"expected {n} map components")
-        if len(self.R) != m or any(len(row) != m for row in self.R):
-            raise ValueError(f"R must be {m}x{m}")
-        _check_constant_matrix(self.context, self.R, "R")
-        r = self.r_matrix()
-        if not all_zero(r * r.T - sp.eye(m)):
+        if len(self.phi) != self.context.n:
+            raise ValueError(f"expected {self.context.n} map components")
+        object.__setattr__(self, "R", _noise_matrix(self.context, self.R, "R"))
+        r = sp.Matrix(self.R)
+        if not all_zero(r * r.T - sp.eye(self.context.m)):
             raise ValueError("R must be orthogonal")
-
-    def r_matrix(self):
-        return sp.Matrix(self.R)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,9 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyRing
 
 from .kernel import InconclusiveError, Verdict, _own_ring
-from .model import (_EXPRS, ItoSystem, VectorField, WSymmetry,
-                    _Coefficients, _Ring, _convert,
-                    _exp_split, _generator, lie_bracket)
-from .detgen import _lambda_gamma_of, detsys_projectable, detsys_w
+from .model import (_EXPRS, ItoSystem, VectorField, _Coefficients, _Ring,
+                    _convert, _exp_split, _generator, lie_bracket)
+from .detgen import _lambda_gamma_of, detsys_projectable
 from .verify import OverallVerdict, check
 
 __all__ = [
@@ -255,14 +254,16 @@ def _monomials(x, degree, one):
     return out
 
 
-def _elements(n, basis, monomials, mixers, zero):
-    """(tau, xi, mixer) of each ansatz basis element, one per column of the
-    coefficient matrix; a mixer is a pair (p, q) for B = e_pq - e_qp."""
+def _elements(n, m, basis, monomials, mixers, one, zero):
+    """(tau, xi, B) of each ansatz basis element, one per column of the
+    coefficient matrix; B is e_pq - e_qp for a mixer (p, q), else None."""
     z = (zero,) * n
     out = [(zero, z[:i] + (bt * mu,) + z[i + 1:], None)
            for i in range(n) for mu in monomials for bt in basis]
     out += [(bt, z, None) for bt in basis]
-    return out + [(zero, z, pq) for pq in mixers]
+    return out + [(zero, z, [[one if (a, b) == pq else -one if (b, a) == pq
+                              else zero for b in range(m)] for a in range(m)])
+                  for pq in mixers]
 
 
 def _first_label(report, verdict):
@@ -270,7 +271,7 @@ def _first_label(report, verdict):
 
 
 def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
-    """The ansatz basis elements (tau, xi, mixer) as expressions, the
+    """The ansatz basis elements (tau, xi, B) as expressions, the
     calculus of the ring of `_in_exp_ring` and the columns of the
     coefficient matrix in it: the Lambda and Gamma entries of each
     element. Gamma is built from sigma / lam (`model._common_radical`),
@@ -284,9 +285,9 @@ def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
         degree = min(degree, cap.degree_cap)
     mixers = (list(itertools.combinations(range(m), 2))
               if which == "w" and ansatz.include_B else [])
-    elements = _elements(n, ansatz.time_basis,
+    elements = _elements(n, m, ansatz.time_basis,
                          _monomials(x, degree, sp.Integer(1)), mixers,
-                         sp.Integer(0))
+                         sp.Integer(1), sp.Integer(0))
     c, (basis,) = ito._of([ansatz.time_basis])
     if c.calc is _EXPRS:
         calc, (basis, f, *sigma) = _over_expressions(
@@ -294,16 +295,11 @@ def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
         c = _Coefficients(calc, calc.x, calc.t, f, sigma)
     calc = c.calc
     gens = [calc.ring.gens[i] for i in calc.x]
-    forms = _elements(n, basis, _monomials(gens, degree, calc.one), mixers,
-                      calc.zero)
-    one, zero = calc.one, calc.zero
+    forms = _elements(n, m, basis, _monomials(gens, degree, calc.one), mixers,
+                      calc.one, calc.zero)
     columns = []
-    for tau, xi, pq in forms:
-        # the columns of B = e_pq - e_qp
-        B = [] if pq is None else [
-            [one if (a, j) == pq else -one if (j, a) == pq else zero
-             for a in range(m)] for j in range(m)]
-        lam, gam = _lambda_gamma_of(c, tau, xi, B)
+    for tau, xi, B in forms:
+        lam, gam = _lambda_gamma_of(c, tau, xi, list(zip(*B)) if B else [])
         columns.append([*lam, *(e for row in gam for e in row)])
     return elements, calc, columns
 
@@ -335,17 +331,12 @@ def solve_ansatz(ito: ItoSystem, ansatz: Ansatz, which: str = "projectable") -> 
         # the constructors normalize every entry
         g_tau = sum(c * tau for c, (tau, _, _) in picked)
         g_xi = tuple(sum(c * xi[i] for c, (_, xi, _) in picked) for i in range(n))
-        if which == "w":
-            g_B = sp.zeros(m, m)
-            for c, (_, _, pq) in picked:
-                if pq is not None:
-                    g_B[pq] += c
-                    g_B[pq[::-1]] -= c
-            gen = WSymmetry(ctx, tau=g_tau, xi=g_xi, Bmat=g_B.tolist())
-            report = check(detsys_w(ito, gen))
-        else:
-            gen = VectorField(ctx, tau=g_tau, xi=g_xi)
-            report = check(detsys_projectable(ito, gen))
+        g_B = sum((c * sp.Matrix(B) for c, (_, _, B) in picked if B),
+                  sp.zeros(m, m))
+        gen = VectorField(ctx, tau=g_tau, xi=g_xi,
+                          Bmat=g_B.tolist() if which == "w" else None)
+        # the generator's Lambda/Gamma system, with its mixer's term if any
+        report = check(detsys_projectable(ito, gen))
         if report.overall is OverallVerdict.INCONCLUSIVE:
             raise InconclusiveError(
                 "re-verification of a solver candidate is inconclusive at "
@@ -387,7 +378,7 @@ def commutator_closure(basis: SymmetryBasis) -> ClosureReport:
     """Pairwise commutators expressed in the basis; reports structure
     constants or flags the algebra as not closed within the ansatz."""
     gens = basis.generators
-    if any(not isinstance(g, VectorField) for g in gens):
+    if any(g.Bmat is not None for g in gens):
         raise ValueError("commutator closure is defined for VectorField bases")
     table = {}
     closed = True

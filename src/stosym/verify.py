@@ -10,7 +10,7 @@ import sympy as sp
 from .kernel import Verdict, _dsl, _fold, all_zero, is_zero, substitute, \
     zero_verdict
 from .model import ItoSystem, VectorField, fokker_planck_of
-from .detgen import DeterminingSystem, _lambda_gamma, _parts, detsys_fp
+from .detgen import DeterminingSystem, _lambda_gamma, detsys_fp
 
 __all__ = [
     "OverallVerdict", "FpClassification", "VerificationReport",
@@ -105,11 +105,12 @@ def _divergence(vf: VectorField):
 
 
 def extend_to_fp(vf: VectorField) -> VectorField:
-    """Unique normalization-preserving extension beta = -div(xi)."""
+    """Unique normalization-preserving extension beta = -div(xi); a
+    generator with a noise mixer has none (VectorField refuses both)."""
     if vf.beta is not None:
         raise ValueError("candidate already carries a beta component")
     return VectorField(context=vf.context, tau=vf.tau, xi=vf.xi,
-                       beta=-_divergence(vf), name=vf.name)
+                       beta=-_divergence(vf), name=vf.name, Bmat=vf.Bmat)
 
 
 def check_normalization_preserving(vf: VectorField) -> bool:
@@ -138,7 +139,7 @@ def _fp_classification(ito: ItoSystem, vf: VectorField) -> FpClassification:
     """The Gamma-based classification of `project_fp_symmetry`, for a
     candidate already known to be a normalization-preserving Fokker-Planck
     symmetry."""
-    _, gam = _lambda_gamma(ito, *_parts(vf))
+    _, gam = _lambda_gamma(ito, vf)
     if all_zero(e for row in gam for e in row):
         return FpClassification.ITO_SYMMETRY
     return FpClassification.STATISTICAL_EQUIVALENCE

@@ -9,7 +9,7 @@ import sympy as sp
 
 from stosym.kernel import Context, Verdict, differentiate, is_zero, normalize, \
     zero_verdict
-from stosym.model import (DiscreteMap, ItoSystem, VectorField, WSymmetry,
+from stosym.model import (DiscreteMap, ItoSystem, VectorField,
                           lie_bracket, same_fp, transform_ito_first_order)
 from stosym.detgen import (detsys_discrete, detsys_fp, detsys_projectable,
                            detsys_w, gamma, lambda_)
@@ -90,8 +90,8 @@ def test_criterion_3_rotating(systems):
     bctx = ctx.with_params({"b": None})
     b = bctx.symbol("b")
     x, y = bctx.spatial
-    ws = WSymmetry(context=bctx, tau=0, xi=(b * y, -b * x),
-                   Bmat=((0, b), (-b, 0)))
+    ws = VectorField(context=bctx, tau=0, xi=(b * y, -b * x),
+                     Bmat=((0, b), (-b, 0)))
     assert check(detsys_w(rot, ws)).is_symmetry
     _report(3, "rotating-noise classification and rotation W-symmetry")
 
@@ -125,8 +125,8 @@ def test_criterion_4_langevin(systems):
             B[q, p] = -bpq
     xi = tuple(sum(sp.sqrt(s[i]) / sp.sqrt(s[k]) * B[i, k] * bctx.spatial[k]
                    for k in range(n)) for i in range(n))
-    ws = WSymmetry(context=bctx, tau=0, xi=xi,
-                   Bmat=tuple(tuple(B[p, q] for q in range(n)) for p in range(n)))
+    ws = VectorField(context=bctx, tau=0, xi=xi,
+                     Bmat=tuple(tuple(B[p, q] for q in range(n)) for p in range(n)))
     assert check(detsys_w(lan, ws)).is_symmetry
     # the un-rooted ratio corresponds to amplitude-convention coefficients
     amp = systems["langevin2_amp.sde"]
@@ -156,8 +156,8 @@ def test_criterion_5_nonlinear(systems):
     bctx = ctx.with_params({"b": None})
     b = bctx.symbol("b")
     x1, x2 = bctx.spatial
-    ws = WSymmetry(context=bctx, tau=0, xi=(b * x2, -b * x1),
-                   Bmat=((0, b), (-b, 0)))
+    ws = VectorField(context=bctx, tau=0, xi=(b * x2, -b * x1),
+                     Bmat=((0, b), (-b, 0)))
     assert check(detsys_w(nl, ws)).is_symmetry
     # the rotation commutes with the drift because x^T B x vanishes
     bracket = lie_bracket(nl.f, ws.xi, bctx.spatial)
@@ -221,7 +221,7 @@ def test_criterion_8_property_suites(systems, manifest):
             assert normalize(lam[i] + delta_f[i]) == 0
             assert normalize(gam[i][0] - delta_sigma[i][0]) == 0
         # the W system with a zero mixer is the plain system
-        ws = WSymmetry(context=kramers.context, tau=0, xi=xi)
+        ws = VectorField(context=kramers.context, tau=0, xi=xi, Bmat=())
         a = detsys_w(kramers, ws)
         b = detsys_projectable(kramers, vf)
         for (_, ea), (_, eb) in zip(a.equations, b.equations):
@@ -280,7 +280,7 @@ def test_criterion_9_monte_carlo(systems):
     c = euler_maruyama(wiener, [0.0], 0.0, 1.0, dt, n_paths, seed=105)
     d = euler_maruyama(wiener, [0.8], 0.0, 1.0, dt, n_paths, seed=106)
     shifted = type(c)(times=c.times, paths=c.paths + 0.8, seed=c.seed,
-                      dt=c.dt, n_paths=c.n_paths)
+                      dt=c.dt)
     assert compare_ensembles(shifted, d, significance=significance).verdict
     # reflection of the oscillators validated pathwise in distribution
     x1, x2 = lan.context.spatial

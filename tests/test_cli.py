@@ -104,6 +104,14 @@ class TestCheck:
                                       fx(fixtures_dir, "langevin_wrot.cand")])
         assert result.exit_code == 0
 
+    def test_fp_refuses_w_candidate(self, runner, fixtures_dir):
+        result = runner.invoke(main, ["check", fx(fixtures_dir, "langevin2.sde"),
+                                      fx(fixtures_dir, "langevin_wrot.cand"),
+                                      "--fp"])
+        assert result.exit_code == 2
+        assert (result.stderr.strip()
+                == "--fp applies to vector-field candidates only")
+
     def test_undecided_b_entries_exit_three(self, runner, fixtures_dir,
                                             tmp_path, monkeypatch):
         import stosym.kernel as kernel
@@ -122,25 +130,34 @@ class TestCheck:
         assert result.exit_code == 0
 
 
-# (label, verdict, residual) of every equation of `check --json` (with
-# `--fp` for the Fokker-Planck kinds) on the 48 manifest entries, recorded
-# from the expand/cancel normalizer. Only these fields are compared, so
-# that additive report keys do not break the test.
-GOLDEN = json.loads((Path(__file__).parent / "data" / "manifest_check.json")
-                    .read_text())
+ROOT = Path(__file__).resolve().parent.parent
+SNAPSHOT = json.loads((ROOT / "tests" / "data" / "cli_snapshot.json")
+                      .read_text())
+MANIFEST = json.loads((ROOT / "src" / "stosym" / "fixtures" / "manifest.json")
+                      .read_text())["checks"]
 _FP_KINDS = {"fp", "normalization", "classification"}
 
 
-@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: "{}:{}:{}".format(
+def _equations(stdout):
+    return [[q["label"], q["verdict"], q["residual"]]
+            for q in json.loads(stdout)["equations"]]
+
+
+# (label, verdict, residual) of every equation of `check --json` (with
+# `--fp` for the Fokker-Planck kinds) on the 48 manifest entries, as
+# tests/data/cli_snapshot.json records them. Only these fields are
+# compared, so that additive report keys do not break the test.
+@pytest.mark.parametrize("entry", MANIFEST, ids=lambda e: "{}:{}:{}".format(
     e["system"], e["candidate"], e["check"]))
 def test_manifest_check_golden(runner, fixtures_dir, entry):
+    fp = ["--fp"] if entry["check"] in _FP_KINDS else []
     args = ["check", fx(fixtures_dir, entry["system"]),
-            fx(fixtures_dir, entry["candidate"]), "--json"]
-    if entry["check"] in _FP_KINDS:
-        args.append("--fp")
-    data = json.loads(runner.invoke(main, args).output)
-    assert [[q["label"], q["verdict"], q["residual"]]
-            for q in data["equations"]] == entry["equations"]
+            fx(fixtures_dir, entry["candidate"]), "--json", *fp]
+    golden = SNAPSHOT[" ".join(["check", *(
+        f"src/stosym/fixtures/{entry[k]}" for k in ("system", "candidate")),
+        "--json", *fp])][1]
+    assert (_equations(runner.invoke(main, args).output)
+            == _equations(golden))
 
 
 # [exit code, stdout] of `detsys --json` for three failing Fokker-Planck
@@ -148,9 +165,6 @@ def test_manifest_check_golden(runner, fixtures_dir, entry):
 # is not a polynomial) and of `derive-fp --json` for the fixture systems,
 # as tests/data/cli_snapshot.json records them. Paths in the commands are
 # relative to the repository root.
-ROOT = Path(__file__).resolve().parent.parent
-SNAPSHOT = json.loads((ROOT / "tests" / "data" / "cli_snapshot.json")
-                      .read_text())
 FP_GOLDEN = [
     *(f"detsys {system} tests/data/{candidate}_fp_fail.cand --json"
       for system, candidate in (("src/stosym/fixtures/heat.sde", "heat"),
@@ -451,7 +465,8 @@ class TestKpz:
 
 class TestExitContract:
     """Every failure maps to its documented exit code with one line on
-    stderr: 2 rejected input, 3 inconclusive, 4 blow-up."""
+    stderr: 2 rejected input, 3 inconclusive, 4 blow-up; any other
+    exception is an internal error, 5, with its traceback."""
 
     @staticmethod
     def _undecided(e):
@@ -584,3 +599,31 @@ class TestExitContract:
         assert result.stderr.startswith(
             "mc-check: non-finite moved value in path 0 at step 0")
         assert len(result.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("layer, args", [
+        ("verify.zero_verdict", ["check", "heat.sde", "heat_v1.cand"]),
+        ("kpz.kpz_ito", ["kpz", "--sites", "3", "--check", "time-shift"]),
+        ("solve._coefficient_matrix", ["solve", "heat.sde"]),
+        ("mcsim.euler_maruyama", ["simulate", "heat.sde", "--x0", "0",
+                                  "--param", "s0=1", "--out", "ens.bin"]),
+    ], ids=["check", "kpz", "solve", "simulate"])
+    def test_internal_error_exit_five(self, runner, fixtures_dir, monkeypatch,
+                                      tmp_path, layer, args):
+        """A crash in any layer exits 5 with its traceback, never 1, which
+        reads as "not a symmetry"."""
+        import importlib
+        module, name = layer.split(".")
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("crash in " + layer)
+        monkeypatch.setattr(importlib.import_module(f"stosym.{module}"), name,
+                            crash)
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, [
+            fx(fixtures_dir, a) if a.endswith((".sde", ".cand")) else a
+            for a in args])
+        assert result.exit_code == 5
+        assert result.stdout == ""
+        assert result.stderr.startswith("Traceback (most recent call last):")
+        assert result.stderr.strip().endswith(
+            f"RuntimeError: crash in {layer}")

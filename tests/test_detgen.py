@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from stosym import model
 from stosym.dsl import load_candidate
 from stosym.kernel import Context, Verdict, normalize, to_dsl, zero_verdict
-from stosym.model import (DiscreteMap, ItoSystem, VectorField, WSymmetry,
+from stosym.model import (DiscreteMap, ItoSystem, VectorField,
                           apply_discrete, diffusion_matrix,
                           fokker_planck_of, lie_bracket,
                           transform_ito_first_order)
@@ -41,7 +41,7 @@ class TestReductionChain:
         ctx = kramers.context
         for _ in range(5):
             vf = _random_vf(rng, ctx)
-            ws = WSymmetry(context=ctx, tau=vf.tau, xi=vf.xi)
+            ws = VectorField(context=ctx, tau=vf.tau, xi=vf.xi, Bmat=())
             a = detsys_w(kramers, ws)
             b = detsys_projectable(kramers, vf)
             assert len(a.equations) == len(b.equations)
@@ -151,7 +151,7 @@ def test_engine_built_once_per_system(systems, monkeypatch, name):
     dmap = DiscreteMap(ctx, phi=tuple(-v for v in x),
                        R=(-sp.eye(ito.m)).tolist())
     detsys_projectable(ito, vf)
-    detsys_w(ito, WSymmetry(ctx, tau=vf.tau, xi=vf.xi))
+    detsys_w(ito, VectorField(ctx, tau=vf.tau, xi=vf.xi, Bmat=()))
     detsys_discrete(ito, dmap)
     lambda_(ito, vf)
     gamma(ito, vf)
@@ -246,13 +246,13 @@ def test_ring_lambda_gamma_matches_expression_path(rng):
     ito = random_polynomial_system(rng)
     t = RING_CTX.t
     b = _rational(rng)
-    ws = WSymmetry(context=RING_CTX,
-                   tau=sum(_rational(rng) * t**p for p in range(3)),
-                   xi=tuple(random_expression(rng, RING_CTX, depth=2,
-                                              functions=False)
-                            for _ in range(2)),
-                   Bmat=((0, b), (-b, 0)))
-    B = ws.b_matrix()
+    ws = VectorField(context=RING_CTX,
+                     tau=sum(_rational(rng) * t**p for p in range(3)),
+                     xi=tuple(random_expression(rng, RING_CTX, depth=2,
+                                                functions=False)
+                              for _ in range(2)),
+                     Bmat=((0, b), (-b, 0)))
+    B = sp.Matrix(ws.Bmat)
     assert _takes_ring(ito, [(ws.tau,), ws.xi, B])
     lam, gam = _lambda_gamma_of(ito._expr_coefficients, ws.tau, ws.xi,
                                 B.T.tolist())
@@ -411,7 +411,7 @@ def test_wider_domain_matches_expression_path(rng):
                + _exp_term(rng, RING_CTX, True) for _ in range(2))
     beta = _exp_term(rng, RING_CTX, True) + t
     vf = VectorField(RING_CTX, tau=tau, xi=xi)
-    ws = WSymmetry(RING_CTX, tau=tau, xi=xi, Bmat=((0, b), (-b, 0)))
+    ws = VectorField(RING_CTX, tau=tau, xi=xi, Bmat=((0, b), (-b, 0)))
     fp = VectorField(RING_CTX, tau=tau, xi=xi, beta=beta)
     c, _ = ito._of([(tau,), xi])
     assert c.calc is not model._EXPRS and c.calc.rates
@@ -509,8 +509,8 @@ _LANGEVIN_CANDIDATES = {
          ["0", "sqrt(2)*sqrt(s2)*t - sqrt(2)*sqrt(s2)/2"]],
         ["-x1", "-2*x2"]),
     "W xi=(x2, -x1), B12=1": (
-        lambda ctx, x1, x2, t: WSymmetry(ctx, xi=(x2, -x1),
-                                    Bmat=((0, 1), (-1, 0))),
+        lambda ctx, x1, x2, t: VectorField(ctx, xi=(x2, -x1),
+                                           Bmat=((0, 1), (-1, 0))),
         [["0", "-sqrt(2)*sqrt(s1) + sqrt(2)*sqrt(s2)"],
          ["-sqrt(2)*sqrt(s1) + sqrt(2)*sqrt(s2)", "0"]],
         ["0", "0"]),
@@ -551,7 +551,7 @@ class TestScaledRadical:
         assert lan._coefficients.lam == sp.sqrt(2)
         assert _strings(gamma(lan, candidate)) == gam
         assert [str(e) for e in lambda_(lan, candidate)] == lam
-        if isinstance(candidate, VectorField):
+        if candidate.Bmat is None:
             assert (_fp_classification(lan, extend_to_fp(candidate))
                     is FpClassification.STATISTICAL_EQUIVALENCE)
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from stosym.kernel import (Context, ParseError, UndeclaredSymbolError,
                            normalize, to_dsl)
-from stosym.model import DiscreteMap, ItoSystem, VectorField, WSymmetry
+from stosym.kpz import KpzChain, kpz_ito
+from stosym.model import DiscreteMap, ItoSystem, VectorField, apply_discrete
 from stosym.dsl import (candidate_from_dict, candidate_to_dict, parse_candidate,
                         parse_system, system_from_dict, system_to_dict,
                         to_cand, to_sde)
@@ -100,7 +101,7 @@ class TestCandidateParsing:
 
     def test_w_symmetry_antisymmetric_fill(self, pair):
         c = parse_candidate("xi x = y\nxi y = -x\nB[1][2] = 1\n", pair)
-        assert isinstance(c, WSymmetry)
+        assert c.Bmat is not None
         assert c.Bmat == ((0, 1), (-1, 0))
 
     def test_inconsistent_b_entries(self, pair):
@@ -110,7 +111,7 @@ class TestCandidateParsing:
     def test_b_entries_antisymmetric_up_to_radicals(self, pair):
         c = parse_candidate("B[1][2] = sqrt(3 + 2*sqrt(2))\n"
                             "B[2][1] = -1 - sqrt(2)\n", pair)
-        assert isinstance(c, WSymmetry)
+        assert c.Bmat is not None
 
     def test_discrete_map_defaults(self, pair):
         c = parse_candidate("phi x = -x\n", pair)
@@ -264,8 +265,45 @@ class TestRoundTrips:
                 assert obj.phi == c.phi and obj.R == c.R
             else:
                 assert obj.tau == c.tau and obj.xi == c.xi
-            if isinstance(c, WSymmetry):
+            if getattr(c, "Bmat", None) is not None:
                 assert obj.Bmat == c.Bmat
+
+    def test_library_system_names(self, pair):
+        """A name the library gives a system is written as an identifier,
+        and the text reads back to itself."""
+        image = apply_discrete(pair, DiscreteMap(pair.context, phi=(
+            -pair.context.spatial[0], pair.context.spatial[1]),
+            R=((-1, 0), (0, 1))))
+        for ito, line in ((kpz_ito(KpzChain(3)), "system kpz_3"),
+                          (image, "system pair_")):
+            text = to_sde(ito)
+            assert text.splitlines()[0] == line
+            assert to_sde(parse_system(text)) == text
+
+    @pytest.mark.parametrize("d, message", [
+        ({"drift": {"z": "1"}, "sigma": {}}, "'z' is not a declared variable"),
+        ({"drift": {}, "sigma": {"z": {"w1": "1"}}},
+         "'z' is not a declared variable"),
+        ({"drift": {}, "sigma": {"x": {"v": "1"}}},
+         "'v' is not a declared noise"),
+    ], ids=["drift", "sigma-variable", "sigma-noise"])
+    def test_system_json_undeclared_key(self, d, message):
+        with pytest.raises(ValueError, match=message):
+            system_from_dict({"vars": ["x", "y"], "noises": ["w1", "w2"], **d})
+
+    @pytest.mark.parametrize("d, message", [
+        ({"type": "vector_field", "xi": {"z": "1"}},
+         "'z' is not a declared variable"),
+        ({"type": "discrete_map", "phi": {"z": "1"},
+          "R": [["1", "0"], ["0", "1"]]}, "'z' is not a declared variable"),
+        ({"type": "w_symmetry", "xi": {}, "B": [["0", "1"], ["-1", "0"]],
+          "beta": "1"}, "'beta' is not a key of a w_symmetry candidate"),
+        ({"type": "vector_field", "xi": {}, "B": [["0", "1"], ["-1", "0"]]},
+         "'B' is not a key of a vector_field candidate"),
+    ], ids=["xi", "phi", "beta-on-w", "B-on-field"])
+    def test_candidate_json_unknown_key(self, pair, d, message):
+        with pytest.raises(ValueError, match=message):
+            candidate_from_dict(d, pair)
 
     def test_fixture_files_round_trip(self, manifest, systems, fixtures_dir):
         from stosym.dsl import load_candidate
@@ -318,7 +356,7 @@ def _random_candidate(rng):
     if kind == "w":
         b = sp.Rational(rng.randint(-5, 5), rng.randint(1, 4)) * rng.choice(
             [1, *ctx.params.values()])
-        return WSymmetry(context=ctx, tau=tau, xi=xi, Bmat=((0, b), (-b, 0)))
+        return VectorField(context=ctx, tau=tau, xi=xi, Bmat=((0, b), (-b, 0)))
     beta = random_expression(rng, ctx) if kind == "field+beta" else None
     return VectorField(context=ctx, tau=tau, xi=xi, beta=beta)
 
@@ -328,7 +366,7 @@ def _candidate_entries(c):
         return [[to_dsl(e) for e in row] for row in rows]
     if isinstance(c, DiscreteMap):
         return type(c), [to_dsl(e) for e in c.phi], matrix(c.R)
-    if isinstance(c, WSymmetry):
+    if c.Bmat is not None:
         extra = matrix(c.Bmat)
     else:
         extra = None if c.beta is None else to_dsl(c.beta)

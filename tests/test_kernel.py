@@ -446,6 +446,20 @@ class TestParserLimits:
             with pytest.raises(ParseError, match=message):
                 parse_expr(text, ctx)
 
+    def test_product_degree_bound(self, ctx):
+        """The degrees of a product's factors add up to the bound, as the
+        degree of a power does; the factor that crosses it is named."""
+        x, y = ctx.spatial[:2]
+        assert parse_expr("x^32*y^32", ctx) == x**32 * y**32
+        assert sp.degree(parse_expr("(x+1)^64", ctx), x) == 64
+        for text, message in (("*".join(["(x+1)^64"] * 128),
+                               r"degree 128 is larger than 64 "
+                               r"\(line 1, column 10\)$"),
+                              ("(x+1)^64*(x+1)", r"degree 65 is larger than "
+                               r"64 \(line 1, column 10\)$")):
+            with pytest.raises(ParseError, match=message):
+                parse_expr(text, ctx)
+
 
 class TestAllZero:
     """`all_zero` keeps the three-way verdict: False on the first provably

@@ -10,7 +10,7 @@ from stosym import mcsim
 from stosym.dsl import load_system
 from stosym.kernel import Context
 from stosym.kpz import KpzChain, kpz_ito
-from stosym.model import DiscreteMap, ItoSystem, VectorField, WSymmetry
+from stosym.model import DiscreteMap, ItoSystem, VectorField
 from stosym.mcsim import (BlowupError, InputError, compare_ensembles,
                           euler_maruyama, export_binary, load_binary,
                           validate_symmetry_mc)
@@ -190,7 +190,7 @@ def _wiener_samples(rng, n_paths, n_slices, scale=1.0, dt=0.1):
     paths = np.concatenate([np.zeros((n_paths, 1, 1)), steps.cumsum(axis=1)],
                            axis=1)
     return mcsim.Ensemble(times=dt * np.arange(n_slices + 1),
-                          paths=scale * paths, seed=0, dt=dt, n_paths=n_paths)
+                          paths=scale * paths, seed=0, dt=dt)
 
 
 class TestCompare:
@@ -262,7 +262,7 @@ class TestCompare:
         def constant(value):
             return mcsim.Ensemble(times=np.array([0.0, 0.1, 0.2]),
                                   paths=np.full((50, 3, 1), value), seed=0,
-                                  dt=0.1, n_paths=50)
+                                  dt=0.1)
         same = compare_ensembles(constant(1.0), constant(1.0))
         assert same.verdict
         assert [e["ks_pvalue"] for e in same.entries] == [1.0, 1.0]
@@ -327,8 +327,8 @@ class TestValidate:
         agree."""
         lan = load_system(fixtures_dir / "langevin2.sde")
         x1, x2 = lan.context.spatial
-        rot = WSymmetry(context=lan.context, xi=(x2, -x1),
-                        Bmat=((0, 1), (-1, 0)))
+        rot = VectorField(context=lan.context, xi=(x2, -x1),
+                          Bmat=((0, 1), (-1, 0)))
         rep = validate_symmetry_mc(lan, rot, x0=[0.5, -0.2], dt=1e-2,
                                    seed=13, params={"s1": s1, "s2": s2})
         assert rep.verdict == symmetry
@@ -360,6 +360,16 @@ def test_binary_round_trip(tmp_path, wiener):
     assert back.seed == ens.seed
     assert back.dt == ens.dt
     assert back.n_paths == ens.n_paths
+
+
+def test_n_paths_read_off_paths(tmp_path):
+    """The path count is the paths' first axis, so a hand-built ensemble
+    exports a file that loads back."""
+    ens = mcsim.Ensemble(times=np.array([0.0, 0.1]),
+                         paths=np.zeros((100, 2, 1)), seed=0, dt=0.1)
+    assert ens.n_paths == 100
+    export_binary(ens, tmp_path / "ens.bin")
+    assert load_binary(tmp_path / "ens.bin").n_paths == 100
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from stosym.dsl import load_system
 from stosym.kernel import (Context, InconclusiveError, Verdict, normalize,
                            zero_verdict)
 from stosym.model import (DegeneracyError, DiscreteMap, FokkerPlanck,
-                          ItoSystem, VectorField, WSymmetry, apply_discrete, diffusion_matrix,
+                          ItoSystem, VectorField, apply_discrete, diffusion_matrix,
                           fokker_planck_of, ito_to_stratonovich, lie_bracket,
                           same_fp, transform_ito_first_order)
 from stosym.kpz import KpzChain, kpz_ito
@@ -266,14 +266,14 @@ class TestCandidateValidation:
     def test_w_matrix_antisymmetric(self):
         ctx = Context(spatial=("x", "y"), noises=("w1", "w2"))
         with pytest.raises(ValueError):
-            WSymmetry(context=ctx, Bmat=((0, 1), (1, 0)))
+            VectorField(context=ctx, Bmat=((0, 1), (1, 0)))
 
     def test_w_matrix_antisymmetric_up_to_radicals(self):
         # sqrt(3 + 2 sqrt 2) = 1 + sqrt 2, which normalize leaves unproven
         # and the zero test proves
         ctx = Context(spatial=("x", "y"), noises=("w1", "w2"))
         b = sp.sqrt(3 + 2 * sp.sqrt(2))
-        ws = WSymmetry(context=ctx, Bmat=((0, b), (-1 - sp.sqrt(2), 0)))
+        ws = VectorField(context=ctx, Bmat=((0, b), (-1 - sp.sqrt(2), 0)))
         assert ws.Bmat[0][1] == b
 
     def test_undecided_antisymmetry_raises(self, monkeypatch):
@@ -281,7 +281,7 @@ class TestCandidateValidation:
         monkeypatch.setattr(kernel, "zero_verdict",
                             lambda e: Verdict.INCONCLUSIVE)
         with pytest.raises(InconclusiveError):
-            WSymmetry(context=ctx, Bmat=((0, 1), (-1, 0)))
+            VectorField(context=ctx, Bmat=((0, 1), (-1, 0)))
 
     def test_fp_symmetry_up_to_radicals(self, monkeypatch):
         ctx = Context(spatial=("x", "y"), noises=("w1", "w2"))
@@ -298,7 +298,13 @@ class TestCandidateValidation:
     def test_w_matrix_constant(self):
         ctx = Context(spatial=("x", "y"), noises=("w1", "w2"))
         with pytest.raises(ValueError):
-            WSymmetry(context=ctx, Bmat=((0, ctx.t), (-ctx.t, 0)))
+            VectorField(context=ctx, Bmat=((0, ctx.t), (-ctx.t, 0)))
+
+    def test_beta_and_mixer_rejected(self):
+        ctx = Context(spatial=("x", "y"), noises=("w1", "w2"))
+        with pytest.raises(ValueError, match="beta is not supported on "
+                                             "noise-mixing candidates"):
+            VectorField(context=ctx, beta=1, Bmat=())
 
 
 class TestPublicConstructionNormalizes:
@@ -312,26 +318,30 @@ class TestPublicConstructionNormalizes:
     POLY = x * (x + 1)                          # x**2 + x
     RADICAL = sp.sqrt(2) * (k + 1)              # sqrt(2)*k + sqrt(2)
     HALF = sp.sqrt(2) * (k + 1) / (2 * k + 2)   # sqrt(2)/2
-    CLASSES = {ItoSystem: ("f", "sigma"), FokkerPlanck: ("A", "B", "C"),
-               VectorField: ("tau", "xi", "beta"),
-               WSymmetry: ("tau", "xi", "Bmat"), DiscreteMap: ("phi", "R")}
+    # kind -> (class, fields); a W generator is a VectorField with a mixer
+    KINDS = {"ItoSystem": (ItoSystem, ("f", "sigma")),
+             "FokkerPlanck": (FokkerPlanck, ("A", "B", "C")),
+             "VectorField": (VectorField, ("tau", "xi", "beta")),
+             "VectorField-Bmat": (VectorField, ("tau", "xi", "Bmat")),
+             "DiscreteMap": (DiscreteMap, ("phi", "R"))}
 
     @classmethod
     def build(cls, kind, **overrides):
         P, Q, c = cls.POLY, cls.RADICAL, cls.HALF
         fields = {
-            ItoSystem: dict(f=(P, Q), sigma=((Q, 0), (0, P))),
-            FokkerPlanck: dict(A=((Q, P), (P, Q)), B=(P, Q), C=P),
-            VectorField: dict(tau=cls.t * (cls.t + 1), xi=(P, Q), beta=P),
-            WSymmetry: dict(tau=Q, xi=(P, Q), Bmat=((0, Q), (-Q, 0))),
-            DiscreteMap: dict(phi=(P, Q), R=((c, -c), (c, c))),
+            "ItoSystem": dict(f=(P, Q), sigma=((Q, 0), (0, P))),
+            "FokkerPlanck": dict(A=((Q, P), (P, Q)), B=(P, Q), C=P),
+            "VectorField": dict(tau=cls.t * (cls.t + 1), xi=(P, Q), beta=P),
+            "VectorField-Bmat": dict(tau=Q, xi=(P, Q),
+                                     Bmat=((0, Q), (-Q, 0))),
+            "DiscreteMap": dict(phi=(P, Q), R=((c, -c), (c, c))),
         }[kind]
-        return kind(context=cls.CTX, **{**fields, **overrides})
+        return cls.KINDS[kind][0](context=cls.CTX, **{**fields, **overrides})
 
-    @pytest.mark.parametrize("kind", list(CLASSES), ids=lambda k: k.__name__)
+    @pytest.mark.parametrize("kind", list(KINDS))
     def test_stores_normalized_entries(self, kind):
         value, entries = self.build(kind), []
-        stack = [getattr(value, name) for name in self.CLASSES[kind]]
+        stack = [getattr(value, name) for name in self.KINDS[kind][1]]
         while stack:
             e = stack.pop()
             if isinstance(e, tuple):
@@ -345,19 +355,19 @@ class TestPublicConstructionNormalizes:
                                           self.HALF)} & set(stored)
 
     @pytest.mark.parametrize("kind, overrides", [
-        (ItoSystem, dict(f=(POLY,))),
-        (ItoSystem, dict(sigma=((RADICAL, 0),))),
-        (ItoSystem, dict(f=(sp.Symbol("u"), 0))),
-        (FokkerPlanck, dict(A=((RADICAL, POLY), (0, RADICAL)))),
-        (FokkerPlanck, dict(B=(POLY,))),
-        (VectorField, dict(xi=(POLY,))),
-        (VectorField, dict(tau=x)),
-        (WSymmetry, dict(Bmat=((0, RADICAL), (RADICAL, 0)))),
-        (WSymmetry, dict(Bmat=((0, x), (-x, 0)))),
-        (WSymmetry, dict(Bmat=((0,),))),
-        (DiscreteMap, dict(R=((HALF, HALF), (HALF, HALF)))),
-        (DiscreteMap, dict(R=((0, t), (t, 0)))),
-        (DiscreteMap, dict(phi=(POLY,))),
+        ("ItoSystem", dict(f=(POLY,))),
+        ("ItoSystem", dict(sigma=((RADICAL, 0),))),
+        ("ItoSystem", dict(f=(sp.Symbol("u"), 0))),
+        ("FokkerPlanck", dict(A=((RADICAL, POLY), (0, RADICAL)))),
+        ("FokkerPlanck", dict(B=(POLY,))),
+        ("VectorField", dict(xi=(POLY,))),
+        ("VectorField", dict(tau=x)),
+        ("VectorField-Bmat", dict(Bmat=((0, RADICAL), (RADICAL, 0)))),
+        ("VectorField-Bmat", dict(Bmat=((0, x), (-x, 0)))),
+        ("VectorField-Bmat", dict(Bmat=((0,),))),
+        ("DiscreteMap", dict(R=((HALF, HALF), (HALF, HALF)))),
+        ("DiscreteMap", dict(R=((0, t), (t, 0)))),
+        ("DiscreteMap", dict(phi=(POLY,))),
     ], ids=["f-length", "sigma-shape", "foreign-symbol", "A-not-symmetric",
             "B-length", "xi-length", "tau-in-x", "B-not-antisymmetric",
             "B-not-constant", "B-shape", "R-not-orthogonal",

@@ -12,7 +12,7 @@ from stosym import solve
 from stosym.dsl import load_system
 from stosym.kernel import (Context, InconclusiveError, Verdict, normalize,
                            parse_expr, to_dsl)
-from stosym.model import ItoSystem, VectorField, WSymmetry, _generator
+from stosym.model import ItoSystem, VectorField, _generator
 from stosym.detgen import detsys_projectable, detsys_w
 from stosym.verify import OverallVerdict, VerificationReport, check
 from stosym.solve import (Ansatz, NonClosedBasisError,
@@ -147,8 +147,8 @@ class TestNonlinear:
         basis = solve_ansatz(nl, _poly_ansatz(nl, 2, rates=(2,), include_B=True),
                              which="w")
         assert basis.dimension == 2
-        rotation = WSymmetry(context=ctx, tau=0, xi=(x2, -x1),
-                             Bmat=((0, 1), (-1, 0)))
+        rotation = VectorField(context=ctx, tau=0, xi=(x2, -x1),
+                               Bmat=((0, 1), (-1, 0)))
         assert check(detsys_w(nl, rotation)).is_symmetry
 
 
@@ -167,6 +167,13 @@ class TestLangevin:
         assert proj.dimension == 4
         assert w.dimension == proj.dimension + 1
 
+    def test_w_closure_refused(self, systems):
+        lan = systems["langevin2.sde"]
+        w = solve_ansatz(lan, _poly_ansatz(lan, 1, rates=(1, 2),
+                                           include_B=True), which="w")
+        with pytest.raises(ValueError, match="VectorField bases"):
+            commutator_closure(w)
+
     def test_projectable_closure(self, systems):
         lan = systems["langevin2.sde"]
         basis = solve_ansatz(lan, _poly_ansatz(lan, 1, rates=(1, 2)))
@@ -182,7 +189,7 @@ def _dsl(basis):
     out = []
     for g in basis.generators:
         row = [to_dsl(g.tau), *map(to_dsl, g.xi)]
-        if isinstance(g, WSymmetry):
+        if g.Bmat is not None:
             row.append([[to_dsl(e) for e in r] for r in g.Bmat])
         out.append(row)
     return out
@@ -349,7 +356,7 @@ def _expression_matrix(ito, ansatz, which):
         B[q][p] = -B[p][q]
     system = ItoSystem(ctx, f=ito.f, sigma=ito.sigma)
     if which == "w":
-        ds = detsys_w(system, WSymmetry(ctx, tau=tau, xi=xi, Bmat=B))
+        ds = detsys_w(system, VectorField(ctx, tau=tau, xi=xi, Bmat=B))
     else:
         ds = detsys_projectable(system, VectorField(ctx, tau=tau, xi=xi))
     coefficients = []

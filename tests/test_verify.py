@@ -108,6 +108,20 @@ class TestProjection:
         with pytest.raises(PreconditionError):
             project_fp_symmetry(heat, vf)
 
+    def test_noise_mixer_refused(self, systems):
+        """A W generator has no Fokker-Planck extension or projection; each
+        entry point says so with a ValueError."""
+        lan = systems["langevin2.sde"]
+        x1, x2 = lan.context.spatial
+        ws = VectorField(context=lan.context, xi=(x2, -x1),
+                         Bmat=((0, 1), (-1, 0)))
+        with pytest.raises(ValueError, match="not supported on noise-mixing"):
+            extend_to_fp(ws)
+        with pytest.raises(ValueError):
+            check_normalization_preserving(ws)
+        with pytest.raises(PreconditionError):
+            project_fp_symmetry(lan, ws)
+
     def test_precondition_fp_symmetry(self, systems):
         heat = systems["heat.sde"]
         x = heat.context.spatial[0]
