@@ -6,13 +6,14 @@ reductions hold exactly: the W system with B = 0 equals the projectable
 system, which at tau = 0 equals the spatial system, equation by equation.
 
 Every family is computed in one of two coefficient types, chosen from
-the input alone: the exact domain of `model._convert` (QQ[params, x, t]
-with sqrt(p) of positive parameters and exp(c t) as generators) when the
-system's coefficients and every candidate entry lie in it, with sigma's
-common radical scaled out (`model._common_radical`), and sympy
-expressions otherwise. Each residual leaves through `leave` and is
-normalized once; the zero test in `verify.check` decides a polynomial
-in its ring and finds any other residual's normal form in sympy's cache
+the input alone: the exact domain of `kernel._convert` (QQ[params, x, t]
+with sqrt(p) of positive parameters, the inverses of nonzero parameters,
+sqrt(n) of each prime n of an integer radical and exp(c t) as generators)
+when the system's coefficients and every candidate entry lie in it, and
+sympy expressions otherwise. Each residual leaves through `leave`, which
+applies the domain's relations, and is normalized once; the zero test in
+`verify.check` decides a residual of the domain exactly there, and finds
+any other residual's normal form in sympy's cache
 (`kernel._normalize_loop`). Each `ItoSystem` converts its coefficients
 once, and once more for each wider domain a candidate needs; every
 builder here, `model.apply_discrete` and the ansatz solver read them
@@ -76,7 +77,7 @@ def _lambda_gamma(ito: ItoSystem, g: VectorField):
     c, ((tau,), xi, *cols) = ito._of([(g.tau,), g.xi, *cols])
     lam, gam = _lambda_gamma_of(c, tau, xi, cols)
     return ([c.calc.leave(e) for e in lam],
-            [[c.calc.leave(e, c.lam) for e in row] for row in gam])
+            [[c.calc.leave(e) for e in row] for row in gam])
 
 
 def _lambda_gamma_of(c, tau, xi, B):
@@ -198,7 +199,7 @@ def _discrete_equations(c, phi, R):
     at_phi, leave = c.calc.substitution(c.x, phi), c.calc.leave
     eqs = [(f"drift[{i + 1}]", leave(e - at_phi(f)))
            for i, (e, f) in enumerate(zip(drift, c.f))]
-    eqs += [(f"noise[{i + 1}][{k + 1}]", leave(e - at_phi(sig), c.lam))
+    eqs += [(f"noise[{i + 1}][{k + 1}]", leave(e - at_phi(sig)))
             for i, (row, sig_row) in enumerate(zip(noise, c.sigma))
             for k, (e, sig) in enumerate(zip(row, sig_row))]
     return eqs

@@ -289,11 +289,16 @@ def _param_lines(params):
     return ["params " + ", ".join(chunks)]
 
 
+def _identifier(name):
+    """name as an identifier, which `system` and `candidate` take:
+    kpz-3 -> kpz_3."""
+    name = re.sub(r"\W", "_", name)
+    return name if name.isidentifier() else "_" + name
+
+
 def to_sde(ito: ItoSystem) -> str:
     ctx = ito.context
-    # the name as an identifier, which `system` takes: kpz-3 -> kpz_3
-    name = re.sub(r"\W", "_", ito.name or "system")
-    out = [f"system {name if name.isidentifier() else '_' + name}"]
+    out = [f"system {_identifier(ito.name or 'system')}"]
     out += _param_lines(ctx.param_assumptions)
     out.append("vars " + " ".join(ctx.spatial_names))
     out.append("noises " + " ".join(ctx.noise_names))
@@ -311,7 +316,7 @@ def to_cand(candidate, base_context=None, name="") -> str:
     ctx = candidate.context
     out = []
     if name:
-        out.append(f"candidate {name}")
+        out.append(f"candidate {_identifier(name)}")
     out += _param_lines(_extra_params(ctx, base_context))
     if isinstance(candidate, DiscreteMap):
         header_len = len(out)
@@ -369,7 +374,19 @@ def _declared(keys, names, what):
             raise ValueError(f"'{key}' is not a {what}")
 
 
+def _required(d, keys, what):
+    """Reject a JSON object that lacks one of `keys`."""
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"a {what} needs the key '{key}'")
+
+
+_SYSTEM_KEYS = ("vars", "noises", "drift", "sigma")
+
+
 def system_from_dict(d) -> ItoSystem:
+    _declared(d, ("schema", "name", "params", *_SYSTEM_KEYS), "key of a system")
+    _required(d, _SYSTEM_KEYS, "system")
     ctx = Context(spatial=tuple(d["vars"]), params=dict(d.get("params", {})),
                   noises=tuple(d["noises"]))
     _declared([*d["drift"], *d["sigma"]], d["vars"], "declared variable")
@@ -404,10 +421,11 @@ def candidate_to_dict(candidate, base_context=None, name="") -> dict:
     return d
 
 
-# the keys of each candidate type beside schema, name, params and type
-_CANDIDATE_KEYS = {"discrete_map": ("phi", "R"),
-                   "vector_field": ("tau", "xi", "beta"),
-                   "w_symmetry": ("tau", "xi", "B")}
+# the required and the optional keys of each candidate type beside schema,
+# name, params and type
+_CANDIDATE_KEYS = {"discrete_map": (("phi", "R"), ()),
+                   "vector_field": (("xi",), ("tau", "beta")),
+                   "w_symmetry": (("xi", "B"), ("tau",))}
 
 
 def candidate_from_dict(d, context):
@@ -415,11 +433,14 @@ def candidate_from_dict(d, context):
         context = context.context
     ctx = (context.with_params(dict(d.get("params", {})))
            if d.get("params") else context)
+    _required(d, ("type",), "candidate")
     kind, names = d["type"], ctx.spatial_names
     if kind not in _CANDIDATE_KEYS:
         raise ValueError(f"unknown candidate type '{kind}'")
-    _declared(d, ("schema", "name", "params", "type", *_CANDIDATE_KEYS[kind]),
+    required, optional = _CANDIDATE_KEYS[kind]
+    _declared(d, ("schema", "name", "params", "type", *required, *optional),
               f"key of a {kind} candidate")
+    _required(d, required, f"{kind} candidate")
     if kind == "discrete_map":
         _declared(d["phi"], names, "declared variable")
         phi = tuple(parse_expr(d["phi"].get(v, v), ctx) for v in names)

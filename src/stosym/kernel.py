@@ -67,6 +67,9 @@ class InconclusiveError(ExprError):
     """Raised by all_zero and is_zero when the zero test cannot decide."""
 
 
+_T = sp.Symbol("t", real=True)  # the time of every Context
+
+
 class Context:
     """Declaration table: spatial variables, the time t, parameters, noise
     names and opaque function symbols.
@@ -77,7 +80,7 @@ class Context:
     """
 
     def __init__(self, spatial=(), params=None, noises=(), opaque=()):
-        self.t = sp.Symbol("t", real=True)
+        self.t = _T
         self.spatial_names = tuple(spatial)
         self.spatial = tuple(sp.Symbol(n, real=True) for n in self.spatial_names)
         self.noise_names = tuple(noises)
@@ -327,22 +330,33 @@ def normalize(e) -> sp.Expr:
     """Canonical form within the supported fragment. Idempotent.
 
     Three paths, chosen from the input alone. A number (a Float included)
-    is returned as it is: it is the loop's fixpoint. A ring element, or an
-    input that `_ring_element` takes into the ring over its symbols,
-    leaves through as_expr(). Any other input (a float, exp/sin/cos, sqrt,
-    a denominator, an irrational constant or an opaque function) takes the
-    general loop: expand, rewrite sin^2 -> 1 - cos^2, product-to-sum for
-    sin*cos pairs, cancel rational parts, iterated to a fixpoint that
-    sympy's cache remembers, so that normalizing a normalized value again
-    is one cache hit. The ring and the loop give the same expression on a
-    polynomial."""
+    is returned as it is: it is the loop's fixpoint. An input in the exact
+    domain over its own symbols leaves it in canonical form: a ring
+    element, or a polynomial over QQ (`_ring_element`), through as_expr(),
+    and an input that only the widened domain of `_convert` takes
+    (inverses of nonzero parameters, square roots of positive parameters
+    and of integers, exp(c t)) through `_Domain.leave` (`_exact`). Any
+    other input (a float, sin/cos, a shifted exp(c t + d), a denominator
+    that is not a monomial in nonzero parameters, an irrational constant
+    or an opaque function) takes the general loop: expand, rewrite
+    sin^2 -> 1 - cos^2, product-to-sum for sin*cos pairs, cancel rational
+    parts, iterated to a fixpoint. Both non-polynomial paths are kept in
+    sympy's cache, so normalizing a normalized value again is a cache hit.
+    The domain and the loop give the same expression where both apply."""
     if isinstance(e, PolyElement):
         return e.as_expr()
     e = sp.sympify(e)
     if e.is_Number:
         return e
     p = _ring_element(e)
-    return _normalize_loop(e) if p is None else p.as_expr()
+    if p is not None:
+        return p.as_expr()
+    n = _exact(e)
+    if n is None:
+        return _normalize_loop(e)
+    if n != e:
+        _exact(n)  # n is its own normal form, kept in sympy's cache
+    return n
 
 
 def _ring_element(e, ring=None):
@@ -384,6 +398,216 @@ def _own_ring(generators):
     """QQ[generators], built once per generator tuple: sympy may not reuse
     an equal ring, and building one costs far more than a conversion."""
     return PolyRing(generators, QQ)
+
+
+# ---------------------------------------------------------------------------
+# the exact domain
+
+@lru_cache(maxsize=None)
+def _generator(name, positive=None):
+    """A generator, the same on every call, named after what it stands
+    for: q_p for sqrt(p) of a parameter p > 0 (p -> sqrt(p) is a
+    bijection), 1/p or 1/sqrt(p) for the inverse of a nonzero parameter p
+    or of q_p, sqrt(n) for a prime n, and E_k for exp(c_k t)."""
+    return sp.Dummy(name, positive=positive)
+
+
+@cacheit
+def _exp_split(a, x, t):
+    """(c, d) with a = exp(c t + d) and c, d free of x and t, or None."""
+    c, d = [], []
+    for term in sp.Add.make_args(sp.expand(a.args[0])):
+        coefficient, rest = term.as_independent(t)
+        if rest == t:
+            c.append(coefficient)
+        elif rest == 1:
+            d.append(term)
+        else:
+            return None
+    c, d = sp.Add(*c), sp.Add(*d)
+    return None if c.has(*x) or d.has(*x) else (c, d)
+
+
+class _Domain:
+    """A sparse polynomial ring over QQ that stands for functions of the
+    parameters, x and t: each generator is a symbol or stands for what
+    `back` maps it to. Three relations hold between the generators, and
+    `terms` applies them: g g' = 1 for each generator g and its inverse
+    g' (`pairs`), s^2 = n for the generator s of sqrt(n), n prime
+    (`primes`), and a product of E_k is exp(r t), r its net rate
+    sum_k m_k c_k. The terms it leaves are independent functions, so an
+    element vanishes identically iff `terms` is empty: distinct Laurent
+    monomials are, square roots of distinct squarefree integers are
+    linearly independent over QQ (Besicovitch, J. London Math. Soc. 1940),
+    and t^b exp(r t) of distinct (b, r) are."""
+
+    def __init__(self, ring, x, t, rates=(), back=None, key=None, pairs=(),
+                 primes=()):
+        """`ring`'s last len(rates) generators are the E_k, rates[k] is c_k
+        in `ring`; x and t are symbols, `key` (base, x, t, roots, inverses,
+        primes, rates) names the domain, `pairs` holds (g, g') and
+        `primes` (s, n) as generator indices."""
+        self.ring = ring
+        self.zero, self.one, self.half = ring.zero, ring.one, ring(QQ(1, 2))
+        index = {s: i for i, s in enumerate(ring.symbols)}
+        self.x, self.t, self.time = tuple(index[v] for v in x), index.get(t), t
+        self.rates = list(enumerate(rates, ring.ngens - len(rates)))
+        self.back = back or {}
+        self.key = key or (ring, tuple(x), t, (), (), (), ())
+        self.pairs, self.primes = pairs, primes
+
+    def terms(self, e):
+        """{(monomial, net rate): coefficient} of the nonzero terms of e
+        with the relations applied; the monomial holds no E_k, and the net
+        rate is a frozenset of (monomial, coefficient) pairs."""
+        out = {}
+        for monom, c in e.items():
+            m = list(monom)
+            for i, j in self.pairs:
+                low = min(m[i], m[j])
+                m[i] -= low
+                m[j] -= low
+            for i, n in self.primes:
+                if m[i] > 1:
+                    c *= n ** (m[i] // 2)
+                    m[i] %= 2
+            net = {}
+            for k, rate in self.rates:
+                for rm, rc in rate.items() if m[k] else ():
+                    net[rm] = net.get(rm, 0) + m[k] * rc
+                m[k] = 0
+            key = (tuple(m), frozenset((rm, rc) for rm, rc in net.items()
+                                       if rc))
+            out[key] = out.get(key, 0) + c
+        return {key: c for key, c in out.items() if c}
+
+    def leave(self, e):
+        """e for `normalize` and the zero test: an element of the base ring
+        as it is, which `normalize` reads through as_expr(), and any other
+        as an expression in `normalize`d form, each term with the relations
+        applied and its E_k merged into one exp per term of its net rate,
+        as expand writes exp of a sum."""
+        if not (self.back or self.rates):
+            return e
+        value = self.ring.domain.to_sympy
+        gens = [self.back.get(g, g) for g in self.ring.symbols]
+
+        def monomial(m):
+            return [g**k for g, k in zip(gens, m) if k]
+        # exp(c t) with c a nonzero monomial evaluates to itself: the
+        # evaluation, which asks whether c t is zero, is skipped
+        return sp.Add(*(sp.Mul(value(c), *monomial(m), *(
+            sp.exp(sp.Mul(value(rc), *monomial(rm), self.time),
+                   evaluate=False)
+            for rm, rc in net)) for (m, net), c in self.terms(e).items()))
+
+
+def _convert(calc, groups, relations=True):
+    """The one way into the exact domain: calc's domain (a `_Domain`),
+    widened where the groups of entries need it, and the groups as its
+    elements, or None. An entry that calc's ring takes costs that walk
+    alone; the others are scanned for sqrt(p) of a parameter p > 0 (then
+    p = q_p^2 everywhere) and exp(c t), c free of x and t, one E_k per
+    rate c, and with `relations` also for the inverse of a nonzero
+    parameter or of q_p and for sqrt(n) of an integer, one generator per
+    prime of n. A shifted exp(c t + d) is refused. The solver's field
+    takes no generator bound by a relation, so it passes relations=False.
+    In a wider domain every entry is converted anew."""
+    out = [[_ring_element(e, calc.ring) for e in g] for g in groups]
+    refused = [sp.sympify(e) for g, row in zip(groups, out)
+               for e, p in zip(g, row) if p is None]
+    if not refused:
+        return calc, out
+    base, x, t, roots, inverses, primes, rates = calc.key
+    found = set().union(*(e.atoms(sp.Pow, sp.exp) for e in (*refused,
+                                                             *rates)))
+    pows = [w for w in found if w.is_Pow]
+    symbols = set(base.symbols)
+    # x and t are not positive, nor nonzero
+    roots = {*roots, *(w.base for w in pows if w.base in symbols
+                       and w.exp.is_Rational and w.exp.q == 2
+                       and w.base.is_positive)}
+    radicands = {}
+    if relations:
+        inverses = {*inverses, *(w.base for w in pows if w.base in symbols
+                                 and w.exp.is_negative
+                                 and w.base.is_nonzero)}
+        for w in pows:
+            # sympy takes the small square factors out of sqrt(n)
+            if (w.base.is_Integer and w.base > 0 and w.exp == sp.S.Half
+                    and int(w.base).bit_length() <= 64):
+                factors = sp.factorint(w.base)
+                if set(factors.values()) == {1}:
+                    radicands[w] = factors
+        primes = {*primes, *(n for f in radicands.values() for n in f)}
+    qs = {p: _generator("q_" + p.name, True) for p in roots}
+    inv = {p: _generator(f"1/sqrt({p.name})" if p in qs else "1/" + p.name,
+                         p.is_positive or None) for p in inverses}
+    ss = {n: _generator(f"sqrt({n})", True) for n in primes}
+    sub = {p: q**2 for p, q in qs.items()}
+    for w in pows:
+        b, n = w.base, w.exp
+        if b in qs and (2 * n).is_Integer:
+            # p^(n/2) -> q^n spares sympy (q^2)^(n/2)
+            sub[w] = qs[b]**(2 * n) if n > 0 or b not in inv else \
+                inv[b]**(-2 * n)
+        elif b in inv and n.is_Integer and n < 0:
+            sub[w] = inv[b]**-n
+        elif w in radicands:
+            sub[w] = sp.Mul(*(ss[p] for p in radicands[w]))
+    if any(w.is_Pow and not w.exp.is_Integer and w not in sub for w in found):
+        return None
+    rates = list(rates)
+    for a in sorted((a for a in found if isinstance(a, sp.exp)),
+                    key=sp.default_sort_key):
+        split = _exp_split(a, x, t)
+        if split is None or split[1] != 0:
+            return None
+        if split[0] not in rates:
+            rates.append(split[0])
+        sub[a] = _generator(f"E{rates.index(split[0]) + 1}")
+    key = (base, x, t, *(tuple(s for s in base.symbols if s in group)
+                         for group in (roots, inverses)),
+           tuple(sorted(primes)), tuple(rates))
+    wider = calc
+    if key != calc.key:
+        es = [_generator(f"E{k}") for k in range(1, len(rates) + 1)]
+        ring = _own_ring((*(qs.get(s, s) for s in base.symbols),
+                          *(inv[p] for p in key[4]),
+                          *(ss[n] for n in key[5]), *es))
+        elements = [_ring_element(c.xreplace(sub), ring) for c in rates]
+        if any(c is None for c in elements):
+            return None
+        back = {q: sp.sqrt(p) for p, q in qs.items()}
+        back.update((inv[p], 1 / (back[qs[p]] if p in qs else p))
+                    for p in key[4])
+        back.update((s, sp.sqrt(n)) for n, s in ss.items())
+        index = {s: i for i, s in enumerate(ring.symbols)}
+        wider = type(calc)(
+            ring, x, t, elements, back, key,
+            [(index[qs.get(p, p)], index[inv[p]]) for p in key[4]],
+            [(index[ss[n]], n) for n in key[5]])
+    out = [[_ring_element(sp.sympify(e).xreplace(sub), wider.ring)
+             if p is None or wider is not calc else p
+             for e, p in zip(g, row)] for g, row in zip(groups, out)]
+    return None if any(p is None for r in out for p in r) else (wider, out)
+
+
+@cacheit
+def _exact(e):
+    """The exact path of `normalize`: e's normal form through the exact
+    domain over its own symbols, sorted by name, or None when that domain
+    refuses e. Every symbol but t is a constant there, so exp(c t) with c
+    free of t is a generator. It is kept in sympy's cache, as the loop's
+    steps are."""
+    domain = _Domain(_own_ring(tuple(sorted(e.free_symbols,
+                                            key=lambda s: s.name))), (), _T)
+    converted = _convert(domain, [(e,)])
+    if converted is None:
+        return None
+    calc, ((p,),) = converted
+    n = calc.leave(p)
+    return n.as_expr() if isinstance(n, PolyElement) else n
 
 
 def _normalize_loop(e):
@@ -498,15 +722,17 @@ def _opaque_atoms(e):
 def zero_verdict(e) -> Verdict:
     """Tri-state zero test. Zero equivalence is undecidable in this
     fragment (Richardson, J. Symb. Logic 1968), so the answer may be
-    INCONCLUSIVE; it is never a guess. A ring element, or a polynomial
-    over QQ, is decided in its canonical ring: parameters are only
-    positive, nonzero or real, so a nonzero polynomial never vanishes
-    identically. Anything else is normalized; 0 or 0.0 is ZERO, and opaque
-    function symbols are split off structurally before any sampling. The
-    rest is probed once, with a fixed seed: one certified nonzero sample
-    gives NONZERO. Only when none did does `simplify` run, and it confirms
-    ZERO when every sample vanished and sympy proves the simplified form
-    zero.
+    INCONCLUSIVE; it is never a guess. An input in the exact domain over
+    its own symbols is decided there: a ring element or a polynomial over
+    QQ in its canonical ring, and any other input that `_exact` takes by
+    its normal form, which is 0 iff the input vanishes identically
+    (`_Domain`); parameters are only positive, nonzero or real, so a
+    nonzero element never vanishes identically. Anything else is
+    normalized; 0 or 0.0 is ZERO, and opaque function symbols are split
+    off structurally before any sampling. The rest is probed once, with a
+    fixed seed: one certified nonzero sample gives NONZERO. Only when none
+    did does `simplify` run, and it confirms ZERO when every sample
+    vanished and sympy proves the simplified form zero.
     """
     p = _ring_element(e)
     if p is not None:
@@ -514,6 +740,8 @@ def zero_verdict(e) -> Verdict:
     n = normalize(e)
     if n.is_Number and n.is_zero:
         return Verdict.ZERO
+    if _exact(sp.sympify(e)) is not None:
+        return Verdict.NONZERO
     atoms = _opaque_atoms(n)
     if atoms:
         return _structural_verdict(n, atoms)

@@ -9,14 +9,12 @@ terms, which makes the tau = 0 and B = 0 reductions exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import sympy as sp
 from sympy.core.cache import cacheit
-from sympy.utilities.iterables import sift
-from sympy.polys.domains import QQ
 
-from .kernel import Context, _own_ring, _ring_element, all_zero, normalize
+from .kernel import Context, _convert, _Domain, all_zero, normalize
 
 __all__ = [
     "DegeneracyError",
@@ -42,10 +40,10 @@ def _matrix(rows):
 class ItoSystem:
     """dx^i = f^i(x,t) dt + sigma^i_k(x,t) dw^k on R^n with m noise channels.
 
-    The constructor normalizes f and sigma and converts f and sigma / lam
-    (`_common_radical`) once into the exact domain. The system keeps these
-    coefficients, their expressions and their conversion into each wider
-    domain a candidate needs (`_of`); none of them takes part in equality."""
+    The constructor normalizes f and sigma and converts them once into the
+    exact domain (`kernel._convert`). The system keeps these coefficients,
+    their expressions and their conversion into each wider domain a
+    candidate needs (`_of`); none of them takes part in equality."""
     context: Context
     f: tuple
     sigma: tuple
@@ -75,13 +73,10 @@ class ItoSystem:
             if extra:
                 names = ", ".join(sorted(s.name for s in extra))
                 raise ValueError(f"coefficient depends on non-(x,t) symbols: {names}")
-        lam, sigma = (1, ()) if converted else _common_radical(self.sigma)
-        if lam != 1:
-            converted = _convert(base, [self.f, *sigma])
         if converted:
             calc, (f, *sigma) = converted
             object.__setattr__(self, "_coefficients", _Coefficients(
-                calc, calc.x, calc.t, f, sigma, lam))
+                calc, calc.x, calc.t, f, sigma))
 
     @property
     def n(self):
@@ -104,7 +99,7 @@ class ItoSystem:
         """The coefficients and the candidate's entry groups in one type:
         the exact domain, widened where the entries need it, when every
         entry lies in it, else expressions. A wider domain converts f and
-        sigma / lam once more, and the system keeps them."""
+        sigma once more, and the system keeps them."""
         c = self._coefficients
         converted = c and _convert(c.calc, groups)
         if converted is None:
@@ -115,10 +110,9 @@ class ItoSystem:
             return c, groups
         wide = self._domains.get(calc.key)
         if wide is None:
-            _, (f, *sigma) = _convert(
-                calc, [self.f, *_common_radical(self.sigma)[1]])
+            _, (f, *sigma) = _convert(calc, [self.f, *self.sigma])
             wide = self._domains[calc.key] = _Coefficients(
-                calc, calc.x, calc.t, f, sigma, c.lam)
+                calc, calc.x, calc.t, f, sigma)
         return wide, groups
 
     @cached_property
@@ -235,7 +229,6 @@ class _Exprs:
     """Calculus on sympy expressions, the general coefficient type; a
     variable is a symbol."""
     zero, one, half = sp.Integer(0), sp.Integer(1), sp.Rational(1, 2)
-    back = {}
 
     @staticmethod
     @cacheit
@@ -260,13 +253,10 @@ class _Exprs:
     def gradient(self, e, x):
         return [self.d(e, v) for v in x]
 
-    def leave(self, e, scale=1):
-        """e for `normalize` and the zero test, or, when a generator maps
-        back or scale is not 1, its expression times scale (exp(t)^2 and
-        exp(2 t) are distinct generators: a nonzero element may vanish)."""
-        if scale == 1 and not self.back:
-            return e
-        return e.as_expr().xreplace(self.back) * scale
+    @staticmethod
+    def leave(e):
+        """e as an expression, for `normalize` and the zero test."""
+        return e
 
     def dot(self, u, v):
         return self.add([a * b for a, b in zip(u, v) if a != 0 and b != 0])
@@ -288,23 +278,14 @@ _EXPRS = _Exprs()
 _gradient, _dot = _EXPRS.gradient, _EXPRS.dot
 
 
-class _Ring(_Exprs):
+class _Ring(_Domain, _Exprs):
     """The same calculus in a sparse polynomial ring, where +, * and d/dv
     are exact; a variable is a generator index. The ring is the exact
-    domain (`_convert`), or, for the solver, EX[x, t, E_1..E_k]; E_k stands
-    for exp(c_k t), c_k free of x and t, under d_t E_k = c_k E_k."""
-
-    def __init__(self, ring, x, t, rates=(), back=None, key=None):
-        """`ring`'s last len(rates) generators are the E_k, rates[k] is c_k
-        in `ring`, x and t are symbols, `back` maps generators to what they
-        stand for, `key` (base, x, t, roots, rates) names the domain."""
-        self.ring = ring
-        self.zero, self.one, self.half = ring.zero, ring.one, ring(QQ(1, 2))
-        index = {s: i for i, s in enumerate(ring.symbols)}
-        self.x, self.t = tuple(index[v] for v in x), index[t]
-        self.rates = list(enumerate(rates, ring.ngens - len(rates)))
-        self.back = back or {}
-        self.key = key or (ring, tuple(x), t, (), ())
+    domain (`kernel._Domain`, built by `kernel._convert`), or, for the
+    solver, EX[x, t, E_1..E_k]; E_k stands for exp(c_k t), c_k free of x
+    and t, under d_t E_k = c_k E_k. Every other generator besides x and t
+    is a constant, so the calculus commutes with the domain's relations,
+    which `leave` applies."""
 
     def d(self, e, i):
         if e.is_ground:
@@ -333,8 +314,9 @@ class _Ring(_Exprs):
 @dataclass(frozen=True)
 class _Coefficients:
     """An Ito system in one coefficient type: the calculus `calc` of that
-    type, the variables x and t, f and sigma / lam (`_common_radical`);
-    the Fokker-Planck family reads its A, B and C, computed from them."""
+    type, the variables x and t, f and sigma / lam, where the solver scales
+    a common radical lam out of sigma (`solve._common_radical`); the
+    Fokker-Planck family reads its A, B and C, computed from them."""
     calc: _Exprs
     x: tuple
     t: object
@@ -402,90 +384,6 @@ class _Coefficients:
         c = self.calc
         return (c.d(u, self.t) - c.second_order(self.S, grad, self.x)
                 + c.dot(self.fokker_planck[1], grad))
-
-
-# ---------------------------------------------------------------------------
-# the exact domain
-
-@lru_cache(maxsize=None)
-def _generator(name, positive=None):
-    """A generator, the same on every call: E_k for exp(c_k t), or q_p > 0
-    for sqrt(p) of a parameter p > 0 (p -> sqrt(p) is a bijection)."""
-    return sp.Dummy(name, positive=positive)
-
-
-def _exp_split(a, x, t):
-    """(c, d) with a = exp(c t + d) and c, d free of x and t, or None."""
-    d, ct = sp.expand(a.args[0]).as_independent(t, as_Add=True)
-    c = ct.diff(t)
-    return None if c.has(t, *x) or d.has(*x) else (c, d)
-
-
-def _convert(calc, groups):
-    """The one way into the exact domain: calc's domain, widened where the
-    groups of entries need it, and the groups as its elements, or None.
-    An entry that calc's ring takes costs that walk alone; the others are
-    scanned for sqrt(p) of a parameter p > 0 (then p = q_p^2 everywhere)
-    and exp(c t), c free of x and t, one E_k per rate c. In a wider
-    domain every entry is converted anew."""
-    out = [[_ring_element(e, calc.ring) for e in g] for g in groups]
-    refused = [sp.sympify(e) for g, row in zip(groups, out)
-               for e, p in zip(g, row) if p is None]
-    if not refused:
-        return calc, out
-    base, x, t, roots, rates = calc.key
-    found = set().union(*(e.atoms(sp.Pow, sp.exp) for e in refused))
-    # x and t are not positive; p^(n/2) -> q^n spares sympy (q^2)^(n/2)
-    sub = {p: _generator("q_" + p.name, True)**2 for p in {*roots, *(
-        w.base for w in found if w.is_Pow and w.exp.is_Rational
-        and w.exp.q == 2 and w.base in base.symbols and w.base.is_positive)}}
-    sub.update((w, sub[w.base].base**(2 * w.exp)) for w in found
-               if w.is_Pow and w.base in sub)
-    if any(w.is_Pow and not w.exp.is_Integer and w not in sub for w in found):
-        return None
-    rates = [c.xreplace(sub) for c in rates]
-    for a in sorted((a for a in found if isinstance(a, sp.exp)),
-                    key=sp.default_sort_key):
-        split = _exp_split(a.xreplace(sub), x, t)
-        if split is None or split[1] != 0:
-            return None
-        if split[0] not in rates:
-            rates.append(split[0])
-        sub[a] = _generator(f"E{rates.index(split[0]) + 1}")
-    key = (base, x, t, tuple(s for s in base.symbols if s in sub),
-           tuple(rates))
-    wider = calc
-    if key != calc.key:
-        qs = {p: _generator("q_" + p.name, True) for p in key[3]}
-        es = [_generator(f"E{k}") for k in range(1, len(rates) + 1)]
-        ring = _own_ring((*(qs.get(s, s) for s in base.symbols), *es))
-        elements = [_ring_element(c, ring) for c in rates]
-        if any(c is None for c in elements):
-            return None
-        back = {q: sp.sqrt(p) for p, q in qs.items()}
-        back.update((E, sp.exp(c.xreplace(back) * t))
-                    for E, c in zip(es, rates))
-        wider = _Ring(ring, x, t, elements, back, key)
-    out = [[_ring_element(sp.sympify(e).xreplace(sub), wider.ring)
-             if p is None or wider is not calc else p
-             for e, p in zip(g, row)] for g, row in zip(groups, out)]
-    return None if any(p is None for r in out for p in r) else (wider, out)
-
-
-def _common_radical(sigma):
-    """(lam, sigma / lam) when every term of sigma's entries has one factor
-    lam = sqrt(r), r an integer, else (1, sigma): the noise families are
-    homogeneous in sigma, and the others see only S."""
-    def radical(f):
-        return f.is_Pow and f.exp == sp.S.Half and f.base.is_Integer
-    parts = [[[sift(sp.Mul.make_args(a), radical, binary=True)
-               for a in sp.Add.make_args(e) if a != 0] for e in row]
-             for row in sigma]
-    radicals = {sp.Mul(*r) for row in parts for e in row for r, _ in e}
-    if len(radicals) != 1 or 1 in radicals:
-        return 1, sigma
-    return radicals.pop(), [[sp.Add(*(sp.Mul(*a) for _, a in e)) for e in row]
-                            for row in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -573,5 +471,5 @@ def apply_discrete(ito: ItoSystem, dmap: DiscreteMap,
     at = c.calc.substitution(c.x, inverse) if inverse else (lambda e: e)
     leave = c.calc.leave
     return ItoSystem(context=ito.context, f=[leave(at(e)) for e in drift],
-                     sigma=[[leave(at(e), c.lam) for e in r] for r in noise],
+                     sigma=[[leave(at(e)) for e in r] for r in noise],
                      name=ito.name and f"{ito.name}*")

@@ -8,9 +8,10 @@ ansatz basis element at a time, in one ring, and read off the terms of its
 elements. Each exp(c t + d) of the system or the basis is exp(d) E_c, one
 generator E_c per rate c with d/dt E_c = c E_c, and a row of the matrix is
 an entry, an x-t monomial and a net rate. The ring is
-- the exact domain of `model._convert` (QQ[q, params, x, t, E_1..E_k],
-  q = sqrt(p) of a positive parameter p) when every entry lies in it, the
-  system's from its engine, with sigma's common radical scaled out;
+- the exact domain of `kernel._convert` (QQ[q, params, x, t, E_1..E_k],
+  q = sqrt(p) of a positive parameter p) without its inverses and integer
+  radicals when every entry lies in it, with sigma's common radical scaled
+  out (`_common_radical`);
 - EX[x, t, E_1..E_k] otherwise.
 Input outside both lies outside the ansatz."""
 from __future__ import annotations
@@ -23,10 +24,11 @@ import sympy as sp
 from sympy.polys.domains import EX
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyRing
+from sympy.utilities.iterables import sift
 
-from .kernel import InconclusiveError, Verdict, _own_ring
-from .model import (_EXPRS, ItoSystem, VectorField, _Coefficients, _Ring,
-                    _convert, _exp_split, _generator, lie_bracket)
+from .kernel import (InconclusiveError, Verdict, _convert, _exp_split,
+                     _generator, _own_ring)
+from .model import ItoSystem, VectorField, _Coefficients, _Ring, lie_bracket
 from .detgen import _lambda_gamma_of, detsys_projectable
 from .verify import OverallVerdict, check
 
@@ -64,9 +66,12 @@ def default_time_basis(t, rates=()):
 
 def _in_exp_ring(symbols, x, t, groups, error):
     """The calculus of the ansatz ring, and the entry groups (sequences of
-    expressions) as its elements: the exact domain over `symbols`, else
-    EX[x, t, E_1..E_k]. Raises `error` naming the first entry outside."""
-    return (_convert(_Ring(_own_ring(tuple(symbols)), x, t), groups)
+    expressions) as its elements: the exact domain over `symbols` without
+    the generators bound by a relation, which would be free symbols in the
+    coefficient field, else EX[x, t, E_1..E_k]. Raises `error` naming the
+    first entry outside."""
+    return (_convert(_Ring(_own_ring(tuple(symbols)), x, t), groups,
+                     relations=False)
             or _over_expressions(x, t, groups, error))
 
 
@@ -270,12 +275,28 @@ def _first_label(report, verdict):
     return next(label for label, v, _ in report.per_equation if v is verdict)
 
 
+def _common_radical(sigma):
+    """(lam, sigma / lam) when every term of sigma's entries has one factor
+    lam = sqrt(r), r an integer, else (1, sigma): the noise families are
+    homogeneous in sigma, and the others see only S."""
+    def radical(f):
+        return f.is_Pow and f.exp == sp.S.Half and f.base.is_Integer
+    parts = [[[sift(sp.Mul.make_args(a), radical, binary=True)
+               for a in sp.Add.make_args(e) if a != 0] for e in row]
+             for row in sigma]
+    radicals = {sp.Mul(*r) for row in parts for e in row for r, _ in e}
+    if len(radicals) != 1 or 1 in radicals:
+        return 1, sigma
+    return radicals.pop(), [[sp.Add(*(sp.Mul(*a) for _, a in e)) for e in row]
+                            for row in parts]
+
+
 def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
     """The ansatz basis elements (tau, xi, B) as expressions, the
     calculus of the ring of `_in_exp_ring` and the columns of the
     coefficient matrix in it: the Lambda and Gamma entries of each
-    element. Gamma is built from sigma / lam (`model._common_radical`),
-    which keeps the row space, hence the generators."""
+    element. Gamma is built from sigma / lam (`_common_radical`), which
+    keeps the row space, hence the generators."""
     ctx = ito.context
     x, t = ctx.spatial, ctx.t
     n, m = ito.n, ito.m
@@ -288,12 +309,14 @@ def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
     elements = _elements(n, m, ansatz.time_basis,
                          _monomials(x, degree, sp.Integer(1)), mixers,
                          sp.Integer(1), sp.Integer(0))
-    c, (basis,) = ito._of([ansatz.time_basis])
-    if c.calc is _EXPRS:
-        calc, (basis, f, *sigma) = _over_expressions(
+    lam, scaled = _common_radical(ito.sigma)
+    converted = _convert(_Ring(ctx.ring, x, t),
+                         [ansatz.time_basis, ito.f, *scaled], relations=False)
+    if converted is None:
+        lam, converted = 1, _over_expressions(
             x, t, [ansatz.time_basis, ito.f, *ito.sigma], OutsideAnsatzError)
-        c = _Coefficients(calc, calc.x, calc.t, f, sigma)
-    calc = c.calc
+    calc, (basis, f, *sigma) = converted
+    c = _Coefficients(calc, calc.x, calc.t, f, sigma, lam)
     gens = [calc.ring.gens[i] for i in calc.x]
     forms = _elements(n, m, basis, _monomials(gens, degree, calc.one), mixers,
                       calc.one, calc.zero)
@@ -379,7 +402,8 @@ def commutator_closure(basis: SymmetryBasis) -> ClosureReport:
     constants or flags the algebra as not closed within the ansatz."""
     gens = basis.generators
     if any(g.Bmat is not None for g in gens):
-        raise ValueError("commutator closure is defined for VectorField bases")
+        raise ValueError("commutator closure is defined for bases without a "
+                         "noise mixer")
     table = {}
     closed = True
     for i in range(len(gens)):

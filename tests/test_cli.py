@@ -186,17 +186,18 @@ def test_fp_golden(runner, command):
 
 
 @pytest.mark.parametrize("args, steps", [
-    (("kramers.sde", "kramers_v6.cand", "--fp"), 4),
-    (("langevin2.sde", "langevin_wrot_ratio.cand"), 6),
+    (("kramers.sde", "kramers_v6.cand", "--fp"), 0),
+    (("langevin2.sde", "langevin_wrot_ratio.cand"), 0),
     (("rotating.sde", "rotating_dt.cand"), 4),
 ], ids=["kramers_v6-fp", "langevin_wrot_ratio", "rotating_dt"])
 def test_normalize_loop_calls_pinned(runner, fixtures_dir, args, steps):
     """Expression-path checks compute the general normalizer's steps for
-    each non-polynomial value once: at parse, when a builder emits a raw
-    residual, or in a zero test of a raw sum. Normalizing a value again, in
-    a constructor, `check` or the JSON report, finds its fixpoint in
-    sympy's cache. The cache is cleared first, so every computed step is a
-    miss."""
+    each value outside the exact domain once: at parse, when a builder
+    emits a raw residual, or in a zero test of a raw sum. Normalizing a
+    value again, in a constructor, `check` or the JSON report, finds its
+    fixpoint in sympy's cache. The cache is cleared first, so every
+    computed step is a miss. Parameter denominators and radicals (kramers,
+    langevin2) lie in the domain and compute none."""
     from sympy.core.cache import clear_cache
     import stosym.kernel as kernel
     system, candidate, *options = args
@@ -206,6 +207,50 @@ def test_normalize_loop_calls_pinned(runner, fixtures_dir, args, steps):
                                   *options])
     assert result.exit_code in (0, 1)
     assert kernel._normalize_step.cache_info().misses == steps
+
+
+def test_manifest_checks_leave_the_domain_only_on_trig(runner, fixtures_dir,
+                                                     manifest, monkeypatch):
+    """Over the distinct `check` commands of the fixture manifest, each
+    from an empty sympy cache: the determining systems are built on
+    expressions (`ItoSystem._of`) only for the rotating system, whose sigma
+    holds sin and cos, the zero test's probe runs only there, and every
+    input of the general normalizer holds sin or cos. Everything else
+    (parameter denominators, radicals, exp(c t)) stays in the exact
+    domain."""
+    import sympy as sp
+    from sympy.core.cache import clear_cache
+    from stosym import kernel, model
+    commands = []
+    for entry in manifest["checks"]:
+        args = ["check", fx(fixtures_dir, entry["system"]),
+                fx(fixtures_dir, entry["candidate"])]
+        if entry["check"] in ("fp", "normalization", "classification"):
+            args += ["--fp", "--json"]
+        if args not in commands:
+            commands.append(args)
+    assert len(commands) == 34
+    calls = {"of": [], "probe": [], "loop": []}
+
+    def spy(name, function):
+        def counted(*args):
+            result = function(*args)
+            calls[name].append((system, args[0], result))
+            return result
+        return counted
+    monkeypatch.setattr(model.ItoSystem, "_of", spy("of", model.ItoSystem._of))
+    monkeypatch.setattr(kernel, "_probe", spy("probe", kernel._probe))
+    monkeypatch.setattr(kernel, "_normalize_loop",
+                        spy("loop", kernel._normalize_loop))
+    for args in commands:
+        system = Path(args[1]).name
+        clear_cache()
+        assert runner.invoke(main, args).exit_code in (0, 1)
+    on_exprs = [s for s, _, (c, _) in calls["of"] if c.calc is model._EXPRS]
+    assert (len(calls["of"]), on_exprs) == (41, ["rotating.sde"] * 4)
+    assert [s for s, _, _ in calls["probe"]] == ["rotating.sde"] * 5
+    assert calls["loop"] and all(e.has(sp.sin, sp.cos)
+                                 for _, e, _ in calls["loop"])
 
 
 class TestDetsys:

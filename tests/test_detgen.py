@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from stosym import model
 from stosym.dsl import load_candidate
-from stosym.kernel import Context, Verdict, normalize, to_dsl, zero_verdict
+from stosym.kernel import (Context, Verdict, _generator, normalize, to_dsl,
+                           zero_verdict)
 from stosym.model import (DiscreteMap, ItoSystem, VectorField,
                           apply_discrete, diffusion_matrix,
                           fokker_planck_of, lie_bracket,
@@ -191,22 +192,24 @@ def test_fp_coefficients_built_once_per_system(systems, monkeypatch, name):
     assert len(built) == 2
 
 
-def test_kramers_in_ring_with_its_radical_scaled_out(kramers):
-    """sigma = sqrt(2) k is lam sigma_0 with lam = sqrt(2) and sigma_0 = k
-    in QQ[params, x, t], S = 2 (k^2 / 2): the Ito families of a polynomial
-    candidate run in the ring, and so does the Fokker-Planck family, with
-    A = -k^2."""
+def test_kramers_in_the_domain_with_its_radical(kramers):
+    """sigma = sqrt(2) k is s k with s = sqrt(2) a generator of the exact
+    domain, and S = s^2 k^2 / 2 leaves as k^2: the Ito families of a
+    polynomial candidate run in the domain, and so does the Fokker-Planck
+    family, with A = -k^2."""
     ctx = kramers.context
     x, y = ctx.spatial
-    k = ctx.ring(ctx.symbol("k"))
     vf = VectorField(ctx, tau=ctx.t, xi=(x, y), beta=-2 * ctx.t)
     c, _ = kramers._of([(vf.tau, vf.beta), vf.xi])
     assert c is kramers._coefficients is not None
     A, _, _ = c.fokker_planck
-    assert A[1][1] == -k**2
+    assert c.calc.leave(A[1][1]) == -ctx.symbol("k")**2
     c, _ = kramers._of([(vf.tau,), vf.xi])
     assert c is kramers._coefficients
-    assert (c.lam, c.sigma, c.S) == (sp.sqrt(2), [[0], [k]], [(1, 1, k**2)])
+    ring = c.calc.ring
+    s, k = ring(_generator("sqrt(2)", True)), ring(ctx.symbol("k"))
+    assert (c.lam, c.sigma, c.S) == (1, [[0], [s * k]],
+                                     [(1, 1, c.calc.half * s**2 * k**2)])
 
 
 def test_labels_cover_all_components(kramers):
@@ -326,8 +329,8 @@ def test_fp_a_is_symmetrized_gamma(rng):
 
 
 class TestFallback:
-    """Input outside QQ[params, x, t] keeps the expression path and its
-    output."""
+    """Input outside QQ[params, x, t] keeps the output of the expression
+    path, also where the wider exact domain takes it."""
 
     def test_float_drift_stays_float(self):
         ctx = Context(spatial=("x",), noises=("w",))
@@ -339,11 +342,12 @@ class TestFallback:
                                                         "2*x"]
 
     def test_sqrt_noise(self):
-        """sqrt(2) that is not a common factor of sigma."""
+        """sqrt(2) that is not a common factor of sigma: a generator of the
+        exact domain."""
         ctx = Context(spatial=("x", "y"), noises=("w1", "w2"))
         (x, y), t = ctx.spatial, ctx.t
         ito = ItoSystem(ctx, f=(-x, -y), sigma=((1, 0), (0, sp.sqrt(2))))
-        assert ito._coefficients is None
+        assert ito._coefficients is not None
         ds = detsys_projectable(ito, VectorField(ctx, tau=t, xi=(x, y * t)))
         assert [to_dsl(e) for e in ds.residuals()] == [
             "-x", "-2*y", "1/2", "0", "0", "sqrt(2)*t - sqrt(2)/2"]
@@ -472,13 +476,15 @@ def test_nonzero_ring_element_that_vanishes_is_zero():
 
 
 def test_parameter_meets_its_root_is_zero():
-    """sigma = sqrt(2 k) is sqrt(2) q with q = sqrt(k), S = q^2; the
-    candidate's k enters as q^2 too, and the Lambda residual
-    -(S d2 xi + d_t xi) of xi = x^2 - 2 k t is 0."""
+    """sigma = sqrt(2 k) is s q with s = sqrt(2) and q = sqrt(k), so
+    S = s^2 q^2 / 2 = q^2; the candidate's k enters as q^2 too, and the
+    Lambda residual -(S d2 xi + d_t xi) of xi = x^2 - 2 k t is 0."""
     ctx = Context(spatial=("x",), params={"k": "positive"}, noises=("w",))
     x, t, k = ctx.spatial[0], ctx.t, ctx.params["k"]
     ito = ItoSystem(ctx, f=(0,), sigma=((sp.sqrt(2 * k),),))
-    assert ito._coefficients.lam == sp.sqrt(2)
+    c = ito._coefficients
+    assert c.sigma == [[c.calc.ring(_generator("sqrt(2)", True)
+                                    * _generator("q_k", True))]]
     ds = detsys_projectable(ito, VectorField(ctx, xi=(x**2 - 2 * k * t,)))
     assert [to_dsl(e) for e in ds.residuals()] == ["0", "2*sqrt(2)*sqrt(k)*x"]
     assert [v for _, v, _ in check(ds).per_equation] == [Verdict.ZERO,
@@ -522,21 +528,23 @@ _LANGEVIN_CANDIDATES = {
         ["-x1*exp(t) + 2*x1*exp(-2*t)", "2*x2*exp(-2*t)"]),
 }
 
+_SQRT2 = _generator("sqrt(2)", True)
+
+
 def _strings(rows):
     return [[str(e) for e in row] for row in rows]
 
 
 class TestScaledRadical:
-    """kramers and langevin2 now run in the exact domain with sqrt(2)
-    scaled out of sigma; what the model and the verdicts return is
-    unchanged."""
+    """kramers and langevin2 run in the exact domain, with sqrt(2) a
+    generator of it; what the model and the verdicts return is pinned."""
 
     @pytest.mark.parametrize("name", sorted(_KRAMERS_CANDIDATES))
     def test_kramers(self, kramers, name):
         ctx = kramers.context
         build, gam, lam = _KRAMERS_CANDIDATES[name]
         vf = build(ctx, *ctx.spatial, ctx.t, ctx.params["k"])
-        assert kramers._coefficients.lam == sp.sqrt(2)
+        assert _SQRT2 in kramers._coefficients.calc.ring.symbols
         assert _strings(gamma(kramers, vf)) == gam
         assert [str(e) for e in lambda_(kramers, vf)] == lam
         assert (_fp_classification(kramers, extend_to_fp(vf))
@@ -548,7 +556,7 @@ class TestScaledRadical:
         ctx = lan.context
         build, gam, lam = _LANGEVIN_CANDIDATES[name]
         candidate = build(ctx, *ctx.spatial, ctx.t)
-        assert lan._coefficients.lam == sp.sqrt(2)
+        assert _SQRT2 in lan._coefficients.calc.ring.symbols
         assert _strings(gamma(lan, candidate)) == gam
         assert [str(e) for e in lambda_(lan, candidate)] == lam
         if candidate.Bmat is None:

@@ -292,6 +292,46 @@ class TestRoundTrips:
             system_from_dict({"vars": ["x", "y"], "noises": ["w1", "w2"], **d})
 
     @pytest.mark.parametrize("d, message", [
+        ({"noises": ["w1"], "drift": {}, "sigma": {}},
+         "a system needs the key 'vars'"),
+        ({"vars": ["x"], "drift": {}, "sigma": {}},
+         "a system needs the key 'noises'"),
+        ({"vars": ["x"], "noises": ["w1"], "sigma": {}},
+         "a system needs the key 'drift'"),
+        ({"vars": ["x"], "noises": ["w1"], "drift": {}},
+         "a system needs the key 'sigma'"),
+        ({"vars": ["x"], "noises": ["w1"], "drfit": {"x": "1"}, "drift": {},
+          "sigma": {}}, "'drfit' is not a key of a system"),
+    ], ids=["vars", "noises", "drift", "sigma", "unknown"])
+    def test_system_json_missing_or_unknown_key(self, d, message):
+        with pytest.raises(ValueError, match=message):
+            system_from_dict(d)
+
+    @pytest.mark.parametrize("d, message", [
+        ({"xi": {}}, "a candidate needs the key 'type'"),
+        ({"type": "vector_field"}, "a vector_field candidate needs the key "
+         "'xi'"),
+        ({"type": "w_symmetry", "B": [["0", "1"], ["-1", "0"]]},
+         "a w_symmetry candidate needs the key 'xi'"),
+        ({"type": "w_symmetry", "xi": {"x": "y"}},
+         "a w_symmetry candidate needs the key 'B'"),
+        ({"type": "discrete_map", "phi": {"x": "-x"}},
+         "a discrete_map candidate needs the key 'R'"),
+    ], ids=["type", "xi", "w-xi", "B", "R"])
+    def test_candidate_json_missing_key(self, pair, d, message):
+        with pytest.raises(ValueError, match=message):
+            candidate_from_dict(d, pair)
+
+    def test_candidate_name_written_as_identifier(self, pair):
+        """A name that is not an identifier is written as one, with the
+        rule of `to_sde`, and the text reads back."""
+        shift = VectorField(pair.context, xi=(1, 0))
+        text = to_cand(shift, name="shift-x")
+        assert text.splitlines()[0] == "candidate shift_x"
+        again = parse_candidate(text, pair)
+        assert again.xi == shift.xi and again.name == "shift_x"
+
+    @pytest.mark.parametrize("d, message", [
         ({"type": "vector_field", "xi": {"z": "1"}},
          "'z' is not a declared variable"),
         ({"type": "discrete_map", "phi": {"z": "1"},

@@ -118,9 +118,71 @@ def test_polynomial_path_matches_loop(seed):
     assert normalize(e) == _normalize_loop(sp.sympify(e))
 
 
+_LAURENT_CTX = Context(spatial=("x", "y"),
+                       params={"a": "positive", "b": "positive"})
+
+
+def _laurent_term(rng):
+    """c a^i b^j x^k t^l times a radical and exp(r t): i, j in [-2, 2],
+    the radical one of sqrt(a), 1/sqrt(b), sqrt(2), sqrt(3) and sqrt(6),
+    the rate one of a few in the parameters and radicals."""
+    (x, y), t = _LAURENT_CTX.spatial, _LAURENT_CTX.t
+    a, b = _LAURENT_CTX.symbol("a"), _LAURENT_CTX.symbol("b")
+    radical = rng.choice([1, sp.sqrt(a), 1 / sp.sqrt(b), sp.sqrt(2),
+                          sp.sqrt(3), sp.sqrt(6)])
+    rate = rng.choice([0, 0, 1, -2, a, -a**2, a / b, sp.sqrt(2), sp.sqrt(b)])
+    return (sp.Rational(rng.randint(-9, 9), rng.randint(1, 4))
+            * a**rng.randint(-2, 2) * b**rng.randint(-2, 2)
+            * rng.choice([1, x, y, x * y, x**2]) * rng.choice([1, t])
+            * radical * sp.exp(rate * t))
+
+
+def _laurent(rng, terms=3):
+    return sp.Add(*(_laurent_term(rng) for _ in range(rng.randint(1, terms))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_domain_path_matches_loop(rng):
+    """On a Laurent polynomial in positive parameters with radicals and
+    exp(c t), and on a product of two, the exact domain gives the loop's
+    expression, and gives it back on its own output."""
+    e = _laurent(rng)
+    if rng.random() < 0.5:
+        e = e * _laurent(rng, 2)
+    n = kernel._exact(e)
+    assert n is not None
+    assert n == _normalize_loop(e)
+    assert kernel._exact(n) == n
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_domain_decides_equal_forms_without_probe(rng):
+    """(u + v)^2 against u^2 + 2 u v + v^2, with u and v such sums, and
+    exp(r t) exp(s t) against exp((r + s) t): the difference of two equal
+    forms is decided ZERO in the domain, and a perturbed one NONZERO,
+    without the probe."""
+    u, v = _laurent(rng, 2), _laurent(rng, 2)
+    t, a = _LAURENT_CTX.t, _LAURENT_CTX.symbol("a")
+
+    def fail(*args, **kwargs):
+        raise AssertionError("probed or simplified")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_probe", fail)
+        mp.setattr(sp, "simplify", fail)
+        assert zero_verdict((u + v)**2 - u**2 - 2 * u * v - v**2) \
+            is Verdict.ZERO
+        assert zero_verdict(sp.exp(a * t) * sp.exp(-t / a) * u
+                            - sp.exp((a - 1 / a) * t) * u) is Verdict.ZERO
+        assert zero_verdict((u + v)**2 - u**2 - v**2 - u * v) is (
+            Verdict.ZERO if u * v == 0 else Verdict.NONZERO)
+
+
 class TestNormalizePaths:
-    """Polynomials over QQ skip the expand/cancel loop; everything else
-    keeps it, with its output unchanged."""
+    """Polynomials over QQ and the other inputs of the exact domain skip
+    the expand/cancel loop; everything else keeps it, with its output
+    unchanged."""
 
     @pytest.fixture
     def loop_calls(self, monkeypatch):
@@ -153,18 +215,41 @@ class TestNormalizePaths:
         assert loop_calls
 
     @pytest.mark.parametrize("build,expected", [
-        (lambda x, t, a, g: sp.sqrt(2) * x, lambda x, t, a, g: sp.sqrt(2) * x),
         (lambda x, t, a, g: x / a, lambda x, t, a, g: x / a),
-        (lambda x, t, a, g: sp.exp(t) * x, lambda x, t, a, g: x * sp.exp(t)),
+        (lambda x, t, a, g: sp.exp(t + 1) * x,
+         lambda x, t, a, g: sp.E * x * sp.exp(t)),
+        (lambda x, t, a, g: sp.sqrt(x) * a, lambda x, t, a, g: a * sp.sqrt(x)),
         (lambda x, t, a, g: sp.sin(x) ** 2,
          lambda x, t, a, g: sp.Rational(1, 2) - sp.cos(2 * x) / 2),
         (lambda x, t, a, g: g(x, t) * x, lambda x, t, a, g: x * g(x, t)),
-    ], ids=["sqrt2", "denominator", "exp", "sin2", "opaque"])
+    ], ids=["denominator", "shifted_exp", "sqrt_x", "sin2", "opaque"])
     def test_loop_inputs(self, loop_calls, build, expected):
+        """A parameter only real in a denominator, exp(t + 1), sqrt of a
+        variable, sin/cos and opaque functions lie outside the exact
+        domain."""
         octx = Context(spatial=("x",), params={"a": None}, opaque=("g",))
         args = (octx.spatial[0], octx.t, octx.symbol("a"), octx.opaque["g"])
         assert normalize(build(*args)) == expected(*args)
         assert loop_calls
+
+    @pytest.mark.parametrize("build,expected", [
+        (lambda x, t, a, b: sp.sqrt(2) * x, lambda x, t, a, b: sp.sqrt(2) * x),
+        (lambda x, t, a, b: x / a + x / b**2,
+         lambda x, t, a, b: x / a + x / b**2),
+        (lambda x, t, a, b: sp.exp(t) * x, lambda x, t, a, b: x * sp.exp(t)),
+        (lambda x, t, a, b: sp.sqrt(6) * sp.sqrt(b) * (x + 1 / sp.sqrt(b)),
+         lambda x, t, a, b: sp.sqrt(6) * sp.sqrt(b) * x + sp.sqrt(6)),
+        (lambda x, t, a, b: sp.exp(a * t) * sp.exp(-a * t + t / b**2) * a,
+         lambda x, t, a, b: a * sp.exp(t / b**2)),
+    ], ids=["sqrt2", "denominator", "exp", "radicals", "rates"])
+    def test_domain_inputs(self, loop_calls, build, expected):
+        """Inverses of nonzero parameters, square roots of positive ones
+        and of integers, and exp(c t) lie in the exact domain."""
+        octx = Context(spatial=("x",), params={"a": "nonzero",
+                                               "b": "positive"})
+        args = (octx.spatial[0], octx.t, octx.symbol("a"), octx.symbol("b"))
+        assert normalize(build(*args)) == expected(*args)
+        assert loop_calls == []
 
 
 class TestNormalizeCache:
@@ -185,6 +270,20 @@ class TestNormalizeCache:
         clear_cache()
         assert normalize(n) == n
         assert kernel._normalize_step.cache_info().misses > 0
+
+    def test_domain_fixpoint_is_a_cache_hit(self, ctx):
+        """The exact domain's normal form of an input and of its output
+        stay in sympy's cache: normalizing the output, or deciding it, again
+        converts nothing."""
+        from sympy.core.cache import clear_cache
+        x, k, t = ctx.spatial[0], ctx.symbol("k"), ctx.t
+        raw = sp.sqrt(2) * (x + 1 / k) ** 2 * sp.exp(k * t) * sp.exp(t)
+        clear_cache()
+        n = normalize(raw)
+        assert kernel._exact.cache_info().misses == 2
+        assert normalize(n) == n
+        assert zero_verdict(n) is Verdict.NONZERO
+        assert kernel._exact.cache_info().misses == 2
 
     @pytest.mark.parametrize("order", [(0.5, sp.S.Half), (sp.S.Half, 0.5)],
                              ids=["float-first", "rational-first"])

@@ -377,8 +377,10 @@ class TestPublicConstructionNormalizes:
             self.build(kind, **overrides)
 
     def test_zero_verdict_and_to_dsl_normalize_raw_input(self, monkeypatch):
-        """None of the three inputs is a polynomial, so each takes the
-        general loop once."""
+        """None of the three inputs is a polynomial. The residual and
+        sqrt(2) (k + 1) lie in the exact domain; sqrt(2)/2 written over
+        2 k + 2, a denominator that is not a monomial, takes the general
+        loop once."""
         calls = []
         loop = kernel._normalize_loop
         monkeypatch.setattr(kernel, "_normalize_loop",
@@ -387,4 +389,4 @@ class TestPublicConstructionNormalizes:
         assert zero_verdict(residual) is Verdict.ZERO
         assert kernel.to_dsl(self.RADICAL) == "sqrt(2)*k + sqrt(2)"
         assert kernel.to_dsl(self.HALF) == "sqrt(2)/2"
-        assert len(calls) == 3
+        assert calls == [self.HALF]

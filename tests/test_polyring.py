@@ -97,3 +97,30 @@ def test_own_rings_are_shared():
     p, q = _ring_element(X * Y + A), _ring_element(A - X**2 * Y / 3)
     assert p.ring is q.ring
     assert _ring_element(X + Y).ring is not p.ring
+
+
+def test_domain_calls():
+    """What the exact domain (stosym.kernel._Domain) asks of a ring over
+    QQ: (monomial, coefficient) pairs from items(), a coefficient times a
+    Python int, hashed in a frozenset and mapped back by to_sympy, and a
+    ring with no generators for a constant."""
+    p = RING.from_expr(3 * A**2 * X / 4 - T)
+    terms = dict(p.items())
+    assert terms[(2, 0, 1, 0)] * 2 == QQ(3, 2)
+    assert frozenset(terms.items()) == frozenset(p.items())
+    assert RING.domain.to_sympy(terms[(2, 0, 1, 0)]) == sp.Rational(3, 4)
+    empty = PolyRing((), QQ)
+    assert empty.ground_new(QQ(3, 2)).as_expr() == sp.Rational(3, 2)
+    assert sp.factorint(30) == {2: 1, 3: 1, 5: 1}
+
+
+@pytest.mark.parametrize("expr, expected", [
+    (X / A**2 + sp.sqrt(A) * Y, X / A**2 + sp.sqrt(A) * Y),
+    (sp.sqrt(2) * (sp.sqrt(3) * X + 1) - sp.sqrt(6) * X - sp.sqrt(2), 0),
+    (sp.exp(A * T) * sp.exp((2 - A) * T), sp.exp(2 * T)),
+    (sp.sqrt(6) - 1, sp.sqrt(6) - 1)],
+    ids=["laurent", "radicals", "net_rate", "constant"])
+def test_domain_round_trip(expr, expected):
+    """Into the exact domain over the input's symbols and out again."""
+    from stosym.kernel import _exact
+    assert _exact(expr) == expected
