@@ -5,26 +5,24 @@ growth-chain module and Monte-Carlo cross-validation."""
 
 from .kernel import (Context, DomainError, ExprError, InconclusiveError,
                      ParseError, UnboundSymbolError, UndeclaredSymbolError,
-                     Verdict, all_zero, differentiate, eval_numeric, is_zero,
-                     normalize, parse_expr, substitute, to_dsl, zero_verdict)
+                     Verdict, all_zero, eval_numeric, is_zero, normalize,
+                     parse_expr, to_dsl, zero_verdict)
 from .model import (DegeneracyError, DiscreteMap, FokkerPlanck, ItoSystem,
-                    VectorField, apply_discrete, diffusion_matrix,
-                    fokker_planck_of, ito_to_stratonovich, lie_bracket,
-                    same_fp, transform_ito_first_order)
+                    VectorField, apply_discrete, fokker_planck_of,
+                    ito_to_stratonovich, lie_bracket, same_fp,
+                    transform_ito_first_order)
 from .detgen import (DeterminingSystem, detsys_discrete, detsys_fp,
-                     detsys_ode, detsys_projectable, detsys_spatial,
-                     detsys_w, gamma, lambda_)
-from .verify import (FpClassification, OverallVerdict, PreconditionError,
-                     VerificationReport, check, check_normalization_preserving,
-                     check_superposition, extend_to_fp, project_fp_symmetry)
+                     detsys_ode, detsys_projectable)
+from .verify import (FpClassification, OverallVerdict, VerificationReport,
+                     check, check_fp, check_normalization_preserving,
+                     check_superposition, extend_to_fp)
 from .solve import (Ansatz, NonClosedBasisError, NonlinearEntanglementError,
                     OutsideAnsatzError, StructuralFact, SymmetryBasis,
                     commutator, commutator_closure, default_time_basis,
                     membership_coordinates, solve_ansatz,
                     xi_second_derivative_constraint)
-from .dsl import (candidate_from_dict, candidate_to_dict, load_candidate,
-                  load_system, parse_candidate, parse_system, system_from_dict,
-                  system_to_dict, to_cand, to_sde)
+from .dsl import (candidate_to_dict, load_candidate, load_system,
+                  parse_candidate, parse_system, to_cand, to_sde)
 from .kpz import (KpzChain, inversion_matrix, kpz_check_discrete,
                   kpz_detsys_continuous, kpz_ito, site_shift_matrix)
 

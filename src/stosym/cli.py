@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import replace
 
 import click
 import sympy as sp
@@ -25,9 +24,8 @@ import sympy as sp
 from .kernel import Context, InconclusiveError, ParseError, _dsl, parse_expr
 from .model import DegeneracyError, DiscreteMap, VectorField, \
     fokker_planck_of
-from .detgen import detsys_discrete, detsys_fp, detsys_projectable, detsys_w
-from .verify import OverallVerdict, _fp_classification, check, \
-    check_normalization_preserving, extend_to_fp
+from .detgen import detsys_discrete, detsys_fp, detsys_projectable
+from .verify import OverallVerdict, check, check_fp
 from .solve import Ansatz, NonlinearEntanglementError, default_time_basis, \
     solve_ansatz
 from .dsl import candidate_to_dict, load_candidate, load_system
@@ -89,8 +87,6 @@ def _load(path, loader, *args):
 def _detsys_for(ito, candidate):
     if isinstance(candidate, DiscreteMap):
         return detsys_discrete(ito, candidate)
-    if candidate.Bmat is not None:
-        return detsys_w(ito, candidate)
     if candidate.beta is not None:
         return detsys_fp(ito, candidate)
     return detsys_projectable(ito, candidate)
@@ -172,21 +168,13 @@ def check_cmd(system_file, candidate_file, classify_fp, as_json):
     """Verify a candidate against its determining equations."""
     ito = _load(system_file, load_system)
     candidate = _load(candidate_file, load_candidate, ito)
-    data = {"schema": 1}
     if classify_fp:
         if isinstance(candidate, DiscreteMap) or candidate.Bmat is not None:
             _reject("--fp applies to vector-field candidates only")
-        vf = candidate if candidate.beta is not None else extend_to_fp(candidate)
-        report = check(detsys_fp(ito, vf))
-        preserving = check_normalization_preserving(vf)
-        if report.is_symmetry and preserving:
-            report = replace(report,
-                             classification=_fp_classification(ito, vf))
-        data.update(report.to_dict())
-        data["normalization_preserving"] = preserving
+        report = check_fp(ito, candidate)
     else:
         report = check(_detsys_for(ito, candidate))
-        data.update(report.to_dict())
+    data = report.to_dict()
     if as_json:
         _emit(data)
     else:

@@ -1,9 +1,11 @@
 """Determining-equation systems, emitted as raw residual expressions
 required to vanish identically in (x, t).
 
-Every family is expressed through S = (1/2) sigma sigma^T so that the
-reductions hold exactly: the W system with B = 0 equals the projectable
-system, which at tau = 0 equals the spatial system, equation by equation.
+Every family is expressed through S = (1/2) sigma sigma^T. One builder,
+`detsys_projectable`, gives the Lambda/Gamma family of every continuous
+generator: a noise mixer B (`Bmat`) adds -(sigma B) to Gamma and names
+the system ito-w, so B = 0 gives the projectable equations, equation by
+equation, and tau = 0 the spatial ones.
 
 Every family is computed in one of two coefficient types, chosen from
 the input alone: the exact domain of `kernel._convert` (QQ[params, x, t]
@@ -32,8 +34,8 @@ from .kernel import normalize
 from .model import DiscreteMap, ItoSystem, VectorField, fokker_planck_of
 
 __all__ = [
-    "DeterminingSystem", "detsys_ode", "detsys_spatial", "detsys_projectable",
-    "detsys_fp", "detsys_w", "detsys_discrete", "gamma", "lambda_",
+    "DeterminingSystem", "detsys_ode", "detsys_projectable", "detsys_fp",
+    "detsys_discrete",
 ]
 
 
@@ -105,23 +107,6 @@ def _lambda_gamma_of(c, tau, xi, B):
     return lam, gam
 
 
-def gamma(ito: ItoSystem, candidate):
-    """Gamma^k_j = sigma^m_j d_m xi^k - xi^m d_m sigma^k_j
-    - tau d_t sigma^k_j - (1/2) sigma^k_j d_t tau, as an n x m matrix.
-
-    For a W-symmetry candidate the constant antisymmetric B contributes an
-    extra -(sigma B)^k_j term.
-    """
-    _, gam = _lambda_gamma(ito, candidate)
-    return tuple(tuple(normalize(e) for e in row) for row in gam)
-
-
-def lambda_(ito: ItoSystem, candidate):
-    """Lambda^i = -[d_t(xi^i - tau f^i) + {f, xi}^i + S^{mk} d2_{mk} xi^i]."""
-    lam, _ = _lambda_gamma(ito, candidate)
-    return tuple(normalize(e) for e in lam)
-
-
 def detsys_ode(f, vf: VectorField) -> DeterminingSystem:
     """Deterministic determining equations
     d_t(xi^i - tau f^i) + {f, xi}^i = 0 for dx/dt = f(x, t): minus the
@@ -134,29 +119,15 @@ def detsys_ode(f, vf: VectorField) -> DeterminingSystem:
     return _pack("ode", [(f"ODE[{i + 1}]", -e) for i, e in enumerate(lam)])
 
 
-def _lambda_gamma_system(name, ito, candidate):
-    lam, gam = _lambda_gamma(ito, candidate)
+def detsys_projectable(ito: ItoSystem, vf: VectorField) -> DeterminingSystem:
+    """Full determining equations in the Lambda = 0, Gamma = 0 form, named
+    ito-w for a generator with a noise mixer B (`Bmat`, whose Gamma is
+    B-shifted) and ito-projectable otherwise."""
+    lam, gam = _lambda_gamma(ito, vf)
     eqs = [(f"Lambda[{i + 1}]", e) for i, e in enumerate(lam)]
     eqs += [(f"Gamma[{i + 1}][{k + 1}]", e)
             for i, row in enumerate(gam) for k, e in enumerate(row)]
-    return _pack(name, eqs)
-
-
-def detsys_spatial(ito: ItoSystem, xi) -> DeterminingSystem:
-    """Determining equations for purely spatial symmetries (tau = 0)."""
-    vf = VectorField(context=ito.context, tau=0, xi=tuple(xi))
-    return _lambda_gamma_system("ito-spatial", ito, vf)
-
-
-def detsys_projectable(ito: ItoSystem, vf: VectorField) -> DeterminingSystem:
-    """Full determining equations in the Lambda = 0, Gamma = 0 form."""
-    return _lambda_gamma_system("ito-projectable", ito, vf)
-
-
-def detsys_w(ito: ItoSystem, ws: VectorField) -> DeterminingSystem:
-    """Determining equations for W-symmetries, generators with a noise mixer
-    B (`Bmat`): Lambda and B-shifted Gamma; with B = 0, detsys_projectable."""
-    return _lambda_gamma_system("ito-w", ito, ws)
+    return _pack("ito-projectable" if vf.Bmat is None else "ito-w", eqs)
 
 
 def detsys_fp(ito: ItoSystem, vf: VectorField) -> DeterminingSystem:

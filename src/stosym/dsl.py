@@ -1,5 +1,5 @@
-"""Plain-text file formats for systems and symmetry candidates, plus JSON
-serialization of both.
+"""Plain-text file formats for systems and symmetry candidates, plus the
+JSON form in which `solve --json` prints a candidate.
 
 System files declare names, parameters, variables and noises, then list the
 nonzero drift and noise coefficients:
@@ -29,8 +29,7 @@ from .model import DiscreteMap, ItoSystem, VectorField
 
 __all__ = [
     "parse_system", "parse_candidate", "load_system", "load_candidate",
-    "to_sde", "to_cand", "system_to_dict", "system_from_dict",
-    "candidate_to_dict", "candidate_from_dict",
+    "to_sde", "to_cand", "candidate_to_dict",
 ]
 
 _ASSUMPTIONS = {"positive", "nonzero", "real"}
@@ -271,7 +270,7 @@ def load_candidate(path, context):
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# writing
 
 def _extra_params(ctx, base_context):
     if base_context is None:
@@ -352,52 +351,6 @@ def to_cand(candidate, base_context=None, name="") -> str:
     return "\n".join(out) + "\n"
 
 
-def system_to_dict(ito: ItoSystem) -> dict:
-    ctx = ito.context
-    return {
-        "schema": 1,
-        "name": ito.name or "system",
-        "params": dict(ctx.param_assumptions),
-        "vars": list(ctx.spatial_names),
-        "noises": list(ctx.noise_names),
-        "drift": {v: _dsl(ito.f[i]) for i, v in enumerate(ctx.spatial_names)},
-        "sigma": {v: {w: _dsl(ito.sigma[i][k])
-                      for k, w in enumerate(ctx.noise_names)}
-                  for i, v in enumerate(ctx.spatial_names)},
-    }
-
-
-def _declared(keys, names, what):
-    """Reject the first key of a JSON object that is not one of `names`."""
-    for key in keys:
-        if key not in names:
-            raise ValueError(f"'{key}' is not a {what}")
-
-
-def _required(d, keys, what):
-    """Reject a JSON object that lacks one of `keys`."""
-    for key in keys:
-        if key not in d:
-            raise ValueError(f"a {what} needs the key '{key}'")
-
-
-_SYSTEM_KEYS = ("vars", "noises", "drift", "sigma")
-
-
-def system_from_dict(d) -> ItoSystem:
-    _declared(d, ("schema", "name", "params", *_SYSTEM_KEYS), "key of a system")
-    _required(d, _SYSTEM_KEYS, "system")
-    ctx = Context(spatial=tuple(d["vars"]), params=dict(d.get("params", {})),
-                  noises=tuple(d["noises"]))
-    _declared([*d["drift"], *d["sigma"]], d["vars"], "declared variable")
-    _declared([w for row in d["sigma"].values() for w in row], d["noises"],
-              "declared noise")
-    f = tuple(parse_expr(d["drift"].get(v, "0"), ctx) for v in d["vars"])
-    sigma = tuple(tuple(parse_expr(d["sigma"].get(v, {}).get(w, "0"), ctx)
-                        for w in d["noises"]) for v in d["vars"])
-    return ItoSystem(context=ctx, f=f, sigma=sigma, name=d.get("name", "system"))
-
-
 def candidate_to_dict(candidate, base_context=None, name="") -> dict:
     ctx = candidate.context
     d = {"schema": 1, "name": name,
@@ -419,38 +372,3 @@ def candidate_to_dict(candidate, base_context=None, name="") -> dict:
         if candidate.beta is not None:
             d["beta"] = _dsl(candidate.beta)
     return d
-
-
-# the required and the optional keys of each candidate type beside schema,
-# name, params and type
-_CANDIDATE_KEYS = {"discrete_map": (("phi", "R"), ()),
-                   "vector_field": (("xi",), ("tau", "beta")),
-                   "w_symmetry": (("xi", "B"), ("tau",))}
-
-
-def candidate_from_dict(d, context):
-    if isinstance(context, ItoSystem):
-        context = context.context
-    ctx = (context.with_params(dict(d.get("params", {})))
-           if d.get("params") else context)
-    _required(d, ("type",), "candidate")
-    kind, names = d["type"], ctx.spatial_names
-    if kind not in _CANDIDATE_KEYS:
-        raise ValueError(f"unknown candidate type '{kind}'")
-    required, optional = _CANDIDATE_KEYS[kind]
-    _declared(d, ("schema", "name", "params", "type", *required, *optional),
-              f"key of a {kind} candidate")
-    _required(d, required, f"{kind} candidate")
-    if kind == "discrete_map":
-        _declared(d["phi"], names, "declared variable")
-        phi = tuple(parse_expr(d["phi"].get(v, v), ctx) for v in names)
-        R = tuple(tuple(parse_expr(e, ctx) for e in row) for row in d["R"])
-        return DiscreteMap(context=ctx, phi=phi, R=R)
-    _declared(d["xi"], names, "declared variable")
-    B = d["B"] if kind == "w_symmetry" else None
-    return VectorField(
-        context=ctx, tau=parse_expr(d.get("tau", "0"), ctx),
-        xi=tuple(parse_expr(d["xi"].get(v, "0"), ctx) for v in names),
-        beta=parse_expr(d["beta"], ctx) if "beta" in d else None,
-        name=d.get("name", ""),
-        Bmat=B and tuple(tuple(parse_expr(e, ctx) for e in row) for row in B))

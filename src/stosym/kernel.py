@@ -1,5 +1,6 @@
-"""Minimal expression kernel: parsing, normalization, differentiation and
-a three-way zero test (zero, nonzero or inconclusive).
+"""Minimal expression kernel: parsing, normalization through the exact
+domain or a cached rewrite loop, and a three-way zero test (zero, nonzero
+or inconclusive).
 
 Expressions are plain sympy objects restricted to a fixed fragment:
 rational constants, declared symbols, sums, products, integer/rational
@@ -17,7 +18,7 @@ from functools import cached_property, lru_cache
 import sympy as sp
 from sympy.core.cache import cacheit
 from sympy.core.evalf import PrecisionExhausted
-from sympy.core.function import AppliedUndef, UndefinedFunction
+from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ
 from sympy.polys.rings import PolyElement, PolyRing
 from sympy.simplify.fu import TR5, TR8
@@ -26,8 +27,8 @@ __all__ = [
     "Context",
     "ExprError", "ParseError", "UndeclaredSymbolError",
     "UnboundSymbolError", "DomainError", "InconclusiveError",
-    "Verdict", "parse_expr", "normalize", "differentiate", "substitute",
-    "zero_verdict", "is_zero", "all_zero", "eval_numeric", "to_dsl",
+    "Verdict", "parse_expr", "normalize", "zero_verdict", "is_zero",
+    "all_zero", "eval_numeric", "to_dsl",
 ]
 
 BUILTIN_FUNCTIONS = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos, "sqrt": sp.sqrt}
@@ -635,34 +636,6 @@ def _normalize_step(e):
     except (sp.PolynomialError, NotImplementedError):
         pass
     return sp.expand(new)
-
-
-def differentiate(e, v) -> sp.Expr:
-    """Exact partial derivative; opaque function symbols yield derivative
-    markers. Total on the fragment."""
-    return normalize(sp.diff(sp.sympify(e), v))
-
-
-def substitute(e, bindings) -> sp.Expr:
-    """Simultaneous substitution followed by normalization.
-
-    Keys may be symbols or opaque function symbols (values then
-    being sympy Lambdas); derivative markers of substituted functions are
-    evaluated.
-    """
-    e = sp.sympify(e)
-    plain = {}
-    funcs = {}
-    for k, val in dict(bindings).items():
-        if isinstance(k, UndefinedFunction):
-            funcs[k] = val
-        else:
-            plain[k] = sp.sympify(val)
-    if plain:
-        e = e.subs(plain, simultaneous=True)
-    if funcs:
-        e = e.subs(funcs).doit()
-    return normalize(e)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import sympy as sp
 
 from .kernel import Context
-from .detgen import DeterminingSystem, detsys_discrete, detsys_w
+from .detgen import DeterminingSystem, detsys_discrete, detsys_projectable
 from .model import DiscreteMap, ItoSystem, VectorField
 from .verify import VerificationReport, check
 
@@ -80,7 +80,8 @@ def kpz_detsys_continuous(chain: KpzChain, tau, Lambda_matrix, alpha_vec,
     xi = Lam * sp.Matrix(chain.context.spatial) + al
     B = () if Bmat is None else sp.Matrix(Bmat).tolist()
     ws = VectorField(chain.context, tau=tau, xi=tuple(xi), Bmat=B)
-    return replace(detsys_w(kpz_ito(chain), ws), name="kpz-continuous")
+    return replace(detsys_projectable(kpz_ito(chain), ws),
+                   name="kpz-continuous")
 
 
 def kpz_check_discrete(chain: KpzChain, F) -> VerificationReport:

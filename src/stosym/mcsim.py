@@ -51,7 +51,8 @@ _HEADER = struct.Struct("<8sqqqqdq")
 class InputError(ValueError):
     """An argument or a parameter binding a simulation or a comparison
     cannot use: an unbound parameter, a bad or non-finite step or horizon,
-    a candidate with a time component, too few paths."""
+    a start that is not n finite numbers, a snapshot interval below 1, a
+    candidate with a time component, too few paths."""
 
 
 class BlowupError(RuntimeError):
@@ -173,11 +174,19 @@ def euler_maruyama(ito: ItoSystem, x0, t0, t1, dt, n_paths, seed,
     if n_paths < 1:
         raise InputError("n_paths must be positive")
     n, m = ito.n, ito.m
+    try:
+        x0 = np.asarray(x0, dtype=float)
+    except (TypeError, ValueError):
+        x0 = None
+    if x0 is None or x0.shape != (n,) or not np.isfinite(x0).all():
+        raise InputError(f"x0 must list n = {n} finite numbers")
     n_steps = int(round((t1 - t0) / dt))
     if n_steps < 1:
         raise InputError("time horizon shorter than one step")
     if store_every is None:
         store_every = max(1, n_steps // 10)
+    elif store_every < 1:
+        raise InputError("store_every must be positive")
     ctx = ito.context
     exprs = _bind(ito.f, ctx, params)
     sigma = _bind([e for row in ito.sigma for e in row], ctx, params)
@@ -192,7 +201,7 @@ def euler_maruyama(ito: ItoSystem, x0, t0, t1, dt, n_paths, seed,
     field = _row_field(exprs, ctx)
 
     X = np.empty((n, n_paths))
-    X[:] = np.asarray(x0, dtype=float).reshape(n, 1)
+    X[:] = x0.reshape(n, 1)
     Y = np.empty_like(X)
     noise = np.empty(n_paths)
     paths = np.empty((n_paths, 1 + -(-n_steps // store_every), n))

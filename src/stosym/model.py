@@ -19,7 +19,7 @@ from .kernel import Context, _convert, _Domain, all_zero, normalize
 __all__ = [
     "DegeneracyError",
     "ItoSystem", "FokkerPlanck", "VectorField", "DiscreteMap",
-    "diffusion_matrix", "fokker_planck_of", "same_fp", "ito_to_stratonovich",
+    "fokker_planck_of", "same_fp", "ito_to_stratonovich",
     "lie_bracket", "transform_ito_first_order", "apply_discrete",
 ]
 
@@ -389,18 +389,12 @@ class _Coefficients:
 # ---------------------------------------------------------------------------
 # structural maps
 
-def diffusion_matrix(ito: ItoSystem):
-    """S = (1/2) sigma sigma^T = -A as an n x n tuple matrix; raises
-    DegeneracyError when it vanishes identically and InconclusiveError when
-    the zero test cannot decide whether it does."""
-    return tuple(tuple(normalize(-a) for a in row)
-                 for row in fokker_planck_of(ito).A)
-
-
 def fokker_planck_of(ito: ItoSystem) -> FokkerPlanck:
     """Coefficients of the associated Fokker-Planck equation, built once per
     system: A = -(1/2) sigma sigma^T, B^i = f^i + 2 d_j A^{ij},
-    C = d_i f^i + d2_{ij} A^{ij}. Raises as `diffusion_matrix` does."""
+    C = d_i f^i + d2_{ij} A^{ij}. Raises DegeneracyError when
+    S = (1/2) sigma sigma^T = -A vanishes identically and InconclusiveError
+    when the zero test cannot decide whether it does."""
     return ito._fokker_planck
 
 

@@ -1,21 +1,20 @@
-"""Verdicts on symmetry candidates, the Ito <-> Fokker-Planck
-correspondence, and the normalization-preservation test."""
+"""Verdicts on symmetry candidates: `check` decides a determining system,
+and `check_fp` decides a candidate's Fokker-Planck symmetry, whether it
+preserves normalization, and whether it is pathwise or only in law."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import sympy as sp
 
-from .kernel import Verdict, _dsl, _fold, all_zero, is_zero, substitute, \
-    zero_verdict
+from .kernel import Verdict, _dsl, _fold, all_zero, is_zero, zero_verdict
 from .model import ItoSystem, VectorField, fokker_planck_of
 from .detgen import DeterminingSystem, _lambda_gamma, detsys_fp
 
 __all__ = [
-    "OverallVerdict", "FpClassification", "VerificationReport",
-    "PreconditionError", "check", "extend_to_fp",
-    "check_normalization_preserving", "project_fp_symmetry",
+    "OverallVerdict", "FpClassification", "VerificationReport", "check",
+    "check_fp", "extend_to_fp", "check_normalization_preserving",
     "check_superposition",
 ]
 
@@ -31,16 +30,13 @@ class FpClassification(enum.Enum):
     STATISTICAL_EQUIVALENCE = "statistical_equivalence"
 
 
-class PreconditionError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     system_name: str
     per_equation: tuple  # of (label, Verdict, residual)
     overall: OverallVerdict
     classification: FpClassification | None = None
+    normalization_preserving: bool | None = None  # of a Fokker-Planck check
 
     @property
     def is_symmetry(self):
@@ -58,6 +54,8 @@ class VerificationReport:
         }
         if self.classification is not None:
             d["classification"] = self.classification.value
+        if self.normalization_preserving is not None:
+            d["normalization_preserving"] = self.normalization_preserving
         return d
 
 
@@ -66,38 +64,19 @@ _OVERALL = {Verdict.ZERO: OverallVerdict.SYMMETRY,
             Verdict.INCONCLUSIVE: OverallVerdict.INCONCLUSIVE}
 
 
-def check(ds: DeterminingSystem, bindings=None) -> VerificationReport:
-    """Substitute candidate bindings for the free unknowns of the system and
-    classify every residual. Overall verdict is SYMMETRY iff every residual
-    is provably zero and NOT_SYMMETRY if one is provably nonzero; otherwise
-    an INCONCLUSIVE residual makes it INCONCLUSIVE, never a silent pass."""
-    by_name = {getattr(k, "__name__", k): v
-               for k, v in dict(bindings or {}).items()}
-    missing = [f.__name__ for f in ds.free_unknowns if f.__name__ not in by_name]
-    if missing:
-        raise ValueError(f"unbound unknowns: {', '.join(missing)}")
-    per_equation = []
-    for label, e in ds.equations:
-        if by_name:
-            e = substitute(e, _resolve_bindings(e, by_name))
-        per_equation.append((label, zero_verdict(e), e))
-    overall = _OVERALL[_fold(v for _, v, _ in per_equation)]
-    return VerificationReport(system_name=ds.name,
-                              per_equation=tuple(per_equation), overall=overall)
-
-
-def _resolve_bindings(e, by_name):
-    """Map the bindings, keyed by name, onto the opaque functions actually
-    present in the expression."""
-    out = {}
-    for f in e.atoms(sp.core.function.AppliedUndef):
-        name = f.func.__name__
-        if name in by_name:
-            val = by_name[name]
-            if not isinstance(val, sp.Lambda):
-                val = sp.Lambda(tuple(f.args), sp.sympify(val))
-            out[f.func] = val
-    return out
+def check(ds: DeterminingSystem) -> VerificationReport:
+    """Classify every residual of a system without free unknowns. Overall
+    verdict is SYMMETRY iff every residual is provably zero and
+    NOT_SYMMETRY if one is provably nonzero; otherwise an INCONCLUSIVE
+    residual makes it INCONCLUSIVE, never a silent pass."""
+    if ds.free_unknowns:
+        raise ValueError("unbound unknowns: "
+                         + ", ".join(f.__name__ for f in ds.free_unknowns))
+    per_equation = tuple((label, zero_verdict(e), e)
+                         for label, e in ds.equations)
+    return VerificationReport(
+        system_name=ds.name, per_equation=per_equation,
+        overall=_OVERALL[_fold(v for _, v, _ in per_equation)])
 
 
 def _divergence(vf: VectorField):
@@ -121,28 +100,28 @@ def check_normalization_preserving(vf: VectorField) -> bool:
     return is_zero(vf.beta + _divergence(vf))
 
 
-def project_fp_symmetry(ito: ItoSystem, vf: VectorField) -> FpClassification:
-    """Classify a normalization-preserving Fokker-Planck symmetry:
-    ITO_SYMMETRY when Gamma == 0, STATISTICAL_EQUIVALENCE otherwise: the
-    Fokker-Planck residuals FP-A = (1/2)(sigma Gamma^T + Gamma sigma^T)
-    vanish, so the transition law is kept. Raises InconclusiveError when
-    the zero test cannot decide whether Gamma vanishes."""
-    if vf.beta is None or not check_normalization_preserving(vf):
-        raise PreconditionError("candidate must carry beta = -div(xi)")
-    fp_report = check(detsys_fp(ito, vf))
-    if not fp_report.is_symmetry:
-        raise PreconditionError("candidate is not a Fokker-Planck symmetry")
-    return _fp_classification(ito, vf)
-
-
-def _fp_classification(ito: ItoSystem, vf: VectorField) -> FpClassification:
-    """The Gamma-based classification of `project_fp_symmetry`, for a
-    candidate already known to be a normalization-preserving Fokker-Planck
-    symmetry."""
-    _, gam = _lambda_gamma(ito, vf)
-    if all_zero(e for row in gam for e in row):
-        return FpClassification.ITO_SYMMETRY
-    return FpClassification.STATISTICAL_EQUIVALENCE
+def check_fp(ito: ItoSystem, vf: VectorField) -> VerificationReport:
+    """The Fokker-Planck check of a vector field, extended by
+    beta = -div(xi) when it has no beta: the report of its Fokker-Planck
+    determining system, with whether beta preserves normalization. A
+    normalization-preserving Fokker-Planck symmetry is also classified:
+    ITO_SYMMETRY when Gamma == 0, STATISTICAL_EQUIVALENCE otherwise (the
+    residuals FP-A = (1/2)(sigma Gamma^T + Gamma sigma^T) vanish, so the
+    transition law is kept). Raises ValueError for a generator with a
+    noise mixer, and InconclusiveError when the zero test cannot decide
+    normalization or whether Gamma vanishes."""
+    if vf.beta is None:
+        vf = extend_to_fp(vf)
+    report = check(detsys_fp(ito, vf))
+    preserving = check_normalization_preserving(vf)
+    classification = None
+    if report.is_symmetry and preserving:
+        _, gam = _lambda_gamma(ito, vf)
+        classification = (FpClassification.ITO_SYMMETRY
+                          if all_zero(e for row in gam for e in row)
+                          else FpClassification.STATISTICAL_EQUIVALENCE)
+    return replace(report, classification=classification,
+                   normalization_preserving=preserving)
 
 
 def check_superposition(ito: ItoSystem, alpha) -> bool:

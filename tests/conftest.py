@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
+from stosym.detgen import detsys_projectable
 from stosym.dsl import load_candidate, load_system
 from stosym.kernel import Context
 from stosym.model import ItoSystem
@@ -71,3 +72,11 @@ def random_polynomial_system(rng):
 
 def seeded_rng(seed):
     return random.Random(seed)
+
+
+def lambda_gamma(ito, vf):
+    """(Lambda, Gamma) of a candidate: the n Lambda residuals and the n rows
+    of m Gamma residuals of `detsys_projectable`, in its order."""
+    res = detsys_projectable(ito, vf).residuals()
+    n, m = ito.n, ito.m
+    return res[:n], tuple(res[n + i * m:n + (i + 1) * m] for i in range(n))

@@ -7,22 +7,19 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from stosym.kernel import Context, Verdict, differentiate, is_zero, normalize, \
-    zero_verdict
+from stosym.kernel import Context, Verdict, is_zero, normalize, zero_verdict
 from stosym.model import (DiscreteMap, ItoSystem, VectorField,
                           lie_bracket, same_fp, transform_ito_first_order)
-from stosym.detgen import (detsys_discrete, detsys_fp, detsys_projectable,
-                           detsys_w, gamma, lambda_)
-from stosym.verify import (FpClassification, check,
-                           check_normalization_preserving, extend_to_fp,
-                           project_fp_symmetry)
+from stosym.detgen import detsys_discrete, detsys_fp, detsys_projectable
+from stosym.verify import (FpClassification, check, check_fp,
+                           check_normalization_preserving, extend_to_fp)
 from stosym.solve import (Ansatz, commutator_closure, default_time_basis,
                           membership_coordinates, solve_ansatz)
 from stosym.kpz import (KpzChain, inversion_matrix, kpz_check_discrete,
                         kpz_detsys_continuous, site_shift_matrix)
 from stosym.mcsim import compare_ensembles, euler_maruyama, validate_symmetry_mc
 from stosym.dsl import load_candidate
-from conftest import FIXTURES, random_expression, seeded_rng
+from conftest import FIXTURES, lambda_gamma, random_expression, seeded_rng
 
 
 def _report(number, label, elapsed=None):
@@ -81,8 +78,9 @@ def test_criterion_3_rotating(systems):
     rot = systems["rotating.sde"]
     ctx = rot.context
     dt_field = extend_to_fp(VectorField(context=ctx, tau=1))
-    assert project_fp_symmetry(rot, dt_field) is FpClassification.STATISTICAL_EQUIVALENCE
-    gam = sp.Matrix(gamma(rot, dt_field))
+    assert (check_fp(rot, dt_field).classification
+            is FpClassification.STATISTICAL_EQUIVALENCE)
+    gam = sp.Matrix(lambda_gamma(rot, dt_field)[1])
     assert any(zero_verdict(e) is Verdict.NONZERO for e in gam)
     sig = rot.sigma_matrix()
     mixed = sig * gam.T + gam * sig.T
@@ -92,7 +90,7 @@ def test_criterion_3_rotating(systems):
     x, y = bctx.spatial
     ws = VectorField(context=bctx, tau=0, xi=(b * y, -b * x),
                      Bmat=((0, b), (-b, 0)))
-    assert check(detsys_w(rot, ws)).is_symmetry
+    assert check(detsys_projectable(rot, ws)).is_symmetry
     _report(3, "rotating-noise classification and rotation W-symmetry")
 
 
@@ -127,10 +125,10 @@ def test_criterion_4_langevin(systems):
                    for k in range(n)) for i in range(n))
     ws = VectorField(context=bctx, tau=0, xi=xi,
                      Bmat=tuple(tuple(B[p, q] for q in range(n)) for p in range(n)))
-    assert check(detsys_w(lan, ws)).is_symmetry
+    assert check(detsys_projectable(lan, ws)).is_symmetry
     # the un-rooted ratio corresponds to amplitude-convention coefficients
     amp = systems["langevin2_amp.sde"]
-    assert check(detsys_w(
+    assert check(detsys_projectable(
         amp, _cand(systems, "langevin2_amp.sde", "langevin_wrot_ratio.cand"))
     ).is_symmetry
     x = ctx.spatial
@@ -158,7 +156,7 @@ def test_criterion_5_nonlinear(systems):
     x1, x2 = bctx.spatial
     ws = VectorField(context=bctx, tau=0, xi=(b * x2, -b * x1),
                      Bmat=((0, b), (-b, 0)))
-    assert check(detsys_w(nl, ws)).is_symmetry
+    assert check(detsys_projectable(nl, ws)).is_symmetry
     # the rotation commutes with the drift because x^T B x vanishes
     bracket = lie_bracket(nl.f, ws.xi, bctx.spatial)
     assert all(is_zero(e) for e in bracket)
@@ -206,7 +204,7 @@ def test_criterion_8_property_suites(systems, manifest):
         vf = _strip(_cand(systems, entry["system"], entry["candidate"]))
         ext = extend_to_fp(vf)
         assert check(detsys_fp(ito, ext)).is_symmetry
-        assert project_fp_symmetry(ito, ext) is FpClassification.ITO_SYMMETRY
+        assert check_fp(ito, ext).classification is FpClassification.ITO_SYMMETRY
     # pathwise residuals equal the first-order coefficient change
     kramers = systems["kramers.sde"]
     rng = seeded_rng(20)
@@ -215,14 +213,13 @@ def test_criterion_8_property_suites(systems, manifest):
                    for _ in range(2))
         vf = VectorField(context=kramers.context, tau=0, xi=xi)
         delta_f, delta_sigma = transform_ito_first_order(kramers, xi)
-        lam = lambda_(kramers, vf)
-        gam = gamma(kramers, vf)
+        lam, gam = lambda_gamma(kramers, vf)
         for i in range(2):
             assert normalize(lam[i] + delta_f[i]) == 0
             assert normalize(gam[i][0] - delta_sigma[i][0]) == 0
         # the W system with a zero mixer is the plain system
         ws = VectorField(context=kramers.context, tau=0, xi=xi, Bmat=())
-        a = detsys_w(kramers, ws)
+        a = detsys_projectable(kramers, ws)
         b = detsys_projectable(kramers, vf)
         for (_, ea), (_, eb) in zip(a.equations, b.equations):
             assert normalize(ea - eb) == 0
@@ -235,12 +232,12 @@ def test_criterion_8_property_suites(systems, manifest):
         ne = normalize(e)
         assert normalize(ne) == ne
         assert is_zero(e - e)
-        mixed = differentiate(differentiate(e, x), y)
-        other = differentiate(differentiate(e, y), x)
+        mixed = normalize(sp.diff(normalize(sp.diff(e, x)), y))
+        other = normalize(sp.diff(normalize(sp.diff(e, y)), x))
         assert normalize(mixed - other) == 0
         f = random_expression(rng, ctx, depth=1)
-        assert normalize(differentiate(2 * e + f, x)
-                         - 2 * differentiate(e, x) - differentiate(f, x)) == 0
+        assert normalize(sp.diff(2 * e + f, x) - 2 * normalize(sp.diff(e, x))
+                         - normalize(sp.diff(f, x))) == 0
     _report(8, "property suites: round trips, reductions, kernel invariants")
 
 

@@ -9,18 +9,15 @@ from stosym.dsl import load_candidate
 from stosym.kernel import (Context, Verdict, _generator, normalize, to_dsl,
                            zero_verdict)
 from stosym.model import (DiscreteMap, ItoSystem, VectorField,
-                          apply_discrete, diffusion_matrix,
-                          fokker_planck_of, lie_bracket,
+                          apply_discrete, fokker_planck_of, lie_bracket,
                           transform_ito_first_order)
-from stosym.verify import (FpClassification, _fp_classification, check,
-                           check_superposition, extend_to_fp,
-                           project_fp_symmetry)
+from stosym.verify import (FpClassification, OverallVerdict, check, check_fp,
+                           check_superposition, extend_to_fp)
 from stosym.detgen import (_discrete_equations, _lambda_gamma_of,
                            detsys_discrete, detsys_fp, detsys_ode,
-                           detsys_projectable, detsys_spatial, detsys_w,
-                           gamma, lambda_)
+                           detsys_projectable)
 from stosym.kpz import KpzChain, kpz_ito
-from conftest import (FIXTURES, RING_CTX, random_expression,
+from conftest import (FIXTURES, RING_CTX, lambda_gamma, random_expression,
                       random_polynomial_system, seeded_rng)
 
 
@@ -43,21 +40,38 @@ class TestReductionChain:
         for _ in range(5):
             vf = _random_vf(rng, ctx)
             ws = VectorField(context=ctx, tau=vf.tau, xi=vf.xi, Bmat=())
-            a = detsys_w(kramers, ws)
+            a = detsys_projectable(kramers, ws)
             b = detsys_projectable(kramers, vf)
+            assert (a.name, b.name) == ("ito-w", "ito-projectable")
             assert len(a.equations) == len(b.equations)
             for (_, ea), (_, eb) in zip(a.equations, b.equations):
                 assert normalize(ea - eb) == 0
 
     def test_projectable_with_zero_tau_equals_spatial(self, kramers):
+        """At tau = 0 the Lambda residual is -(L xi - xi . grad f) and the
+        Gamma residual sigma . grad xi - xi . grad sigma, written out here
+        with sympy."""
         rng = seeded_rng(11)
         ctx = kramers.context
+        x, t = ctx.spatial, ctx.t
+        f, sigma = kramers.f, kramers.sigma
+        S = sp.Matrix(sigma) * sp.Matrix(sigma).T / 2
         for _ in range(5):
             vf = _random_vf(rng, ctx, with_tau=False)
-            a = detsys_projectable(kramers, vf)
-            b = detsys_spatial(kramers, vf.xi)
-            for (_, ea), (_, eb) in zip(a.equations, b.equations):
-                assert normalize(ea - eb) == 0
+            lam, gam = lambda_gamma(kramers, vf)
+            for i, xi in enumerate(vf.xi):
+                L = (sp.diff(xi, t) + sum(fj * sp.diff(xi, v)
+                                          for fj, v in zip(f, x))
+                     + sum(S[a, b] * sp.diff(xi, x[a], x[b])
+                           for a in range(2) for b in range(2)))
+                moved_f = sum(e * sp.diff(f[i], v) for e, v in zip(vf.xi, x))
+                assert normalize(lam[i] + L - moved_f) == 0
+                for k in range(kramers.m):
+                    expected = (sum(sigma[a][k] * sp.diff(xi, x[a])
+                                    for a in range(2))
+                                - sum(e * sp.diff(sigma[i][k], v)
+                                      for e, v in zip(vf.xi, x)))
+                    assert normalize(gam[i][k] - expected) == 0
 
 
 def _random_linear_vf(rng, ctx):
@@ -87,8 +101,7 @@ class TestFirstOrderEquivalence:
             cases.append((chain, _random_linear_vf(rng, chain.context)))
         for ito, vf in cases:
             delta_f, delta_sigma = transform_ito_first_order(ito, vf.xi)
-            lam = lambda_(ito, vf)
-            gam = gamma(ito, vf)
+            lam, gam = lambda_gamma(ito, vf)
             for i in range(ito.n):
                 assert normalize(lam[i] + delta_f[i]) == 0
                 for k in range(ito.m):
@@ -135,9 +148,9 @@ class TestOde:
 
 @pytest.mark.parametrize("name", ["heat.sde", "kramers.sde", "rotating.sde"])
 def test_engine_built_once_per_system(systems, monkeypatch, name):
-    """Every builder, lambda_, gamma and apply_discrete read one set of
-    system coefficients, in the exact domain (heat, and kramers with its
-    sqrt(2) scaled out) and in expression form (rotating's cos and sin)."""
+    """Every builder and apply_discrete read one set of system
+    coefficients, in the exact domain (heat, and kramers with its sqrt(2)
+    scaled out) and in expression form (rotating's cos and sin)."""
     read, of = [], ItoSystem._of
 
     def recorded(self, groups):
@@ -152,23 +165,21 @@ def test_engine_built_once_per_system(systems, monkeypatch, name):
     dmap = DiscreteMap(ctx, phi=tuple(-v for v in x),
                        R=(-sp.eye(ito.m)).tolist())
     detsys_projectable(ito, vf)
-    detsys_w(ito, VectorField(ctx, tau=vf.tau, xi=vf.xi, Bmat=()))
+    detsys_projectable(ito, VectorField(ctx, tau=vf.tau, xi=vf.xi, Bmat=()))
     detsys_discrete(ito, dmap)
-    lambda_(ito, vf)
-    gamma(ito, vf)
     apply_discrete(ito, dmap, inverse=tuple(-v for v in x))
     rotating = name == "rotating.sde"
     assert (ito._coefficients is None) == rotating
     assert ("_expr_coefficients" in vars(ito)) == rotating
     one = ito._expr_coefficients if rotating else ito._coefficients
-    assert len(read) == 6 and all(c is one for c in read)
+    assert len(read) == 4 and all(c is one for c in read)
 
 
 @pytest.mark.parametrize("name", ["heat.sde", "kramers.sde", "langevin2.sde"])
 def test_fp_coefficients_built_once_per_system(systems, monkeypatch, name):
-    """fokker_planck_of, diffusion_matrix, detsys_fp, check_superposition
-    and project_fp_symmetry read one computation of A, B and C from the
-    system's coefficients, and fokker_planck_of returns one value."""
+    """fokker_planck_of, detsys_fp, check_superposition and check_fp read
+    one computation of A, B and C from the system's coefficients, and
+    fokker_planck_of returns one value."""
     built = []
     prop = model._Coefficients.__dict__["fokker_planck"]
     monkeypatch.setattr(prop, "func", lambda self, derive=prop.func:
@@ -178,10 +189,9 @@ def test_fp_coefficients_built_once_per_system(systems, monkeypatch, name):
     ctx = ito.context
     vf = extend_to_fp(VectorField(ctx, tau=1, xi=(0,) * ito.n))
     fp = fokker_planck_of(ito)
-    diffusion_matrix(ito)
     detsys_fp(ito, vf)
     check_superposition(ito, 1)
-    project_fp_symmetry(ito, vf)
+    check_fp(ito, vf)
     assert fokker_planck_of(ito) is fp
     assert built == [ito._coefficients]
     # a candidate holding exp(t) widens the domain once
@@ -260,7 +270,7 @@ def test_ring_lambda_gamma_matches_expression_path(rng):
     lam, gam = _lambda_gamma_of(ito._expr_coefficients, ws.tau, ws.xi,
                                 B.T.tolist())
     expected = [normalize(e) for e in (*lam, *(e for row in gam for e in row))]
-    assert list(detsys_w(ito, ws).residuals()) == expected
+    assert list(detsys_projectable(ito, ws).residuals()) == expected
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -321,7 +331,7 @@ def test_fp_a_is_symmetrized_gamma(rng):
     noise family of the Ito system: the Fokker-Planck equation keeps only
     the symmetric part of the change of the noise."""
     ito, vf = _random_fp_case(rng)
-    sigma, gam = sp.Matrix(ito.sigma), sp.Matrix(gamma(ito, vf))
+    sigma, gam = sp.Matrix(ito.sigma), sp.Matrix(lambda_gamma(ito, vf)[1])
     mixed = (sigma * gam.T + gam * sigma.T) / 2
     fp_a = [e for label, e in detsys_fp(ito, vf).equations
             if label.startswith("FP-A")]
@@ -419,8 +429,8 @@ def test_wider_domain_matches_expression_path(rng):
     fp = VectorField(RING_CTX, tau=tau, xi=xi, beta=beta)
     c, _ = ito._of([(tau,), xi])
     assert c.calc is not model._EXPRS and c.calc.rates
-    for build, candidate in ((detsys_projectable, vf), (detsys_w, ws),
-                             (detsys_fp, fp)):
+    for build, candidate in ((detsys_projectable, vf),
+                             (detsys_projectable, ws), (detsys_fp, fp)):
         assert (build(ito, candidate).equations
                 == build(on_exprs, candidate).equations)
 
@@ -446,7 +456,7 @@ def test_wider_domain_against_first_order_transform(rng):
                 + _nonzero_rational(rng) * sp.exp(_nonzero_rational(rng) * t)
                 + _nonzero_rational(rng) * sp.sqrt(k) * m)
     vf = VectorField(RING_CTX, tau=0, xi=(entry(), entry()))
-    lam, gam = lambda_(ito, vf), gamma(ito, vf)
+    lam, gam = lambda_gamma(ito, vf)
     (wide,) = ito._domains.values()
     assert wide.calc.rates and wide.calc.key[3] == (k,)
     delta_f, delta_sigma = transform_ito_first_order(ito, vf.xi)
@@ -491,7 +501,7 @@ def test_parameter_meets_its_root_is_zero():
                                                          Verdict.NONZERO]
 
 
-# values of gamma, lambda_, the classification, check_superposition and
+# values of Gamma, Lambda, the Fokker-Planck check, check_superposition and
 # apply_discrete on kramers (sigma = sqrt(2) k) and langevin2 (sigma =
 # sqrt(2) diag(sqrt(s1), sqrt(s2))), from the expression path that these
 # systems took before the common radical was scaled out
@@ -545,10 +555,12 @@ class TestScaledRadical:
         build, gam, lam = _KRAMERS_CANDIDATES[name]
         vf = build(ctx, *ctx.spatial, ctx.t, ctx.params["k"])
         assert _SQRT2 in kramers._coefficients.calc.ring.symbols
-        assert _strings(gamma(kramers, vf)) == gam
-        assert [str(e) for e in lambda_(kramers, vf)] == lam
-        assert (_fp_classification(kramers, extend_to_fp(vf))
-                is FpClassification.STATISTICAL_EQUIVALENCE)
+        lam_of, gam_of = lambda_gamma(kramers, vf)
+        assert _strings(gam_of) == gam
+        assert [str(e) for e in lam_of] == lam
+        report = check_fp(kramers, vf)
+        assert report.overall is OverallVerdict.NOT_SYMMETRY
+        assert report.classification is None
 
     @pytest.mark.parametrize("name", sorted(_LANGEVIN_CANDIDATES))
     def test_langevin2(self, systems, name):
@@ -557,23 +569,33 @@ class TestScaledRadical:
         build, gam, lam = _LANGEVIN_CANDIDATES[name]
         candidate = build(ctx, *ctx.spatial, ctx.t)
         assert _SQRT2 in lan._coefficients.calc.ring.symbols
-        assert _strings(gamma(lan, candidate)) == gam
-        assert [str(e) for e in lambda_(lan, candidate)] == lam
+        lam_of, gam_of = lambda_gamma(lan, candidate)
+        assert _strings(gam_of) == gam
+        assert [str(e) for e in lam_of] == lam
         if candidate.Bmat is None:
-            assert (_fp_classification(lan, extend_to_fp(candidate))
-                    is FpClassification.STATISTICAL_EQUIVALENCE)
+            report = check_fp(lan, candidate)
+            assert report.overall is OverallVerdict.NOT_SYMMETRY
+            assert report.classification is None
 
     def test_symmetries_classified(self, systems):
-        for system, names in (("kramers.sde", ("v1", "v2", "v3", "v5",
-                                                "v6")),
-                              ("langevin2.sde", ("q1", "v1", "v2"))):
+        """The pathwise symmetries extend to Ito symmetries; kramers v5 and
+        v6, Fokker-Planck symmetries whose beta is not -div(xi), are not
+        classified."""
+        ito_symmetry = FpClassification.ITO_SYMMETRY
+        for system, expected in (
+                ("kramers.sde", {"v1": ito_symmetry, "v2": ito_symmetry,
+                                 "v3": ito_symmetry, "v5": None, "v6": None}),
+                ("langevin2.sde", {"q1": ito_symmetry, "v1": ito_symmetry,
+                                   "v2": ito_symmetry})):
             ito = systems[system]
             prefix = system.split(".")[0].rstrip("2")
-            for name in names:
+            for name, classification in expected.items():
                 vf = load_candidate(FIXTURES / f"{prefix}_{name}.cand", ito)
-                vf = vf if vf.beta is not None else extend_to_fp(vf)
-                assert (_fp_classification(ito, vf)
-                        is FpClassification.ITO_SYMMETRY)
+                report = check_fp(ito, vf)
+                assert report.is_symmetry
+                assert report.normalization_preserving is (
+                    classification is not None)
+                assert report.classification is classification
 
     def test_superposition(self, kramers, systems):
         lan = systems["langevin2.sde"]

@@ -6,8 +6,7 @@ from stosym.kernel import (Context, ParseError, UndeclaredSymbolError,
                            normalize, to_dsl)
 from stosym.kpz import KpzChain, kpz_ito
 from stosym.model import DiscreteMap, ItoSystem, VectorField, apply_discrete
-from stosym.dsl import (candidate_from_dict, candidate_to_dict, parse_candidate,
-                        parse_system, system_from_dict, system_to_dict,
+from stosym.dsl import (candidate_to_dict, parse_candidate, parse_system,
                         to_cand, to_sde)
 from conftest import random_expression
 
@@ -243,11 +242,6 @@ class TestRoundTrips:
         again = parse_system(to_sde(pair))
         assert again.f == pair.f and again.sigma == pair.sigma
 
-    def test_system_json(self, pair):
-        again = system_from_dict(system_to_dict(pair))
-        assert again.f == pair.f and again.sigma == pair.sigma
-        assert again.name == pair.name
-
     @pytest.mark.parametrize("text", [
         "tau = t^2\nxi x = x*t\nbeta = -t\n",
         "xi x = y\nxi y = -x\nB[1][2] = 1\n",
@@ -255,18 +249,18 @@ class TestRoundTrips:
         "params eps\nxi x = eps * exp(-2*t)\n",
     ])
     def test_candidate_text_and_json(self, pair, text):
+        """The text reads back to the same candidate, whose JSON form is
+        that of the original."""
         c = parse_candidate(text, pair)
         again = parse_candidate(to_cand(c, base_context=pair.context), pair)
         assert type(again) is type(c)
-        d = candidate_to_dict(c, base_context=pair.context)
-        from_json = candidate_from_dict(d, pair)
-        for obj in (again, from_json):
-            if isinstance(c, DiscreteMap):
-                assert obj.phi == c.phi and obj.R == c.R
-            else:
-                assert obj.tau == c.tau and obj.xi == c.xi
-            if getattr(c, "Bmat", None) is not None:
-                assert obj.Bmat == c.Bmat
+        if isinstance(c, DiscreteMap):
+            assert again.phi == c.phi and again.R == c.R
+        else:
+            assert again.tau == c.tau and again.xi == c.xi
+            assert again.Bmat == c.Bmat
+        assert (candidate_to_dict(again, base_context=pair.context)
+                == candidate_to_dict(c, base_context=pair.context))
 
     def test_library_system_names(self, pair):
         """A name the library gives a system is written as an identifier,
@@ -280,47 +274,17 @@ class TestRoundTrips:
             assert text.splitlines()[0] == line
             assert to_sde(parse_system(text)) == text
 
-    @pytest.mark.parametrize("d, message", [
-        ({"drift": {"z": "1"}, "sigma": {}}, "'z' is not a declared variable"),
-        ({"drift": {}, "sigma": {"z": {"w1": "1"}}},
-         "'z' is not a declared variable"),
-        ({"drift": {}, "sigma": {"x": {"v": "1"}}},
-         "'v' is not a declared noise"),
-    ], ids=["drift", "sigma-variable", "sigma-noise"])
-    def test_system_json_undeclared_key(self, d, message):
-        with pytest.raises(ValueError, match=message):
-            system_from_dict({"vars": ["x", "y"], "noises": ["w1", "w2"], **d})
-
-    @pytest.mark.parametrize("d, message", [
-        ({"noises": ["w1"], "drift": {}, "sigma": {}},
-         "a system needs the key 'vars'"),
-        ({"vars": ["x"], "drift": {}, "sigma": {}},
-         "a system needs the key 'noises'"),
-        ({"vars": ["x"], "noises": ["w1"], "sigma": {}},
-         "a system needs the key 'drift'"),
-        ({"vars": ["x"], "noises": ["w1"], "drift": {}},
-         "a system needs the key 'sigma'"),
-        ({"vars": ["x"], "noises": ["w1"], "drfit": {"x": "1"}, "drift": {},
-          "sigma": {}}, "'drfit' is not a key of a system"),
-    ], ids=["vars", "noises", "drift", "sigma", "unknown"])
-    def test_system_json_missing_or_unknown_key(self, d, message):
-        with pytest.raises(ValueError, match=message):
-            system_from_dict(d)
-
-    @pytest.mark.parametrize("d, message", [
-        ({"xi": {}}, "a candidate needs the key 'type'"),
-        ({"type": "vector_field"}, "a vector_field candidate needs the key "
-         "'xi'"),
-        ({"type": "w_symmetry", "B": [["0", "1"], ["-1", "0"]]},
-         "a w_symmetry candidate needs the key 'xi'"),
-        ({"type": "w_symmetry", "xi": {"x": "y"}},
-         "a w_symmetry candidate needs the key 'B'"),
-        ({"type": "discrete_map", "phi": {"x": "-x"}},
-         "a discrete_map candidate needs the key 'R'"),
+    @pytest.mark.parametrize("text, key", [
+        ("xi x = 1\n", "type"),
+        ("tau = 1\n", "xi"),
+        ("B[1][2] = 1\n", "xi"),
+        ("xi x = y\nB[1][2] = 0\n", "B"),
+        ("phi x = -x\n", "R"),
     ], ids=["type", "xi", "w-xi", "B", "R"])
-    def test_candidate_json_missing_key(self, pair, d, message):
-        with pytest.raises(ValueError, match=message):
-            candidate_from_dict(d, pair)
+    def test_candidate_json_missing_key(self, pair, text, key):
+        """The JSON form of a candidate, which `solve --json` prints,
+        carries every key of its type, defaults included."""
+        assert key in candidate_to_dict(parse_candidate(text, pair))
 
     def test_candidate_name_written_as_identifier(self, pair):
         """A name that is not an identifier is written as one, with the
@@ -331,19 +295,20 @@ class TestRoundTrips:
         again = parse_candidate(text, pair)
         assert again.xi == shift.xi and again.name == "shift_x"
 
-    @pytest.mark.parametrize("d, message", [
-        ({"type": "vector_field", "xi": {"z": "1"}},
-         "'z' is not a declared variable"),
-        ({"type": "discrete_map", "phi": {"z": "1"},
-          "R": [["1", "0"], ["0", "1"]]}, "'z' is not a declared variable"),
-        ({"type": "w_symmetry", "xi": {}, "B": [["0", "1"], ["-1", "0"]],
-          "beta": "1"}, "'beta' is not a key of a w_symmetry candidate"),
-        ({"type": "vector_field", "xi": {}, "B": [["0", "1"], ["-1", "0"]]},
-         "'B' is not a key of a vector_field candidate"),
+    @pytest.mark.parametrize("text, key, absent", [
+        ("xi x = 1\n", "xi", "z"),
+        ("phi x = -x\n", "phi", "z"),
+        ("xi x = y\nB[1][2] = 1\n", None, "beta"),
+        ("xi x = y\nbeta = 1\n", None, "B"),
     ], ids=["xi", "phi", "beta-on-w", "B-on-field"])
-    def test_candidate_json_unknown_key(self, pair, d, message):
-        with pytest.raises(ValueError, match=message):
-            candidate_from_dict(d, pair)
+    def test_candidate_json_unknown_key(self, pair, text, key, absent):
+        """The JSON form of a candidate names only declared variables, and
+        no key of another candidate type."""
+        d = candidate_to_dict(parse_candidate(text, pair))
+        names = d if key is None else d[key]
+        assert absent not in names
+        if key is not None:
+            assert list(names) == list(pair.context.spatial_names)
 
     def test_fixture_files_round_trip(self, manifest, systems, fixtures_dir):
         from stosym.dsl import load_candidate
@@ -361,8 +326,8 @@ _RANDOM_CTX = Context(spatial=("x", "y"), params={"k": "positive", "c": None},
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.randoms(use_true_random=False))
 def test_random_system_round_trips(rng):
-    """A system with random coefficients survives the .sde text and the JSON
-    form with identical to_dsl entries."""
+    """A system with random coefficients survives the .sde text with
+    identical to_dsl entries."""
     ito = ItoSystem(
         context=_RANDOM_CTX, name="random",
         f=tuple(random_expression(rng, _RANDOM_CTX) for _ in range(2)),
@@ -372,9 +337,7 @@ def test_random_system_round_trips(rng):
     def entries(system):
         return ([to_dsl(e) for e in system.f],
                 [[to_dsl(e) for e in row] for row in system.sigma])
-    for again in (parse_system(to_sde(ito)),
-                  system_from_dict(system_to_dict(ito))):
-        assert entries(again) == entries(ito)
+    assert entries(parse_system(to_sde(ito))) == entries(ito)
 
 
 _TIME_CTX = Context(params=_RANDOM_CTX.param_assumptions)
@@ -417,8 +380,8 @@ def _candidate_entries(c):
 @given(st.randoms(use_true_random=False))
 def test_random_candidate_round_trips(rng):
     """A candidate of each kind with random coefficients survives the .cand
-    text and the JSON form with identical to_dsl entries."""
+    text with identical to_dsl entries and the same JSON form."""
     c = _random_candidate(rng)
-    for again in (parse_candidate(to_cand(c), _RANDOM_CTX),
-                  candidate_from_dict(candidate_to_dict(c), _RANDOM_CTX)):
-        assert _candidate_entries(again) == _candidate_entries(c)
+    again = parse_candidate(to_cand(c), _RANDOM_CTX)
+    assert _candidate_entries(again) == _candidate_entries(c)
+    assert candidate_to_dict(again) == candidate_to_dict(c)

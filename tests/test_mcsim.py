@@ -47,6 +47,26 @@ class TestEulerMaruyama:
         euler_maruyama(ito, [0.0], 0.0, 0.1, 1e-2, 10, seed=0,
                        params={"a": 1.0})
 
+    @pytest.mark.parametrize("x0, store_every, message", [
+        ([0.0], 0, "store_every must be positive"),
+        ([0.0], -1, "store_every must be positive"),
+        ([0.0, 1.0], None, "x0 must list n = 1 finite numbers"),
+        ([], None, "x0 must list n = 1 finite numbers"),
+        (0.0, None, "x0 must list n = 1 finite numbers"),
+        ([[0.0]], None, "x0 must list n = 1 finite numbers"),
+        (["zero"], None, "x0 must list n = 1 finite numbers"),
+        ([float("nan")], None, "x0 must list n = 1 finite numbers"),
+        ([float("inf")], None, "x0 must list n = 1 finite numbers"),
+    ], ids=["store-zero", "store-negative", "x0-long", "x0-empty",
+            "x0-scalar", "x0-nested", "x0-text", "x0-nan", "x0-inf"])
+    def test_unusable_start_or_schedule_rejected(self, wiener, x0,
+                                                 store_every, message):
+        """A bad snapshot interval or start is an InputError before any
+        step, not a numpy error or a blow-up at step 1."""
+        with pytest.raises(InputError, match=message):
+            euler_maruyama(wiener, x0, 0.0, 0.1, 1e-2, 10, seed=0,
+                           store_every=store_every)
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_blowup_reported(self):
         ctx = Context(spatial=("x",), noises=("w",))
@@ -258,17 +278,22 @@ class TestCompare:
 
     def test_constant_slices(self):
         """Slices without spread (a coordinate with no noise) compare as
-        equal or different constants: p-value 1 or 0."""
-        def constant(value):
+        equal or different constants: p-value 1 or 0. ks_2samp alone would
+        give two different constant slices of 2 paths p = 1/3, which passes
+        the Bonferroni test, so the constant case is not left to it."""
+        def constant(value, n_paths):
             return mcsim.Ensemble(times=np.array([0.0, 0.1, 0.2]),
-                                  paths=np.full((50, 3, 1), value), seed=0,
-                                  dt=0.1)
-        same = compare_ensembles(constant(1.0), constant(1.0))
-        assert same.verdict
-        assert [e["ks_pvalue"] for e in same.entries] == [1.0, 1.0]
-        other = compare_ensembles(constant(1.0), constant(2.0))
-        assert not other.verdict
-        assert [e["ks_pvalue"] for e in other.entries] == [0.0, 0.0]
+                                  paths=np.full((n_paths, 3, 1), value),
+                                  seed=0, dt=0.1)
+        for n_paths in (50, 2):
+            same = compare_ensembles(constant(1.0, n_paths),
+                                     constant(1.0, n_paths))
+            assert same.verdict
+            assert [e["ks_pvalue"] for e in same.entries] == [1.0, 1.0]
+            other = compare_ensembles(constant(1.0, n_paths),
+                                      constant(2.0, n_paths))
+            assert not other.verdict
+            assert [e["ks_pvalue"] for e in other.entries] == [0.0, 0.0]
 
     def test_no_time_after_the_initial_one_rejected(self):
         a = _wiener_samples(np.random.default_rng(2), 10, 0)

@@ -10,7 +10,7 @@ from stosym.dsl import load_system
 from stosym.kernel import (Context, InconclusiveError, Verdict, normalize,
                            zero_verdict)
 from stosym.model import (DegeneracyError, DiscreteMap, FokkerPlanck,
-                          ItoSystem, VectorField, apply_discrete, diffusion_matrix,
+                          ItoSystem, VectorField, apply_discrete,
                           fokker_planck_of, ito_to_stratonovich, lie_bracket,
                           same_fp, transform_ito_first_order)
 from stosym.kpz import KpzChain, kpz_ito
@@ -81,7 +81,7 @@ class TestItoSystem:
 
     def test_half_diffusion(self, kramers):
         k = kramers.context.symbol("k")
-        assert diffusion_matrix(kramers) == ((0, 0), (0, k**2))
+        assert fokker_planck_of(kramers).A == ((0, 0), (0, -k**2))
 
 
 class TestFokkerPlanck:
@@ -120,7 +120,7 @@ class TestFokkerPlanck:
         ito = ItoSystem(context=ctx, f=(ctx.spatial[0],),
                         sigma=((sp.Integer(0),),))
         with pytest.raises(DegeneracyError):
-            diffusion_matrix(ito)
+            fokker_planck_of(ito)
 
     def test_undecided_degeneracy_raises(self, monkeypatch):
         """An undecided S is not read as 'not degenerate'. In the exact
@@ -134,12 +134,12 @@ class TestFokkerPlanck:
             return Verdict.INCONCLUSIVE
         monkeypatch.setattr(kernel, "zero_verdict", undecided)
         with pytest.raises(kernel.InconclusiveError):
-            diffusion_matrix(fresh)
+            fokker_planck_of(fresh)
 
     def test_nondegenerate_diffusion(self, heat):
         s0 = heat.context.symbol("s0")
-        S = diffusion_matrix(heat)
-        assert normalize(S[0][0] - s0**2 / 2) == 0
+        A = fokker_planck_of(heat).A
+        assert normalize(A[0][0] + s0**2 / 2) == 0
 
 
 # systems whose sigma holds sqrt or exp, next to the random polynomial ones

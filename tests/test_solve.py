@@ -13,7 +13,7 @@ from stosym.dsl import load_system
 from stosym.kernel import (Context, InconclusiveError, Verdict, _generator,
                            normalize, parse_expr, to_dsl)
 from stosym.model import ItoSystem, VectorField
-from stosym.detgen import detsys_projectable, detsys_w
+from stosym.detgen import detsys_projectable
 from stosym.verify import OverallVerdict, VerificationReport, check
 from stosym.solve import (Ansatz, NonClosedBasisError,
                           NonlinearEntanglementError, SymmetryBasis,
@@ -149,7 +149,7 @@ class TestNonlinear:
         assert basis.dimension == 2
         rotation = VectorField(context=ctx, tau=0, xi=(x2, -x1),
                                Bmat=((0, 1), (-1, 0)))
-        assert check(detsys_w(nl, rotation)).is_symmetry
+        assert check(detsys_projectable(nl, rotation)).is_symmetry
 
 
 class TestLangevin:
@@ -255,7 +255,7 @@ class TestRegressionPins:
         basis = solve_ansatz(ito, _poly_ansatz(ito, degree, rates, include_B=True),
                              which="w")
         for g in basis.generators:
-            assert check(detsys_w(ito, g)).is_symmetry
+            assert check(detsys_projectable(ito, g)).is_symmetry
 
     def test_time_dependence_outside_ansatz(self, systems):
         rot = systems["rotating.sde"]
@@ -355,10 +355,8 @@ def _expression_matrix(ito, ansatz, which):
         B[p][q] = next(u)
         B[q][p] = -B[p][q]
     system = ItoSystem(ctx, f=ito.f, sigma=ito.sigma)
-    if which == "w":
-        ds = detsys_w(system, VectorField(ctx, tau=tau, xi=xi, Bmat=B))
-    else:
-        ds = detsys_projectable(system, VectorField(ctx, tau=tau, xi=xi))
+    ds = detsys_projectable(system, VectorField(
+        ctx, tau=tau, xi=xi, Bmat=B if which == "w" else None))
     coefficients = []
     for r in ds.residuals():
         r = sp.expand(r)

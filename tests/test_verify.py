@@ -5,12 +5,10 @@ import sympy as sp
 
 from stosym.kernel import Context
 from stosym.model import VectorField
-from stosym.detgen import (detsys_discrete, detsys_fp, detsys_projectable,
-                           detsys_w)
-from stosym.verify import (FpClassification, OverallVerdict, PreconditionError,
-                           check, check_normalization_preserving,
-                           check_superposition, extend_to_fp,
-                           project_fp_symmetry)
+from stosym.detgen import detsys_discrete, detsys_fp, detsys_projectable
+from stosym.verify import (FpClassification, OverallVerdict, check, check_fp,
+                           check_normalization_preserving,
+                           check_superposition, extend_to_fp)
 from conftest import candidate_for
 
 
@@ -33,10 +31,9 @@ def run_manifest_entry(entry, systems):
         vf = cand if cand.beta is not None else extend_to_fp(cand)
         return check_normalization_preserving(vf)
     if kind == "classification":
-        vf = cand if cand.beta is not None else extend_to_fp(cand)
-        return project_fp_symmetry(ito, vf).value
+        return check_fp(ito, cand).classification.value
     if kind == "w":
-        return check(detsys_w(ito, cand)).overall.value
+        return check(detsys_projectable(ito, cand)).overall.value
     if kind == "discrete":
         return check(detsys_discrete(ito, cand)).overall.value
     raise ValueError(kind)
@@ -78,14 +75,15 @@ class TestFpRoundTrip:
         ext = extend_to_fp(vf)
         assert check_normalization_preserving(ext)
         assert check(detsys_fp(ito, ext)).is_symmetry
-        assert project_fp_symmetry(ito, ext) is FpClassification.ITO_SYMMETRY
+        assert check_fp(ito, ext).classification is FpClassification.ITO_SYMMETRY
 
 
 class TestProjection:
     def test_statistical_equivalence(self, systems):
         rot = systems["rotating.sde"]
         vf = extend_to_fp(VectorField(context=rot.context, tau=1))
-        assert project_fp_symmetry(rot, vf) is FpClassification.STATISTICAL_EQUIVALENCE
+        assert (check_fp(rot, vf).classification
+                is FpClassification.STATISTICAL_EQUIVALENCE)
 
     def test_undecided_gamma_raises(self, systems, monkeypatch):
         """An undecided Gamma entry is not read as Gamma != 0."""
@@ -99,14 +97,18 @@ class TestProjection:
         vf = extend_to_fp(VectorField(context=rot.context, tau=1))
         monkeypatch.setattr(kernel, "zero_verdict", undecided_if_nonzero)
         with pytest.raises(kernel.InconclusiveError):
-            project_fp_symmetry(rot, vf)
+            check_fp(rot, vf)
 
     def test_precondition_normalization(self, systems):
+        """A beta that does not preserve normalization is reported so, and
+        the candidate is not classified."""
         heat = systems["heat.sde"]
         vf = VectorField(context=heat.context, tau=0,
                          xi=(sp.Integer(0),), beta=1)
-        with pytest.raises(PreconditionError):
-            project_fp_symmetry(heat, vf)
+        report = check_fp(heat, vf)
+        assert report.normalization_preserving is False
+        assert report.classification is None
+        assert "classification" not in report.to_dict()
 
     def test_noise_mixer_refused(self, systems):
         """A W generator has no Fokker-Planck extension or projection; each
@@ -119,15 +121,19 @@ class TestProjection:
             extend_to_fp(ws)
         with pytest.raises(ValueError):
             check_normalization_preserving(ws)
-        with pytest.raises(PreconditionError):
-            project_fp_symmetry(lan, ws)
+        with pytest.raises(ValueError, match="not supported on noise-mixing"):
+            check_fp(lan, ws)
 
     def test_precondition_fp_symmetry(self, systems):
+        """A normalization-preserving candidate that is not a Fokker-Planck
+        symmetry is not classified."""
         heat = systems["heat.sde"]
         x = heat.context.spatial[0]
         vf = extend_to_fp(VectorField(context=heat.context, tau=0, xi=(x**2,)))
-        with pytest.raises(PreconditionError):
-            project_fp_symmetry(heat, vf)
+        report = check_fp(heat, vf)
+        assert report.overall is OverallVerdict.NOT_SYMMETRY
+        assert report.normalization_preserving is True
+        assert report.classification is None
 
 
 class TestSuperposition:
@@ -163,19 +169,6 @@ class TestCheckMechanics:
         ds = detsys_projectable(kramers, vf)
         with pytest.raises(ValueError):
             check(ds)
-
-    def test_bindings_resolve_unknowns(self, systems):
-        kramers = systems["kramers.sde"]
-        ctx = kramers.context
-        k = ctx.symbol("k")
-        octx = Context(spatial=ctx.spatial_names, params=ctx.param_assumptions,
-                       noises=ctx.noise_names, opaque=("h", "g"))
-        h, g = octx.opaque["h"], octx.opaque["g"]
-        vf = VectorField(context=octx, tau=0, xi=(h(octx.t), g(octx.t)))
-        ds = detsys_projectable(kramers, vf)
-        rep = check(ds, bindings={"h": sp.exp(-k**2 * octx.t) / k**2,
-                                  "g": -sp.exp(-k**2 * octx.t)})
-        assert rep.overall is OverallVerdict.SYMMETRY
 
     def test_residuals_decided_by_public_zero_verdict(self, systems,
                                                        monkeypatch):
