@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
 from .kernel import normalize
 from .model import DiscreteMap, ItoSystem, VectorField, fokker_planck_of
@@ -64,9 +65,11 @@ def _unknown_functions(exprs):
 
 
 def _pack(name, equations):
+    # an element of a ring over QQ holds no opaque function
+    scan = not all(isinstance(e, PolyElement) for _, e in equations)
     eqs = tuple((label, normalize(e)) for label, e in equations)
-    return DeterminingSystem(name=name, equations=eqs,
-                             free_unknowns=_unknown_functions(e for _, e in eqs))
+    return DeterminingSystem(name=name, equations=eqs, free_unknowns=(
+        _unknown_functions(e for _, e in eqs) if scan else ()))
 
 
 def _lambda_gamma(ito: ItoSystem, g: VectorField):

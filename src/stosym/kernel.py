@@ -113,8 +113,9 @@ class Context:
 
     @cached_property
     def ring(self):
-        """QQ[params, x, t], generators sorted by name as in `normalize`."""
-        return PolyRing(sorted(self._symbols.values(), key=lambda s: s.name), QQ)
+        """QQ[params, x, t], generators sorted by name, one per symbol set."""
+        return _own_ring(tuple(sorted(self._symbols.values(),
+                                      key=lambda s: s.name)))
 
     def symbol(self, name):
         try:
@@ -695,10 +696,10 @@ def _opaque_atoms(e):
 def zero_verdict(e) -> Verdict:
     """Tri-state zero test. Zero equivalence is undecidable in this
     fragment (Richardson, J. Symb. Logic 1968), so the answer may be
-    INCONCLUSIVE; it is never a guess. An input in the exact domain over
-    its own symbols is decided there: a ring element or a polynomial over
-    QQ in its canonical ring, and any other input that `_exact` takes by
-    its normal form, which is 0 iff the input vanishes identically
+    INCONCLUSIVE; it is never a guess. A rational is decided at once, an
+    input in the exact domain over its own symbols there: a ring element
+    or a polynomial over QQ in its canonical ring, and any other input
+    that `_exact` takes by its normal form, 0 iff it vanishes identically
     (`_Domain`); parameters are only positive, nonzero or real, so a
     nonzero element never vanishes identically. Anything else is
     normalized; 0 or 0.0 is ZERO, and opaque function symbols are split
@@ -707,13 +708,17 @@ def zero_verdict(e) -> Verdict:
     did does `simplify` run, and it confirms ZERO when every sample
     vanished and sympy proves the simplified form zero.
     """
+    if not isinstance(e, PolyElement):
+        e = sp.sympify(e)
+        if e.is_Rational:
+            return Verdict.NONZERO if e else Verdict.ZERO
     p = _ring_element(e)
     if p is not None:
         return Verdict.NONZERO if p else Verdict.ZERO
     n = normalize(e)
     if n.is_Number and n.is_zero:
         return Verdict.ZERO
-    if _exact(sp.sympify(e)) is not None:
+    if _exact(e) is not None:
         return Verdict.NONZERO
     atoms = _opaque_atoms(n)
     if atoms:

@@ -3,16 +3,18 @@ dx^i = [a (x^{i+1} - 2 x^i + x^{i-1}) + b (x^{i+1} - x^{i-1})^2] dt + dw^i
 with indices mod N as an Ito system, and two thin adapters onto the
 general engine: the determining system of a linear-in-x continuous
 candidate (Lambda/Gamma) and the verdict on a linear discrete map y = F x
-with noise mixer R = F (detsys_discrete + check)."""
+with noise mixer R = F (detsys_discrete + check). The system is built in
+the context's ring QQ[a, b, x, t] when a and b lie in it, so the engine
+takes it as it is, and the adapters form Lambda x and F x row by row."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
 import sympy as sp
 
-from .kernel import Context
+from .kernel import Context, _ring_element
 from .detgen import DeterminingSystem, detsys_discrete, detsys_projectable
-from .model import DiscreteMap, ItoSystem, VectorField
+from .model import DiscreteMap, ItoSystem, VectorField, _dot
 from .verify import VerificationReport, check
 
 __all__ = [
@@ -51,17 +53,26 @@ def _wrap(i, n):
 
 
 def kpz_ito(chain: KpzChain) -> ItoSystem:
-    """The chain as an Ito system with unit noise matrix."""
+    """The chain as an Ito system with unit noise matrix: in the context's
+    ring when alpha and beta lie in it, else (a float, a radical) on
+    expressions."""
     n = chain.n_sites
     ctx = chain.context
-    x = ctx.spatial
-    a, b = chain.alpha, chain.beta
+    ring = ctx.ring
+    gens = dict(zip(ring.symbols, ring.gens))
+    a, b = (gens.get(v) or _ring_element(v, ring)
+            for v in (chain.alpha, chain.beta))
+    if a is None or b is None:
+        a, b, x = chain.alpha, chain.beta, ctx.spatial
+        one, zero = sp.Integer(1), sp.Integer(0)
+    else:
+        x, one, zero = [gens[v] for v in ctx.spatial], ring.one, ring.zero
     f = tuple(
         a * (x[_wrap(i + 1, n)] - 2 * x[i] + x[_wrap(i - 1, n)])
         + b * (x[_wrap(i + 1, n)] - x[_wrap(i - 1, n)]) ** 2
         for i in range(n))
-    sigma = tuple(tuple(sp.Integer(1) if i == k else sp.Integer(0)
-                        for k in range(n)) for i in range(n))
+    sigma = tuple(tuple(one if i == k else zero for k in range(n))
+                  for i in range(n))
     return ItoSystem(context=ctx, f=f, sigma=sigma, name=f"kpz-{n}")
 
 
@@ -77,9 +88,10 @@ def kpz_detsys_continuous(chain: KpzChain, tau, Lambda_matrix, alpha_vec,
     al = sp.Matrix([sp.sympify(e) for e in alpha_vec])
     if Lam.shape != (n, n) or al.shape != (n, 1):
         raise ValueError("candidate shape does not match the chain size")
-    xi = Lam * sp.Matrix(chain.context.spatial) + al
+    x = chain.context.spatial
+    xi = tuple(_dot(row, x) + a for row, a in zip(Lam.tolist(), al))
     B = () if Bmat is None else sp.Matrix(Bmat).tolist()
-    ws = VectorField(chain.context, tau=tau, xi=tuple(xi), Bmat=B)
+    ws = VectorField(chain.context, tau=tau, xi=xi, Bmat=B)
     return replace(detsys_projectable(kpz_ito(chain), ws),
                    name="kpz-continuous")
 
@@ -94,9 +106,10 @@ def kpz_check_discrete(chain: KpzChain, F) -> VerificationReport:
     if F.shape != (n, n):
         raise ValueError("F must match the chain size")
     ito = kpz_ito(chain)
+    R = F.tolist()
     dmap = DiscreteMap(context=ito.context,
-                       phi=tuple(F * sp.Matrix(ito.context.spatial)),
-                       R=F.tolist())
+                       phi=tuple(_dot(row, ito.context.spatial) for row in R),
+                       R=R)
     return check(replace(detsys_discrete(ito, dmap), name="kpz-discrete"))
 
 

@@ -67,9 +67,10 @@ class ItoSystem:
             raise ValueError(f"expected {n} drift components, got {len(self.f)}")
         if len(self.sigma) != n or any(len(row) != m for row in self.sigma):
             raise ValueError(f"sigma must be {n}x{m}")
+        # an exact domain over ctx.ring holds functions of its symbols only
         allowed = set(ctx.ring.symbols)
-        for e in (*self.f, *(x for row in self.sigma for x in row)):
-            extra = sp.sympify(e).free_symbols - allowed
+        for e in () if converted else (*self.f, *sum(self.sigma, ())):
+            extra = e.free_symbols - allowed
             if extra:
                 names = ", ".join(sorted(s.name for s in extra))
                 raise ValueError(f"coefficient depends on non-(x,t) symbols: {names}")
@@ -191,7 +192,7 @@ def _noise_matrix(ctx, mat, what):
     mat, m = _matrix(mat), ctx.m
     if len(mat) != m or any(len(row) != m for row in mat):
         raise ValueError(f"{what} must be {m}x{m}")
-    if any(sp.sympify(e).free_symbols & {ctx.t, *ctx.spatial}
+    if any(not e.is_Number and e.free_symbols & {ctx.t, *ctx.spatial}
            for row in mat for e in row):
         raise ValueError(f"{what} must be constant in x and t")
     return mat
@@ -209,9 +210,11 @@ class DiscreteMap:
         object.__setattr__(self, "phi", _exprs(self.phi))
         if len(self.phi) != self.context.n:
             raise ValueError(f"expected {self.context.n} map components")
-        object.__setattr__(self, "R", _noise_matrix(self.context, self.R, "R"))
-        r = sp.Matrix(self.R)
-        if not all_zero(r * r.T - sp.eye(self.context.m)):
+        R = _noise_matrix(self.context, self.R, "R")
+        object.__setattr__(self, "R", R)
+        # R R^T is symmetric: its upper triangle decides R R^T = I
+        if not all_zero(_dot(R[i], R[j]) - int(i == j)
+                        for i in range(len(R)) for j in range(i, len(R))):
             raise ValueError("R must be orthogonal")
 
 
@@ -259,13 +262,14 @@ class _Exprs:
         return e
 
     def dot(self, u, v):
-        return self.add([a * b for a, b in zip(u, v) if a != 0 and b != 0])
+        # a zero is falsy in both types, a Float 0.0 included
+        return self.add([a * b for a, b in zip(u, v) if a and b])
 
     def second_order(self, entries, grad, x):
         """M^{ab} d2_{ab} u over the nonzero entries (a, b, M^{ab}) of M,
         from the gradient `grad` of u."""
         return self.add([w * self.d(grad[a], x[b]) for a, b, w in entries
-                         if grad[a] != 0])
+                         if grad[a]])
 
     def noise_image(self, grad, sigma):
         """(grad u) . sigma: the noise coefficients d_a u sigma^a_j of

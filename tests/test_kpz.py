@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from stosym.kernel import normalize
 from stosym.verify import OverallVerdict, check
 from stosym.kpz import (KpzChain, inversion_matrix, kpz_check_discrete,
-                        kpz_detsys_continuous, site_shift_matrix)
+                        kpz_detsys_continuous, kpz_ito, site_shift_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -144,3 +145,87 @@ def test_mixer_verdicts(n):
         ds = kpz_detsys_continuous(chain, 0, rot, [0] * n,
                                    Bmat=rot if with_b else None)
         assert check(ds).overall.value == verdict
+
+
+def _named_verdicts(chain):
+    """Time shift, uniform height shift, site shift, inversion about site
+    2 and height inversion of the chain."""
+    n = chain.n_sites
+    return [check(kpz_detsys_continuous(chain, 1, sp.zeros(n, n),
+                                        [0] * n)).overall.value,
+            check(kpz_detsys_continuous(chain, 0, sp.zeros(n, n),
+                                        [1] * n)).overall.value,
+            kpz_check_discrete(chain, site_shift_matrix(n)).overall.value,
+            kpz_check_discrete(chain, inversion_matrix(n, 2)).overall.value,
+            kpz_check_discrete(chain, -sp.eye(n)).overall.value]
+
+
+@pytest.mark.parametrize("alpha", [0.5, sp.sqrt(2)], ids=["float", "sqrt2"])
+def test_parameters_outside_qq_keep_their_path(alpha):
+    """A coupling outside QQ is not built in the context's ring: a Float
+    stays a Float (QQ would turn 0.5 into 1/2) and the system stays on
+    expressions, and sqrt(2) widens the exact domain. The drift is the
+    normalized stencil, and the verdicts are those recorded when the chain
+    was built on expressions for every coupling."""
+    for n in (3, 4, 5):
+        chain = KpzChain(n, alpha=alpha)
+        ito = kpz_ito(chain)
+        x = chain.context.spatial
+        assert ito.f == tuple(normalize(e) for e in _stencil_drift(
+            chain.alpha, chain.beta, x))
+        assert (ito._coefficients is None) == (alpha == 0.5)
+        assert _named_verdicts(chain) == ["symmetry"] * 4 + ["not_symmetry"]
+    if alpha == 0.5:
+        assert chain.alpha == sp.Float(0.5) and chain.alpha != sp.Rational(1, 2)
+        assert str(kpz_ito(KpzChain(3, alpha=alpha)).f[0]) == (
+            "1.0*b*x2**2 - 2.0*b*x2*x3 + 1.0*b*x3**2 - 1.0*x1 + 0.5*x2 "
+            "+ 0.5*x3")
+
+
+def test_chain_work_stays_on_nonzero_entries(monkeypatch):
+    """Over the site-shift check and the time shift at N = 8: kpz_ito
+    builds the chain in the context's ring without PolyRing.from_expr,
+    DiscreteMap tests R R^T = I without a sympy Matrix product, and no
+    ring element is compared with != (which first makes a ring element of
+    the 0). Each spy is shown live on a call outside the checks."""
+    from sympy.polys.rings import PolyElement, PolyRing
+    from stosym import kpz, model
+    calls, inside = [], []
+
+    def within(owner, name):
+        function = getattr(owner, name)
+
+        def entered(*args, **kwargs):
+            inside.append(name)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(owner, name, entered)
+
+    def counted(owner, name):
+        function = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls.append((name, inside[-1] if inside else None))
+            return function(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+    within(kpz, "kpz_ito")
+    within(model.DiscreteMap, "__post_init__")
+    counted(PolyRing, "from_expr")
+    counted(sp.MutableDenseMatrix, "__mul__")
+    counted(PolyElement, "__ne__")
+    n = 8
+    chain = KpzChain(n)
+    assert kpz_check_discrete(chain, site_shift_matrix(n)).is_symmetry
+    assert check(kpz_detsys_continuous(chain, 1, sp.zeros(n, n),
+                                       [0] * n)).is_symmetry
+    assert ("from_expr", "kpz_ito") not in calls
+    assert ("__mul__", "__post_init__") not in calls
+    assert [c for c in calls if c[0] == "__ne__"] == []
+    # the checks did convert entries, outside kpz_ito
+    assert ("from_expr", None) in calls
+    ring = chain.context.ring
+    ring.from_expr(chain.alpha), sp.eye(2) * sp.eye(2), ring.one != 0
+    assert calls[-3:] == [("from_expr", None), ("__mul__", None),
+                          ("__ne__", None)]

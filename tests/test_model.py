@@ -183,6 +183,35 @@ def test_fokker_planck_of_matches_formula(rng, name):
     assert fp.C == normalize(C)
 
 
+def test_zero_entries_skipped_by_truthiness():
+    """The expression calculus skips a zero entry by truthiness, not by
+    != 0. On sympy >= 1.13 a Float 0.0 is falsy but != 0, so the two tests
+    differ on it; the sums do not, since a product with a Float zero is
+    the Integer 0, which the sum drops."""
+    from stosym.model import _EXPRS
+    x, y = sp.symbols("x y", real=True)
+    z, zero = sp.Float(0.0), sp.Integer(0)
+    assert not z and not zero
+
+    def dot_ne(u, v):
+        return sp.Add(*[a * b for a, b in zip(u, v) if a != 0 and b != 0])
+
+    def second_order_ne(entries, grad, xs):
+        return sp.Add(*[w * _EXPRS.d(grad[a], xs[b]) for a, b, w in entries
+                        if grad[a] != 0])
+    pairs = [([z], [sp.Integer(2)]), ([sp.Integer(1)], [z]), ([z, z], [x, y]),
+             ([z, x, zero, sp.Integer(2)], [y, z, x, sp.Float(1.5)]),
+             ([z, sp.Float(0.5) * x], [sp.sqrt(2), y])]
+    for u, v in pairs:
+        assert sp.srepr(_EXPRS.dot(u, v)) == sp.srepr(dot_ne(u, v)), (u, v)
+    grad = [z, x * y, sp.Float(1.5) * x**2, zero]
+    entries = [(0, 0, sp.Integer(1)), (1, 0, sp.Rational(1, 2)),
+               (2, 1, z), (2, 0, sp.Integer(3)), (3, 1, sp.Integer(5))]
+    for es in (entries, entries[:1], entries[3:]):
+        assert sp.srepr(_EXPRS.second_order(es, grad, (x, y))) == sp.srepr(
+            second_order_ne(es, grad, (x, y))), es
+
+
 def test_ito_to_stratonovich_multiplicative_noise():
     ctx = Context(spatial=("x",), noises=("w",))
     x = ctx.spatial[0]

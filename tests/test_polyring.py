@@ -85,6 +85,22 @@ def test_as_expr_equals_normalize(expr):
     assert RING.from_expr(expr).as_expr() == normalize(expr)
 
 
+def test_arithmetic_on_generators():
+    """What kpz_ito asks of the context's ring: its generators, read by
+    zipping symbols with gens, one and zero, and +, -, * and ** on them and
+    on Python ints, which give what from_expr gives; and what the engine's
+    calculus (stosym.model._Exprs.dot, second_order) asks of an element: a
+    zero, ground_new(0) included, is falsy and any other element truthy."""
+    gens = dict(zip(RING.symbols, RING.gens))
+    a, t, x, y = (gens[s] for s in (A, T, X, Y))
+    p = a * (x - 2 * y + x) + t * (x - y) ** 2
+    assert p == RING.from_expr(A * (2 * X - 2 * Y) + T * (X - Y) ** 2)
+    assert (RING.one * 1, RING.zero + 0) == (RING.from_expr(sp.Integer(1)),
+                                             RING.from_expr(sp.Integer(0)))
+    assert not RING.zero and not RING.ground_new(QQ(0)) and not p - p
+    assert RING.one and p and RING.ground_new(QQ(-1, 2))
+
+
 def test_from_expr_of_a_vanishing_polynomial_is_zero():
     # kernel.zero_verdict reads ZERO from this without normalizing first
     assert RING.from_expr((X + A * Y) ** 2 - X**2 - 2 * A * X * Y
