@@ -174,12 +174,12 @@ def check_cmd(system_file, candidate_file, classify_fp, as_json):
         report = check_fp(ito, candidate)
     else:
         report = check(_detsys_for(ito, candidate))
-    data = report.to_dict()
     if as_json:
-        _emit(data)
+        _emit(report.to_dict())
     else:
-        click.echo(f"{data['overall']}"
-                   + (f" ({data['classification']})" if "classification" in data else ""))
+        classification = report.classification
+        click.echo(report.overall.value + (f" ({classification.value})"
+                                           if classification else ""))
     _exit_for(report.overall)
 
 
@@ -401,9 +401,8 @@ def kpz_cmd(sites, alpha, beta, which, as_json):
         else:
             _reject(f"unknown check '{which}'")
         report = kpzmod.kpz_check_discrete(chain, F)
-    data = {**report.to_dict(), "schema": 2, "check": which}
     if as_json:
-        _emit(data)
+        _emit({**report.to_dict(), "schema": 2, "check": which})
     else:
         click.echo(report.overall.value)
     _exit_for(report.overall)

@@ -13,9 +13,12 @@ with sqrt(p) of positive parameters, the inverses of nonzero parameters,
 sqrt(n) of each prime n of an integer radical and exp(c t) as generators)
 when the system's coefficients and every candidate entry lie in it, and
 sympy expressions otherwise. Each residual leaves through `leave`, which
-applies the domain's relations, and is normalized once; the zero test in
-`verify.check` decides a residual of the domain exactly there, and finds
-any other residual's normal form in sympy's cache
+applies the domain's relations. An element of the context's ring, which
+`leave` returns as it is, stays in the ring: the zero test in
+`verify.check` decides it by truthiness, and its expression is built only
+when `DeterminingSystem.equations` or the report is read. Any other
+residual is normalized once, and the zero test decides a residual of the
+domain exactly and finds any other's normal form in sympy's cache
 (`kernel._normalize_loop`). Each `ItoSystem` converts its coefficients
 once, and once more for each wider domain a candidate needs; every
 builder here, `model.apply_discrete` and the ansatz solver read them
@@ -32,7 +35,8 @@ import sympy as sp
 from sympy.polys.rings import PolyElement
 
 from .kernel import normalize
-from .model import DiscreteMap, ItoSystem, VectorField, fokker_planck_of
+from .model import (DiscreteMap, ItoSystem, VectorField, _Views,
+                    fokker_planck_of)
 
 __all__ = [
     "DeterminingSystem", "detsys_ode", "detsys_projectable", "detsys_fp",
@@ -41,16 +45,23 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DeterminingSystem:
-    """Named residuals that must all vanish. Every equation is stored in
-    `normalize`d form (the detsys_* builders do this once), and `verify.check`
-    decides each with the public `zero_verdict` and reports it as stored."""
+class DeterminingSystem(_Views):
+    """Named residuals that must all vanish. A residual is stored in
+    `normalize`d form (the detsys_* builders normalize it once) or, when
+    it is an element of a ring, as it is: then `equations` is read as the
+    residuals' expressions, built on the first read (`model._Views`).
+    `verify.check` decides each residual as stored with the public
+    `zero_verdict` and reports it as stored."""
     name: str
     equations: tuple  # of (label, expr) pairs
     free_unknowns: tuple = ()
 
+    def __post_init__(self):
+        if any(isinstance(e, PolyElement) for _, e in self.equations):
+            self._keep("equations", tuple(self.equations))
+
     def labels(self):
-        return tuple(label for label, _ in self.equations)
+        return tuple(label for label, _ in self._stored("equations"))
 
     def residuals(self):
         return tuple(e for _, e in self.equations)
@@ -65,11 +76,12 @@ def _unknown_functions(exprs):
 
 
 def _pack(name, equations):
-    # an element of a ring over QQ holds no opaque function
-    scan = not all(isinstance(e, PolyElement) for _, e in equations)
-    eqs = tuple((label, normalize(e)) for label, e in equations)
+    # a ring element is kept as it is; over QQ it holds no opaque function
+    eqs = tuple((label, e if isinstance(e, PolyElement) else normalize(e))
+                for label, e in equations)
     return DeterminingSystem(name=name, equations=eqs, free_unknowns=(
-        _unknown_functions(e for _, e in eqs) if scan else ()))
+        _unknown_functions(e for _, e in eqs
+                           if not isinstance(e, PolyElement))))
 
 
 def _lambda_gamma(ito: ItoSystem, g: VectorField):
@@ -163,7 +175,7 @@ def detsys_discrete(ito: ItoSystem, dmap: DiscreteMap) -> DeterminingSystem:
     """Determining equations for a finite map y = phi(x,t), z = R w:
     drift family  dphi^i/dx^j f^j + S^{jk} d2_{jk} phi^i + d_t phi^i - f^i(phi, t),
     noise family  (dphi/dx sigma R^T)^i_k - sigma^i_k(phi, t)."""
-    c, (phi, *R) = ito._of([dmap.phi, *dmap.R])
+    c, (phi, *R) = ito._of([dmap._stored("phi"), *dmap.R])
     return _pack("ito-discrete", _discrete_equations(c, phi, R))
 
 

@@ -395,6 +395,11 @@ def _ring_element(e, ring=None):
     return ring.from_expr(e)
 
 
+def _expr(e):
+    """e as an expression: a ring element through as_expr()."""
+    return e.as_expr() if isinstance(e, PolyElement) else sp.sympify(e)
+
+
 @lru_cache(maxsize=256)
 def _own_ring(generators):
     """QQ[generators], built once per generator tuple: sympy may not reuse
@@ -514,9 +519,10 @@ def _convert(calc, groups, relations=True):
     parameter or of q_p and for sqrt(n) of an integer, one generator per
     prime of n. A shifted exp(c t + d) is refused. The solver's field
     takes no generator bound by a relation, so it passes relations=False.
-    In a wider domain every entry is converted anew."""
+    In a wider domain every entry is converted anew, and an element of
+    another ring from its expression."""
     out = [[_ring_element(e, calc.ring) for e in g] for g in groups]
-    refused = [sp.sympify(e) for g, row in zip(groups, out)
+    refused = [_expr(e) for g, row in zip(groups, out)
                for e, p in zip(g, row) if p is None]
     if not refused:
         return calc, out
@@ -589,7 +595,7 @@ def _convert(calc, groups, relations=True):
             ring, x, t, elements, back, key,
             [(index[qs.get(p, p)], index[inv[p]]) for p in key[4]],
             [(index[ss[n]], n) for n in key[5]])
-    out = [[_ring_element(sp.sympify(e).xreplace(sub), wider.ring)
+    out = [[_ring_element(_expr(e).xreplace(sub), wider.ring)
              if p is None or wider is not calc else p
              for e, p in zip(g, row)] for g, row in zip(groups, out)]
     return None if any(p is None for r in out for p in r) else (wider, out)

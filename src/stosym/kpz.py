@@ -4,11 +4,14 @@ with indices mod N as an Ito system, and two thin adapters onto the
 general engine: the determining system of a linear-in-x continuous
 candidate (Lambda/Gamma) and the verdict on a linear discrete map y = F x
 with noise mixer R = F (detsys_discrete + check). The system is built in
-the context's ring QQ[a, b, x, t] when a and b lie in it, so the engine
-takes it as it is, and the adapters form Lambda x and F x row by row."""
+the context's ring QQ[a, b, x, t] when a and b lie in it, and y = F x
+when F is rational. The engine takes both as they are: the residuals
+stay in the ring up to the verdict, and no expression is built unless a
+reader asks for one (`model._Views`). The continuous adapter forms
+Lambda x row by row."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import sympy as sp
 
@@ -92,8 +95,13 @@ def kpz_detsys_continuous(chain: KpzChain, tau, Lambda_matrix, alpha_vec,
     xi = tuple(_dot(row, x) + a for row, a in zip(Lam.tolist(), al))
     B = () if Bmat is None else sp.Matrix(Bmat).tolist()
     ws = VectorField(chain.context, tau=tau, xi=xi, Bmat=B)
-    return replace(detsys_projectable(kpz_ito(chain), ws),
-                   name="kpz-continuous")
+    return _named(detsys_projectable(kpz_ito(chain), ws), "kpz-continuous")
+
+
+def _named(ds, name):
+    """ds under another name, its residuals as stored (dataclasses.replace
+    would read them as expressions)."""
+    return DeterminingSystem(name, ds._stored("equations"), ds.free_unknowns)
 
 
 def kpz_check_discrete(chain: KpzChain, F) -> VerificationReport:
@@ -105,12 +113,18 @@ def kpz_check_discrete(chain: KpzChain, F) -> VerificationReport:
     F = sp.Matrix(F)
     if F.shape != (n, n):
         raise ValueError("F must match the chain size")
+    ctx, R = chain.context, F.tolist()
+    # F x in the context's ring, which the engine takes as it is, when F
+    # is rational
+    if all(e.is_Rational for e in F):
+        gens = dict(zip(ctx.ring.symbols, ctx.ring.gens))
+        x, zero = [gens[v] for v in ctx.spatial], ctx.ring.zero
+    else:
+        x, zero = ctx.spatial, sp.Integer(0)
+    phi = tuple(sum((v * e for e, v in zip(row, x) if e), zero) for row in R)
     ito = kpz_ito(chain)
-    R = F.tolist()
-    dmap = DiscreteMap(context=ito.context,
-                       phi=tuple(_dot(row, ito.context.spatial) for row in R),
-                       R=R)
-    return check(replace(detsys_discrete(ito, dmap), name="kpz-discrete"))
+    dmap = DiscreteMap(context=ctx, phi=phi, R=R)
+    return check(_named(detsys_discrete(ito, dmap), "kpz-discrete"))
 
 
 def site_shift_matrix(n):

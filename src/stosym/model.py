@@ -13,8 +13,9 @@ from functools import cached_property
 
 import sympy as sp
 from sympy.core.cache import cacheit
+from sympy.polys.rings import PolyElement
 
-from .kernel import Context, _convert, _Domain, all_zero, normalize
+from .kernel import Context, _convert, _Domain, _expr, all_zero, normalize
 
 __all__ = [
     "DegeneracyError",
@@ -36,14 +37,57 @@ def _matrix(rows):
     return tuple(tuple(normalize(e) for e in row) for row in rows)
 
 
+def _expressions(value):
+    """value, a ring element or tuples nesting them, with each ring element
+    read as its expression: as_expr(), which `normalize` returns for it."""
+    if isinstance(value, PolyElement):
+        return value.as_expr()
+    if isinstance(value, tuple):
+        return tuple(map(_expressions, value))
+    return value
+
+
+class _Views:
+    """Base of the frozen dataclasses whose fields may hold ring elements.
+    `_keep` stores such a field as it is and drops it from the instance;
+    its first read builds its expressions (`_expressions`) and keeps them
+    as the field, so each is built at most once (two threads that read it
+    first at the same time may both build it, into equal values).
+    Equality, hashing, repr and dataclasses.replace read the field, so
+    they build it too; the engine reads the stored ring elements through
+    `_stored`."""
+
+    def _keep(self, name, value):
+        object.__delattr__(self, name)
+        self.__dict__.setdefault("_kept", {})[name] = value
+
+    def _stored(self, name):
+        """The field as stored: kept ring elements stay ring elements."""
+        kept = self.__dict__.get("_kept", {})
+        return kept[name] if name in kept else getattr(self, name)
+
+    def __getattr__(self, name):
+        # reached only for a name missing from the instance
+        kept = self.__dict__.get("_kept", {})
+        if name not in kept:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        value = _expressions(kept[name])
+        object.__setattr__(self, name, value)
+        return value
+
+
 @dataclass(frozen=True)
-class ItoSystem:
+class ItoSystem(_Views):
     """dx^i = f^i(x,t) dt + sigma^i_k(x,t) dw^k on R^n with m noise channels.
 
-    The constructor normalizes f and sigma and converts them once into the
-    exact domain (`kernel._convert`). The system keeps these coefficients,
-    their expressions and their conversion into each wider domain a
-    candidate needs (`_of`); none of them takes part in equality."""
+    The constructor converts f and sigma once into the exact domain
+    (`kernel._convert`). When they lie in the context's ring QQ[params,
+    x, t], f and sigma are kept there and read as their expressions, built
+    on the first read (`_Views`); otherwise they are normalized at once.
+    The system also keeps its coefficients in the engine's type and their
+    conversion into each wider domain a candidate needs (`_of`); neither
+    takes part in equality."""
     context: Context
     f: tuple
     sigma: tuple
@@ -55,18 +99,21 @@ class ItoSystem:
 
     def __post_init__(self):
         ctx = self.context
-        base = _Ring(ctx.ring, ctx.spatial, ctx.t)
-        converted = _convert(base, [self.f, *self.sigma])
-        # as_expr() of an element of QQ[params, x, t] is normalized
-        f, *sigma = (converted[1] if converted and converted[0] is base
-                     else [self.f, *self.sigma])
-        object.__setattr__(self, "f", _exprs(f))
-        object.__setattr__(self, "sigma", _matrix(sigma))
-        n, m = self.context.n, self.context.m
+        n, m = ctx.n, ctx.m
         if len(self.f) != n:
             raise ValueError(f"expected {n} drift components, got {len(self.f)}")
         if len(self.sigma) != n or any(len(row) != m for row in self.sigma):
             raise ValueError(f"sigma must be {n}x{m}")
+        base = _Ring(ctx.ring, ctx.spatial, ctx.t)
+        converted = _convert(base, [self.f, *self.sigma])
+        if converted and converted[0] is base:
+            # as_expr() of an element of QQ[params, x, t] is normalized
+            f, *sigma = converted[1]
+            self._keep("f", tuple(f))
+            self._keep("sigma", tuple(map(tuple, sigma)))
+        else:
+            object.__setattr__(self, "f", _exprs(self.f))
+            object.__setattr__(self, "sigma", _matrix(self.sigma))
         # an exact domain over ctx.ring holds functions of its symbols only
         allowed = set(ctx.ring.symbols)
         for e in () if converted else (*self.f, *sum(self.sigma, ())):
@@ -105,7 +152,7 @@ class ItoSystem:
         converted = c and _convert(c.calc, groups)
         if converted is None:
             return (self._expr_coefficients,
-                    [[sp.sympify(e) for e in g] for g in groups])
+                    [[_expr(e) for e in g] for g in groups])
         calc, groups = converted
         if calc is c.calc:
             return c, groups
@@ -199,17 +246,24 @@ def _noise_matrix(ctx, mat, what):
 
 
 @dataclass(frozen=True)
-class DiscreteMap:
+class DiscreteMap(_Views):
     """Finite change of coordinates y^i = phi^i(x,t) with new noise
-    z = R w, R constant orthogonal; the constructor normalizes phi and R."""
+    z = R w, R constant orthogonal; the constructor normalizes R, and phi
+    unless every entry is an element of the context's ring, which is kept
+    as it is and read as its expression (`_Views`)."""
     context: Context
     phi: tuple
     R: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", _exprs(self.phi))
+        ring = self.context.ring
         if len(self.phi) != self.context.n:
             raise ValueError(f"expected {self.context.n} map components")
+        if all(isinstance(e, PolyElement) and e.ring == ring
+               for e in self.phi):
+            self._keep("phi", tuple(self.phi))
+        else:
+            object.__setattr__(self, "phi", _exprs(self.phi))
         R = _noise_matrix(self.context, self.R, "R")
         object.__setattr__(self, "R", R)
         # R R^T is symmetric: its upper triangle decides R R^T = I
@@ -464,7 +518,7 @@ def apply_discrete(ito: ItoSystem, dmap: DiscreteMap,
     symbols) is supplied.
     """
     inverse = () if inverse is None else inverse
-    c, (phi, inverse, *R) = ito._of([dmap.phi, inverse, *dmap.R])
+    c, (phi, inverse, *R) = ito._of([dmap._stored("phi"), inverse, *dmap.R])
     drift, noise = c.image(phi, R)
     at = c.calc.substitution(c.x, inverse) if inverse else (lambda e: e)
     leave = c.calc.leave

@@ -7,9 +7,10 @@ import enum
 from dataclasses import dataclass, replace
 
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
 from .kernel import Verdict, _dsl, _fold, all_zero, is_zero, zero_verdict
-from .model import ItoSystem, VectorField, fokker_planck_of
+from .model import ItoSystem, VectorField, _Views, fokker_planck_of
 from .detgen import DeterminingSystem, _lambda_gamma, detsys_fp
 
 __all__ = [
@@ -31,12 +32,18 @@ class FpClassification(enum.Enum):
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Views):
+    """The verdict on each residual and overall. A residual that is a ring
+    element is kept as it is and read as its expression (`model._Views`)."""
     system_name: str
     per_equation: tuple  # of (label, Verdict, residual)
     overall: OverallVerdict
     classification: FpClassification | None = None
     normalization_preserving: bool | None = None  # of a Fokker-Planck check
+
+    def __post_init__(self):
+        if any(isinstance(e, PolyElement) for *_, e in self.per_equation):
+            self._keep("per_equation", tuple(self.per_equation))
 
     @property
     def is_symmetry(self):
@@ -73,7 +80,7 @@ def check(ds: DeterminingSystem) -> VerificationReport:
         raise ValueError("unbound unknowns: "
                          + ", ".join(f.__name__ for f in ds.free_unknowns))
     per_equation = tuple((label, zero_verdict(e), e)
-                         for label, e in ds.equations)
+                         for label, e in ds._stored("equations"))
     return VerificationReport(
         system_name=ds.name, per_equation=per_equation,
         overall=_OVERALL[_fold(v for _, v, _ in per_equation)])

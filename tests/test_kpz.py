@@ -223,9 +223,50 @@ def test_chain_work_stays_on_nonzero_entries(monkeypatch):
     assert ("from_expr", "kpz_ito") not in calls
     assert ("__mul__", "__post_init__") not in calls
     assert [c for c in calls if c[0] == "__ne__"] == []
-    # the checks did convert entries, outside kpz_ito
-    assert ("from_expr", None) in calls
+    # nor do the checks convert an entry anywhere else
+    # (test_chain_stays_in_the_ring)
+    assert [c for c in calls if c[0] == "from_expr"] == []
     ring = chain.context.ring
     ring.from_expr(chain.alpha), sp.eye(2) * sp.eye(2), ring.one != 0
     assert calls[-3:] == [("from_expr", None), ("__mul__", None),
                           ("__ne__", None)]
+
+
+def test_chain_stays_in_the_ring(monkeypatch):
+    """From kpz_ito to the verdict of the site shift, the height inversion
+    and the time shift at N = 8, no value leaves the context's ring and
+    none is converted back into it: no PolyElement.as_expr and no
+    PolyRing.from_expr call. The chain, phi = F x, the residuals and the
+    report keep their ring elements, and their expressions are built only
+    when a reader asks for them; the height inversion's nonzero residuals
+    are decided by truthiness. Each spy is shown live on a call outside
+    the checks, and reading the report's expressions builds them."""
+    from sympy.polys.rings import PolyElement, PolyRing
+    calls = []
+
+    def counted(owner, name):
+        function = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+    counted(PolyElement, "as_expr")
+    counted(PolyRing, "from_expr")
+    n = 8
+    chain = KpzChain(n)
+    verdicts = [kpz_check_discrete(chain, site_shift_matrix(n)),
+                kpz_check_discrete(chain, -sp.eye(n)),
+                check(kpz_detsys_continuous(chain, 1, sp.zeros(n, n),
+                                            [0] * n))]
+    assert [r.overall.value for r in verdicts] == [
+        "symmetry", "not_symmetry", "symmetry"]
+    assert calls == []
+    ring = chain.context.ring
+    ring.from_expr(chain.alpha).as_expr()
+    assert calls == ["from_expr", "as_expr"]
+    # the height inversion's report: n nonzero drift residuals, n^2 zeros
+    report = verdicts[1].to_dict()
+    assert calls.count("as_expr") == 1 + n + n * n
+    assert report["equations"][0]["residual"] != "0"
+    assert calls.count("from_expr") == 1

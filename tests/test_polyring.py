@@ -101,6 +101,20 @@ def test_arithmetic_on_generators():
     assert RING.one and p and RING.ground_new(QQ(-1, 2))
 
 
+def test_linear_map_from_generators():
+    """What kpz_check_discrete asks of the context's ring to form y = F x:
+    a generator times a sympy Rational, Integer(-1) included, summed from
+    zero, gives what from_expr gives; and what model.DiscreteMap asks of
+    the result: its ring, compared with ==, and its expression."""
+    gens = dict(zip(RING.symbols, RING.gens))
+    row = (sp.Rational(3, 5), sp.Integer(-1), sp.Integer(0))
+    phi = sum((v * e for e, v in zip(row, (gens[X], gens[Y], gens[A]))
+               if e), RING.zero)
+    assert phi == RING.from_expr(3 * X / 5 - Y)
+    assert phi.ring == RING and PolyRing([A, T, X], QQ) != RING
+    assert phi.as_expr() == normalize(3 * X / 5 - Y)
+
+
 def test_from_expr_of_a_vanishing_polynomial_is_zero():
     # kernel.zero_verdict reads ZERO from this without normalizing first
     assert RING.from_expr((X + A * Y) ** 2 - X**2 - 2 * A * X * Y
