@@ -331,28 +331,25 @@ def parse_expr(text: str, context: Context) -> sp.Expr:
 def normalize(e) -> sp.Expr:
     """Canonical form within the supported fragment. Idempotent.
 
-    Three paths, chosen from the input alone. A number (a Float included)
-    is returned as it is: it is the loop's fixpoint. An input in the exact
-    domain over its own symbols leaves it in canonical form: a ring
-    element, or a polynomial over QQ (`_ring_element`), through as_expr(),
-    and an input that only the widened domain of `_convert` takes
-    (inverses of nonzero parameters, square roots of positive parameters
-    and of integers, exp(c t)) through `_Domain.leave` (`_exact`). Any
-    other input (a float, sin/cos, a shifted exp(c t + d), a denominator
-    that is not a monomial in nonzero parameters, an irrational constant
-    or an opaque function) takes the general loop: expand, rewrite
-    sin^2 -> 1 - cos^2, product-to-sum for sin*cos pairs, cancel rational
-    parts, iterated to a fixpoint. Both non-polynomial paths are kept in
-    sympy's cache, so normalizing a normalized value again is a cache hit.
-    The domain and the loop give the same expression where both apply."""
+    A ring element is read through as_expr(), and a number (a Float
+    included) is returned as it is: it is the loop's fixpoint. Any other
+    input goes into the exact domain over its own symbols (`_exact`): a
+    polynomial over QQ, and what only the widened domain of `_convert`
+    takes (inverses of nonzero parameters, square roots of positive
+    parameters and of integers, exp(c t)), comes out in the domain's
+    normal form. An input that the domain refuses (a float, sin/cos, a
+    shifted exp(c t + d), a denominator that is not a monomial in nonzero
+    parameters, an irrational constant or an opaque function) takes the
+    general loop: expand, rewrite sin^2 -> 1 - cos^2, product-to-sum for
+    sin*cos pairs, cancel rational parts, iterated to a fixpoint. Both
+    paths are kept in sympy's cache, so normalizing a normalized value
+    again is one cache hit. The domain and the loop give the same
+    expression where both apply."""
     if isinstance(e, PolyElement):
         return e.as_expr()
     e = sp.sympify(e)
     if e.is_Number:
         return e
-    p = _ring_element(e)
-    if p is not None:
-        return p.as_expr()
     n = _exact(e)
     if n is None:
         return _normalize_loop(e)
@@ -361,18 +358,20 @@ def normalize(e) -> sp.Expr:
     return n
 
 
-def _ring_element(e, ring=None):
+def _ring_element(e, ring):
     """e in `ring`, a sparse polynomial ring over QQ, or None when e is not
     a float-free polynomial over QQ in its generators (QQ would turn 0.5
-    into 1/2). Without a ring the generators are e's symbols sorted by
-    name, a constant gives None and a ring element is its own answer. The
-    element is 0 iff e vanishes identically. The one way into a ring: only
-    sums, products, symbols, rationals and powers with an integer exponent
-    above 1 reach from_expr, which admits just these (floats apart) and
-    prints ring and input into the error it raises on anything else."""
+    into 1/2); an element of another ring gives None. The element is 0 iff
+    e vanishes identically. The one way into a given ring, which `_convert`
+    and `kpz.kpz_ito` take: only sums, products, symbols, rationals and
+    powers with an integer exponent above 1 reach from_expr, which admits
+    just these (floats apart) and prints ring and input into the error it
+    raises on anything else."""
     if isinstance(e, PolyElement):
-        return e if ring in (None, e.ring) else None
+        return e if e.ring == ring else None
     e = sp.sympify(e)
+    if e.is_Rational:
+        return ring.ground_new(QQ(e.p, e.q))
     symbols, stack = set(), [e]
     while stack:
         node = stack.pop()
@@ -384,15 +383,7 @@ def _ring_element(e, ring=None):
             stack.append(node.base)
         elif not node.is_Rational:
             return None
-    if ring is None:
-        if not symbols:
-            return None
-        ring = _own_ring(tuple(sorted(symbols, key=lambda s: s.name)))
-    elif e.is_Rational:
-        return ring.ground_new(QQ(e.p, e.q))
-    elif not symbols <= set(ring.symbols):
-        return None
-    return ring.from_expr(e)
+    return ring.from_expr(e) if symbols <= set(ring.symbols) else None
 
 
 def _expr(e):
@@ -603,11 +594,11 @@ def _convert(calc, groups, relations=True):
 
 @cacheit
 def _exact(e):
-    """The exact path of `normalize`: e's normal form through the exact
-    domain over its own symbols, sorted by name, or None when that domain
-    refuses e. Every symbol but t is a constant there, so exp(c t) with c
-    free of t is a generator. It is kept in sympy's cache, as the loop's
-    steps are."""
+    """The exact path of `normalize` and `zero_verdict`: e's normal form
+    through the exact domain over its own symbols, sorted by name, or None
+    when that domain refuses e. Every symbol but t is a constant there, so
+    exp(c t) with c free of t is a generator. It is kept in sympy's cache,
+    as the loop's steps are."""
     domain = _Domain(_own_ring(tuple(sorted(e.free_symbols,
                                             key=lambda s: s.name))), (), _T)
     converted = _convert(domain, [(e,)])
@@ -622,7 +613,7 @@ def _normalize_loop(e):
     """The general path of `normalize`: `_normalize_step` to a fixpoint.
     The last step computed maps the output to itself and stays in sympy's
     cache, so normalizing the output again is one cache hit. The tests
-    hold the polynomial path to the loop's output."""
+    hold the exact domain's path to the loop's output."""
     for _ in range(4):
         new = _normalize_step(e)
         if new == e:
@@ -702,30 +693,30 @@ def _opaque_atoms(e):
 def zero_verdict(e) -> Verdict:
     """Tri-state zero test. Zero equivalence is undecidable in this
     fragment (Richardson, J. Symb. Logic 1968), so the answer may be
-    INCONCLUSIVE; it is never a guess. A rational is decided at once, an
-    input in the exact domain over its own symbols there: a ring element
-    or a polynomial over QQ in its canonical ring, and any other input
-    that `_exact` takes by its normal form, 0 iff it vanishes identically
+    INCONCLUSIVE; it is never a guess. A ring element and a rational are
+    decided at once, and any other input that the exact domain over its
+    own symbols takes (`_exact`, one lookup in sympy's cache for a
+    `normalize`d value) by its normal form: 0 iff it vanishes identically
     (`_Domain`); parameters are only positive, nonzero or real, so a
     nonzero element never vanishes identically. Anything else is
-    normalized; 0 or 0.0 is ZERO, and opaque function symbols are split
-    off structurally before any sampling. The rest is probed once, with a
-    fixed seed: one certified nonzero sample gives NONZERO. Only when none
-    did does `simplify` run, and it confirms ZERO when every sample
-    vanished and sympy proves the simplified form zero.
+    normalized by the general loop; 0 or 0.0 is ZERO, and opaque function
+    symbols are split off structurally before any sampling. The rest is
+    probed once, with a fixed seed: one certified nonzero sample gives
+    NONZERO. Only when none did does `simplify` run, and it confirms ZERO
+    when every sample vanished and sympy proves the simplified form zero.
     """
-    if not isinstance(e, PolyElement):
-        e = sp.sympify(e)
-        if e.is_Rational:
-            return Verdict.NONZERO if e else Verdict.ZERO
-    p = _ring_element(e)
-    if p is not None:
-        return Verdict.NONZERO if p else Verdict.ZERO
-    n = normalize(e)
+    if isinstance(e, PolyElement):
+        return Verdict.NONZERO if e else Verdict.ZERO
+    n = sp.sympify(e)
+    if n.is_Rational:
+        return Verdict.NONZERO if n else Verdict.ZERO
+    if not n.is_Number:
+        exact = _exact(n)
+        if exact is not None:
+            return Verdict.ZERO if exact == 0 else Verdict.NONZERO
+        n = _normalize_loop(n)
     if n.is_Number and n.is_zero:
         return Verdict.ZERO
-    if _exact(e) is not None:
-        return Verdict.NONZERO
     atoms = _opaque_atoms(n)
     if atoms:
         return _structural_verdict(n, atoms)

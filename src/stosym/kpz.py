@@ -95,13 +95,8 @@ def kpz_detsys_continuous(chain: KpzChain, tau, Lambda_matrix, alpha_vec,
     xi = tuple(_dot(row, x) + a for row, a in zip(Lam.tolist(), al))
     B = () if Bmat is None else sp.Matrix(Bmat).tolist()
     ws = VectorField(chain.context, tau=tau, xi=xi, Bmat=B)
-    return _named(detsys_projectable(kpz_ito(chain), ws), "kpz-continuous")
-
-
-def _named(ds, name):
-    """ds under another name, its residuals as stored (dataclasses.replace
-    would read them as expressions)."""
-    return DeterminingSystem(name, ds._stored("equations"), ds.free_unknowns)
+    return detsys_projectable(kpz_ito(chain), ws)._replace(
+        name="kpz-continuous")
 
 
 def kpz_check_discrete(chain: KpzChain, F) -> VerificationReport:
@@ -124,7 +119,7 @@ def kpz_check_discrete(chain: KpzChain, F) -> VerificationReport:
     phi = tuple(sum((v * e for e, v in zip(row, x) if e), zero) for row in R)
     ito = kpz_ito(chain)
     dmap = DiscreteMap(context=ctx, phi=phi, R=R)
-    return check(_named(detsys_discrete(ito, dmap), "kpz-discrete"))
+    return check(detsys_discrete(ito, dmap)._replace(name="kpz-discrete"))
 
 
 def site_shift_matrix(n):

@@ -8,11 +8,10 @@ terms, which makes the tau = 0 and B = 0 reductions exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import sympy as sp
-from sympy.core.cache import cacheit
 from sympy.polys.rings import PolyElement
 
 from .kernel import Context, _convert, _Domain, _expr, all_zero, normalize
@@ -55,7 +54,7 @@ class _Views:
     first at the same time may both build it, into equal values).
     Equality, hashing, repr and dataclasses.replace read the field, so
     they build it too; the engine reads the stored ring elements through
-    `_stored`."""
+    `_stored`, and `_replace` copies them as they are."""
 
     def _keep(self, name, value):
         object.__delattr__(self, name)
@@ -65,6 +64,12 @@ class _Views:
         """The field as stored: kept ring elements stay ring elements."""
         kept = self.__dict__.get("_kept", {})
         return kept[name] if name in kept else getattr(self, name)
+
+    def _replace(self, **changes):
+        """dataclasses.replace over the stored fields, which builds no
+        expression."""
+        stored = {f.name: self._stored(f.name) for f in fields(self) if f.init}
+        return replace(self, **(stored | changes))
 
     def __getattr__(self, name):
         # reached only for a name missing from the instance
@@ -288,12 +293,8 @@ class _Exprs:
     zero, one, half = sp.Integer(0), sp.Integer(1), sp.Rational(1, 2)
 
     @staticmethod
-    @cacheit
     def d(e, v):
-        """d e / d v, without calling the differentiator when e is free of v;
-        kept in sympy's cache, since checks of one system differentiate the
-        same entries again (a pass of the manifest checks calls sympy.diff
-        95 times with the cache and 183 times without it)."""
+        """d e / d v, without calling the differentiator when e is free of v."""
         return sp.diff(e, v) if e.has(v) else sp.Integer(0)
 
     @staticmethod

@@ -310,12 +310,9 @@ def _columns(ito: ItoSystem, ansatz: Ansatz, which: str):
                          _monomials(x, degree, sp.Integer(1)), mixers,
                          sp.Integer(1), sp.Integer(0))
     lam, scaled = _common_radical(ito.sigma)
-    converted = _convert(_Ring(ctx.ring, x, t),
-                         [ansatz.time_basis, ito.f, *scaled], relations=False)
-    if converted is None:
-        lam, converted = 1, _over_expressions(
-            x, t, [ansatz.time_basis, ito.f, *ito.sigma], OutsideAnsatzError)
-    calc, (basis, f, *sigma) = converted
+    calc, (basis, f, *sigma) = _in_exp_ring(
+        ctx.ring.symbols, x, t, [ansatz.time_basis, ito.f, *scaled],
+        OutsideAnsatzError)
     c = _Coefficients(calc, calc.x, calc.t, f, sigma, lam)
     gens = [calc.ring.gens[i] for i in calc.x]
     forms = _elements(n, m, basis, _monomials(gens, degree, calc.one), mixers,

@@ -4,7 +4,7 @@ preserves normalization, and whether it is pathwise or only in law."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import sympy as sp
 from sympy.polys.rings import PolyElement
@@ -117,18 +117,20 @@ def check_fp(ito: ItoSystem, vf: VectorField) -> VerificationReport:
     transition law is kept). Raises ValueError for a generator with a
     noise mixer, and InconclusiveError when the zero test cannot decide
     normalization or whether Gamma vanishes."""
-    if vf.beta is None:
+    derived = vf.beta is None
+    if derived:
         vf = extend_to_fp(vf)
     report = check(detsys_fp(ito, vf))
-    preserving = check_normalization_preserving(vf)
+    # -div(xi) preserves normalization by construction
+    preserving = derived or check_normalization_preserving(vf)
     classification = None
     if report.is_symmetry and preserving:
         _, gam = _lambda_gamma(ito, vf)
         classification = (FpClassification.ITO_SYMMETRY
                           if all_zero(e for row in gam for e in row)
                           else FpClassification.STATISTICAL_EQUIVALENCE)
-    return replace(report, classification=classification,
-                   normalization_preserving=preserving)
+    return report._replace(classification=classification,
+                           normalization_preserving=preserving)
 
 
 def check_superposition(ito: ItoSystem, alpha) -> bool:

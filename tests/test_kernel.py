@@ -284,6 +284,26 @@ class TestNormalizeCache:
         assert zero_verdict(n) is Verdict.NONZERO
         assert kernel._exact.cache_info().misses == 2
 
+    def test_polynomial_enters_the_domain_once(self):
+        """normalize takes a fresh polynomial into the exact domain once,
+        and deciding its output converts nothing: one lookup of `_exact` in
+        sympy's cache."""
+        from unittest import mock
+        from sympy.core.cache import clear_cache
+        pctx = Context(spatial=("u", "v"), params={"p": None})
+        (u, v), p = pctx.spatial, pctx.symbol("p")
+        calls, convert = [], kernel._convert
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return convert(*args, **kwargs)
+        clear_cache()
+        with mock.patch.object(kernel, "_convert", spy):
+            n = normalize(p * u**2 * v - 3 * v / 2 + u)
+            assert len(calls) == 1
+            assert zero_verdict(n) is Verdict.NONZERO
+            assert len(calls) == 1
+
     @pytest.mark.parametrize("order", [(0.5, sp.S.Half), (sp.S.Half, 0.5)],
                              ids=["float-first", "rational-first"])
     @pytest.mark.parametrize("base", ["x", "exp(x) + x"])

@@ -1,20 +1,27 @@
 """The behaviour of sympy.polys.rings that stosym relies on: the one way
-into a ring (stosym.kernel._ring_element, used by normalize, zero_verdict,
-ItoSystem and the determining-equation engine) and the ring operations of
-the engine (stosym.model._Ring). These pin it at every sympy version the
-project supports, so that an API change fails here first."""
+into a given ring (stosym.kernel._ring_element, used by the exact domain's
+conversion `_convert` and by kpz_ito), the exact domain over an input's
+own symbols (`_exact`, used by normalize and zero_verdict), and the ring
+operations of the engine (stosym.model._Ring). These pin it at every sympy
+version the project supports, so that an API change fails here first."""
+from unittest import mock
+
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
+from sympy.core.cache import clear_cache
+from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ
 from sympy.polys.rings import PolyRing
 
-from stosym.kernel import Context, _ring_element, normalize
+import stosym.kernel as kernel
+from stosym.kernel import (Context, _exact, _normalize_loop, _own_ring,
+                           _ring_element, normalize)
 from conftest import random_expression
 
 CTX = Context(spatial=("x", "y"), params={"a": "positive"}, opaque=("g",))
 A, X, Y, T = CTX.symbol("a"), *CTX.spatial, CTX.t
-# generators sorted by name, as the engine and normalize's polynomial path use them
+# generators sorted by name, as the engine and the exact domain use them
 RING = PolyRing([A, T, X, Y], QQ)
 
 
@@ -30,14 +37,22 @@ def _from_expr(e, ring):
 
 
 def _assert_agrees(e):
-    """_ring_element agrees with from_expr, both in the context ring and in
-    the ring over e's own symbols sorted by name."""
+    """_ring_element agrees with from_expr in the context ring. The exact
+    domain over e's own symbols sorted by name gives from_expr's element
+    in the ring over them, as an expression; where from_expr refuses e, it
+    refuses a float or an opaque function and gives the loop's normal form
+    of anything else it takes."""
+    got, expected = _ring_element(e, RING), _from_expr(e, RING)
+    assert (got is None) == (expected is None), e
+    assert got is None or got == expected, e
     own = sorted(e.free_symbols, key=lambda s: s.name)
-    for ring, expected in ((RING, _from_expr(e, RING)),
-                           (None, _from_expr(e, PolyRing(own, QQ)) if own else None)):
-        got = _ring_element(e, ring)
-        assert (got is None) == (expected is None), (e, ring)
-        assert got is None or got == expected, (e, ring)
+    got, expected = _exact(e), _from_expr(e, PolyRing(own, QQ))
+    if expected is not None:
+        assert got == expected.as_expr(), e
+    elif e.has(sp.Float, AppliedUndef, sp.Derivative):
+        assert got is None, e
+    else:
+        assert got is None or got == _normalize_loop(e), e
 
 
 @pytest.mark.parametrize("expr", [
@@ -122,11 +137,19 @@ def test_from_expr_of_a_vanishing_polynomial_is_zero():
 
 
 def test_own_rings_are_shared():
-    """Conversions over the same symbols, without a given ring, land in
+    """Conversions into the exact domain over the same own symbols land in
     one ring rather than building a new one each time."""
-    p, q = _ring_element(X * Y + A), _ring_element(A - X**2 * Y / 3)
-    assert p.ring is q.ring
-    assert _ring_element(X + Y).ring is not p.ring
+    rings, convert = [], kernel._convert
+
+    def spy(calc, groups, relations=True):
+        rings.append(calc.ring)
+        return convert(calc, groups, relations)
+    clear_cache()
+    with mock.patch.object(kernel, "_convert", spy):
+        for e in (X * Y + A, A - X**2 * Y / 3, X + Y):
+            _exact(e)
+    assert rings[0] is rings[1] is _own_ring((A, X, Y))
+    assert rings[2] is not rings[0]
 
 
 def test_domain_calls():
@@ -152,5 +175,4 @@ def test_domain_calls():
     ids=["laurent", "radicals", "net_rate", "constant"])
 def test_domain_round_trip(expr, expected):
     """Into the exact domain over the input's symbols and out again."""
-    from stosym.kernel import _exact
     assert _exact(expr) == expected

@@ -206,3 +206,32 @@ def test_normalization_preserving_inconclusive_raises(systems, monkeypatch):
                         lambda e: kernel.Verdict.INCONCLUSIVE)
     with pytest.raises(kernel.InconclusiveError):
         check_normalization_preserving(vf)
+
+
+def test_check_fp_builds_no_residual(monkeypatch):
+    """check_fp of heat_v1, the time shift, extended by beta = -div(xi),
+    builds the expressions of fokker_planck_of's A, B and C and nothing
+    else: its report keeps the ring residuals until a reader asks for
+    them. The derived beta is not tested again for normalization, so
+    div(xi) is taken once."""
+    import stosym.verify as verify
+    from sympy.polys.rings import PolyElement
+    from stosym.dsl import load_candidate, load_system
+    from conftest import FIXTURES
+    # a system of its own, whose Fokker-Planck equation is not built yet
+    heat = load_system(FIXTURES / "heat.sde")
+    vf = load_candidate(FIXTURES / "heat_v1.cand", heat)
+    calls, divergences = [], []
+    as_expr, divergence = PolyElement.as_expr, verify._divergence
+    monkeypatch.setattr(PolyElement, "as_expr",
+                        lambda self, *a: calls.append(self) or as_expr(self, *a))
+    monkeypatch.setattr(verify, "_divergence",
+                        lambda v: divergences.append(v) or divergence(v))
+    report = check_fp(heat, vf)
+    assert report.classification is FpClassification.ITO_SYMMETRY
+    assert report.normalization_preserving is True
+    assert len(calls) == 3 and len(divergences) == 1
+    residuals = [e for *_, e in report._stored("per_equation")]
+    assert residuals and all(isinstance(e, PolyElement) for e in residuals)
+    report.to_dict()
+    assert len(calls) == 3 + len(residuals)

@@ -115,10 +115,10 @@ def commands():
 
 
 def run(command, runner):
-    """[exit code, stdout, stderr] of one command; files are resolved
-    against the repository root, anything written lands in the runner's
-    directory."""
-    args = [str(ROOT / a) if (ROOT / a).is_file() else a
+    """[exit code, stdout, stderr] of one command; the fixture and data
+    files it names are resolved against the repository root, and anything
+    written lands in the runner's directory."""
+    args = [str(ROOT / a) if a.startswith((FIXTURES, DATA)) else a
             for a in shlex.split(command)]
     result = runner.invoke(cli, args)
     return [result.exit_code, result.stdout, result.stderr]
