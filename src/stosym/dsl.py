@@ -23,8 +23,7 @@ import re
 
 import sympy as sp
 
-from .kernel import Context, ParseError, UndeclaredSymbolError, _dsl, \
-    is_zero, parse_expr
+from .kernel import Context, ParseError, _dsl, is_zero, parse_expr
 from .model import DiscreteMap, ItoSystem, VectorField
 
 __all__ = [
@@ -52,18 +51,6 @@ def _lines(text):
 
 def _fail(message, lineno):
     raise ParseError(message, lineno, 1)
-
-
-def _parse_at(text, ctx, lineno, col):
-    """parse_expr of `text`, which begins at column `col` of line `lineno`:
-    indented to that column, so that a ParseError names its column."""
-    try:
-        return parse_expr(" " * (col - 1) + text, ctx)
-    except UndeclaredSymbolError as e:
-        raise UndeclaredSymbolError(e.name, lineno, e.col) from None
-    except ParseError as e:
-        message = str(e).split(" (line")[0]
-        raise ParseError(message, lineno, e.col) from None
 
 
 def _parse_param_list(rest, lineno, out):
@@ -132,7 +119,7 @@ def parse_system(text) -> ItoSystem:
             if i in f_seen:
                 _fail(f"duplicate drift entry for '{fields[0]}'", lineno)
             f_seen.add(i)
-            f[i] = _parse_at(expr_text, ctx, lineno, end - len(expr_text))
+            f[i] = parse_expr(expr_text, ctx, lineno, end - len(expr_text))
         else:
             if (len(fields) != 2 or fields[0] not in var_index
                     or fields[1] not in noise_index):
@@ -141,8 +128,8 @@ def parse_system(text) -> ItoSystem:
             if key in sigma_seen:
                 _fail(f"duplicate sigma entry for '{fields[0]} {fields[1]}'", lineno)
             sigma_seen.add(key)
-            sigma[key[0]][key[1]] = _parse_at(expr_text, ctx, lineno,
-                                              end - len(expr_text))
+            sigma[key[0]][key[1]] = parse_expr(expr_text, ctx, lineno,
+                                               end - len(expr_text))
     return ItoSystem(context=ctx, f=tuple(f),
                      sigma=tuple(tuple(row) for row in sigma), name=name)
 
@@ -151,8 +138,8 @@ def _parse_matrix_literal(text, ctx, lineno, col):
     """The rows of the literal `text`, which begins at column `col`."""
     if not _MATRIX.fullmatch(text):
         _fail("matrix literal must look like [[...], [...]]", lineno)
-    rows = [tuple(_parse_at(e.group(), ctx, lineno,
-                            col + row.start() + e.start())
+    rows = [tuple(parse_expr(e.group(), ctx, lineno,
+                             col + row.start() + e.start())
                   for e in _ENTRY.finditer(row.group()))
             for row in re.finditer(_ROW, text)]
     if len({len(r) for r in rows}) != 1:
@@ -194,11 +181,12 @@ def parse_candidate(text, context):
         expr_text = expr_text.strip()
         col = end - len(expr_text)
         fields = lhs.split()
-        head = fields[0]
+        # nothing left of "=" is an unknown directive too
+        head = fields[0] if fields else ""
         if head in ("tau", "beta", "R") and len(fields) == 1:
             if head in single:
                 _fail(f"duplicate {head} entry", lineno)
-            parse = _parse_matrix_literal if head == "R" else _parse_at
+            parse = _parse_matrix_literal if head == "R" else parse_expr
             single[head] = parse(expr_text, ctx, lineno, col)
             at[head, None] = lineno
         elif head in ("xi", "phi"):
@@ -208,7 +196,7 @@ def parse_candidate(text, context):
             i = var_index[fields[1]]
             if i in component:
                 _fail(f"duplicate {head} entry for '{fields[1]}'", lineno)
-            component[i] = _parse_at(expr_text, ctx, lineno, col)
+            component[i] = parse_expr(expr_text, ctx, lineno, col)
             at[head, i] = lineno
         elif head.startswith("B[") and len(fields) == 1:
             inner = head[1:]
@@ -220,7 +208,7 @@ def parse_candidate(text, context):
                 _fail("B indices out of range or on the diagonal", lineno)
             if (p, q) in B:
                 _fail(f"duplicate B entry B[{p + 1}][{q + 1}]", lineno)
-            B[(p, q)] = _parse_at(expr_text, ctx, lineno, col)
+            B[(p, q)] = parse_expr(expr_text, ctx, lineno, col)
             at["B", (p, q)] = lineno
         else:
             _fail(f"unknown candidate directive '{lhs}'", lineno)

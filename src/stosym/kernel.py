@@ -146,9 +146,10 @@ _TOKEN = re.compile(r"(?P<NEWLINE>\n)|(?P<SPACE>\s)"
                     r"|(?P<OP>[-+*/^(),\[\]=])|(?P<ERROR>.)")
 
 
-def _tokenize(text):
-    """(kind, text, line, column) of each token of `text`, then EOF."""
-    tokens, line, start = [], 1, 0  # start: the index where the line starts
+def _tokenize(text, line=1, col=1):
+    """(kind, text, line, column) of each token of `text`, then EOF; the
+    first character of `text` stands at column `col` of line `line`."""
+    tokens, start = [], 1 - col  # start: the index of the line's column 1
     for m in _TOKEN.finditer(text):
         kind, col = m.lastgroup, m.start() - start + 1
         if kind == "NEWLINE":
@@ -310,18 +311,19 @@ def _degree(e):
     return 1
 
 
-def parse_expr(text: str, context: Context) -> sp.Expr:
-    """Parse a DSL expression against the declared names in `context`.
+def parse_expr(text: str, context: Context, line=1, col=1) -> sp.Expr:
+    """Parse a DSL expression against the declared names in `context`;
+    `text` begins at column `col` of line `line` of its file.
 
-    Raises ParseError (with line/column) on malformed input and
-    UndeclaredSymbolError on free names missing from the context.
-    Non-finite values raise ParseError too: a zero denominator in an
-    exponent is reported where it stands, any other at column 1.
+    Raises ParseError on malformed input and UndeclaredSymbolError on free
+    names missing from the context, both at their line and column in the
+    file. Non-finite values raise ParseError too: a zero denominator in an
+    exponent is reported where it stands, any other at column 1 of `line`.
     """
-    e = normalize(_Parser(_tokenize(text), context).parse())
+    e = normalize(_Parser(_tokenize(text, line, col), context).parse())
     if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
         raise ParseError("expression is not finite (a denominator is "
-                         "identically zero)", 1, 1)
+                         "identically zero)", line, 1)
     return e
 
 
@@ -500,18 +502,16 @@ class _Domain:
             for rm, rc in net)) for (m, net), c in self.terms(e).items()))
 
 
-def _convert(calc, groups, relations=True):
+def _convert(calc, groups):
     """The one way into the exact domain: calc's domain (a `_Domain`),
     widened where the groups of entries need it, and the groups as its
     elements, or None. An entry that calc's ring takes costs that walk
     alone; the others are scanned for sqrt(p) of a parameter p > 0 (then
-    p = q_p^2 everywhere) and exp(c t), c free of x and t, one E_k per
-    rate c, and with `relations` also for the inverse of a nonzero
-    parameter or of q_p and for sqrt(n) of an integer, one generator per
-    prime of n. A shifted exp(c t + d) is refused. The solver's field
-    takes no generator bound by a relation, so it passes relations=False.
-    In a wider domain every entry is converted anew, and an element of
-    another ring from its expression."""
+    p = q_p^2 everywhere), the inverse of a nonzero parameter or of q_p,
+    sqrt(n) of an integer, one generator per prime of n, and exp(c t), c
+    free of x and t, one E_k per rate c. A shifted exp(c t + d) is
+    refused. In a wider domain every entry is converted anew, and an
+    element of another ring from its expression."""
     out = [[_ring_element(e, calc.ring) for e in g] for g in groups]
     refused = [_expr(e) for g, row in zip(groups, out)
                for e, p in zip(g, row) if p is None]
@@ -526,19 +526,17 @@ def _convert(calc, groups, relations=True):
     roots = {*roots, *(w.base for w in pows if w.base in symbols
                        and w.exp.is_Rational and w.exp.q == 2
                        and w.base.is_positive)}
+    inverses = {*inverses, *(w.base for w in pows if w.base in symbols
+                             and w.exp.is_negative and w.base.is_nonzero)}
     radicands = {}
-    if relations:
-        inverses = {*inverses, *(w.base for w in pows if w.base in symbols
-                                 and w.exp.is_negative
-                                 and w.base.is_nonzero)}
-        for w in pows:
-            # sympy takes the small square factors out of sqrt(n)
-            if (w.base.is_Integer and w.base > 0 and w.exp == sp.S.Half
-                    and int(w.base).bit_length() <= 64):
-                factors = sp.factorint(w.base)
-                if set(factors.values()) == {1}:
-                    radicands[w] = factors
-        primes = {*primes, *(n for f in radicands.values() for n in f)}
+    for w in pows:
+        # sympy takes the small square factors out of sqrt(n)
+        if (w.base.is_Integer and w.base > 0 and w.exp == sp.S.Half
+                and int(w.base).bit_length() <= 64):
+            factors = sp.factorint(w.base)
+            if set(factors.values()) == {1}:
+                radicands[w] = factors
+    primes = {*primes, *(n for f in radicands.values() for n in f)}
     qs = {p: _generator("q_" + p.name, True) for p in roots}
     inv = {p: _generator(f"1/sqrt({p.name})" if p in qs else "1/" + p.name,
                          p.is_positive or None) for p in inverses}

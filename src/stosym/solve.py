@@ -9,9 +9,10 @@ elements. Each exp(c t + d) of the system or the basis is exp(d) E_c, one
 generator E_c per rate c with d/dt E_c = c E_c, and a row of the matrix is
 an entry, an x-t monomial and a net rate. The ring is
 - the exact domain of `kernel._convert` (QQ[q, params, x, t, E_1..E_k],
-  q = sqrt(p) of a positive parameter p) without its inverses and integer
-  radicals when every entry lies in it, with sigma's common radical scaled
-  out (`_common_radical`);
+  q = sqrt(p) of a positive parameter p) when every entry lies in it and
+  it needs no inverse and no integer radical, which the solver refuses:
+  their relations would be lost in the coefficient field; sigma's common
+  radical is scaled out first (`_common_radical`);
 - EX[x, t, E_1..E_k] otherwise.
 Input outside both lies outside the ansatz."""
 from __future__ import annotations
@@ -66,13 +67,14 @@ def default_time_basis(t, rates=()):
 
 def _in_exp_ring(symbols, x, t, groups, error):
     """The calculus of the ansatz ring, and the entry groups (sequences of
-    expressions) as its elements: the exact domain over `symbols` without
-    the generators bound by a relation, which would be free symbols in the
-    coefficient field, else EX[x, t, E_1..E_k]. Raises `error` naming the
-    first entry outside."""
-    return (_convert(_Ring(_own_ring(tuple(symbols)), x, t), groups,
-                     relations=False)
-            or _over_expressions(x, t, groups, error))
+    expressions) as its elements: the exact domain over `symbols` when it
+    holds no generator bound by a relation (an inverse or sqrt(n)), which
+    would be a free symbol of the coefficient field, else
+    EX[x, t, E_1..E_k]. Raises `error` naming the first entry outside."""
+    converted = _convert(_Ring(_own_ring(tuple(symbols)), x, t), groups)
+    if converted and not (converted[0].pairs or converted[0].primes):
+        return converted
+    return _over_expressions(x, t, groups, error)
 
 
 def _over_expressions(x, t, groups, error):

@@ -79,6 +79,18 @@ class TestCheck:
         assert result.exit_code == 2
         assert "line 2" in result.stderr
 
+    def test_empty_candidate_directive_exit_two(self, runner, fixtures_dir,
+                                                tmp_path):
+        """A candidate line with nothing left of '=' is a parse error, not
+        an internal one."""
+        bad = tmp_path / "bad.cand"
+        bad.write_text("= 1\n")
+        result = runner.invoke(main, ["check", fx(fixtures_dir, "heat.sde"),
+                                      str(bad)])
+        assert result.exit_code == 2
+        assert "unknown candidate directive '' (line 1, column 1)" \
+            in result.stderr
+
     def test_radical_zero_is_not_a_nonzero(self, runner, fixtures_dir,
                                            tmp_path):
         """The drift coefficient sqrt(3 + 2 sqrt(2)) - 1 - sqrt(2) is 0, so

@@ -198,11 +198,13 @@ class TestCandidateParsing:
      "duplicate B entry B[1][2]", 2),
     ("candidate", "tau = 1\neta = 0\n", "unknown candidate directive 'eta'",
      2),
+    ("candidate", "tau = 1\n= 0\n", "unknown candidate directive ''", 2),
 ], ids=["empty-param", "assumption", "param-name", "system-name",
         "duplicate-vars", "duplicate-noises", "no-noises", "no-equals",
         "sigma-fields", "duplicate-sigma", "candidate-name",
         "candidate-no-equals", "duplicate-tau", "ragged-R", "duplicate-xi",
-        "B-index", "B-range", "duplicate-B", "candidate-directive"])
+        "B-index", "B-range", "duplicate-B", "candidate-directive",
+        "empty-directive"])
 def test_parse_error_message_and_line(kind, text, message, line):
     """Each rejection of a malformed system or candidate line names the
     problem and the line it stands on."""

@@ -89,6 +89,43 @@ class TestParsing:
         with pytest.raises(UndeclaredSymbolError):
             parse_expr("w + 1", ctx)
 
+    @pytest.mark.parametrize("text,message,line,col", [
+        ("1 + q", "undeclared symbol 'q'", 3, 14),
+        ("x + * y", "unexpected '*'", 3, 14),
+        ("x +", "unexpected 'end of input'", 3, 13),
+        ("x +\n  * y", "unexpected '*'", 4, 3),
+        ("x ? 1", "unexpected character '?'", 3, 12),
+        ("x^(1/0)", "zero denominator in exponent", 3, 15),
+        ("y/0", "expression is not finite (a denominator is identically "
+         "zero)", 3, 1),
+    ], ids=["undeclared", "syntax", "eof", "next-line", "character",
+            "exponent", "not-finite"])
+    def test_position_in_file(self, ctx, text, message, line, col):
+        """Text that begins at column 10 of line 3 reports its errors
+        there; a second line of it starts at column 1, and a value that is
+        not finite at column 1 of its first line."""
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, ctx, 3, 10)
+        assert str(err.value) == f"{message} (line {line}, column {col})"
+        assert (err.value.line, err.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: Context(spatial=("x",), params={"a": "negative"}), ValueError,
+     "unknown assumption 'negative' for parameter a"),
+    (lambda: Context(spatial=("x",), params={"x": None}), ValueError,
+     "duplicate declaration of 'x'"),
+    (lambda: Context(spatial=("x",)).symbol("z"), KeyError,
+     "'z' is not declared in this context"),
+    (lambda: Context(spatial=("x",), params={"a": "positive"}).with_params(
+        {"a": "nonzero"}), ValueError,
+     "conflicting redeclaration of parameter 'a'"),
+], ids=["assumption", "duplicate", "undeclared", "conflicting-params"])
+def test_context_rejects_bad_declarations(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert err.value.args == (message,)
+
 
 class TestNormalize:
     def test_idempotent_on_random_expressions(self, ctx):

@@ -62,6 +62,30 @@ class TestDiscrete:
         with pytest.raises(ValueError, match="orthogonal"):
             kpz_check_discrete(chain5, 2 * sp.eye(5))
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda chain: kpz_detsys_continuous(chain, 0, sp.zeros(4, 4),
+                                             [0] * 5),
+         "candidate shape does not match the chain size"),
+        (lambda chain: kpz_detsys_continuous(chain, 0, sp.zeros(5, 5),
+                                             [0] * 4),
+         "candidate shape does not match the chain size"),
+        (lambda chain: kpz_check_discrete(chain, sp.eye(4)),
+         "F must match the chain size"),
+    ], ids=["continuous-Lambda", "continuous-alpha", "discrete"])
+    def test_wrongly_shaped_candidate_rejected(self, chain5, call, message):
+        with pytest.raises(ValueError) as err:
+            call(chain5)
+        assert err.value.args == (message,)
+
+    def test_irrational_map_keeps_expressions(self):
+        """A 45 degree rotation of sites 1 and 2 is orthogonal but not
+        rational, so F x is built on expressions; it is no symmetry of the
+        chain."""
+        c = sp.sqrt(2) / 2
+        F = sp.Matrix([[c, -c, 0], [c, c, 0], [0, 0, 1]])
+        report = kpz_check_discrete(KpzChain(3), F)
+        assert report.overall is OverallVerdict.NOT_SYMMETRY
+
 
 def _stencil_drift(a, b, x):
     """f^i = a (x^{i+1} - 2 x^i + x^{i-1}) + b (x^{i+1} - x^{i-1})^2."""

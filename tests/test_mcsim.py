@@ -422,6 +422,45 @@ def test_binary_trailing_bytes_rejected(ensemble_file):
         load_binary(ensemble_file)
 
 
+def _with_header_field(path, index, value):
+    """path, with field `index` of its header (magic, version, n, n_paths,
+    n_stored, dt, seed) set to value."""
+    raw = path.read_bytes()
+    fields = list(mcsim._HEADER.unpack(raw[:mcsim._HEADER.size]))
+    fields[index] = value
+    path.write_bytes(mcsim._HEADER.pack(*fields) + raw[mcsim._HEADER.size:])
+    return path
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda w, f: mcsim.Ensemble(np.array([0.0, 0.0]), np.zeros((1, 2, 1)),
+                                 seed=0, dt=0.1),
+     ValueError, "sample times must be strictly increasing"),
+    (lambda w, f: mcsim.Ensemble(np.array([0.0, 0.1]),
+                                 np.full((1, 2, 1), np.inf), seed=0, dt=0.1),
+     ValueError, "ensemble contains non-finite values"),
+    (lambda w, f: euler_maruyama(w, [0.0], 0.0, 0.1, 0.0, 10, seed=0),
+     InputError, "dt must be positive"),
+    (lambda w, f: euler_maruyama(w, [0.0], 0.0, 0.1, 1.0, 10, seed=0),
+     InputError, "time horizon shorter than one step"),
+    (lambda w, f: compare_ensembles(
+        euler_maruyama(w, [0.0], 0.0, 0.1, 1e-2, 10, seed=0),
+        euler_maruyama(w, [0.0], 0.0, 0.2, 2e-2, 10, seed=0)),
+     ValueError, "ensembles have mismatched sample times"),
+    (lambda w, f: load_binary(_with_header_field(f, 1, 2)),
+     ValueError, "{path}: unsupported ensemble format version 2"),
+    (lambda w, f: load_binary(_with_header_field(f, 3, 0)),
+     ValueError, "{path}: bad shape n=1, n_paths=0, n_stored=11"),
+], ids=["times-not-increasing", "non-finite-paths", "dt-zero",
+        "short-horizon", "mismatched-times", "binary-version",
+        "binary-shape"])
+def test_unusable_input_rejected(wiener, ensemble_file, call, error,
+                                 message):
+    with pytest.raises(error) as err:
+        call(wiener, ensemble_file)
+    assert err.value.args == (message.format(path=ensemble_file),)
+
+
 def test_binary_wrong_magic_rejected(ensemble_file):
     raw = ensemble_file.read_bytes()
     ensemble_file.write_bytes(b"NOTANENS" + raw[8:])

@@ -115,6 +115,19 @@ class TestFokkerPlanck:
         with pytest.raises(kernel.InconclusiveError):
             same_fp(rot.sigma, rot.sigma)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda x: FokkerPlanck(Context(spatial=("x", "y")), A=((1,),),
+                                B=(0, 0), C=0), "A must be 2x2"),
+        (lambda x: same_fp(((1,),), ((1, 0),)),
+         "diffusion matrices must have equal shapes"),
+        (lambda x: lie_bracket((x,), (x, 1), (x,)),
+         "component sequences must have equal length"),
+    ], ids=["A-shape", "same-fp-shapes", "bracket-lengths"])
+    def test_rejects_unequal_shapes(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call(sp.Symbol("x", real=True))
+        assert err.value.args == (message,)
+
     def test_degenerate_diffusion_raises(self):
         ctx = Context(spatial=("x",), noises=("w",))
         ito = ItoSystem(context=ctx, f=(ctx.spatial[0],),

@@ -141,9 +141,9 @@ def test_own_rings_are_shared():
     one ring rather than building a new one each time."""
     rings, convert = [], kernel._convert
 
-    def spy(calc, groups, relations=True):
+    def spy(calc, groups):
         rings.append(calc.ring)
-        return convert(calc, groups, relations)
+        return convert(calc, groups)
     clear_cache()
     with mock.patch.object(kernel, "_convert", spy):
         for e in (X * Y + A, A - X**2 * Y / 3, X + Y):

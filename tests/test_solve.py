@@ -231,6 +231,9 @@ PINNED = [
     # sqrt of a parameter declared only nonzero, over EX
     ("nonzeroroot.sde", 1, (1, 2), "projectable",
      [["0", "exp(-t)"], ["-exp(-2*t)", "x*exp(-2*t)"], ["1", "0"]]),
+    # the inverse of a parameter, in the drift and in a rate, over EX
+    ("invrate.sde", 1, ("1/a",), "projectable",
+     [["0", "exp(-t/a)"], ["1", "0"]]),
 ]
 
 
@@ -480,11 +483,13 @@ def test_exponential_system_matches_expression_path(drift, noise, which):
 
 
 # a rate or a shift outside QQ[params] puts the entries over EX
-_OVER_EX = {"exp(t + 1)": (1, sp.E), "exp(sqrt(2)*t)": (sp.sqrt(2), 1)}
+_OVER_EX = {"exp(t + 1)": (1, sp.E), "exp(sqrt(2)*t)": (sp.sqrt(2), 1),
+            "exp(t/k)": (1 / RING_CTX.params["k"], 1)}
 
 
 @pytest.mark.parametrize("entry", ["exp(x*t)", "exp(t**2)", "exp(t + 1)",
-                                   "exp(sqrt(2)*t)", "cos(t)*exp(t)"])
+                                   "exp(sqrt(2)*t)", "exp(t/k)",
+                                   "cos(t)*exp(t)"])
 def test_exp_ring_fallback(entry):
     """exp(c t + d) with c and d free of x and t but outside QQ[params]
     leaves the ring over QQ for EX[x, t, E_c], as exp(d) E_c; any other
@@ -492,7 +497,7 @@ def test_exp_ring_fallback(entry):
     input entry."""
     ctx = RING_CTX
     x, t = ctx.spatial[0], ctx.t
-    e = sp.sympify(entry, locals={"x": x, "t": t})
+    e = sp.sympify(entry, locals={"x": x, "t": t, "k": ctx.params["k"]})
     if entry not in _OVER_EX:
         with pytest.raises(solve.OutsideAnsatzError,
                            match=rf"^{re.escape(str(e))} is not polynomial"):

@@ -6,6 +6,7 @@ import sympy as sp
 from stosym.kernel import Context
 from stosym.model import VectorField
 from stosym.detgen import detsys_discrete, detsys_fp, detsys_projectable
+from stosym.solve import Ansatz, solve_ansatz
 from stosym.verify import (FpClassification, OverallVerdict, check, check_fp,
                            check_normalization_preserving,
                            check_superposition, extend_to_fp)
@@ -123,6 +124,25 @@ class TestProjection:
             check_normalization_preserving(ws)
         with pytest.raises(ValueError, match="not supported on noise-mixing"):
             check_fp(lan, ws)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda heat, vf: detsys_fp(heat, vf),
+         "FP determining equations require a beta component"),
+        (lambda heat, vf: extend_to_fp(extend_to_fp(vf)),
+         "candidate already carries a beta component"),
+        (lambda heat, vf: solve_ansatz(heat, Ansatz(
+            degree=1, time_basis=(1,), t=heat.context.t), which="fp"),
+         "which must be 'projectable' or 'w'"),
+    ], ids=["detsys-fp-without-beta", "extend-twice", "solve-fp"])
+    def test_beta_preconditions(self, systems, call, message):
+        """Each Fokker-Planck entry point refuses a candidate without the
+        beta it needs, or with one it would add, and the solver a family
+        it does not solve."""
+        heat = systems["heat.sde"]
+        vf = VectorField(context=heat.context, tau=1, xi=(sp.Integer(0),))
+        with pytest.raises(ValueError) as err:
+            call(heat, vf)
+        assert err.value.args == (message,)
 
     def test_precondition_fp_symmetry(self, systems):
         """A normalization-preserving candidate that is not a Fokker-Planck
