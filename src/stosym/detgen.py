@@ -26,6 +26,13 @@ builder here, `model.apply_discrete` and the ansatz solver read them
 that those coefficients compute once per domain, after
 `model.fokker_planck_of` has decided degeneracy. The ODE family is minus
 the Lambda family of the system with zero noise.
+
+The builders iterate only nonzero entries: a term of Lambda or Gamma is
+formed only when its factors (d_t tau, the derivatives of f and of
+sigma, a mixer entry) are nonzero, Gamma visits sigma's nonzero entries
+per row, and the discrete family forms sigma R^T and its noise image
+from the nonzero entries of sigma's rows and R's columns
+(`model._Coefficients.image`).
 """
 from __future__ import annotations
 
@@ -101,24 +108,38 @@ def _lambda_gamma_of(c, tau, xi, B):
     """Raw (Lambda, Gamma) of the candidate (tau, xi, B) over the
     coefficients c, with B the list of the noise mixer's columns (empty for
     no mixer).
-    Each candidate is differentiated once, into the Jacobian of xi, and
-    only structurally nonzero terms are summed."""
-    calc, x, t, f, sigma = c.calc, c.x, c.t, c.f, c.sigma
-    df, dt_f, dsigma, dt_sigma = c.derivatives
+    Each candidate is differentiated once, into the Jacobian of xi, and a
+    term is summed only when its factors are nonzero: Gamma visits sigma's
+    nonzero entries only."""
+    calc, x, t, f = c.calc, c.x, c.t, c.f
+    df, dt_f, dsigma = c.derivatives
     dtau = calc.d(tau, t)
     jac = [calc.gradient(e, x) for e in xi]
     # Lambda^i = -[L xi^i - d_t(tau f^i) - xi^a d_a f^i]
-    lam = [-(c.L(xi[i], jac[i]) - dtau * f[i] - tau * dt_f[i]
-             - calc.dot(xi, df[i])) for i in range(len(f))]
+    lam = []
+    for i, fi in enumerate(f):
+        terms = [c.L(xi[i], jac[i]), -calc.dot(xi, df[i])]
+        if dtau and fi:
+            terms.append(-(dtau * fi))
+        if tau and dt_f[i]:
+            terms.append(-(tau * dt_f[i]))
+        lam.append(-calc.add(terms))
     # Gamma^k_j = sigma^a_j d_a xi^k - xi^a d_a sigma^k_j
     #             - tau d_t sigma^k_j - (1/2) sigma^k_j d_t tau - (sigma B)^k_j
     gam = []
-    for k, sig in enumerate(sigma):
-        row = calc.noise_image(jac[k], sigma)
-        gam.append([row[j] - calc.dot(xi, dsigma[k][j]) - tau * dt_sigma[k][j]
-                    - calc.half * sig[j] * dtau
-                    - (calc.dot(sig, B[j]) if B else 0)
-                    for j in range(len(sig))])
+    for k, row in enumerate(dsigma):
+        terms = [[e] for e in calc.noise_image(jac[k], c.rows, c.m)]
+        for p, s, grad, dt in row:
+            if d := calc.dot(xi, grad):
+                terms[p].append(-d)
+            if tau and dt:
+                terms[p].append(-(tau * dt))
+            if dtau:
+                terms[p].append(-(calc.half * s * dtau))
+            for j, col in enumerate(B):
+                if col[p]:
+                    terms[j].append(-(s * col[p]))
+        gam.append([calc.add(ts) for ts in terms])
     return lam, gam
 
 
@@ -185,7 +206,7 @@ def _discrete_equations(c, phi, R):
     at_phi, leave = c.calc.substitution(c.x, phi), c.calc.leave
     eqs = [(f"drift[{i + 1}]", leave(e - at_phi(f)))
            for i, (e, f) in enumerate(zip(drift, c.f))]
-    eqs += [(f"noise[{i + 1}][{k + 1}]", leave(e - at_phi(sig)))
+    eqs += [(f"noise[{i + 1}][{k + 1}]", leave(e - at_phi(sig) if sig else e))
             for i, (row, sig_row) in enumerate(zip(noise, c.sigma))
             for k, (e, sig) in enumerate(zip(row, sig_row))]
     return eqs

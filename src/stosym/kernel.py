@@ -370,7 +370,7 @@ def _ring_element(e, ring):
     just these (floats apart) and prints ring and input into the error it
     raises on anything else."""
     if isinstance(e, PolyElement):
-        return e if e.ring == ring else None
+        return e if e.ring is ring or e.ring == ring else None
     e = sp.sympify(e)
     if e.is_Rational:
         return ring.ground_new(QQ(e.p, e.q))
@@ -511,8 +511,10 @@ def _convert(calc, groups):
     sqrt(n) of an integer, one generator per prime of n, and exp(c t), c
     free of x and t, one E_k per rate c. A shifted exp(c t + d) is
     refused. In a wider domain every entry is converted anew, and an
-    element of another ring from its expression."""
-    out = [[_ring_element(e, calc.ring) for e in g] for g in groups]
+    element of another ring from its expression. Each distinct rational
+    is converted once per ring."""
+    element = _elements(calc.ring)
+    out = [[element(e) for e in g] for g in groups]
     refused = [_expr(e) for g, row in zip(groups, out)
                for e, p in zip(g, row) if p is None]
     if not refused:
@@ -584,10 +586,26 @@ def _convert(calc, groups):
             ring, x, t, elements, back, key,
             [(index[qs.get(p, p)], index[inv[p]]) for p in key[4]],
             [(index[ss[n]], n) for n in key[5]])
-    out = [[_ring_element(_expr(e).xreplace(sub), wider.ring)
-             if p is None or wider is not calc else p
-             for e, p in zip(g, row)] for g, row in zip(groups, out)]
+    element = _elements(wider.ring, sub)
+    out = [[element(e) if p is None or wider is not calc else p
+            for e, p in zip(g, row)] for g, row in zip(groups, out)]
     return None if any(p is None for r in out for p in r) else (wider, out)
+
+
+def _elements(ring, sub=None):
+    """`_ring_element` into ring, of each entry's expression with sub
+    applied when sub is given; a rational is converted once and its
+    element reused."""
+    numbers = {}
+
+    def element(e):
+        if isinstance(e, (int, sp.Rational)):
+            if e not in numbers:
+                numbers[e] = _ring_element(e, ring)
+            return numbers[e]
+        return _ring_element(e if sub is None else _expr(e).xreplace(sub),
+                             ring)
+    return element
 
 
 @cacheit

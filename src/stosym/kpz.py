@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import sympy as sp
+from sympy.polys.domains import QQ
 
 from .kernel import Context, _ring_element
 from .detgen import DeterminingSystem, detsys_discrete, detsys_projectable
@@ -105,20 +106,25 @@ def kpz_check_discrete(chain: KpzChain, F) -> VerificationReport:
     non-orthogonal F raises ValueError, one whose orthogonality the zero
     test cannot decide InconclusiveError."""
     n = chain.n_sites
-    F = sp.Matrix(F)
+    if not isinstance(F, sp.MatrixBase):
+        F = sp.Matrix(F)
     if F.shape != (n, n):
         raise ValueError("F must match the chain size")
-    ctx, R = chain.context, F.tolist()
-    # F x in the context's ring, which the engine takes as it is, when F
-    # is rational
-    if all(e.is_Rational for e in F):
+    ctx, entries = chain.context, sorted(F.todok().items())
+    # F x from F's nonzero entries, in the context's ring, which the
+    # engine takes as it is, when F is rational
+    if all(e.is_Rational for _, e in entries):
         gens = dict(zip(ctx.ring.symbols, ctx.ring.gens))
         x, zero = [gens[v] for v in ctx.spatial], ctx.ring.zero
+        entries = [(ij, QQ(e.p, e.q)) for ij, e in entries]
     else:
         x, zero = ctx.spatial, sp.Integer(0)
-    phi = tuple(sum((v * e for e, v in zip(row, x) if e), zero) for row in R)
+    rows = [[] for _ in range(n)]
+    for (i, j), e in entries:
+        rows[i].append(x[j] * e)
+    phi = tuple(sum(row, zero) for row in rows)
     ito = kpz_ito(chain)
-    dmap = DiscreteMap(context=ctx, phi=phi, R=R)
+    dmap = DiscreteMap(context=ctx, phi=phi, R=F.tolist())
     return check(detsys_discrete(ito, dmap)._replace(name="kpz-discrete"))
 
 

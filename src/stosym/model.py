@@ -1,6 +1,14 @@
 """Data model for Ito systems, Fokker-Planck equations and symmetry
 candidates, plus the structural maps between them.
 
+The engine (`_Coefficients` over `_Exprs` or `_Ring`) iterates only
+structurally nonzero entries: sigma and R are read as the nonzero entries
+of their rows and columns, a ring element is differentiated only by the
+generators it holds, a map that only moves and scales generators is
+applied to exponents and coefficients, and DiscreteMap tests R R^T = I
+on its structurally nonzero entries. Its work grows with the nonzeros, so
+a system of N sites with O(N) nonzeros costs O(N) ring operations.
+
 Sign convention: one internal quantity S := (1/2) sigma sigma^T is used
 everywhere. The Fokker-Planck coefficient matrix is A = -S; first-order
 transformation laws and determining systems carry +S on second-derivative
@@ -10,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from itertools import compress
+from operator import itemgetter
 
 import sympy as sp
 from sympy.polys.rings import PolyElement
@@ -271,9 +281,17 @@ class DiscreteMap(_Views):
             object.__setattr__(self, "phi", _exprs(self.phi))
         R = _noise_matrix(self.context, self.R, "R")
         object.__setattr__(self, "R", R)
-        # R R^T is symmetric: its upper triangle decides R R^T = I
-        if not all_zero(_dot(R[i], R[j]) - int(i == j)
-                        for i in range(len(R)) for j in range(i, len(R))):
+        # R R^T is symmetric, and its entry (i, j) vanishes structurally
+        # unless rows i and j share a column: the diagonal and the pairs
+        # i < j that share one decide R R^T = I
+        gram = {(i, i): [] for i in range(len(R))}
+        for col in _columns(_nonzero_rows(R), len(R)):
+            for a, u in col:
+                for b, v in col:
+                    if a <= b:
+                        gram.setdefault((a, b), []).append(u * v)
+        if not all_zero(_EXPRS.add(w) - int(a == b)
+                        for (a, b), w in sorted(gram.items())):
             raise ValueError("R must be orthogonal")
 
 
@@ -284,8 +302,10 @@ class DiscreteMap(_Views):
 # sympy expressions, differentiated by symbol, and elements of a sparse
 # polynomial ring, differentiated by generator index; `_Coefficients` holds
 # a system, its generator L and its Fokker-Planck A, B, C in one type. They
-# return raw sums over the structurally nonzero terms only; their callers
-# take them out through `leave` and normalize once, at their output.
+# return raw sums over the structurally nonzero terms only, and a matrix
+# (sigma, R, a noise image) is summed over its rows' nonzero entries
+# (`_nonzero_rows`); their callers take them out through `leave` and
+# normalize once, at their output.
 
 class _Exprs:
     """Calculus on sympy expressions, the general coefficient type; a
@@ -323,13 +343,36 @@ class _Exprs:
     def second_order(self, entries, grad, x):
         """M^{ab} d2_{ab} u over the nonzero entries (a, b, M^{ab}) of M,
         from the gradient `grad` of u."""
-        return self.add([w * self.d(grad[a], x[b]) for a, b, w in entries
-                         if grad[a]])
+        return self.add([w * dd for a, b, w in entries
+                         if grad[a] and (dd := self.d(grad[a], x[b]))])
 
-    def noise_image(self, grad, sigma):
+    def noise_image(self, grad, rows, m):
         """(grad u) . sigma: the noise coefficients d_a u sigma^a_j of
-        u(x, t) for each column j of the n x m nested sequence sigma."""
-        return [self.dot(grad, col) for col in zip(*sigma)]
+        u(x, t) for each of the m columns j of sigma, given by the nonzero
+        entries of its rows (`_nonzero_rows`)."""
+        terms, out = {}, [self.zero] * m
+        for g, row in zip(grad, rows):
+            if g:
+                for j, s in row:
+                    terms.setdefault(j, []).append(g * s)
+        for j, t in terms.items():
+            out[j] = self.add(t)
+        return out
+
+
+def _nonzero_rows(matrix):
+    """The nonzero entries of each row of matrix, as (column, entry) pairs."""
+    return [[(j, e) for j, e in enumerate(row) if e] for row in matrix]
+
+
+def _columns(rows, m):
+    """The m columns of the matrix whose nonzero rows are `rows`, as
+    (row, entry) pairs."""
+    cols = [[] for _ in range(m)]
+    for a, row in enumerate(rows):
+        for j, e in row:
+            cols[j].append((a, e))
+    return cols
 
 
 _EXPRS = _Exprs()
@@ -349,7 +392,7 @@ class _Ring(_Domain, _Exprs):
     def d(self, e, i):
         if e.is_ground:
             return self.zero
-        de = e.diff(i)
+        de = e.diff(i) if any(m[i] for m in e.itermonoms()) else self.zero
         if self.rates and i == self.t:
             # c_k times the Euler operator E_k d/dE_k
             for k, c in self.rates:
@@ -359,15 +402,57 @@ class _Ring(_Domain, _Exprs):
         return de
 
     def gradient(self, e, x):
-        return [self.zero] * len(x) if e.is_ground else [e.diff(i) for i in x]
+        """d e / d x^a, differentiated only by the generators e holds."""
+        grad = [self.zero] * len(x)
+        if not e.is_ground:
+            held = [any(k) for k in zip(*e.itermonoms())]
+            for a, i in enumerate(x):
+                if held[i]:
+                    grad[a] = e.diff(i)
+        return grad
 
     def add(self, terms):
-        return sum(terms, self.zero)
+        return sum(terms[1:], terms[0]) if terms else self.zero
 
     def substitution(self, x, phi):
-        # compose substitutes simultaneously
-        pairs = [(self.ring.gens[i], p) for i, p in zip(x, phi)]
-        return lambda e: e if e.is_ground else e.compose(pairs)
+        """e -> e(phi). A monomial map x^i -> c_i g_pi(i), each g a
+        generator (a signed permutation, scaled or not injective), moves
+        each term's exponents and scales its coefficient; any other map
+        composes, which substitutes simultaneously."""
+        ring, n = self.ring, self.ring.ngens
+        target, masks = list(range(n)), {}
+        for i, p in zip(x, phi):
+            terms = list(p.items())
+            if len(terms) != 1 or sum(terms[0][0]) != 1:
+                pairs = [(ring.gens[i], p) for i, p in zip(x, phi)]
+                return lambda e: e if e.is_ground else e.compose(pairs)
+            (monom, c), = terms
+            target[i] = monom.index(1)
+            if c != 1:
+                masks.setdefault(c, [0] * n)[i] = 1
+        if sorted(target) == list(range(n)):
+            # a permutation; the ring holds x and t, so n > 1 and
+            # itemgetter returns a tuple
+            exponents = itemgetter(*sorted(range(n), key=target.__getitem__))
+        else:
+            def exponents(monom):
+                out = [0] * n
+                for i, k in zip(target, monom):
+                    out[i] += k
+                return tuple(out)
+
+        def at(e):
+            if e.is_ground:
+                return e
+            out = {}
+            for monom, v in e.items():
+                for c, mask in masks.items():
+                    if k := sum(compress(monom, mask)):
+                        v *= c**k
+                monom = exponents(monom)
+                out[monom] = out[monom] + v if monom in out else v
+            return ring.from_dict(out)
+        return at
 
 
 @dataclass(frozen=True)
@@ -383,15 +468,23 @@ class _Coefficients:
     sigma: list
     lam: object = 1
 
+    @property
+    def m(self):
+        return len(self.sigma[0])
+
+    @cached_property
+    def rows(self):
+        """sigma's nonzero entries per row, as (column, entry) pairs."""
+        return _nonzero_rows(self.sigma)
+
     @cached_property
     def S(self):
         """The nonzero entries (a, b, S^{ab}) of S = (1/2) sigma sigma^T in
         row-major order, summed over sigma's nonzero pattern only."""
         c, S = self.calc, {}
-        for col in zip(*self.sigma):
-            rows = [(a, e) for a, e in enumerate(col) if e]
-            for a, u in rows:
-                for b, v in rows:
+        for col in _columns(self.rows, self.m):
+            for a, u in col:
+                for b, v in col:
                     S[a, b] = S.get((a, b), c.zero) + u * v
         half = c.half if self.lam == 1 else c.half * int(self.lam**2)
         return [(a, b, half * w) for (a, b), w in sorted(S.items()) if w]
@@ -404,22 +497,26 @@ class _Coefficients:
 
     @cached_property
     def derivatives(self):
-        """The x-gradients and t-derivatives of f and of sigma."""
+        """The x-gradients and t-derivatives of f, and those of sigma's
+        nonzero entries per row, as (column, entry, gradient, d_t)."""
         c, x, t = self.calc, self.x, self.t
         return ([c.gradient(e, x) for e in self.f], [c.d(e, t) for e in self.f],
-                [[c.gradient(e, x) for e in row] for row in self.sigma],
-                [[c.d(e, t) for e in row] for row in self.sigma])
+                [[(j, e, c.gradient(e, x), c.d(e, t)) for j, e in row]
+                 for row in self.rows])
 
     def image(self, phi, R):
         """Raw drift L phi and raw noise (dphi/dx) sigma R^T of
-        y = phi(x, t), written in x."""
-        c = self.calc
-        sig = [[c.dot(row, r) for r in R] for row in self.sigma]
+        y = phi(x, t), written in x; sigma R^T is summed over the nonzero
+        entries of sigma's rows and R's columns."""
+        c, m = self.calc, len(R)
+        # row a of sigma R^T is sigma^a . R^T, R^T's rows being R's columns
+        cols = _columns(_nonzero_rows(R), m)
+        sig = _nonzero_rows([c.noise_image(row, cols, m) for row in self.sigma])
         drift, noise = [], []
         for p in phi:
             grad = c.gradient(p, self.x)
             drift.append(self.L(p, grad))
-            noise.append(c.noise_image(grad, sig))
+            noise.append(c.noise_image(grad, sig, m))
         return drift, noise
 
     @cached_property

@@ -7,14 +7,15 @@ from hypothesis import given, settings, strategies as st
 import stosym.kernel as kernel
 from stosym.detgen import detsys_projectable
 from stosym.dsl import load_system
-from stosym.kernel import (Context, InconclusiveError, Verdict, normalize,
-                           zero_verdict)
+from stosym.kernel import (Context, InconclusiveError, Verdict, _expr,
+                           normalize, zero_verdict)
 from stosym.model import (DegeneracyError, DiscreteMap, FokkerPlanck,
                           ItoSystem, VectorField, apply_discrete,
                           fokker_planck_of, ito_to_stratonovich, lie_bracket,
                           same_fp, transform_ito_first_order)
 from stosym.kpz import KpzChain, kpz_ito
-from conftest import FIXTURES, random_polynomial_system
+from conftest import (FIXTURES, RING_CTX, random_expression,
+                      random_polynomial_system, seeded_rng)
 
 
 @pytest.fixture
@@ -196,6 +197,57 @@ def test_fokker_planck_of_matches_formula(rng, name):
     assert fp.C == normalize(C)
 
 
+def _dense_image(ito, phi, R):
+    """L phi and (dphi/dx) sigma R^T of y = phi(x, t) on sympy matrices,
+    straight from the formulas: L = d_t + f^a d_a + S^{ab} d2_{ab} with
+    S = (1/2) sigma sigma^T."""
+    x, t = ito.context.spatial, ito.context.t
+    s = sp.Matrix(ito.sigma)
+    S = s * s.T / 2
+    J = sp.Matrix(phi).jacobian(x)
+    drift = [sp.diff(p, t) + sum(f * sp.diff(p, v) for f, v in zip(ito.f, x))
+             + sum(S[a, b] * sp.diff(p, x[a], x[b])
+                   for a in range(len(x)) for b in range(len(x)))
+             for p in phi]
+    return drift, J * s * sp.Matrix(R).T
+
+
+def _close(a, b):
+    """a and b agree up to the rounding of Float coefficients."""
+    d = sp.expand(_expr(a) - b)
+    return d == 0 or all(abs(c) < 1e-9 for c in sp.Poly(
+        d, *sorted(d.free_symbols, key=lambda s: s.name)).coeffs())
+
+
+@pytest.mark.parametrize("R", [
+    ((0, -1), (1, 0)),
+    ((sp.Rational(3, 5), sp.Rational(-4, 5)),
+     (sp.Rational(4, 5), sp.Rational(3, 5)))],
+    ids=["signed_permutation", "rotation"])
+@pytest.mark.parametrize("floats", [False, True], ids=["ring", "expressions"])
+def test_sparse_image_matches_dense(R, floats):
+    """image, which sums sigma R^T and the noise image over nonzero entries
+    only, gives the dense formulas, in the ring and, for a system with
+    Float coefficients, on expressions. The rotation's rows share both
+    columns."""
+    from stosym.model import _EXPRS
+    for seed in range(8):
+        rng = seeded_rng(seed)
+        ito = random_polynomial_system(rng)
+        if floats:
+            ito = ItoSystem(context=ito.context, f=ito.f, sigma=tuple(
+                tuple(sp.Float(0.5) * e for e in row) for row in ito.sigma))
+        phi = tuple(random_expression(rng, RING_CTX, depth=2,
+                                      functions=False) for _ in range(2))
+        c, (ph, *rows) = ito._of([phi, *R])
+        assert (c.calc is _EXPRS) == floats
+        drift, noise = c.image(ph, rows)
+        want_drift, want_noise = _dense_image(ito, phi, R)
+        assert all(_close(a, b) for a, b in zip(drift, want_drift)), seed
+        assert all(_close(noise[i][k], want_noise[i, k])
+                   for i in range(2) for k in range(2)), seed
+
+
 def test_zero_entries_skipped_by_truthiness():
     """The expression calculus skips a zero entry by truthiness, not by
     != 0. On sympy >= 1.13 a Float 0.0 is falsy but != 0, so the two tests
@@ -275,6 +327,27 @@ class TestDiscreteMap:
                             lambda e: Verdict.INCONCLUSIVE)
         with pytest.raises(kernel.InconclusiveError):
             DiscreteMap(context=ctx, phi=(-ctx.spatial[0],), R=((-1,),))
+
+    @pytest.mark.parametrize("R, orthogonal", [
+        (((sp.Rational(3, 5), sp.Rational(-4, 5), 0),
+          (sp.Rational(4, 5), sp.Rational(3, 5), 0), (0, 0, 1)), True),
+        (((0, 2, 0), (0, 0, 2), (2, 0, 0)), False),
+        (((sp.Rational(3, 5), sp.Rational(4, 5), 0),
+          (sp.Rational(4, 5), sp.Rational(3, 5), 0), (0, 0, 1)), False)],
+        ids=["rotation_block", "twice_a_permutation", "shared_column"])
+    def test_orthogonality_over_structural_nonzeros(self, R, orthogonal):
+        """R R^T = I is decided over the diagonal and the pairs of rows
+        that share a column. The rotation block's rows 1 and 2 share two
+        columns and are orthogonal; in the last case each row has norm 1
+        but rows 1 and 2, which share columns, are not orthogonal, so only
+        the off-diagonal entry rejects it."""
+        ctx = Context(spatial=("x", "y", "z"), noises=("u", "v", "w"))
+        if orthogonal:
+            assert DiscreteMap(context=ctx, phi=ctx.spatial, R=R).R == tuple(
+                tuple(sp.sympify(e) for e in row) for row in R)
+        else:
+            with pytest.raises(ValueError, match="orthogonal"):
+                DiscreteMap(context=ctx, phi=ctx.spatial, R=R)
 
     def test_reflection_fixes_langevin(self, systems):
         lan = systems["langevin2.sde"]

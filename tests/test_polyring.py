@@ -17,7 +17,7 @@ from sympy.polys.rings import PolyRing
 import stosym.kernel as kernel
 from stosym.kernel import (Context, _exact, _normalize_loop, _own_ring,
                            _ring_element, normalize)
-from conftest import random_expression
+from conftest import RING_CTX, random_expression
 
 CTX = Context(spatial=("x", "y"), params={"a": "positive"}, opaque=("g",))
 A, X, Y, T = CTX.symbol("a"), *CTX.spatial, CTX.t
@@ -117,17 +117,85 @@ def test_arithmetic_on_generators():
 
 
 def test_linear_map_from_generators():
-    """What kpz_check_discrete asks of the context's ring to form y = F x:
-    a generator times a sympy Rational, Integer(-1) included, summed from
-    zero, gives what from_expr gives; and what model.DiscreteMap asks of
-    the result: its ring, compared with ==, and its expression."""
+    """What kpz_check_discrete asks of the context's ring to form y = F x
+    from F's nonzero entries: a generator times the QQ element of a sympy
+    Rational, -1 included, summed from zero, gives what from_expr gives;
+    and what model.DiscreteMap asks of the result: its ring, compared with
+    ==, and its expression."""
     gens = dict(zip(RING.symbols, RING.gens))
-    row = (sp.Rational(3, 5), sp.Integer(-1), sp.Integer(0))
-    phi = sum((v * e for e, v in zip(row, (gens[X], gens[Y], gens[A]))
-               if e), RING.zero)
+    row = (sp.Rational(3, 5), sp.Integer(-1))
+    phi = sum((v * QQ(e.p, e.q) for e, v in zip(row, (gens[X], gens[Y]))),
+              RING.zero)
     assert phi == RING.from_expr(3 * X / 5 - Y)
     assert phi.ring == RING and PolyRing([A, T, X], QQ) != RING
     assert phi.as_expr() == normalize(3 * X / 5 - Y)
+
+
+def test_sparse_engine_calls():
+    """What the engine's sparse paths ask of a ring over QQ: itermonoms()
+    and items() give each term's exponent tuple, zipped into the
+    generators an element holds (model._Ring.gradient and d); a
+    monomial's single term names its generator (model._Ring.substitution);
+    from_dict builds an element from exponent tuples and coefficients and
+    drops a zero; is_ground tells a constant, 0 included; and a zero,
+    ground_new(0) included, is falsy, so the converted zeros of R and
+    sigma are skipped (model._nonzero_rows)."""
+    p = RING.from_expr(3 * A**2 * X / 4 - T)
+    assert sorted(p.itermonoms()) == sorted(m for m, _ in p.items())
+    assert [any(k) for k in zip(*p.itermonoms())] == [True, True, True,
+                                                      False]
+    (monom, c), = (-2 * RING.gens[3]).items()
+    assert (monom, monom.index(1), c) == ((0, 0, 0, 1), 3, QQ(-2))
+    assert RING.from_dict(dict(p.items())) == p
+    assert RING.from_dict({(0, 0, 1, 0): QQ(2, 3), (1, 0, 0, 0): QQ(0)}) == (
+        RING.from_expr(2 * X / 3))
+    assert RING.zero.is_ground and RING.ground_new(QQ(5)).is_ground
+    assert not p.is_ground and not RING.gens[0].is_ground
+    assert not RING.ground_new(QQ(0)) and not RING.ground_new(0)
+
+
+# maps of (x, y) as functions of the generators (c, k, t, x, y) of RING_CTX
+_MONOMIAL_MAPS = {
+    "identity": lambda c, k, t, x, y: (x, y),
+    "swap": lambda c, k, t, x, y: (y, x),
+    "signed_swap": lambda c, k, t, x, y: (-y, x),
+    "negation": lambda c, k, t, x, y: (-x, -y),
+    "not_injective": lambda c, k, t, x, y: (y, -y),
+    "scaled": lambda c, k, t, x, y: (QQ(2, 3) * y, QQ(-3, 2) * x),
+    "onto_a_parameter": lambda c, k, t, x, y: (k, QQ(2, 3) * x),
+}
+_OTHER_MAPS = {
+    "sum": lambda c, k, t, x, y: (x + y, x),
+    "product": lambda c, k, t, x, y: (x * y, y),
+    "constant": lambda c, k, t, x, y: (x.ring.one, y),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from(sorted({**_MONOMIAL_MAPS, **_OTHER_MAPS})))
+def test_index_map_substitution_agrees_with_compose(rng, name):
+    """model._Ring.substitution of a monomial map x^i -> c_i g_pi(i)
+    rewrites exponents and coefficients without compose, and gives what
+    PolyElement.compose gives; any other map takes compose."""
+    from stosym.model import _Ring
+    ring = RING_CTX.ring
+    calc = _Ring(ring, RING_CTX.spatial, RING_CTX.t)
+    phi = {**_MONOMIAL_MAPS, **_OTHER_MAPS}[name](*ring.gens)
+    pairs = [(ring.gens[i], p) for i, p in zip(calc.x, phi)]
+    e = _ring_element(random_expression(rng, RING_CTX, depth=3,
+                                        functions=False), ring)
+    compose, calls = type(e).compose, []
+
+    def spy(self, *args):
+        calls.append(self)
+        return compose(self, *args)
+    with mock.patch.object(type(e), "compose", spy):
+        got = calc.substitution(calc.x, phi)(e)
+    assert got == compose(e, pairs)
+    assert got.ring is ring
+    assert len(calls) == (0 if name in _MONOMIAL_MAPS or e.is_ground
+                          else 1)
 
 
 def test_from_expr_of_a_vanishing_polynomial_is_zero():
