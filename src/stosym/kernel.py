@@ -370,7 +370,7 @@ def _ring_element(e, ring):
     just these (floats apart) and prints ring and input into the error it
     raises on anything else."""
     if isinstance(e, PolyElement):
-        return e if e.ring is ring or e.ring == ring else None
+        return e if e.ring == ring else None
     e = sp.sympify(e)
     if e.is_Rational:
         return ring.ground_new(QQ(e.p, e.q))

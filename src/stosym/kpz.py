@@ -106,8 +106,7 @@ def kpz_check_discrete(chain: KpzChain, F) -> VerificationReport:
     non-orthogonal F raises ValueError, one whose orthogonality the zero
     test cannot decide InconclusiveError."""
     n = chain.n_sites
-    if not isinstance(F, sp.MatrixBase):
-        F = sp.Matrix(F)
+    F = sp.Matrix(F)
     if F.shape != (n, n):
         raise ValueError("F must match the chain size")
     ctx, entries = chain.context, sorted(F.todok().items())

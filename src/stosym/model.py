@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import compress
-from operator import itemgetter
 
 import sympy as sp
 from sympy.polys.rings import PolyElement
@@ -412,7 +410,7 @@ class _Ring(_Domain, _Exprs):
         return grad
 
     def add(self, terms):
-        return sum(terms[1:], terms[0]) if terms else self.zero
+        return sum(terms, self.zero)
 
     def substitution(self, x, phi):
         """e -> e(phi). A monomial map x^i -> c_i g_pi(i), each g a
@@ -420,7 +418,7 @@ class _Ring(_Domain, _Exprs):
         each term's exponents and scales its coefficient; any other map
         composes, which substitutes simultaneously."""
         ring, n = self.ring, self.ring.ngens
-        target, masks = list(range(n)), {}
+        target, scaled = list(range(n)), {}
         for i, p in zip(x, phi):
             terms = list(p.items())
             if len(terms) != 1 or sum(terms[0][0]) != 1:
@@ -429,27 +427,21 @@ class _Ring(_Domain, _Exprs):
             (monom, c), = terms
             target[i] = monom.index(1)
             if c != 1:
-                masks.setdefault(c, [0] * n)[i] = 1
-        if sorted(target) == list(range(n)):
-            # a permutation; the ring holds x and t, so n > 1 and
-            # itemgetter returns a tuple
-            exponents = itemgetter(*sorted(range(n), key=target.__getitem__))
-        else:
-            def exponents(monom):
-                out = [0] * n
-                for i, k in zip(target, monom):
-                    out[i] += k
-                return tuple(out)
+                # a coefficient times the domain's 1 costs a multiplication
+                scaled[i] = c
 
         def at(e):
             if e.is_ground:
                 return e
             out = {}
             for monom, v in e.items():
-                for c, mask in masks.items():
-                    if k := sum(compress(monom, mask)):
-                        v *= c**k
-                monom = exponents(monom)
+                moved = [0] * n
+                for i, k in enumerate(monom):
+                    if k:
+                        moved[target[i]] += k
+                        if i in scaled:
+                            v *= scaled[i]**k
+                monom = tuple(moved)
                 out[monom] = out[monom] + v if monom in out else v
             return ring.from_dict(out)
         return at
